@@ -304,7 +304,6 @@ def _cmd_check(args) -> int:
         "map_class": classify(phi).kind.value,
         "verdict": _verdict_dict(verdict),
         "diagnostics": [],
-        "wall_time_ms": round(1000 * (time.monotonic() - t0), 3),
     }
     bounds = _norm_bound_block(psi, phi, space)
     if bounds is not None:
@@ -320,6 +319,7 @@ def _cmd_check(args) -> int:
         }
         if "mu" in bounds:
             report["spectral"]["citations"]["mu"] = f"mu = {bounds['mu']!r}"
+    report["wall_time_ms"] = round(1000 * (time.monotonic() - t0), 3)
     emit(report, cfg.fmt)
     return 0
 
@@ -366,7 +366,7 @@ def _cmd_spectral(args) -> int:
 # ---------------------------------------------------------------------------
 # Self-test battery
 
-def _selftest_items(space_labels: list[str], order: int) -> list[dict]:
+def _selftest_items(space_labels: list[str]) -> list[dict]:
     par = cayley_parabolic(1, 1)
     psi1 = polynomial_fn(0.5, -0.25)
     psi2 = polynomial_fn(3, 2, -3)
@@ -433,7 +433,7 @@ def _cmd_selftest(args) -> int:
     t0 = time.monotonic()
     cfg = job_config(args)
     labels = [args.space] if args.space != "hardy" else ["hardy", "bergman:0"]
-    items = _selftest_items(labels, cfg.order)
+    items = _selftest_items(labels)
     passed = sum(1 for it in items if it["passed"])
     report = {
         "input": {"spaces": labels},

@@ -172,15 +172,13 @@ def operator_norm(m: OperatorMatrix, rel_tol: float = 1e-8) -> SpectralEstimate:
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     if n >= 4:
-        try:
-            from scipy.sparse.linalg import LinearOperator, eigsh
+        from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-            op = LinearOperator(
-                (n, n), matvec=lambda x: a.conj().T @ (a @ x), dtype=complex
-            )
+        op = LinearOperator((n, n), matvec=lambda x: a.conj().T @ (a @ x), dtype=complex)
+        try:
             _vals, vecs = eigsh(op, k=1, which="LA", v0=v, maxiter=10 * n, tol=1e-12)
             v = vecs[:, 0]
-        except Exception:
+        except ArpackError:
             pass  # fall through to plain power steps from the seeded vector
     lam = 0.0
     resid = math.inf
@@ -286,21 +284,26 @@ class KernelNorms:
     tail_bound: float     # || C f || <= forward + tail_bound
 
 
+def _gram(xs: np.ndarray, gamma: float) -> np.ndarray:
+    """<K_{x_i}, K_{x_j}> = (1 - conj(x_i) x_j)^(-gamma)."""
+    return (1.0 - np.conj(xs)[:, None] * xs[None, :]) ** (-gamma)
+
+
+def _adjoint_gram(psi_f: AnalyticFunction, phi, space: SpaceSpec, pts) -> np.ndarray:
+    """<C* K_{w_i}, C* K_{w_j}>, closed-form from C* K_w = conj(psi(w)) K_phi(w)."""
+    phis = np.array([phi(w) for w in pts])
+    psis = np.array([psi_f(w) for w in pts])
+    return np.conj(psis)[:, None] * psis[None, :] * _gram(phis, space.gamma)
+
+
 def _forward_images(psi_f: AnalyticFunction, phi, space: SpaceSpec, points, n: int):
-    """Per-kernel truncated images psi*(K_w o phi) and their tail bounds."""
+    """Per-kernel symbols psi*(K_w o phi) and their truncated images, one row each."""
+    if not isinstance(phi, MoebiusMap):
+        raise InvalidParameterError("forward kernel images need a linear-fractional symbol")
     gamma = space.gamma
     b = beta_array(space, n)
-    images = []
-    tails = []
-    for w in points:
-        kf = kernel_function(w, gamma)
-        comp = compose_with_moebius(kf, phi) if isinstance(phi, MoebiusMap) else None
-        if comp is None:
-            raise InvalidParameterError("forward kernel images need a linear-fractional symbol")
-        g = psi_f * comp
-        images.append(expand_analytic(g, n).coefficients * b)
-        tails.append(series_tail_bound(g, n))
-    return images, tails
+    symbols = [psi_f * compose_with_moebius(kernel_function(w, gamma), phi) for w in points]
+    return symbols, np.array([expand_analytic(g, n).coefficients * b for g in symbols])
 
 
 def kernel_gram_norms(psi, phi: MoebiusMap, space: SpaceSpec, points, coeffs, n: int) -> KernelNorms:
@@ -319,27 +322,38 @@ def kernel_gram_norms(psi, phi: MoebiusMap, space: SpaceSpec, points, coeffs, n:
     if len(pts) != cs.size or not pts:
         raise InvalidParameterError("need matching nonempty points and coefficients")
     psi_f = as_analytic(psi)
-    gamma = space.gamma
 
-    phis = np.array([phi(w) for w in pts])
-    psis = np.array([psi_f(w) for w in pts])
-    gram = (1.0 - np.conj(phis)[:, None] * phis[None, :]) ** (-gamma)
-    # <C*f, C*f> = sum_ij c_i conj(c_j) conj(psi_i) psi_j (1 - conj(phi_i) phi_j)^(-gamma)
-    weighted = np.conj(psis)[:, None] * psis[None, :] * gram
+    # <C*f, C*f> = sum_ij c_i conj(c_j) <C* K_{w_i}, C* K_{w_j}>
+    weighted = _adjoint_gram(psi_f, phi, space, pts)
     adj_sq = float(np.real(np.einsum("i,j,ij->", cs, np.conj(cs), weighted)))
     adjoint = math.sqrt(max(adj_sq, 0.0))
 
-    images, tails = _forward_images(psi_f, phi, space, pts, n)
+    symbols, images = _forward_images(psi_f, phi, space, pts, n)
     vec = np.zeros(n, dtype=complex)
     for c, img in zip(cs, images):
         vec += c * img
     forward = float(np.linalg.norm(vec))
-    tail = float(sum(abs(c) * t for c, t in zip(cs, tails)))
+    tail = float(sum(abs(c) * series_tail_bound(g, n) for c, g in zip(cs, symbols)))
     if tail > 0.1 * max(forward, 1e-300):
         raise PrecisionLossError(
             f"tail bound {tail:.3e} exceeds 10% of the computed norm {forward:.3e}; raise the order"
         )
     return KernelNorms(forward, adjoint, tail)
+
+
+def kernel_gram_forms(psi, phi: MoebiusMap, space: SpaceSpec, points, n: int):
+    """Hermitian K, A, F with ||f||^2 = c^H K c, ||C* f||^2 = c^H A c and
+    ||P_n C f||^2 = c^H F c for f = sum_i c_i K_{w_i}.
+
+    The forms kernel_gram_norms evaluates, as matrices; F is the order-n
+    truncation and carries no tail bound.
+    """
+    pts = [complex(w) for w in points]
+    psi_f = as_analytic(psi)
+    _symbols, images = _forward_images(psi_f, phi, space, pts, n)
+    kernel = _gram(np.array(pts), space.gamma).T
+    adjoint = _adjoint_gram(psi_f, phi, space, pts).T
+    return kernel, adjoint, images.conj() @ images.T
 
 
 # ---------------------------------------------------------------------------

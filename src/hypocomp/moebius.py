@@ -53,6 +53,19 @@ def _snap(x: complex) -> complex:
     return 0j if abs(x) < _COEFF_SNAP else x
 
 
+def require_pole_free(den, z) -> None:
+    """Raise PoleEncounteredError where |den| < 1e-300; z is a complex scalar
+    or a numpy array and den its denominator values."""
+    small = abs(den) < 1e-300
+    if isinstance(small, np.ndarray):
+        if not small.any():
+            return
+        z = complex(np.asarray(z)[small][0])
+    elif not small:
+        return
+    raise PoleEncounteredError(f"pole at z = {z}")
+
+
 @dataclass(frozen=True)
 class MoebiusMap:
     """Map z -> (a z + b)/(c z + d), coefficients scaled to max modulus 1.
@@ -86,16 +99,15 @@ class MoebiusMap:
     def det(self) -> complex:
         return self.a * self.d - self.b * self.c
 
-    def __call__(self, z: complex) -> complex:
+    def __call__(self, z):
+        """phi(z) for a complex scalar or elementwise for a numpy array."""
         den = self.c * z + self.d
-        if abs(den) < 1e-300:
-            raise PoleEncounteredError(f"pole of the map at z={z}")
+        require_pole_free(den, z)
         return (self.a * z + self.b) / den
 
-    def derivative(self, z: complex) -> complex:
+    def derivative(self, z):
         den = self.c * z + self.d
-        if abs(den) < 1e-300:
-            raise PoleEncounteredError(f"pole of the map at z={z}")
+        require_pole_free(den, z)
         return self.det / (den * den)
 
     def inverse(self) -> "MoebiusMap":

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import InvalidParameterError, OutsideDiskError, SpaceMismatchError
-from .funcalg import AnalyticFunction, TaylorSeries, kernel_function, rational
+from .funcalg import AnalyticFunction, TaylorSeries, rational
 from .moebius import MoebiusMap, is_self_map, krein_triple
 
 
@@ -133,11 +133,6 @@ def kernel_norm(space: SpaceSpec, w: complex) -> float:
     if abs(w) >= 1.0:
         raise OutsideDiskError("kernel point must lie strictly inside the unit disk")
     return (1.0 - abs(w) ** 2) ** (-space.gamma / 2.0)
-
-
-def kernel_analytic(space: SpaceSpec, w: complex) -> AnalyticFunction:
-    """The kernel (1 - conj(w) z)^(-gamma) as a symbol."""
-    return kernel_function(w, space.gamma)
 
 
 def inner_product(f: CoeffVector, g: CoeffVector) -> complex:

@@ -12,7 +12,6 @@ grid order wins); every function is pure.
 
 from __future__ import annotations
 
-import cmath
 import math
 import time
 from dataclasses import dataclass, field
@@ -32,13 +31,13 @@ from .errors import (
 )
 from .funcalg import (
     AnalyticFunction,
+    circle,
     compose_with_moebius,
     constant_fn,
-    expand_analytic,
     is_value_constant,
     kernel_function,
 )
-from .matrixrep import KernelNorms, as_analytic, kernel_gram_norms, truncation_cap
+from .matrixrep import as_analytic, kernel_gram_forms, kernel_gram_norms, truncation_cap
 from .moebius import (
     MapClass,
     MapKind,
@@ -51,7 +50,7 @@ from .moebius import (
     match_hyperbolic_nonauto_form,
     require_self_map,
 )
-from .space import SpaceSpec, beta_array, kernel_norm
+from .space import SpaceSpec, kernel_norm
 
 # Citation clauses attached to verdicts and closed forms.
 CIT_ORIGIN_NOT_FIXED = "a hyponormal composition symbol must fix the origin"
@@ -214,12 +213,13 @@ class InequalityViolation:
         return self.kernel_side_value - self.fixed_point_value
 
 
+def _radial_grid(radii) -> list[complex]:
+    """0 and 16 equally spaced points on each radius, as Python complex numbers."""
+    return [0j] + [complex(w) for r in radii for w in circle(r, 16)]
+
+
 def default_inequality_grid() -> tuple[complex, ...]:
-    pts: list[complex] = [0j]
-    for r in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
-        for k in range(16):
-            pts.append(r * cmath.exp(2j * math.pi * k / 16))
-    return tuple(pts)
+    return tuple(_radial_grid((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)))
 
 
 def kernel_ratio_value(psi, phi: MoebiusMap, space: SpaceSpec, w: complex) -> float:
@@ -304,12 +304,11 @@ def normal_form(p: complex, delta: complex, value_at_p: complex, space: SpaceSpe
     phi = compose(a, a.scaled(delta))
     psi = kernel_quotient_weight(p, value_at_p, phi, space)
     # Verify the defining identities on a 20-point grid.
-    for k in range(20):
-        z = 0.8 * cmath.exp(2j * math.pi * k / 20)
-        lhs = psi(z)
-        rhs = complex(value_at_p) * kernel_function(p, space.gamma)(z) / kernel_function(p, space.gamma)(phi(z))
-        if abs(lhs - rhs) > 1e-12 * (1.0 + abs(rhs)):
-            raise InvalidParameterError("normal-form weight failed its defining identity")
+    z = circle(0.8, 20)
+    kp = kernel_function(p, space.gamma)
+    rhs = complex(value_at_p) * kp(z) / kp(phi(z))
+    if np.any(np.abs(psi(z) - rhs) > 1e-12 * (1.0 + np.abs(rhs))):
+        raise InvalidParameterError("normal-form weight failed its defining identity")
     mult = phi.derivative(p)
     if abs(mult - delta) > 1e-9:
         raise InvalidParameterError("interior multiplier does not equal delta")
@@ -320,8 +319,7 @@ def normal_form(p: complex, delta: complex, value_at_p: complex, space: SpaceSpe
 # Weighted classifier
 
 def _weight_scale(psi_f: AnalyticFunction) -> float:
-    vals = [abs(psi_f(0.6 * cmath.exp(2j * math.pi * k / 8))) for k in range(8)]
-    return max(1.0, max(vals))
+    return max(1.0, float(np.abs(psi_f(circle(0.6, 8))).max()))
 
 
 def classify_weighted(
@@ -337,11 +335,12 @@ def classify_weighted(
     """
     opts = options or WeightedOptions()
     psi_f = as_analytic(psi)
-    if is_value_constant(psi_f) and abs(psi_f(0)) <= 1e-14:
+    constant = is_value_constant(psi_f)
+    if constant and abs(psi_f(0)) <= 1e-14:
         raise ZeroSymbolError("weight is identically zero")
     require_self_map(phi)
 
-    if is_value_constant(psi_f):
+    if constant:
         base = classify_unweighted(phi, space)
         return HyponormalityVerdict(
             base.outcome,
@@ -409,15 +408,15 @@ def classify_weighted(
                 CIT_COMPACT_NORMAL_FORM,
                 details="weight vanishes at the interior fixed point",
             )
-        ref_weight = kernel_quotient_weight(p, value, phi, space)
-        for k in range(20):
-            z = 0.85 * cmath.exp(2j * math.pi * k / 20)
-            if abs(psi_f(z) - ref_weight(z)) > 1e-12 * (1.0 + abs(ref_weight(z))):
-                return HyponormalityVerdict(
-                    Outcome.NOT_HYPONORMAL,
-                    CIT_COMPACT_NORMAL_FORM,
-                    details=f"weight differs from the kernel quotient at z = {z:.6g}",
-                )
+        z = circle(0.85, 20)
+        ref = kernel_quotient_weight(p, value, phi, space)(z)
+        differs = np.abs(psi_f(z) - ref) > 1e-12 * (1.0 + np.abs(ref))
+        if differs.any():
+            return HyponormalityVerdict(
+                Outcome.NOT_HYPONORMAL,
+                CIT_COMPACT_NORMAL_FORM,
+                details=f"weight differs from the kernel quotient at z = {complex(z[differs][0]):.6g}",
+            )
         return HyponormalityVerdict(
             Outcome.NORMAL,
             CIT_COMPACT_NORMAL_FORM,
@@ -654,19 +653,19 @@ def conjugate_to_origin(
 # ---------------------------------------------------------------------------
 # Numeric witness search
 
-def _single_margin(psi_f, phi, space, w, order) -> tuple[KernelNorms, float]:
-    scale = 1.0 / kernel_norm(space, w)
-    kn = kernel_gram_norms(psi_f, phi, space, [w], [scale], order)
-    return kn, kn.adjoint - kn.forward
-
-
-def _norms_with_escalation(psi_f, phi, space, pts, cs, order) -> KernelNorms | None:
+def _norms_with_escalation(psi_f, phi, space, pts, cs, order) -> CertificateWitness | None:
+    """sum_i c_i K_{w_i} with its kernel_gram_norms at order, doubled until the
+    tail bound is within 10% of the norm; the witness records the order that
+    held.  None when no order up to the truncation cap does.
+    """
     n = order
     while n <= truncation_cap():
         try:
-            return kernel_gram_norms(psi_f, phi, space, pts, cs, n)
+            kn = kernel_gram_norms(psi_f, phi, space, pts, cs, n)
         except PrecisionLossError:
             n *= 2
+            continue
+        return CertificateWitness(tuple(pts), tuple(cs), kn.adjoint, kn.forward, kn.tail_bound, n)
     return None
 
 
@@ -689,27 +688,18 @@ def witness_search(
     psi_f = as_analytic(psi)
     require_self_map(phi)
     deadline = time.monotonic() + budget_seconds
-    gamma = space.gamma
 
-    grid: list[complex] = [0j]
-    for r in (0.15, 0.3, 0.45, 0.6, 0.75, 0.9):
-        for k in range(16):
-            grid.append(r * cmath.exp(2j * math.pi * k / 16))
-
+    grid = _radial_grid((0.15, 0.3, 0.45, 0.6, 0.75, 0.9))
     ranked: list[tuple[float, complex]] = []
     for w in grid:
         if time.monotonic() > deadline:
             return None
-        kn = _norms_with_escalation(psi_f, phi, space, [w], [1.0 / kernel_norm(space, w)], order)
-        if kn is None:
+        witness = _norms_with_escalation(psi_f, phi, space, [w], [1.0 / kernel_norm(space, w)], order)
+        if witness is None:
             continue
-        margin = kn.adjoint - kn.forward
-        if margin > 10.0 * (kn.tail_bound + 1e-12):
-            return CertificateWitness(
-                (complex(w),), (1.0 / kernel_norm(space, w),), kn.adjoint, kn.forward,
-                kn.tail_bound, order,
-            )
-        ranked.append((kn.adjoint / max(kn.forward, 1e-300), complex(w)))
+        if witness.is_conclusive:
+            return witness
+        ranked.append((witness.adjoint_norm / max(witness.forward_norm, 1e-300), w))
 
     ranked.sort(key=lambda t: -t[0])
     top = [w for _ratio, w in ranked[:20]] or grid
@@ -725,39 +715,20 @@ def witness_search(
             w = pool[int(rng.integers(0, len(pool)))]
             if all(abs(w - u) > 1e-9 for u in pts):
                 pts.append(w)
-        ws = np.array(pts)
-        phis = np.array([phi(w) for w in pts])
-        psis = np.array([psi_f(w) for w in pts])
-        adj_gram = psis[:, None] * np.conj(psis)[None, :] * (
-            1.0 - np.conj(phis)[None, :] * phis[:, None]
-        ) ** (-gamma)
-        ker_gram = (1.0 - np.conj(ws)[None, :] * ws[:, None]) ** (-gamma)
+        kernel, adjoint, forward = kernel_gram_forms(psi_f, phi, space, pts, order)
+        reg = 1e-12 * float(np.trace(forward).real) / m
         try:
-            imgs = []
-            b = beta_array(space, order)
-            for w in pts:
-                g = psi_f * compose_with_moebius(kernel_function(w, gamma), phi)
-                imgs.append(expand_analytic(g, order).coefficients * b)
-            v = np.stack(imgs, axis=1)
-            fwd_gram = v.conj().T @ v
-            reg = 1e-12 * float(np.trace(fwd_gram).real) / m
-            _vals, vecs = scipy.linalg.eigh(adj_gram, fwd_gram + reg * np.eye(m))
-        except Exception:
+            _vals, vecs = scipy.linalg.eigh(adjoint, forward + reg * np.eye(m))
+        except scipy.linalg.LinAlgError:
             continue
         c = vecs[:, -1]
-        nf = float(np.real(np.einsum("i,ij,j->", np.conj(c), ker_gram, c)))
+        nf = float(np.real(np.einsum("i,ij,j->", np.conj(c), kernel, c)))
         if nf <= 0:
             continue
         c = c / math.sqrt(nf)
-        kn = _norms_with_escalation(psi_f, phi, space, pts, c, order)
-        if kn is None:
-            continue
-        margin = kn.adjoint - kn.forward
-        if margin > 10.0 * (kn.tail_bound + 1e-12):
-            return CertificateWitness(
-                tuple(complex(w) for w in pts), tuple(complex(x) for x in c),
-                kn.adjoint, kn.forward, kn.tail_bound, order,
-            )
+        witness = _norms_with_escalation(psi_f, phi, space, pts, [complex(x) for x in c], order)
+        if witness is not None and witness.is_conclusive:
+            return witness
     return None
 
 

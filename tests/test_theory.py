@@ -405,6 +405,19 @@ class TestWitnessSearch:
         nf = hc.normal_form(0.3, 0.4, 1, H2)
         assert hc.witness_search(nf.psi, nf.phi, H2, budget_seconds=2.5, order=48) is None
 
+    @pytest.mark.parametrize(
+        "coeffs, phi",
+        [((1, 0.9), hc.dilation(0.9)), ((1, 0.5), hc.hyperbolic_nonauto_form(0.5))],
+    )
+    def test_witness_reproduces_at_its_order(self, H2, coeffs, phi):
+        # order 8 is too short for these kernels' tails, so the search escalates;
+        # the witness must record the order its norms were certified at.
+        psi = hc.polynomial_fn(*coeffs)
+        w = hc.witness_search(psi, phi, H2, budget_seconds=30, order=8)
+        assert w is not None and w.is_conclusive and w.order > 8
+        kn = hc.kernel_gram_norms(psi, phi, H2, w.points, w.coefficients, w.order)
+        assert (kn.adjoint, kn.forward, kn.tail_bound) == (w.adjoint_norm, w.forward_norm, w.tail_bound)
+
     def test_inequality_violations_are_confirmed(self, H2, A0, psi_one, psi_two, parabolic_map):
         # theory-certified exclusions must be confirmed numerically
         for space, psi in ((H2, psi_one), (H2, psi_two), (A0, psi_one)):
