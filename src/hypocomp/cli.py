@@ -38,7 +38,7 @@ from .errors import (
     HypocompError,
     TheoryUnavailableError,
 )
-from .funcalg import AnalyticFunction, polynomial_fn, rational_fn
+from .funcalg import AnalyticFunction, no_zero_in_closed_disk, polynomial_fn, rational, rational_fn
 from .moebius import (
     MoebiusMap,
     cayley_parabolic,
@@ -89,6 +89,9 @@ def job_config(args) -> JobConfig:
     grid = None
     if getattr(args, "grid", None):
         grid = tuple(parse_complex(tok) for tok in args.grid.split(";") if tok.strip())
+        for w in grid:
+            if not abs(w) < 1.0:
+                raise ValueError(f"grid point {w} must lie in the open unit disk")
     return JobConfig(
         space=space_from_label(args.space),
         order=args.order,
@@ -144,10 +147,12 @@ def parse_weight(spec: str, phi: MoebiusMap, space: SpaceSpec) -> AnalyticFuncti
         return kernel_quotient_weight(args[0], args[1], phi, space)
     if "/" in spec:
         num, _, den = spec.partition("/")
-        return rational_fn(
-            [parse_complex(t) for t in num.split(",")],
-            [parse_complex(t) for t in den.split(",")],
-        )
+        num_coeffs = [parse_complex(t) for t in num.split(",")]
+        den_coeffs = [parse_complex(t) for t in den.split(",")]
+        weight = rational_fn(num_coeffs, den_coeffs)
+        if not no_zero_in_closed_disk(rational(den_coeffs)):
+            raise ValueError(f"weight denominator {den.strip()} has a zero in the closed unit disk")
+        return weight
     return polynomial_fn(*[parse_complex(t) for t in spec.split(",")])
 
 

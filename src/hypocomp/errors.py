@@ -42,7 +42,7 @@ class BranchViolationError(HypocompError):
 
 
 class IndeterminateError(HypocompError):
-    """A root sits too close to the test circle for the winding count to be trusted."""
+    """A root sits too close to the test circle |z| = 1 + 1e-6 to place it on either side."""
 
 
 class PoleEncounteredError(HypocompError):

@@ -18,6 +18,7 @@ Everything here is immutable and side-effect free.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -36,9 +37,16 @@ from .moebius import MoebiusMap, require_pole_free
 MAX_DEGREE = 64
 MAX_ORDER = 4096
 
-_WINDING_SAMPLES = 8192
-_WINDING_RADIUS = 1.0 + 1e-6
-_WINDING_GUARD = 1e-8
+# A root of modulus <= _ZERO_TEST_RADIUS counts as a zero in the closed disk;
+# the test refuses to decide when its lower bound on min|p| / max|p| over the
+# circle of that radius falls below _ZERO_TEST_GUARD.
+_ZERO_TEST_RADIUS = 1.0 + 1e-6
+_ZERO_TEST_GUARD = 1e-8
+# Relative tolerance of is_value_constant, samples of boundary_sup, and the
+# factor by which series_tail_bound inflates its sampled circle maxima.
+_CONSTANT_TOL = 1e-12
+_BOUNDARY_SUP_SAMPLES = 2048
+_TAIL_SAFETY = 1.1
 
 
 # ---------------------------------------------------------------------------
@@ -53,12 +61,14 @@ def _trim(coeffs) -> tuple[complex, ...]:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Complex coefficients in ascending degree, trailing zeros trimmed."""
+    """Finite complex coefficients in ascending degree, trailing zeros trimmed."""
 
     coefficients: tuple[complex, ...]
 
     def __post_init__(self):
         c = _trim(self.coefficients)
+        if not all(cmath.isfinite(x) for x in c):
+            raise InvalidParameterError("polynomial coefficients must be finite")
         if len(c) - 1 > MAX_DEGREE:
             raise InvalidParameterError(f"degree {len(c) - 1} exceeds the cap {MAX_DEGREE}")
         object.__setattr__(self, "coefficients", c)
@@ -108,7 +118,13 @@ class Polynomial:
     def roots(self) -> np.ndarray:
         if self.degree == 0:
             return np.array([], dtype=complex)
-        return np.roots(list(reversed(self.coefficients)))
+        # The companion matrix holds coefficient / leading coefficient, which
+        # can overflow when the coefficients span more than the double range.
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                return np.roots(list(reversed(self.coefficients)))
+            except np.linalg.LinAlgError:
+                raise IndeterminateError("coefficient ratios overflow; roots not computable") from None
 
 
 def poly(*coeffs) -> Polynomial:
@@ -181,11 +197,14 @@ def compose_rational_moebius(r: RationalFunction, phi: MoebiusMap) -> RationalFu
 
 
 def no_zero_in_closed_disk(r: RationalFunction) -> bool:
-    """Whether r.num has no root of modulus <= 1 + 1e-6.
+    """Whether r.num has no root of modulus <= R = 1 + 1e-6.
 
-    Decided by the argument-principle winding count of the numerator on the
-    circle of radius 1 + 1e-6 with 8192 samples.  A root within 1e-8 of the
-    test circle makes the count untrustworthy and raises IndeterminateError.
+    Decided from the moduli |rho_i| of the computed roots.  On |z| = R,
+    prod_i |R - |rho_i|| / (R + |rho_i|) is a lower bound on min|p| / max|p|;
+    when it falls below 1e-8 a root is too close to the test circle to be
+    placed on either side, and IndeterminateError is raised.  The bound also
+    widens by itself around repeated roots, whose computed moduli are only
+    good to about eps^(1/m) for multiplicity m.
     """
     return _poly_zero_free(r.num)
 
@@ -193,21 +212,12 @@ def no_zero_in_closed_disk(r: RationalFunction) -> bool:
 def _poly_zero_free(p: Polynomial) -> bool:
     if p.is_zero():
         return False
-    if p.degree == 0:
-        return True
-    theta = np.linspace(0.0, 2.0 * math.pi, _WINDING_SAMPLES, endpoint=False)
-    z = _WINDING_RADIUS * np.exp(1j * theta)
-    vals = np.polyval(list(reversed(p.coefficients)), z)
-    mags = np.abs(vals)
-    if mags.min() < _WINDING_GUARD * max(1.0, mags.max()):
+    mods = np.abs(p.roots())
+    if np.prod(np.abs(_ZERO_TEST_RADIUS - mods) / (_ZERO_TEST_RADIUS + mods)) < _ZERO_TEST_GUARD:
         raise IndeterminateError(
-            "a root lies within 1e-8 of the test circle; increase precision"
+            f"a root lies too close to the test circle |z| = {_ZERO_TEST_RADIUS!r} to decide"
         )
-    args = np.angle(vals)
-    dargs = np.diff(np.concatenate([args, args[:1]]))
-    dargs = (dargs + math.pi) % (2.0 * math.pi) - math.pi
-    winding = int(round(float(dargs.sum()) / (2.0 * math.pi)))
-    return winding == 0
+    return bool(np.all(mods > _ZERO_TEST_RADIUS))
 
 
 def _factor_admissible(r: RationalFunction) -> None:
@@ -310,15 +320,15 @@ def circle(r: float, n: int) -> np.ndarray:
     return r * np.exp(1j * (2.0 * math.pi * np.arange(n) / n))
 
 
-def is_value_constant(f: AnalyticFunction, tol: float = 1e-12) -> bool:
+def is_value_constant(f: AnalyticFunction) -> bool:
     """Whether f is constant as a function, decided on a 24-point grid."""
     v0 = f(0)
-    return not np.any(np.abs(f(circle(0.7, 24)) - v0) > tol * (1.0 + abs(v0)))
+    return not np.any(np.abs(f(circle(0.7, 24)) - v0) > _CONSTANT_TOL * (1.0 + abs(v0)))
 
 
-def boundary_sup(f: AnalyticFunction, samples: int = 2048) -> float:
-    """max |f| over a dense sample of the unit circle (lower estimate of the sup)."""
-    return float(np.abs(f(circle(1.0, samples))).max())
+def boundary_sup(f: AnalyticFunction) -> float:
+    """max |f| over 2048 points of the unit circle (lower estimate of the sup)."""
+    return float(np.abs(f(circle(1.0, _BOUNDARY_SUP_SAMPLES))).max())
 
 
 def min_singularity_radius(f: AnalyticFunction) -> float:
@@ -339,11 +349,10 @@ def min_singularity_radius(f: AnalyticFunction) -> float:
 
 @dataclass(frozen=True)
 class TaylorSeries:
-    """First N Maclaurin coefficients plus a geometric tail-decay estimate."""
+    """First N Maclaurin coefficients."""
 
     coefficients: np.ndarray
     order: int
-    tail_ratio: float
 
     def __post_init__(self):
         arr = np.asarray(self.coefficients, dtype=complex).copy()
@@ -356,16 +365,6 @@ class TaylorSeries:
 def _check_order(n: int) -> None:
     if not 1 <= n <= MAX_ORDER:
         raise InvalidParameterError(f"expansion order must lie in [1, {MAX_ORDER}]")
-
-
-def _den_tail_ratio(den: Polynomial) -> float:
-    if den.degree == 0:
-        return 0.0
-    try:
-        mods = [abs(complex(r)) for r in den.roots()]
-        return 1.0 / min(mods) if mods else 0.0
-    except np.linalg.LinAlgError:
-        return -1.0  # signal: fall back to a coefficient ratio
 
 
 def expand_rational(f: RationalFunction, n: int) -> TaylorSeries:
@@ -393,10 +392,7 @@ def expand_rational(f: RationalFunction, n: int) -> TaylorSeries:
         if j > 0:
             acc -= np.dot(den[1 : j + 1], c[k - 1 :: -1][:j])
         c[k] = acc / d0
-    ratio = _den_tail_ratio(f.den)
-    if ratio < 0.0:
-        ratio = abs(c[-1] / c[-2]) if n >= 2 and abs(c[-2]) > 0 else 0.0
-    return TaylorSeries(c, n, ratio)
+    return TaylorSeries(c, n)
 
 
 def series_mul(f: TaylorSeries, g: TaylorSeries) -> TaylorSeries:
@@ -404,7 +400,7 @@ def series_mul(f: TaylorSeries, g: TaylorSeries) -> TaylorSeries:
     if f.order != g.order:
         raise InvalidParameterError("series orders must agree")
     prod = np.convolve(f.coefficients, g.coefficients)[: f.order]
-    return TaylorSeries(prod, f.order, max(f.tail_ratio, g.tail_ratio))
+    return TaylorSeries(prod, f.order)
 
 
 def series_pow_real(f: TaylorSeries, gamma: float) -> TaylorSeries:
@@ -424,26 +420,20 @@ def series_pow_real(f: TaylorSeries, gamma: float) -> TaylorSeries:
         ks = np.arange(1, m + 1)
         weights = gamma * ks - (m - ks)
         w[m] = np.dot(weights * c[1 : m + 1], w[m - 1 :: -1][:m]) / (m * c0)
-    return TaylorSeries(w, n, f.tail_ratio)
+    return TaylorSeries(w, n)
 
 
 def expand_analytic(f: AnalyticFunction, n: int) -> TaylorSeries:
-    """Truncated series of base * prod r_i^gamma_i.
-
-    tail_ratio is the reciprocal of the modulus of the nearest singularity
-    over all parts (0 for entire parts).
-    """
+    """Truncated series of base * prod r_i^gamma_i."""
     _check_order(n)
     out = expand_rational(f.base, n)
     for r, gamma in f.factors:
         part = series_pow_real(expand_rational(r, n), gamma)
         out = series_mul(out, part)
-    radius = min_singularity_radius(f)
-    ratio = 0.0 if math.isinf(radius) else 1.0 / radius
-    return TaylorSeries(out.coefficients, n, max(ratio, 0.0))
+    return out
 
 
-def series_tail_bound(f: AnalyticFunction, n: int, safety: float = 1.1) -> float:
+def series_tail_bound(f: AnalyticFunction, n: int) -> float:
     """Upper bound on sqrt(sum_{k>=n} |c_k|^2) from Cauchy's estimate.
 
     For every radius 1 < r < R (R the nearest singularity), |c_k| <= M(r)/r^k,
@@ -461,6 +451,6 @@ def series_tail_bound(f: AnalyticFunction, n: int, safety: float = 1.1) -> float
     for j in range(1, 8):
         r = 1.0 + (radius - 1.0) * j / 8.0
         m = float(np.abs(f(circle(r, 512))).max())
-        bound = safety * m * r ** (-n) / math.sqrt(1.0 - r ** (-2))
+        bound = _TAIL_SAFETY * m * r ** (-n) / math.sqrt(1.0 - r ** (-2))
         best = min(best, bound)
     return best

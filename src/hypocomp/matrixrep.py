@@ -44,6 +44,8 @@ from .space import SpaceSpec, beta_array, kernel
 
 MAX_TRUNCATION = 1024
 _POWER_SEED = 1729
+# Relative residual at which operator_norm's power iteration stops.
+_NORM_REL_TOL = 1e-8
 _EPS = float(np.finfo(float).eps)
 
 
@@ -154,14 +156,14 @@ def hermitian_min_eig(h: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hh)[0])
 
 
-def operator_norm(m: OperatorMatrix, rel_tol: float = 1e-8) -> SpectralEstimate:
+def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
     """Largest singular value via Lanczos-accelerated power iteration on M*M.
 
     Deterministically seeded.  A Lanczos pass (which copes with the clustered
     top spectra of Toeplitz-like sections) supplies the start vector, followed
     by power steps until the residual ||(M*M)v - lambda v|| certifies that
-    some eigenvalue of M*M lies within rel_tol * lambda of lambda.  Raises
-    ConvergenceFailureError after 10 N polish steps without meeting rel_tol.
+    some eigenvalue of M*M lies within 1e-8 lambda of lambda.  Raises
+    ConvergenceFailureError after 10 N polish steps without meeting that.
     """
     a = m.entries
     n = m.order
@@ -187,7 +189,7 @@ def operator_norm(m: OperatorMatrix, rel_tol: float = 1e-8) -> SpectralEstimate:
         w = a.conj().T @ (a @ v)
         lam = float(np.real(np.vdot(v, w)))
         resid = float(np.linalg.norm(w - lam * v))
-        if resid <= max(rel_tol * max(lam, 0.0), 1e-30):
+        if resid <= max(_NORM_REL_TOL * max(lam, 0.0), 1e-30):
             return SpectralEstimate(math.sqrt(max(lam, 0.0)), "power-iteration", n, resid)
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
@@ -196,7 +198,7 @@ def operator_norm(m: OperatorMatrix, rel_tol: float = 1e-8) -> SpectralEstimate:
             continue
         v = w / nw
     raise ConvergenceFailureError(
-        f"power iteration did not reach {rel_tol:g} in {cap} steps", iterations=cap, residual=resid
+        f"power iteration did not reach {_NORM_REL_TOL:g} in {cap} steps", iterations=cap, residual=resid
     )
 
 

@@ -43,6 +43,8 @@ BOUNDARY_POINT_TOL = 1e-8
 _DET_UNDERFLOW = 1e-14
 _COEFF_SNAP = 1e-14
 _BOUNDARY_SAMPLES = 4096
+# Coefficient tolerance of match_hyperbolic_nonauto_form.
+_NONAUTO_MATCH_TOL = 1e-10
 # Three probe angles, deliberately incommensurate, for the automorphism test:
 # |phi|^2 - 1 on the circle is a degree-1 trig polynomial, so three zeros
 # force it to vanish identically.
@@ -73,6 +75,7 @@ class MoebiusMap:
     Normalization divides all four coefficients by the largest coefficient
     modulus (a positive real), so the representation is unique up to a unit
     scalar.  Entries smaller than 1e-14 after scaling are snapped to zero.
+    Non-finite coefficients raise InvalidParameterError.
     """
 
     a: complex
@@ -82,6 +85,8 @@ class MoebiusMap:
 
     def __post_init__(self):
         a, b, c, d = (complex(self.a), complex(self.b), complex(self.c), complex(self.d))
+        if not all(cmath.isfinite(x) for x in (a, b, c, d)):
+            raise InvalidParameterError("map coefficients must be finite")
         scale = max(abs(a), abs(b), abs(c), abs(d))
         if scale == 0.0:
             raise DegenerateMapError("all coefficients vanish")
@@ -483,18 +488,18 @@ def hyperbolic_nonauto_form(c: complex) -> MoebiusMap:
     return MoebiusMap(1.0 - abs(c), 0, c, 1)
 
 
-def match_hyperbolic_nonauto_form(phi: MoebiusMap, tol: float = 1e-10) -> complex | None:
-    """The parameter c if phi equals (1-|c|) z/(c z + 1) within tol, else None."""
+def match_hyperbolic_nonauto_form(phi: MoebiusMap) -> complex | None:
+    """The parameter c if phi equals (1-|c|) z/(c z + 1) within 1e-10, else None."""
     if abs(phi.d) < 1e-14:
         return None
     a = phi.a / phi.d
     b = phi.b / phi.d
     c = phi.c / phi.d
-    if abs(b) > tol:
+    if abs(b) > _NONAUTO_MATCH_TOL:
         return None
     if not 0.0 < abs(c) < 1.0:
         return None
-    if abs(a - (1.0 - abs(c))) > tol:
+    if abs(a - (1.0 - abs(c))) > _NONAUTO_MATCH_TOL:
         return None
     return c
 

@@ -258,13 +258,18 @@ def parabolic_kernel_inequality(
 # ---------------------------------------------------------------------------
 # Normal form and kernel-quotient weight
 
+def _fixes(phi: MoebiusMap, p: complex) -> bool:
+    """Whether phi(p) = p to within 1e-10 (1 + |p|^2)."""
+    return abs(phi(p) - p) <= 1e-10 * (1.0 + abs(p) ** 2)
+
+
 def kernel_quotient_weight(p: complex, value_at_p: complex, phi: MoebiusMap, space: SpaceSpec) -> AnalyticFunction:
     """The weight value * K_p / (K_p o phi), the only one hyponormality allows
     for a symbol fixing p under the small-essential-spectrum hypothesis."""
     p = complex(p)
     if abs(p) >= 1.0:
         raise InvalidParameterError("p must lie in the open unit disk")
-    if abs(phi(p) - p) > 1e-10 * (1.0 + abs(p) ** 2):
+    if not _fixes(phi, p):
         raise NotAFixedPointError(f"phi({p:.6g}) = {phi(p):.6g} differs from p")
     kp = kernel_function(p, space.gamma)
     kp_phi = compose_with_moebius(kp, phi)
@@ -280,7 +285,7 @@ class NormalFormSymbols:
     value_at_p: complex
 
     def __post_init__(self):
-        if abs(self.phi(self.p) - self.p) > 1e-10 * (1.0 + abs(self.p) ** 2):
+        if not _fixes(self.phi, self.p):
             raise InvalidParameterError("constructed map does not fix p")
 
 
@@ -563,7 +568,7 @@ def norm_bounds(
         return NormBounds(low, up, (CIT_NORM_LOWER_ANGULAR, CIT_NORM_UPPER_MAX))
 
     p = complex(p)
-    if abs(phi(p) - p) > 1e-10 * (1.0 + abs(p) ** 2):
+    if not _fixes(phi, p):
         raise NotAFixedPointError("p is not a fixed point of the symbol")
     gamma = space.gamma
     kp = kernel_function(p, gamma)
@@ -637,7 +642,7 @@ def conjugate_to_origin(
     p = complex(p)
     if abs(p) >= 1.0:
         raise InvalidParameterError("p must lie in the open unit disk")
-    if abs(phi(p) - p) > 1e-10 * (1.0 + abs(p) ** 2):
+    if not _fixes(phi, p):
         raise NotAFixedPointError("p is not a fixed point of the symbol")
     psi_f = as_analytic(psi)
     gamma = space.gamma

@@ -5,8 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import hypocomp as hc
+
+# Hypothesis profile of the property tests: a fixed example sequence, so a
+# run is reproducible and its time is bounded.
+DERANDOMIZED = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: parsing, formats, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,36 @@ class TestClassifyCommand:
 
     def test_parse_failure_exit_2(self, capsys):
         assert cli.main(["classify", "--map", "garbage:1"]) == 2
+
+
+class TestInputOutsideHypotheses:
+    @pytest.mark.parametrize("argv", [
+        ("check", "--psi", "nan", "--map", "parabolic:1,1"),
+        ("check", "--psi", "1,nan", "--map", "parabolic:1,1"),
+        ("classify", "--map", "nan,0,0,1"),
+        ("classify", "--map", "1e400,0,0,1"),
+    ])
+    def test_non_finite_coefficients_exit_2(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and "finite" in captured.err
+
+    # Poles at 0.5, just inside the unit circle, and at +-1 on it.
+    @pytest.mark.parametrize("psi", ["1/1,-2", "1,0.5/1,-1.0000001", "1/1,0,-1"])
+    def test_weight_pole_in_closed_disk_exit_2(self, capsys, psi):
+        for command in ("check", "spectral"):
+            assert cli.main([command, "--psi", psi, "--map", "parabolic:1,1"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("grid", ["1.5;0", "0.2;1", "nan"])
+    def test_grid_point_outside_disk_exit_2(self, capsys, grid):
+        code = cli.main(["check", "--psi", "1,0.5", "--map", "parabolic:1,1", "--grid", grid])
+        assert code == 2
+        assert "open unit disk" in capsys.readouterr().err
 
 
 class TestCheckCommand:

@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import hypocomp as hc
 from hypocomp.errors import DegenerateMapError, PoleEncounteredError
 
-DERANDOMIZED = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+from conftest import DERANDOMIZED
 
 
 def finite_complex(magnitude):

@@ -2,10 +2,14 @@
 
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import hypocomp as hc
 from hypocomp.errors import (
@@ -22,7 +26,7 @@ from hypocomp.funcalg import (
     series_tail_bound,
 )
 
-from conftest import fft_coefficients
+from conftest import DERANDOMIZED, fft_coefficients
 
 
 def long_division_oracle(num, den, n):
@@ -68,15 +72,11 @@ class TestExpandRational:
         with pytest.raises(PoleEncounteredError):
             hc.expand_rational(hc.rational((1,), (1, -2)), 8)
 
-    def test_tail_ratio_is_reciprocal_pole(self):
-        ts = hc.expand_rational(hc.rational((1,), (1, -0.5)), 8)
-        assert abs(ts.tail_ratio - 0.5) < 1e-12
-
 
 class TestSeriesMul:
     def test_cancellation(self):
-        a = hc.TaylorSeries(np.array([1, 1, 1], complex), 3, 0.0)
-        b = hc.TaylorSeries(np.array([1, -1, 0], complex), 3, 0.0)
+        a = hc.TaylorSeries(np.array([1, 1, 1], complex), 3)
+        b = hc.TaylorSeries(np.array([1, -1, 0], complex), 3)
         assert np.allclose(hc.series_mul(a, b).coefficients, [1, 0, 0])
 
     def test_geometric_square(self):
@@ -87,14 +87,14 @@ class TestSeriesMul:
 
     def test_identity_element(self):
         f = hc.expand_rational(hc.rational((1, 2, 3)), 6)
-        one = hc.TaylorSeries(np.array([1, 0, 0, 0, 0, 0], complex), 6, 0.0)
+        one = hc.TaylorSeries(np.array([1, 0, 0, 0, 0, 0], complex), 6)
         assert np.allclose(hc.series_mul(f, one).coefficients, f.coefficients)
 
     def test_commutative_associative(self):
         rng = np.random.default_rng(17)
         for _ in range(25):
             fs = [
-                hc.TaylorSeries(rng.standard_normal(12) + 1j * rng.standard_normal(12), 12, 0.5)
+                hc.TaylorSeries(rng.standard_normal(12) + 1j * rng.standard_normal(12), 12)
                 for _ in range(3)
             ]
             ab = hc.series_mul(fs[0], fs[1])
@@ -108,8 +108,8 @@ class TestSeriesMul:
 
 class TestSeriesPow:
     def test_binomial_square(self):
-        f = hc.TaylorSeries(np.array([1, 1], complex), 2, 0.0)
-        f = hc.TaylorSeries(np.array([1, 1, 0], complex), 3, 0.0)
+        f = hc.TaylorSeries(np.array([1, 1], complex), 2)
+        f = hc.TaylorSeries(np.array([1, 1, 0], complex), 3)
         assert np.allclose(hc.series_pow_real(f, 2.0).coefficients, [1, 2, 1])
 
     def test_inverse_sqrt(self):
@@ -128,7 +128,7 @@ class TestSeriesPow:
         assert np.allclose(got, [1, 0, 0, 0, 0], atol=1e-15)
 
     def test_zero_constant_term(self):
-        f = hc.TaylorSeries(np.array([0, 1], complex), 2, 0.0)
+        f = hc.TaylorSeries(np.array([0, 1], complex), 2)
         with pytest.raises(ZeroConstantTermError):
             hc.series_pow_real(f, 0.5)
 
@@ -136,7 +136,7 @@ class TestSeriesPow:
         rng = np.random.default_rng(31)
         for _ in range(20):
             coeffs = np.concatenate([[1.0], 0.3 * (rng.standard_normal(9) + 1j * rng.standard_normal(9))])
-            f = hc.TaylorSeries(coeffs, 10, 0.5)
+            f = hc.TaylorSeries(coeffs, 10)
             g1, g2 = rng.uniform(-2, 2, 2)
             once = hc.series_pow_real(f, g1 * g2)
             twice = hc.series_pow_real(hc.series_pow_real(f, g1), g2)
@@ -198,7 +198,7 @@ class TestExpandAnalytic:
     def test_partial_sums_match_evaluation(self):
         f = hc.rational_fn((1, 0.3), (2, -0.5)) * hc.kernel_function(0.35, 1.5)
         ts = hc.expand_analytic(f, 128)
-        rho = ts.tail_ratio
+        rho = 1 / min_singularity_radius(f)
         assert 0 < rho < 1
         rng = np.random.default_rng(8)
         for _ in range(30):
@@ -211,6 +211,50 @@ class TestExpandAnalytic:
         ts = hc.expand_analytic(f, 20)
         oracle = fft_coefficients(f, 20, radius=0.8)
         assert np.allclose(ts.coefficients, oracle, atol=1e-10)
+
+
+# The zero test's radius: a root of modulus <= TEST_RADIUS is in the closed disk.
+TEST_RADIUS = 1.0 + 1e-6
+
+# Root moduli within 1e-2 .. 1e-12 (relative) of the test radius, either side.
+near_test_radius = st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(2.0, 12.0)).map(
+    lambda t: TEST_RADIUS * (1.0 + t[0] * 10.0 ** -t[1])
+)
+
+
+def from_roots(roots, lead=1.0):
+    """lead * prod (z - rho_i), coefficients rounded to double precision."""
+    return hc.Polynomial(tuple(lead * np.poly(roots)[::-1]))
+
+
+@st.composite
+def polynomials_by_roots(draw):
+    """Degree 1-8, roots simple, double or triple, many of them near TEST_RADIUS."""
+    roots = []
+    while not roots or (len(roots) < 8 and draw(st.booleans())):
+        modulus = draw(st.one_of(st.floats(0.0, 4.0), near_test_radius))
+        root = modulus * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+        roots += [root] * min(draw(st.integers(1, 3)), 8 - len(roots))
+    lead = draw(st.floats(0.1, 10.0)) * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+    return from_roots(roots, lead)
+
+
+def zero_free_oracle(p):
+    """Whether every root of p (as rounded) lies beyond TEST_RADIUS, from 50-digit roots.
+
+    Durand-Kerner stalls near an m-fold root at about the m-th root of the
+    working precision, so a run that does not converge is repeated with
+    enough extra bits for a root of multiplicity deg p.
+    """
+    if p.coefficients[0] == 0:
+        return False    # 0 is a root
+    coeffs = [mpmath.mpc(c.real, c.imag) for c in reversed(p.coefficients)]
+    with mpmath.workdps(50):
+        try:
+            roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=64)
+        except mpmath.libmp.NoConvergence:
+            roots = mpmath.polyroots(coeffs, maxsteps=1000, extraprec=170 * p.degree)
+        return min(abs(r) for r in roots) > mpmath.mpf(TEST_RADIUS)
 
 
 class TestZeroFree:
@@ -231,6 +275,29 @@ class TestZeroFree:
         # (z-2)(z+3)(z-1.5j) has no roots in the closed disk
         p = hc.poly(-2, 1) * hc.poly(3, 1) * hc.poly(-1.5j, 1)
         assert hc.no_zero_in_closed_disk(hc.RationalFunction(p))
+
+    def test_coefficient_overflow_is_indeterminate(self):
+        # 1e10 / 1e-300 overflows the companion matrix of 1e10 + 1e-300 z.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IndeterminateError):
+                hc.no_zero_in_closed_disk(hc.rational((1e10, 1e-300)))
+
+    @DERANDOMIZED
+    @given(polynomials_by_roots())
+    # A simple root between the unit circle and the test circle.
+    @example(from_roots([TEST_RADIUS * (1 - 1e-7)]))
+    # A triple root 7e-6 outside the test circle: the computed roots of the
+    # rounded coefficients straddle it, so no per-root margin could decide.
+    @example(from_roots([TEST_RADIUS * (1 + 6.931156437056567e-06) * cmath.exp(4.77549489877091j)] * 3))
+    def test_decision_matches_high_precision_roots(self, p):
+        want = zero_free_oracle(p)
+        try:
+            got = hc.no_zero_in_closed_disk(hc.RationalFunction(p))
+        except IndeterminateError:
+            return
+        assert got == want
+
 
 
 class TestEvaluate:

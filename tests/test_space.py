@@ -107,7 +107,7 @@ class TestInnerProduct:
         rng = np.random.default_rng(4)
         for space in (H2, A0):
             coeffs = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-            ts = hc.TaylorSeries(coeffs, 12, 0.0)
+            ts = hc.TaylorSeries(coeffs, 12)
             vec = hc.coeff_vector_from_taylor(ts, space)
             for _ in range(10):
                 w = 0.8 * rng.uniform() * cmath.exp(2j * math.pi * rng.uniform())
