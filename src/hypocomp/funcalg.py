@@ -37,11 +37,10 @@ from .moebius import MoebiusMap, require_pole_free
 MAX_DEGREE = 64
 MAX_ORDER = 4096
 
-# A root of modulus <= _ZERO_TEST_RADIUS counts as a zero in the closed disk;
-# the test refuses to decide when its lower bound on min|p| / max|p| over the
-# circle of that radius falls below _ZERO_TEST_GUARD.
+# The zero test's circle, refusal threshold and samples (no_zero_in_closed_disk).
 _ZERO_TEST_RADIUS = 1.0 + 1e-6
 _ZERO_TEST_GUARD = 1e-8
+_ZERO_TEST_SAMPLES = 8192
 # Relative tolerance of is_value_constant, samples of boundary_sup, and the
 # factor by which series_tail_bound inflates its sampled circle maxima.
 _CONSTANT_TOL = 1e-12
@@ -118,8 +117,7 @@ class Polynomial:
     def roots(self) -> np.ndarray:
         if self.degree == 0:
             return np.array([], dtype=complex)
-        # The companion matrix holds coefficient / leading coefficient, which
-        # can overflow when the coefficients span more than the double range.
+        # coefficient / leading coefficient overflows past the double range
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 return np.roots(list(reversed(self.coefficients)))
@@ -199,12 +197,10 @@ def compose_rational_moebius(r: RationalFunction, phi: MoebiusMap) -> RationalFu
 def no_zero_in_closed_disk(r: RationalFunction) -> bool:
     """Whether r.num has no root of modulus <= R = 1 + 1e-6.
 
-    Decided from the moduli |rho_i| of the computed roots.  On |z| = R,
-    prod_i |R - |rho_i|| / (R + |rho_i|) is a lower bound on min|p| / max|p|;
-    when it falls below 1e-8 a root is too close to the test circle to be
-    placed on either side, and IndeterminateError is raised.  The bound also
-    widens by itself around repeated roots, whose computed moduli are only
-    good to about eps^(1/m) for multiplicity m.
+    Decided from the moduli of the computed roots.  IndeterminateError when
+    min|p| < 1e-8 max(1, max|p|) on |z| = R, taken over 8192 points and the
+    point nearest each root; the circle is sampled only when the bounds
+    |a_n| prod |R - |rho_i|| <= |p| <= sum |a_i| R^i cannot rule that out.
     """
     return _poly_zero_free(r.num)
 
@@ -212,11 +208,21 @@ def no_zero_in_closed_disk(r: RationalFunction) -> bool:
 def _poly_zero_free(p: Polynomial) -> bool:
     if p.is_zero():
         return False
-    mods = np.abs(p.roots())
-    if np.prod(np.abs(_ZERO_TEST_RADIUS - mods) / (_ZERO_TEST_RADIUS + mods)) < _ZERO_TEST_GUARD:
-        raise IndeterminateError(
-            f"a root lies too close to the test circle |z| = {_ZERO_TEST_RADIUS!r} to decide"
-        )
+    if p.degree == 0:
+        return True
+    roots = p.roots()
+    mods = np.abs(roots)
+    with np.errstate(over="ignore"):
+        lower = abs(p.coefficients[-1]) * np.prod(np.abs(_ZERO_TEST_RADIUS - mods))
+    upper = sum(abs(a) * _ZERO_TEST_RADIUS**i for i, a in enumerate(p.coefficients))
+    if lower < _ZERO_TEST_GUARD * max(1.0, upper):
+        # The product bound is loose when roots spread in argument.
+        z = np.concatenate([circle(1.0, _ZERO_TEST_SAMPLES), np.exp(1j * np.angle(roots))])
+        mags = np.abs(p(_ZERO_TEST_RADIUS * z))
+        if mags.min() < _ZERO_TEST_GUARD * max(1.0, mags.max()):
+            raise IndeterminateError(
+                f"a root lies too close to the test circle |z| = {_ZERO_TEST_RADIUS!r} to decide"
+            )
     return bool(np.all(mods > _ZERO_TEST_RADIUS))
 
 

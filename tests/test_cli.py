@@ -94,6 +94,14 @@ class TestInputOutsideHypotheses:
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.startswith("error:")
 
+    # Four poles of modulus 1.01 spread round the circle: outside the closed
+    # disk, though the product of their distances to it is about 1e-8.
+    def test_weight_poles_just_outside_disk_are_checked(self, capsys):
+        code, rep = run_json(capsys, "check", "--psi", "1/1,0,0,0,-0.961",
+                             "--map", "parabolic:1,1")
+        assert code == 0
+        assert rep["verdict"]["outcome"] == "CandidateNotExcluded"
+
     @pytest.mark.parametrize("grid", ["1.5;0", "0.2;1", "nan"])
     def test_grid_point_outside_disk_exit_2(self, capsys, grid):
         code = cli.main(["check", "--psi", "1,0.5", "--map", "parabolic:1,1", "--grid", grid])

@@ -20,6 +20,9 @@ from hypocomp.errors import (
     ZeroConstantTermError,
 )
 from hypocomp.funcalg import (
+    _ZERO_TEST_GUARD,
+    _ZERO_TEST_RADIUS,
+    _ZERO_TEST_SAMPLES,
     boundary_sup,
     is_value_constant,
     min_singularity_radius,
@@ -213,12 +216,9 @@ class TestExpandAnalytic:
         assert np.allclose(ts.coefficients, oracle, atol=1e-10)
 
 
-# The zero test's radius: a root of modulus <= TEST_RADIUS is in the closed disk.
-TEST_RADIUS = 1.0 + 1e-6
-
 # Root moduli within 1e-2 .. 1e-12 (relative) of the test radius, either side.
 near_test_radius = st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(2.0, 12.0)).map(
-    lambda t: TEST_RADIUS * (1.0 + t[0] * 10.0 ** -t[1])
+    lambda t: _ZERO_TEST_RADIUS * (1.0 + t[0] * 10.0 ** -t[1])
 )
 
 
@@ -229,7 +229,7 @@ def from_roots(roots, lead=1.0):
 
 @st.composite
 def polynomials_by_roots(draw):
-    """Degree 1-8, roots simple, double or triple, many of them near TEST_RADIUS."""
+    """Degree 1-8, roots simple, double or triple, many of them near the test radius."""
     roots = []
     while not roots or (len(roots) < 8 and draw(st.booleans())):
         modulus = draw(st.one_of(st.floats(0.0, 4.0), near_test_radius))
@@ -239,22 +239,52 @@ def polynomials_by_roots(draw):
     return from_roots(roots, lead)
 
 
-def zero_free_oracle(p):
-    """Whether every root of p (as rounded) lies beyond TEST_RADIUS, from 50-digit roots.
+@st.composite
+def binomials(draw):
+    """lead * (z^n - rho^n e^{i theta}), n = 2-8: n roots of one modulus spread in argument."""
+    n = draw(st.integers(2, 8))
+    modulus = draw(st.one_of(st.floats(0.5, 2.0), near_test_radius))
+    c = -(modulus**n) * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+    lead = draw(st.floats(0.1, 10.0))
+    return hc.Polynomial((lead * c,) + (0j,) * (n - 1) + (lead,))
+
+
+def high_precision_roots(p):
+    """The roots of p (as rounded), from mpmath.polyroots at 50 digits.
 
     Durand-Kerner stalls near an m-fold root at about the m-th root of the
     working precision, so a run that does not converge is repeated with
     enough extra bits for a root of multiplicity deg p.
     """
-    if p.coefficients[0] == 0:
-        return False    # 0 is a root
-    coeffs = [mpmath.mpc(c.real, c.imag) for c in reversed(p.coefficients)]
+    c = list(p.coefficients)
+    zeros = next(k for k, x in enumerate(c) if x != 0)
+    coeffs = [mpmath.mpc(x.real, x.imag) for x in reversed(c[zeros:])]
+    if len(coeffs) == 1:
+        return [mpmath.mpc(0)] * zeros
     with mpmath.workdps(50):
         try:
             roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=64)
         except mpmath.libmp.NoConvergence:
             roots = mpmath.polyroots(coeffs, maxsteps=1000, extraprec=170 * p.degree)
-        return min(abs(r) for r in roots) > mpmath.mpf(TEST_RADIUS)
+    return [mpmath.mpc(0)] * zeros + list(roots)
+
+
+def zero_test_oracle(p):
+    """(refuses, zero_free) for p from its 50-digit roots.
+
+    refuses: min|p| < 1e-8 max(1, max|p|) over 8192 points of the test circle
+    and the point of it nearest each root.  zero_free: every root lies beyond
+    the test radius.
+    """
+    roots = high_precision_roots(p)
+    theta = np.concatenate([
+        np.linspace(0.0, 2.0 * math.pi, _ZERO_TEST_SAMPLES, endpoint=False),
+        [float(mpmath.arg(r)) for r in roots],
+    ])
+    mags = np.abs(np.polyval(p.coefficients[::-1], _ZERO_TEST_RADIUS * np.exp(1j * theta)))
+    refuses = mags.min() < _ZERO_TEST_GUARD * max(1.0, mags.max())
+    with mpmath.workdps(50):
+        return refuses, min(abs(r) for r in roots) > mpmath.mpf(_ZERO_TEST_RADIUS)
 
 
 class TestZeroFree:
@@ -276,6 +306,26 @@ class TestZeroFree:
         p = hc.poly(-2, 1) * hc.poly(3, 1) * hc.poly(-1.5j, 1)
         assert hc.no_zero_in_closed_disk(hc.RationalFunction(p))
 
+    @pytest.mark.parametrize(
+        "coeffs, zero_free",
+        [
+            # n roots of one modulus, spread in argument: the product bound
+            # prod |R - |rho_i|| is tiny, but min|p| on the circle is not.
+            ((1, 0, 0, 0, -0.961), True),             # modulus 1.01
+            ((1,) + (0,) * 6 + (-0.513,), True),      # modulus 1.1
+            ((-(1.5**12),) + (0,) * 11 + (1,), True),  # modulus 1.5
+            ((1, 0, 0, 0, -1.041), False),            # modulus 0.99
+            ((-(0.9**12),) + (0,) * 11 + (1,), False),
+        ],
+    )
+    def test_spread_roots_are_decided(self, coeffs, zero_free):
+        assert hc.no_zero_in_closed_disk(hc.rational(coeffs)) is zero_free
+
+    def test_spread_root_factor_is_admissible(self):
+        r = hc.rational((1, 0, 0, 0, -0.961))
+        f = hc.AnalyticFunction(hc.rational((1,)), ((r, 0.5),))
+        assert abs(f.reciprocal()(0.5) - (1 - 0.961 * 0.5**4) ** -0.5) < 1e-14
+
     def test_coefficient_overflow_is_indeterminate(self):
         # 1e10 / 1e-300 overflows the companion matrix of 1e10 + 1e-300 z.
         with warnings.catch_warnings():
@@ -284,19 +334,21 @@ class TestZeroFree:
                 hc.no_zero_in_closed_disk(hc.rational((1e10, 1e-300)))
 
     @DERANDOMIZED
-    @given(polynomials_by_roots())
+    @given(st.one_of(polynomials_by_roots(), binomials()))
     # A simple root between the unit circle and the test circle.
-    @example(from_roots([TEST_RADIUS * (1 - 1e-7)]))
+    @example(from_roots([_ZERO_TEST_RADIUS * (1 - 1e-7)]))
     # A triple root 7e-6 outside the test circle: the computed roots of the
     # rounded coefficients straddle it, so no per-root margin could decide.
-    @example(from_roots([TEST_RADIUS * (1 + 6.931156437056567e-06) * cmath.exp(4.77549489877091j)] * 3))
+    @example(from_roots([_ZERO_TEST_RADIUS * (1 + 6.931156437056567e-06) * cmath.exp(4.77549489877091j)] * 3))
+    # Roots of modulus 1.01 spread in argument, far from the circle.
+    @example(hc.poly(1, 0, 0, 0, -0.961))
     def test_decision_matches_high_precision_roots(self, p):
-        want = zero_free_oracle(p)
-        try:
-            got = hc.no_zero_in_closed_disk(hc.RationalFunction(p))
-        except IndeterminateError:
-            return
-        assert got == want
+        refuses, zero_free = zero_test_oracle(p)
+        if refuses:
+            with pytest.raises(IndeterminateError):
+                hc.no_zero_in_closed_disk(hc.RationalFunction(p))
+        else:
+            assert hc.no_zero_in_closed_disk(hc.RationalFunction(p)) == zero_free
 
 
 
