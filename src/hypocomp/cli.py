@@ -38,7 +38,7 @@ from .errors import (
     HypocompError,
     TheoryUnavailableError,
 )
-from .funcalg import AnalyticFunction, no_zero_in_closed_disk, polynomial_fn, rational, rational_fn
+from .funcalg import AnalyticFunction, polynomial_fn, rational_fn
 from .moebius import (
     MoebiusMap,
     cayley_parabolic,
@@ -147,12 +147,8 @@ def parse_weight(spec: str, phi: MoebiusMap, space: SpaceSpec) -> AnalyticFuncti
         return kernel_quotient_weight(args[0], args[1], phi, space)
     if "/" in spec:
         num, _, den = spec.partition("/")
-        num_coeffs = [parse_complex(t) for t in num.split(",")]
-        den_coeffs = [parse_complex(t) for t in den.split(",")]
-        weight = rational_fn(num_coeffs, den_coeffs)
-        if not no_zero_in_closed_disk(rational(den_coeffs)):
-            raise ValueError(f"weight denominator {den.strip()} has a zero in the closed unit disk")
-        return weight
+        return rational_fn([parse_complex(t) for t in num.split(",")],
+                           [parse_complex(t) for t in den.split(",")])
     return polynomial_fn(*[parse_complex(t) for t in spec.split(",")])
 
 

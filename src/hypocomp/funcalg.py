@@ -245,12 +245,19 @@ def _factor_admissible(r: RationalFunction) -> None:
 
 @dataclass(frozen=True)
 class AnalyticFunction:
-    """base(z) * prod_i r_i(z)^gamma_i with admissible power factors."""
+    """base(z) * prod_i r_i(z)^gamma_i, analytic on the closed disk.
+
+    Construction rejects a base with a pole in the closed disk
+    (PoleEncounteredError, or IndeterminateError for one too close to the
+    circle to place) and inadmissible power factors (BranchViolationError).
+    """
 
     base: RationalFunction
     factors: tuple[tuple[RationalFunction, float], ...] = ()
 
     def __post_init__(self):
+        if not self.base.den.is_constant() and not _poly_zero_free(self.base.den):
+            raise PoleEncounteredError("denominator has a zero in the closed unit disk")
         for r, _gamma in self.factors:
             _factor_admissible(r)
 
@@ -267,8 +274,6 @@ class AnalyticFunction:
         return AnalyticFunction(self.base.scale(lam), self.factors)
 
     def reciprocal(self) -> "AnalyticFunction":
-        if not _poly_zero_free(self.base.num):
-            raise BranchViolationError("reciprocal would have a pole in the closed disk")
         return AnalyticFunction(
             self.base.reciprocal(),
             tuple((r, -gamma) for r, gamma in self.factors),

@@ -2,8 +2,12 @@
 
 An N x N section holds, in column j, the orthonormal-basis coordinates of the
 image of e_j = z^j / beta(j).  Dense complex storage; N is capped at 1024
-unless HYPOCOMP_MAX_N overrides it.  Everything is pure; matrix builds may run
-concurrently on separate inputs.
+unless HYPOCOMP_MAX_N overrides it.  Weighted composition and multiplication
+sections (the latter is the case phi(z) = z) share one build, column by
+column by a banded recurrence, O(N^2) for a rational phi (see _section).
+Sections with phi(0) = 0, multiplication sections among them, are lower
+triangular; their spectral radius is read off the diagonal.  Everything is
+pure; matrix builds may run concurrently on separate inputs.
 
 Finite-section positivity is advisory only: compressions do not preserve the
 sign of A*A - AA* (the forward shift gives a spurious negative eigenvalue),
@@ -18,6 +22,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     ConvergenceFailureError,
@@ -28,7 +33,7 @@ from .errors import (
 )
 from .funcalg import (
     AnalyticFunction,
-    TaylorSeries,
+    Polynomial,
     boundary_sup,
     constant_fn,
     expand_analytic,
@@ -36,7 +41,8 @@ from .funcalg import (
     kernel_function,
     moebius_rational,
     compose_with_moebius,
-    series_mul,
+    polynomial_fn,
+    series_pow_real,
     series_tail_bound,
 )
 from .moebius import MoebiusMap, is_self_map
@@ -47,6 +53,10 @@ _POWER_SEED = 1729
 # Relative residual at which operator_norm's power iteration stops.
 _NORM_REL_TOL = 1e-8
 _EPS = float(np.finfo(float).eps)
+# Banded lower-triangular product and solve: one step of the column
+# recurrence in _section.
+_TBMV, _TBSV = scipy.linalg.get_blas_funcs(("tbmv", "tbsv"), dtype=complex)
+_IDENTITY_SYMBOL = polynomial_fn(0, 1)
 
 
 def truncation_cap() -> int:
@@ -98,49 +108,72 @@ def as_analytic(psi) -> AnalyticFunction:
     return constant_fn(complex(psi))
 
 
-def _expand_symbol_map(phi, n: int) -> TaylorSeries:
-    """Series of the composition symbol, verifying it maps the disk to itself."""
+def _self_map_symbol(phi) -> AnalyticFunction:
+    """The composition symbol as an AnalyticFunction, verifying it maps the disk to itself."""
     if isinstance(phi, MoebiusMap):
         ok, sup = is_self_map(phi)
         if not ok:
             raise NotSelfMapError(f"composition symbol has boundary sup {sup:.12g} > 1")
-        return expand_rational(moebius_rational(phi), n)
+        return AnalyticFunction(moebius_rational(phi))
     phi = as_analytic(phi)
     sup = boundary_sup(phi)
     if sup > 1.0 + 1e-8:
         raise NotSelfMapError(f"composition symbol has boundary sup {sup:.12g} > 1")
-    return expand_analytic(phi, n)
+    return phi
+
+
+def _toeplitz_band(p: Polynomial, n: int) -> tuple[np.ndarray, int]:
+    """Lower band storage of the n x n Toeplitz matrix of multiplication by p, and its bandwidth."""
+    c = np.asarray(p.coefficients[:n])
+    return np.asfortranarray(np.repeat(c[:, None], n, axis=1)), c.size - 1
+
+
+def _section(psi_f: AnalyticFunction, phi_f: AnalyticFunction, space: SpaceSpec, n: int,
+             provenance: str) -> OperatorMatrix:
+    """Section whose column j holds the coordinates of psi * phi^j / beta(j).
+
+    Each column is the previous one times phi = (num / den) prod r_i^gamma_i,
+    truncated to n terms: a banded product with the lower-triangular Toeplitz
+    matrix of num (BLAS tbmv), a banded solve with that of den (BLAS tbsv),
+    then a truncated convolution with each power-factor series.  For a
+    rational phi of degree d that is O(N d) per column and O(N^2 d) in all.
+    scipy.signal.lfilter would do the same filtering, but importing
+    scipy.signal costs about a second.
+    """
+    num, kn = _toeplitz_band(phi_f.base.num, n)
+    den, kd = _toeplitz_band(phi_f.base.den, n)
+    powers = [series_pow_real(expand_rational(r, n), gamma).coefficients for r, gamma in phi_f.factors]
+    col = expand_analytic(psi_f, n).coefficients.copy()
+    b = beta_array(space, n)
+    scaled = np.empty(n, dtype=complex)
+    cols = np.zeros((n, n), dtype=complex)
+    # In place: for a rational phi the loop allocates nothing, so no
+    # per-column temporaries fragment the heap around the section.
+    for j in range(n):
+        np.divide(np.multiply(col, b, out=scaled), b[j], out=cols[:, j])
+        if j + 1 < n:
+            col = _TBMV(kn, num, col, lower=1, overwrite_x=1)
+            col = _TBSV(kd, den, col, lower=1, overwrite_x=1)
+            for s in powers:
+                col = np.convolve(col, s)[:n]
+    return OperatorMatrix(cols, space, n, provenance)
 
 
 def build_weighted_composition(psi, phi, space: SpaceSpec, n: int) -> OperatorMatrix:
-    """Section of f -> psi * (f o phi).
-
-    Column j holds the coordinates of psi * phi^j / beta(j); the powers of
-    phi are accumulated by repeated truncated Cauchy products.
-    """
+    """Section of f -> psi * (f o phi); O(N^2) for a rational phi, every
+    linear-fractional one included (see _section)."""
     _check_truncation(n)
-    psi_f = as_analytic(psi)
-    phi_series = _expand_symbol_map(phi, n)
-    col = expand_analytic(psi_f, n)
-    b = beta_array(space, n)
-    entries = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        entries[:, j] = col.coefficients * b / b[j]
-        if j + 1 < n:
-            col = series_mul(col, phi_series)
-    return OperatorMatrix(entries, space, n, provenance=f"weighted-composition on {space.label()}")
+    return _section(as_analytic(psi), _self_map_symbol(phi), space, n,
+                    f"weighted-composition on {space.label()}")
 
 
 def build_multiplication(h, space: SpaceSpec, n: int) -> OperatorMatrix:
-    """Section of f -> h * f for an analytic symbol h: entry[i][j] = h_{i-j} beta(i)/beta(j)."""
+    """Section of f -> h * f: entry[i][j] = h_{i-j} beta(i)/beta(j).
+
+    It is the weighted composition section with weight h and phi(z) = z.
+    """
     _check_truncation(n)
-    h_f = as_analytic(h)
-    hs = expand_analytic(h_f, n).coefficients
-    b = beta_array(space, n)
-    entries = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        entries[j:, j] = hs[: n - j] * b[j:] / b[j]
-    return OperatorMatrix(entries, space, n, provenance=f"multiplication on {space.label()}")
+    return _section(as_analytic(h), _IDENTITY_SYMBOL, space, n, f"multiplication on {space.label()}")
 
 
 def self_commutator(m: OperatorMatrix) -> np.ndarray:
@@ -203,8 +236,14 @@ def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
 
 
 def truncation_spectral_radius(m: OperatorMatrix) -> SpectralEstimate:
-    """Max-modulus eigenvalue of the section. Diagnostic only for non-compact limits."""
-    vals = np.linalg.eigvals(m.entries)
+    """Max-modulus eigenvalue of the section. Diagnostic only for non-compact limits.
+
+    A lower-triangular section (phi(0) = 0, or a multiplication operator) has
+    its diagonal as eigenvalues; LAPACK returns exactly that set, so it is
+    read off without the O(N^3) eigensolve.
+    """
+    a = m.entries
+    vals = np.diagonal(a) if not np.triu(a, 1).any() else np.linalg.eigvals(a)
     return SpectralEstimate(float(np.max(np.abs(vals))) if vals.size else 0.0,
                             "truncation-eig", m.order, 0.0)
 

@@ -2,16 +2,22 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hypocomp as hc
 from hypocomp.errors import PrecisionLossError
+from hypocomp.funcalg import moebius_rational
 from hypocomp.matrixrep import AdjointResidual, KernelNorms
 
-from conftest import random_disk_points
+from conftest import DERANDOMIZED, random_disk_points
 
 
 def cauchy_product_oracle(a, b, n):
@@ -66,6 +72,90 @@ class TestBuildWeightedComposition:
             hc.build_weighted_composition(1, hc.polynomial_fn(0, 0, 1.5), H2, 8)
 
 
+def reference_section(psi, phi, space, n):
+    """Column j = psi * phi^j / beta(j) by repeated truncated Cauchy products."""
+    if isinstance(phi, hc.MoebiusMap):
+        phi = hc.AnalyticFunction(moebius_rational(phi))
+    phi_series = hc.expand_analytic(phi, n)
+    col = hc.expand_analytic(psi, n)
+    b = hc.beta_array(space, n)
+    out = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        out[:, j] = col.coefficients * b / b[j]
+        col = hc.series_mul(col, phi_series)
+    return out
+
+
+angle = st.floats(0.0, 2.0 * math.pi)
+unimodular = angle.map(lambda t: cmath.exp(1j * t))
+
+
+def disk(radius):
+    # No modulus in (0, 1e-3): 1 + 1e-320 z has a root too large to compute.
+    modulus = st.one_of(st.just(0.0), st.floats(1e-3, radius))
+    return st.builds(lambda r, u: r * u, modulus, unimodular)
+
+
+@st.composite
+def self_maps(draw):
+    """Linear-fractional self-maps of every kind, polynomials and power products."""
+    kind = draw(st.sampled_from(
+        ("automorphism", "parabolic", "fixes-0", "interior", "polynomial", "power-factor")))
+    lam = draw(unimodular)
+    r = draw(st.floats(0.05, 0.95))
+    if kind == "automorphism":
+        return hc.compose(hc.rotation(lam), hc.alpha_p(draw(disk(0.7))))
+    if kind == "parabolic":
+        return hc.cayley_parabolic(lam, complex(draw(st.floats(0.0, 2.0)), draw(st.floats(-1.0, 1.0))))
+    if kind == "fixes-0":
+        # r lam z / (1 - c z) with |c| < 1 - r maps the closed disk into the disk.
+        c = (1.0 - r) * draw(st.floats(0.0, 0.99)) * draw(unimodular)
+        return hc.MoebiusMap(r * lam, 0, -c, 1)
+    if kind == "interior":
+        return hc.compose(hc.alpha_p(draw(disk(0.7))), hc.dilation(r * lam))
+    if kind == "polynomial":
+        # p0 + p1 z + q z^2 with |p0| + |p1| + |q| <= 1, e.g. 0.8 z^2.
+        return hc.polynomial_fn(draw(disk(0.25)), draw(disk(0.25)), draw(disk(0.5)))
+    # (a + b z) ((1 + c z)/(1 - d z))^gamma: sup at most 0.5 (1.3/0.7) < 1.
+    factor = hc.rational((1, draw(disk(0.3))), (1, -draw(disk(0.3))))
+    return hc.AnalyticFunction(hc.rational((draw(disk(0.25)), draw(disk(0.25)))),
+                               ((factor, draw(st.floats(-1.0, 1.0))),))
+
+
+weights = st.one_of(
+    st.just(hc.constant_fn(1.0)),
+    st.lists(disk(0.7), max_size=3).map(lambda c: hc.polynomial_fn(1, *c)),
+    st.builds(lambda a, b: hc.rational_fn((1, a), (1, b)), disk(0.7), disk(0.7)),
+)
+spaces = st.one_of(st.just(hc.hardy()), st.floats(-0.5, 3.0).map(hc.bergman))
+
+
+@DERANDOMIZED
+@given(weights, self_maps(), spaces, st.integers(1, 256))
+def test_build_matches_repeated_cauchy_products(psi, phi, space, n):
+    got = hc.build_weighted_composition(psi, phi, space, n).entries
+    want = reference_section(psi, phi, space, n)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_numeric_spectral_leaves_scipy_signal_unimported():
+    # scipy.signal would add about a second to every cold start.
+    script = (
+        "import contextlib, io, sys\n"
+        "import hypocomp\n"
+        "from hypocomp import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['spectral', '--psi', '1,0.5', '--map', 'parabolic:1,1',\n"
+        "                     '--numeric', '--order=64', '--json'])\n"
+        "print(code, 'scipy.signal' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(hc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["0", "False"]
+
+
 class TestBuildMultiplication:
     def test_constant(self, A1):
         m = hc.build_multiplication(2.5, A1, 4)
@@ -80,6 +170,18 @@ class TestBuildMultiplication:
         sub = np.diag(m.entries, k=-1)
         expected = [math.sqrt((n + 1) / (n + 2)) for n in range(4)]
         assert np.allclose(sub, expected)
+
+    def test_entries_are_scaled_coefficients(self, A1):
+        # Multiplying a column by z only shifts it, so the entries are exactly
+        # h_{i-j} beta(i) / beta(j), rounded as written.
+        n = 64
+        h = hc.rational_fn((1, 0.5, 0.2), (1, -0.3))
+        hs = hc.expand_analytic(h, n).coefficients
+        b = hc.beta_array(A1, n)
+        want = np.zeros((n, n), dtype=complex)
+        for j in range(n):
+            want[j:, j] = hs[: n - j] * b[j:] / b[j]
+        assert np.array_equal(hc.build_multiplication(h, A1, n).entries, want)
 
     def test_norm_below_sup(self, H2, A0):
         h = hc.rational_fn((1, 0.5, 0.2), (1, -0.3))
@@ -119,6 +221,32 @@ class TestSpectralEstimates:
         m = hc.build_multiplication(hc.polynomial_fn(0, 1), H2, 16)
         assert abs(hc.operator_norm(m).value - 1) < 1e-10
         assert hc.truncation_spectral_radius(m).value < 1e-8
+
+    def test_triangular_radius_is_exact(self, H2, A0, A1, psi_one, monkeypatch):
+        # phi(0) = 0, and multiplication: lower-triangular sections, whose
+        # radius is read off the diagonal and must equal LAPACK's bit for bit.
+        sections = (
+            hc.build_weighted_composition(psi_one, hc.dilation(0.5j), H2, 96),
+            hc.build_weighted_composition(hc.rational_fn((2, 1), (1, -0.4)),
+                                          hc.hyperbolic_nonauto_form(0.5), A0, 96),
+            hc.build_multiplication(hc.rational_fn((1, 0.5, 0.2), (1, -0.3)), A1, 96),
+        )
+        for m in sections:
+            assert not np.triu(m.entries, 1).any()
+            eigs = np.linalg.eigvals(m.entries)
+            with monkeypatch.context() as patched:
+                patched.setattr(np.linalg, "eigvals", None)  # no eigensolve
+                radius = hc.truncation_spectral_radius(m).value
+            assert radius == float(np.max(np.abs(eigs)))
+            # truncation_eigenvalues keeps LAPACK's values in LAPACK's order.
+            assert np.array_equal(hc.truncation_eigenvalues(m), eigs)
+            assert np.array_equal(np.sort(eigs), np.sort(np.diagonal(m.entries)))
+
+    def test_non_triangular_radius_from_lapack(self, H2, psi_one, parabolic_map):
+        m = hc.build_weighted_composition(psi_one, parabolic_map, H2, 96)
+        assert np.triu(m.entries, 1).any()
+        want = float(np.max(np.abs(np.linalg.eigvals(m.entries))))
+        assert hc.truncation_spectral_radius(m).value == want
 
     def test_gelfand_dilation(self, H2):
         m = hc.build_weighted_composition(1, hc.dilation(0.5), H2, 24)

@@ -12,6 +12,7 @@ from hypocomp.errors import (
     HypothesisMismatchError,
     InvalidParameterError,
     NotAFixedPointError,
+    PoleEncounteredError,
     TheoryUnavailableError,
     ZeroSymbolError,
 )
@@ -199,6 +200,11 @@ class TestClassifyWeighted:
     def test_zero_weight(self, H2, half_shift_map):
         with pytest.raises(ZeroSymbolError):
             hc.classify_weighted(0, half_shift_map, H2)
+
+    def test_weight_with_pole_in_disk_rejected(self, H2, parabolic_map):
+        # 1/(1 - 2z) has a pole at 1/2: outside every theorem's hypotheses.
+        with pytest.raises(PoleEncounteredError):
+            hc.classify_weighted(hc.rational_fn((1,), (1, -2)), parabolic_map, H2)
 
     def test_automorphism_candidate(self, H2):
         v = hc.classify_weighted(hc.polynomial_fn(2, 1), hc.MoebiusMap(1, 0.5, 0.5, 1), H2)
