@@ -174,8 +174,6 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
     if isinstance(value, dict):
         for k in sorted(value):
             _flatten(f"{prefix}.{k}" if prefix else str(k), value[k], rows)
-    elif isinstance(value, list):
-        rows.append((prefix, json.dumps(value)))
     else:
         rows.append((prefix, json.dumps(value)))
 
@@ -268,8 +266,6 @@ def _cmd_classify(args) -> int:
 
 def _norm_bound_block(psi, phi, space) -> dict | None:
     cls = classify(phi)
-    if cls.contact is None or abs(cls.contact[0] - cls.contact[1]) > 1e-8:
-        return None
     interior = cls.denjoy_wolff if cls.denjoy_wolff and cls.denjoy_wolff.in_disk else None
     try:
         if interior is not None:

@@ -209,7 +209,7 @@ def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
     if n >= 4:
         from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-        op = LinearOperator((n, n), matvec=lambda x: a.conj().T @ (a @ x), dtype=complex)
+        op = LinearOperator((n, n), matvec=lambda x: ((a @ x).conj() @ a).conj(), dtype=complex)
         try:
             _vals, vecs = eigsh(op, k=1, which="LA", v0=v, maxiter=10 * n, tol=1e-12)
             v = vecs[:, 0]
@@ -219,7 +219,7 @@ def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
     resid = math.inf
     cap = 10 * n
     for _ in range(cap):
-        w = a.conj().T @ (a @ v)
+        w = ((a @ v).conj() @ a).conj()
         lam = float(np.real(np.vdot(v, w)))
         resid = float(np.linalg.norm(w - lam * v))
         if resid <= max(_NORM_REL_TOL * max(lam, 0.0), 1e-30):

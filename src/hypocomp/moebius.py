@@ -14,10 +14,8 @@ needs no synchronization.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -42,13 +40,8 @@ BOUNDARY_POINT_TOL = 1e-8
 
 _DET_UNDERFLOW = 1e-14
 _COEFF_SNAP = 1e-14
-_BOUNDARY_SAMPLES = 4096
 # Coefficient tolerance of match_hyperbolic_nonauto_form.
 _NONAUTO_MATCH_TOL = 1e-10
-# Three probe angles, deliberately incommensurate, for the automorphism test:
-# |phi|^2 - 1 on the circle is a degree-1 trig polynomial, so three zeros
-# force it to vanish identically.
-_AUTO_PROBES = (0.7310581, 2.4173419, 4.9031973)
 
 
 def _snap(x: complex) -> complex:
@@ -166,59 +159,33 @@ def is_identity(phi: MoebiusMap) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Boundary modulus profile
+# Image of the unit circle
 
-def _golden_max(fn, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float]:
-    """Golden-section maximization of fn on [lo, hi]; returns (argmax, max)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = fn(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = fn(x1)
-    xm = 0.5 * (lo + hi)
-    return xm, fn(xm)
+def _boundary_data(phi: MoebiusMap) -> tuple[complex, float]:
+    """Centre C and radius R of the circle phi(unit circle), in closed form.
 
-
-@lru_cache(maxsize=4096)
-def _boundary_data(phi: MoebiusMap) -> tuple[float, float]:
-    """(sup of |phi| on the unit circle, argmax angle), to ~1e-12 in value.
-
-    Raises NotSelfMapError when the pole sits on the closed unit disk, where
-    the map is unbounded.
+    With the pole outside the closed disk (|d| > |c|), phi maps the closed
+    disk onto |w - C| <= R, where C = (b conj(d) - a conj(c))/(|d|^2 - |c|^2)
+    and R = |ad - bc|/(|d|^2 - |c|^2).  Both are exact up to rounding; no
+    point of the circle is sampled.  Raises NotSelfMapError when the pole
+    sits on the closed unit disk, where the map is unbounded.
     """
-    if phi.c != 0 and abs(phi.d / phi.c) <= 1.0 + 1e-12:
+    a, b, c, d = phi.coefficients()
+    if c != 0 and abs(d / c) <= 1.0 + 1e-12:
         raise NotSelfMapError(
-            f"pole at z = {-phi.d / phi.c:.6g} lies on the closed unit disk"
+            f"pole at z = {-d / c:.6g} lies on the closed unit disk"
         )
-
-    theta = np.linspace(0.0, 2.0 * math.pi, _BOUNDARY_SAMPLES, endpoint=False)
-    z = np.exp(1j * theta)
-    num2 = np.abs(phi.a * z + phi.b) ** 2
-    den2 = np.abs(phi.c * z + phi.d) ** 2
-    vals = num2 / den2
-    k = int(np.argmax(vals))
-    step = 2.0 * math.pi / _BOUNDARY_SAMPLES
-
-    def modsq(t: float) -> float:
-        w = cmath.exp(1j * t)
-        return abs(phi.a * w + phi.b) ** 2 / abs(phi.c * w + phi.d) ** 2
-
-    t_star, v_star = _golden_max(modsq, theta[k] - step, theta[k] + step)
-    sup = math.sqrt(max(v_star, float(vals[k])))
-    return sup, t_star % (2.0 * math.pi)
+    gap = abs(d) ** 2 - abs(c) ** 2
+    return (b * d.conjugate() - a * c.conjugate()) / gap, abs(phi.det) / gap
 
 
 def is_self_map(phi: MoebiusMap) -> tuple[bool, float]:
-    """Whether phi maps the disk into itself, with sup_{|z|=1} |phi(z)|."""
-    sup, _ = _boundary_data(phi)
+    """Whether phi maps the disk into itself, with sup_{|z|=1} |phi(z)|.
+
+    The sup is |C| + R of the image circle, exact up to rounding.
+    """
+    centre, radius = _boundary_data(phi)
+    sup = abs(centre) + radius
     return sup <= 1.0 + TOL_BOUNDARY, sup
 
 
@@ -226,16 +193,6 @@ def require_self_map(phi: MoebiusMap) -> None:
     ok, sup = is_self_map(phi)
     if not ok:
         raise NotSelfMapError(f"sup |phi| on the unit circle is {sup:.12g} > 1")
-
-
-def _is_automorphism(phi: MoebiusMap) -> bool:
-    # |phi|=1 at three circle points forces |phi|=1 identically (degree-1
-    # trig polynomial), hence an automorphism for a self-map.
-    for t in _AUTO_PROBES:
-        z = cmath.exp(1j * t)
-        if abs(abs(phi(z)) - 1.0) > TOL_BOUNDARY:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +291,10 @@ class MapClass:
 
     contact is the pair (zeta, eta=phi(zeta)) where the modulus 1 is attained,
     for non-automorphisms with sup |phi| = 1; None for automorphisms (the whole
-    circle is contact) and for strict contractions.
+    circle is contact) and for strict contractions.  At a boundary fixed point
+    zeta is that point; otherwise it is phi^-1 of the point of the image circle
+    farthest from 0, exact up to rounding.  sup_modulus is |C| + R of the
+    image circle.
     """
 
     kind: MapKind
@@ -351,6 +311,11 @@ class MapClass:
             MapKind.PARABOLIC_AUTOMORPHISM,
             MapKind.IDENTITY,
         )
+
+    @property
+    def fixes_contact(self) -> bool:
+        """Whether phi touches the circle at a point it fixes (|zeta - eta| <= 1e-8)."""
+        return self.contact is not None and abs(self.contact[0] - self.contact[1]) <= 1e-8
 
 
 def _denjoy_wolff_from(fps: list[FixedPointData]) -> FixedPointData:
@@ -372,7 +337,8 @@ def classify(phi: MoebiusMap) -> MapClass:
     if is_identity(phi):
         return MapClass(MapKind.IDENTITY, None, None, 1.0, ())
 
-    sup, t_star = _boundary_data(phi)
+    centre, radius = _boundary_data(phi)
+    sup = abs(centre) + radius
     if sup > 1.0 + TOL_BOUNDARY:
         raise NotSelfMapError(f"sup |phi| on the unit circle is {sup:.12g} > 1")
 
@@ -383,7 +349,9 @@ def classify(phi: MoebiusMap) -> MapClass:
         dw = _denjoy_wolff_from(fps)
         return MapClass(MapKind.INTERIOR_CONTRACTION, dw, None, sup, tuple(fps))
 
-    if _is_automorphism(phi):
+    # An automorphism maps the circle onto itself: its image circle is the
+    # unit circle, so its nearest point to 0 has modulus 1 as well.
+    if radius - abs(centre) >= 1.0 - TOL_BOUNDARY:
         boundary = [f for f in finite if f.on_boundary]
         if len(boundary) == 1 and boundary[0].double:
             return MapClass(MapKind.PARABOLIC_AUTOMORPHISM, boundary[0], None, sup, tuple(fps))
@@ -405,9 +373,12 @@ def classify(phi: MoebiusMap) -> MapClass:
         return MapClass(
             MapKind.HYPERBOLIC_NONAUTOMORPHISM, dw, (zeta, zeta), sup, tuple(fps)
         )
-    zeta = cmath.exp(1j * t_star)
-    eta = phi(zeta)
-    eta = eta / abs(eta)
+    # Here radius - |centre| < sup, so centre != 0 and the contact image is
+    # the point of the image circle in the direction of its centre.
+    eta = centre / abs(centre)
+    w = sup * eta
+    zeta = (phi.d * w - phi.b) / (phi.a - phi.c * w)
+    zeta = zeta / abs(zeta)
     dw = _denjoy_wolff_from(fps)
     return MapClass(
         MapKind.BOUNDARY_CONTACT_NO_BOUNDARY_FIXED_POINT, dw, (zeta, eta), sup, tuple(fps)

@@ -365,7 +365,7 @@ def classify_weighted(
 
     if cls.contact is not None:
         zeta, eta = cls.contact
-        if abs(zeta - eta) > 1e-8:
+        if not cls.fixes_contact:
             citation = (
                 CIT_WEIGHT_VANISHES_AT_CONTACT
                 if abs(psi_f(zeta)) <= 1e-12 * _weight_scale(psi_f)
@@ -551,7 +551,7 @@ def norm_bounds(
     """
     psi_f = as_analytic(psi)
     cls = classify(phi)
-    if cls.contact is None or abs(cls.contact[0] - cls.contact[1]) > 1e-8:
+    if not cls.fixes_contact:
         raise TheoryUnavailableError("norm bounds need a fixed unimodular contact point")
     fixed_zeta = cls.contact[0]
     if zeta is not None and abs(complex(zeta) - fixed_zeta) > 1e-8:

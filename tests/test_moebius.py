@@ -3,8 +3,11 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hypocomp as hc
 from hypocomp.errors import (
@@ -16,7 +19,7 @@ from hypocomp.errors import (
 )
 from hypocomp.moebius import MapKind, is_identity, iterate, krein_triple
 
-from conftest import random_self_maps
+from conftest import DERANDOMIZED, random_self_maps
 
 
 class TestCompose:
@@ -176,7 +179,36 @@ class TestClassify:
         cls = hc.classify(hc.MoebiusMap(1, 0, 1, -2))  # z/(z-2)
         assert cls.kind is MapKind.BOUNDARY_CONTACT_NO_BOUNDARY_FIXED_POINT
         zeta, eta = cls.contact
-        assert abs(zeta - 1) < 1e-6 and abs(eta + 1) < 1e-6
+        assert abs(zeta - 1) < 1e-12 and abs(eta + 1) < 1e-12
+
+    def test_contact_matches_high_precision_argmax(self):
+        rng = np.random.default_rng(19)
+        for _ in range(5):
+            c = rng.uniform(0.2, 0.7) * cmath.exp(2j * math.pi * rng.uniform())
+            mu = cmath.exp(1j * rng.uniform(0.5, 2 * math.pi - 0.5))
+            phi = hc.MoebiusMap(mu * (1 - abs(c)), 0, c, 1)
+            a, b, c_, d = (mp.mpc(x) for x in phi.coefficients())
+
+            def modsq(t):
+                w = mp.expj(t)
+                return abs((a * w + b) / (c_ * w + d)) ** 2
+
+            ts = np.linspace(0, 2 * math.pi, 1024, endpoint=False)
+            t0 = max(ts, key=modsq)
+            with mp.workdps(50):
+                t_star = mp.findroot(lambda t: mp.diff(modsq, t), mp.mpf(t0))
+                zeta = complex(mp.expj(t_star))
+            cls = hc.classify(phi)
+            assert cls.kind is MapKind.BOUNDARY_CONTACT_NO_BOUNDARY_FIXED_POINT
+            assert abs(cls.contact[0] - zeta) < 1e-12
+
+    @pytest.mark.parametrize("e", [0.9e-10, 1e-10, 1.1e-10])
+    def test_dilation_near_the_contact_band(self, e):
+        # sup |phi| = 1/(1+e) sits at the edge of the contact band; the
+        # contraction and automorphism tests read the same image circle, so
+        # no dilation falls between them.
+        kind = hc.classify(hc.MoebiusMap(1, 0, 0, 1 + e)).kind
+        assert kind in (MapKind.INTERIOR_CONTRACTION, MapKind.ELLIPTIC_AUTOMORPHISM)
 
     def test_identity(self):
         assert hc.classify(hc.MoebiusMap(2, 0, 0, 2)).kind is MapKind.IDENTITY
@@ -187,6 +219,60 @@ class TestClassify:
             c = (0.05 + 0.9 * rng.uniform()) * cmath.exp(2j * math.pi * rng.uniform())
             phi = hc.hyperbolic_nonauto_form(c)
             assert hc.classify(phi).kind is MapKind.HYPERBOLIC_NONAUTOMORPHISM
+
+
+angle = st.floats(0.0, 2 * math.pi)
+unimodular = angle.map(lambda t: cmath.exp(1j * t))
+
+
+def in_disk(lo, hi):
+    return st.builds(lambda r, u: r * u, st.floats(lo, hi), unimodular)
+
+
+@st.composite
+def classified_maps(draw):
+    """Self-maps of every class, each kept clear of the tolerance bands."""
+    kind = draw(st.sampled_from(("rotation", "dilation", "parabolic", "hyperbolic-form",
+                                 "contact", "automorphism", "normal-form")))
+    lam = draw(unimodular)
+    if kind == "rotation":
+        return hc.rotation(lam)
+    if kind == "dilation":
+        return hc.dilation(draw(in_disk(0.05, 0.95)))
+    if kind == "parabolic":
+        # Re t = 0 gives the parabolic automorphisms.
+        t = complex(draw(st.sampled_from((0.0, 0.1, 0.5, 2.0))), draw(st.floats(0.1, 1.0)))
+        return hc.cayley_parabolic(lam, t)
+    if kind == "hyperbolic-form":
+        return hc.hyperbolic_nonauto_form(draw(in_disk(0.05, 0.95)))
+    if kind == "contact":
+        # mu (1-|c|) z/(c z + 1) touches the circle once and moves that point.
+        c = draw(in_disk(0.05, 0.95))
+        mu = cmath.exp(1j * draw(st.floats(0.1, 2 * math.pi - 0.1)))
+        return hc.MoebiusMap(mu * (1 - abs(c)), 0, c, 1)
+    if kind == "automorphism":
+        return hc.compose(hc.rotation(lam), hc.alpha_p(draw(in_disk(0.0, 0.9))))
+    p = draw(in_disk(0.0, 0.9))
+    return hc.compose(hc.alpha_p(p), hc.alpha_p(p).scaled(draw(in_disk(0.05, 0.95))))
+
+
+@DERANDOMIZED
+@given(classified_maps(), unimodular)
+def test_boundary_data_is_exact(phi, lam):
+    cls = hc.classify(phi)
+    # z -> lam z is an automorphism: conjugating by it keeps the class and
+    # rotates the contact pair.
+    turned = hc.classify(hc.compose(hc.rotation(lam.conjugate()), hc.compose(phi, hc.rotation(lam))))
+    assert turned.kind is cls.kind
+    assert (turned.contact is None) == (cls.contact is None)
+    # Both sides carry rounding of a few ulps, hence the 1e-14 slack.
+    z = np.exp(2j * math.pi * np.arange(65536) / 65536)
+    assert cls.sup_modulus >= np.abs(phi(z)).max() - 1e-14
+    if cls.contact is not None:
+        zeta, eta = cls.contact
+        assert abs(turned.contact[0] - lam.conjugate() * zeta) <= 1e-12
+        assert abs(turned.contact[1] - lam.conjugate() * eta) <= 1e-12
+        assert abs(abs(phi(zeta)) - cls.sup_modulus) <= 1e-14
 
 
 class TestAngularDerivative:
