@@ -7,7 +7,9 @@ sections (the latter is the case phi(z) = z) share one build, column by
 column by a banded recurrence, O(N^2) for a rational phi (see _section).
 Sections with phi(0) = 0, multiplication sections among them, are lower
 triangular; their spectral radius is read off the diagonal.  Everything is
-pure; matrix builds may run concurrently on separate inputs.
+pure but a KernelImages table, which fills as the one witness search that
+owns it looks up kernel images, and is never shared between searches;
+matrix builds may run concurrently on separate inputs.
 
 Finite-section positivity is advisory only: compressions do not preserve the
 sign of A*A - AA* (the forward shift gives a spurious negative eigenvalue),
@@ -17,6 +19,7 @@ adjoint side is exact and whose forward side carries a truncation-tail bound.
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from dataclasses import dataclass
@@ -337,14 +340,55 @@ def _adjoint_gram(psi_f: AnalyticFunction, phi, space: SpaceSpec, pts) -> np.nda
     return np.conj(psis)[:, None] * psis[None, :] * _gram(phis, space.gamma)
 
 
-def _forward_images(psi_f: AnalyticFunction, phi, space: SpaceSpec, points, n: int):
-    """Per-kernel symbols psi*(K_w o phi) and their truncated images, one row each."""
-    if not isinstance(phi, MoebiusMap):
-        raise InvalidParameterError("forward kernel images need a linear-fractional symbol")
-    gamma = space.gamma
-    b = beta_array(space, n)
-    symbols = [psi_f * compose_with_moebius(kernel_function(w, gamma), phi) for w in points]
-    return symbols, np.array([expand_analytic(g, n).coefficients * b for g in symbols])
+def _kernel_points(points) -> list[complex]:
+    """The kernel points as complex numbers: at least one, each finite and
+    strictly inside the unit disk."""
+    pts = [complex(w) for w in points]
+    if not pts:
+        raise InvalidParameterError("need at least one kernel point")
+    if not all(cmath.isfinite(w) for w in pts):
+        raise InvalidParameterError("kernel points must be finite")
+    if any(abs(w) >= 1.0 for w in pts):
+        raise OutsideDiskError("kernel points must lie strictly inside the unit disk")
+    return pts
+
+
+class KernelImages:
+    """Forward kernel images psi * (K_w o phi) of one weight, symbol and space.
+
+    Each exact (w, n) is expanded once: the first lookup builds the symbol and
+    stores its beta-scaled order-n coefficient row (read-only) and its
+    series_tail_bound.  A witness search creates one table and passes it
+    where kernel_gram_norms and kernel_gram_forms take a weight; a table
+    belongs to that search and is never shared between searches.
+    """
+
+    def __init__(self, psi, phi: MoebiusMap, space: SpaceSpec):
+        if not isinstance(phi, MoebiusMap):
+            raise InvalidParameterError("forward kernel images need a linear-fractional symbol")
+        self.psi = as_analytic(psi)
+        self.phi = phi
+        self.space = space
+        self._entries: dict[tuple[complex, int], tuple[np.ndarray, float]] = {}
+
+    def image(self, w: complex, n: int) -> tuple[np.ndarray, float]:
+        """(beta-scaled order-n row, tail bound) of psi * (K_w o phi)."""
+        entry = self._entries.get((w, n))
+        if entry is None:
+            g = self.psi * compose_with_moebius(kernel_function(w, self.space.gamma), self.phi)
+            row = expand_analytic(g, n).coefficients * beta_array(self.space, n)
+            row.flags.writeable = False
+            entry = self._entries[(w, n)] = (row, series_tail_bound(g, n))
+        return entry
+
+
+def _images_for(psi, phi, space: SpaceSpec) -> KernelImages:
+    """psi itself when it is a table for (phi, space), else a one-shot table for the weight psi."""
+    if not isinstance(psi, KernelImages):
+        return KernelImages(psi, phi, space)
+    if psi.phi != phi or psi.space != space:
+        raise InvalidParameterError("kernel image table belongs to another symbol or space")
+    return psi
 
 
 def kernel_gram_norms(psi, phi: MoebiusMap, space: SpaceSpec, points, coeffs, n: int) -> KernelNorms:
@@ -354,27 +398,26 @@ def kernel_gram_norms(psi, phi: MoebiusMap, space: SpaceSpec, points, coeffs, n:
     <K_a, K_b> = (1 - conj(a) b)^(-gamma).  The forward side is the norm of
     the order-n truncation of sum c_i psi (K_{w_i} o phi) plus a reported
     tail bound; PrecisionLossError signals a tail above 10% of the computed
-    norm (raise n).
+    norm (raise n).  psi is a weight, or a search's KernelImages table for
+    its weight, which serves each kernel image it has already expanded.
     """
-    pts = [complex(w) for w in points]
+    pts = _kernel_points(points)
     cs = np.asarray(list(coeffs), dtype=complex)
-    if any(abs(w) >= 1.0 for w in pts):
-        raise OutsideDiskError("kernel points must lie strictly inside the unit disk")
-    if len(pts) != cs.size or not pts:
-        raise InvalidParameterError("need matching nonempty points and coefficients")
-    psi_f = as_analytic(psi)
+    if len(pts) != cs.size:
+        raise InvalidParameterError("need matching points and coefficients")
+    images = _images_for(psi, phi, space)
 
     # <C*f, C*f> = sum_ij c_i conj(c_j) <C* K_{w_i}, C* K_{w_j}>
-    weighted = _adjoint_gram(psi_f, phi, space, pts)
+    weighted = _adjoint_gram(images.psi, phi, space, pts)
     adj_sq = float(np.real(np.einsum("i,j,ij->", cs, np.conj(cs), weighted)))
     adjoint = math.sqrt(max(adj_sq, 0.0))
 
-    symbols, images = _forward_images(psi_f, phi, space, pts, n)
+    entries = [images.image(w, n) for w in pts]
     vec = np.zeros(n, dtype=complex)
-    for c, img in zip(cs, images):
-        vec += c * img
+    for c, (row, _tail) in zip(cs, entries):
+        vec += c * row
     forward = float(np.linalg.norm(vec))
-    tail = float(sum(abs(c) * series_tail_bound(g, n) for c, g in zip(cs, symbols)))
+    tail = float(sum(abs(c) * t for c, (_row, t) in zip(cs, entries)))
     if tail > 0.1 * max(forward, 1e-300):
         raise PrecisionLossError(
             f"tail bound {tail:.3e} exceeds 10% of the computed norm {forward:.3e}; raise the order"
@@ -387,14 +430,15 @@ def kernel_gram_forms(psi, phi: MoebiusMap, space: SpaceSpec, points, n: int):
     ||P_n C f||^2 = c^H F c for f = sum_i c_i K_{w_i}.
 
     The forms kernel_gram_norms evaluates, as matrices; F is the order-n
-    truncation and carries no tail bound.
+    truncation and carries no tail bound.  psi is a weight or a search's
+    KernelImages table, as in kernel_gram_norms.
     """
-    pts = [complex(w) for w in points]
-    psi_f = as_analytic(psi)
-    _symbols, images = _forward_images(psi_f, phi, space, pts, n)
+    pts = _kernel_points(points)
+    images = _images_for(psi, phi, space)
+    rows = np.array([images.image(w, n)[0] for w in pts])
     kernel = _gram(np.array(pts), space.gamma).T
-    adjoint = _adjoint_gram(psi_f, phi, space, pts).T
-    return kernel, adjoint, images.conj() @ images.T
+    adjoint = _adjoint_gram(images.psi, phi, space, pts).T
+    return kernel, adjoint, rows.conj() @ rows.T
 
 
 # ---------------------------------------------------------------------------

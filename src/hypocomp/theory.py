@@ -37,7 +37,7 @@ from .funcalg import (
     is_value_constant,
     kernel_function,
 )
-from .matrixrep import as_analytic, kernel_gram_forms, kernel_gram_norms, truncation_cap
+from .matrixrep import KernelImages, as_analytic, kernel_gram_forms, kernel_gram_norms, truncation_cap
 from .moebius import (
     MapClass,
     MapKind,
@@ -658,15 +658,16 @@ def conjugate_to_origin(
 # ---------------------------------------------------------------------------
 # Numeric witness search
 
-def _norms_with_escalation(psi_f, phi, space, pts, cs, order) -> CertificateWitness | None:
+def _norms_with_escalation(images, phi, space, pts, cs, order) -> CertificateWitness | None:
     """sum_i c_i K_{w_i} with its kernel_gram_norms at order, doubled until the
     tail bound is within 10% of the norm; the witness records the order that
-    held.  None when no order up to the truncation cap does.
+    held.  None when no order up to the truncation cap does.  images is the
+    search's KernelImages table.
     """
     n = order
     while n <= truncation_cap():
         try:
-            kn = kernel_gram_norms(psi_f, phi, space, pts, cs, n)
+            kn = kernel_gram_norms(images, phi, space, pts, cs, n)
         except PrecisionLossError:
             n *= 2
             continue
@@ -687,11 +688,13 @@ def witness_search(
     Stage 1 walks single kernels over {0} and a radial/angular grid; stage 2
     draws seeded random 2- and 3-kernel combinations, optimizing coefficients
     through the generalized eigenvalue problem of the two Gram forms before an
-    honest re-evaluation.  Returns the first conclusive witness, or None when
-    the budget runs out.
+    honest re-evaluation.  Returns the first conclusive witness, or None once
+    all 400 trials have failed; running out of budget_seconds aborts the
+    search early, also with None.  Each kernel image psi * (K_w o phi) is
+    expanded once per order, in one KernelImages table for the search.
     """
-    psi_f = as_analytic(psi)
     require_self_map(phi)
+    images = KernelImages(psi, phi, space)
     deadline = time.monotonic() + budget_seconds
 
     grid = _radial_grid((0.15, 0.3, 0.45, 0.6, 0.75, 0.9))
@@ -699,7 +702,7 @@ def witness_search(
     for w in grid:
         if time.monotonic() > deadline:
             return None
-        witness = _norms_with_escalation(psi_f, phi, space, [w], [1.0 / kernel_norm(space, w)], order)
+        witness = _norms_with_escalation(images, phi, space, [w], [1.0 / kernel_norm(space, w)], order)
         if witness is None:
             continue
         if witness.is_conclusive:
@@ -720,7 +723,7 @@ def witness_search(
             w = pool[int(rng.integers(0, len(pool)))]
             if all(abs(w - u) > 1e-9 for u in pts):
                 pts.append(w)
-        kernel, adjoint, forward = kernel_gram_forms(psi_f, phi, space, pts, order)
+        kernel, adjoint, forward = kernel_gram_forms(images, phi, space, pts, order)
         reg = 1e-12 * float(np.trace(forward).real) / m
         try:
             _vals, vecs = scipy.linalg.eigh(adjoint, forward + reg * np.eye(m))
@@ -731,7 +734,7 @@ def witness_search(
         if nf <= 0:
             continue
         c = c / math.sqrt(nf)
-        witness = _norms_with_escalation(psi_f, phi, space, pts, [complex(x) for x in c], order)
+        witness = _norms_with_escalation(images, phi, space, pts, [complex(x) for x in c], order)
         if witness is not None and witness.is_conclusive:
             return witness
     return None

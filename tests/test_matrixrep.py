@@ -13,9 +13,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hypocomp as hc
-from hypocomp.errors import PrecisionLossError
+from hypocomp.errors import HypocompError, InvalidParameterError, OutsideDiskError, PrecisionLossError
 from hypocomp.funcalg import moebius_rational
-from hypocomp.matrixrep import AdjointResidual, KernelNorms
+from hypocomp.matrixrep import AdjointResidual, KernelImages, KernelNorms, kernel_gram_forms
 
 from conftest import DERANDOMIZED, random_disk_points
 
@@ -309,6 +309,76 @@ class TestKernelGramNorms:
     def test_precision_loss_raised(self, H2, psi_one, parabolic_map):
         with pytest.raises(PrecisionLossError):
             hc.kernel_gram_norms(psi_one, parabolic_map, H2, [0.97], [1.0], 24)
+
+    @pytest.mark.parametrize("routine", ("norms", "forms"))
+    @pytest.mark.parametrize("points, error", [
+        ([0.3, 1.0], OutsideDiskError),
+        ([-2j], OutsideDiskError),
+        ([complex("nan")], InvalidParameterError),
+        ([0.3, complex(0.0, math.inf)], InvalidParameterError),
+        ([], InvalidParameterError),
+    ])
+    def test_point_gate(self, H2, psi_one, parabolic_map, routine, points, error):
+        # Both routines refuse the same points with the same error, before any numerics.
+        with pytest.raises(error):
+            if routine == "norms":
+                hc.kernel_gram_norms(psi_one, parabolic_map, H2, points, [1.0] * len(points), 64)
+            else:
+                kernel_gram_forms(psi_one, parabolic_map, H2, points, 64)
+
+    def test_table_of_another_symbol_refused(self, H2, A0, psi_one, parabolic_map):
+        images = KernelImages(psi_one, parabolic_map, H2)
+        with pytest.raises(InvalidParameterError):
+            hc.kernel_gram_norms(images, hc.dilation(0.5), H2, [0.3], [1.0], 64)
+        with pytest.raises(InvalidParameterError):
+            kernel_gram_forms(images, parabolic_map, A0, [0.3], 64)
+
+
+def _outcome(routine, *args):
+    try:
+        return routine(*args)
+    except HypocompError as exc:
+        return type(exc)
+
+
+def _same(a, b):
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and all(np.array_equal(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+kernel_maps = st.sampled_from((
+    hc.cayley_parabolic(1, 1),
+    hc.dilation(0.5),
+    hc.hyperbolic_nonauto_form(0.5),
+    hc.compose(hc.alpha_p(0.3), hc.dilation(0.6j)),
+))
+
+
+def annulus(lo, hi):
+    return st.builds(lambda r, u: r * u, st.floats(lo, hi), unimodular)
+
+
+@DERANDOMIZED
+@given(weights, kernel_maps, st.sampled_from((hc.hardy(), hc.bergman(0.7))),
+       st.lists(st.tuples(annulus(0.1, 0.9), annulus(0.1, 2.0)), min_size=1, max_size=3))
+def test_kernel_image_table_changes_no_number(psi, phi, space, terms):
+    # One table serves repeated calls and several orders; each call returns
+    # exactly what a one-shot call on the bare weight returns.  Order 1 raises
+    # PrecisionLossError: for w != 0 the image is not a polynomial, and its
+    # Cauchy tail bound at a radius r <= 8 is at least 1.1 |g(0)| / r.
+    points = [w for w, _c in terms]
+    coeffs = [c for _w, c in terms]
+    images = KernelImages(psi, phi, space)
+    for n in (48, 96, 1, 48, 96):
+        got = _outcome(hc.kernel_gram_norms, images, phi, space, points, coeffs, n)
+        want = _outcome(hc.kernel_gram_norms, psi, phi, space, points, coeffs, n)
+        assert _same(got, want)
+        if n == 1:
+            assert got is PrecisionLossError
+        got = _outcome(kernel_gram_forms, images, phi, space, points, n)
+        want = _outcome(kernel_gram_forms, psi, phi, space, points, n)
+        assert _same(got, want)
 
 
 class TestCsvDumps:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import hypocomp as hc
+import hypocomp.theory as theory
 from hypocomp.errors import (
     DegenerateMapError,
     HypothesisMismatchError,
@@ -393,6 +394,20 @@ class TestConjugateToOrigin:
             hc.conjugate_to_origin(1, half_shift_map, 0.3, H2)
 
 
+def _count_grams(monkeypatch):
+    """Count the single- and multi-kernel Gram evaluations the search completes."""
+    inner = theory.kernel_gram_norms
+    counts = {"single": 0, "multi": 0}
+
+    def counted(psi, phi, space, points, coeffs, n):
+        norms = inner(psi, phi, space, points, coeffs, n)
+        counts["multi" if len(points) > 1 else "single"] += 1
+        return norms
+
+    monkeypatch.setattr(theory, "kernel_gram_norms", counted)
+    return counts
+
+
 class TestWitnessSearch:
     def test_parabolic_weighted_found(self, H2, psi_one, parabolic_map):
         w = hc.witness_search(psi_one, parabolic_map, H2, budget_seconds=30, order=128)
@@ -404,12 +419,20 @@ class TestWitnessSearch:
         assert w is not None and w.is_conclusive
         assert w.points == (0,)
 
-    def test_dilation_none(self, H2):
+    def test_dilation_none(self, H2, monkeypatch):
+        # None because all 97 grid kernels and 400 trials failed, not because
+        # the budget ran out: an unlimited budget gives the same answer.
+        grams = _count_grams(monkeypatch)
         assert hc.witness_search(1, hc.dilation(0.5), H2, budget_seconds=2.5, order=48) is None
+        assert grams == {"single": 97, "multi": 400}
+        assert hc.witness_search(1, hc.dilation(0.5), H2, budget_seconds=3600, order=48) is None
 
-    def test_normal_form_none(self, H2):
+    def test_normal_form_none(self, H2, monkeypatch):
         nf = hc.normal_form(0.3, 0.4, 1, H2)
+        grams = _count_grams(monkeypatch)
         assert hc.witness_search(nf.psi, nf.phi, H2, budget_seconds=2.5, order=48) is None
+        assert grams == {"single": 97, "multi": 400}
+        assert hc.witness_search(nf.psi, nf.phi, H2, budget_seconds=3600, order=48) is None
 
     @pytest.mark.parametrize(
         "coeffs, phi",
