@@ -76,7 +76,6 @@ class JobConfig:
     order: int
     seed: int
     fmt: str
-    match_tol: float = 1e-10
     grid: tuple[complex, ...] | None = None
     budget: float = 60.0
 
@@ -97,7 +96,6 @@ def job_config(args) -> JobConfig:
         order=args.order,
         seed=args.seed,
         fmt=args.format,
-        match_tol=getattr(args, "match_tol", 1e-10),
         grid=grid,
         budget=getattr(args, "budget", 60.0),
     )
@@ -292,7 +290,6 @@ def _cmd_check(args) -> int:
         seed=cfg.seed,
         order=max(cfg.order, 128),
         grid=cfg.grid,
-        match_tol=cfg.match_tol,
     )
     verdict = classify_weighted(psi, phi, space, opts)
     report = {
@@ -479,8 +476,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="witness search budget in seconds")
     p_check.add_argument("--grid", default=None,
                          help="semicolon-separated kernel points overriding the default grid")
-    p_check.add_argument("--match-tol", type=float, default=1e-10, dest="match_tol",
-                         help="coefficient tolerance for normal-form matching")
     p_check.set_defaults(func=_cmd_check)
 
     p_spectral = sub.add_parser("spectral", help="closed-form spectral report")

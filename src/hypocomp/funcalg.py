@@ -390,6 +390,12 @@ def expand_rational(f: RationalFunction, n: int) -> TaylorSeries:
         raise PoleAtOriginError("denominator vanishes at the origin")
     if f.den.degree >= 1 and not _poly_zero_free(f.den):
         raise PoleEncounteredError("denominator has a zero in the closed unit disk")
+    return _rational_series(f, n)
+
+
+def _rational_series(f: RationalFunction, n: int) -> TaylorSeries:
+    # The recurrence of expand_rational, for a base or power factor of an
+    # AnalyticFunction, whose construction already tested its denominator.
     num = np.zeros(n, dtype=complex)
     m = min(n, f.num.degree + 1)
     num[:m] = f.num.coefficients[:m]
@@ -437,9 +443,9 @@ def series_pow_real(f: TaylorSeries, gamma: float) -> TaylorSeries:
 def expand_analytic(f: AnalyticFunction, n: int) -> TaylorSeries:
     """Truncated series of base * prod r_i^gamma_i."""
     _check_order(n)
-    out = expand_rational(f.base, n)
+    out = _rational_series(f.base, n)
     for r, gamma in f.factors:
-        part = series_pow_real(expand_rational(r, n), gamma)
+        part = series_pow_real(_rational_series(r, n), gamma)
         out = series_mul(out, part)
     return out
 

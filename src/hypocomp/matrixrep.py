@@ -37,10 +37,10 @@ from .errors import (
 from .funcalg import (
     AnalyticFunction,
     Polynomial,
+    _rational_series,
     boundary_sup,
     constant_fn,
     expand_analytic,
-    expand_rational,
     kernel_function,
     moebius_rational,
     compose_with_moebius,
@@ -145,8 +145,8 @@ def _section(psi_f: AnalyticFunction, phi_f: AnalyticFunction, space: SpaceSpec,
     """
     num, kn = _toeplitz_band(phi_f.base.num, n)
     den, kd = _toeplitz_band(phi_f.base.den, n)
-    powers = [series_pow_real(expand_rational(r, n), gamma).coefficients for r, gamma in phi_f.factors]
     col = expand_analytic(psi_f, n).coefficients.copy()
+    powers = [series_pow_real(_rational_series(r, n), gamma).coefficients for r, gamma in phi_f.factors]
     b = beta_array(space, n)
     scaled = np.empty(n, dtype=complex)
     cols = np.zeros((n, n), dtype=complex)
@@ -276,20 +276,25 @@ def _composition_norm_upper(psi_f: AnalyticFunction, phi, space: SpaceSpec) -> f
 
 
 def _kernel_tail(space: SpaceSpec, w: complex, n: int) -> float:
-    """sqrt(sum_{k>=n} |w|^(2k) / beta(k)^2), summed to convergence."""
+    """A proved upper bound on sqrt(sum_{k>=n} |w|^(2k) / beta(k)^2), in closed form.
+
+    The terms t_k = r2^k / beta(k)^2 (r2 = |w|^2) have ratio
+    r2 (k + gamma) / (k + 1), which does not increase in k since gamma >= 1.
+    When q = r2 (n + gamma) / (n + 1) < 1 the tail is at most t_n / (1 - q),
+    with equality on Hardy.  Otherwise it is the full sum (1 - r2)^(-gamma)
+    less the first n terms; there the tail is not small against the sum, so
+    the subtraction does not cancel.  Reads beta(0..n) only.
+    """
     r2 = abs(w) ** 2
     if r2 == 0.0:
         return 0.0
-    total = 0.0
-    k = n
-    b = beta_array(space, n + 4096)
-    while k < n + 4096:
-        term = r2**k / b[k] ** 2
-        total += term
-        if term < 1e-300 or (total > 0 and term < 1e-18 * total):
-            break
-        k += 1
-    return math.sqrt(total)
+    gamma = space.gamma
+    b2 = beta_array(space, n + 1) ** 2
+    q = r2 * (n + gamma) / (n + 1)
+    if q < 1.0:
+        return math.sqrt(r2**n / b2[n] / (1.0 - q))
+    head = float(np.sum(r2 ** np.arange(n) / b2[:n]))
+    return math.sqrt((1.0 - r2) ** (-gamma) - head)
 
 
 @dataclass(frozen=True)

@@ -142,7 +142,6 @@ class WeightedOptions:
     seed: int = 1729
     order: int = 256
     grid: tuple[complex, ...] | None = None
-    match_tol: float = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +326,10 @@ def _weight_scale(psi_f: AnalyticFunction) -> float:
     return max(1.0, float(np.abs(psi_f(circle(0.6, 8))).max()))
 
 
+# Coefficient tolerance of classify_weighted's normal-form match.
+_NORMAL_FORM_MATCH_TOL = 1e-10
+
+
 def classify_weighted(
     psi, phi: MoebiusMap, space: SpaceSpec, options: WeightedOptions | None = None
 ) -> HyponormalityVerdict:
@@ -400,7 +403,7 @@ def classify_weighted(
         delta = cls.denjoy_wolff.multiplier
         a = alpha_p(p)
         reference = compose(a, a.scaled(delta))
-        if map_distance(phi, reference) > opts.match_tol:
+        if map_distance(phi, reference) > _NORMAL_FORM_MATCH_TOL:
             return HyponormalityVerdict(
                 Outcome.NOT_HYPONORMAL,
                 CIT_COMPACT_NORMAL_FORM,

@@ -12,6 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import hypocomp as hc
+from hypocomp import funcalg
 from hypocomp.errors import (
     BranchViolationError,
     IndeterminateError,
@@ -197,6 +198,24 @@ class TestExpandAnalytic:
         ts = hc.expand_analytic(kd.g, 6)
         # with the normalized representative (d=1) the g line is constant 1
         assert np.allclose(ts.coefficients, [1, 0, 0, 0, 0, 0], atol=1e-14)
+
+    def test_admitted_symbol_expands_without_zero_test(self, H2, monkeypatch):
+        # Construction already tested every denominator; expanding the
+        # symbol, or building a section from it, does not test them again.
+        psi = hc.rational_fn((1, 0.3), (2, -0.5)) * hc.kernel_function(0.35, 1.5)
+        root = hc.AnalyticFunction(hc.rational((1,)), ((hc.rational((1, 0.3), (1, -0.2)), 0.5),))
+        phi = hc.polynomial_fn(0, 0.5) * root
+        series = hc.expand_analytic(psi, 64).coefficients
+        section = hc.build_weighted_composition(psi, phi, H2, 32).entries
+
+        def refuse(p):
+            raise AssertionError("zero test on an admitted denominator")
+
+        monkeypatch.setattr(funcalg, "_poly_zero_free", refuse)
+        assert np.array_equal(hc.expand_analytic(psi, 64).coefficients, series)
+        assert np.array_equal(hc.build_weighted_composition(psi, phi, H2, 32).entries, section)
+        with pytest.raises(AssertionError):
+            hc.expand_rational(psi.base, 8)
 
     def test_partial_sums_match_evaluation(self):
         f = hc.rational_fn((1, 0.3), (2, -0.5)) * hc.kernel_function(0.35, 1.5)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import hypocomp as hc
 from hypocomp.errors import HypocompError, InvalidParameterError, OutsideDiskError, PrecisionLossError
 from hypocomp.funcalg import moebius_rational
-from hypocomp.matrixrep import AdjointResidual, KernelImages, KernelNorms, kernel_gram_forms
+from hypocomp.matrixrep import AdjointResidual, KernelImages, KernelNorms, _kernel_tail, kernel_gram_forms
 
 from conftest import DERANDOMIZED, random_disk_points
 
@@ -156,6 +157,26 @@ def test_numeric_spectral_leaves_scipy_signal_unimported():
     assert out.split() == ["0", "False"]
 
 
+def test_escalate_and_numeric_spectral_leave_scipy_special_unimported():
+    # The weights are a numpy cumulative product; nothing needs scipy.special.
+    script = (
+        "import contextlib, io, sys\n"
+        "import hypocomp\n"
+        "from hypocomp import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    check = cli.main(['check', '--psi', '3,-1', '--map', '1,0.5,0.5,1',\n"
+        "                      '--space', 'bergman:0', '--escalate', '--json'])\n"
+        "    spectral = cli.main(['spectral', '--psi', '1,0.5', '--map', 'parabolic:1,1',\n"
+        "                         '--space', 'bergman:0.7', '--numeric', '--order=64', '--json'])\n"
+        "print(check, spectral, 'scipy.special' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(hc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["0", "0", "False"]
+
+
 class TestBuildMultiplication:
     def test_constant(self, A1):
         m = hc.build_multiplication(2.5, A1, 4)
@@ -283,6 +304,24 @@ class TestAdjointKernelResidual:
                 ar = hc.adjoint_kernel_residual(m, psi_one, parabolic_map, w, space)
                 assert ar.residual <= ar.tail_bound
                 assert ar.residual < 1e-6
+
+    @pytest.mark.parametrize("gamma", [1, 1.05, 2, 2.7, 3])
+    def test_kernel_tail_bounds_true_tail(self, gamma):
+        # sum_{k>=n} r2^k / beta(k)^2 = t_n 2F1(1, n + gamma; n + 1; r2) with
+        # t_n = r2^n Gamma(n + gamma) / (n! Gamma(gamma)), in 40 digits.
+        space = hc.hardy() if gamma == 1 else hc.bergman(gamma - 2)
+        g = mpmath.mpf(space.gamma)
+        for n in (8, 64, 256, 1024):
+            for r in (0.05, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.995, 0.999, 0.9999):
+                w = r * cmath.exp(0.7j * n)
+                with mpmath.workdps(40):
+                    r2 = mpmath.mpf(abs(w)) ** 2
+                    t_n = r2**n * mpmath.gamma(n + g) / (mpmath.factorial(n) * mpmath.gamma(g))
+                    true = mpmath.sqrt(t_n * mpmath.hyp2f1(1, n + g, n + 1, r2))
+                    if true <= mpmath.mpf("1e-150"):
+                        continue
+                    ratio = float(_kernel_tail(space, w, n) / true)
+                assert 1 - 1e-12 <= ratio <= 16, (n, r, ratio)
 
 
 class TestKernelGramNorms:
