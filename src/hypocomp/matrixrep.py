@@ -6,10 +6,12 @@ unless HYPOCOMP_MAX_N overrides it.  Weighted composition and multiplication
 sections (the latter is the case phi(z) = z) share one build, column by
 column by a banded recurrence, O(N^2) for a rational phi (see _section).
 Sections with phi(0) = 0, multiplication sections among them, are lower
-triangular; their spectral radius is read off the diagonal.  Everything is
-pure but a KernelImages table, which fills as the one witness search that
-owns it looks up kernel images, and is never shared between searches;
-matrix builds may run concurrently on separate inputs.
+triangular; their spectral radius is read off the diagonal.  The two banded
+BLAS routines are fetched from scipy.linalg on the first build, so a process
+that builds no section never imports scipy.  Everything is pure but a
+KernelImages table, which fills as the one witness search that owns it looks
+up kernel images, and is never shared between searches; matrix builds may
+run concurrently on separate inputs.
 
 Finite-section positivity is advisory only: compressions do not preserve the
 sign of A*A - AA* (the forward shift gives a spurious negative eigenvalue),
@@ -25,7 +27,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConvergenceFailureError,
@@ -56,9 +57,6 @@ _POWER_SEED = 1729
 # Relative residual at which operator_norm's power iteration stops.
 _NORM_REL_TOL = 1e-8
 _EPS = float(np.finfo(float).eps)
-# Banded lower-triangular product and solve: one step of the column
-# recurrence in _section.
-_TBMV, _TBSV = scipy.linalg.get_blas_funcs(("tbmv", "tbsv"), dtype=complex)
 _IDENTITY_SYMBOL = polynomial_fn(0, 1)
 
 
@@ -141,8 +139,12 @@ def _section(psi_f: AnalyticFunction, phi_f: AnalyticFunction, space: SpaceSpec,
     then a truncated convolution with each power-factor series.  For a
     rational phi of degree d that is O(N d) per column and O(N^2 d) in all.
     scipy.signal.lfilter would do the same filtering, but importing
-    scipy.signal costs about a second.
+    scipy.signal costs about a second.  The two BLAS routines are fetched
+    here, on the first build, so that only processes that build a section
+    import scipy.linalg.
     """
+    from scipy.linalg.blas import ztbmv, ztbsv
+
     num, kn = _toeplitz_band(phi_f.base.num, n)
     den, kd = _toeplitz_band(phi_f.base.den, n)
     col = expand_analytic(psi_f, n).coefficients.copy()
@@ -155,8 +157,8 @@ def _section(psi_f: AnalyticFunction, phi_f: AnalyticFunction, space: SpaceSpec,
     for j in range(n):
         np.divide(np.multiply(col, b, out=scaled), b[j], out=cols[:, j])
         if j + 1 < n:
-            col = _TBMV(kn, num, col, lower=1, overwrite_x=1)
-            col = _TBSV(kd, den, col, lower=1, overwrite_x=1)
+            col = ztbmv(kn, num, col, lower=1, overwrite_x=1)
+            col = ztbsv(kd, den, col, lower=1, overwrite_x=1)
             for s in powers:
                 col = np.convolve(col, s)[:n]
     return OperatorMatrix(cols, space, n, provenance)
@@ -338,11 +340,10 @@ def _gram(xs: np.ndarray, gamma: float) -> np.ndarray:
     return (1.0 - np.conj(xs)[:, None] * xs[None, :]) ** (-gamma)
 
 
-def _adjoint_gram(psi_f: AnalyticFunction, phi, space: SpaceSpec, pts) -> np.ndarray:
+def _adjoint_gram(images: KernelImages, pts) -> np.ndarray:
     """<C* K_{w_i}, C* K_{w_j}>, closed-form from C* K_w = conj(psi(w)) K_phi(w)."""
-    phis = np.array([phi(w) for w in pts])
-    psis = np.array([psi_f(w) for w in pts])
-    return np.conj(psis)[:, None] * psis[None, :] * _gram(phis, space.gamma)
+    psis, phis = map(np.array, zip(*(images.values(w) for w in pts)))
+    return np.conj(psis)[:, None] * psis[None, :] * _gram(phis, images.space.gamma)
 
 
 def _kernel_points(points) -> list[complex]:
@@ -359,13 +360,15 @@ def _kernel_points(points) -> list[complex]:
 
 
 class KernelImages:
-    """Forward kernel images psi * (K_w o phi) of one weight, symbol and space.
+    """Kernel images of one weight, symbol and space: the forward images
+    psi * (K_w o phi) and the values psi(w), phi(w) that fix C* K_w.
 
     Each exact (w, n) is expanded once: the first lookup builds the symbol and
     stores its beta-scaled order-n coefficient row (read-only) and its
-    series_tail_bound.  A witness search creates one table and passes it
-    where kernel_gram_norms and kernel_gram_forms take a weight; a table
-    belongs to that search and is never shared between searches.
+    series_tail_bound.  Each exact w is evaluated once, on its first adjoint
+    lookup.  A witness search creates one table and passes it where
+    kernel_gram_norms and kernel_gram_forms take a weight; a table belongs to
+    that search and is never shared between searches.
     """
 
     def __init__(self, psi, phi: MoebiusMap, space: SpaceSpec):
@@ -375,6 +378,14 @@ class KernelImages:
         self.phi = phi
         self.space = space
         self._entries: dict[tuple[complex, int], tuple[np.ndarray, float]] = {}
+        self._values: dict[complex, tuple[complex, complex]] = {}
+
+    def values(self, w: complex) -> tuple[complex, complex]:
+        """(psi(w), phi(w))."""
+        entry = self._values.get(w)
+        if entry is None:
+            entry = self._values[w] = (self.psi(w), self.phi(w))
+        return entry
 
     def image(self, w: complex, n: int) -> tuple[np.ndarray, float]:
         """(beta-scaled order-n row, tail bound) of psi * (K_w o phi)."""
@@ -413,7 +424,7 @@ def kernel_gram_norms(psi, phi: MoebiusMap, space: SpaceSpec, points, coeffs, n:
     images = _images_for(psi, phi, space)
 
     # <C*f, C*f> = sum_ij c_i conj(c_j) <C* K_{w_i}, C* K_{w_j}>
-    weighted = _adjoint_gram(images.psi, phi, space, pts)
+    weighted = _adjoint_gram(images, pts)
     adj_sq = float(np.real(np.einsum("i,j,ij->", cs, np.conj(cs), weighted)))
     adjoint = math.sqrt(max(adj_sq, 0.0))
 
@@ -442,7 +453,7 @@ def kernel_gram_forms(psi, phi: MoebiusMap, space: SpaceSpec, points, n: int):
     images = _images_for(psi, phi, space)
     rows = np.array([images.image(w, n)[0] for w in pts])
     kernel = _gram(np.array(pts), space.gamma).T
-    adjoint = _adjoint_gram(images.psi, phi, space, pts).T
+    adjoint = _adjoint_gram(images, pts).T
     return kernel, adjoint, rows.conj() @ rows.T
 
 

@@ -7,7 +7,9 @@ kernel-quotient weight, conjugation of an interior fixed point to the
 origin, and a numeric witness search for non-hyponormality certificates.
 
 Grid searches evaluate in a fixed deterministic order (first violation in
-grid order wins); every function is pure.
+grid order wins); every function is pure.  The witness search's 2x2 and 3x3
+generalized eigenproblems are solved by a numpy Cholesky reduction, so
+nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateMapError,
@@ -678,6 +679,21 @@ def _norms_with_escalation(images, phi, space, pts, cs, order) -> CertificateWit
     return None
 
 
+def _top_eigenpair(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue lam of the Hermitian-definite problem a v = lam b v,
+    and its eigenvector v, normalised so that v^H b v = 1.
+
+    Cholesky reduction (Golub & Van Loan, Matrix Computations, 8.7): with
+    b = L L^H, lam is the top eigenvalue of the Hermitian L^-1 a L^-H, whose
+    eigenvector u gives v = L^-H u.  np.linalg.LinAlgError means b is not
+    positive definite (or the eigensolver failed).
+    """
+    chol = np.linalg.cholesky(b)
+    reduced = np.linalg.solve(chol, np.linalg.solve(chol, a).conj().T)
+    vals, vecs = np.linalg.eigh(reduced)
+    return float(vals[-1]), np.linalg.solve(chol.conj().T, vecs[:, -1])
+
+
 def witness_search(
     psi,
     phi: MoebiusMap,
@@ -690,8 +706,9 @@ def witness_search(
 
     Stage 1 walks single kernels over {0} and a radial/angular grid; stage 2
     draws seeded random 2- and 3-kernel combinations, optimizing coefficients
-    through the generalized eigenvalue problem of the two Gram forms before an
-    honest re-evaluation.  Returns the first conclusive witness, or None once
+    through the generalized eigenvalue problem of the two Gram forms (solved
+    by a numpy Cholesky reduction, _top_eigenpair) before an honest
+    re-evaluation.  Returns the first conclusive witness, or None once
     all 400 trials have failed; running out of budget_seconds aborts the
     search early, also with None.  Each kernel image psi * (K_w o phi) is
     expanded once per order, in one KernelImages table for the search.
@@ -729,10 +746,9 @@ def witness_search(
         kernel, adjoint, forward = kernel_gram_forms(images, phi, space, pts, order)
         reg = 1e-12 * float(np.trace(forward).real) / m
         try:
-            _vals, vecs = scipy.linalg.eigh(adjoint, forward + reg * np.eye(m))
-        except scipy.linalg.LinAlgError:
+            _lam, c = _top_eigenpair(adjoint, forward + reg * np.eye(m))
+        except np.linalg.LinAlgError:
             continue
-        c = vecs[:, -1]
         nf = float(np.real(np.einsum("i,ij,j->", np.conj(c), kernel, c)))
         if nf <= 0:
             continue

@@ -10,6 +10,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ import hypocomp as hc
 from hypocomp.errors import HypocompError, InvalidParameterError, OutsideDiskError, PrecisionLossError
 from hypocomp.funcalg import moebius_rational
 from hypocomp.matrixrep import AdjointResidual, KernelImages, KernelNorms, _kernel_tail, kernel_gram_forms
+from hypocomp.theory import _top_eigenpair
 
 from conftest import DERANDOMIZED, random_disk_points
 
@@ -139,30 +141,30 @@ def test_build_matches_repeated_cauchy_products(psi, phi, space, n):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def _fresh_process(body):
+    """Stdout words of a fresh interpreter that imports hypocomp and its cli
+    from this checkout, then runs body."""
+    script = "import contextlib, io, sys\nimport hypocomp\nfrom hypocomp import cli\n" + body
+    src = os.path.dirname(os.path.dirname(hc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True).stdout.split()
+
+
 def test_numeric_spectral_leaves_scipy_signal_unimported():
     # scipy.signal would add about a second to every cold start.
-    script = (
-        "import contextlib, io, sys\n"
-        "import hypocomp\n"
-        "from hypocomp import cli\n"
+    out = _fresh_process(
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(['spectral', '--psi', '1,0.5', '--map', 'parabolic:1,1',\n"
         "                     '--numeric', '--order=64', '--json'])\n"
         "print(code, 'scipy.signal' in sys.modules)\n"
     )
-    src = os.path.dirname(os.path.dirname(hc.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.split() == ["0", "False"]
+    assert out == ["0", "False"]
 
 
 def test_escalate_and_numeric_spectral_leave_scipy_special_unimported():
     # The weights are a numpy cumulative product; nothing needs scipy.special.
-    script = (
-        "import contextlib, io, sys\n"
-        "import hypocomp\n"
-        "from hypocomp import cli\n"
+    out = _fresh_process(
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    check = cli.main(['check', '--psi', '3,-1', '--map', '1,0.5,0.5,1',\n"
         "                      '--space', 'bergman:0', '--escalate', '--json'])\n"
@@ -170,11 +172,29 @@ def test_escalate_and_numeric_spectral_leave_scipy_special_unimported():
         "                         '--space', 'bergman:0.7', '--numeric', '--order=64', '--json'])\n"
         "print(check, spectral, 'scipy.special' in sys.modules)\n"
     )
-    src = os.path.dirname(os.path.dirname(hc.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.split() == ["0", "0", "False"]
+    assert out == ["0", "0", "False"]
+
+
+def test_only_finite_sections_import_scipy():
+    # scipy.linalg costs more than half of a cold start.  Closed forms, the
+    # escalated check (stage 1), the selftest and a full stage-2 witness
+    # search (400 trials) load no scipy module; a numeric spectral call then
+    # loads it for its section and still succeeds.
+    out = _fresh_process(
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['classify', '--map', 'parabolic:1,1', '--json']),\n"
+        "             cli.main(['check', '--psi', '1,0.5', '--map', 'parabolic:1,1', '--json']),\n"
+        "             cli.main(['spectral', '--psi', '1,0.5', '--map', '0.5,0,0,1', '--json']),\n"
+        "             cli.main(['check', '--psi', '3,-1', '--map', '1,0.5,0.5,1',\n"
+        "                       '--space', 'bergman:0', '--escalate', '--json']),\n"
+        "             cli.main(['selftest', '--json'])]\n"
+        "    found = hypocomp.witness_search(1, hypocomp.dilation(0.5), hypocomp.hardy(), order=48)\n"
+        "    loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "    numeric = cli.main(['spectral', '--psi', '1,0.5', '--map', 'parabolic:1,1',\n"
+        "                        '--numeric', '--order=64', '--json'])\n"
+        "print(*codes, found, loaded, numeric, 'scipy' in sys.modules)\n"
+    )
+    assert out == ["0", "0", "0", "0", "0", "None", "[]", "0", "True"]
 
 
 class TestBuildMultiplication:
@@ -418,6 +438,31 @@ def test_kernel_image_table_changes_no_number(psi, phi, space, terms):
         got = _outcome(kernel_gram_forms, images, phi, space, points, n)
         want = _outcome(kernel_gram_forms, psi, phi, space, points, n)
         assert _same(got, want)
+
+
+@DERANDOMIZED
+@given(weights, kernel_maps, st.sampled_from((hc.hardy(), hc.bergman(0.7))),
+       st.lists(annulus(0.1, 0.9), min_size=2, max_size=3, unique=True))
+def test_stage_two_eigenpair_matches_scipy(psi, phi, space, points):
+    # The witness search's pencil: adjoint form against the regularised
+    # forward form.  The residual is scaled as in backward error analysis.
+    # A rounding of b moves the eigenvalue itself by about eps cond(b), so
+    # for near-coincident points (cond(b) up to 1e12) scipy's eigh and the
+    # Cholesky reduction agree only to that; both sit within it of the
+    # 50-digit eigenvalue.
+    _kernel, a, f = kernel_gram_forms(psi, phi, space, points, 48)
+    b = f + 1e-12 * float(np.trace(f).real) / len(points) * np.eye(len(points))
+    lam, v = _top_eigenpair(a, b)
+    scale = (np.linalg.norm(a, 2) + abs(lam) * np.linalg.norm(b, 2)) * np.linalg.norm(v)
+    assert np.linalg.norm(a @ v - lam * (b @ v)) <= 1e-12 * scale
+    want = scipy.linalg.eigh(a, b, eigvals_only=True)[-1]
+    assert abs(lam - want) <= 1e-12 * max(1.0, np.linalg.cond(b) / 1e3) * abs(want)
+
+
+def test_stage_two_skips_indefinite_forward_form():
+    # witness_search skips a trial on this error, as it did on scipy's.
+    with pytest.raises(np.linalg.LinAlgError):
+        _top_eigenpair(np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex))
 
 
 class TestCsvDumps:
