@@ -30,7 +30,6 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
 
 from . import matrixrep
 from .errors import (
@@ -50,6 +49,7 @@ from .space import SpaceSpec, hardy, space_from_label
 from .theory import (
     Outcome,
     WeightedOptions,
+    clark_singular_part,
     classify_unweighted,
     classify_weighted,
     kernel_quotient_weight,
@@ -65,40 +65,21 @@ _DEFAULT_SEED = 1729
 _DEFAULT_ORDER = 128
 
 
-truncation_cap = matrixrep.truncation_cap
-
-
-@dataclass(frozen=True)
-class JobConfig:
-    """One resolved command configuration."""
-
-    space: SpaceSpec
-    order: int
-    seed: int
-    fmt: str
-    grid: tuple[complex, ...] | None = None
-    budget: float = 60.0
-
-    def __post_init__(self):
-        if not 8 <= self.order <= truncation_cap():
-            raise ValueError(f"truncation order must lie in [8, {truncation_cap()}]")
-
-
-def job_config(args) -> JobConfig:
+def _space_and_grid(args) -> tuple[SpaceSpec, tuple[complex, ...] | None]:
+    """The space of a command and its --grid, if it has one, after checking,
+    in this order, that every grid point lies in the open disk, that the space
+    is known and that 8 <= --order <= the truncation cap."""
     grid = None
     if getattr(args, "grid", None):
         grid = tuple(parse_complex(tok) for tok in args.grid.split(";") if tok.strip())
         for w in grid:
             if not abs(w) < 1.0:
                 raise ValueError(f"grid point {w} must lie in the open unit disk")
-    return JobConfig(
-        space=space_from_label(args.space),
-        order=args.order,
-        seed=args.seed,
-        fmt=args.format,
-        grid=grid,
-        budget=getattr(args, "budget", 60.0),
-    )
+    space = space_from_label(args.space)
+    cap = matrixrep.truncation_cap()
+    if not 8 <= args.order <= cap:
+        raise ValueError(f"truncation order must lie in [8, {cap}]")
+    return space, grid
 
 
 # ---------------------------------------------------------------------------
@@ -246,88 +227,79 @@ def _spectral_dict(rep) -> dict:
 
 def _cmd_classify(args) -> int:
     t0 = time.monotonic()
-    cfg = job_config(args)
+    space, _ = _space_and_grid(args)
     phi = parse_map(args.map)
     cls = classify(phi)
-    verdict = classify_unweighted(phi, cfg.space)
+    verdict = classify_unweighted(phi, space)
     report = {
         "input": {"map": args.map},
-        "space": cfg.space.label(),
+        "space": space.label(),
         "map_class": cls.kind.value,
         "verdict": _verdict_dict(verdict),
         "diagnostics": [],
         "wall_time_ms": round(1000 * (time.monotonic() - t0), 3),
     }
-    emit(report, cfg.fmt)
+    emit(report, args.format)
     return 0
 
 
-def _norm_bound_block(psi, phi, space) -> dict | None:
-    cls = classify(phi)
-    interior = cls.denjoy_wolff if cls.denjoy_wolff and cls.denjoy_wolff.in_disk else None
+def _norm_bound_block(psi, phi, space, cls) -> dict | None:
+    """check's spectral block: the norm bounds that hold if the operator is
+    hyponormal, taken at the interior Denjoy-Wolff point when phi has one;
+    None when no bound applies.  cls is classify(phi)."""
+    dw = cls.denjoy_wolff
     try:
-        if interior is not None:
-            nb = norm_bounds(psi, phi, space, p=interior.location)
-        else:
-            nb = norm_bounds(psi, phi, space)
-    except HypocompError:
+        nb = norm_bounds(psi, phi, space, p=dw.location if dw is not None and dw.in_disk else None)
+    except TheoryUnavailableError:
         return None
-    block = {"lower": nb.lower, "upper": nb.upper, "citations": list(nb.citations)}
+    citations = {
+        "norm_lower": nb.citations[0] + " (assuming hyponormality)",
+        "norm_upper": nb.citations[1] + " (assuming hyponormality)",
+    }
     if nb.mu is not None:
-        block["mu"] = nb.mu
-    return block
+        citations["mu"] = f"mu = {nb.mu!r}"
+    return {"r": None, "r_e": None, "norm_lower": nb.lower, "norm_upper": nb.upper,
+            "citations": citations}
 
 
 def _cmd_check(args) -> int:
     t0 = time.monotonic()
-    cfg = job_config(args)
-    space = cfg.space
+    space, grid = _space_and_grid(args)
     phi = parse_map(args.map)
     psi = parse_weight(args.psi, phi, space)
     opts = WeightedOptions(
         escalate_numeric=args.escalate,
-        budget_seconds=cfg.budget,
-        seed=cfg.seed,
-        order=max(cfg.order, 128),
-        grid=cfg.grid,
+        budget_seconds=args.budget,
+        seed=args.seed,
+        order=max(args.order, 128),
+        grid=grid,
     )
     verdict = classify_weighted(psi, phi, space, opts)
+    cls = classify(phi)   # after classify_weighted, whose zero-weight error comes first
     report = {
         "input": {"psi": args.psi, "map": args.map},
         "space": space.label(),
-        "map_class": classify(phi).kind.value,
+        "map_class": cls.kind.value,
         "verdict": _verdict_dict(verdict),
         "diagnostics": [],
     }
-    bounds = _norm_bound_block(psi, phi, space)
-    if bounds is not None:
-        report["spectral"] = {
-            "r": None,
-            "r_e": None,
-            "norm_lower": bounds["lower"],
-            "norm_upper": bounds["upper"],
-            "citations": {
-                "norm_lower": bounds["citations"][0] + " (assuming hyponormality)",
-                "norm_upper": bounds["citations"][1] + " (assuming hyponormality)",
-            },
-        }
-        if "mu" in bounds:
-            report["spectral"]["citations"]["mu"] = f"mu = {bounds['mu']!r}"
+    spectral = _norm_bound_block(psi, phi, space, cls)
+    if spectral is not None:
+        report["spectral"] = spectral
     report["wall_time_ms"] = round(1000 * (time.monotonic() - t0), 3)
-    emit(report, cfg.fmt)
+    emit(report, args.format)
     return 0
 
 
 def _cmd_spectral(args) -> int:
     t0 = time.monotonic()
-    cfg = job_config(args)
-    space = cfg.space
+    space, _ = _space_and_grid(args)
     phi = parse_map(args.map)
     psi = parse_weight(args.psi, phi, space)
     rep = spectral_report(psi, phi, space)
     diagnostics: list[str] = []
     if args.numeric:
-        n = cfg.order
+        n = args.order
         m = matrixrep.build_weighted_composition(psi, phi, space, n)
         norm_est = matrixrep.operator_norm(m)
         tsr = matrixrep.truncation_spectral_radius(m)
@@ -351,7 +323,7 @@ def _cmd_spectral(args) -> int:
         "diagnostics": diagnostics,
         "wall_time_ms": round(1000 * (time.monotonic() - t0), 3),
     }
-    emit(report, cfg.fmt)
+    emit(report, args.format)
     if args.require_all and (rep.r is None or rep.r_e is None):
         return 3
     return 0
@@ -414,7 +386,6 @@ def _selftest_items(space_labels: list[str]) -> list[dict]:
     record("essential spectral radius of (z+1/2)/(1+z/2) on hardy: sqrt(3)",
            abs(re_h - math.sqrt(3.0)) <= 1e-12, f"{re_h:.12g}")
 
-    from .theory import clark_singular_part
     cp = clark_singular_part(par)
     ok = abs(cp.alpha - 1) <= 1e-9 and abs(cp.atoms[0][0] - 1) <= 1e-9 and abs(cp.atoms[0][1] - 1) <= 1e-9
     cp2 = clark_singular_part(zmap)
@@ -425,7 +396,7 @@ def _selftest_items(space_labels: list[str]) -> list[dict]:
 
 def _cmd_selftest(args) -> int:
     t0 = time.monotonic()
-    cfg = job_config(args)
+    _space_and_grid(args)   # rejects a bad --space or --order before the battery runs
     labels = [args.space] if args.space != "hardy" else ["hardy", "bergman:0"]
     items = _selftest_items(labels)
     passed = sum(1 for it in items if it["passed"])
@@ -438,7 +409,7 @@ def _cmd_selftest(args) -> int:
         "diagnostics": [],
         "wall_time_ms": round(1000 * (time.monotonic() - t0), 3),
     }
-    emit(report, cfg.fmt)
+    emit(report, args.format)
     return 0 if passed == len(items) else 1
 
 
@@ -502,14 +473,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, HypocompError) as exc:
-        if isinstance(exc, ConvergenceFailureError):
-            print(f"error: {exc}", file=sys.stderr)
-            return 4
-        if isinstance(exc, TheoryUnavailableError):
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, ConvergenceFailureError):
+            return 4
+        return 3 if isinstance(exc, TheoryUnavailableError) else 2
 
 
 if __name__ == "__main__":

@@ -2,10 +2,10 @@
 
 Exact-up-to-rounding algebra for maps phi(z) = (a z + b)/(c z + d) with
 ad - bc != 0: composition, fixed points and multipliers, Denjoy-Wolff point,
-the automorphism / non-automorphism trichotomies, angular derivatives, the
-Krein adjoint factorization data, and the named constructor families
-(rotations, disk involutions alpha_p, parabolic maps from the half-plane
-translation model, hyperbolic non-automorphisms fixing the origin).
+the automorphism / non-automorphism trichotomies, angular derivatives, and
+the named constructor families (rotations, disk involutions alpha_p,
+parabolic maps from the half-plane translation model, hyperbolic
+non-automorphisms fixing the origin).
 
 All values are immutable and every function is pure, so concurrent use
 needs no synchronization.
@@ -474,27 +474,3 @@ def match_hyperbolic_nonauto_form(phi: MoebiusMap) -> complex | None:
         return None
     return c
 
-
-# ---------------------------------------------------------------------------
-# Krein adjoint data
-
-def krein_triple(phi: MoebiusMap) -> tuple[MoebiusMap, tuple[complex, complex], tuple[complex, complex]]:
-    """(sigma, g-line, h-line) for the adjoint factorization of a self-map.
-
-    sigma(z) = (conj(a) z - conj(c)) / (-conj(b) z + conj(d)); the returned
-    line pairs are ascending coefficients of -conj(b) z + conj(d) (whose
-    -gamma power is g) and of c z + d (whose gamma power is h), taken from the
-    representative rescaled so that d is real and positive.  That choice keeps
-    both line values at 0 on the positive real axis, so principal-branch
-    powers are safe for every gamma.
-    """
-    require_self_map(phi)
-    a, b, c, d = phi.coefficients()
-    if abs(d) < 1e-14:
-        raise NotSelfMapError("d = 0 puts the pole at the origin")
-    lam = d.conjugate() / abs(d)
-    a, b, c, d = lam * a, lam * b, lam * c, lam * d
-    sigma = MoebiusMap(a.conjugate(), -c.conjugate(), -b.conjugate(), d.conjugate())
-    g_line = (d.conjugate(), -b.conjugate())
-    h_line = (d, c)
-    return sigma, g_line, h_line

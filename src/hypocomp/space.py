@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, OutsideDiskError, SpaceMismatchError
+from .errors import InvalidParameterError, NotSelfMapError, OutsideDiskError, SpaceMismatchError
 from .funcalg import AnalyticFunction, TaylorSeries, rational
-from .moebius import MoebiusMap, is_self_map, krein_triple
+from .moebius import MoebiusMap, is_self_map, require_self_map
 
 
 @dataclass(frozen=True)
@@ -144,11 +144,17 @@ def krein_adjoint(phi: MoebiusMap, space: SpaceSpec) -> KreinData:
     keeps both power bases on the principal branch for every gamma.  The
     triple product T_g C_sigma T_h^* does not depend on that rescaling.
     """
-    sigma, g_line, h_line = krein_triple(phi)
+    require_self_map(phi)
+    a, b, c, d = phi.coefficients()
+    if abs(d) < 1e-14:
+        raise NotSelfMapError("d = 0 puts the pole at the origin")
+    lam = d.conjugate() / abs(d)
+    a, b, c, d = lam * a, lam * b, lam * c, lam * d
+    sigma = MoebiusMap(a.conjugate(), -c.conjugate(), -b.conjugate(), d.conjugate())
     ok, sup = is_self_map(sigma)
     if not ok:
         raise InvalidParameterError(f"computed sigma is not a self-map (sup {sup:.6g})")
     gamma = space.gamma
-    g = AnalyticFunction(rational((1,)), ((rational(g_line), -gamma),))
-    h = AnalyticFunction(rational((1,)), ((rational(h_line), gamma),))
+    g = AnalyticFunction(rational((1,)), ((rational((d.conjugate(), -b.conjugate())), -gamma),))
+    h = AnalyticFunction(rational((1,)), ((rational((d, c)), gamma),))
     return KreinData(sigma, g, h)

@@ -86,10 +86,6 @@ CIT_NORM_UPPER_MAX = "upper bound max{|psi(zeta)|, |psi(0)|} from the spectral r
 CIT_NORM_MU_LOWER = "lower bound mu / |phi'(zeta)|^(gamma/2) after conjugating the interior fixed point to the origin"
 CIT_NORM_MU_UPPER = "upper bound max{mu, |psi(p)|} after conjugating the interior fixed point to the origin"
 CIT_NORM_KERNEL_GRID = "norm >= |psi(w)| ((1-|w|^2)/(1-|phi(w)|^2))^(gamma/2) at every kernel point"
-CIT_NORM_EXACT_KQ = (
-    "on the Hardy space with |psi(zeta)| <= |psi(p)|, a hyponormal operator has norm |psi(p)| "
-    "and kernel-quotient weight"
-)
 
 
 class Outcome(Enum):
@@ -156,7 +152,6 @@ def classify_unweighted(phi: MoebiusMap, space: SpaceSpec) -> HyponormalityVerdi
     (1-|c|) z/(c z + 1); the latter passes every necessary condition but is
     not decided, so it stays a candidate.
     """
-    require_self_map(phi)
     cls = classify(phi)
     if cls.kind is MapKind.IDENTITY:
         return HyponormalityVerdict(Outcome.NORMAL, CIT_NORMAL_DILATION, details="identity map")
@@ -242,12 +237,17 @@ def parabolic_kernel_inequality(
     cls = classify(phi)
     if cls.kind is not MapKind.PARABOLIC_NONAUTOMORPHISM:
         raise HypothesisMismatchError("symbol is not a parabolic non-automorphism")
-    fixed = cls.denjoy_wolff.location
-    fixed = fixed / abs(fixed)
+    fixed = cls.contact[0]
     if zeta is not None and abs(complex(zeta) - fixed) > 1e-8:
         raise HypothesisMismatchError("zeta is not the parabolic fixed point")
-    psi_f = as_analytic(psi)
-    lhs = abs(psi_f(fixed))
+    return _first_violation(as_analytic(psi), phi, space, fixed, grid)
+
+
+def _first_violation(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, zeta: complex,
+                     grid) -> InequalityViolation | None:
+    """parabolic_kernel_inequality for a symbol already known to be a parabolic
+    non-automorphism fixing the unimodular zeta."""
+    lhs = abs(psi_f(zeta))
     for w in (grid if grid is not None else default_inequality_grid()):
         rhs = kernel_ratio_value(psi_f, phi, space, w)
         if rhs - lhs > 1e-12:
@@ -347,7 +347,6 @@ def classify_weighted(
     constant = is_value_constant(psi_f)
     if constant and abs(psi_f(0)) <= 1e-14:
         raise ZeroSymbolError("weight is identically zero")
-    require_self_map(phi)
 
     if constant:
         base = classify_unweighted(phi, space)
@@ -369,25 +368,21 @@ def classify_weighted(
 
     if cls.contact is not None:
         zeta, eta = cls.contact
+        vanishes = abs(psi_f(zeta)) <= 1e-12 * _weight_scale(psi_f)
         if not cls.fixes_contact:
-            citation = (
-                CIT_WEIGHT_VANISHES_AT_CONTACT
-                if abs(psi_f(zeta)) <= 1e-12 * _weight_scale(psi_f)
-                else CIT_CONTACT_NOT_FIXED
-            )
             return HyponormalityVerdict(
                 Outcome.NOT_HYPONORMAL,
-                citation,
+                CIT_WEIGHT_VANISHES_AT_CONTACT if vanishes else CIT_CONTACT_NOT_FIXED,
                 details=f"contact {zeta:.12g} -> {eta:.12g}",
             )
-        if abs(psi_f(zeta)) <= 1e-12 * _weight_scale(psi_f):
+        if vanishes:
             return HyponormalityVerdict(
                 Outcome.NOT_HYPONORMAL,
                 CIT_WEIGHT_VANISHES_AT_CONTACT,
                 details=f"psi({zeta:.12g}) = {psi_f(zeta):.3e}",
             )
         if cls.kind is MapKind.PARABOLIC_NONAUTOMORPHISM:
-            violation = parabolic_kernel_inequality(psi_f, phi, space, grid=opts.grid)
+            violation = _first_violation(psi_f, phi, space, zeta, opts.grid)
             if violation is not None:
                 return HyponormalityVerdict(
                     Outcome.NOT_HYPONORMAL,
@@ -522,12 +517,11 @@ def eigenvalue_bound(psi, phi: MoebiusMap, space: SpaceSpec) -> float:
     cls = classify(phi)
     if cls.kind in (MapKind.IDENTITY, MapKind.ELLIPTIC_AUTOMORPHISM):
         raise TheoryUnavailableError("eigenvalue bound needs a Denjoy-Wolff point")
-    dw = cls.denjoy_wolff
-    if dw.on_boundary:
-        zeta = dw.location / abs(dw.location)
+    zeta = _boundary_dw(cls)
+    if zeta is not None:
         r_phi = abs(angular_derivative(phi, zeta)) ** (-space.gamma / 2.0)
         return abs(psi_f(zeta)) * r_phi
-    return abs(psi_f(dw.location)) * 1.0
+    return abs(psi_f(cls.denjoy_wolff.location)) * 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -580,19 +574,6 @@ def norm_bounds(
     low = mu / deriv ** (gamma / 2.0)
     up = max(mu, abs(psi_f(p)))
     return NormBounds(low, up, (CIT_NORM_MU_LOWER, CIT_NORM_MU_UPPER), mu=mu)
-
-
-def kernel_quotient_norm_refinement(
-    psi, phi: MoebiusMap, space: SpaceSpec, p: complex, zeta: complex
-) -> ClosedFormValue | None:
-    """On the Hardy space with |psi(zeta)| <= |psi(p)|, hyponormality forces
-    norm |psi(p)| (and the kernel-quotient weight); None when inapplicable."""
-    if space.kind != "hardy":
-        return None
-    psi_f = as_analytic(psi)
-    if abs(psi_f(complex(zeta))) <= abs(psi_f(complex(p))) + 1e-12:
-        return ClosedFormValue(abs(psi_f(complex(p))), CIT_NORM_EXACT_KQ)
-    return None
 
 
 def norm_lower_bound_grid(psi, phi: MoebiusMap, space: SpaceSpec, grid=None) -> float:

@@ -1,14 +1,15 @@
 """End-to-end command-line behavior: parsing, formats, exit codes."""
 
 import json
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 import hypocomp as hc
-from hypocomp import cli
-from hypocomp.errors import ConvergenceFailureError
+from hypocomp import cli, moebius
+from hypocomp.errors import ConvergenceFailureError, NotAFixedPointError
 
 
 def run(capsys, *argv):
@@ -132,6 +133,41 @@ class TestCheckCommand:
 
     def test_zero_weight_exit_2(self, capsys):
         assert cli.main(["check", "--psi", "0", "--map", "1,0,1,2"]) == 2
+
+    def test_norm_bound_errors_reach_the_exit_code(self, capsys, monkeypatch):
+        # Only TheoryUnavailableError drops the spectral block; any other
+        # library error is an input error.
+        def not_fixed(*args, **kwargs):
+            raise NotAFixedPointError("p is not a fixed point of the symbol")
+
+        monkeypatch.setattr(cli, "norm_bounds", not_fixed)
+        code = cli.main(["check", "--psi", "1", "--map", "1,0,1,2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: p is not a fixed point of the symbol\n"
+
+    # classify_weighted, the map_class field and norm_bounds each classify
+    # the map once; no other step does.
+    @pytest.mark.parametrize("argv", [
+        ("check", "--map=parabolic:1,1", "--psi=1,0.5"),
+        ("check", "--map=rotation:i", "--psi=2,1", "--escalate"),
+    ])
+    def test_classifies_at_most_three_times(self, capsys, monkeypatch, argv):
+        original = moebius.classify
+        calls = []
+
+        def counted(phi):
+            calls.append(phi)
+            return original(phi)
+
+        modules = [m for name, m in sys.modules.items()
+                   if name == "hypocomp" or name.startswith("hypocomp.")]
+        for module in modules:
+            for key in [k for k, v in vars(module).items() if v is original]:
+                monkeypatch.setattr(module, key, counted)
+        assert cli.main(list(argv)) == 0
+        capsys.readouterr()
+        assert 1 <= len(calls) <= 3
 
     def test_escalation_attaches_witness(self, capsys):
         code, rep = run_json(capsys, "check", "--psi", "2,1", "--map", "1,0.5,0.5,1",

@@ -17,7 +17,7 @@ from hypocomp.errors import (
     NoDenjoyWolffError,
     NotSelfMapError,
 )
-from hypocomp.moebius import MapKind, is_identity, iterate, krein_triple
+from hypocomp.moebius import MapKind, is_identity, iterate
 
 from conftest import DERANDOMIZED, random_self_maps
 
@@ -322,7 +322,7 @@ class TestKrein:
     def test_boundary_exchange(self):
         # phi(zeta) = eta on the circle forces sigma(eta) = zeta
         phi = hc.MoebiusMap(1, 0, 1, -2)  # z/(z-2): phi(1) = -1
-        sigma, _, _ = krein_triple(phi)
+        sigma = hc.krein_adjoint(phi, hc.hardy()).sigma
         assert abs(sigma(-1) - 1) < 1e-12
 
     def test_factorization_random_sweep(self):

@@ -20,7 +20,6 @@ from hypocomp.errors import (
 from hypocomp.theory import (
     Outcome,
     WeightedOptions,
-    kernel_quotient_norm_refinement,
     kernel_ratio_value,
 )
 
@@ -313,11 +312,6 @@ class TestNormBounds:
     def test_parabolic_unavailable(self, H2, parabolic_map):
         with pytest.raises(TheoryUnavailableError):
             hc.norm_bounds(1, parabolic_map, H2)
-
-    def test_refinement_applies_on_hardy(self, H2, A0, half_shift_map):
-        ref = kernel_quotient_norm_refinement(1, half_shift_map, H2, 0, -1)
-        assert ref is not None and ref.value == pytest.approx(1.0)
-        assert kernel_quotient_norm_refinement(1, half_shift_map, A0, 0, -1) is None
 
     def test_lower_bound_grid(self, H2, psi_one, parabolic_map):
         got = hc.norm_lower_bound_grid(psi_one, parabolic_map, H2, grid=[0])
