@@ -10,6 +10,10 @@ selftest   frozen battery of worked cases; nonzero exit on any failure
 Exit codes: 0 verdict reached, 2 input error, 3 requested theory unavailable,
 4 numeric non-convergence.
 
+Every subcommand takes --space, --format and --json; check also --seed and
+--order (the witness search's seed and starting order, raised to at least
+128), spectral --order (the finite-section size), either in [8, 1024].
+
 Formats: --format json emits one JSON object
 {input, space, verdict{outcome, citation, witness?}, spectral{r?, r_e?,
 norm_lower?, norm_upper?, citations}, diagnostics[], wall_time_ms};
@@ -18,8 +22,6 @@ for a fixed seed and configuration, except the wall_time_ms field.
 
 Matrix dumps (--dump-matrix PATH) are CSV with header n,j,re,im, row-major;
 eigenvalue dumps (--dump-eigs PATH) have header k,re,im.
-
-The truncation cap (default 1024) can be overridden with HYPOCOMP_MAX_N.
 """
 
 from __future__ import annotations
@@ -66,9 +68,9 @@ _DEFAULT_ORDER = 128
 
 
 def _space_and_grid(args) -> tuple[SpaceSpec, tuple[complex, ...] | None]:
-    """The space of a command and its --grid, if it has one, after checking,
-    in this order, that every grid point lies in the open disk, that the space
-    is known and that 8 <= --order <= the truncation cap."""
+    """The space of check or spectral and check's --grid, if given, after
+    checking, in this order, that every grid point lies in the open disk, that
+    the space is known and that 8 <= --order <= MAX_TRUNCATION."""
     grid = None
     if getattr(args, "grid", None):
         grid = tuple(parse_complex(tok) for tok in args.grid.split(";") if tok.strip())
@@ -76,9 +78,8 @@ def _space_and_grid(args) -> tuple[SpaceSpec, tuple[complex, ...] | None]:
             if not abs(w) < 1.0:
                 raise ValueError(f"grid point {w} must lie in the open unit disk")
     space = space_from_label(args.space)
-    cap = matrixrep.truncation_cap()
-    if not 8 <= args.order <= cap:
-        raise ValueError(f"truncation order must lie in [8, {cap}]")
+    if not 8 <= args.order <= matrixrep.MAX_TRUNCATION:
+        raise ValueError(f"truncation order must lie in [8, {matrixrep.MAX_TRUNCATION}]")
     return space, grid
 
 
@@ -225,22 +226,18 @@ def _spectral_dict(rep) -> dict:
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def _cmd_classify(args) -> int:
-    t0 = time.monotonic()
-    space, _ = _space_and_grid(args)
+def _cmd_classify(args) -> tuple[dict, int]:
+    space = space_from_label(args.space)
     phi = parse_map(args.map)
     cls = classify(phi)
     verdict = classify_unweighted(phi, space)
-    report = {
+    return {
         "input": {"map": args.map},
         "space": space.label(),
         "map_class": cls.kind.value,
         "verdict": _verdict_dict(verdict),
         "diagnostics": [],
-        "wall_time_ms": round(1000 * (time.monotonic() - t0), 3),
-    }
-    emit(report, args.format)
-    return 0
+    }, 0
 
 
 def _norm_bound_block(psi, phi, space, cls) -> dict | None:
@@ -262,8 +259,7 @@ def _norm_bound_block(psi, phi, space, cls) -> dict | None:
             "citations": citations}
 
 
-def _cmd_check(args) -> int:
-    t0 = time.monotonic()
+def _cmd_check(args) -> tuple[dict, int]:
     space, grid = _space_and_grid(args)
     phi = parse_map(args.map)
     psi = parse_weight(args.psi, phi, space)
@@ -286,13 +282,10 @@ def _cmd_check(args) -> int:
     spectral = _norm_bound_block(psi, phi, space, cls)
     if spectral is not None:
         report["spectral"] = spectral
-    report["wall_time_ms"] = round(1000 * (time.monotonic() - t0), 3)
-    emit(report, args.format)
-    return 0
+    return report, 0
 
 
-def _cmd_spectral(args) -> int:
-    t0 = time.monotonic()
+def _cmd_spectral(args) -> tuple[dict, int]:
     space, _ = _space_and_grid(args)
     phi = parse_map(args.map)
     psi = parse_weight(args.psi, phi, space)
@@ -315,18 +308,13 @@ def _cmd_spectral(args) -> int:
         if args.dump_eigs:
             matrixrep.write_eigenvalues_csv(matrixrep.truncation_eigenvalues(m), args.dump_eigs)
             diagnostics.append(f"eigenvalues dumped to {args.dump_eigs}")
-    report = {
+    return {
         "input": {"psi": args.psi, "map": args.map},
         "space": space.label(),
         "verdict": None,
         "spectral": _spectral_dict(rep),
         "diagnostics": diagnostics,
-        "wall_time_ms": round(1000 * (time.monotonic() - t0), 3),
-    }
-    emit(report, args.format)
-    if args.require_all and (rep.r is None or rep.r_e is None):
-        return 3
-    return 0
+    }, 3 if args.require_all and (rep.r is None or rep.r_e is None) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -394,23 +382,19 @@ def _selftest_items(space_labels: list[str]) -> list[dict]:
     return items
 
 
-def _cmd_selftest(args) -> int:
-    t0 = time.monotonic()
-    _space_and_grid(args)   # rejects a bad --space or --order before the battery runs
+def _cmd_selftest(args) -> tuple[dict, int]:
+    space_from_label(args.space)   # rejects a bad --space before the battery runs
     labels = [args.space] if args.space != "hardy" else ["hardy", "bergman:0"]
     items = _selftest_items(labels)
     passed = sum(1 for it in items if it["passed"])
-    report = {
+    return {
         "input": {"spaces": labels},
         "space": args.space,
         "items": items,
         "passed_count": passed,
         "total_count": len(items),
         "diagnostics": [],
-        "wall_time_ms": round(1000 * (time.monotonic() - t0), 3),
-    }
-    emit(report, args.format)
-    return 0 if passed == len(items) else 1
+    }, 0 if passed == len(items) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +412,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", default="text", choices=("text", "json", "csv"))
         p.add_argument("--json", dest="format", action="store_const", const="json",
                        help="shorthand for --format json")
-        p.add_argument("--seed", type=int, default=_DEFAULT_SEED)
-        p.add_argument("--order", type=int, default=_DEFAULT_ORDER,
-                       help="finite-section truncation order")
 
     p_classify = sub.add_parser("classify", help="classify a map and its unweighted operator")
     common(p_classify)
@@ -439,6 +420,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="weighted hyponormality verdict")
     common(p_check)
+    p_check.add_argument("--seed", type=int, default=_DEFAULT_SEED, help="witness search seed")
+    p_check.add_argument("--order", type=int, default=_DEFAULT_ORDER,
+                         help="starting order of the witness search, raised to at least 128")
     p_check.add_argument("--map", required=True)
     p_check.add_argument("--psi", required=True)
     p_check.add_argument("--escalate", action="store_true",
@@ -451,6 +435,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_spectral = sub.add_parser("spectral", help="closed-form spectral report")
     common(p_spectral)
+    p_spectral.add_argument("--order", type=int, default=_DEFAULT_ORDER,
+                            help="finite-section size")
     p_spectral.add_argument("--map", required=True)
     p_spectral.add_argument("--psi", default="1")
     p_spectral.add_argument("--numeric", action="store_true",
@@ -468,15 +454,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    t0 = time.monotonic()
     try:
-        return args.func(args)
+        report, code = args.func(args)
     except (ValueError, HypocompError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ConvergenceFailureError):
             return 4
         return 3 if isinstance(exc, TheoryUnavailableError) else 2
+    report["wall_time_ms"] = round(1000 * (time.monotonic() - t0), 3)
+    emit(report, args.format)
+    return code
 
 
 if __name__ == "__main__":

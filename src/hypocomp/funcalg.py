@@ -10,8 +10,8 @@ Every symbol type evaluates at a complex scalar (in Python complex arithmetic)
 or elementwise over a numpy array; circle(r, n) gives the sample points that
 the sup estimates, constancy tests and tail bounds evaluate on.
 
-Principal branch everywhere: each power factor must take a value off the cut
-(-inf, 0] at the origin; inputs violating that are rejected, never rebranched.
+Principal branch everywhere: each power factor must map the closed disk off
+the cut (-inf, 0]; inputs violating that are rejected, never rebranched.
 
 Everything here is immutable and side-effect free.
 """
@@ -41,6 +41,9 @@ MAX_ORDER = 4096
 _ZERO_TEST_RADIUS = 1.0 + 1e-6
 _ZERO_TEST_GUARD = 1e-8
 _ZERO_TEST_SAMPLES = 8192
+# _crosses_cut's band about |z| = 1 and its refusal guard (relative to |r|).
+_CUT_BAND = 1e-6
+_CUT_GUARD = 1e-8
 # Relative tolerance of is_value_constant, samples of boundary_sup, and the
 # factor by which series_tail_bound inflates its sampled circle maxima.
 _CONSTANT_TOL = 1e-12
@@ -226,9 +229,41 @@ def _poly_zero_free(p: Polynomial) -> bool:
     return bool(np.all(mods > _ZERO_TEST_RADIUS))
 
 
+def _crosses_cut(r: RationalFunction) -> bool:
+    """Whether r, zero- and pole-free on the closed disk, maps a point of the circle
+    (so of the disk) into the cut (-inf, 0].  No if arg r provably stays off it: on
+    the disk |p - p(0)| <= rho |p(0)|, rho = sum_{k>=1} |p_k| / |p_0|.  Else r = N/D
+    is real on |z| = 1 exactly at the roots of S = z^m N D* - z^k N* D (m, k the
+    degrees of N, D; p* is p with coefficients conjugated and reversed): r < 0 at
+    a root of S near the circle, projected onto it, with Im r of opposite signs at
+    angles +-h about it proves a crossing.  IndeterminateError where none is
+    proved but r comes within _CUT_GUARD |r| of the cut."""
+    rhos = [sum(map(abs, p.coefficients[1:])) / abs(p.coefficients[0]) for p in (r.num, r.den)]
+    if max(rhos) < 1.0 and abs(cmath.phase(r(0))) + sum(map(math.asin, rhos)) < math.pi - 1e-9:
+        return False
+    num, den = (np.asarray(p.coefficients) / max(map(abs, p.coefficients)) for p in (r.num, r.den))
+    m, k = num.size - 1, den.size - 1
+    s = np.zeros(m + k + abs(m - k) + 1, dtype=complex)   # S / z^min(m, k)
+    s[max(m - k, 0):][: m + k + 1] += np.convolve(num, den[::-1].conj())
+    s[max(k - m, 0):][: m + k + 1] -= np.convolve(num[::-1].conj(), den)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            roots = np.roots(s[::-1])
+        except np.linalg.LinAlgError:
+            raise IndeterminateError("coefficient ratios overflow; roots not computable") from None
+    for rho in roots[np.abs(np.abs(roots) - 1.0) <= _CUT_BAND]:
+        h = _CUT_BAND + 4.0 * abs(abs(rho) - 1.0)
+        v = r(np.exp(1j * (np.angle(rho) + np.array([-h, 0.0, h]))))
+        near = np.abs(v.imag) <= _CUT_GUARD * np.abs(v)
+        if np.all(v.real < 0.0) and v[0].imag * v[2].imag < 0.0 and not (near[0] or near[2]):
+            return True
+        if np.any(near & (v.real <= 0.0)):
+            raise IndeterminateError(f"factor passes too close to the branch cut near z = {rho / abs(rho):.6g}")
+    return False
+
+
 def _factor_admissible(r: RationalFunction) -> None:
-    # A power factor needs: no zeros and no poles on the closed disk, and a
-    # base value at 0 off the branch cut (-inf, 0].
+    # Zero- and pole-free on the closed disk; neither 0 nor |z| = 1 mapped into the cut.
     if not _poly_zero_free(r.num):
         raise BranchViolationError("factor has a zero in the closed unit disk")
     if not _poly_zero_free(r.den):
@@ -238,6 +273,8 @@ def _factor_admissible(r: RationalFunction) -> None:
         raise BranchViolationError(
             f"factor value at the origin ({v0:.6g}) lies on the branch cut (-inf, 0]"
         )
+    if _crosses_cut(r):
+        raise BranchViolationError("factor maps a point of the unit circle into the branch cut (-inf, 0]")
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +423,6 @@ def expand_rational(f: RationalFunction, n: int) -> TaylorSeries:
     to converge there; violations raise PoleEncounteredError.
     """
     _check_order(n)
-    if f.den(0) == 0:
-        raise PoleAtOriginError("denominator vanishes at the origin")
     if f.den.degree >= 1 and not _poly_zero_free(f.den):
         raise PoleEncounteredError("denominator has a zero in the closed unit disk")
     return _rational_series(f, n)

@@ -1,10 +1,10 @@
 """Finite-section matrices for weighted composition and multiplication operators.
 
 An N x N section holds, in column j, the orthonormal-basis coordinates of the
-image of e_j = z^j / beta(j).  Dense complex storage; N is capped at 1024
-unless HYPOCOMP_MAX_N overrides it.  Weighted composition and multiplication
-sections (the latter is the case phi(z) = z) share one build, column by
-column by a banded recurrence, O(N^2) for a rational phi (see _section).
+image of e_j = z^j / beta(j).  Dense complex storage; N is at most
+MAX_TRUNCATION = 1024.  Weighted composition and multiplication sections (the
+latter is the case phi(z) = z) share one build, column by column by a banded
+recurrence, O(N^2) for a rational phi (see _section).
 Sections with phi(0) = 0, multiplication sections among them, are lower
 triangular; their spectral radius is read off the diagonal.  The two banded
 BLAS routines are fetched from scipy.linalg on the first build, so a process
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,17 +59,6 @@ _EPS = float(np.finfo(float).eps)
 _IDENTITY_SYMBOL = polynomial_fn(0, 1)
 
 
-def truncation_cap() -> int:
-    """Section-size cap; HYPOCOMP_MAX_N overrides the default of 1024."""
-    raw = os.environ.get("HYPOCOMP_MAX_N")
-    if raw is None:
-        return MAX_TRUNCATION
-    try:
-        return max(8, int(raw))
-    except ValueError:
-        raise InvalidParameterError(f"HYPOCOMP_MAX_N must be an integer, got {raw!r}")
-
-
 @dataclass(frozen=True)
 class OperatorMatrix:
     entries: np.ndarray
@@ -98,9 +86,8 @@ class SpectralEstimate:
 
 
 def _check_truncation(n: int) -> None:
-    cap = truncation_cap()
-    if not 1 <= n <= cap:
-        raise InvalidParameterError(f"truncation order must lie in [1, {cap}]")
+    if not 1 <= n <= MAX_TRUNCATION:
+        raise InvalidParameterError(f"truncation order must lie in [1, {MAX_TRUNCATION}]")
 
 
 def as_analytic(psi) -> AnalyticFunction:
@@ -271,10 +258,8 @@ def gelfand_estimate(m: OperatorMatrix, k: int) -> SpectralEstimate:
 
 def _composition_norm_upper(psi_f: AnalyticFunction, phi, space: SpaceSpec) -> float:
     """Classical upper bound ||psi||_inf ((1+|phi(0)|)/(1-|phi(0)|))^(gamma/2)."""
-    phi0 = phi(0) if callable(phi) else complex(phi)
-    r = abs(phi0)
-    sup_psi = 1.05 * boundary_sup(psi_f)
-    return sup_psi * ((1.0 + r) / (1.0 - r)) ** (space.gamma / 2.0)
+    r = abs(phi(0))
+    return 1.05 * boundary_sup(psi_f) * ((1.0 + r) / (1.0 - r)) ** (space.gamma / 2.0)
 
 
 def _kernel_tail(space: SpaceSpec, w: complex, n: int) -> float:
@@ -315,7 +300,7 @@ def adjoint_kernel_residual(m: OperatorMatrix, psi, phi, w: complex, space: Spac
     below the rounding floor for small |w|).
     """
     w = complex(w)
-    if abs(w) >= 1.0:
+    if not abs(w) < 1.0:
         raise OutsideDiskError("kernel point must lie strictly inside the unit disk")
     psi_f = as_analytic(psi)
     n = m.order

@@ -102,7 +102,7 @@ def coeff_vector_from_taylor(ts: TaylorSeries, space: SpaceSpec) -> CoeffVector:
 def kernel(space: SpaceSpec, w: complex, n: int) -> CoeffVector:
     """Orthonormal coordinates of the evaluation kernel at w: conj(w)^k / beta(k)."""
     w = complex(w)
-    if abs(w) >= 1.0:
+    if not abs(w) < 1.0:
         raise OutsideDiskError("kernel point must lie strictly inside the unit disk")
     powers = np.power(w.conjugate(), np.arange(n))
     return CoeffVector(powers / beta_array(space, n), space, n)
@@ -111,7 +111,7 @@ def kernel(space: SpaceSpec, w: complex, n: int) -> CoeffVector:
 def kernel_norm(space: SpaceSpec, w: complex) -> float:
     """(1 - |w|^2)^(-gamma/2)."""
     w = complex(w)
-    if abs(w) >= 1.0:
+    if not abs(w) < 1.0:
         raise OutsideDiskError("kernel point must lie strictly inside the unit disk")
     return (1.0 - abs(w) ** 2) ** (-space.gamma / 2.0)
 

@@ -38,7 +38,7 @@ from .funcalg import (
     is_value_constant,
     kernel_function,
 )
-from .matrixrep import KernelImages, as_analytic, kernel_gram_forms, kernel_gram_norms, truncation_cap
+from .matrixrep import MAX_TRUNCATION, KernelImages, as_analytic, kernel_gram_forms, kernel_gram_norms
 from .moebius import (
     MapClass,
     MapKind,
@@ -225,22 +225,17 @@ def kernel_ratio_value(psi, phi: MoebiusMap, space: SpaceSpec, w: complex) -> fl
     return abs(psi_f(w)) * ratio ** (space.gamma / 2.0)
 
 
-def parabolic_kernel_inequality(
-    psi, phi: MoebiusMap, space: SpaceSpec, zeta: complex | None = None, grid=None
-) -> InequalityViolation | None:
+def parabolic_kernel_inequality(psi, phi: MoebiusMap, space: SpaceSpec, grid=None) -> InequalityViolation | None:
     """First grid point where |psi(zeta)| fails to dominate the kernel ratio.
 
-    Defined for parabolic non-automorphisms fixing zeta; a hyponormal
-    weighted composition with such a symbol must satisfy the inequality at
-    every disk point, so a violation excludes hyponormality.
+    Defined for parabolic non-automorphisms, zeta being the fixed point of
+    phi; a hyponormal weighted composition with such a symbol must satisfy
+    the inequality at every disk point, so a violation excludes hyponormality.
     """
     cls = classify(phi)
     if cls.kind is not MapKind.PARABOLIC_NONAUTOMORPHISM:
         raise HypothesisMismatchError("symbol is not a parabolic non-automorphism")
-    fixed = cls.contact[0]
-    if zeta is not None and abs(complex(zeta) - fixed) > 1e-8:
-        raise HypothesisMismatchError("zeta is not the parabolic fixed point")
-    return _first_violation(as_analytic(psi), phi, space, fixed, grid)
+    return _first_violation(as_analytic(psi), phi, space, cls.contact[0], grid)
 
 
 def _first_violation(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, zeta: complex,
@@ -535,9 +530,7 @@ class NormBounds:
     mu: float | None = None
 
 
-def norm_bounds(
-    psi, phi: MoebiusMap, space: SpaceSpec, p: complex | None = None, zeta: complex | None = None
-) -> NormBounds:
+def norm_bounds(psi, phi: MoebiusMap, space: SpaceSpec, p: complex | None = None) -> NormBounds:
     """Two-sided norm bounds valid under hyponormality.
 
     Without an interior fixed point argument p (symbol fixing the origin and
@@ -552,8 +545,6 @@ def norm_bounds(
     if not cls.fixes_contact:
         raise TheoryUnavailableError("norm bounds need a fixed unimodular contact point")
     fixed_zeta = cls.contact[0]
-    if zeta is not None and abs(complex(zeta) - fixed_zeta) > 1e-8:
-        raise TheoryUnavailableError("zeta is not the fixed contact point of the symbol")
     deriv = abs(angular_derivative(phi, fixed_zeta))
 
     if p is None:
@@ -650,7 +641,7 @@ def _norms_with_escalation(images, phi, space, pts, cs, order) -> CertificateWit
     search's KernelImages table.
     """
     n = order
-    while n <= truncation_cap():
+    while n <= MAX_TRUNCATION:
         try:
             kn = kernel_gram_norms(images, phi, space, pts, cs, n)
         except PrecisionLossError:
@@ -795,14 +786,13 @@ def spectral_report(psi, phi: MoebiusMap, space: SpaceSpec) -> SpectralReport:
         nb = norm_bounds(psi_f, phi, space)
         upper = nb.upper
         citations["norm_upper"] = nb.citations[1] + " (assuming hyponormality)"
-        lower = max(lower, 0.0)
         if lower > upper + 1e-12:
             citations["norm_upper"] = (
                 "dropped: unconditional lower bound exceeds the hyponormal upper bound, "
                 "so the operator cannot be hyponormal"
             )
             upper = None
-    except (TheoryUnavailableError, NotAFixedPointError) as exc:
+    except TheoryUnavailableError as exc:
         citations["norm_upper"] = f"unavailable: {exc}"
 
     return SpectralReport(r, r_e, lower, upper, citations)

@@ -238,6 +238,7 @@ class TestOutputContracts:
             _, out = run(capsys, *argv, "--format", "json")
             rep = json.loads(out)
             assert json.loads(json.dumps(rep)) == rep
+            assert isinstance(rep["wall_time_ms"], float) and rep["wall_time_ms"] >= 0.0
 
     def test_schema_keys(self, capsys):
         _, rep = run_json(capsys, "check", "--psi", "1", "--map", "1,0,1,2")
@@ -266,11 +267,21 @@ class TestOutputContracts:
         assert code == 0
         assert json.loads(out)["verdict"]["outcome"] == "Normal"
 
-    def test_order_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("HYPOCOMP_MAX_N", "32")
-        code = cli.main(["spectral", "--psi", "1", "--map", "0.5,0,0,1",
-                         "--numeric", "--order", "64"])
+    @pytest.mark.parametrize("command", ["check", "spectral"])
+    @pytest.mark.parametrize("order", ["7", "1025"])
+    def test_order_outside_range_exit_2(self, capsys, command, order):
+        code = cli.main([command, "--psi", "1", "--map", "0.5,0,0,1", "--order", order])
         assert code == 2
+        assert "truncation order must lie in [8, 1024]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["classify", "selftest"])
+    @pytest.mark.parametrize("flag", ["--seed", "--order"])
+    def test_options_registered_where_read(self, capsys, command, flag):
+        argv = [command, flag, "64"] + (["--map", "rotation:i"] if command == "classify" else [])
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 64" in capsys.readouterr().err
 
 
 class TestSelftest:
@@ -285,3 +296,25 @@ class TestSelftest:
         assert code == 0
         assert rep["passed_count"] == rep["total_count"]
         assert "bergman:1" in rep["input"]["spaces"]
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_failing_item_exits_1_with_report(self, capsys, monkeypatch, fmt):
+        battery = cli._selftest_items
+
+        def one_failure(labels):
+            items = battery(labels)
+            items[0] = dict(items[0], passed=False)
+            return items
+
+        monkeypatch.setattr(cli, "_selftest_items", one_failure)
+        code, out = run(capsys, "selftest", "--format", fmt)
+        assert code == 1
+        if fmt == "json":
+            rep = json.loads(out)
+            assert rep["passed_count"] == rep["total_count"] - 1
+            assert rep["items"][0]["passed"] is False
+        else:
+            lines = out.splitlines()
+            assert lines[2].startswith("FAIL  ")
+            total = len(lines) - 3
+            assert lines[-1] == f"{total - 1}/{total} items passed"

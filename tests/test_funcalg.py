@@ -174,14 +174,14 @@ class TestComposeWithMoebius:
 
     def test_branch_violation_detected(self):
         # (1-0.9z)^3 is zero-free on the closed disk but takes the negative
-        # value -1/8 at z0; composing with an automorphism sending 0 to z0
-        # parks the factor's base point on the branch cut.
-        cube = hc.poly(1, -0.9).power(3)
-        f = hc.AnalyticFunction(hc.rational((1,)), ((hc.RationalFunction(cube), 0.5),))
+        # value -1/8 at z0, so it is refused as a power factor; composed with
+        # an automorphism sending 0 to z0, its base point lies on the cut.
+        cube = hc.RationalFunction(hc.poly(1, -0.9).power(3))
         z0 = (1.0 - 0.5 * cmath.exp(1j * math.pi / 3)) / 0.9
-        assert abs(z0) < 1
-        with pytest.raises(BranchViolationError):
-            hc.compose_with_moebius(f, hc.alpha_p(z0))
+        assert abs(z0) < 1 and abs(cube(z0) + 1 / 8) < 1e-12
+        for r in (cube, funcalg.compose_rational_moebius(cube, hc.alpha_p(z0))):
+            with pytest.raises(BranchViolationError):
+                hc.AnalyticFunction(hc.rational((1,)), ((r, 0.5),))
 
 
 class TestExpandAnalytic:
@@ -369,6 +369,57 @@ class TestZeroFree:
         else:
             assert hc.no_zero_in_closed_disk(hc.RationalFunction(p)) == zero_free
 
+
+
+def disk_roots(min_size, max_size):
+    """Roots of modulus 1.1-3, so every factor built from them is zero-free and
+    pole-free on the closed disk; each root swings arg r on the circle by up
+    to +-arcsin(1/1.1), about 65 degrees, so many products of several cross
+    the branch cut."""
+    root = st.tuples(st.floats(1.1, 3.0), st.floats(0.0, 2.0 * math.pi))
+    return st.lists(root.map(lambda t: t[0] * cmath.exp(1j * t[1])), min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def power_factors(draw):
+    num = draw(disk_roots(1, 6))
+    den = draw(disk_roots(0, 2))
+    lead = draw(st.floats(0.2, 5.0)) * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+    return hc.RationalFunction(from_roots(num, lead), from_roots(den) if den else hc.poly(1))
+
+
+class TestBranchCut:
+    def test_factor_crossing_the_cut_on_the_circle(self):
+        # Zero-free, r(0) = 1, but arg (2 - z)^7 reaches 7 pi/6 on the circle.
+        r = hc.RationalFunction(hc.poly(2, -1).power(7).scale(1 / 128))
+        with pytest.raises(BranchViolationError):
+            hc.AnalyticFunction(hc.rational((1,)), ((r, 0.5),))
+
+    def test_factor_touching_the_cut_is_refused(self):
+        # arg (2 - z)^6 reaches pi exactly at z = exp(+-i pi/3).
+        r = hc.RationalFunction(hc.poly(2, -1).power(6).scale(1 / 64))
+        with pytest.raises(IndeterminateError):
+            hc.AnalyticFunction(hc.rational((1,)), ((r, 0.5),))
+
+    @DERANDOMIZED
+    @given(power_factors(), st.floats(-2.5, 2.5), st.lists(
+        st.tuples(st.floats(0.0, 0.95), st.floats(0.0, 2.0 * math.pi)), min_size=1, max_size=8))
+    @example(hc.RationalFunction(hc.poly(2, -1).power(7).scale(1 / 128)), 0.5, [(0.9, math.pi / 2)])
+    def test_accepted_factor_matches_its_series(self, r, gamma, polar):
+        # Pointwise evaluation takes the principal branch of r^gamma, the
+        # series the analytic one; they agree on the disk only when r maps it
+        # off the cut.
+        try:
+            f = hc.AnalyticFunction(hc.rational((1,)), ((r, gamma),))
+        except (BranchViolationError, IndeterminateError):
+            return
+        coeffs = hc.expand_analytic(f, 512).coefficients
+        # The order-512 tail is below 0.95^512 / 1.1^512 of the sum of |c_k| rho^k,
+        # which also scales the rounding of the partial sum.
+        for rho, theta in polar:
+            z = rho * cmath.exp(1j * theta)
+            majorant = float(np.sum(np.abs(coeffs) * rho ** np.arange(512)))
+            assert abs(np.polyval(coeffs[::-1], z) - f(z)) <= 1e-10 * max(1.0, majorant)
 
 
 class TestEvaluate:

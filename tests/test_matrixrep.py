@@ -311,6 +311,12 @@ class TestAdjointKernelResidual:
         ar = m and hc.adjoint_kernel_residual(m, 1, hc.dilation(0.5), 0.5, H2)
         assert ar.residual < 1e-10
 
+    @pytest.mark.parametrize("w", [1.0, complex("nan")])
+    def test_point_outside_disk(self, H2, psi_one, parabolic_map, w):
+        m = hc.build_weighted_composition(psi_one, parabolic_map, H2, 8)
+        with pytest.raises(OutsideDiskError):
+            hc.adjoint_kernel_residual(m, psi_one, parabolic_map, w, H2)
+
     def test_row_zero_identity(self, H2, psi_one, parabolic_map):
         m = hc.build_weighted_composition(psi_one, parabolic_map, H2, 64)
         ar = hc.adjoint_kernel_residual(m, psi_one, parabolic_map, 0, H2)

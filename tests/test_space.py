@@ -84,8 +84,12 @@ class TestKernel:
         assert np.allclose(k.values, [w.conjugate() ** n for n in range(4)])
 
     def test_outside_disk(self, H2):
-        with pytest.raises(OutsideDiskError):
-            hc.kernel(H2, 1.0, 8)
+        # NaN compares false both ways, so the gate must not read |w| >= 1.
+        for w in (1.0, complex("nan")):
+            with pytest.raises(OutsideDiskError):
+                hc.kernel(H2, w, 8)
+            with pytest.raises(OutsideDiskError):
+                hc.kernel_norm(H2, w)
 
 
 class TestKernelNorm:

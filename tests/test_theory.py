@@ -93,10 +93,6 @@ class TestParabolicInequality:
         with pytest.raises(HypothesisMismatchError):
             hc.parabolic_kernel_inequality(1, half_shift_map, H2)
 
-    def test_wrong_zeta_rejected(self, H2, parabolic_map):
-        with pytest.raises(HypothesisMismatchError):
-            hc.parabolic_kernel_inequality(1, parabolic_map, H2, zeta=-1)
-
 
 class TestNormalForm:
     def test_dilation_collapse(self, H2):
@@ -300,7 +296,7 @@ class TestNormBounds:
         assert abs(nb.upper - 1.0) < 1e-13
 
     def test_half_shift_interior_point(self, H2, half_shift_map):
-        nb = hc.norm_bounds(1, half_shift_map, H2, p=0, zeta=-1)
+        nb = hc.norm_bounds(1, half_shift_map, H2, p=0)
         assert nb.mu == pytest.approx(1.0)
         assert abs(nb.lower - 1 / math.sqrt(2)) < 1e-13
         assert abs(nb.upper - 1.0) < 1e-13
