@@ -11,8 +11,8 @@ Exit codes: 0 verdict reached, 2 input error, 3 requested theory unavailable,
 4 numeric non-convergence.
 
 Every subcommand takes --space, --format and --json; check also --seed and
---order (the witness search's seed and starting order, raised to at least
-128), spectral --order (the finite-section size), either in [8, 1024].
+--order (the witness search's seed and starting order), spectral --order
+(the finite-section size), either in [8, 1024].
 
 Formats: --format json emits one JSON object
 {input, space, verdict{outcome, citation, witness?}, spectral{r?, r_e?,
@@ -45,6 +45,7 @@ from .moebius import (
     cayley_parabolic,
     classify,
     hyperbolic_nonauto_form,
+    require_in_disk,
     rotation,
 )
 from .space import SpaceSpec, hardy, space_from_label
@@ -57,6 +58,7 @@ from .theory import (
     kernel_quotient_weight,
     norm_bounds,
     normal_form,
+    normal_form_map,
     parabolic_kernel_inequality,
     spectral_radius_closed,
     essential_spectral_radius_closed,
@@ -73,10 +75,8 @@ def _space_and_grid(args) -> tuple[SpaceSpec, tuple[complex, ...] | None]:
     the space is known and that 8 <= --order <= MAX_TRUNCATION."""
     grid = None
     if getattr(args, "grid", None):
-        grid = tuple(parse_complex(tok) for tok in args.grid.split(";") if tok.strip())
-        for w in grid:
-            if not abs(w) < 1.0:
-                raise ValueError(f"grid point {w} must lie in the open unit disk")
+        grid = tuple(require_in_disk(parse_complex(tok), "grid point")
+                     for tok in args.grid.split(";") if tok.strip())
     space = space_from_label(args.space)
     if not 8 <= args.order <= matrixrep.MAX_TRUNCATION:
         raise ValueError(f"truncation order must lie in [8, {matrixrep.MAX_TRUNCATION}]")
@@ -110,7 +110,7 @@ def parse_map(spec: str) -> MoebiusMap:
         if name == "hyperbolic-nonauto" and len(args) == 1:
             return hyperbolic_nonauto_form(args[0])
         if name == "normal-form" and len(args) == 2:
-            return normal_form(args[0], args[1], 1.0, hardy()).phi
+            return normal_form_map(args[0], args[1])
         raise ValueError(f"unknown named map {spec!r}")
     parts = [parse_complex(tok) for tok in spec.split(",")]
     if len(parts) != 4:
@@ -267,7 +267,7 @@ def _cmd_check(args) -> tuple[dict, int]:
         escalate_numeric=args.escalate,
         budget_seconds=args.budget,
         seed=args.seed,
-        order=max(args.order, 128),
+        order=args.order,
         grid=grid,
     )
     verdict = classify_weighted(psi, phi, space, opts)
@@ -422,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_check)
     p_check.add_argument("--seed", type=int, default=_DEFAULT_SEED, help="witness search seed")
     p_check.add_argument("--order", type=int, default=_DEFAULT_ORDER,
-                         help="starting order of the witness search, raised to at least 128")
+                         help="starting order of the witness search")
     p_check.add_argument("--map", required=True)
     p_check.add_argument("--psi", required=True)
     p_check.add_argument("--escalate", action="store_true",

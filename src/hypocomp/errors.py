@@ -49,8 +49,8 @@ class PoleEncounteredError(HypocompError):
     """Evaluation requested at (or numerically at) a pole."""
 
 
-class OutsideDiskError(HypocompError):
-    """Kernel point must lie strictly inside the unit disk."""
+class OutsideDiskError(InvalidParameterError):
+    """A point that must lie in the open unit disk does not (NaN included)."""
 
 
 class SpaceMismatchError(HypocompError):

@@ -32,7 +32,7 @@ from .errors import (
     PoleEncounteredError,
     ZeroConstantTermError,
 )
-from .moebius import MoebiusMap, require_pole_free
+from .moebius import MoebiusMap, require_in_disk, require_pole_free
 
 MAX_DEGREE = 64
 MAX_ORDER = 4096
@@ -338,9 +338,7 @@ def rational_fn(num_coeffs, den_coeffs) -> AnalyticFunction:
 
 def kernel_function(w: complex, gamma: float) -> AnalyticFunction:
     """(1 - conj(w) z)^(-gamma), the evaluation kernel at w for exponent gamma."""
-    w = complex(w)
-    if abs(w) >= 1.0:
-        raise InvalidParameterError("kernel point must lie in the open unit disk")
+    w = require_in_disk(w, "kernel point")
     return AnalyticFunction(rational((1,)), ((rational((1, -w.conjugate())), -float(gamma)),))
 
 

@@ -2,9 +2,10 @@
 
 An N x N section holds, in column j, the orthonormal-basis coordinates of the
 image of e_j = z^j / beta(j).  Dense complex storage; N is at most
-MAX_TRUNCATION = 1024.  Weighted composition and multiplication sections (the
-latter is the case phi(z) = z) share one build, column by column by a banded
-recurrence, O(N^2) for a rational phi (see _section).
+MAX_TRUNCATION = 1024.  Sections are built for linear-fractional symbols
+phi only.  Weighted composition and multiplication sections (the latter is
+the case phi(z) = z) share one build, column by column by a banded
+recurrence, O(N^2) (see _section).
 Sections with phi(0) = 0, multiplication sections among them, are lower
 triangular; their spectral radius is read off the diagonal.  The two banded
 BLAS routines are fetched from scipy.linalg on the first build, so a process
@@ -21,34 +22,24 @@ adjoint side is exact and whose forward side carries a truncation-tail bound.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailureError,
-    InvalidParameterError,
-    NotSelfMapError,
-    OutsideDiskError,
-    PrecisionLossError,
-)
+from .errors import ConvergenceFailureError, InvalidParameterError, PrecisionLossError
 from .funcalg import (
     AnalyticFunction,
     Polynomial,
-    _rational_series,
     boundary_sup,
     constant_fn,
     expand_analytic,
     kernel_function,
     moebius_rational,
     compose_with_moebius,
-    polynomial_fn,
-    series_pow_real,
     series_tail_bound,
 )
-from .moebius import MoebiusMap, is_self_map
+from .moebius import IDENTITY, MoebiusMap, require_in_disk, require_self_map
 from .space import SpaceSpec, beta_array, kernel
 
 MAX_TRUNCATION = 1024
@@ -56,7 +47,6 @@ _POWER_SEED = 1729
 # Relative residual at which operator_norm's power iteration stops.
 _NORM_REL_TOL = 1e-8
 _EPS = float(np.finfo(float).eps)
-_IDENTITY_SYMBOL = polynomial_fn(0, 1)
 
 
 @dataclass(frozen=True)
@@ -96,35 +86,20 @@ def as_analytic(psi) -> AnalyticFunction:
     return constant_fn(complex(psi))
 
 
-def _self_map_symbol(phi) -> AnalyticFunction:
-    """The composition symbol as an AnalyticFunction, verifying it maps the disk to itself."""
-    if isinstance(phi, MoebiusMap):
-        ok, sup = is_self_map(phi)
-        if not ok:
-            raise NotSelfMapError(f"composition symbol has boundary sup {sup:.12g} > 1")
-        return AnalyticFunction(moebius_rational(phi))
-    phi = as_analytic(phi)
-    sup = boundary_sup(phi)
-    if sup > 1.0 + 1e-8:
-        raise NotSelfMapError(f"composition symbol has boundary sup {sup:.12g} > 1")
-    return phi
-
-
 def _toeplitz_band(p: Polynomial, n: int) -> tuple[np.ndarray, int]:
     """Lower band storage of the n x n Toeplitz matrix of multiplication by p, and its bandwidth."""
     c = np.asarray(p.coefficients[:n])
     return np.asfortranarray(np.repeat(c[:, None], n, axis=1)), c.size - 1
 
 
-def _section(psi_f: AnalyticFunction, phi_f: AnalyticFunction, space: SpaceSpec, n: int,
+def _section(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, n: int,
              provenance: str) -> OperatorMatrix:
     """Section whose column j holds the coordinates of psi * phi^j / beta(j).
 
-    Each column is the previous one times phi = (num / den) prod r_i^gamma_i,
+    Each column is the previous one times phi = (a z + b) / (c z + d),
     truncated to n terms: a banded product with the lower-triangular Toeplitz
-    matrix of num (BLAS tbmv), a banded solve with that of den (BLAS tbsv),
-    then a truncated convolution with each power-factor series.  For a
-    rational phi of degree d that is O(N d) per column and O(N^2 d) in all.
+    matrix of the numerator (BLAS tbmv), then a banded solve with that of the
+    denominator (BLAS tbsv), O(N) per column and O(N^2) in all.
     scipy.signal.lfilter would do the same filtering, but importing
     scipy.signal costs about a second.  The two BLAS routines are fetched
     here, on the first build, so that only processes that build a section
@@ -132,31 +107,31 @@ def _section(psi_f: AnalyticFunction, phi_f: AnalyticFunction, space: SpaceSpec,
     """
     from scipy.linalg.blas import ztbmv, ztbsv
 
-    num, kn = _toeplitz_band(phi_f.base.num, n)
-    den, kd = _toeplitz_band(phi_f.base.den, n)
+    phi_r = moebius_rational(phi)
+    num, kn = _toeplitz_band(phi_r.num, n)
+    den, kd = _toeplitz_band(phi_r.den, n)
     col = expand_analytic(psi_f, n).coefficients.copy()
-    powers = [series_pow_real(_rational_series(r, n), gamma).coefficients for r, gamma in phi_f.factors]
     b = beta_array(space, n)
     scaled = np.empty(n, dtype=complex)
     cols = np.zeros((n, n), dtype=complex)
-    # In place: for a rational phi the loop allocates nothing, so no
-    # per-column temporaries fragment the heap around the section.
+    # In place: the loop allocates nothing, so no per-column temporaries
+    # fragment the heap around the section.
     for j in range(n):
         np.divide(np.multiply(col, b, out=scaled), b[j], out=cols[:, j])
         if j + 1 < n:
             col = ztbmv(kn, num, col, lower=1, overwrite_x=1)
             col = ztbsv(kd, den, col, lower=1, overwrite_x=1)
-            for s in powers:
-                col = np.convolve(col, s)[:n]
     return OperatorMatrix(cols, space, n, provenance)
 
 
-def build_weighted_composition(psi, phi, space: SpaceSpec, n: int) -> OperatorMatrix:
-    """Section of f -> psi * (f o phi); O(N^2) for a rational phi, every
-    linear-fractional one included (see _section)."""
+def build_weighted_composition(psi, phi: MoebiusMap, space: SpaceSpec, n: int) -> OperatorMatrix:
+    """Section of f -> psi * (f o phi) for a linear-fractional self-map phi,
+    in O(N^2) (see _section)."""
     _check_truncation(n)
-    return _section(as_analytic(psi), _self_map_symbol(phi), space, n,
-                    f"weighted-composition on {space.label()}")
+    if not isinstance(phi, MoebiusMap):
+        raise InvalidParameterError("finite sections need a linear-fractional symbol")
+    require_self_map(phi)
+    return _section(as_analytic(psi), phi, space, n, f"weighted-composition on {space.label()}")
 
 
 def build_multiplication(h, space: SpaceSpec, n: int) -> OperatorMatrix:
@@ -165,7 +140,7 @@ def build_multiplication(h, space: SpaceSpec, n: int) -> OperatorMatrix:
     It is the weighted composition section with weight h and phi(z) = z.
     """
     _check_truncation(n)
-    return _section(as_analytic(h), _IDENTITY_SYMBOL, space, n, f"multiplication on {space.label()}")
+    return _section(as_analytic(h), IDENTITY, space, n, f"multiplication on {space.label()}")
 
 
 def self_commutator(m: OperatorMatrix) -> np.ndarray:
@@ -299,9 +274,7 @@ def adjoint_kernel_residual(m: OperatorMatrix, psi, phi, w: complex, space: Spac
     allowance 20 eps N ||M||_F ||k_w|| (the analytic part alone sits far
     below the rounding floor for small |w|).
     """
-    w = complex(w)
-    if not abs(w) < 1.0:
-        raise OutsideDiskError("kernel point must lie strictly inside the unit disk")
+    w = require_in_disk(w, "kernel point")
     psi_f = as_analytic(psi)
     n = m.order
     kv = kernel(space, w, n).values
@@ -334,13 +307,9 @@ def _adjoint_gram(images: KernelImages, pts) -> np.ndarray:
 def _kernel_points(points) -> list[complex]:
     """The kernel points as complex numbers: at least one, each finite and
     strictly inside the unit disk."""
-    pts = [complex(w) for w in points]
+    pts = [require_in_disk(w, "kernel point") for w in points]
     if not pts:
         raise InvalidParameterError("need at least one kernel point")
-    if not all(cmath.isfinite(w) for w in pts):
-        raise InvalidParameterError("kernel points must be finite")
-    if any(abs(w) >= 1.0 for w in pts):
-        raise OutsideDiskError("kernel points must lie strictly inside the unit disk")
     return pts
 
 

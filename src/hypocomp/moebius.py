@@ -26,6 +26,7 @@ from .errors import (
     NoAngularDerivativeError,
     NoDenjoyWolffError,
     NotSelfMapError,
+    OutsideDiskError,
     PoleEncounteredError,
 )
 
@@ -46,6 +47,18 @@ _NONAUTO_MATCH_TOL = 1e-10
 
 def _snap(x: complex) -> complex:
     return 0j if abs(x) < _COEFF_SNAP else x
+
+
+def require_in_disk(w, what: str) -> complex:
+    """w as a complex number, if it lies in the open unit disk.
+
+    The one disk-point gate of the package: anything but |w| < 1, NaN and
+    infinite parts included, raises OutsideDiskError naming `what`.
+    """
+    w = complex(w)
+    if not abs(w) < 1.0:
+        raise OutsideDiskError(f"{what} {w} must lie in the open unit disk")
+    return w
 
 
 def require_pole_free(den, z) -> None:
@@ -425,9 +438,7 @@ def dilation(lam: complex) -> MoebiusMap:
 
 def alpha_p(p: complex) -> MoebiusMap:
     """Self-inverse automorphism (p - z)/(1 - conj(p) z), swapping 0 and p."""
-    p = complex(p)
-    if abs(p) >= 1.0:
-        raise InvalidParameterError("p must lie in the open unit disk")
+    p = require_in_disk(p, "p")
     return MoebiusMap(-1, p, -p.conjugate(), 1)
 
 

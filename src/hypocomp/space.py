@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NotSelfMapError, OutsideDiskError, SpaceMismatchError
+from .errors import InvalidParameterError, NotSelfMapError, SpaceMismatchError
 from .funcalg import AnalyticFunction, TaylorSeries, rational
-from .moebius import MoebiusMap, is_self_map, require_self_map
+from .moebius import MoebiusMap, is_self_map, require_in_disk, require_self_map
 
 
 @dataclass(frozen=True)
@@ -101,18 +101,14 @@ def coeff_vector_from_taylor(ts: TaylorSeries, space: SpaceSpec) -> CoeffVector:
 
 def kernel(space: SpaceSpec, w: complex, n: int) -> CoeffVector:
     """Orthonormal coordinates of the evaluation kernel at w: conj(w)^k / beta(k)."""
-    w = complex(w)
-    if not abs(w) < 1.0:
-        raise OutsideDiskError("kernel point must lie strictly inside the unit disk")
+    w = require_in_disk(w, "kernel point")
     powers = np.power(w.conjugate(), np.arange(n))
     return CoeffVector(powers / beta_array(space, n), space, n)
 
 
 def kernel_norm(space: SpaceSpec, w: complex) -> float:
     """(1 - |w|^2)^(-gamma/2)."""
-    w = complex(w)
-    if not abs(w) < 1.0:
-        raise OutsideDiskError("kernel point must lie strictly inside the unit disk")
+    w = require_in_disk(w, "kernel point")
     return (1.0 - abs(w) ** 2) ** (-space.gamma / 2.0)
 
 

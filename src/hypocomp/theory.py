@@ -49,6 +49,7 @@ from .moebius import (
     compose,
     map_distance,
     match_hyperbolic_nonauto_form,
+    require_in_disk,
     require_self_map,
 )
 from .space import SpaceSpec, kernel_norm
@@ -258,14 +259,22 @@ def _fixes(phi: MoebiusMap, p: complex) -> bool:
     return abs(phi(p) - p) <= 1e-10 * (1.0 + abs(p) ** 2)
 
 
+def _require_fixed(phi: MoebiusMap, p) -> complex:
+    """p as a complex number, if it is a point of the open disk that phi fixes.
+
+    The one fixed-point gate: OutsideDiskError off the open disk,
+    NotAFixedPointError where phi(p) != p.
+    """
+    p = require_in_disk(p, "p")
+    if not _fixes(phi, p):
+        raise NotAFixedPointError(f"phi({p:.6g}) = {phi(p):.6g} differs from p")
+    return p
+
+
 def kernel_quotient_weight(p: complex, value_at_p: complex, phi: MoebiusMap, space: SpaceSpec) -> AnalyticFunction:
     """The weight value * K_p / (K_p o phi), the only one hyponormality allows
     for a symbol fixing p under the small-essential-spectrum hypothesis."""
-    p = complex(p)
-    if abs(p) >= 1.0:
-        raise InvalidParameterError("p must lie in the open unit disk")
-    if not _fixes(phi, p):
-        raise NotAFixedPointError(f"phi({p:.6g}) = {phi(p):.6g} differs from p")
+    p = _require_fixed(phi, p)
     kp = kernel_function(p, space.gamma)
     kp_phi = compose_with_moebius(kp, phi)
     return (constant_fn(complex(value_at_p)) * kp) * kp_phi.reciprocal()
@@ -280,28 +289,34 @@ class NormalFormSymbols:
     value_at_p: complex
 
     def __post_init__(self):
-        if not _fixes(self.phi, self.p):
-            raise InvalidParameterError("constructed map does not fix p")
+        _require_fixed(self.phi, self.p)
 
 
-def normal_form(p: complex, delta: complex, value_at_p: complex, space: SpaceSpec) -> NormalFormSymbols:
-    """phi = alpha_p o (delta alpha_p) and psi = value K_p / (K_p o phi).
+def normal_form_map(p: complex, delta: complex) -> MoebiusMap:
+    """alpha_p o (delta alpha_p), the symbol that fixes p with multiplier delta.
 
-    The compact hyponormal (equivalently normal) weighted composition
-    operators are exactly these, for |delta| < 1.  delta = 0 collapses phi to
-    the constant p, which the map type cannot represent; that edge raises
-    DegenerateMapError rather than deciding.
+    p must lie in the open disk and |delta| < 1, the compact case.  delta = 0
+    collapses the map to the constant p, which the map type cannot
+    represent; that edge raises DegenerateMapError rather than deciding.
     """
-    p = complex(p)
+    a = alpha_p(p)
     delta = complex(delta)
-    if abs(p) >= 1.0:
-        raise InvalidParameterError("p must lie in the open unit disk")
-    if abs(delta) >= 1.0:
+    if not abs(delta) < 1.0:
         raise InvalidParameterError("|delta| must be < 1 for the compact case")
     if delta == 0:
         raise DegenerateMapError("delta = 0 makes the composition symbol constant")
-    a = alpha_p(p)
-    phi = compose(a, a.scaled(delta))
+    return compose(a, a.scaled(delta))
+
+
+def normal_form(p: complex, delta: complex, value_at_p: complex, space: SpaceSpec) -> NormalFormSymbols:
+    """phi = normal_form_map(p, delta) and psi = value K_p / (K_p o phi).
+
+    The compact hyponormal (equivalently normal) weighted composition
+    operators are exactly these, for |delta| < 1.
+    """
+    p = complex(p)
+    delta = complex(delta)
+    phi = normal_form_map(p, delta)
     psi = kernel_quotient_weight(p, value_at_p, phi, space)
     # Verify the defining identities on a 20-point grid.
     z = circle(0.8, 20)
@@ -392,9 +407,7 @@ def classify_weighted(
     if cls.kind is MapKind.INTERIOR_CONTRACTION:
         p = cls.denjoy_wolff.location
         delta = cls.denjoy_wolff.multiplier
-        a = alpha_p(p)
-        reference = compose(a, a.scaled(delta))
-        if map_distance(phi, reference) > _NORMAL_FORM_MATCH_TOL:
+        if map_distance(phi, normal_form_map(p, delta)) > _NORMAL_FORM_MATCH_TOL:
             return HyponormalityVerdict(
                 Outcome.NOT_HYPONORMAL,
                 CIT_COMPACT_NORMAL_FORM,
@@ -453,15 +466,13 @@ def _boundary_dw(cls: MapClass) -> complex | None:
     return dw.location / abs(dw.location)
 
 
-def spectral_radius_closed(
-    psi, phi: MoebiusMap, space: SpaceSpec, assume_hyponormal: bool = False
-) -> ClosedFormValue:
+def spectral_radius_closed(psi, phi: MoebiusMap, space: SpaceSpec) -> ClosedFormValue:
     """r(C_{psi,phi}) where a closed form is justified.
 
     Boundary Denjoy-Wolff point (hyperbolic non-automorphism, parabolic
     non-automorphism, or automorphism attracted to the boundary):
     |psi(zeta)| phi'(zeta)^(-gamma/2).  Strict contraction fixing the origin
-    with hyponormality established (or asserted by the caller): |psi(0)|.
+    with hyponormality established by classify_weighted: |psi(0)|.
     Everything else raises TheoryUnavailableError.
     """
     psi_f = as_analytic(psi)
@@ -474,15 +485,8 @@ def spectral_radius_closed(
         citation = CIT_R_PARABOLIC if abs(ad - 1.0) <= 1e-9 else CIT_R_BOUNDARY
         return ClosedFormValue(value, citation)
     if cls.kind is MapKind.INTERIOR_CONTRACTION and abs(phi(0)) <= 1e-12:
-        established = assume_hyponormal
-        if not established:
-            verdict = classify_weighted(psi_f, phi, space)
-            established = verdict.outcome is Outcome.NORMAL
-        if not established:
-            raise TheoryUnavailableError(
-                "hyponormality not established for the contracting symbol; "
-                "pass assume_hyponormal=True to assert it"
-            )
+        if classify_weighted(psi_f, phi, space).outcome is not Outcome.NORMAL:
+            raise TheoryUnavailableError("hyponormality not established for the contracting symbol")
         return ClosedFormValue(abs(psi_f(0)), CIT_R_CONTRACTION)
     raise TheoryUnavailableError(
         f"no closed form for class {cls.kind.value} with this fixed-point structure"
@@ -556,9 +560,7 @@ def norm_bounds(psi, phi: MoebiusMap, space: SpaceSpec, p: complex | None = None
         up = max(abs(psi_f(fixed_zeta)), abs(psi_f(0)))
         return NormBounds(low, up, (CIT_NORM_LOWER_ANGULAR, CIT_NORM_UPPER_MAX))
 
-    p = complex(p)
-    if not _fixes(phi, p):
-        raise NotAFixedPointError("p is not a fixed point of the symbol")
+    p = _require_fixed(phi, p)
     gamma = space.gamma
     kp = kernel_function(p, gamma)
     mu = abs(psi_f(fixed_zeta) * kp(alpha_p(p)(fixed_zeta)) * kp(fixed_zeta)) / kernel_norm(space, p) ** 2
@@ -615,11 +617,7 @@ def conjugate_to_origin(
     q = K_p (psi o alpha_p) (K_p o phi o alpha_p) (1-|p|^2)^gamma, which
     satisfies q(0) = psi(p).
     """
-    p = complex(p)
-    if abs(p) >= 1.0:
-        raise InvalidParameterError("p must lie in the open unit disk")
-    if not _fixes(phi, p):
-        raise NotAFixedPointError("p is not a fixed point of the symbol")
+    p = _require_fixed(phi, p)
     psi_f = as_analytic(psi)
     gamma = space.gamma
     a = alpha_p(p)

@@ -109,6 +109,19 @@ class TestInputOutsideHypotheses:
         assert code == 2
         assert "open unit disk" in capsys.readouterr().err
 
+    # Kernel-quotient and normal-form points go through the same disk gate as --grid, NaN included.
+    @pytest.mark.parametrize("argv", [
+        ("check", "--psi=kernel-quotient:nan,1", "--map=normal-form:0.3,0.4"),
+        ("check", "--psi=kernel-quotient:1,1", "--map=normal-form:0.3,0.4"),
+        ("classify", "--map=normal-form:nan,0.4"),
+        ("spectral", "--map=normal-form:-2j,0.4"),
+    ])
+    def test_disk_point_refused_exit_2(self, capsys, argv):
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and "open unit disk" in captured.err
+
 
 class TestCheckCommand:
     def test_worked_example(self, capsys):
@@ -168,6 +181,15 @@ class TestCheckCommand:
         assert cli.main(list(argv)) == 0
         capsys.readouterr()
         assert 1 <= len(calls) <= 3
+
+    # --order is the witness search's starting order, passed through as given.
+    @pytest.mark.parametrize("order", [8, 128])
+    def test_order_starts_the_witness_search(self, capsys, order):
+        code, rep = run_json(capsys, "check", "--map=rotation:i", "--psi=2,1", "--escalate",
+                             f"--order={order}")
+        assert code == 0
+        assert rep["verdict"]["outcome"] == "CertifiedNotNumeric"
+        assert rep["verdict"]["witness"]["order"] == order
 
     def test_escalation_attaches_witness(self, capsys):
         code, rep = run_json(capsys, "check", "--psi", "2,1", "--map", "1,0.5,0.5,1",

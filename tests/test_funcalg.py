@@ -203,8 +203,7 @@ class TestExpandAnalytic:
         # Construction already tested every denominator; expanding the
         # symbol, or building a section from it, does not test them again.
         psi = hc.rational_fn((1, 0.3), (2, -0.5)) * hc.kernel_function(0.35, 1.5)
-        root = hc.AnalyticFunction(hc.rational((1,)), ((hc.rational((1, 0.3), (1, -0.2)), 0.5),))
-        phi = hc.polynomial_fn(0, 0.5) * root
+        phi = hc.MoebiusMap(0.5, 0.1, -0.2, 1)
         series = hc.expand_analytic(psi, 64).coefficients
         section = hc.build_weighted_composition(psi, phi, H2, 32).entries
 

@@ -1,0 +1,59 @@
+"""The one disk-point gate and the one fixed-point gate, at every entry point."""
+
+import math
+
+import numpy as np
+import pytest
+
+import hypocomp as hc
+from hypocomp.errors import InvalidParameterError, NotAFixedPointError, OutsideDiskError
+from hypocomp.matrixrep import kernel_gram_forms
+
+H2 = hc.hardy()
+NORMAL_FORM = hc.normal_form_map(0.3, 0.4)   # fixes 0.3
+Z_OVER_Z_PLUS_2 = hc.MoebiusMap(1, 0, 1, 2)  # fixes 0 and its contact point -1
+
+# Each takes a point that must lie in the open unit disk.
+ENTRY_POINTS = {
+    "funcalg.kernel_function": lambda w: hc.kernel_function(w, 1.5),
+    "space.kernel": lambda w: hc.kernel(H2, w, 8),
+    "space.kernel_norm": lambda w: hc.kernel_norm(H2, w),
+    "matrixrep.adjoint_kernel_residual": lambda w: hc.adjoint_kernel_residual(
+        hc.OperatorMatrix(np.eye(8), H2, 8, "identity"), 1, hc.MoebiusMap(1, 0, 0, 1), w, H2),
+    "matrixrep.kernel_gram_norms": lambda w: hc.kernel_gram_norms(
+        1, hc.dilation(0.5), H2, [0.3, w], [1.0, 1.0], 8),
+    "matrixrep.kernel_gram_forms": lambda w: kernel_gram_forms(1, hc.dilation(0.5), H2, [w], 8),
+    "moebius.alpha_p": hc.alpha_p,
+    "theory.kernel_quotient_weight": lambda w: hc.kernel_quotient_weight(w, 1, NORMAL_FORM, H2),
+    "theory.normal_form_map": lambda w: hc.normal_form_map(w, 0.4),
+    "theory.normal_form": lambda w: hc.normal_form(w, 0.4, 1, H2),
+    "theory.conjugate_to_origin": lambda w: hc.conjugate_to_origin(1, NORMAL_FORM, w, H2),
+    "theory.norm_bounds": lambda w: hc.norm_bounds(1, Z_OVER_Z_PLUS_2, H2, p=w),
+}
+
+
+@pytest.mark.parametrize("w", [1.0, -2j, complex("nan"), complex(0.0, math.inf)], ids=repr)
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_disk_gate(entry, w):
+    with pytest.raises(OutsideDiskError, match="open unit disk"):
+        ENTRY_POINTS[entry](w)
+
+
+def test_disk_gate_error_is_a_parameter_error():
+    assert issubclass(OutsideDiskError, InvalidParameterError)
+
+
+# Each takes a point that phi must fix; 0.5 lies in the disk but is not fixed.
+FIXED_POINT_ENTRIES = {
+    "kernel_quotient_weight": lambda p: hc.kernel_quotient_weight(p, 1, NORMAL_FORM, H2),
+    "conjugate_to_origin": lambda p: hc.conjugate_to_origin(1, NORMAL_FORM, p, H2),
+    "norm_bounds": lambda p: hc.norm_bounds(1, Z_OVER_Z_PLUS_2, H2, p=p),
+    "NormalFormSymbols": lambda p: hc.NormalFormSymbols(
+        p, 0.4, hc.constant_fn(1), NORMAL_FORM, 1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FIXED_POINT_ENTRIES))
+def test_fixed_point_gate(entry):
+    with pytest.raises(NotAFixedPointError, match="differs from p"):
+        FIXED_POINT_ENTRIES[entry](0.5)

@@ -240,12 +240,10 @@ class TestSpectralRadius:
         with pytest.raises(TheoryUnavailableError):
             hc.spectral_radius_closed(1, half_shift_map, H2)
 
-    def test_assume_hyponormal_override(self, H2):
+    def test_contraction_not_shown_hyponormal_unavailable(self, H2):
         phi = hc.MoebiusMap(0.3, 0, -0.2, 1)
         with pytest.raises(TheoryUnavailableError):
             hc.spectral_radius_closed(1, phi, H2)
-        cf = hc.spectral_radius_closed(1, phi, H2, assume_hyponormal=True)
-        assert cf.value == pytest.approx(1.0)
 
     def test_parabolic_consistency(self, H2, A0, A1, parabolic_map):
         for space in (H2, A0, A1):
