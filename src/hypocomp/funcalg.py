@@ -366,10 +366,24 @@ def circle(r: float, n: int) -> np.ndarray:
     return r * np.exp(1j * (2.0 * math.pi * np.arange(n) / n))
 
 
+# The sample points of is_value_constant and value_scale: 0, then circle(0.7, 24).
+_VALUE_POINTS = np.append(0j, circle(0.7, 24))
+_VALUE_POINTS.flags.writeable = False
+
+
+def value_scale(f: AnalyticFunction) -> float:
+    """max |f| over the samples of is_value_constant: the size the vanishing
+    tests in theory measure values of f against, so that c f passes them
+    exactly when f does.  Zero only when every sample is exactly 0."""
+    return float(np.abs(f(_VALUE_POINTS)).max())
+
+
 def is_value_constant(f: AnalyticFunction) -> bool:
-    """Whether f is constant as a function, decided on a 24-point grid."""
-    v0 = f(0)
-    return not np.any(np.abs(f(circle(0.7, 24)) - v0) > _CONSTANT_TOL * (1.0 + abs(v0)))
+    """Whether f is constant as a function: each of its samples on the grid
+    circle(0.7, 24) lies within 1e-12 value_scale(f) of f(0), a test that
+    c f passes exactly when f does."""
+    v = f(_VALUE_POINTS)
+    return not np.any(np.abs(v[1:] - v[0]) > _CONSTANT_TOL * np.abs(v).max())
 
 
 def boundary_sup(f: AnalyticFunction) -> float:

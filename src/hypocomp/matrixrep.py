@@ -14,6 +14,14 @@ KernelImages table, which fills as the one witness search that owns it looks
 up kernel images, and is never shared between searches; matrix builds may
 run concurrently on separate inputs.
 
+operator_norm and gelfand_estimate iterate on the section scaled by a power
+of two to Frobenius norm in [1/2, 1) and scale the value back, both exactly:
+2^j M gives 2^j times the value for M, and no weight is too large or too
+small for them.  gelfand_estimate certifies ||M^k|| by power steps with M
+alone (2k matrix-vector products a step) and forms M^k with matrix_power only
+when those steps stall, as they do on the clustered top singular values of
+Toeplitz-like sections.
+
 Finite-section positivity is advisory only: compressions do not preserve the
 sign of A*A - AA* (the forward shift gives a spurious negative eigenvalue),
 so non-hyponormality certificates must come from kernel_gram_norms, whose
@@ -44,8 +52,10 @@ from .space import SpaceSpec, beta_array, kernel
 
 MAX_TRUNCATION = 1024
 _POWER_SEED = 1729
-# Relative residual at which operator_norm's power iteration stops.
+# Relative residual at which power steps stop (_power_steps).
 _NORM_REL_TOL = 1e-8
+# Most power steps gelfand_estimate takes before it forms M^k instead.
+_QUICK_STEPS = 8
 _EPS = float(np.finfo(float).eps)
 
 
@@ -156,50 +166,106 @@ def hermitian_min_eig(h: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hh)[0])
 
 
+def _unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """(a 2^-e, e) with e from frexp(||a||_F), so that the copy has Frobenius
+    norm in [1/2, 1); None for the zero matrix.
+
+    Scaling by a power of two is exact, so iterating on the copy and scaling
+    back gives 2^j a exactly 2^j times the value for a, and no product of the
+    iteration overflows or underflows because of a's scale.  The norm is
+    taken after a first scaling that brings the largest real or imaginary
+    part into [1/2, 1): its sum of squares would leave the float range for
+    entries beyond about 1e+-154.
+    """
+    parts = a.view(np.float64)
+    big = max(float(parts.max()), -float(parts.min()))
+    if big == 0.0:
+        return None
+    e = math.frexp(big)[1]
+    b = np.ldexp(parts, -e)
+    fro_e = math.frexp(float(np.linalg.norm(b)))[1]
+    return np.ldexp(b, -fro_e, out=b).view(complex), e + fro_e
+
+
+def _unscale(x: float, e: int) -> float:
+    """x 2^e, or inf beyond the float range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
+
+
+def _seed_vector(n: int) -> np.ndarray:
+    rng = np.random.default_rng(_POWER_SEED)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return v / np.linalg.norm(v)
+
+
+def _adjoint_apply(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a^H x, without copying the conjugate transpose of a."""
+    return (x.conj() @ a).conj()
+
+
+def _power_steps(apply, v: np.ndarray, cap: int, quick: bool = False) -> tuple[float, float] | None:
+    """Power steps v <- w / ||w||, w = apply(v), for a positive semidefinite
+    apply, until the residual ||w - lam v|| with lam = <v, w> certifies that
+    some eigenvalue lies within 1e-8 lam of lam.  Returns (lam, residual).
+
+    Raises ConvergenceFailureError after cap steps.  With quick, returns None
+    instead, and gives up early once a value is non-finite, the residual
+    stops shrinking, or its last contraction ratio, kept up for the steps
+    left, would not bring the relative residual to the tolerance.
+    """
+    resid = rel = math.inf
+    for step in range(cap):
+        w = apply(v)
+        lam = float(np.real(np.vdot(v, w)))
+        resid = float(np.linalg.norm(w - lam * v))
+        if resid <= _NORM_REL_TOL * lam:
+            return lam, resid
+        prev, rel = rel, resid / lam if lam > 0.0 else math.inf
+        if quick and not (rel < prev and rel * (rel / prev) ** (cap - 1 - step) <= _NORM_REL_TOL):
+            return None
+        v = w / np.linalg.norm(w)
+    if quick:
+        return None
+    raise ConvergenceFailureError(
+        f"power iteration did not reach {_NORM_REL_TOL:g} in {cap} steps", iterations=cap, residual=resid
+    )
+
+
 def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
     """Largest singular value via Lanczos-accelerated power iteration on M*M.
 
-    Deterministically seeded.  A Lanczos pass (which copes with the clustered
-    top spectra of Toeplitz-like sections) supplies the start vector, followed
-    by power steps until the residual ||(M*M)v - lambda v|| certifies that
-    some eigenvalue of M*M lies within 1e-8 lambda of lambda.  Raises
-    ConvergenceFailureError after 10 N polish steps without meeting that.
+    Deterministically seeded, on M scaled by a power of two to Frobenius norm
+    in [1/2, 1) (see _unit_scaled).  A Lanczos pass (which copes with the
+    clustered top spectra of Toeplitz-like sections) supplies the start
+    vector, followed by power steps until the residual ||(M*M)v - lambda v||
+    certifies that some eigenvalue of M*M lies within 1e-8 lambda of lambda.
+    Raises ConvergenceFailureError after 10 N polish steps without meeting
+    that.
     """
-    a = m.entries
     n = m.order
-    fro = float(np.linalg.norm(a))
-    if fro == 0.0:
+    scaled = _unit_scaled(m.entries)
+    if scaled is None:
         return SpectralEstimate(0.0, "power-iteration", n, 0.0)
-    rng = np.random.default_rng(_POWER_SEED)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
+    a, e = scaled
+
+    def gram(x):
+        return _adjoint_apply(a, a @ x)
+
+    v = _seed_vector(n)
     if n >= 4:
         from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-        op = LinearOperator((n, n), matvec=lambda x: ((a @ x).conj() @ a).conj(), dtype=complex)
+        op = LinearOperator((n, n), matvec=gram, dtype=complex)
         try:
             _vals, vecs = eigsh(op, k=1, which="LA", v0=v, maxiter=10 * n, tol=1e-12)
             v = vecs[:, 0]
         except ArpackError:
             pass  # fall through to plain power steps from the seeded vector
-    lam = 0.0
-    resid = math.inf
-    cap = 10 * n
-    for _ in range(cap):
-        w = ((a @ v).conj() @ a).conj()
-        lam = float(np.real(np.vdot(v, w)))
-        resid = float(np.linalg.norm(w - lam * v))
-        if resid <= max(_NORM_REL_TOL * max(lam, 0.0), 1e-30):
-            return SpectralEstimate(math.sqrt(max(lam, 0.0)), "power-iteration", n, resid)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            continue
-        v = w / nw
-    raise ConvergenceFailureError(
-        f"power iteration did not reach {_NORM_REL_TOL:g} in {cap} steps", iterations=cap, residual=resid
-    )
+    lam, resid = _power_steps(gram, v, 10 * n)
+    return SpectralEstimate(_unscale(math.sqrt(lam), e), "power-iteration", n, _unscale(resid, 2 * e))
 
 
 def truncation_spectral_radius(m: OperatorMatrix) -> SpectralEstimate:
@@ -220,12 +286,42 @@ def truncation_eigenvalues(m: OperatorMatrix) -> np.ndarray:
 
 
 def gelfand_estimate(m: OperatorMatrix, k: int) -> SpectralEstimate:
-    """||M^k||^(1/k), an upper-biased spectral radius estimate."""
+    """||M^k||^(1/k), an upper-biased spectral radius estimate.
+
+    Works on M scaled by a power of two (see _unit_scaled).  Quick path:
+    power steps on x -> (M^H)^k M^k x, 2k products with M each, from
+    operator_norm's seeded vector and with its residual certificate.  The
+    gap between the top two singular values of M^k is that of M raised to
+    the 2k-th power, so compact and contractive sections certify in a few
+    steps.  After at most 8 steps, or sooner once the steps stall (see
+    _power_steps), it falls back to forming M^k and taking its operator_norm:
+    Toeplitz-like sections (multiplications, rotations, parabolic maps) have
+    clustered top singular values, which the Lanczos pass there copes with.
+    The residual is that of (M^H)^k M^k, inf beyond the float range.
+    """
     if k < 1:
         raise InvalidParameterError("k must be at least 1")
-    p = np.linalg.matrix_power(m.entries, k)
-    est = operator_norm(OperatorMatrix(p, m.space, m.order, f"power{k}({m.provenance})"))
-    return SpectralEstimate(est.value ** (1.0 / k), "gelfand", m.order, est.residual)
+    n = m.order
+    scaled = _unit_scaled(m.entries)
+    if scaled is None:
+        return SpectralEstimate(0.0, "gelfand", n, 0.0)
+    a, e = scaled
+
+    def gram_power(x):
+        for _ in range(k):
+            x = a @ x
+        for _ in range(k):
+            x = _adjoint_apply(a, x)
+        return x
+
+    quick = _power_steps(gram_power, _seed_vector(n), _QUICK_STEPS, quick=True)
+    if quick is not None:
+        norm, resid = math.sqrt(quick[0]), quick[1]
+    else:
+        p = np.linalg.matrix_power(a, k)
+        est = operator_norm(OperatorMatrix(p, m.space, n, f"power{k}({m.provenance})"))
+        norm, resid = est.value, est.residual
+    return SpectralEstimate(_unscale(norm ** (1.0 / k), e), "gelfand", n, _unscale(resid, 2 * k * e))
 
 
 # ---------------------------------------------------------------------------

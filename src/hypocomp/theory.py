@@ -37,6 +37,7 @@ from .funcalg import (
     constant_fn,
     is_value_constant,
     kernel_function,
+    value_scale,
 )
 from .matrixrep import MAX_TRUNCATION, KernelImages, as_analytic, kernel_gram_forms, kernel_gram_norms
 from .moebius import (
@@ -236,17 +237,18 @@ def parabolic_kernel_inequality(psi, phi: MoebiusMap, space: SpaceSpec, grid=Non
     cls = classify(phi)
     if cls.kind is not MapKind.PARABOLIC_NONAUTOMORPHISM:
         raise HypothesisMismatchError("symbol is not a parabolic non-automorphism")
-    return _first_violation(as_analytic(psi), phi, space, cls.contact[0], grid)
+    psi_f = as_analytic(psi)
+    return _first_violation(psi_f, phi, space, cls.contact[0], grid, value_scale(psi_f))
 
 
 def _first_violation(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, zeta: complex,
-                     grid) -> InequalityViolation | None:
+                     grid, scale: float) -> InequalityViolation | None:
     """parabolic_kernel_inequality for a symbol already known to be a parabolic
-    non-automorphism fixing the unimodular zeta."""
+    non-automorphism fixing the unimodular zeta; scale is value_scale(psi_f)."""
     lhs = abs(psi_f(zeta))
     for w in (grid if grid is not None else default_inequality_grid()):
         rhs = kernel_ratio_value(psi_f, phi, space, w)
-        if rhs - lhs > 1e-12:
+        if rhs - lhs > 1e-12 * scale:
             return InequalityViolation(complex(w), lhs, rhs)
     return None
 
@@ -333,10 +335,6 @@ def normal_form(p: complex, delta: complex, value_at_p: complex, space: SpaceSpe
 # ---------------------------------------------------------------------------
 # Weighted classifier
 
-def _weight_scale(psi_f: AnalyticFunction) -> float:
-    return max(1.0, float(np.abs(psi_f(circle(0.6, 8))).max()))
-
-
 # Coefficient tolerance of classify_weighted's normal-form match.
 _NORMAL_FORM_MATCH_TOL = 1e-10
 
@@ -355,7 +353,7 @@ def classify_weighted(
     opts = options or WeightedOptions()
     psi_f = as_analytic(psi)
     constant = is_value_constant(psi_f)
-    if constant and abs(psi_f(0)) <= 1e-14:
+    if constant and value_scale(psi_f) == 0.0:
         raise ZeroSymbolError("weight is identically zero")
 
     if constant:
@@ -378,7 +376,8 @@ def classify_weighted(
 
     if cls.contact is not None:
         zeta, eta = cls.contact
-        vanishes = abs(psi_f(zeta)) <= 1e-12 * _weight_scale(psi_f)
+        scale = value_scale(psi_f)
+        vanishes = abs(psi_f(zeta)) <= 1e-12 * scale
         if not cls.fixes_contact:
             return HyponormalityVerdict(
                 Outcome.NOT_HYPONORMAL,
@@ -392,7 +391,7 @@ def classify_weighted(
                 details=f"psi({zeta:.12g}) = {psi_f(zeta):.3e}",
             )
         if cls.kind is MapKind.PARABOLIC_NONAUTOMORPHISM:
-            violation = _first_violation(psi_f, phi, space, zeta, opts.grid)
+            violation = _first_violation(psi_f, phi, space, zeta, opts.grid, scale)
             if violation is not None:
                 return HyponormalityVerdict(
                     Outcome.NOT_HYPONORMAL,
@@ -414,7 +413,8 @@ def classify_weighted(
                 details="strictly contracting symbol is not alpha_p (delta alpha_p)",
             )
         value = psi_f(p)
-        if abs(value) <= 1e-14:
+        scale = value_scale(psi_f)
+        if abs(value) <= 1e-14 * scale:
             return HyponormalityVerdict(
                 Outcome.NOT_HYPONORMAL,
                 CIT_COMPACT_NORMAL_FORM,
@@ -422,7 +422,7 @@ def classify_weighted(
             )
         z = circle(0.85, 20)
         ref = kernel_quotient_weight(p, value, phi, space)(z)
-        differs = np.abs(psi_f(z) - ref) > 1e-12 * (1.0 + np.abs(ref))
+        differs = np.abs(psi_f(z) - ref) > 1e-12 * (scale + np.abs(ref))
         if differs.any():
             return HyponormalityVerdict(
                 Outcome.NOT_HYPONORMAL,
@@ -742,9 +742,9 @@ class SpectralReport:
 
     def __post_init__(self):
         if self.r is not None and self.r_e is not None:
-            if self.r_e > self.r + 1e-10:
+            if self.r_e > self.r * (1.0 + 1e-10):
                 raise InvalidParameterError("essential spectral radius exceeds spectral radius")
-        if self.norm_upper is not None and self.norm_lower > self.norm_upper + 1e-10:
+        if self.norm_upper is not None and self.norm_lower > self.norm_upper * (1.0 + 1e-10):
             raise InvalidParameterError("norm lower bound exceeds upper bound")
 
 
@@ -784,7 +784,7 @@ def spectral_report(psi, phi: MoebiusMap, space: SpaceSpec) -> SpectralReport:
         nb = norm_bounds(psi_f, phi, space)
         upper = nb.upper
         citations["norm_upper"] = nb.citations[1] + " (assuming hyponormality)"
-        if lower > upper + 1e-12:
+        if lower > upper * (1.0 + 1e-12):
             citations["norm_upper"] = (
                 "dropped: unconditional lower bound exceeds the hyponormal upper bound, "
                 "so the operator cannot be hyponormal"

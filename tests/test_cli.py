@@ -1,15 +1,21 @@
 """End-to-end command-line behavior: parsing, formats, exit codes."""
 
+import contextlib
+import io
 import json
 import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hypocomp as hc
 from hypocomp import cli, moebius
 from hypocomp.errors import ConvergenceFailureError, NotAFixedPointError
+
+from conftest import DERANDOMIZED
 
 
 def run(capsys, *argv):
@@ -236,6 +242,93 @@ class TestSpectralCommand:
         assert code == 0
         assert mpath.read_text().splitlines()[0] == "n,j,re,im"
         assert epath.read_text().splitlines()[0] == "k,re,im"
+
+
+class TestNumericDiagnostics:
+    SMALL = ("--numeric", "--order", "64")
+
+    @pytest.mark.parametrize("psi,spec,forms", [
+        ("1,0.5/1,-0.4", "0.5,0,0,1", 0),
+        ("kernel-quotient:0.3,0.7", "normal-form:0.3,0.4", 0),
+        ("2,1", "1,0,0,1", 1),
+    ])
+    def test_gelfand_forms_the_power_only_when_steps_stall(self, capsys, monkeypatch, psi, spec, forms):
+        calls = []
+        real = np.linalg.matrix_power
+        monkeypatch.setattr(np.linalg, "matrix_power", lambda a, k: calls.append(k) or real(a, k))
+        code, _ = run_json(capsys, "spectral", "--psi", psi, "--map", spec, *self.SMALL)
+        assert code == 0
+        assert len(calls) == forms
+
+    @staticmethod
+    def _numbers(rep):
+        return [float(d.rsplit(" ", 1)[1]) for d in rep["diagnostics"]]
+
+    @pytest.mark.parametrize("scale", ["1e20", "1e-20", "1e300", "1e-300"])
+    def test_weight_scale_carries_through(self, capsys, scale):
+        _, base = run_json(capsys, "spectral", "--psi", "1", "--map", "0.5,0,0,1", *self.SMALL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, rep = run_json(capsys, "spectral", "--psi", scale, "--map", "0.5,0,0,1", *self.SMALL)
+        assert code == 0
+        want = [float(scale) * x for x in self._numbers(base)]
+        assert self._numbers(rep) == pytest.approx(want, rel=1e-10)
+
+
+def _poly(coeffs, c):
+    return ",".join(repr(c * x) for x in coeffs)
+
+
+# (map, weight for the scale c): c times a weight of each kind the maps meet.
+_SCALED_WEIGHTS = (
+    ("parabolic:1,1", lambda c: _poly((1, 0.5), c)),
+    ("parabolic:1,1", lambda c: _poly((0.5, -0.25), c)),
+    ("parabolic:1,1", lambda c: f"{_poly((1, 0.3), c)}/1,-0.4"),
+    ("parabolic:1,1", lambda c: _poly((1,), c)),
+    ("0.5,0,0,1", lambda c: _poly((1, 0.5), c)),
+    ("0.5,0,0,1", lambda c: _poly((1,), c)),
+    ("normal-form:0.3,0.4", lambda c: f"kernel-quotient:0.3,{c * 0.7!r}"),
+    ("normal-form:0.3,0.4", lambda c: _poly((1, 0.5), c)),
+    ("1,0,1,2", lambda c: _poly((1, 1), c)),
+    ("1,0,1,2", lambda c: _poly((2, 1), c)),
+    ("hyperbolic-nonauto:0.5", lambda c: _poly((1, 0.5), c)),
+    ("1,0.5,0.5,1", lambda c: _poly((2, 1), c)),
+    ("rotation:i", lambda c: _poly((2, 1), c)),
+    ("1,0,0,1", lambda c: _poly((2, 1), c)),
+)
+
+
+def _main_json(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([*argv, "--json"])
+    return code, json.loads(out.getvalue())
+
+
+def _decisions(spec, psi):
+    code, chk = _main_json("check", "--psi", psi, "--map", spec)
+    scode, spc = _main_json("spectral", "--psi", psi, "--map", spec)
+    return (code, chk["verdict"]["outcome"], chk["verdict"]["citation"],
+            scode, spc["spectral"]["citations"], spc["spectral"]["r_e"] is None)
+
+
+@DERANDOMIZED
+@given(case=st.sampled_from(_SCALED_WEIGHTS), j=st.integers(-80, 80))
+def test_weight_scale_changes_no_decision(case, j):
+    # Hyponormality of c C is that of C for every c != 0.
+    spec, weight = case
+    assert _decisions(spec, weight(2.0**j)) == _decisions(spec, weight(1.0))
+
+
+def test_tiny_weights_are_not_constant_or_zero(capsys):
+    _, rep = run_json(capsys, "check", "--psi", "1e-13,5e-14", "--map", "0.5,0,0,1")
+    assert rep["verdict"]["outcome"] == "NotHyponormal"
+    _, rep = run_json(capsys, "spectral", "--psi", "1e-13,5e-14", "--map", "parabolic:1,1")
+    assert rep["spectral"]["r_e"] is None
+    code, _ = run_json(capsys, "check", "--psi", "1e-20", "--map", "0.5,0,0,1")
+    assert code == 0
+    code, _ = run(capsys, "check", "--psi", "0", "--map", "0.5,0,0,1")
+    assert code == 2
 
 
 class TestConvergenceExit:

@@ -296,6 +296,56 @@ class TestSpectralEstimates:
         assert abs(hc.operator_norm(m).value - np.linalg.norm(a, 2)) < 1e-6
 
 
+def _gelfand_sections():
+    """(name, section, takes the quick path) at N=96: compact and contractive
+    sections certify by power steps with M, Toeplitz-like ones form M^k."""
+    h2, a0 = hc.hardy(), hc.bergman(0)
+    p = 0.3 + 0.1j
+    nf = hc.normal_form_map(p, 0.4)
+    cases = (
+        ("dilation", hc.rational_fn((2, 1), (1, -0.4)), hc.dilation(0.5), h2, True),
+        ("normal form", hc.kernel_quotient_weight(p, 0.7, nf, a0), nf, a0, True),
+        ("hyperbolic automorphism", hc.polynomial_fn(2, 1), hc.MoebiusMap(1, 0.5, 0.5, 1), h2, True),
+        ("multiplication", hc.polynomial_fn(2, 1), hc.MoebiusMap(1, 0, 0, 1), h2, False),
+        ("rotation", hc.polynomial_fn(2, 1), hc.rotation(1j), h2, False),
+        ("parabolic", hc.polynomial_fn(1, 0.5), hc.cayley_parabolic(1, 1), h2, False),
+    )
+    return [(name, hc.build_weighted_composition(psi, phi, space, 96), quick)
+            for name, psi, phi, space, quick in cases]
+
+
+class TestGelfandEstimate:
+    def test_matches_svd_oracle_on_both_paths(self, monkeypatch):
+        sections = _gelfand_sections()
+        oracle = [np.linalg.norm(np.linalg.matrix_power(m.entries, 8), 2) ** (1 / 8)
+                  for _name, m, _quick in sections]
+        calls = []
+        real = np.linalg.matrix_power
+        monkeypatch.setattr(np.linalg, "matrix_power", lambda a, k: calls.append(k) or real(a, k))
+        for (name, m, quick), want in zip(sections, oracle):
+            calls.clear()
+            est = hc.gelfand_estimate(m, 8)
+            assert calls == ([] if quick else [8]), name
+            assert est.value == pytest.approx(want, rel=1e-10, abs=0.0), name
+
+    def test_zero_and_nilpotent_sections(self, H2):
+        rng = np.random.default_rng(5)
+        strict = np.tril(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)), -1)
+        shift = hc.build_multiplication(hc.polynomial_fn(0, 1), H2, 16)
+        for m, k in ((hc.OperatorMatrix(np.zeros((5, 5), complex), H2, 5, "zero"), 3),
+                     (hc.OperatorMatrix(strict, H2, 6, "strictly lower"), 8),
+                     (shift, 16)):
+            assert hc.gelfand_estimate(m, k).value == 0.0
+
+    @pytest.mark.parametrize("j", [-200, -70, 70, 200])
+    def test_scale_equivariant(self, j):
+        for name, m, _quick in _gelfand_sections():
+            scaled = hc.OperatorMatrix(m.entries * 2.0**j, m.space, m.order, "scaled")
+            for routine in (hc.operator_norm, lambda x: hc.gelfand_estimate(x, 8)):
+                want = routine(m).value * 2.0**j
+                assert routine(scaled).value == pytest.approx(want, rel=1e-12, abs=0.0), name
+
+
 class TestAdjointKernelResidual:
     def test_diagonal_case(self, H2):
         m = hc.build_weighted_composition(1, hc.dilation(0.5), H2, 128)
