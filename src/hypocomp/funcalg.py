@@ -5,6 +5,10 @@ that are zero- and pole-free on the closed disk.  It is closed under products,
 reciprocals (of zero-free members), composition with a linear-fractional disk
 self-map, and pointwise evaluation, and it admits exact Maclaurin-coefficient
 recurrences, which is everything the operator constructions downstream need.
+A power factor that is a ratio of two linear polynomials, as every factor of
+a kernel image psi (K_w o phi) is, expands in closed form as a product of two
+binomial series.  Each factor passes the admissibility gate once, where it
+is made; products, scalings and reciprocals of admitted symbols reuse it.
 
 Every symbol type evaluates at a complex scalar (in Python complex arithmetic)
 or elementwise over a numpy array; circle(r, n) gives the sample points that
@@ -49,6 +53,9 @@ _CUT_GUARD = 1e-8
 _CONSTANT_TOL = 1e-12
 _BOUNDARY_SUP_SAMPLES = 2048
 _TAIL_SAFETY = 1.1
+# How far the two binomial series of a linear power factor may cancel
+# (||B1||_2 ||B2||_1 / ||B1 * B2||_2) before its recurrence is used instead.
+_CANCELLATION_LIMIT = 64.0
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +129,15 @@ class Polynomial:
             return np.array([], dtype=complex)
         # coefficient / leading coefficient overflows past the double range
         with np.errstate(over="ignore", invalid="ignore"):
+            if self.degree == 1:
+                # np.roots' 1 x 1 companion matrix holds this quotient, and its
+                # eigenvalue is the same root bit for bit where 1e-138 < |root| <
+                # 1e138 (outside, LAPACK rescales; 1 ulp, far from the circle).
+                c0, c1 = self.coefficients
+                root = -np.array([c0]) / c1 if c0 != 0 else np.zeros(1, dtype=complex)
+                if not np.isfinite(root[0]):
+                    raise IndeterminateError("coefficient ratios overflow; roots not computable")
+                return root
             try:
                 return np.roots(list(reversed(self.coefficients)))
             except np.linalg.LinAlgError:
@@ -287,14 +303,16 @@ class AnalyticFunction:
     Construction rejects a base with a pole in the closed disk
     (PoleEncounteredError, or IndeterminateError for one too close to the
     circle to place) and inadmissible power factors (BranchViolationError).
+    Each factor is admitted once, where it is made: products and scalings
+    of admitted symbols are admitted, so they skip the gates, and a
+    reciprocal tests only its new base denominator.
     """
 
     base: RationalFunction
     factors: tuple[tuple[RationalFunction, float], ...] = ()
 
     def __post_init__(self):
-        if not self.base.den.is_constant() and not _poly_zero_free(self.base.den):
-            raise PoleEncounteredError("denominator has a zero in the closed unit disk")
+        _require_base_pole_free(self.base)
         for r, _gamma in self.factors:
             _factor_admissible(r)
 
@@ -305,16 +323,15 @@ class AnalyticFunction:
         return out
 
     def __mul__(self, other: "AnalyticFunction") -> "AnalyticFunction":
-        return AnalyticFunction(self.base * other.base, self.factors + other.factors)
+        return _admitted(self.base * other.base, self.factors + other.factors)
 
     def scale(self, lam: complex) -> "AnalyticFunction":
-        return AnalyticFunction(self.base.scale(lam), self.factors)
+        return _admitted(self.base.scale(lam), self.factors)
 
     def reciprocal(self) -> "AnalyticFunction":
-        return AnalyticFunction(
-            self.base.reciprocal(),
-            tuple((r, -gamma) for r, gamma in self.factors),
-        )
+        base = self.base.reciprocal()
+        _require_base_pole_free(base)
+        return _admitted(base, tuple((r, -gamma) for r, gamma in self.factors))
 
     def is_structurally_polynomial(self) -> bool:
         return self.base.den.is_constant() and not self.factors
@@ -322,6 +339,20 @@ class AnalyticFunction:
     def polynomial_degree(self) -> int | None:
         """Degree if the function is literally a polynomial, else None."""
         return self.base.num.degree if self.is_structurally_polynomial() else None
+
+
+def _require_base_pole_free(base: RationalFunction) -> None:
+    if not base.den.is_constant() and not _poly_zero_free(base.den):
+        raise PoleEncounteredError("denominator has a zero in the closed unit disk")
+
+
+def _admitted(base: RationalFunction, factors) -> AnalyticFunction:
+    # An AnalyticFunction whose base and factors passed the gates already:
+    # built without __post_init__.
+    f = object.__new__(AnalyticFunction)
+    object.__setattr__(f, "base", base)
+    object.__setattr__(f, "factors", factors)
+    return f
 
 
 def constant_fn(value: complex) -> AnalyticFunction:
@@ -337,9 +368,17 @@ def rational_fn(num_coeffs, den_coeffs) -> AnalyticFunction:
 
 
 def kernel_function(w: complex, gamma: float) -> AnalyticFunction:
-    """(1 - conj(w) z)^(-gamma), the evaluation kernel at w for exponent gamma."""
+    """(1 - conj(w) z)^(-gamma), the evaluation kernel at w for exponent gamma.
+
+    Its factor is admitted by the zero test alone: for |w| < 1 it is 1 at the
+    origin and stays in the sector |arg| <= asin|w| on the disk, so the rest
+    of _factor_admissible could not refuse it.
+    """
     w = require_in_disk(w, "kernel point")
-    return AnalyticFunction(rational((1,)), ((rational((1, -w.conjugate())), -float(gamma)),))
+    factor = rational((1, -w.conjugate()))
+    if not _poly_zero_free(factor.num):
+        raise BranchViolationError("factor has a zero in the closed unit disk")
+    return _admitted(rational((1,)), ((factor, -float(gamma)),))
 
 
 def evaluate(f: AnalyticFunction, z: complex) -> complex:
@@ -431,7 +470,8 @@ def expand_rational(f: RationalFunction, n: int) -> TaylorSeries:
     """Maclaurin coefficients of num/den by the standard linear recurrence.
 
     den(0) c_n = num_n - sum_{k>=1} den_k c_{n-k}; exact in exact arithmetic.
-    The denominator must be zero-free on the closed unit disk for the series
+    A denominator of degree 0 or 1 takes its closed form instead: num/d0, or
+    num times the geometric series of 1/den.  The denominator must be zero-free on the closed unit disk for the series
     to converge there; violations raise PoleEncounteredError.
     """
     _check_order(n)
@@ -441,15 +481,22 @@ def expand_rational(f: RationalFunction, n: int) -> TaylorSeries:
 
 
 def _rational_series(f: RationalFunction, n: int) -> TaylorSeries:
-    # The recurrence of expand_rational, for a base or power factor of an
+    # The series of expand_rational, for a base or power factor of an
     # AnalyticFunction, whose construction already tested its denominator.
     num = np.zeros(n, dtype=complex)
     m = min(n, f.num.degree + 1)
     num[:m] = f.num.coefficients[:m]
     den = np.asarray(f.den.coefficients, dtype=complex)
     d0 = den[0]
-    c = np.zeros(n, dtype=complex)
     dd = len(den) - 1
+    if dd == 0:
+        return TaylorSeries(num / d0, n)
+    c = np.zeros(n, dtype=complex)
+    if dd == 1:
+        # 1/den = (1 + (d1/d0) z)^-1 / d0.
+        series = np.convolve(num[:m], _binomial_series(den[1] / d0, -1.0, n))[:n]
+        c[: series.size] = series / d0
+        return TaylorSeries(c, n)
     for k in range(n):
         acc = num[k]
         j = min(k, dd)
@@ -487,12 +534,53 @@ def series_pow_real(f: TaylorSeries, gamma: float) -> TaylorSeries:
     return TaylorSeries(w, n)
 
 
+def _binomial_series(a: complex, gamma: float, n: int) -> np.ndarray:
+    """binom(gamma, k) a^k for k < n, the series of (1 + a z)^gamma, from one
+    cumulative product; trailing zeros (gamma a nonnegative integer) dropped."""
+    k = np.arange(1.0, n)
+    steps = np.concatenate(([1.0 + 0j], (gamma - k + 1.0) / k * a))
+    return np.trim_zeros(np.cumprod(steps), "b")
+
+
+def _linear_power_series(r: RationalFunction, gamma: float, n: int) -> TaylorSeries | None:
+    """r^gamma for r = (p1 + q1 z)/(p2 + q2 z) in closed form: r(0)^gamma
+    times the truncated Cauchy product B1 * B2 of the binomial series
+    B1 = (1 + (q1/p1) z)^gamma and B2 = (1 + (q2/p2) z)^-gamma.
+
+    None when r is not of that shape, or when the product cancels: its
+    rounding error is about eps ||B1||_2 ||B2||_1 (Young's inequality bounds
+    the product of |B1| and |B2| by that), so past _CANCELLATION_LIMIT
+    times ||B1 * B2||_2, or on overflow (large gamma), the recurrence serves.
+    """
+    if r.num.degree > 1 or r.den.degree > 1:
+        return None
+    (p1, *q1), (p2, *q2) = r.num.coefficients, r.den.coefficients
+    with np.errstate(over="ignore", invalid="ignore"):
+        b1 = _binomial_series(q1[0] / p1 if q1 else 0j, gamma, n)
+        b2 = _binomial_series(q2[0] / p2 if q2 else 0j, -gamma, n)
+        series = np.convolve(b1, b2)[:n]
+        size = np.linalg.norm(series)
+        if not (np.isfinite(size) and np.linalg.norm(b1) * np.abs(b2).sum() <= _CANCELLATION_LIMIT * size):
+            return None
+    coeffs = np.zeros(n, dtype=complex)
+    coeffs[: series.size] = series * complex(np.complex128(p1) / p2) ** float(gamma)
+    return TaylorSeries(coeffs, n)
+
+
 def expand_analytic(f: AnalyticFunction, n: int) -> TaylorSeries:
-    """Truncated series of base * prod r_i^gamma_i."""
+    """Truncated series of base * prod r_i^gamma_i.
+
+    A factor whose numerator and denominator have degree <= 1, as every
+    factor of a kernel image psi (K_w o phi) does, gets its binomial series
+    in closed form (_linear_power_series); any other factor the recurrence
+    of series_pow_real on its rational series.
+    """
     _check_order(n)
     out = _rational_series(f.base, n)
     for r, gamma in f.factors:
-        part = series_pow_real(_rational_series(r, n), gamma)
+        part = _linear_power_series(r, gamma, n)
+        if part is None:
+            part = series_pow_real(_rational_series(r, n), gamma)
         out = series_mul(out, part)
     return out
 
@@ -502,8 +590,9 @@ def series_tail_bound(f: AnalyticFunction, n: int) -> float:
 
     For every radius 1 < r < R (R the nearest singularity), |c_k| <= M(r)/r^k,
     so the l2 tail is at most M(r) r^{-n} / sqrt(1 - r^{-2}); the bound is
-    minimized over a short ladder of radii.  Weighted-space tails are no
-    larger because the basis weights beta(k) never exceed 1.
+    minimized over a short ladder of seven radii, whose 512-point circles f
+    is evaluated on as one array.  Weighted-space tails are no larger
+    because the basis weights beta(k) never exceed 1.
     """
     deg = f.polynomial_degree()
     if deg is not None and deg < n:
@@ -511,10 +600,9 @@ def series_tail_bound(f: AnalyticFunction, n: int) -> float:
     radius = min(min_singularity_radius(f), 9.0)
     if radius <= 1.0 + 1e-9:
         return math.inf
+    radii = [1.0 + (radius - 1.0) * j / 8.0 for j in range(1, 8)]
+    maxima = np.abs(f(np.array(radii)[:, None] * circle(1.0, 512))).max(axis=1)
     best = math.inf
-    for j in range(1, 8):
-        r = 1.0 + (radius - 1.0) * j / 8.0
-        m = float(np.abs(f(circle(r, 512))).max())
-        bound = _TAIL_SAFETY * m * r ** (-n) / math.sqrt(1.0 - r ** (-2))
-        best = min(best, bound)
+    for r, m in zip(radii, maxima):
+        best = min(best, _TAIL_SAFETY * float(m) * r ** (-n) / math.sqrt(1.0 - r ** (-2)))
     return best

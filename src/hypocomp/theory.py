@@ -114,7 +114,9 @@ class CertificateWitness:
 
     @property
     def is_conclusive(self) -> bool:
-        return self.margin > 10.0 * (self.tail_bound + 1e-12)
+        """margin > 10 (tail_bound + 1e-12 adjoint_norm): the rounding floor
+        scales with the norms, so c psi certifies exactly when psi does."""
+        return self.margin > 10.0 * (self.tail_bound + 1e-12 * self.adjoint_norm)
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,13 @@ class TestExpandRational:
         oracle = fft_coefficients(r, 24, radius=0.8)
         assert np.allclose(ts.coefficients, oracle, atol=1e-10)
 
+    @pytest.mark.parametrize("num, den", [((2, -1, 0.5), (4, 1.5)), ((1,), (1, -0.99)), ((0.5, 3), (-2, 1))])
+    def test_linear_denominator_matches_long_division(self, num, den):
+        # A degree-1 denominator takes the closed-form geometric series.
+        oracle = np.array([float(c) for c in long_division_oracle(num, den, 200)])
+        ts = hc.expand_rational(hc.rational(num, den), 200)
+        assert np.allclose(ts.coefficients, oracle, rtol=1e-13, atol=0)
+
     def test_pole_at_origin(self):
         with pytest.raises(PoleAtOriginError):
             hc.rational((1,), (0, 1))
@@ -232,6 +239,91 @@ class TestExpandAnalytic:
         ts = hc.expand_analytic(f, 20)
         oracle = fft_coefficients(f, 20, radius=0.8)
         assert np.allclose(ts.coefficients, oracle, atol=1e-10)
+
+
+def linear_power_oracle(r, gamma, n):
+    """The first n coefficients of r^gamma, r = (p1 + q1 z)/(p2 + q2 z), at 40 digits.
+
+    Not from the binomial series: f = r^gamma solves A f' = K f with
+    A = (p1 + q1 z)(p2 + q2 z) and K = gamma (q1 p2 - q2 p1), so
+    A0 (k+1) f_{k+1} = (K - A1 k) f_k - A2 (k-1) f_{k-1}, from f_0 = r(0)^gamma.
+    """
+    with mpmath.workdps(40):
+        p1, q1 = (mpmath.mpc(x) for x in (r.num.coefficients + (0j,))[:2])
+        p2, q2 = (mpmath.mpc(x) for x in (r.den.coefficients + (0j,))[:2])
+        g = mpmath.mpf(gamma)
+        a0, a1, a2 = p1 * p2, p1 * q2 + q1 * p2, q1 * q2
+        k_ = g * (q1 * p2 - q2 * p1)
+        f, prev = [mpmath.power(p1 / p2, g)], mpmath.mpc(0)
+        for k in range(n - 1):
+            f.append(((k_ - a1 * k) * f[k] - a2 * (k - 1) * prev) / (a0 * (k + 1)))
+            prev = f[k]
+        return np.array([complex(x) for x in f])
+
+
+@st.composite
+def kernel_image_factors(draw):
+    """(K_w o phi, gamma): |w| <= 0.95, phi a hyperbolic automorphism
+    (z + t u*)/(1 + t u z) or a dilation, gamma one of the spaces' exponents."""
+    w = draw(st.floats(0.0, 0.95)) * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+    gamma = draw(st.sampled_from((1.0, 2.0, 2.7, 3.0)))
+    u = cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+    if draw(st.booleans()):
+        t = draw(st.floats(0.05, 0.95))
+        phi = hc.MoebiusMap(1, t * u.conjugate(), t * u, 1)
+    else:
+        phi = hc.dilation(draw(st.floats(0.05, 1.0)) * u)
+    return hc.compose_with_moebius(hc.kernel_function(w, gamma), phi)
+
+
+class TestLinearPowerFactors:
+    @DERANDOMIZED
+    @given(kernel_image_factors(), st.sampled_from((1, 2, 128, 1024)))
+    def test_matches_mpmath_oracle(self, f, n):
+        (r, gamma), = f.factors
+        oracle = linear_power_oracle(r, gamma, n)
+        coeffs = hc.expand_analytic(f, n).coefficients
+        assert np.linalg.norm(coeffs - oracle) <= 1e-13 * np.linalg.norm(oracle)
+
+    def test_kernel_image_skips_the_recurrence(self, monkeypatch):
+        f = hc.polynomial_fn(2, 1) * hc.compose_with_moebius(
+            hc.kernel_function(0.3 + 0.4j, 2.7), hc.MoebiusMap(1, 0.5, 0.5, 1))
+
+        def refuse(*args):
+            raise AssertionError("recurrence run on a linear power factor")
+
+        monkeypatch.setattr(funcalg, "series_pow_real", refuse)
+        oracle = np.convolve([2, 1], linear_power_oracle(f.factors[0][0], -2.7, 256))[:256]
+        assert np.linalg.norm(hc.expand_analytic(f, 256).coefficients - oracle) <= 1e-13 * np.linalg.norm(oracle)
+
+    def test_cancelling_binomials_keep_the_recurrence(self):
+        # (1 + 0.5z)^3000 and (1 + 0.49z)^-3000 reach 1e115 and cancel to
+        # coefficients below 1e8: the closed form would keep no digit.
+        r = hc.rational((1, 0.5), (1, 0.49))
+        f = hc.AnalyticFunction(hc.rational((1,)), ((r, 3000.0),))
+        coeffs = hc.expand_analytic(f, 64).coefficients
+        oracle = linear_power_oracle(r, 3000.0, 64)
+        assert np.linalg.norm(coeffs - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0])
+    def test_integer_exponent_is_a_polynomial(self, gamma):
+        # (2 - 0.5z)^gamma: a finite binomial sum, zero past degree gamma.
+        f = hc.AnalyticFunction(hc.rational((1,)), ((hc.rational((2, -0.5)), gamma),))
+        coeffs = hc.expand_analytic(f, 8).coefficients
+        exact = [math.comb(int(gamma), k) * 2 ** (gamma - k) * (-0.5) ** k for k in range(8)]
+        assert np.array_equal(coeffs, np.array(exact, dtype=complex))
+
+    # Moduli 1e-60 .. 1e61: the quotient stays inside the range where LAPACK
+    # leaves the 1 x 1 companion matrix of np.roots unscaled.
+    @DERANDOMIZED
+    @given(*[st.tuples(st.floats(1.0, 10.0), st.integers(-60, 60), st.floats(0.0, 2.0 * math.pi))] * 2)
+    @example((0.0, 0, 0.0), (3.0, 0, 1.0))
+    @example((2.0, 0, 0.0), (1.0, -1, math.pi))
+    def test_degree_one_roots_match_np_roots(self, c0, c1):
+        a, b = (m * 10.0**e * cmath.exp(1j * theta) for m, e, theta in (c0, c1))
+        roots = hc.poly(a, b).roots()
+        assert roots.dtype == complex
+        assert roots.tobytes() == np.roots([b, a]).astype(complex).tobytes()
 
 
 # Root moduli within 1e-2 .. 1e-12 (relative) of the test radius, either side.
@@ -421,6 +513,49 @@ class TestBranchCut:
             assert abs(np.polyval(coeffs[::-1], z) - f(z)) <= 1e-10 * max(1.0, majorant)
 
 
+class TestAdmission:
+    @pytest.fixture
+    def gate_runs(self, monkeypatch):
+        runs = []
+        gate = funcalg._factor_admissible
+
+        def counted(r):
+            runs.append(r)
+            return gate(r)
+
+        monkeypatch.setattr(funcalg, "_factor_admissible", counted)
+        return runs
+
+    def test_kernel_image_admits_its_factor_once(self, gate_runs):
+        g = hc.polynomial_fn(2, 1) * hc.compose_with_moebius(hc.kernel_function(0.3, 2.0), hc.rotation(1j))
+        assert len(gate_runs) == 1
+        assert gate_runs[0] is g.factors[0][0]
+        # The same symbol as one built through every gate.
+        assert hc.AnalyticFunction(g.base, g.factors) == g
+
+    def test_products_scalings_and_reciprocals_skip_the_factor_gate(self, gate_runs):
+        f = hc.rational_fn((1, 0.3), (2, -0.5)) * hc.kernel_function(0.35, 1.5)
+        g = hc.AnalyticFunction(hc.rational((1,)), ((hc.rational((3, 1j)), 0.5),))
+        runs = len(gate_runs)
+        built = [f * g, f.scale(-2j), f.reciprocal(), (f * g).reciprocal()]
+        assert len(gate_runs) == runs
+        for h in built:
+            assert hc.AnalyticFunction(h.base, h.factors) == h
+
+    @pytest.mark.parametrize("coeffs", [(1, -2), (1, -1), (2, 0, -3)], ids=["inside", "on", "two"])
+    def test_reciprocal_of_a_weight_with_a_zero_still_raises(self, coeffs):
+        f = hc.polynomial_fn(*coeffs) * hc.kernel_function(0.5, 1.0)
+        with pytest.raises(PoleEncounteredError):
+            f.reciprocal()
+
+    def test_kernel_near_the_circle_is_refused_as_before(self):
+        # |w| above 1 / (1 + 1e-6) puts the zero 1/conj(w) inside the test circle.
+        with pytest.raises(BranchViolationError):
+            hc.kernel_function(0.9999999, 1.0)
+        with pytest.raises(IndeterminateError):
+            hc.kernel_function(1 / (1 + 1e-6), 1.0)
+
+
 class TestEvaluate:
     def test_worked_symbols(self, psi_one, psi_two):
         assert abs(hc.evaluate(psi_one, 1) - 0.25) < 1e-15
@@ -455,6 +590,18 @@ class TestTailBound:
         actual = math.sqrt(sum(0.6 ** (2 * k) for k in range(n, 4000)))
         assert actual <= bound
         assert bound < 1e-8
+
+    def test_one_array_matches_circle_by_circle(self):
+        f = hc.polynomial_fn(2, 1) * hc.compose_with_moebius(
+            hc.kernel_function(0.7 + 0.2j, 2.7), hc.MoebiusMap(1, 0.5, 0.5, 1))
+        radius = min(min_singularity_radius(f), 9.0)
+        radii = [1.0 + (radius - 1.0) * j / 8.0 for j in range(1, 8)]
+        for n in (16, 128, 1024):
+            per_circle = [
+                1.1 * float(np.abs(f(funcalg.circle(r, 512))).max()) * r ** (-n) / math.sqrt(1.0 - r ** (-2))
+                for r in radii
+            ]
+            assert series_tail_bound(f, n) == min(per_circle)
 
     def test_singularity_radius(self):
         f = hc.kernel_function(0.5, 2.0) * hc.rational_fn((1,), (1, 1 / 3))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hypocomp as hc
 import hypocomp.theory as theory
@@ -23,7 +25,7 @@ from hypocomp.theory import (
     kernel_ratio_value,
 )
 
-from conftest import hausdorff_distance, random_self_maps
+from conftest import DERANDOMIZED, hausdorff_distance, random_self_maps
 
 
 class TestClassifyUnweighted:
@@ -214,6 +216,35 @@ class TestClassifyWeighted:
         assert v.outcome in (Outcome.CERTIFIED_NOT_NUMERIC, Outcome.CANDIDATE_NOT_EXCLUDED)
         if v.outcome is Outcome.CERTIFIED_NOT_NUMERIC:
             assert v.witness.is_conclusive
+
+
+ESCALATE_CASES = [
+    (hc.polynomial_fn(2, 1), hc.rotation(1j), hc.hardy()),
+    (hc.polynomial_fn(2, 1), hc.MoebiusMap(1, 0.5, 0.5, 1), hc.hardy()),
+    (hc.rational_fn((2,), (1, 0.2)), hc.hyperbolic_nonauto_form(0.5), hc.bergman(0)),
+]
+
+
+def escalated(psi, phi, space):
+    opts = WeightedOptions(escalate_numeric=True, budget_seconds=600, order=128)
+    return hc.classify_weighted(psi, phi, space, opts)
+
+
+@pytest.fixture(scope="module")
+def escalate_references():
+    return [escalated(*case) for case in ESCALATE_CASES]
+
+
+class TestScaleFreeCertificate:
+    @DERANDOMIZED
+    @given(j=st.integers(-80, 80))
+    def test_power_of_two_multiples_certify_alike(self, escalate_references, j):
+        # c = 2^j scales every norm of the search exactly, so c psi must end
+        # where psi does: same outcome, same witness points and order.
+        for (psi, phi, space), reference in zip(ESCALATE_CASES, escalate_references):
+            v = escalated(psi.scale(2.0**j), phi, space)
+            assert v.outcome is reference.outcome is Outcome.CERTIFIED_NOT_NUMERIC
+            assert (v.witness.points, v.witness.order) == (reference.witness.points, reference.witness.order)
 
 
 class TestSpectralRadius:
