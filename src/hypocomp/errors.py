@@ -42,7 +42,8 @@ class BranchViolationError(HypocompError):
 
 
 class IndeterminateError(HypocompError):
-    """A root sits too close to the test circle |z| = 1 + 1e-6 to place it on either side."""
+    """Too close to a boundary to decide: a root near the zero test's circle |z| = 1 + 1e-6,
+    or a power factor whose image disk lies within the gate's band of the branch cut."""
 
 
 class PoleEncounteredError(HypocompError):

@@ -1,21 +1,20 @@
 """Analytic-function arithmetic on the closed unit disk.
 
-The symbol class is: rational function times real powers of rational factors
-that are zero- and pole-free on the closed disk.  It is closed under products,
-reciprocals (of zero-free members), composition with a linear-fractional disk
-self-map, and pointwise evaluation, and it admits exact Maclaurin-coefficient
-recurrences, which is everything the operator constructions downstream need.
-A power factor that is a ratio of two linear polynomials, as every factor of
-a kernel image psi (K_w o phi) is, expands in closed form as a product of two
-binomial series.  Each factor passes the admissibility gate once, where it
-is made; products, scalings and reciprocals of admitted symbols reuse it.
+The symbol class is: rational function times real powers of linear-fractional
+factors (p + q z)/(s + t z), as every weight built from kernels K_w o phi is;
+a zero- and pole-free rational factor splits into such factors as
+r(0)^gamma prod (1 - z/rho_i)^gamma prod (1 - z/sigma_j)^-gamma.  The class is
+closed under products, reciprocals (of zero-free members), composition with a
+linear-fractional disk self-map, and pointwise evaluation, and each factor
+expands in closed form as a product of two binomial series.
 
 Every symbol type evaluates at a complex scalar (in Python complex arithmetic)
 or elementwise over a numpy array; circle(r, n) gives the sample points that
 the sup estimates, constancy tests and tail bounds evaluate on.
 
 Principal branch everywhere: each power factor must map the closed disk off
-the cut (-inf, 0]; inputs violating that are rejected, never rebranched.
+the cut (-inf, 0], which one exact test on its image disk decides; inputs
+violating that are rejected, never rebranched.
 
 Everything here is immutable and side-effect free.
 """
@@ -36,7 +35,7 @@ from .errors import (
     PoleEncounteredError,
     ZeroConstantTermError,
 )
-from .moebius import MoebiusMap, require_in_disk, require_pole_free
+from .moebius import MoebiusMap, disk_image, require_in_disk, require_pole_free
 
 MAX_DEGREE = 64
 MAX_ORDER = 4096
@@ -45,9 +44,8 @@ MAX_ORDER = 4096
 _ZERO_TEST_RADIUS = 1.0 + 1e-6
 _ZERO_TEST_GUARD = 1e-8
 _ZERO_TEST_SAMPLES = 8192
-# _crosses_cut's band about |z| = 1 and its refusal guard (relative to |r|).
-_CUT_BAND = 1e-6
-_CUT_GUARD = 1e-8
+# The power-factor gate's band, relative to max |r| on the closed disk.
+_GATE_BAND = 1e-8
 # Relative tolerance of is_value_constant, samples of boundary_sup, and the
 # factor by which series_tail_bound inflates its sampled circle maxima.
 _CONSTANT_TOL = 1e-12
@@ -245,52 +243,42 @@ def _poly_zero_free(p: Polynomial) -> bool:
     return bool(np.all(mods > _ZERO_TEST_RADIUS))
 
 
-def _crosses_cut(r: RationalFunction) -> bool:
-    """Whether r, zero- and pole-free on the closed disk, maps a point of the circle
-    (so of the disk) into the cut (-inf, 0].  No if arg r provably stays off it: on
-    the disk |p - p(0)| <= rho |p(0)|, rho = sum_{k>=1} |p_k| / |p_0|.  Else r = N/D
-    is real on |z| = 1 exactly at the roots of S = z^m N D* - z^k N* D (m, k the
-    degrees of N, D; p* is p with coefficients conjugated and reversed): r < 0 at
-    a root of S near the circle, projected onto it, with Im r of opposite signs at
-    angles +-h about it proves a crossing.  IndeterminateError where none is
-    proved but r comes within _CUT_GUARD |r| of the cut."""
-    rhos = [sum(map(abs, p.coefficients[1:])) / abs(p.coefficients[0]) for p in (r.num, r.den)]
-    if max(rhos) < 1.0 and abs(cmath.phase(r(0))) + sum(map(math.asin, rhos)) < math.pi - 1e-9:
-        return False
-    num, den = (np.asarray(p.coefficients) / max(map(abs, p.coefficients)) for p in (r.num, r.den))
-    m, k = num.size - 1, den.size - 1
-    s = np.zeros(m + k + abs(m - k) + 1, dtype=complex)   # S / z^min(m, k)
-    s[max(m - k, 0):][: m + k + 1] += np.convolve(num, den[::-1].conj())
-    s[max(k - m, 0):][: m + k + 1] -= np.convolve(num[::-1].conj(), den)
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            roots = np.roots(s[::-1])
-        except np.linalg.LinAlgError:
-            raise IndeterminateError("coefficient ratios overflow; roots not computable") from None
-    for rho in roots[np.abs(np.abs(roots) - 1.0) <= _CUT_BAND]:
-        h = _CUT_BAND + 4.0 * abs(abs(rho) - 1.0)
-        v = r(np.exp(1j * (np.angle(rho) + np.array([-h, 0.0, h]))))
-        near = np.abs(v.imag) <= _CUT_GUARD * np.abs(v)
-        if np.all(v.real < 0.0) and v[0].imag * v[2].imag < 0.0 and not (near[0] or near[2]):
-            return True
-        if np.any(near & (v.real <= 0.0)):
-            raise IndeterminateError(f"factor passes too close to the branch cut near z = {rho / abs(rho):.6g}")
-    return False
+def _unit_coefficients(p: Polynomial) -> tuple[complex, complex]:
+    """(c0, c1) of p times the power of two that brings its largest real or
+    imaginary part into [1/2, 1): the same pair for p and 2^j p."""
+    c0, c1 = (p.coefficients + (0j,))[:2]
+    e = -math.frexp(max(abs(c0.real), abs(c0.imag), abs(c1.real), abs(c1.imag)))[1]
+    return (complex(math.ldexp(c0.real, e), math.ldexp(c0.imag, e)),
+            complex(math.ldexp(c1.real, e), math.ldexp(c1.imag, e)))
 
 
 def _factor_admissible(r: RationalFunction) -> None:
-    # Zero- and pole-free on the closed disk; neither 0 nor |z| = 1 mapped into the cut.
-    if not _poly_zero_free(r.num):
+    """Admit r = (p + q z)/(s + t z) as a power factor, or raise.
+
+    r is pole-free on the closed disk iff |t| < |s|, and then maps it onto
+    the disk |w - C| <= R of disk_image: zero-free iff |C| > R, and off the
+    cut (-inf, 0] iff dist(C, cut) > R, that distance being |C| if Re C >= 0
+    and |Im C| otherwise.  Scaling num and den by powers of two first scales
+    C and R alike, so 2^j r decides as r does.  IndeterminateError inside
+    1e-8 (|C| + R) plus a rounding bound; outside it the decision is exact.
+    """
+    if r.num.is_zero():
         raise BranchViolationError("factor has a zero in the closed unit disk")
-    if not _poly_zero_free(r.den):
+    (p, q), (s, t) = _unit_coefficients(r.num), _unit_coefficients(r.den)
+    if not abs(t) < abs(s):
         raise BranchViolationError("factor has a pole in the closed unit disk")
-    v0 = r(0)
-    if v0.real <= 0.0 and abs(v0.imag) <= 1e-12 * (1.0 + abs(v0)):
-        raise BranchViolationError(
-            f"factor value at the origin ({v0:.6g}) lies on the branch cut (-inf, 0]"
-        )
-    if _crosses_cut(r):
-        raise BranchViolationError("factor maps a point of the unit circle into the branch cut (-inf, 0]")
+    centre, radius = disk_image(q, p, t, s)
+    dist = abs(centre) if centre.real >= 0.0 else abs(centre.imag)
+    # C and R share the divisor |s|^2 - |t|^2, and their numerators round by
+    # less than 4 eps (|p| + |q|)(|s| + |t|), eps = 2^-52.
+    size = (abs(p) + abs(q)) * (abs(s) + abs(t)) / (abs(s) ** 2 - abs(t) ** 2)
+    if abs(dist - radius) <= _GATE_BAND * (abs(centre) + radius) + 4.0 * 2.0**-52 * size:
+        margin = (dist - radius) / (abs(centre) + radius)
+        raise IndeterminateError(f"factor's image disk is {margin:.3g} of its size off the cut: too close to decide")
+    if abs(centre) < radius:
+        raise BranchViolationError("factor has a zero in the closed unit disk")
+    if dist < radius:
+        raise BranchViolationError("factor maps a point of the closed disk into the branch cut (-inf, 0]")
 
 
 # ---------------------------------------------------------------------------
@@ -300,20 +288,23 @@ def _factor_admissible(r: RationalFunction) -> None:
 class AnalyticFunction:
     """base(z) * prod_i r_i(z)^gamma_i, analytic on the closed disk.
 
-    Construction rejects a base with a pole in the closed disk
-    (PoleEncounteredError, or IndeterminateError for one too close to the
-    circle to place) and inadmissible power factors (BranchViolationError).
-    Each factor is admitted once, where it is made: products and scalings
-    of admitted symbols are admitted, so they skip the gates, and a
-    reciprocal tests only its new base denominator.
+    Every construction, products, scalings and reciprocals included, rejects
+    a base with a pole in the closed disk (PoleEncounteredError, or
+    IndeterminateError for one too close to the circle to place), a power
+    factor that is not linear-fractional (InvalidParameterError), and one
+    that _factor_admissible refuses (BranchViolationError or IndeterminateError).
     """
 
     base: RationalFunction
     factors: tuple[tuple[RationalFunction, float], ...] = ()
 
     def __post_init__(self):
-        _require_base_pole_free(self.base)
+        if not self.base.den.is_constant() and not _poly_zero_free(self.base.den):
+            raise PoleEncounteredError("denominator has a zero in the closed unit disk")
         for r, _gamma in self.factors:
+            if r.num.degree > 1 or r.den.degree > 1:
+                raise InvalidParameterError("a power factor must be (p + q z)/(s + t z): write r^gamma as "
+                                            "r(0)^gamma prod (1 - z/zero)^gamma prod (1 - z/pole)^-gamma")
             _factor_admissible(r)
 
     def __call__(self, z):
@@ -323,36 +314,17 @@ class AnalyticFunction:
         return out
 
     def __mul__(self, other: "AnalyticFunction") -> "AnalyticFunction":
-        return _admitted(self.base * other.base, self.factors + other.factors)
+        return AnalyticFunction(self.base * other.base, self.factors + other.factors)
 
     def scale(self, lam: complex) -> "AnalyticFunction":
-        return _admitted(self.base.scale(lam), self.factors)
+        return AnalyticFunction(self.base.scale(lam), self.factors)
 
     def reciprocal(self) -> "AnalyticFunction":
-        base = self.base.reciprocal()
-        _require_base_pole_free(base)
-        return _admitted(base, tuple((r, -gamma) for r, gamma in self.factors))
-
-    def is_structurally_polynomial(self) -> bool:
-        return self.base.den.is_constant() and not self.factors
+        return AnalyticFunction(self.base.reciprocal(), tuple((r, -gamma) for r, gamma in self.factors))
 
     def polynomial_degree(self) -> int | None:
         """Degree if the function is literally a polynomial, else None."""
-        return self.base.num.degree if self.is_structurally_polynomial() else None
-
-
-def _require_base_pole_free(base: RationalFunction) -> None:
-    if not base.den.is_constant() and not _poly_zero_free(base.den):
-        raise PoleEncounteredError("denominator has a zero in the closed unit disk")
-
-
-def _admitted(base: RationalFunction, factors) -> AnalyticFunction:
-    # An AnalyticFunction whose base and factors passed the gates already:
-    # built without __post_init__.
-    f = object.__new__(AnalyticFunction)
-    object.__setattr__(f, "base", base)
-    object.__setattr__(f, "factors", factors)
-    return f
+        return self.base.num.degree if self.base.den.is_constant() and not self.factors else None
 
 
 def constant_fn(value: complex) -> AnalyticFunction:
@@ -370,15 +342,11 @@ def rational_fn(num_coeffs, den_coeffs) -> AnalyticFunction:
 def kernel_function(w: complex, gamma: float) -> AnalyticFunction:
     """(1 - conj(w) z)^(-gamma), the evaluation kernel at w for exponent gamma.
 
-    Its factor is admitted by the zero test alone: for |w| < 1 it is 1 at the
-    origin and stays in the sector |arg| <= asin|w| on the disk, so the rest
-    of _factor_admissible could not refuse it.
+    w must lie in the open disk.  The factor maps the closed disk onto
+    |v - 1| <= |w|: admitted for |w| < 1 - 2e-8, indeterminate closer to 1.
     """
     w = require_in_disk(w, "kernel point")
-    factor = rational((1, -w.conjugate()))
-    if not _poly_zero_free(factor.num):
-        raise BranchViolationError("factor has a zero in the closed unit disk")
-    return _admitted(rational((1,)), ((factor, -float(gamma)),))
+    return AnalyticFunction(rational((1,)), ((rational((1, -w.conjugate())), -float(gamma)),))
 
 
 def evaluate(f: AnalyticFunction, z: complex) -> complex:
@@ -389,9 +357,8 @@ def evaluate(f: AnalyticFunction, z: complex) -> complex:
 def compose_with_moebius(f: AnalyticFunction, phi: MoebiusMap) -> AnalyticFunction:
     """f(phi(z)); rational parts composed exactly, exponents unchanged.
 
-    Factor admissibility (zero/pole free on the closed disk, value at 0 off
-    the cut) is re-verified on the composed factors and BranchViolationError
-    is raised on failure.
+    The composed factors pass the construction gates again; composed with a
+    self-map, a factor's image disk can only shrink.
     """
     base = compose_rational_moebius(f.base, phi)
     factors = tuple(
@@ -470,9 +437,10 @@ def expand_rational(f: RationalFunction, n: int) -> TaylorSeries:
     """Maclaurin coefficients of num/den by the standard linear recurrence.
 
     den(0) c_n = num_n - sum_{k>=1} den_k c_{n-k}; exact in exact arithmetic.
-    A denominator of degree 0 or 1 takes its closed form instead: num/d0, or
-    num times the geometric series of 1/den.  The denominator must be zero-free on the closed unit disk for the series
-    to converge there; violations raise PoleEncounteredError.
+    A denominator of degree 0 or 1 takes its closed form instead: num/d0,
+    or num times the geometric series of 1/den.  The denominator must be
+    zero-free on the closed unit disk for the series to converge there;
+    violations raise PoleEncounteredError.
     """
     _check_order(n)
     if f.den.degree >= 1 and not _poly_zero_free(f.den):
@@ -543,17 +511,15 @@ def _binomial_series(a: complex, gamma: float, n: int) -> np.ndarray:
 
 
 def _linear_power_series(r: RationalFunction, gamma: float, n: int) -> TaylorSeries | None:
-    """r^gamma for r = (p1 + q1 z)/(p2 + q2 z) in closed form: r(0)^gamma
-    times the truncated Cauchy product B1 * B2 of the binomial series
-    B1 = (1 + (q1/p1) z)^gamma and B2 = (1 + (q2/p2) z)^-gamma.
+    """r^gamma for a power factor r = (p1 + q1 z)/(p2 + q2 z) in closed form:
+    r(0)^gamma times the truncated Cauchy product B1 * B2 of the binomial
+    series B1 = (1 + (q1/p1) z)^gamma and B2 = (1 + (q2/p2) z)^-gamma.
 
-    None when r is not of that shape, or when the product cancels: its
-    rounding error is about eps ||B1||_2 ||B2||_1 (Young's inequality bounds
-    the product of |B1| and |B2| by that), so past _CANCELLATION_LIMIT
-    times ||B1 * B2||_2, or on overflow (large gamma), the recurrence serves.
+    None when the product cancels: its rounding error is about
+    eps ||B1||_2 ||B2||_1 (Young's inequality bounds the product of |B1| and
+    |B2| by that), so past _CANCELLATION_LIMIT times ||B1 * B2||_2, or on
+    overflow (large gamma), the recurrence serves.
     """
-    if r.num.degree > 1 or r.den.degree > 1:
-        return None
     (p1, *q1), (p2, *q2) = r.num.coefficients, r.den.coefficients
     with np.errstate(over="ignore", invalid="ignore"):
         b1 = _binomial_series(q1[0] / p1 if q1 else 0j, gamma, n)
@@ -570,10 +536,9 @@ def _linear_power_series(r: RationalFunction, gamma: float, n: int) -> TaylorSer
 def expand_analytic(f: AnalyticFunction, n: int) -> TaylorSeries:
     """Truncated series of base * prod r_i^gamma_i.
 
-    A factor whose numerator and denominator have degree <= 1, as every
-    factor of a kernel image psi (K_w o phi) does, gets its binomial series
-    in closed form (_linear_power_series); any other factor the recurrence
-    of series_pow_real on its rational series.
+    Every power factor is linear-fractional and gets its binomial series in
+    closed form (_linear_power_series); only one whose two binomial series
+    cancel takes the recurrence of series_pow_real on its rational series.
     """
     _check_order(n)
     out = _rational_series(f.base, n)

@@ -174,22 +174,30 @@ def is_identity(phi: MoebiusMap) -> bool:
 # ---------------------------------------------------------------------------
 # Image of the unit circle
 
-def _boundary_data(phi: MoebiusMap) -> tuple[complex, float]:
-    """Centre C and radius R of the circle phi(unit circle), in closed form.
+def disk_image(a: complex, b: complex, c: complex, d: complex) -> tuple[complex, float]:
+    """Centre C and radius R of the image of the closed unit disk under
+    (a z + b)/(c z + d), for |c| < |d| (the pole outside the closed disk).
 
-    With the pole outside the closed disk (|d| > |c|), phi maps the closed
-    disk onto |w - C| <= R, where C = (b conj(d) - a conj(c))/(|d|^2 - |c|^2)
-    and R = |ad - bc|/(|d|^2 - |c|^2).  Both are exact up to rounding; no
-    point of the circle is sampled.  Raises NotSelfMapError when the pole
-    sits on the closed unit disk, where the map is unbounded.
+    The image is |w - C| <= R with C = (b conj(d) - a conj(c))/(|d|^2 - |c|^2)
+    and R = |ad - bc|/(|d|^2 - |c|^2), exact up to rounding; no point of the
+    circle is sampled.
+    """
+    gap = abs(d) ** 2 - abs(c) ** 2
+    return (b * d.conjugate() - a * c.conjugate()) / gap, abs(a * d - b * c) / gap
+
+
+def _boundary_data(phi: MoebiusMap) -> tuple[complex, float]:
+    """disk_image of phi: the centre and radius of the circle phi(unit circle).
+
+    Raises NotSelfMapError when the pole sits on the closed unit disk, where
+    the map is unbounded.
     """
     a, b, c, d = phi.coefficients()
     if c != 0 and abs(d / c) <= 1.0 + 1e-12:
         raise NotSelfMapError(
             f"pole at z = {-d / c:.6g} lies on the closed unit disk"
         )
-    gap = abs(d) ** 2 - abs(c) ** 2
-    return (b * d.conjugate() - a * c.conjugate()) / gap, abs(phi.det) / gap
+    return disk_image(a, b, c, d)
 
 
 def is_self_map(phi: MoebiusMap) -> tuple[bool, float]:

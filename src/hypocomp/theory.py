@@ -424,7 +424,9 @@ def classify_weighted(
             )
         z = circle(0.85, 20)
         ref = kernel_quotient_weight(p, value, phi, space)(z)
-        differs = np.abs(psi_f(z) - ref) > 1e-12 * (scale + np.abs(ref))
+        # Both sides round by about eps (1 - |p|^2)^-2 relative: K_p, K_p o phi
+        # and phi's coefficients are that ill-conditioned as p nears the circle.
+        differs = np.abs(psi_f(z) - ref) > 1e-12 / (1.0 - abs(p) ** 2) ** 2 * (scale + np.abs(ref))
         if differs.any():
             return HyponormalityVerdict(
                 Outcome.NOT_HYPONORMAL,

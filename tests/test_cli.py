@@ -143,6 +143,14 @@ class TestCheckCommand:
         assert code == 0
         assert rep["verdict"]["outcome"] == "Normal"
 
+    def test_kernel_quotient_normal_near_the_circle(self, capsys):
+        # The kernel at 0.99999 is admitted, and the comparison's tolerance
+        # grows with its conditioning (1 - |p|^2)^-2.
+        code, rep = run_json(capsys, "check", "--psi", "kernel-quotient:0.99999,0.7",
+                             "--map", "normal-form:0.99999,0.4")
+        assert code == 0
+        assert rep["verdict"]["outcome"] == "Normal"
+
     def test_candidate_with_bounds(self, capsys):
         code, rep = run_json(capsys, "check", "--psi", "1", "--map", "1,0,1,2")
         assert code == 0

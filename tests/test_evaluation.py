@@ -6,7 +6,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import hypocomp as hc
-from hypocomp.errors import DegenerateMapError, PoleEncounteredError
+from hypocomp.errors import DegenerateMapError, IndeterminateError, PoleEncounteredError
 
 from conftest import DERANDOMIZED
 
@@ -28,15 +28,25 @@ def zero_free(draw):
     return (1, draw(finite_complex(0.4)), draw(finite_complex(0.4)))
 
 
+# 1 + b z with |b| <= 0.8: its arg stays within asin(0.8), about 53 degrees,
+# on the closed disk, so a quotient of two stays off the branch cut.
+linear_zero_free = finite_complex(0.8).map(lambda b: (1, b))
+
+
 @st.composite
 def symbols(draw):
-    """base(z) prod r_i(z)^gamma_i with fractional gamma_i and admissible factors."""
+    """base(z) prod r_i(z)^gamma_i with fractional gamma_i and admissible linear-fractional factors."""
     base = hc.rational(draw(st.lists(coefficient, min_size=1, max_size=5)), draw(zero_free()))
     factors = tuple(
-        (hc.rational(draw(zero_free()), draw(zero_free())), draw(st.floats(-3.0, 3.0)))
+        (hc.rational(draw(linear_zero_free), draw(linear_zero_free)), draw(st.floats(-3.0, 3.0)))
         for _ in range(draw(st.integers(0, 2)))
     )
-    return hc.AnalyticFunction(base, factors)
+    try:
+        return hc.AnalyticFunction(base, factors)
+    except IndeterminateError:
+        # The zero test refuses a denominator whose root overflows the double
+        # range (a subnormal coefficient): no symbol to evaluate.
+        assume(False)
 
 
 def majorant(f, z):

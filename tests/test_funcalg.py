@@ -16,6 +16,7 @@ from hypocomp import funcalg
 from hypocomp.errors import (
     BranchViolationError,
     IndeterminateError,
+    InvalidParameterError,
     PoleAtOriginError,
     PoleEncounteredError,
     ZeroConstantTermError,
@@ -180,15 +181,16 @@ class TestComposeWithMoebius:
             assert abs(fc(z) - f(parabolic_map(z))) < 1e-12
 
     def test_branch_violation_detected(self):
-        # (1-0.9z)^3 is zero-free on the closed disk but takes the negative
-        # value -1/8 at z0, so it is refused as a power factor; composed with
-        # an automorphism sending 0 to z0, its base point lies on the cut.
-        cube = hc.RationalFunction(hc.poly(1, -0.9).power(3))
-        z0 = (1.0 - 0.5 * cmath.exp(1j * math.pi / 3)) / 0.9
-        assert abs(z0) < 1 and abs(cube(z0) + 1 / 8) < 1e-12
-        for r in (cube, funcalg.compose_rational_moebius(cube, hc.alpha_p(z0))):
+        # -1 + 0.5i + 0.8z maps the closed disk across the cut; composed with the
+        # automorphism alpha_p sending 0 to p, where r(p) = -1.2, its image disk
+        # is the same and its value at the origin lies on the cut.
+        r = hc.rational((-1 + 0.5j, 0.8))
+        p = (-0.2 - 0.5j) / 0.8
+        composed = funcalg.compose_rational_moebius(r, hc.alpha_p(p))
+        assert abs(composed(0) + 1.2) < 1e-14
+        for factor in (r, composed):
             with pytest.raises(BranchViolationError):
-                hc.AnalyticFunction(hc.rational((1,)), ((r, 0.5),))
+                hc.AnalyticFunction(hc.rational((1,)), ((factor, 0.5),))
 
 
 class TestExpandAnalytic:
@@ -432,8 +434,12 @@ class TestZeroFree:
         assert hc.no_zero_in_closed_disk(hc.rational(coeffs)) is zero_free
 
     def test_spread_root_factor_is_admissible(self):
-        r = hc.rational((1, 0, 0, 0, -0.961))
-        f = hc.AnalyticFunction(hc.rational((1,)), ((r, 0.5),))
+        # 1 - 0.961 z^4 has four zeros of modulus 1.01 spread in argument.  As a
+        # power factor it is written over them, and each linear factor passes.
+        with pytest.raises(InvalidParameterError):
+            hc.AnalyticFunction(hc.rational((1,)), ((hc.rational((1, 0, 0, 0, -0.961)), 0.5),))
+        rho = 0.961**-0.25 * np.exp(0.5j * np.pi * np.arange(4))
+        f = hc.AnalyticFunction(hc.rational((1,)), tuple((hc.rational((1, -1 / x)), 0.5) for x in rho))
         assert abs(f.reciprocal()(0.5) - (1 - 0.961 * 0.5**4) ** -0.5) < 1e-14
 
     def test_coefficient_overflow_is_indeterminate(self):
@@ -471,37 +477,169 @@ def disk_roots(min_size, max_size):
     return st.lists(root.map(lambda t: t[0] * cmath.exp(1j * t[1])), min_size=min_size, max_size=max_size)
 
 
+def unit_complex(moduli):
+    return st.tuples(moduli, st.floats(0.0, 2.0 * math.pi)).map(lambda t: t[0] * cmath.exp(1j * t[1]))
+
+
 @st.composite
-def power_factors(draw):
-    num = draw(disk_roots(1, 6))
-    den = draw(disk_roots(0, 2))
-    lead = draw(st.floats(0.2, 5.0)) * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
-    return hc.RationalFunction(from_roots(num, lead), from_roots(den) if den else hc.poly(1))
+def linear_factors(draw):
+    """(p + q z)/(s + t z) with |p|, |q|, |t| 0 or 1e-3 to 2 and |s| 0.1 to 2:
+    zeros and poles inside, on and beyond the circle, image disks across the cut."""
+    p, q, t = (draw(unit_complex(st.just(0.0) | st.floats(1e-3, 2.0))) for _ in range(3))
+    return hc.rational((p, q), (draw(unit_complex(st.floats(0.1, 2.0))), t))
+
+
+@st.composite
+def near_circle_factors(draw):
+    """(1 - a z)/(1 - b z) with 1 - |b| from 1e-6 down to 1e-13, a = b + d and
+    |d| up to 4 (1 - |b|), or |a| within a few units in the last place of 1."""
+    b = (1.0 - 10.0 ** -draw(st.floats(6.0, 13.0))) * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+    if draw(st.booleans()):
+        a = b + draw(st.floats(0.0, 4.0)) * (1.0 - abs(b)) * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+    else:
+        a = (1.0 + draw(st.integers(-4, 4)) * 2.0**-53) * b / abs(b)
+    return hc.rational((1, -a), (1, -b))
+
+
+@st.composite
+def root_factors(draw):
+    """lead (1 - z/rho)/(1 - z/sigma), or without the denominator, for roots of modulus 1.1-3."""
+    (rho,), sigmas = draw(disk_roots(1, 1)), draw(disk_roots(0, 1))
+    num = hc.poly(1, -1 / rho).scale(draw(unit_complex(st.floats(0.2, 5.0))))
+    return hc.RationalFunction(num, hc.poly(1, -1 / sigmas[0]) if sigmas else hc.poly(1))
+
+
+def power_factor(r, gamma=0.5):
+    return hc.AnalyticFunction(hc.rational((1,)), ((r, gamma),))
+
+
+def gate_decision(r):
+    """None if r is admitted, else the error type and message."""
+    try:
+        power_factor(r)
+    except (BranchViolationError, IndeterminateError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def boundary_oracle(r, samples=8192):
+    """(admissible, clear) for r from its values on `samples` points of the circle.
+
+    r maps the circle onto a circle, counterclockwise exactly when its pole
+    lies beyond it; then the closed disk goes onto the inside, which misses
+    the cut (-inf, 0] iff the sampled polygon does not cross it.  clear: all
+    values are finite and farther from the cut than twice the largest step
+    between neighbours, so no arc between two samples reaches the cut unseen.
+    """
+    v = r(funcalg.circle(1.0, samples))
+    w = np.roll(v, -1)
+    if not np.all(np.isfinite(v)):
+        return False, False
+    # Twice the signed area, about the mean so that no term is needlessly big;
+    # zero when r is constant.
+    a, b = v - v.mean(), w - v.mean()
+    if np.sum(a.real * b.imag - b.real * a.imag) < 0.0:   # clockwise: a pole inside
+        return False, True
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = v.real - v.imag * (w.real - v.real) / (w.imag - v.imag)
+    crosses = np.any((v.imag * w.imag <= 0.0) & (x <= 0.0))
+    dist = np.where(v.real >= 0.0, np.abs(v), np.abs(v.imag))
+    return not crosses, bool(dist.min() > 2.0 * np.abs(w - v).max())
+
+
+def mp_power_series(lead, zeros, poles, gamma, n):
+    """The first n coefficients of r^gamma, r = lead prod (1 - z/rho) / prod (1 - z/sigma),
+    at 40 digits, from the series of gamma log r and the recurrence of exp."""
+    with mpmath.workdps(40):
+        g = mpmath.mpf(gamma)
+        log = [g * mpmath.log(mpmath.mpc(lead))] + [mpmath.mpc(0)] * (n - 1)
+        for roots, sign in ((zeros, -1), (poles, 1)):
+            for x in roots:
+                inv = 1 / mpmath.mpc(x)
+                for k in range(1, n):
+                    log[k] += sign * g * inv**k / k
+        f = [mpmath.exp(log[0])]
+        for m in range(1, n):
+            f.append(sum(k * log[k] * f[m - k] for k in range(1, m + 1)) / m)
+        return np.array([complex(c) for c in f])
 
 
 class TestBranchCut:
     def test_factor_crossing_the_cut_on_the_circle(self):
-        # Zero-free, r(0) = 1, but arg (2 - z)^7 reaches 7 pi/6 on the circle.
-        r = hc.RationalFunction(hc.poly(2, -1).power(7).scale(1 / 128))
-        with pytest.raises(BranchViolationError):
-            hc.AnalyticFunction(hc.rational((1,)), ((r, 0.5),))
+        # -1 + 0.5i + 0.8z maps the closed disk onto |w - (-1 + 0.5i)| <= 0.8,
+        # which is zero-free (1.118 > 0.8) but crosses the cut (0.5 < 0.8).
+        with pytest.raises(BranchViolationError, match="branch cut"):
+            power_factor(hc.rational((-1 + 0.5j, 0.8)))
 
     def test_factor_touching_the_cut_is_refused(self):
-        # arg (2 - z)^6 reaches pi exactly at z = exp(+-i pi/3).
-        r = hc.RationalFunction(hc.poly(2, -1).power(6).scale(1 / 64))
-        with pytest.raises(IndeterminateError):
-            hc.AnalyticFunction(hc.rational((1,)), ((r, 0.5),))
+        # Image disks |w - (-1 + 0.8i)| <= 0.8 and |w - 1| <= 1 touch the cut.
+        for coeffs in ((-1 + 0.8j, 0.8), (1, 1)):
+            with pytest.raises(IndeterminateError):
+                power_factor(hc.rational(coeffs))
+
+    def test_degree_two_factor_is_refused(self):
+        with pytest.raises(InvalidParameterError, match="prod"):
+            power_factor(hc.rational((1, 0, 0.25)))
+        with pytest.raises(InvalidParameterError):
+            power_factor(hc.rational((1,), (1, 0.1, 0.1)))
 
     @DERANDOMIZED
-    @given(power_factors(), st.floats(-2.5, 2.5), st.lists(
+    @given(linear_factors())
+    @example(hc.rational((-1 + 0.5j, 0.8)))
+    @example(hc.rational((1,), (0.5, 1)))
+    @example(hc.rational((1, 0.5), (1, 0.9j)))
+    def test_decision_matches_boundary_oracle(self, r):
+        admissible, clear = boundary_oracle(r)
+        if not clear:
+            return
+        decision = gate_decision(r)
+        assert decision is None if admissible else decision[0] is BranchViolationError, decision
+
+    @DERANDOMIZED
+    @given(linear_factors(), st.integers(-80, 80), st.integers(-80, 80))
+    def test_power_of_two_multiples_decide_alike(self, r, j, k):
+        # Numerator and denominator are each brought to unit scale by a power
+        # of two, so the gate sees the same four coefficients.
+        assert gate_decision(hc.RationalFunction(r.num.scale(2.0**j), r.den.scale(2.0**k))) == gate_decision(r)
+
+    def test_huge_and_tiny_coefficients_decide_without_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for big, small in ((1e300, 1e300), (1e-300, 1e300), (1e300, 1e-300)):
+                assert gate_decision(hc.rational((big, 0.5j * big), (small, -0.3 * small))) is None
+                assert gate_decision(hc.rational((big * (-1 + 0.5j), 0.8 * big), (small,)))[0] is BranchViolationError
+                assert gate_decision(hc.rational((big, big), (small,)))[0] is IndeterminateError
+
+    @DERANDOMIZED
+    @given(near_circle_factors())
+    # Exact margins -1.5e-5 and -9.8e-5: the band 1e-8 (|C| + R) alone admits both.
+    @example(hc.rational((1, 0.16487471138182683 + 0.9863145185724275j), (1, 0.16487471138262352 + 0.9863145185709823j)))
+    @example(hc.rational((1, -0.9573837641616757 + 0.2888188500074415j), (1, -0.9573837641613498 + 0.2888188500073089j)))
+    def test_decided_factors_near_the_circle_match_exact_arithmetic(self, r):
+        # Zero and pole near the circle and near each other: C and R come from
+        # numerators that cancel, so their rounding has to widen the band.
+        # Decided from the exact coefficients at 60 digits.
+        (p, q), (s, t) = r.num.coefficients, r.den.coefficients + (0j,) * (2 - len(r.den.coefficients))
+        with mpmath.workdps(60):
+            p, q, s, t = (mpmath.mpc(x.real, x.imag) for x in (p, q, s, t))
+            gap = abs(s) ** 2 - abs(t) ** 2
+            centre, radius = (p * mpmath.conj(s) - q * mpmath.conj(t)) / gap, abs(q * s - p * t) / gap
+            dist = abs(centre) if centre.real >= 0 else abs(centre.imag)
+            admissible = gap > 0 and dist > radius
+        decision = gate_decision(r)
+        if decision is None or decision[0] is not IndeterminateError:
+            assert (decision is None) == admissible, decision
+
+    @DERANDOMIZED
+    @given(root_factors(), st.floats(-2.5, 2.5), st.lists(
         st.tuples(st.floats(0.0, 0.95), st.floats(0.0, 2.0 * math.pi)), min_size=1, max_size=8))
-    @example(hc.RationalFunction(hc.poly(2, -1).power(7).scale(1 / 128)), 0.5, [(0.9, math.pi / 2)])
+    @example(hc.rational((1, -0.9)), 0.5, [(0.9, math.pi / 2)])
     def test_accepted_factor_matches_its_series(self, r, gamma, polar):
         # Pointwise evaluation takes the principal branch of r^gamma, the
         # series the analytic one; they agree on the disk only when r maps it
         # off the cut.
         try:
-            f = hc.AnalyticFunction(hc.rational((1,)), ((r, gamma),))
+            f = power_factor(r, gamma)
         except (BranchViolationError, IndeterminateError):
             return
         coeffs = hc.expand_analytic(f, 512).coefficients
@@ -511,6 +649,29 @@ class TestBranchCut:
             z = rho * cmath.exp(1j * theta)
             majorant = float(np.sum(np.abs(coeffs) * rho ** np.arange(512)))
             assert abs(np.polyval(coeffs[::-1], z) - f(z)) <= 1e-10 * max(1.0, majorant)
+
+    @DERANDOMIZED
+    @given(disk_roots(1, 4), disk_roots(0, 2), unit_complex(st.floats(0.2, 5.0)), st.floats(-2.5, 2.5))
+    @example([1 / 0.9] * 3, [], 1.0, 0.5)
+    @example([1.5, -1.5j], [2.0], 1.0, 0.7)
+    def test_spanned_factors_match_the_power_of_their_product(self, zeros, poles, lead, gamma):
+        # A rational r zero- and pole-free on the closed disk is written as
+        # r(0)^gamma prod (1 - z/rho)^gamma prod (1 - z/sigma)^-gamma; where r maps
+        # the closed disk off the cut, that product is the principal r^gamma.
+        r = hc.RationalFunction(from_roots(zeros, lead * np.prod([-1 / x for x in zeros])),
+                                from_roots(poles, np.prod([-1 / x for x in poles])) if poles else hc.poly(1))
+        if r.num.degree > 1 or r.den.degree > 1:
+            with pytest.raises(InvalidParameterError):
+                power_factor(r, gamma)
+        admissible, clear = boundary_oracle(r)
+        if not (admissible and clear):
+            return
+        f = hc.AnalyticFunction(hc.rational((complex(lead) ** gamma,)), tuple(
+            [(hc.rational((1, -1 / x)), gamma) for x in zeros] + [(hc.rational((1, -1 / x)), -gamma) for x in poles]))
+        oracle = mp_power_series(lead, zeros, poles, gamma, 64)
+        assert np.linalg.norm(hc.expand_analytic(f, 64).coefficients - oracle) <= 1e-12 * np.linalg.norm(oracle)
+        z = 0.9 * funcalg.circle(1.0, 16)
+        assert np.allclose(f(z), r(z) ** gamma, rtol=1e-12, atol=0)
 
 
 class TestAdmission:
@@ -526,20 +687,27 @@ class TestAdmission:
         monkeypatch.setattr(funcalg, "_factor_admissible", counted)
         return runs
 
-    def test_kernel_image_admits_its_factor_once(self, gate_runs):
-        g = hc.polynomial_fn(2, 1) * hc.compose_with_moebius(hc.kernel_function(0.3, 2.0), hc.rotation(1j))
-        assert len(gate_runs) == 1
-        assert gate_runs[0] is g.factors[0][0]
-        # The same symbol as one built through every gate.
-        assert hc.AnalyticFunction(g.base, g.factors) == g
+    def test_kernel_image_runs_no_zero_test_on_a_factor(self, monkeypatch):
+        tested = []
+        zero_free = funcalg._poly_zero_free
 
-    def test_products_scalings_and_reciprocals_skip_the_factor_gate(self, gate_runs):
+        def recorded(p):
+            tested.append(p)
+            return zero_free(p)
+
+        monkeypatch.setattr(funcalg, "_poly_zero_free", recorded)
+        psi = hc.rational_fn((1, 0.3), (2, -0.5))
+        g = psi * hc.compose_with_moebius(hc.kernel_function(0.3, 2.0), hc.MoebiusMap(1, 0.5, 0.5, 1))
+        assert tested and all(p == psi.base.den for p in tested)
+        assert g == hc.AnalyticFunction(g.base, g.factors)
+
+    def test_products_scalings_and_reciprocals_pass_the_gates(self, gate_runs):
         f = hc.rational_fn((1, 0.3), (2, -0.5)) * hc.kernel_function(0.35, 1.5)
         g = hc.AnalyticFunction(hc.rational((1,)), ((hc.rational((3, 1j)), 0.5),))
-        runs = len(gate_runs)
-        built = [f * g, f.scale(-2j), f.reciprocal(), (f * g).reciprocal()]
-        assert len(gate_runs) == runs
-        for h in built:
+        for build in (lambda: f * g, lambda: f.scale(-2j), f.reciprocal, (f * g).reciprocal):
+            runs = len(gate_runs)
+            h = build()
+            assert [r for r, _ in h.factors] == gate_runs[runs:]
             assert hc.AnalyticFunction(h.base, h.factors) == h
 
     @pytest.mark.parametrize("coeffs", [(1, -2), (1, -1), (2, 0, -3)], ids=["inside", "on", "two"])
@@ -548,12 +716,15 @@ class TestAdmission:
         with pytest.raises(PoleEncounteredError):
             f.reciprocal()
 
-    def test_kernel_near_the_circle_is_refused_as_before(self):
-        # |w| above 1 / (1 + 1e-6) puts the zero 1/conj(w) inside the test circle.
-        with pytest.raises(BranchViolationError):
-            hc.kernel_function(0.9999999, 1.0)
+    def test_kernel_near_the_circle_is_admitted(self):
+        # (1 - conj(w) z) maps the closed disk onto |v - 1| <= |w|: 1e-7 from the
+        # cut is outside the band 1e-8 (1 + |w|), 1e-9 inside it.
+        for w in (0.9999999, 1 / (1 + 1e-6), -0.9999999j):
+            coeffs = hc.expand_analytic(hc.kernel_function(w, 1.0), 256).coefficients
+            exact = np.conj(w) ** np.arange(256)
+            assert np.linalg.norm(coeffs - exact) <= 1e-13 * np.linalg.norm(exact)
         with pytest.raises(IndeterminateError):
-            hc.kernel_function(1 / (1 + 1e-6), 1.0)
+            hc.kernel_function(1 - 1e-9, 1.0)
 
 
 class TestEvaluate:

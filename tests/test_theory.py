@@ -140,6 +140,15 @@ class TestKernelQuotientWeight:
             hc.kernel_quotient_weight(0.3, 1, parabolic_map, H2)
 
 
+@st.composite
+def normal_forms_near_the_circle(draw):
+    """(p, delta, value, space) with 1 - |p| from 1 down to 1e-5 on a log scale."""
+    p = (1.0 - 10.0 ** -draw(st.floats(0.0, 5.0))) * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+    delta = draw(st.floats(0.05, 0.95)) * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+    value = draw(st.floats(0.5, 2.0)) * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+    return p, delta, value, draw(st.sampled_from((hc.hardy(), hc.bergman(0), hc.bergman(1))))
+
+
 class TestClassifyWeighted:
     def test_worked_examples(self, H2, A0, psi_one, psi_two, parabolic_map):
         for space in (H2, A0):
@@ -161,6 +170,20 @@ class TestClassifyWeighted:
         psi_bad = nf.psi * hc.polynomial_fn(1, 0.01)
         v = hc.classify_weighted(psi_bad, nf.phi, H2)
         assert v.outcome is Outcome.NOT_HYPONORMAL
+
+    @DERANDOMIZED
+    @given(normal_forms_near_the_circle(), st.floats(2.0, 4.0), st.floats(0.0, 2.0 * math.pi))
+    def test_normal_forms_near_the_circle(self, case, log_eps, theta):
+        # The kernel-quotient comparison rounds by about eps (1 - |p|^2)^-2, so
+        # its tolerance tau is 1e-12 times that: an exact normal form is Normal
+        # up to |p| = 0.99999, and psi (1 + eps z) with eps >= 100 tau is not.
+        p, delta, value, space = case
+        phi = hc.normal_form_map(p, delta)
+        psi = hc.kernel_quotient_weight(p, value, phi, space)
+        assert hc.classify_weighted(psi, phi, space).outcome is Outcome.NORMAL
+        tau = 1e-12 / (1.0 - abs(p) ** 2) ** 2
+        bent = psi * hc.polynomial_fn(1, 10.0**log_eps * tau * cmath.exp(1j * theta))
+        assert hc.classify_weighted(bent, phi, space).outcome is Outcome.NOT_HYPONORMAL
 
     def test_perturbed_map_rejected(self, H2):
         # scaling b alone breaks the |b| = |c| signature of alpha_p (delta alpha_p)
