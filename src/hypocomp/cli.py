@@ -302,6 +302,13 @@ def _cmd_spectral(args) -> tuple[dict, int]:
             f"advisory finite-section N={n}: truncation spectral radius {tsr.value:.12g}",
             f"advisory finite-section N={n}: gelfand estimate k=8 {gel.value:.12g}",
         ]
+        # A section is a compression, so its norm is at most ||C||; one below
+        # the proved lower bound (beyond the power steps' 1e-8) misses part of C.
+        if norm_est.value < rep.norm_lower * (1.0 - 1e-8):
+            diagnostics.append(
+                f"advisory finite-section N={n}: section norm is {norm_est.value / rep.norm_lower:.6g}"
+                " times the proved norm_lower; raise --order"
+            )
         if args.dump_matrix:
             matrixrep.write_matrix_csv(m, args.dump_matrix)
             diagnostics.append(f"matrix dumped to {args.dump_matrix}")

@@ -22,6 +22,18 @@ alone (2k matrix-vector products a step) and forms M^k with matrix_power only
 when those steps stall, as they do on the clustered top singular values of
 Toeplitz-like sections.
 
+Compact sections deflate (_leading_block).  Column j of a section is
+psi phi^j / beta(j); when phi maps the closed disk into the open disk its
+coefficients decay geometrically in i and j, so the section is, to unit
+roundoff, a small leading block A_K padded with zeros.  K is the smallest
+order such that rows K.. and columns K.. each hold at most eps^2 ||M||_F^2;
+then M = diag(A_K, 0) + E with ||E||_F <= sqrt(2) eps ||M||_F, the size of
+LAPACK's own backward error on M.  operator_norm, truncation_spectral_radius
+and gelfand_estimate work on A_K (see each for what that moves).  Sections
+of automorphisms, parabolic maps, rotations and multiplications keep K = N
+and run on the full section; SpectralEstimate.order is N either way, and
+truncation_eigenvalues always solves the full section.
+
 Finite-section positivity is advisory only: compressions do not preserve the
 sign of A*A - AA* (the forward shift gives a spurious negative eigenvalue),
 so non-hyponormality certificates must come from kernel_gram_norms, whose
@@ -187,6 +199,26 @@ def _unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int] | None:
     return np.ldexp(b, -fro_e, out=b).view(complex), e + fro_e
 
 
+def _leading_block(b: np.ndarray) -> tuple[int, float]:
+    """(K, ||b||_F) for a unit-scaled section b (see _unit_scaled): K is the
+    smallest order such that rows K.. of b hold at most eps^2 ||b||_F^2, and
+    columns K.. hold at most as much.
+
+    Then b = diag(b[:K, :K], 0) + E with ||E||_F <= sqrt(2) eps ||b||_F.  The
+    sums of squares run on the float64 view, so no N x N temporary is made;
+    the entries of b are at most 1, so no square overflows.  Suffix sums of
+    non-negative terms do not decrease toward the front, so counting those
+    above the threshold finds K.
+    """
+    parts = b.view(np.float64)
+    rows = np.einsum("ij,ij->i", parts, parts)
+    cols = np.einsum("ij,ij->j", parts, parts).reshape(-1, 2).sum(axis=1)
+    fro_sq = float(rows.sum())
+    limit = _EPS * _EPS * fro_sq
+    order = max(int(np.count_nonzero(np.cumsum(sums[::-1]) > limit)) for sums in (rows, cols))
+    return order, math.sqrt(fro_sq)
+
+
 def _unscale(x: float, e: int) -> float:
     """x 2^e, or inf beyond the float range."""
     try:
@@ -234,22 +266,29 @@ def _power_steps(apply, v: np.ndarray, cap: int, quick: bool = False) -> tuple[f
     )
 
 
+def _deflated(a: np.ndarray, order: int) -> np.ndarray:
+    """a itself when order is its size, else a contiguous copy of its leading block."""
+    return a if order == a.shape[0] else np.ascontiguousarray(a[:order, :order])
+
+
 def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
     """Largest singular value via Lanczos-accelerated power iteration on M*M.
 
     Deterministically seeded, on M scaled by a power of two to Frobenius norm
-    in [1/2, 1) (see _unit_scaled).  A Lanczos pass (which copes with the
-    clustered top spectra of Toeplitz-like sections) supplies the start
-    vector, followed by power steps until the residual ||(M*M)v - lambda v||
-    certifies that some eigenvalue of M*M lies within 1e-8 lambda of lambda.
-    Raises ConvergenceFailureError after 10 N polish steps without meeting
-    that.
+    in [1/2, 1) (see _unit_scaled), and on its leading block A_K alone
+    (_leading_block): by Weyl, ||A_K|| is within ||E||_2 <= sqrt(2) eps
+    ||M||_F of ||M||.  A Lanczos pass (which copes with the clustered top
+    spectra of Toeplitz-like sections) supplies the start vector, followed by
+    power steps until the residual ||(M*M)v - lambda v|| certifies that some
+    eigenvalue of M*M lies within 1e-8 lambda of lambda.  Raises
+    ConvergenceFailureError after 10 K polish steps without meeting that.
     """
-    n = m.order
     scaled = _unit_scaled(m.entries)
     if scaled is None:
-        return SpectralEstimate(0.0, "power-iteration", n, 0.0)
+        return SpectralEstimate(0.0, "power-iteration", m.order, 0.0)
     a, e = scaled
+    a = _deflated(a, _leading_block(a)[0])
+    n = a.shape[0]
 
     def gram(x):
         return _adjoint_apply(a, a @ x)
@@ -265,7 +304,8 @@ def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
         except ArpackError:
             pass  # fall through to plain power steps from the seeded vector
     lam, resid = _power_steps(gram, v, 10 * n)
-    return SpectralEstimate(_unscale(math.sqrt(lam), e), "power-iteration", n, _unscale(resid, 2 * e))
+    return SpectralEstimate(_unscale(math.sqrt(lam), e), "power-iteration", m.order,
+                            _unscale(resid, 2 * e))
 
 
 def truncation_spectral_radius(m: OperatorMatrix) -> SpectralEstimate:
@@ -273,16 +313,41 @@ def truncation_spectral_radius(m: OperatorMatrix) -> SpectralEstimate:
 
     A lower-triangular section (phi(0) = 0, or a multiplication operator) has
     its diagonal as eigenvalues; LAPACK returns exactly that set, so it is
-    read off without the O(N^3) eigensolve.
+    read off without the O(N^3) eigensolve.  Any other section is solved on
+    its leading block A_K (_leading_block): the eigenvalues of diag(A_K, 0)
+    are those of A_K and zero, and M differs from it by ||E||_F <= sqrt(2)
+    eps ||M||_F, the size of LAPACK's own backward error on M.
     """
     a = m.entries
-    vals = np.diagonal(a) if not np.triu(a, 1).any() else np.linalg.eigvals(a)
+    if not np.triu(a, 1).any():
+        vals = np.diagonal(a)
+    else:
+        vals = np.linalg.eigvals(_deflated(a, _leading_block(_unit_scaled(a)[0])[0]))
     return SpectralEstimate(float(np.max(np.abs(vals))) if vals.size else 0.0,
                             "truncation-eig", m.order, 0.0)
 
 
 def truncation_eigenvalues(m: OperatorMatrix) -> np.ndarray:
     return np.linalg.eigvals(m.entries)
+
+
+def _power_norm(a: np.ndarray, k: int, m: OperatorMatrix) -> tuple[float, float]:
+    """(||a^k||, residual of (a^H)^k a^k) for gelfand_estimate."""
+    n = a.shape[0]
+
+    def gram_power(x):
+        for _ in range(k):
+            x = a @ x
+        for _ in range(k):
+            x = _adjoint_apply(a, x)
+        return x
+
+    quick = _power_steps(gram_power, _seed_vector(n), _QUICK_STEPS, quick=True)
+    if quick is not None:
+        return math.sqrt(quick[0]), quick[1]
+    p = np.linalg.matrix_power(a, k)
+    est = operator_norm(OperatorMatrix(p, m.space, n, f"power{k}({m.provenance})"))
+    return est.value, est.residual
 
 
 def gelfand_estimate(m: OperatorMatrix, k: int) -> SpectralEstimate:
@@ -297,7 +362,12 @@ def gelfand_estimate(m: OperatorMatrix, k: int) -> SpectralEstimate:
     _power_steps), it falls back to forming M^k and taking its operator_norm:
     Toeplitz-like sections (multiplications, rotations, parabolic maps) have
     clustered top singular values, which the Lanczos pass there copes with.
-    The residual is that of (M^H)^k M^k, inf beyond the float range.
+
+    With M = diag(A_K, 0) + E (_leading_block), ||M^k - diag(A_K, 0)^k|| <=
+    k ||M||_F^(k-1) ||E||_F <= sqrt(2) k eps ||M||_F^k.  The value for A_K is
+    kept when that bound is at most 1e-8 ||A_K^k||, the power steps' own
+    tolerance; otherwise the full section is used.  The residual is that of
+    (A^H)^k A^k for the matrix A used, inf beyond the float range.
     """
     if k < 1:
         raise InvalidParameterError("k must be at least 1")
@@ -306,21 +376,13 @@ def gelfand_estimate(m: OperatorMatrix, k: int) -> SpectralEstimate:
     if scaled is None:
         return SpectralEstimate(0.0, "gelfand", n, 0.0)
     a, e = scaled
-
-    def gram_power(x):
-        for _ in range(k):
-            x = a @ x
-        for _ in range(k):
-            x = _adjoint_apply(a, x)
-        return x
-
-    quick = _power_steps(gram_power, _seed_vector(n), _QUICK_STEPS, quick=True)
-    if quick is not None:
-        norm, resid = math.sqrt(quick[0]), quick[1]
-    else:
-        p = np.linalg.matrix_power(a, k)
-        est = operator_norm(OperatorMatrix(p, m.space, n, f"power{k}({m.provenance})"))
-        norm, resid = est.value, est.residual
+    order, fro = _leading_block(a)
+    found = None
+    if order < n:
+        found = _power_norm(_deflated(a, order), k, m)
+        if math.sqrt(2.0) * k * _EPS * fro**k > _NORM_REL_TOL * found[0]:
+            found = None
+    norm, resid = found or _power_norm(a, k, m)
     return SpectralEstimate(_unscale(norm ** (1.0 / k), e), "gelfand", n, _unscale(resid, 2 * k * e))
 
 

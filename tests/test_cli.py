@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import sys
 import warnings
 
@@ -267,6 +268,22 @@ class TestNumericDiagnostics:
         code, _ = run_json(capsys, "spectral", "--psi", psi, "--map", spec, *self.SMALL)
         assert code == 0
         assert len(calls) == forms
+
+    def test_section_norm_below_the_proved_bound_is_flagged(self, capsys):
+        # Near the circle the N=64 section misses most of the operator: its
+        # norm falls below the report's proved norm_lower.
+        code, rep = run_json(capsys, "spectral", "--map", "normal-form:0.999,0.4",
+                             "--psi", "kernel-quotient:0.999,0.7", *self.SMALL)
+        assert code == 0
+        *values, advisory = rep["diagnostics"]
+        norm, lower = float(values[0].rsplit(" ", 1)[1]), rep["spectral"]["norm_lower"]
+        assert norm < lower
+        ratio = re.fullmatch(r"advisory finite-section N=64: section norm is (\S+) times "
+                             r"the proved norm_lower; raise --order", advisory)
+        assert float(ratio.group(1)) == pytest.approx(norm / lower, rel=1e-5)
+        # perfbench reads the three values by this pattern; the advisory must not match it.
+        assert not re.search(r"(operator norm|truncation spectral radius|gelfand estimate k=8) (\S+)$",
+                             advisory)
 
     @staticmethod
     def _numbers(rep):

@@ -1,6 +1,8 @@
 """Finite sections: builds, commutators, norms, kernel identities, dumps."""
 
 import cmath
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -15,6 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hypocomp as hc
+from hypocomp import cli, matrixrep
 from hypocomp.errors import HypocompError, InvalidParameterError, OutsideDiskError, PrecisionLossError
 from hypocomp.funcalg import moebius_rational
 from hypocomp.matrixrep import AdjointResidual, KernelImages, KernelNorms, _kernel_tail, kernel_gram_forms
@@ -344,6 +347,103 @@ class TestGelfandEstimate:
             for routine in (hc.operator_norm, lambda x: hc.gelfand_estimate(x, 8)):
                 want = routine(m).value * 2.0**j
                 assert routine(scaled).value == pytest.approx(want, rel=1e-12, abs=0.0), name
+
+
+def _block_order(m):
+    return matrixrep._leading_block(matrixrep._unit_scaled(m.entries)[0])[0]
+
+
+@st.composite
+def compact_sections(draw):
+    """(psi, phi, space): a dilation, a contraction with phi(0) != 0, or a
+    normal form with its kernel-quotient weight, each contracting enough that
+    its N=128 section deflates."""
+    space = draw(st.sampled_from((hc.hardy(), hc.bergman(0), hc.bergman(1))))
+    kind = draw(st.sampled_from(("dilation", "contraction", "normal form")))
+    lam = draw(unimodular)
+    if kind == "dilation":
+        psi = hc.rational_fn((2, draw(disk(0.7))), (1, draw(disk(0.7))))
+        return psi, hc.dilation(draw(st.floats(0.1, 0.6)) * lam), space
+    if kind == "contraction":
+        # s (z - a)/(1 - conj(a) z): sup |phi| = s on the circle, phi(0) = -s a.
+        s, a = draw(st.floats(0.2, 0.5)), draw(st.floats(0.1, 0.4)) * lam
+        psi = hc.polynomial_fn(1, *draw(st.lists(disk(0.7), max_size=2)))
+        return psi, hc.MoebiusMap(s, -s * a, -a.conjugate(), 1), space
+    p, delta = draw(disk(0.3)), draw(st.floats(0.1, 0.5)) * lam
+    phi = hc.normal_form_map(p, delta)
+    return hc.kernel_quotient_weight(p, draw(st.floats(0.5, 2.0)) * draw(unimodular), phi, space), phi, space
+
+
+_NON_COMPACT = (
+    ("hyperbolic automorphism", hc.polynomial_fn(2, 1), hc.MoebiusMap(1, 0.5, 0.5, 1), hc.hardy()),
+    ("parabolic", hc.polynomial_fn(1, 0.5), hc.cayley_parabolic(1, 1), hc.bergman(1)),
+    ("rotation", hc.polynomial_fn(2, 1), hc.rotation(1j), hc.hardy()),
+    ("multiplication", hc.polynomial_fn(2, 1), hc.MoebiusMap(1, 0, 0, 1), hc.bergman(0)),
+)
+
+
+class TestDeflation:
+    @DERANDOMIZED
+    @given(compact_sections(), st.sampled_from((128, 256)))
+    def test_compact_sections_match_the_full_section(self, case, n):
+        # ||E||_F <= sqrt(2) eps ||M||_F moves the norm by at most that (Weyl),
+        # on top of the power steps' 1e-8.  The radius is compared with LAPACK
+        # on the full section, which carries its own backward error, about
+        # N eps ||M||_F, besides the block's.
+        m = hc.build_weighted_composition(*case, n)
+        a = m.entries
+        # K is the smallest order whose dropped rows, and dropped columns,
+        # each hold at most eps^2 ||M||_F^2 (up to the rounding of the sums).
+        b = matrixrep._unit_scaled(a)[0]
+        order, b_fro = matrixrep._leading_block(b)
+        assert b_fro == pytest.approx(np.linalg.norm(b), rel=1e-12)
+        sq, limit = np.abs(b) ** 2, np.finfo(float).eps ** 2 * b_fro**2
+        assert 0 < order < n
+        assert max(sq[order:].sum(), sq[:, order:].sum()) <= limit * (1 + 1e-10)
+        assert max(sq[order - 1:].sum(), sq[:, order - 1:].sum()) > limit * (1 - 1e-10)
+        fro = float(np.linalg.norm(a))
+        bound = math.sqrt(2.0) * np.finfo(float).eps * fro
+        radius = float(np.max(np.abs(np.linalg.eigvals(a))))
+        norm = float(np.linalg.norm(a, 2))
+        got_radius, got_norm = hc.truncation_spectral_radius(m), hc.operator_norm(m)
+        assert abs(got_radius.value - radius) <= bound + n * np.finfo(float).eps * fro
+        assert abs(got_norm.value - norm) <= bound + 1e-8 * norm
+        assert got_radius.order == got_norm.order == hc.gelfand_estimate(m, 8).order == n
+
+    @pytest.mark.parametrize("name,psi,phi,space", _NON_COMPACT, ids=[c[0] for c in _NON_COMPACT])
+    def test_non_compact_sections_keep_the_full_order(self, monkeypatch, name, psi, phi, space):
+        m = hc.build_weighted_composition(psi, phi, space, 128)
+        assert _block_order(m) == 128
+        routines = (hc.operator_norm, hc.truncation_spectral_radius, lambda x: hc.gelfand_estimate(x, 8))
+        got = [routine(m) for routine in routines]
+        real = matrixrep._leading_block
+        monkeypatch.setattr(matrixrep, "_leading_block", lambda b: (b.shape[0], real(b)[1]))
+        assert [routine(m) for routine in routines] == got
+
+    @pytest.mark.parametrize("j", [-900, 900])
+    def test_block_order_is_scale_free(self, j):
+        for psi, phi, space in (
+            (hc.rational_fn((2, 1), (1, -0.4)), hc.dilation(0.5), hc.hardy()),
+            (hc.polynomial_fn(1, 0.5), hc.MoebiusMap(0.5, -0.1, -0.2, 1), hc.bergman(0)),
+            (hc.kernel_quotient_weight(0.3, 0.7, hc.normal_form_map(0.3, 0.4), hc.bergman(1)),
+             hc.normal_form_map(0.3, 0.4), hc.bergman(1)),
+        ):
+            m = hc.build_weighted_composition(psi, phi, space, 256)
+            scaled = hc.build_weighted_composition(psi.scale(2.0**j), phi, space, 256)
+            assert _block_order(scaled) == _block_order(m) < 256
+            for routine in (hc.operator_norm, hc.truncation_spectral_radius):
+                want = routine(m).value * 2.0**j
+                assert routine(scaled).value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_normal_form_eigensolve_stays_small(self, monkeypatch):
+        orders = []
+        real = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: orders.append(a.shape[0]) or real(a))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["spectral", "--map=normal-form:0.3,0.4", "--psi=kernel-quotient:0.3,0.7",
+                             "--space=bergman:0", "--numeric", "--order=1024", "--json"])
+        assert code == 0
+        assert orders and max(orders) <= 128
 
 
 class TestAdjointKernelResidual:

@@ -120,6 +120,14 @@ class TestNormalForm:
         nf = hc.normal_form(0.25j, 0.5, 3 - 1j, A1)
         assert abs(nf.psi(0.25j) - (3 - 1j)) < 1e-12
 
+    @pytest.mark.parametrize("modulus", [0.999, 0.9999, 0.99999])
+    def test_builds_near_the_circle(self, modulus):
+        # phi'(p) rounds off delta by about 2.5 eps (1 - |p|^2)^-2, and the
+        # multiplier check scales the same way.
+        for space in (hc.hardy(), hc.bergman(0), hc.bergman(1)):
+            nf = hc.normal_form(modulus, 0.4, 1, space)
+            assert hc.classify_weighted(nf.psi, nf.phi, space).outcome is Outcome.NORMAL
+
 
 class TestKernelQuotientWeight:
     def test_origin_gives_constant(self, H2, A0, half_shift_map):
