@@ -1,8 +1,8 @@
 """Decidable hyponormality statements as executable logic.
 
 Classifiers return theorem-backed verdicts with human-readable citation
-clauses; closed-form spectral and essential spectral radii, eigenvalue
-bounds, norm bounds, Clark singular parts, the compact normal form and its
+clauses; closed-form spectral and essential spectral radii (one dispatch),
+norm bounds, Clark singular parts, the compact normal form and its
 kernel-quotient weight, conjugation of an interior fixed point to the
 origin, and a numeric witness search for non-hyponormality certificates.
 
@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     DegenerateMapError,
     HypothesisMismatchError,
+    IndeterminateError,
     InvalidParameterError,
     NotAFixedPointError,
     PrecisionLossError,
@@ -37,11 +38,11 @@ from .funcalg import (
     constant_fn,
     is_value_constant,
     kernel_function,
+    no_zero_in_closed_disk,
     value_scale,
 )
 from .matrixrep import MAX_TRUNCATION, KernelImages, as_analytic, kernel_gram_forms, kernel_gram_norms
 from .moebius import (
-    MapClass,
     MapKind,
     MoebiusMap,
     alpha_p,
@@ -81,6 +82,10 @@ CIT_UNDECIDED = "no implemented exclusion applies"
 
 CIT_R_BOUNDARY = "spectral radius |psi(zeta)| phi'(zeta)^(-gamma/2) at the boundary Denjoy-Wolff point"
 CIT_R_PARABOLIC = "spectral radius |psi(zeta)| at the parabolic fixed point (angular derivative 1)"
+CIT_R_AUTOMORPHISM = (
+    "spectral radius max |psi(b)| phi'(b)^(-gamma/2) over the boundary fixed points b of an automorphism, psi "
+    "zero-free on the closed disk (Gunatillake 2011 on H^2; Hyvarinen-Lindstrom-Nieminen-Saukko 2013 on A^2_alpha)"
+)
 CIT_R_CONTRACTION = "hyponormal with strictly contracting symbol fixing the origin: norm = radius = |psi(0)|"
 CIT_RE_BOUNDARY = "essential spectral radius phi'(zeta)^(-gamma/2) at the boundary Denjoy-Wolff point"
 CIT_NORM_LOWER_ANGULAR = "lower bound |psi(zeta)| / |phi'(zeta)|^(gamma/2) from kernels pushed to the fixed point"
@@ -467,72 +472,85 @@ def _candidate(psi_f, phi, space, opts: WeightedOptions, note: str) -> Hyponorma
 
 @dataclass(frozen=True)
 class ClosedFormValue:
-    value: float
+    """A radius with its citation; where none is proved, value None and citation "unavailable: <reason>"."""
+
+    value: float | None
     citation: str
 
 
-def _boundary_dw(cls: MapClass) -> complex | None:
-    dw = cls.denjoy_wolff
-    if dw is None or not dw.on_boundary or dw.location is None:
-        return None
-    return dw.location / abs(dw.location)
+def _unavailable(reason: str) -> ClosedFormValue:
+    return ClosedFormValue(None, f"unavailable: {reason}")
+
+
+def _proved(cf: ClosedFormValue) -> ClosedFormValue:
+    if cf.value is None:
+        raise TheoryUnavailableError(cf.citation.removeprefix("unavailable: "))
+    return cf
+
+
+def _closed_forms(psi_f: AnalyticFunction, phi: MoebiusMap,
+                  space: SpaceSpec) -> tuple[ClosedFormValue, ClosedFormValue]:
+    """(r, r_e) of C_{psi,phi} from one classify(phi) and one branch on its kind.
+
+    g = gamma/2, zeta a boundary Denjoy-Wolff point; psi, like every symbol,
+    is analytic on the closed disk.
+    - Automorphism, hyperbolic or parabolic: r = max |psi(b)| phi'(b)^(-g)
+      over its boundary fixed points b (one, with phi'(b) = 1, if parabolic).
+      Each b bounds r below for every psi: C*^n K_w = conj(psi_n(w)) K_{phi_n(w)}
+      with psi_n = prod_{k<n} psi o phi_k, and (1 - |w|^2)/(1 - |phi_n(w)|^2)
+      = 1/|phi_n'(w)| -> phi'(b)^(-n) as w -> b, so ||C^n|| >= (|psi(b)|
+      phi'(b)^(-g))^n.  Equality holds for psi without zeros on the closed
+      disk, where C is invertible (Gunatillake, J. Funct. Anal. 261 (2011),
+      on H^2; Hyvarinen, Lindstrom, Nieminen & Saukko, J. Funct. Anal. 265
+      (2013), on A^2_alpha).  Any other psi, or a zero test that cannot
+      decide (run at unit scale, so c psi decides as psi), leaves r
+      unavailable with that lower bound.
+    - Non-automorphism, hyperbolic or parabolic, with boundary zeta:
+      r = |psi(zeta)| phi'(zeta)^(-g).
+    - Interior contraction fixing 0 with classify_weighted Normal: r = |psi(0)|.
+    - r_e = |c| phi'(zeta)^(-g) for a value-constant psi = c and boundary zeta.
+    """
+    cls = classify(phi)
+    kind, dw, g = cls.kind, cls.denjoy_wolff, space.gamma / 2.0
+    zeta = dw.location / abs(dw.location) if dw is not None and dw.on_boundary else None
+    if not is_value_constant(psi_f):
+        r_e = _unavailable("closed form applies to constant weights only")
+    elif zeta is None:
+        r_e = _unavailable("essential spectral radius closed form needs a boundary Denjoy-Wolff point")
+    else:
+        r_e = ClosedFormValue(abs(psi_f(0)) * abs(angular_derivative(phi, zeta)) ** -g, CIT_RE_BOUNDARY)
+
+    if kind in (MapKind.HYPERBOLIC_AUTOMORPHISM, MapKind.PARABOLIC_AUTOMORPHISM):
+        low = max(abs(psi_f(b)) * abs(angular_derivative(phi, b)) ** -g
+                  for b in (f.location / abs(f.location) for f in cls.fixed if f.on_boundary))
+        e = min(1023, -math.frexp(max(abs(c) for c in psi_f.base.num.coefficients))[1])
+        try:
+            zero_free = no_zero_in_closed_disk(psi_f.base.scale(2.0**e))
+            why = None if zero_free else "the weight has a zero in the closed disk"
+        except IndeterminateError as exc:
+            why = f"zero test: {exc}"
+        r = _unavailable(f"r >= {low:.12g} from the boundary fixed points; {why}") if why else (
+            ClosedFormValue(low, CIT_R_AUTOMORPHISM))
+    elif kind in (MapKind.HYPERBOLIC_NONAUTOMORPHISM, MapKind.PARABOLIC_NONAUTOMORPHISM) and zeta is not None:
+        cite = CIT_R_PARABOLIC if kind is MapKind.PARABOLIC_NONAUTOMORPHISM else CIT_R_BOUNDARY
+        r = ClosedFormValue(abs(psi_f(zeta)) * abs(angular_derivative(phi, zeta)) ** -g, cite)
+    elif kind is MapKind.INTERIOR_CONTRACTION and abs(phi(0)) <= 1e-12:
+        normal = classify_weighted(psi_f, phi, space).outcome is Outcome.NORMAL
+        r = ClosedFormValue(abs(psi_f(0)), CIT_R_CONTRACTION) if normal else (
+            _unavailable("hyponormality not established for the contracting symbol"))
+    else:
+        r = _unavailable(f"no closed form for class {kind.value} with this fixed-point structure")
+    return r, r_e
 
 
 def spectral_radius_closed(psi, phi: MoebiusMap, space: SpaceSpec) -> ClosedFormValue:
-    """r(C_{psi,phi}) where a closed form is justified.
-
-    Boundary Denjoy-Wolff point (hyperbolic non-automorphism, parabolic
-    non-automorphism, or automorphism attracted to the boundary):
-    |psi(zeta)| phi'(zeta)^(-gamma/2).  Strict contraction fixing the origin
-    with hyponormality established by classify_weighted: |psi(0)|.
-    Everything else raises TheoryUnavailableError.
-    """
-    psi_f = as_analytic(psi)
-    cls = classify(phi)
-    zeta = _boundary_dw(cls)
-    if zeta is not None:
-        deriv = angular_derivative(phi, zeta)
-        ad = abs(deriv)
-        value = abs(psi_f(zeta)) * ad ** (-space.gamma / 2.0)
-        citation = CIT_R_PARABOLIC if abs(ad - 1.0) <= 1e-9 else CIT_R_BOUNDARY
-        return ClosedFormValue(value, citation)
-    if cls.kind is MapKind.INTERIOR_CONTRACTION and abs(phi(0)) <= 1e-12:
-        if classify_weighted(psi_f, phi, space).outcome is not Outcome.NORMAL:
-            raise TheoryUnavailableError("hyponormality not established for the contracting symbol")
-        return ClosedFormValue(abs(psi_f(0)), CIT_R_CONTRACTION)
-    raise TheoryUnavailableError(
-        f"no closed form for class {cls.kind.value} with this fixed-point structure"
-    )
+    """r(C_{psi,phi}) where _closed_forms proves it, else TheoryUnavailableError."""
+    return _proved(_closed_forms(as_analytic(psi), phi, space)[0])
 
 
 def essential_spectral_radius_closed(phi: MoebiusMap, space: SpaceSpec) -> ClosedFormValue:
     """r_e(C_phi) = phi'(zeta)^(-gamma/2) for a boundary Denjoy-Wolff point zeta."""
-    cls = classify(phi)
-    zeta = _boundary_dw(cls)
-    if zeta is None:
-        raise TheoryUnavailableError(
-            "essential spectral radius closed form needs a boundary Denjoy-Wolff point"
-        )
-    ad = abs(angular_derivative(phi, zeta))
-    return ClosedFormValue(ad ** (-space.gamma / 2.0), CIT_RE_BOUNDARY)
-
-
-def eigenvalue_bound(psi, phi: MoebiusMap, space: SpaceSpec) -> float:
-    """|lambda| <= |psi(zeta)| r(C_phi) for every eigenvalue of C_{psi,phi}.
-
-    r(C_phi) is 1 for an interior Denjoy-Wolff point and phi'(zeta)^(-gamma/2)
-    for a boundary one.  A vanishing weight at the Denjoy-Wolff point gives
-    bound 0: the operator has no eigenvalues at all.
-    """
-    psi_f = as_analytic(psi)
-    cls = classify(phi)
-    if cls.kind in (MapKind.IDENTITY, MapKind.ELLIPTIC_AUTOMORPHISM):
-        raise TheoryUnavailableError("eigenvalue bound needs a Denjoy-Wolff point")
-    zeta = _boundary_dw(cls)
-    if zeta is not None:
-        r_phi = abs(angular_derivative(phi, zeta)) ** (-space.gamma / 2.0)
-        return abs(psi_f(zeta)) * r_phi
-    return abs(psi_f(cls.denjoy_wolff.location)) * 1.0
+    return _proved(_closed_forms(constant_fn(1.0), phi, space)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -763,34 +781,15 @@ class SpectralReport:
 def spectral_report(psi, phi: MoebiusMap, space: SpaceSpec) -> SpectralReport:
     """Best available closed-form spectral data for C_{psi,phi}.
 
-    r_e is included only for value-constant weights (the closed form is for
-    the unweighted operator and scales by |c|); norm_upper is conditional on
+    r and r_e come from one _closed_forms call; norm_upper is conditional on
     hyponormality and is dropped, with a note, if the unconditional lower
     bound already exceeds it.
     """
     psi_f = as_analytic(psi)
-    citations: dict[str, str] = {}
-    r = r_e = upper = None
-
-    try:
-        cf = spectral_radius_closed(psi_f, phi, space)
-        r = cf.value
-        citations["r"] = cf.citation
-    except TheoryUnavailableError as exc:
-        citations["r"] = f"unavailable: {exc.reason}"
-
-    if is_value_constant(psi_f):
-        try:
-            cf = essential_spectral_radius_closed(phi, space)
-            r_e = abs(psi_f(0)) * cf.value
-            citations["r_e"] = cf.citation
-        except TheoryUnavailableError as exc:
-            citations["r_e"] = f"unavailable: {exc.reason}"
-    else:
-        citations["r_e"] = "unavailable: closed form applies to constant weights only"
-
+    r_cf, re_cf = _closed_forms(psi_f, phi, space)
+    citations = {"r": r_cf.citation, "r_e": re_cf.citation, "norm_lower": CIT_NORM_KERNEL_GRID}
     lower = norm_lower_bound_grid(psi_f, phi, space)
-    citations["norm_lower"] = CIT_NORM_KERNEL_GRID
+    upper = None
 
     try:
         nb = norm_bounds(psi_f, phi, space)
@@ -805,4 +804,4 @@ def spectral_report(psi, phi: MoebiusMap, space: SpaceSpec) -> SpectralReport:
     except TheoryUnavailableError as exc:
         citations["norm_upper"] = f"unavailable: {exc}"
 
-    return SpectralReport(r, r_e, lower, upper, citations)
+    return SpectralReport(r_cf.value, re_cf.value, lower, upper, citations)

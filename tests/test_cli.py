@@ -229,6 +229,13 @@ class TestSpectralCommand:
                              "--space", "bergman:0")
         assert rep["spectral"]["r_e"] == pytest.approx(3.0)
 
+    def test_undecided_zero_test_is_not_an_input_error(self, capsys):
+        # The weight's zero sits on the zero test's circle: r is unavailable, exit 0.
+        code, rep = run_json(capsys, "spectral", "--psi", "1,-0.999999000001", "--map", "1,0.5,0.5,1")
+        assert code == 0
+        assert rep["spectral"]["r"] is None
+        assert "zero test" in rep["spectral"]["citations"]["r"]
+
     def test_dilation_with_numeric(self, capsys):
         code, rep = run_json(capsys, "spectral", "--psi", "1", "--map", "0.5,0,0,1",
                              "--numeric", "--order", "24")
@@ -318,6 +325,7 @@ _SCALED_WEIGHTS = (
     ("1,0,1,2", lambda c: _poly((2, 1), c)),
     ("hyperbolic-nonauto:0.5", lambda c: _poly((1, 0.5), c)),
     ("1,0.5,0.5,1", lambda c: _poly((2, 1), c)),
+    ("1,0.5,0.5,1", lambda c: _poly((1, -0.9), c)),
     ("rotation:i", lambda c: _poly((2, 1), c)),
     ("1,0,0,1", lambda c: _poly((2, 1), c)),
 )

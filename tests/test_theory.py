@@ -2,7 +2,9 @@
 
 import cmath
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -334,19 +336,163 @@ class TestEssentialRadius:
             hc.essential_spectral_radius_closed(half_shift_map, H2)
 
 
-class TestEigenvalueBound:
-    def test_parabolic_weighted(self, H2, psi_one, parabolic_map):
-        assert abs(hc.eigenvalue_bound(psi_one, parabolic_map, H2) - 0.25) < 1e-12
+def maps_of_every_kind(rng):
+    """One self-map of each MapKind, with random parameters."""
+    def unit():
+        return cmath.exp(2j * math.pi * rng.uniform())
 
-    def test_dilation(self, H2):
-        assert abs(hc.eigenvalue_bound(1, hc.dilation(0.5), H2) - 1.0) < 1e-14
+    lam, zeta, p = unit(), unit(), 0.6 * rng.uniform() * unit()
+    a = rng.uniform(0.2, 0.9)
+    s = rng.uniform(0.1, 0.9)
+    c = rng.uniform(0.2, 0.7) * unit()
+    t_auto = rng.choice((-1, 1)) * rng.uniform(0.2, 3) * 1j       # Re t = 0: automorphism
+    t_nonauto = complex(rng.uniform(0.1, 2), rng.uniform(-1, 1))
+    maps = {
+        hc.MapKind.IDENTITY: hc.MoebiusMap(1, 0, 0, 1),
+        hc.MapKind.ELLIPTIC_AUTOMORPHISM: hc.compose(hc.alpha_p(p), hc.compose(
+            hc.rotation(cmath.exp(1j * rng.uniform(0.3, 2 * math.pi - 0.3))), hc.alpha_p(p))),
+        # (z + a conj(lam))/(a lam z + 1) fixes +-conj(lam) exactly.
+        hc.MapKind.HYPERBOLIC_AUTOMORPHISM: hc.MoebiusMap(1, a * lam.conjugate(), a * lam, 1),
+        hc.MapKind.PARABOLIC_AUTOMORPHISM: hc.cayley_parabolic(zeta, t_auto),
+        hc.MapKind.INTERIOR_CONTRACTION: hc.dilation((0.05 + 0.9 * rng.uniform()) * lam),
+        # s z + (1 - s) zeta attracts to zeta with phi'(zeta) = s.
+        hc.MapKind.HYPERBOLIC_NONAUTOMORPHISM: hc.MoebiusMap(s, (1 - s) * zeta, 0, 1),
+        hc.MapKind.PARABOLIC_NONAUTOMORPHISM: hc.cayley_parabolic(zeta, t_nonauto),
+        hc.MapKind.BOUNDARY_CONTACT_NO_BOUNDARY_FIXED_POINT: hc.MoebiusMap(
+            cmath.exp(1j * rng.uniform(0.5, 2 * math.pi - 0.5)) * (1 - abs(c)), 0, c, 1),
+    }
+    assert {kind: hc.classify(phi).kind for kind, phi in maps.items()} == {k: k for k in hc.MapKind}
+    return list(maps.values())
 
-    def test_vanishing_weight_kills_eigenvalues(self, H2):
-        assert hc.eigenvalue_bound(hc.polynomial_fn(0, 1), hc.dilation(0.5), H2) == 0.0
 
-    def test_elliptic_unavailable(self, H2):
+def random_weight(rng, root_moduli=(0.3, 3.0)):
+    """Coefficients of lead * prod (z - root) with 0 to 2 roots: a constant, or
+    a polynomial whose zeros may lie inside the disk."""
+    coeffs = np.array([rng.uniform(0.5, 2.0) * cmath.exp(2j * math.pi * rng.uniform())])
+    for _ in range(rng.integers(0, 3)):
+        root = rng.uniform(*root_moduli) * cmath.exp(2j * math.pi * rng.uniform())
+        coeffs = np.convolve(coeffs, [-root, 1.0])
+    return [complex(x) for x in coeffs]
+
+
+def fixed_point_bounds(coeffs, phi, gamma):
+    """Proved lower bounds on r(C_{psi,phi}), in 40-digit arithmetic.
+
+    |psi(b)| |phi'(b)|^(-gamma/2) at each boundary fixed point b (the kernel
+    orbit C*^n K_w with w -> b) and |psi(p)| at each interior fixed point p
+    (K_p is an eigenvector of C*).  Fixed points solve c z^2 + (d - a) z - b =
+    0; float coefficients split a double root by about sqrt(eps), so two
+    roots closer than 1e-6 are the double root -(d - a)/(2c).
+    """
+    with mpmath.workdps(40):
+        a, b, c, d = (mpmath.mpc(x) for x in phi.coefficients())
+        if c == 0:
+            roots = [b / (d - a)]
+        else:
+            disc = mpmath.sqrt((d - a) ** 2 + 4 * c * b)
+            roots = [(a - d + disc) / (2 * c), (a - d - disc) / (2 * c)]
+            if abs(roots[0] - roots[1]) < 1e-6:
+                roots = [(a - d) / (2 * c)]
+        bounds = []
+        for z in roots:
+            psi = abs(mpmath.polyval([mpmath.mpc(x) for x in reversed(coeffs)], z))
+            if abs(abs(z) - 1) < 1e-9:
+                deriv = abs((a * d - b * c) / (c * z + d) ** 2)
+                bounds.append(float(psi * deriv ** (-mpmath.mpf(gamma) / 2)))
+            elif abs(z) < 1:
+                bounds.append(float(psi))
+        return bounds
+
+
+SPACE_LABELS = ("hardy", "bergman:0", "bergman:1")
+
+
+class TestClosedFormDispatch:
+    @pytest.mark.parametrize("label", SPACE_LABELS)
+    @DERANDOMIZED
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_radii_respect_the_fixed_point_bounds(self, label, seed):
+        space = hc.space_from_label(label)
+        rng = np.random.default_rng(seed)
+        for phi in random_self_maps(rng, 2) + maps_of_every_kind(rng):
+            coeffs = random_weight(rng)
+            rep = hc.spectral_report(hc.polynomial_fn(*coeffs), phi, space)
+            if rep.r is None:
+                assert rep.citations["r"].startswith("unavailable: ")
+                continue
+            for bound in fixed_point_bounds(coeffs, phi, space.gamma):
+                assert rep.r >= bound * (1 - 1e-12), (phi, coeffs, rep.citations["r"])
+            if rep.r_e is not None:
+                assert rep.r_e <= rep.r * (1 + 1e-12)
+
+    def test_readme_hyperbolic_automorphism(self, H2):
+        # psi = 1 - 0.9 z on (z + 1/2)/(z/2 + 1): phi'(1) = 1/3, phi'(-1) = 3,
+        # so r = max(0.1 sqrt(3), 1.9/sqrt(3)), taken at the repelling point.
+        rep = hc.spectral_report(hc.polynomial_fn(1, -0.9), hc.MoebiusMap(1, 0.5, 0.5, 1), H2)
+        assert abs(rep.r - 1.9 / math.sqrt(3)) <= 1e-12
+        assert rep.citations["r"] == theory.CIT_R_AUTOMORPHISM
+
+    @pytest.mark.parametrize("phi", [hc.MoebiusMap(1, 0.5, 0.5, 1), hc.cayley_parabolic(1, 0.5j)])
+    def test_automorphism_weight_with_a_zero_states_its_lower_bound(self, H2, phi):
+        psi = hc.polynomial_fn(0.5, -0.9)   # zero at 5/9
+        low = max(fixed_point_bounds([0.5, -0.9], phi, 1.0))
+        rep = hc.spectral_report(psi, phi, H2)
+        assert rep.r is None
+        assert rep.citations["r"] == (f"unavailable: r >= {low:.12g} from the boundary fixed points; "
+                                      "the weight has a zero in the closed disk")
         with pytest.raises(TheoryUnavailableError):
-            hc.eigenvalue_bound(1, hc.rotation(1j), H2)
+            hc.spectral_radius_closed(psi, phi, H2)
+
+    def test_parabolic_automorphism_zero_free_weight(self, H2, A1):
+        phi = hc.cayley_parabolic(1j, -0.75j)
+        assert hc.classify(phi).kind is hc.MapKind.PARABOLIC_AUTOMORPHISM
+        for space in (H2, A1):
+            cf = hc.spectral_radius_closed(hc.polynomial_fn(1, 0.5), phi, space)
+            assert abs(cf.value - abs(1 + 0.5j)) < 1e-12
+            assert cf.citation == theory.CIT_R_AUTOMORPHISM
+
+    # The contraction branch's gate, classify_weighted, classifies once more.
+    @pytest.mark.parametrize("kind", [k for k in hc.MapKind if k is not hc.MapKind.INTERIOR_CONTRACTION])
+    def test_one_classify_per_dispatch(self, monkeypatch, H2, kind):
+        rng = np.random.default_rng(17)
+        phi = maps_of_every_kind(rng)[list(hc.MapKind).index(kind)]
+        calls = []
+
+        def counted(f):
+            calls.append(f)
+            return hc.classify(f)
+
+        monkeypatch.setattr(theory, "classify", counted)
+        for psi in (hc.constant_fn(2.0), hc.polynomial_fn(2, 1)):
+            calls.clear()
+            theory._closed_forms(psi, phi, H2)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("label", SPACE_LABELS)
+    @DERANDOMIZED
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_rotation_conjugation_keeps_the_radii(self, label, seed):
+        # C_{psi o rho, rho^-1 phi rho} is unitarily equivalent to C_{psi,phi}
+        # for a rotation rho.  Citations print their numbers to 12 digits, so
+        # those are compared to 2e-11 and the words exactly.
+        space = hc.space_from_label(label)
+        rng = np.random.default_rng(seed)
+        lam = cmath.exp(2j * math.pi * rng.uniform())
+        rho, rho_inv = hc.rotation(lam), hc.rotation(lam.conjugate())
+        number = re.compile(r"[-+]?\d+\.?\d*(?:e[-+]?\d+)?")
+        for phi in random_self_maps(rng, 2) + maps_of_every_kind(rng):
+            psi = hc.polynomial_fn(*random_weight(rng, rng.choice([(0.3, 0.8), (1.25, 3.0)])))
+            phi_r = hc.compose(rho_inv, hc.compose(phi, rho))
+            assert hc.classify(phi_r).kind is hc.classify(phi).kind
+            rep = hc.spectral_report(psi, phi, space)
+            rot = hc.spectral_report(hc.compose_with_moebius(psi, rho), phi_r, space)
+            for key in ("r", "r_e"):
+                a, b = getattr(rep, key), getattr(rot, key)
+                assert (a is None) is (b is None), (key, phi, rep.citations, rot.citations)
+                assert a is None or abs(a - b) <= 1e-12 * a
+                assert number.sub("#", rep.citations[key]) == number.sub("#", rot.citations[key])
+                for x, y in zip(number.findall(rep.citations[key]), number.findall(rot.citations[key])):
+                    assert math.isclose(float(x), float(y), rel_tol=2e-11)
 
 
 class TestNormBounds:
