@@ -42,8 +42,8 @@ class BranchViolationError(HypocompError):
 
 
 class IndeterminateError(HypocompError):
-    """Too close to a boundary to decide: a root near the zero test's circle |z| = 1 + 1e-6,
-    or a power factor whose image disk lies within the gate's band of the branch cut."""
+    """Too close to a boundary to decide: min|p| below about 1e-8 max|p| on the zero test's
+    circle |z| = 1 + 1e-6, or a power factor whose image disk lies within the gate's band of the cut."""
 
 
 class PoleEncounteredError(HypocompError):

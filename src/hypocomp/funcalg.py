@@ -214,10 +214,11 @@ def compose_rational_moebius(r: RationalFunction, phi: MoebiusMap) -> RationalFu
 def no_zero_in_closed_disk(r: RationalFunction) -> bool:
     """Whether r.num has no root of modulus <= R = 1 + 1e-6.
 
-    Decided from the moduli of the computed roots.  IndeterminateError when
-    min|p| < 1e-8 max(1, max|p|) on |z| = R, taken over 8192 points and the
-    point nearest each root; the circle is sampled only when the bounds
-    |a_n| prod |R - |rho_i|| <= |p| <= sum |a_i| R^i cannot rule that out.
+    Decided from the computed roots of p = r.num at unit scale (largest real or
+    imaginary coefficient part in [1/2, 1)), so 2^j p decides as p.
+    IndeterminateError when min|p| < 1e-8 max(1, max|p|) on |z| = R, over 8192
+    points and the point nearest each root; the circle is sampled only when
+    the bounds |a_n| prod |R - |rho_i|| <= |p| <= sum |a_i| R^i cannot rule that out.
     """
     return _poly_zero_free(r.num)
 
@@ -227,6 +228,7 @@ def _poly_zero_free(p: Polynomial) -> bool:
         return False
     if p.degree == 0:
         return True
+    p = Polynomial(_unit_coefficients(p))
     roots = p.roots()
     mods = np.abs(roots)
     with np.errstate(over="ignore"):
@@ -243,13 +245,12 @@ def _poly_zero_free(p: Polynomial) -> bool:
     return bool(np.all(mods > _ZERO_TEST_RADIUS))
 
 
-def _unit_coefficients(p: Polynomial) -> tuple[complex, complex]:
-    """(c0, c1) of p times the power of two that brings its largest real or
-    imaginary part into [1/2, 1): the same pair for p and 2^j p."""
-    c0, c1 = (p.coefficients + (0j,))[:2]
-    e = -math.frexp(max(abs(c0.real), abs(c0.imag), abs(c1.real), abs(c1.imag)))[1]
-    return (complex(math.ldexp(c0.real, e), math.ldexp(c0.imag, e)),
-            complex(math.ldexp(c1.real, e), math.ldexp(c1.imag, e)))
+def _unit_coefficients(p: Polynomial) -> tuple[complex, ...]:
+    """The coefficients of p, padded to two, times the power of two that brings
+    their largest real or imaginary part into [1/2, 1): the same for p and 2^j p."""
+    cs = p.coefficients + (0j,) * (2 - len(p.coefficients))
+    e = -math.frexp(max(max(abs(c.real), abs(c.imag)) for c in cs))[1]
+    return tuple(complex(math.ldexp(c.real, e), math.ldexp(c.imag, e)) for c in cs)
 
 
 def _factor_admissible(r: RationalFunction) -> None:

@@ -28,11 +28,12 @@ coefficients decay geometrically in i and j, so the section is, to unit
 roundoff, a small leading block A_K padded with zeros.  K is the smallest
 order such that rows K.. and columns K.. each hold at most eps^2 ||M||_F^2;
 then M = diag(A_K, 0) + E with ||E||_F <= sqrt(2) eps ||M||_F, the size of
-LAPACK's own backward error on M.  operator_norm, truncation_spectral_radius
-and gelfand_estimate work on A_K (see each for what that moves).  Sections
-of automorphisms, parabolic maps, rotations and multiplications keep K = N
-and run on the full section; SpectralEstimate.order is N either way, and
-truncation_eigenvalues always solves the full section.
+LAPACK's own backward error on M.  The scale and K are found once per section,
+which keeps no scaled copy (OperatorMatrix._analysis); operator_norm,
+truncation_spectral_radius and gelfand_estimate work on A_K, formed from
+entries[:K, :K] (see each for what that moves).  Automorphism, parabolic,
+rotation and multiplication sections keep K = N and run in full;
+SpectralEstimate.order is N either way, and truncation_eigenvalues solves all N.
 
 Finite-section positivity is advisory only: compressions do not preserve the
 sign of A*A - AA* (the forward shift gives a spurious negative eigenvalue),
@@ -44,6 +45,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,6 +90,37 @@ class OperatorMatrix:
 
     def adjoint_entries(self) -> np.ndarray:
         return self.entries.conj().T
+
+    @cached_property
+    def _analysis(self) -> _Analysis | None:
+        """Scale and leading block of the section, found on first use; None if it is zero.
+
+        b = M 2^-e has Frobenius norm fro in [1/2, 1) and block order K
+        (_leading_block); it is made exactly, by 2^-e1 and then 2^(e1 - e), only
+        to find K.  The first step brings the largest real or imaginary part
+        into [1/2, 1), so that the sum of squares stays in the float range.
+        """
+        parts = self.entries.view(np.float64)
+        big = max(float(parts.max()), -float(parts.min()))
+        if big == 0.0:
+            return None
+        e1 = math.frexp(big)[1]
+        b = np.ldexp(parts, -e1)
+        e2 = math.frexp(float(np.linalg.norm(b)))[1]
+        return _Analysis(e1, e1 + e2, *_leading_block(np.ldexp(b, -e2, out=b)))
+
+    def _scaled_block(self, order: int) -> np.ndarray:
+        """b[:order, :order], by the two ldexp steps of _analysis, bit for bit."""
+        e1, e = self._analysis[:2]
+        b = np.ldexp(self.entries.view(np.float64)[:order, :2 * order], -e1)
+        return np.ldexp(b, e1 - e, out=b).view(complex)
+
+
+class _Analysis(NamedTuple):
+    e1: int
+    e: int
+    order: int
+    fro: float
 
 
 @dataclass(frozen=True)
@@ -178,41 +212,18 @@ def hermitian_min_eig(h: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hh)[0])
 
 
-def _unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int] | None:
-    """(a 2^-e, e) with e from frexp(||a||_F), so that the copy has Frobenius
-    norm in [1/2, 1); None for the zero matrix.
-
-    Scaling by a power of two is exact, so iterating on the copy and scaling
-    back gives 2^j a exactly 2^j times the value for a, and no product of the
-    iteration overflows or underflows because of a's scale.  The norm is
-    taken after a first scaling that brings the largest real or imaginary
-    part into [1/2, 1): its sum of squares would leave the float range for
-    entries beyond about 1e+-154.
-    """
-    parts = a.view(np.float64)
-    big = max(float(parts.max()), -float(parts.min()))
-    if big == 0.0:
-        return None
-    e = math.frexp(big)[1]
-    b = np.ldexp(parts, -e)
-    fro_e = math.frexp(float(np.linalg.norm(b)))[1]
-    return np.ldexp(b, -fro_e, out=b).view(complex), e + fro_e
-
-
 def _leading_block(b: np.ndarray) -> tuple[int, float]:
-    """(K, ||b||_F) for a unit-scaled section b (see _unit_scaled): K is the
-    smallest order such that rows K.. of b hold at most eps^2 ||b||_F^2, and
-    columns K.. hold at most as much.
+    """(K, ||b||_F) for the float64 view b of a unit-scaled section (see
+    OperatorMatrix._analysis): K is the smallest order such that rows K.. of
+    b hold at most eps^2 ||b||_F^2, and columns K.. hold at most as much.
 
-    Then b = diag(b[:K, :K], 0) + E with ||E||_F <= sqrt(2) eps ||b||_F.  The
-    sums of squares run on the float64 view, so no N x N temporary is made;
-    the entries of b are at most 1, so no square overflows.  Suffix sums of
-    non-negative terms do not decrease toward the front, so counting those
-    above the threshold finds K.
+    Then b = diag(b[:K, :K], 0) + E with ||E||_F <= sqrt(2) eps ||b||_F.  Sums
+    of squares run on that view (no N x N temporary; entries are at most 1, so
+    none overflows).  Suffix sums of non-negative terms do not decrease toward
+    the front, so counting those above the threshold finds K.
     """
-    parts = b.view(np.float64)
-    rows = np.einsum("ij,ij->i", parts, parts)
-    cols = np.einsum("ij,ij->j", parts, parts).reshape(-1, 2).sum(axis=1)
+    rows = np.einsum("ij,ij->i", b, b)
+    cols = np.einsum("ij,ij->j", b, b).reshape(-1, 2).sum(axis=1)
     fro_sq = float(rows.sum())
     limit = _EPS * _EPS * fro_sq
     order = max(int(np.count_nonzero(np.cumsum(sums[::-1]) > limit)) for sums in (rows, cols))
@@ -266,16 +277,11 @@ def _power_steps(apply, v: np.ndarray, cap: int, quick: bool = False) -> tuple[f
     )
 
 
-def _deflated(a: np.ndarray, order: int) -> np.ndarray:
-    """a itself when order is its size, else a contiguous copy of its leading block."""
-    return a if order == a.shape[0] else np.ascontiguousarray(a[:order, :order])
-
-
 def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
     """Largest singular value via Lanczos-accelerated power iteration on M*M.
 
     Deterministically seeded, on M scaled by a power of two to Frobenius norm
-    in [1/2, 1) (see _unit_scaled), and on its leading block A_K alone
+    in [1/2, 1) (OperatorMatrix._analysis), and on its leading block A_K alone
     (_leading_block): by Weyl, ||A_K|| is within ||E||_2 <= sqrt(2) eps
     ||M||_F of ||M||.  A Lanczos pass (which copes with the clustered top
     spectra of Toeplitz-like sections) supplies the start vector, followed by
@@ -283,12 +289,11 @@ def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
     eigenvalue of M*M lies within 1e-8 lambda of lambda.  Raises
     ConvergenceFailureError after 10 K polish steps without meeting that.
     """
-    scaled = _unit_scaled(m.entries)
-    if scaled is None:
+    s = m._analysis
+    if s is None:
         return SpectralEstimate(0.0, "power-iteration", m.order, 0.0)
-    a, e = scaled
-    a = _deflated(a, _leading_block(a)[0])
-    n = a.shape[0]
+    n = s.order
+    a = m._scaled_block(n)
 
     def gram(x):
         return _adjoint_apply(a, a @ x)
@@ -304,8 +309,8 @@ def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
         except ArpackError:
             pass  # fall through to plain power steps from the seeded vector
     lam, resid = _power_steps(gram, v, 10 * n)
-    return SpectralEstimate(_unscale(math.sqrt(lam), e), "power-iteration", m.order,
-                            _unscale(resid, 2 * e))
+    return SpectralEstimate(_unscale(math.sqrt(lam), s.e), "power-iteration", m.order,
+                            _unscale(resid, 2 * s.e))
 
 
 def truncation_spectral_radius(m: OperatorMatrix) -> SpectralEstimate:
@@ -322,7 +327,7 @@ def truncation_spectral_radius(m: OperatorMatrix) -> SpectralEstimate:
     if not np.triu(a, 1).any():
         vals = np.diagonal(a)
     else:
-        vals = np.linalg.eigvals(_deflated(a, _leading_block(_unit_scaled(a)[0])[0]))
+        vals = np.linalg.eigvals(a[:m._analysis.order, :m._analysis.order])
     return SpectralEstimate(float(np.max(np.abs(vals))) if vals.size else 0.0,
                             "truncation-eig", m.order, 0.0)
 
@@ -353,7 +358,7 @@ def _power_norm(a: np.ndarray, k: int, m: OperatorMatrix) -> tuple[float, float]
 def gelfand_estimate(m: OperatorMatrix, k: int) -> SpectralEstimate:
     """||M^k||^(1/k), an upper-biased spectral radius estimate.
 
-    Works on M scaled by a power of two (see _unit_scaled).  Quick path:
+    Works on M scaled by a power of two (OperatorMatrix._analysis).  Quick path:
     power steps on x -> (M^H)^k M^k x, 2k products with M each, from
     operator_norm's seeded vector and with its residual certificate.  The
     gap between the top two singular values of M^k is that of M raised to
@@ -372,18 +377,13 @@ def gelfand_estimate(m: OperatorMatrix, k: int) -> SpectralEstimate:
     if k < 1:
         raise InvalidParameterError("k must be at least 1")
     n = m.order
-    scaled = _unit_scaled(m.entries)
-    if scaled is None:
+    s = m._analysis
+    if s is None:
         return SpectralEstimate(0.0, "gelfand", n, 0.0)
-    a, e = scaled
-    order, fro = _leading_block(a)
-    found = None
-    if order < n:
-        found = _power_norm(_deflated(a, order), k, m)
-        if math.sqrt(2.0) * k * _EPS * fro**k > _NORM_REL_TOL * found[0]:
-            found = None
-    norm, resid = found or _power_norm(a, k, m)
-    return SpectralEstimate(_unscale(norm ** (1.0 / k), e), "gelfand", n, _unscale(resid, 2 * k * e))
+    norm, resid = _power_norm(m._scaled_block(s.order), k, m)
+    if s.order < n and math.sqrt(2.0) * k * _EPS * s.fro**k > _NORM_REL_TOL * norm:
+        norm, resid = _power_norm(m._scaled_block(n), k, m)
+    return SpectralEstimate(_unscale(norm ** (1.0 / k), s.e), "gelfand", n, _unscale(resid, 2 * k * s.e))
 
 
 # ---------------------------------------------------------------------------

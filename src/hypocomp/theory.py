@@ -503,7 +503,7 @@ def _closed_forms(psi_f: AnalyticFunction, phi: MoebiusMap,
       disk, where C is invertible (Gunatillake, J. Funct. Anal. 261 (2011),
       on H^2; Hyvarinen, Lindstrom, Nieminen & Saukko, J. Funct. Anal. 265
       (2013), on A^2_alpha).  Any other psi, or a zero test that cannot
-      decide (run at unit scale, so c psi decides as psi), leaves r
+      decide (it is scale-free, so 2^j psi decides as psi), leaves r
       unavailable with that lower bound.
     - Non-automorphism, hyperbolic or parabolic, with boundary zeta:
       r = |psi(zeta)| phi'(zeta)^(-g).
@@ -523,9 +523,8 @@ def _closed_forms(psi_f: AnalyticFunction, phi: MoebiusMap,
     if kind in (MapKind.HYPERBOLIC_AUTOMORPHISM, MapKind.PARABOLIC_AUTOMORPHISM):
         low = max(abs(psi_f(b)) * abs(angular_derivative(phi, b)) ** -g
                   for b in (f.location / abs(f.location) for f in cls.fixed if f.on_boundary))
-        e = min(1023, -math.frexp(max(abs(c) for c in psi_f.base.num.coefficients))[1])
         try:
-            zero_free = no_zero_in_closed_disk(psi_f.base.scale(2.0**e))
+            zero_free = no_zero_in_closed_disk(psi_f.base)
             why = None if zero_free else "the weight has a zero in the closed disk"
         except IndeterminateError as exc:
             why = f"zero test: {exc}"

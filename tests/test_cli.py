@@ -317,6 +317,7 @@ _SCALED_WEIGHTS = (
     ("parabolic:1,1", lambda c: _poly((0.5, -0.25), c)),
     ("parabolic:1,1", lambda c: f"{_poly((1, 0.3), c)}/1,-0.4"),
     ("parabolic:1,1", lambda c: _poly((1,), c)),
+    ("parabolic:1,1", lambda c: f"1/{_poly((2, 1), 1 / c)}"),
     ("0.5,0,0,1", lambda c: _poly((1, 0.5), c)),
     ("0.5,0,0,1", lambda c: _poly((1,), c)),
     ("normal-form:0.3,0.4", lambda c: f"kernel-quotient:0.3,{c * 0.7!r}"),
@@ -351,6 +352,15 @@ def test_weight_scale_changes_no_decision(case, j):
     # Hyponormality of c C is that of C for every c != 0.
     spec, weight = case
     assert _decisions(spec, weight(2.0**j)) == _decisions(spec, weight(1.0))
+
+
+@pytest.mark.parametrize("j", [27, 60])
+def test_scaled_base_denominator_is_decided(j):
+    # c/(2 + z): the base denominator (2 + z)/c is zero-tested at unit scale,
+    # so a tiny one is decided like 2 + z, not refused as indeterminate.
+    psi = f"1/{_poly((2, 1), 2.0**-j)}"
+    assert _decisions("parabolic:1,1", psi) == _decisions("parabolic:1,1", "1/2,1")
+    assert _decisions("parabolic:1,1", psi)[0] == 0
 
 
 def test_tiny_weights_are_not_constant_or_zero(capsys):

@@ -384,16 +384,18 @@ def high_precision_roots(p):
 def zero_test_oracle(p):
     """(refuses, zero_free) for p from its 50-digit roots.
 
-    refuses: min|p| < 1e-8 max(1, max|p|) over 8192 points of the test circle
-    and the point of it nearest each root.  zero_free: every root lies beyond
-    the test radius.
+    refuses: min|u p| < 1e-8 max(1, max|u p|) over 8192 points of the test
+    circle and the point of it nearest each root, u the power of two that
+    brings the largest real or imaginary coefficient part of p into [1/2, 1).
+    zero_free: every root lies beyond the test radius.
     """
     roots = high_precision_roots(p)
     theta = np.concatenate([
         np.linspace(0.0, 2.0 * math.pi, _ZERO_TEST_SAMPLES, endpoint=False),
         [float(mpmath.arg(r)) for r in roots],
     ])
-    mags = np.abs(np.polyval(p.coefficients[::-1], _ZERO_TEST_RADIUS * np.exp(1j * theta)))
+    unit = 2.0 ** -math.frexp(np.abs(np.asarray(p.coefficients).view(float)).max())[1]
+    mags = unit * np.abs(np.polyval(p.coefficients[::-1], _ZERO_TEST_RADIUS * np.exp(1j * theta)))
     refuses = mags.min() < _ZERO_TEST_GUARD * max(1.0, mags.max())
     with mpmath.workdps(50):
         return refuses, min(abs(r) for r in roots) > mpmath.mpf(_ZERO_TEST_RADIUS)

@@ -350,7 +350,16 @@ class TestGelfandEstimate:
 
 
 def _block_order(m):
-    return matrixrep._leading_block(matrixrep._unit_scaled(m.entries)[0])[0]
+    return m._analysis.order
+
+
+def _full_order_leading_block(monkeypatch):
+    """Make every section analysed from now on keep K = N."""
+    real = matrixrep._leading_block
+    monkeypatch.setattr(matrixrep, "_leading_block", lambda b: (b.shape[0], real(b)[1]))
+
+
+_ROUTINES = (hc.operator_norm, hc.truncation_spectral_radius, lambda x: hc.gelfand_estimate(x, 8))
 
 
 @st.composite
@@ -394,8 +403,8 @@ class TestDeflation:
         a = m.entries
         # K is the smallest order whose dropped rows, and dropped columns,
         # each hold at most eps^2 ||M||_F^2 (up to the rounding of the sums).
-        b = matrixrep._unit_scaled(a)[0]
-        order, b_fro = matrixrep._leading_block(b)
+        order, b_fro = m._analysis.order, m._analysis.fro
+        b = m._scaled_block(n)
         assert b_fro == pytest.approx(np.linalg.norm(b), rel=1e-12)
         sq, limit = np.abs(b) ** 2, np.finfo(float).eps ** 2 * b_fro**2
         assert 0 < order < n
@@ -414,11 +423,48 @@ class TestDeflation:
     def test_non_compact_sections_keep_the_full_order(self, monkeypatch, name, psi, phi, space):
         m = hc.build_weighted_composition(psi, phi, space, 128)
         assert _block_order(m) == 128
-        routines = (hc.operator_norm, hc.truncation_spectral_radius, lambda x: hc.gelfand_estimate(x, 8))
-        got = [routine(m) for routine in routines]
-        real = matrixrep._leading_block
-        monkeypatch.setattr(matrixrep, "_leading_block", lambda b: (b.shape[0], real(b)[1]))
-        assert [routine(m) for routine in routines] == got
+        got = [routine(m) for routine in _ROUTINES]
+        # The analysis is kept on m, so the patch must precede a fresh build.
+        _full_order_leading_block(monkeypatch)
+        forced = hc.build_weighted_composition(psi, phi, space, 128)
+        assert [routine(forced) for routine in _ROUTINES] == got
+
+    def test_rejected_block_falls_back_to_the_full_section(self, monkeypatch):
+        # psi = z on the dilation 0.5 z: the section is nilpotent and ||A_K^8||
+        # is so small that sqrt(2) k eps ||M||_F^k exceeds 1e-8 of it, so
+        # gelfand_estimate discards the block and forms the full scaled section.
+        case = (hc.polynomial_fn(0, 1), hc.dilation(0.5), hc.hardy(), 128)
+        m = hc.build_weighted_composition(*case)
+        assert _block_order(m) == 53
+        orders = []
+        real = matrixrep._power_norm
+        monkeypatch.setattr(matrixrep, "_power_norm", lambda a, k, x: orders.append(a.shape[0]) or real(a, k, x))
+        got = hc.gelfand_estimate(m, 8)
+        assert orders == [53, 128]
+        _full_order_leading_block(monkeypatch)
+        assert repr(hc.gelfand_estimate(hc.build_weighted_composition(*case), 8)) == repr(got)
+
+    @pytest.mark.parametrize("argv", [
+        ("--map=0.5,0,0,1", "--psi=2,1/1,-0.4", "--order=1024"),
+        ("--map=normal-form:0.3,0.4", "--psi=kernel-quotient:0.3,0.7", "--space=bergman:0", "--order=512"),
+    ], ids=["triangular dilation", "normal form"])
+    def test_numeric_spectral_analyses_each_section_once(self, monkeypatch, argv):
+        built, analysed = [], []
+        real_init, real_block = matrixrep.OperatorMatrix.__post_init__, matrixrep._leading_block
+        monkeypatch.setattr(matrixrep.OperatorMatrix, "__post_init__",
+                            lambda self: built.append(self.order) or real_init(self))
+        monkeypatch.setattr(matrixrep, "_leading_block", lambda b: analysed.append(b.shape[0]) or real_block(b))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["spectral", "--numeric", "--json", *argv]) == 0
+        assert analysed == built == [int(argv[-1].split("=")[1])]
+
+    @DERANDOMIZED
+    @given(compact_sections() | st.sampled_from([c[1:] for c in _NON_COMPACT]), st.permutations(range(3)))
+    def test_routines_agree_in_any_order_on_one_section(self, case, order):
+        fresh = [repr(routine(hc.build_weighted_composition(*case, 128))) for routine in _ROUTINES]
+        m = hc.build_weighted_composition(*case, 128)
+        shared = {i: repr(_ROUTINES[i](m)) for i in order}
+        assert [shared[i] for i in range(3)] == fresh
 
     @pytest.mark.parametrize("j", [-900, 900])
     def test_block_order_is_scale_free(self, j):
