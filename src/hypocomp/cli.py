@@ -240,21 +240,19 @@ def _cmd_classify(args) -> tuple[dict, int]:
     }, 0
 
 
-def _norm_bound_block(psi, phi, space, cls) -> dict | None:
+def _norm_bound_block(psi, phi, space) -> dict | None:
     """check's spectral block: the norm bounds that hold if the operator is
-    hyponormal, taken at the interior Denjoy-Wolff point when phi has one;
-    None when no bound applies.  cls is classify(phi)."""
-    dw = cls.denjoy_wolff
+    hyponormal, at the interior Denjoy-Wolff point; None when no bound
+    applies."""
     try:
-        nb = norm_bounds(psi, phi, space, p=dw.location if dw is not None and dw.in_disk else None)
+        nb = norm_bounds(psi, phi, space)
     except TheoryUnavailableError:
         return None
     citations = {
         "norm_lower": nb.citations[0] + " (assuming hyponormality)",
         "norm_upper": nb.citations[1] + " (assuming hyponormality)",
+        "mu": f"mu = {nb.mu!r}",
     }
-    if nb.mu is not None:
-        citations["mu"] = f"mu = {nb.mu!r}"
     return {"r": None, "r_e": None, "norm_lower": nb.lower, "norm_upper": nb.upper,
             "citations": citations}
 
@@ -279,7 +277,7 @@ def _cmd_check(args) -> tuple[dict, int]:
         "verdict": _verdict_dict(verdict),
         "diagnostics": [],
     }
-    spectral = _norm_bound_block(psi, phi, space, cls)
+    spectral = _norm_bound_block(psi, phi, space)
     if spectral is not None:
         report["spectral"] = spectral
     return report, 0
@@ -365,9 +363,8 @@ def _selftest_items(space_labels: list[str]) -> list[dict]:
     ok = abs(nb.lower - 1 / math.sqrt(2)) <= 1e-12 and abs(nb.upper - 1.0) <= 1e-12
     record("norm bounds for z/(z+2), unit weight, hardy: [0.7071, 1]", ok,
            f"[{nb.lower:.6f}, {nb.upper:.6f}]")
-    nb0 = norm_bounds(1, zmap, hardy(), p=0)
-    ok = nb0.mu is not None and abs(nb0.mu - 1.0) <= 1e-12 and abs(nb0.lower - 1 / math.sqrt(2)) <= 1e-12
-    record("interior-point norm bounds for z/(z+2) at p=0: mu = 1", ok, f"mu={nb0.mu}")
+    ok = abs(nb.mu - 1.0) <= 1e-12 and abs(nb.lower - 1 / math.sqrt(2)) <= 1e-12
+    record("interior-point norm bounds for z/(z+2) at p=0: mu = 1", ok, f"mu={nb.mu}")
     nbb = norm_bounds(1, zmap, space_from_label("bergman:0"))
     ok = abs(nbb.lower - 0.5) <= 1e-12
     record("norm lower bound for z/(z+2) on bergman:0: 1/2", ok, f"{nbb.lower:.6f}")

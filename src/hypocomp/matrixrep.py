@@ -313,6 +313,17 @@ def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
                             _unscale(resid, 2 * s.e))
 
 
+def _lower_triangular(a: np.ndarray) -> bool:
+    """Whether the strict upper triangle of a is zero, tested on views of 64
+    rows at a time: only each 64 x 64 diagonal block is copied, never a."""
+    n = a.shape[0]
+    for i in range(0, n, 64):
+        j = min(i + 64, n)
+        if a[i:j, j:].any() or np.triu(a[i:j, i:j], 1).any():
+            return False
+    return True
+
+
 def truncation_spectral_radius(m: OperatorMatrix) -> SpectralEstimate:
     """Max-modulus eigenvalue of the section. Diagnostic only for non-compact limits.
 
@@ -324,7 +335,7 @@ def truncation_spectral_radius(m: OperatorMatrix) -> SpectralEstimate:
     eps ||M||_F, the size of LAPACK's own backward error on M.
     """
     a = m.entries
-    if not np.triu(a, 1).any():
+    if _lower_triangular(a):
         vals = np.diagonal(a)
     else:
         vals = np.linalg.eigvals(a[:m._analysis.order, :m._analysis.order])

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     DegenerateMapError,
     IdentityMapError,
+    IndeterminateError,
     InvalidParameterError,
     NoAngularDerivativeError,
     NoDenjoyWolffError,
@@ -280,16 +281,43 @@ def fixed_points(phi: MoebiusMap) -> list[FixedPointData]:
         root = -B / (2.0 * c)
         out.append(_fixed_point_from_root(phi, root, double=True))
         return out
-    s = cmath.sqrt(disc)
+    r1, r2 = _quadratic_roots(a, b, c, d)
+    out.append(_fixed_point_from_root(phi, r1, double=False))
+    out.append(_fixed_point_from_root(phi, r2, double=False))
+    out.sort(key=lambda f: (f.location.real, f.location.imag))
+    return out
+
+
+def _quadratic_roots(a: complex, b: complex, c: complex, d: complex) -> tuple[complex, complex]:
+    """The two roots of c p^2 + (d - a) p - b = 0 for c != 0, without cancellation."""
+    B = d - a
+    s = cmath.sqrt(B * B + 4.0 * c * b)
     # Pick the sign that avoids cancellation in -B + s.
     if ((-B).real * s.real + (-B).imag * s.imag) < 0.0:
         s = -s
     r1 = (-B + s) / (2.0 * c)
     r2 = (-b / c) / r1 if abs(r1) > 1e-30 else (-B - s) / (2.0 * c)
-    out.append(_fixed_point_from_root(phi, r1, double=False))
-    out.append(_fixed_point_from_root(phi, r2, double=False))
-    out.sort(key=lambda f: (f.location.real, f.location.imag))
-    return out
+    return r1, r2
+
+
+def _contraction_fixed_points(phi: MoebiusMap) -> tuple[FixedPointData, FixedPointData]:
+    """(p, partner) for a map sending the closed disk into D.
+
+    p = phi(p) lies in phi(closed disk), inside D, so it is the one simple
+    fixed point there: the root of smaller modulus, flagged in_disk.  Its
+    partner lies outside the closed disk or at infinity.  Near the circle the
+    two can be closer than fixed_points' degeneracy band (p and 1/conj(p) for
+    a normal form), which would merge them onto the circle, so no band applies.
+    """
+    a, b, c, d = phi.coefficients()
+    if c == 0:
+        p, partner = b / (d - a), FixedPointData(None, phi.det / (a * a), False, False)
+    else:
+        p, outer = sorted(_quadratic_roots(a, b, c, d), key=abs)
+        partner = _fixed_point_from_root(phi, outer, double=False)
+    if not abs(p) < 1.0:
+        raise IndeterminateError(f"the fixed point of a strict contraction rounds to {p:.6g}, off the open disk")
+    return FixedPointData(p, phi.derivative(p), on_boundary=False, in_disk=True), partner
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +391,12 @@ def classify(phi: MoebiusMap) -> MapClass:
     if sup > 1.0 + TOL_BOUNDARY:
         raise NotSelfMapError(f"sup |phi| on the unit circle is {sup:.12g} > 1")
 
+    if sup < 1.0 - TOL_BOUNDARY:
+        fps = _contraction_fixed_points(phi)
+        return MapClass(MapKind.INTERIOR_CONTRACTION, fps[0], None, sup, fps)
+
     fps = fixed_points(phi)
     finite = [f for f in fps if not f.at_infinity]
-
-    if sup < 1.0 - TOL_BOUNDARY:
-        dw = _denjoy_wolff_from(fps)
-        return MapClass(MapKind.INTERIOR_CONTRACTION, dw, None, sup, tuple(fps))
 
     # An automorphism maps the circle onto itself: its image circle is the
     # unit circle, so its nearest point to 0 has modulus 1 as well.

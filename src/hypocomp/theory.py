@@ -1,8 +1,9 @@
 """Decidable hyponormality statements as executable logic.
 
 Classifiers return theorem-backed verdicts with human-readable citation
-clauses; closed-form spectral and essential spectral radii (one dispatch),
-norm bounds, Clark singular parts, the compact normal form and its
+clauses; closed-form spectral and essential spectral radii and norm bounds
+(one dispatch, one classify, deriving the interior Denjoy-Wolff point where
+a formula needs it), Clark singular parts, the compact normal form and its
 kernel-quotient weight, conjugation of an interior fixed point to the
 origin, and a numeric witness search for non-hyponormality certificates.
 
@@ -86,10 +87,9 @@ CIT_R_AUTOMORPHISM = (
     "spectral radius max |psi(b)| phi'(b)^(-gamma/2) over the boundary fixed points b of an automorphism, psi "
     "zero-free on the closed disk (Gunatillake 2011 on H^2; Hyvarinen-Lindstrom-Nieminen-Saukko 2013 on A^2_alpha)"
 )
-CIT_R_CONTRACTION = "hyponormal with strictly contracting symbol fixing the origin: norm = radius = |psi(0)|"
+CIT_R_CONTRACTION = "spectral radius |psi(p)| at the interior Denjoy-Wolff point p of a strictly contracting symbol"
 CIT_RE_BOUNDARY = "essential spectral radius phi'(zeta)^(-gamma/2) at the boundary Denjoy-Wolff point"
-CIT_NORM_LOWER_ANGULAR = "lower bound |psi(zeta)| / |phi'(zeta)|^(gamma/2) from kernels pushed to the fixed point"
-CIT_NORM_UPPER_MAX = "upper bound max{|psi(zeta)|, |psi(0)|} from the spectral radius of a hyponormal operator"
+CIT_RE_COMPACT = "essential spectral radius 0: a symbol mapping the closed disk into D gives a compact operator"
 CIT_NORM_MU_LOWER = "lower bound mu / |phi'(zeta)|^(gamma/2) after conjugating the interior fixed point to the origin"
 CIT_NORM_MU_UPPER = "upper bound max{mu, |psi(p)|} after conjugating the interior fixed point to the origin"
 CIT_NORM_KERNEL_GRID = "norm >= |psi(w)| ((1-|w|^2)/(1-|phi(w)|^2))^(gamma/2) at every kernel point"
@@ -263,9 +263,21 @@ def _first_violation(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec,
 # ---------------------------------------------------------------------------
 # Normal form and kernel-quotient weight
 
+def _fixed_point_tol(p: complex) -> float:
+    """Coefficient tolerance of the fixed-point gate and the normal-form match:
+    1e-10, raised from |p| = 0.9995 on to 1e-13/(1 - |p|^2), the rounding of p.
+
+    p and its mirror 1/conj(p) are roots of one quadratic, 2 (1 - |p|) apart,
+    so p, phi(p) - p and the normal form rebuilt at p round by eps/(1 - |p|^2)
+    times a constant: at most 4 and 190 over 6000 normal forms with 1 - |p|
+    from 1e-3 to 1e-7; 1e-13 is 450 eps.
+    """
+    return max(1e-10, 1e-13 / (1.0 - abs(p) ** 2))
+
+
 def _fixes(phi: MoebiusMap, p: complex) -> bool:
-    """Whether phi(p) = p to within 1e-10 (1 + |p|^2)."""
-    return abs(phi(p) - p) <= 1e-10 * (1.0 + abs(p) ** 2)
+    """Whether phi(p) = p to within _fixed_point_tol(p) (1 + |p|^2)."""
+    return abs(phi(p) - p) <= _fixed_point_tol(p) * (1.0 + abs(p) ** 2)
 
 
 def _require_fixed(phi: MoebiusMap, p) -> complex:
@@ -352,10 +364,6 @@ def normal_form(p: complex, delta: complex, value_at_p: complex, space: SpaceSpe
 # ---------------------------------------------------------------------------
 # Weighted classifier
 
-# Coefficient tolerance of classify_weighted's normal-form match.
-_NORMAL_FORM_MATCH_TOL = 1e-10
-
-
 def classify_weighted(
     psi, phi: MoebiusMap, space: SpaceSpec, options: WeightedOptions | None = None
 ) -> HyponormalityVerdict:
@@ -423,7 +431,7 @@ def classify_weighted(
     if cls.kind is MapKind.INTERIOR_CONTRACTION:
         p = cls.denjoy_wolff.location
         delta = cls.denjoy_wolff.multiplier
-        if map_distance(phi, normal_form_map(p, delta)) > _NORMAL_FORM_MATCH_TOL:
+        if map_distance(phi, normal_form_map(p, delta)) > _fixed_point_tol(p):
             return HyponormalityVerdict(
                 Outcome.NOT_HYPONORMAL,
                 CIT_COMPACT_NORMAL_FORM,
@@ -488,58 +496,88 @@ def _proved(cf: ClosedFormValue) -> ClosedFormValue:
     return cf
 
 
+@dataclass(frozen=True)
+class NormBounds:
+    lower: float
+    upper: float
+    citations: tuple[str, ...]
+    mu: float
+
+
 def _closed_forms(psi_f: AnalyticFunction, phi: MoebiusMap,
-                  space: SpaceSpec) -> tuple[ClosedFormValue, ClosedFormValue]:
-    """(r, r_e) of C_{psi,phi} from one classify(phi) and one branch on its kind.
+                  space: SpaceSpec) -> tuple[ClosedFormValue, ClosedFormValue, NormBounds | str]:
+    """(r, r_e, norm bounds or the reason there are none) of C_{psi,phi},
+    from one classify(phi) and one branch on its kind.
 
     g = gamma/2, zeta a boundary Denjoy-Wolff point; psi, like every symbol,
     is analytic on the closed disk.
+    - Interior contraction, Denjoy-Wolff point p in D: r = |psi(p)| and
+      r_e = 0, for every psi, on H^2 and on A^2_alpha.  C* K_p = conj(psi(p))
+      K_p, so r >= |psi(p)|.  C^n = C_{psi_n, phi_n} with psi_n = prod_{k<n}
+      psi o phi_k, so ||C^n|| <= prod_{k<n} sup_D |psi o phi_k| ||C_{phi_n}||;
+      phi_k -> p uniformly on the closed disk and ||C_{phi_n}|| <= ((1 +
+      |phi_n(0)|)/(1 - |phi_n(0)|))^g stays bounded, so r <= |psi(p)|.  phi
+      maps the closed disk into D, so C is compact and r_e = 0 (Cowen &
+      MacCluer, Composition Operators on Spaces of Analytic Functions, 1995).
     - Automorphism, hyperbolic or parabolic: r = max |psi(b)| phi'(b)^(-g)
       over its boundary fixed points b (one, with phi'(b) = 1, if parabolic).
       Each b bounds r below for every psi: C*^n K_w = conj(psi_n(w)) K_{phi_n(w)}
-      with psi_n = prod_{k<n} psi o phi_k, and (1 - |w|^2)/(1 - |phi_n(w)|^2)
-      = 1/|phi_n'(w)| -> phi'(b)^(-n) as w -> b, so ||C^n|| >= (|psi(b)|
-      phi'(b)^(-g))^n.  Equality holds for psi without zeros on the closed
-      disk, where C is invertible (Gunatillake, J. Funct. Anal. 261 (2011),
-      on H^2; Hyvarinen, Lindstrom, Nieminen & Saukko, J. Funct. Anal. 265
-      (2013), on A^2_alpha).  Any other psi, or a zero test that cannot
-      decide (it is scale-free, so 2^j psi decides as psi), leaves r
-      unavailable with that lower bound.
+      and (1 - |w|^2)/(1 - |phi_n(w)|^2) = 1/|phi_n'(w)| -> phi'(b)^(-n) as
+      w -> b, so ||C^n|| >= (|psi(b)| phi'(b)^(-g))^n.  Equality holds for psi
+      without zeros on the closed disk, where C is invertible (Gunatillake,
+      J. Funct. Anal. 261 (2011), on H^2; Hyvarinen, Lindstrom, Nieminen &
+      Saukko, J. Funct. Anal. 265 (2013), on A^2_alpha).  Any other psi, or a
+      zero test that cannot decide (it is scale-free, so 2^j psi decides as
+      psi), leaves r unavailable with that lower bound.
     - Non-automorphism, hyperbolic or parabolic, with boundary zeta:
       r = |psi(zeta)| phi'(zeta)^(-g).
-    - Interior contraction fixing 0 with classify_weighted Normal: r = |psi(0)|.
-    - r_e = |c| phi'(zeta)^(-g) for a value-constant psi = c and boundary zeta.
+    - Outside contractions, r_e = |c| phi'(zeta)^(-g) for a value-constant
+      psi = c and boundary zeta.
+    - Norm bounds under hyponormality, when phi fixes its contact point zeta
+      and its Denjoy-Wolff point p (a non-automorphism's only fixed point in
+      D) lies in D: mu / phi'(zeta)^g <= ||C|| <= max{mu, |psi(p)|} with
+      mu = |psi(zeta) K_p(alpha_p(zeta)) K_p(zeta)| / ||K_p||^2, the p = 0
+      bounds (mu = |psi(zeta)|) after conjugating p to the origin.
     """
     cls = classify(phi)
     kind, dw, g = cls.kind, cls.denjoy_wolff, space.gamma / 2.0
-    zeta = dw.location / abs(dw.location) if dw is not None and dw.on_boundary else None
-    if not is_value_constant(psi_f):
-        r_e = _unavailable("closed form applies to constant weights only")
-    elif zeta is None:
-        r_e = _unavailable("essential spectral radius closed form needs a boundary Denjoy-Wolff point")
+    if kind is MapKind.INTERIOR_CONTRACTION:
+        r = ClosedFormValue(abs(psi_f(dw.location)), CIT_R_CONTRACTION)
+        r_e = ClosedFormValue(0.0, CIT_RE_COMPACT)
     else:
-        r_e = ClosedFormValue(abs(psi_f(0)) * abs(angular_derivative(phi, zeta)) ** -g, CIT_RE_BOUNDARY)
+        zeta = dw.location / abs(dw.location) if dw is not None and dw.on_boundary else None
+        if not is_value_constant(psi_f):
+            r_e = _unavailable("closed form applies to constant weights only")
+        elif zeta is None:
+            r_e = _unavailable("essential spectral radius closed form needs a boundary Denjoy-Wolff point")
+        else:
+            r_e = ClosedFormValue(abs(psi_f(0)) * abs(angular_derivative(phi, zeta)) ** -g, CIT_RE_BOUNDARY)
 
-    if kind in (MapKind.HYPERBOLIC_AUTOMORPHISM, MapKind.PARABOLIC_AUTOMORPHISM):
-        low = max(abs(psi_f(b)) * abs(angular_derivative(phi, b)) ** -g
-                  for b in (f.location / abs(f.location) for f in cls.fixed if f.on_boundary))
-        try:
-            zero_free = no_zero_in_closed_disk(psi_f.base)
-            why = None if zero_free else "the weight has a zero in the closed disk"
-        except IndeterminateError as exc:
-            why = f"zero test: {exc}"
-        r = _unavailable(f"r >= {low:.12g} from the boundary fixed points; {why}") if why else (
-            ClosedFormValue(low, CIT_R_AUTOMORPHISM))
-    elif kind in (MapKind.HYPERBOLIC_NONAUTOMORPHISM, MapKind.PARABOLIC_NONAUTOMORPHISM) and zeta is not None:
-        cite = CIT_R_PARABOLIC if kind is MapKind.PARABOLIC_NONAUTOMORPHISM else CIT_R_BOUNDARY
-        r = ClosedFormValue(abs(psi_f(zeta)) * abs(angular_derivative(phi, zeta)) ** -g, cite)
-    elif kind is MapKind.INTERIOR_CONTRACTION and abs(phi(0)) <= 1e-12:
-        normal = classify_weighted(psi_f, phi, space).outcome is Outcome.NORMAL
-        r = ClosedFormValue(abs(psi_f(0)), CIT_R_CONTRACTION) if normal else (
-            _unavailable("hyponormality not established for the contracting symbol"))
-    else:
-        r = _unavailable(f"no closed form for class {kind.value} with this fixed-point structure")
-    return r, r_e
+        if kind in (MapKind.HYPERBOLIC_AUTOMORPHISM, MapKind.PARABOLIC_AUTOMORPHISM):
+            low = max(abs(psi_f(b)) * abs(angular_derivative(phi, b)) ** -g
+                      for b in (f.location / abs(f.location) for f in cls.fixed if f.on_boundary))
+            try:
+                zero_free = no_zero_in_closed_disk(psi_f.base)
+                why = None if zero_free else "the weight has a zero in the closed disk"
+            except IndeterminateError as exc:
+                why = f"zero test: {exc}"
+            r = _unavailable(f"r >= {low:.12g} from the boundary fixed points; {why}") if why else (
+                ClosedFormValue(low, CIT_R_AUTOMORPHISM))
+        elif kind in (MapKind.HYPERBOLIC_NONAUTOMORPHISM, MapKind.PARABOLIC_NONAUTOMORPHISM) and zeta is not None:
+            cite = CIT_R_PARABOLIC if kind is MapKind.PARABOLIC_NONAUTOMORPHISM else CIT_R_BOUNDARY
+            r = ClosedFormValue(abs(psi_f(zeta)) * abs(angular_derivative(phi, zeta)) ** -g, cite)
+        else:
+            r = _unavailable(f"no closed form for class {kind.value} with this fixed-point structure")
+
+    if not cls.fixes_contact:
+        return r, r_e, "norm bounds need a fixed unimodular contact point"
+    if not dw.in_disk:
+        return r, r_e, "bounds without an interior fixed point need a symbol fixing the origin"
+    zeta, p = cls.contact[0], dw.location
+    kp = kernel_function(p, space.gamma)
+    mu = abs(psi_f(zeta) * kp(alpha_p(p)(zeta)) * kp(zeta)) / kernel_norm(space, p) ** 2
+    low = mu / abs(angular_derivative(phi, zeta)) ** g
+    return r, r_e, NormBounds(low, max(mu, abs(psi_f(p))), (CIT_NORM_MU_LOWER, CIT_NORM_MU_UPPER), mu)
 
 
 def spectral_radius_closed(psi, phi: MoebiusMap, space: SpaceSpec) -> ClosedFormValue:
@@ -548,54 +586,21 @@ def spectral_radius_closed(psi, phi: MoebiusMap, space: SpaceSpec) -> ClosedForm
 
 
 def essential_spectral_radius_closed(phi: MoebiusMap, space: SpaceSpec) -> ClosedFormValue:
-    """r_e(C_phi) = phi'(zeta)^(-gamma/2) for a boundary Denjoy-Wolff point zeta."""
+    """r_e(C_phi) where _closed_forms proves it, else TheoryUnavailableError."""
     return _proved(_closed_forms(constant_fn(1.0), phi, space)[1])
 
 
 # ---------------------------------------------------------------------------
 # Norm bounds
 
-@dataclass(frozen=True)
-class NormBounds:
-    lower: float
-    upper: float
-    citations: tuple[str, ...]
-    mu: float | None = None
-
-
-def norm_bounds(psi, phi: MoebiusMap, space: SpaceSpec, p: complex | None = None) -> NormBounds:
-    """Two-sided norm bounds valid under hyponormality.
-
-    Without an interior fixed point argument p (symbol fixing the origin and
-    a boundary point zeta with finite angular derivative):
-    |psi(zeta)|/|phi'(zeta)|^(gamma/2) <= ||C|| <= max{|psi(zeta)|, |psi(0)|}.
-    With p: the same after conjugating p to the origin, with
-    mu = |psi(zeta) K_p(alpha_p(zeta)) K_p(zeta)| / ||K_p||^2 in place of
-    |psi(zeta)|.
-    """
-    psi_f = as_analytic(psi)
-    cls = classify(phi)
-    if not cls.fixes_contact:
-        raise TheoryUnavailableError("norm bounds need a fixed unimodular contact point")
-    fixed_zeta = cls.contact[0]
-    deriv = abs(angular_derivative(phi, fixed_zeta))
-
-    if p is None:
-        if abs(phi(0)) > 1e-12:
-            raise TheoryUnavailableError(
-                "bounds without an interior fixed point need a symbol fixing the origin"
-            )
-        low = abs(psi_f(fixed_zeta)) / deriv ** (space.gamma / 2.0)
-        up = max(abs(psi_f(fixed_zeta)), abs(psi_f(0)))
-        return NormBounds(low, up, (CIT_NORM_LOWER_ANGULAR, CIT_NORM_UPPER_MAX))
-
-    p = _require_fixed(phi, p)
-    gamma = space.gamma
-    kp = kernel_function(p, gamma)
-    mu = abs(psi_f(fixed_zeta) * kp(alpha_p(p)(fixed_zeta)) * kp(fixed_zeta)) / kernel_norm(space, p) ** 2
-    low = mu / deriv ** (gamma / 2.0)
-    up = max(mu, abs(psi_f(p)))
-    return NormBounds(low, up, (CIT_NORM_MU_LOWER, CIT_NORM_MU_UPPER), mu=mu)
+def norm_bounds(psi, phi: MoebiusMap, space: SpaceSpec) -> NormBounds:
+    """Two-sided norm bounds valid under hyponormality, at phi's interior
+    Denjoy-Wolff point (see _closed_forms); TheoryUnavailableError with the
+    reason where there are none."""
+    nb = _closed_forms(as_analytic(psi), phi, space)[2]
+    if isinstance(nb, str):
+        raise TheoryUnavailableError(nb)
+    return nb
 
 
 def norm_lower_bound_grid(psi, phi: MoebiusMap, space: SpaceSpec, grid=None) -> float:
@@ -780,27 +785,23 @@ class SpectralReport:
 def spectral_report(psi, phi: MoebiusMap, space: SpaceSpec) -> SpectralReport:
     """Best available closed-form spectral data for C_{psi,phi}.
 
-    r and r_e come from one _closed_forms call; norm_upper is conditional on
-    hyponormality and is dropped, with a note, if the unconditional lower
-    bound already exceeds it.
+    r, r_e and the norm bounds come from one _closed_forms call; norm_upper
+    is conditional on hyponormality and is dropped, with a note, if the
+    unconditional lower bound already exceeds it.
     """
     psi_f = as_analytic(psi)
-    r_cf, re_cf = _closed_forms(psi_f, phi, space)
+    r_cf, re_cf, nb = _closed_forms(psi_f, phi, space)
     citations = {"r": r_cf.citation, "r_e": re_cf.citation, "norm_lower": CIT_NORM_KERNEL_GRID}
     lower = norm_lower_bound_grid(psi_f, phi, space)
     upper = None
-
-    try:
-        nb = norm_bounds(psi_f, phi, space)
+    if isinstance(nb, str):
+        citations["norm_upper"] = f"unavailable: {nb}"
+    elif lower > nb.upper * (1.0 + 1e-12):
+        citations["norm_upper"] = (
+            "dropped: unconditional lower bound exceeds the hyponormal upper bound, "
+            "so the operator cannot be hyponormal"
+        )
+    else:
         upper = nb.upper
         citations["norm_upper"] = nb.citations[1] + " (assuming hyponormality)"
-        if lower > upper * (1.0 + 1e-12):
-            citations["norm_upper"] = (
-                "dropped: unconditional lower bound exceeds the hyponormal upper bound, "
-                "so the operator cannot be hyponormal"
-            )
-            upper = None
-    except TheoryUnavailableError as exc:
-        citations["norm_upper"] = f"unavailable: {exc}"
-
     return SpectralReport(r_cf.value, re_cf.value, lower, upper, citations)

@@ -174,11 +174,15 @@ class TestCheckCommand:
         assert code == 2 and captured.out == ""
         assert captured.err == "error: p is not a fixed point of the symbol\n"
 
-    # classify_weighted, the map_class field and norm_bounds each classify
-    # the map once; no other step does.
+    # In check, classify_weighted, the map_class field and norm_bounds each
+    # classify the map once; in spectral, the one closed-form dispatch
+    # classifies it once.  No other step does.
     @pytest.mark.parametrize("argv", [
         ("check", "--map=parabolic:1,1", "--psi=1,0.5"),
         ("check", "--map=rotation:i", "--psi=2,1", "--escalate"),
+        ("spectral", "--map=0.5,0,0,1", "--psi=1"),
+        ("spectral", "--map=hyperbolic-nonauto:0.5", "--psi=1"),
+        ("spectral", "--map=parabolic:1,1", "--psi=1,0.5"),
     ])
     def test_classifies_at_most_three_times(self, capsys, monkeypatch, argv):
         original = moebius.classify
@@ -195,7 +199,7 @@ class TestCheckCommand:
                 monkeypatch.setattr(module, key, counted)
         assert cli.main(list(argv)) == 0
         capsys.readouterr()
-        assert 1 <= len(calls) <= 3
+        assert len(calls) == 1 if argv[0] == "spectral" else 1 <= len(calls) <= 3
 
     # --order is the witness search's starting order, passed through as given.
     @pytest.mark.parametrize("order", [8, 128])
@@ -216,6 +220,32 @@ class TestCheckCommand:
 
 
 class TestSpectralCommand:
+    def test_near_circle_contraction(self, capsys):
+        # The Denjoy-Wolff point 1 - 1e-6 lies in the disk: r = |psi(p)|,
+        # r_e = 0, where the rounded point read as a boundary one.
+        code, rep = run_json(capsys, "spectral", "--map=normal-form:0.999999,0.4", "--psi=1")
+        assert code == 0
+        assert rep["spectral"]["r"] == 1.0 and rep["spectral"]["r_e"] == 0.0
+
+    @DERANDOMIZED
+    @given(seed=st.integers(0, 2**32 - 1), label=st.sampled_from(("hardy", "bergman:0", "bergman:1")))
+    def test_check_and_spectral_print_the_same_norm_upper(self, seed, label):
+        # alpha_q o ((1 - |c|) z/(c z + 1)) o alpha_q fixes q and its contact point.
+        rng = np.random.default_rng(seed)
+        q = 0.6 * rng.uniform() * np.exp(2j * np.pi * rng.uniform()) * rng.integers(0, 2)
+        c = (0.1 + 0.8 * rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+        a = hc.alpha_p(q)
+        phi = hc.compose(a, hc.compose(hc.hyperbolic_nonauto_form(c), a))
+        psi = ",".join(repr(complex(x)) for x in rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3))
+        spec = ",".join(repr(complex(x)) for x in phi.coefficients())
+        code, chk = _main_json("check", f"--map={spec}", f"--psi={psi}", f"--space={label}")
+        scode, spc = _main_json("spectral", f"--map={spec}", f"--psi={psi}", f"--space={label}")
+        assert code == scode == 0
+        if spc["spectral"]["citations"]["norm_upper"].startswith("dropped: "):
+            assert spc["spectral"]["norm_upper"] is None
+        else:
+            assert spc["spectral"]["norm_upper"] == chk["spectral"]["norm_upper"]
+
     def test_parabolic_weighted(self, capsys):
         code, rep = run_json(capsys, "spectral", "--psi", "0.5,-0.25", "--map", "parabolic:1,1")
         assert code == 0

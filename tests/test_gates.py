@@ -11,7 +11,6 @@ from hypocomp.matrixrep import kernel_gram_forms
 
 H2 = hc.hardy()
 NORMAL_FORM = hc.normal_form_map(0.3, 0.4)   # fixes 0.3
-Z_OVER_Z_PLUS_2 = hc.MoebiusMap(1, 0, 1, 2)  # fixes 0 and its contact point -1
 
 # Each takes a point that must lie in the open unit disk.
 ENTRY_POINTS = {
@@ -28,7 +27,6 @@ ENTRY_POINTS = {
     "theory.normal_form_map": lambda w: hc.normal_form_map(w, 0.4),
     "theory.normal_form": lambda w: hc.normal_form(w, 0.4, 1, H2),
     "theory.conjugate_to_origin": lambda w: hc.conjugate_to_origin(1, NORMAL_FORM, w, H2),
-    "theory.norm_bounds": lambda w: hc.norm_bounds(1, Z_OVER_Z_PLUS_2, H2, p=w),
 }
 
 
@@ -47,7 +45,6 @@ def test_disk_gate_error_is_a_parameter_error():
 FIXED_POINT_ENTRIES = {
     "kernel_quotient_weight": lambda p: hc.kernel_quotient_weight(p, 1, NORMAL_FORM, H2),
     "conjugate_to_origin": lambda p: hc.conjugate_to_origin(1, NORMAL_FORM, p, H2),
-    "norm_bounds": lambda p: hc.norm_bounds(1, Z_OVER_Z_PLUS_2, H2, p=p),
     "NormalFormSymbols": lambda p: hc.NormalFormSymbols(
         p, 0.4, hc.constant_fn(1), NORMAL_FORM, 1),
 }

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -276,6 +277,29 @@ class TestSpectralEstimates:
             # truncation_eigenvalues keeps LAPACK's values in LAPACK's order.
             assert np.array_equal(hc.truncation_eigenvalues(m), eigs)
             assert np.array_equal(np.sort(eigs), np.sort(np.diagonal(m.entries)))
+
+    @pytest.mark.parametrize("n", [1, 64, 130])
+    def test_triangular_test_matches_triu(self, n):
+        # One tiny non-zero entry on or above the subdiagonal, anywhere
+        # against the 64-row block edges, against np.triu.
+        a = np.zeros((n, n), complex)
+        for i in range(n):
+            for j in range(max(i - 1, 0), n):
+                a[i, j] = 5e-324j
+                assert matrixrep._lower_triangular(a) is (not np.triu(a, 1).any()), (i, j)
+                a[i, j] = 0
+
+    def test_triangular_test_copies_no_section(self, H2):
+        # np.triu(a, 1) copied the whole N=1024 section, 16 MiB; the test
+        # copies one 64 x 64 block at a time.
+        a = hc.build_weighted_composition(hc.rational_fn((2, 1), (1, -0.4)), hc.dilation(0.5), H2, 1024).entries
+        tracemalloc.start()
+        try:
+            assert matrixrep._lower_triangular(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_non_triangular_radius_from_lapack(self, H2, psi_one, parabolic_map):
         m = hc.build_weighted_composition(psi_one, parabolic_map, H2, 96)

@@ -15,8 +15,10 @@ import hypocomp.theory as theory
 from hypocomp.errors import (
     DegenerateMapError,
     HypothesisMismatchError,
+    IndeterminateError,
     InvalidParameterError,
     NotAFixedPointError,
+    NotSelfMapError,
     PoleEncounteredError,
     TheoryUnavailableError,
     ZeroSymbolError,
@@ -295,19 +297,21 @@ class TestSpectralRadius:
         assert abs(cf.value - 0.7) < 1e-14
 
     def test_contraction_normal_form_conjugated(self, H2):
-        # phi fixes 0.3, not 0, so the contraction closed form must refuse
-        nf = hc.normal_form(0.3, 0.4, 1, H2)
-        with pytest.raises(TheoryUnavailableError):
-            hc.spectral_radius_closed(nf.psi, nf.phi, H2)
+        # phi fixes 0.3, not 0: r = |psi(0.3)| all the same
+        nf = hc.normal_form(0.3, 0.4, 0.7, H2)
+        cf = hc.spectral_radius_closed(nf.psi, nf.phi, H2)
+        assert abs(cf.value - 0.7) < 1e-14 and cf.citation == theory.CIT_R_CONTRACTION
 
     def test_half_shift_unavailable(self, H2, half_shift_map):
         with pytest.raises(TheoryUnavailableError):
             hc.spectral_radius_closed(1, half_shift_map, H2)
 
     def test_contraction_not_shown_hyponormal_unavailable(self, H2):
+        # C_phi is not hyponormal (phi is no dilation), yet r = |psi(0)| = 1:
+        # the contraction closed form needs no verdict.
         phi = hc.MoebiusMap(0.3, 0, -0.2, 1)
-        with pytest.raises(TheoryUnavailableError):
-            hc.spectral_radius_closed(1, phi, H2)
+        assert hc.classify_weighted(1, phi, H2).outcome is Outcome.NOT_HYPONORMAL
+        assert hc.spectral_radius_closed(1, phi, H2).value == 1.0
 
     def test_parabolic_consistency(self, H2, A0, A1, parabolic_map):
         for space in (H2, A0, A1):
@@ -451,8 +455,7 @@ class TestClosedFormDispatch:
             assert abs(cf.value - abs(1 + 0.5j)) < 1e-12
             assert cf.citation == theory.CIT_R_AUTOMORPHISM
 
-    # The contraction branch's gate, classify_weighted, classifies once more.
-    @pytest.mark.parametrize("kind", [k for k in hc.MapKind if k is not hc.MapKind.INTERIOR_CONTRACTION])
+    @pytest.mark.parametrize("kind", list(hc.MapKind))
     def test_one_classify_per_dispatch(self, monkeypatch, H2, kind):
         rng = np.random.default_rng(17)
         phi = maps_of_every_kind(rng)[list(hc.MapKind).index(kind)]
@@ -495,6 +498,111 @@ class TestClosedFormDispatch:
                     assert math.isclose(float(x), float(y), rel_tol=2e-11)
 
 
+def unit(rng):
+    return cmath.exp(2j * math.pi * rng.uniform())
+
+
+def random_contraction(rng):
+    """alpha_u o (lam z) o alpha_v with |lam| < 1: it maps the closed disk into
+    D and fixes a point p, in general not 0."""
+    u, v = 0.7 * rng.uniform() * unit(rng), 0.7 * rng.uniform() * unit(rng)
+    lam = (0.1 + 0.8 * rng.uniform()) * unit(rng)
+    return hc.compose(hc.alpha_p(u), hc.compose(hc.MoebiusMap(lam, 0, 0, 1), hc.alpha_p(v)))
+
+
+def conjugated_nonauto(rng):
+    """alpha_q o ((1 - |c|) z/(c z + 1)) o alpha_q: a hyperbolic non-automorphism
+    with interior Denjoy-Wolff point q and a fixed unimodular contact point."""
+    q = 0.6 * rng.uniform() * unit(rng)
+    a = hc.alpha_p(q)
+    return hc.compose(a, hc.compose(hc.hyperbolic_nonauto_form((0.1 + 0.8 * rng.uniform()) * unit(rng)), a))
+
+
+def contraction_weights(rng, phi, p, space):
+    """A polynomial, a rational and a kernel-quotient weight for phi fixing p."""
+    pole = (1.25 + 2 * rng.uniform()) * unit(rng)
+    return (hc.polynomial_fn(*random_weight(rng)),
+            hc.rational_fn([1.0, rng.uniform() * unit(rng)], [1.0, -1 / pole]),
+            hc.kernel_quotient_weight(p, rng.uniform(0.3, 2.0) * unit(rng), phi, space))
+
+
+class TestInteriorContraction:
+    @pytest.mark.parametrize("label", SPACE_LABELS)
+    @DERANDOMIZED
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_radius_is_the_diagonal_of_the_conjugated_section(self, label, seed):
+        # conjugate_to_origin gives phi~(0) = 0, so the section of C_{q,phi~}
+        # is lower triangular with diagonal q(0) phi~'(0)^k: r = |q(0)| = |psi(p)|.
+        space = hc.space_from_label(label)
+        rng = np.random.default_rng(seed)
+        phi = random_contraction(rng)
+        p = hc.classify(phi).denjoy_wolff.location
+        for psi in contraction_weights(rng, phi, p, space):
+            q, phi_t = hc.conjugate_to_origin(psi, phi, p, space)
+            a = hc.build_weighted_composition(q, phi_t, space, 32).entries
+            assert np.abs(np.triu(a, 1)).max() <= 1e-12 * np.abs(a).max()
+            rep = hc.spectral_report(psi, phi, space)
+            assert abs(rep.r - np.abs(np.diagonal(a)).max()) <= 1e-12 * rep.r
+            assert rep.r_e == 0.0
+            assert (rep.citations["r"], rep.citations["r_e"]) == (theory.CIT_R_CONTRACTION, theory.CIT_RE_COMPACT)
+
+    @pytest.mark.parametrize("label", SPACE_LABELS)
+    @DERANDOMIZED
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_rotation_keeps_the_radii_and_the_norm_bounds(self, label, seed):
+        space = hc.space_from_label(label)
+        rng = np.random.default_rng(seed)
+        lam = unit(rng)
+        rho, rho_inv = hc.rotation(lam), hc.rotation(lam.conjugate())
+        for phi in (random_contraction(rng), conjugated_nonauto(rng)):
+            phi_r = hc.compose(rho_inv, hc.compose(phi, rho))
+            for psi in contraction_weights(rng, phi, hc.classify(phi).denjoy_wolff.location, space)[:2]:
+                psi_r = hc.compose_with_moebius(psi, rho)
+                a, b = theory._closed_forms(psi, phi, space), theory._closed_forms(psi_r, phi_r, space)
+                for x, y in zip(a[:2], b[:2]):
+                    assert x.citation == y.citation
+                    assert (x.value is None) is (y.value is None)
+                    assert x.value is None or abs(x.value - y.value) <= 1e-12 * max(x.value, 1.0)
+                assert type(a[2]) is type(b[2])
+                if isinstance(a[2], str):
+                    assert a[2] == b[2]
+                    continue
+                for key in ("lower", "upper", "mu"):
+                    x, y = getattr(a[2], key), getattr(b[2], key)
+                    assert abs(x - y) <= 1e-12 * x, key
+
+    @DERANDOMIZED
+    @given(gap=st.floats(1.0, 9.0), theta=st.floats(0.0, 2.0 * math.pi),
+           modulus=st.floats(0.05, 0.95), arg=st.floats(0.0, 2.0 * math.pi),
+           label=st.sampled_from(SPACE_LABELS))
+    def test_exact_normal_forms_up_to_the_circle(self, gap, theta, modulus, arg, label):
+        # 1 - |p| from 1e-1 to 1e-9: Normal, with r and r_e = 0, or a refusal
+        # of the input as unrepresentable; never NotHyponormal and never a p
+        # off the disk.  NotSelfMapError: from |p| = 1 - 1e-7 on, the rounded
+        # coefficients of forms with |delta| near 1 put the image circle's
+        # computed sup more than 1e-10 above 1.
+        space = hc.space_from_label(label)
+        p = (1.0 - 10.0**-gap) * cmath.exp(1j * theta)
+        try:
+            phi = hc.normal_form_map(p, modulus * cmath.exp(1j * arg))
+            psi = hc.kernel_quotient_weight(p, 0.7, phi, space)
+            verdict = hc.classify_weighted(psi, phi, space)
+            rep = hc.spectral_report(psi, phi, space)
+        except (DegenerateMapError, IndeterminateError, NotSelfMapError):
+            return
+        assert verdict.outcome is Outcome.NORMAL
+        assert rep.r is not None and rep.r_e == 0.0
+
+    def test_near_circle_fixed_point_lies_in_the_disk(self):
+        # p and 1/conj(p) are 2e-7 apart, inside the degeneracy band that
+        # fixed_points merges onto the circle; classify takes the inner root.
+        phi = hc.normal_form_map(1 - 1e-7, 0.4)
+        dw = hc.classify(phi).denjoy_wolff
+        assert dw.in_disk and not dw.on_boundary
+        assert abs(dw.location - (1 - 1e-7)) < 1e-9 and abs(phi(dw.location) - dw.location) < 1e-10
+        assert [f.double for f in hc.fixed_points(phi)] == [True]
+
+
 class TestNormBounds:
     def test_half_shift_hardy(self, H2, half_shift_map):
         nb = hc.norm_bounds(1, half_shift_map, H2)
@@ -502,7 +610,7 @@ class TestNormBounds:
         assert abs(nb.upper - 1.0) < 1e-13
 
     def test_half_shift_interior_point(self, H2, half_shift_map):
-        nb = hc.norm_bounds(1, half_shift_map, H2, p=0)
+        nb = hc.norm_bounds(1, half_shift_map, H2)
         assert nb.mu == pytest.approx(1.0)
         assert abs(nb.lower - 1 / math.sqrt(2)) < 1e-13
         assert abs(nb.upper - 1.0) < 1e-13
