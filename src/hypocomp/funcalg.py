@@ -96,12 +96,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return self.degree == 0
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coefficients), len(other.coefficients))
-        a = list(self.coefficients) + [0j] * (n - len(self.coefficients))
-        b = list(other.coefficients) + [0j] * (n - len(other.coefficients))
-        return Polynomial(tuple(x + y for x, y in zip(a, b)))
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero() or other.is_zero():
             return Polynomial((0j,))
@@ -109,18 +103,6 @@ class Polynomial:
 
     def scale(self, lam: complex) -> "Polynomial":
         return Polynomial(tuple(complex(lam) * c for c in self.coefficients))
-
-    def power(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise InvalidParameterError("polynomial power must be nonnegative")
-        out = Polynomial((1 + 0j,))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def roots(self) -> np.ndarray:
         if self.degree == 0:
@@ -170,9 +152,6 @@ class RationalFunction:
         require_pole_free(d, z)
         return self.num(z) / d
 
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
-
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(self.num * other.num, self.den * other.den)
 
@@ -194,19 +173,30 @@ def moebius_rational(phi: MoebiusMap) -> RationalFunction:
     return RationalFunction(poly(phi.b, phi.a), poly(phi.d, phi.c))
 
 
+def _times_linear(p: list[complex], u: complex, v: complex) -> list[complex]:
+    """The coefficients of p(z) (u + v z), in Python complex arithmetic."""
+    return [p[0] * u] + [x * u + y * v for x, y in zip(p[1:], p)] + [p[-1] * v]
+
+
 def compose_rational_moebius(r: RationalFunction, phi: MoebiusMap) -> RationalFunction:
-    """r(phi(z)), expanded back to a ratio of polynomials of the same degree."""
-    lin_num = poly(phi.b, phi.a)
-    lin_den = poly(phi.d, phi.c)
+    """r(phi(z)), expanded back to a ratio of polynomials of the same degree.
+
+    With A = a z + b, L = c z + d and m = max(deg num, deg den), each part
+    sum_k c_k z^k lifts to sum_k c_k A^k L^(m-k) by Horner's rule in A,
+    building the powers of L along the way: m steps of two products by a
+    linear polynomial, in Python complex arithmetic, so that the result does
+    not depend on the numpy build.  For m <= 1 that is the 2 x 2 coefficient
+    product (c0 d + c1 b, c0 c + c1 a).
+    """
     m = max(r.num.degree, r.den.degree)
 
     def lift(p: Polynomial) -> Polynomial:
-        out = Polynomial((0j,))
-        for k, coef in enumerate(p.coefficients):
-            if coef == 0:
-                continue
-            out = out + (lin_num.power(k) * lin_den.power(m - k)).scale(coef)
-        return out
+        cs = p.coefficients + (0j,) * (m + 1 - len(p.coefficients))
+        out, power = [cs[m]], [1 + 0j]
+        for coef in reversed(cs[:m]):
+            power = _times_linear(power, phi.d, phi.c)
+            out = [x + coef * y for x, y in zip(_times_linear(out, phi.b, phi.a), power)]
+        return Polynomial(tuple(out))
 
     return RationalFunction(lift(r.num), lift(r.den))
 
@@ -356,7 +346,9 @@ def evaluate(f: AnalyticFunction, z: complex) -> complex:
 
 
 def compose_with_moebius(f: AnalyticFunction, phi: MoebiusMap) -> AnalyticFunction:
-    """f(phi(z)); rational parts composed exactly, exponents unchanged.
+    """f(phi(z)): the base and each power factor composed by
+    compose_rational_moebius (Horner's rule; for a linear-fractional factor,
+    the 2 x 2 coefficient product), exponents unchanged.
 
     The composed factors pass the construction gates again; composed with a
     self-map, a factor's image disk can only shrink.

@@ -286,8 +286,10 @@ def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
     ||M||_F of ||M||.  A Lanczos pass (which copes with the clustered top
     spectra of Toeplitz-like sections) supplies the start vector, followed by
     power steps until the residual ||(M*M)v - lambda v|| certifies that some
-    eigenvalue of M*M lies within 1e-8 lambda of lambda.  Raises
-    ConvergenceFailureError after 10 K polish steps without meeting that.
+    eigenvalue of M*M lies within 1e-8 lambda of lambda.  When ARPACK
+    fails, the power steps start from the seed vector instead, and method
+    names the failure.  Raises ConvergenceFailureError after 10 K polish
+    steps without meeting that.
     """
     s = m._analysis
     if s is None:
@@ -299,6 +301,7 @@ def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
         return _adjoint_apply(a, a @ x)
 
     v = _seed_vector(n)
+    method = "power-iteration"
     if n >= 4:
         from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -306,11 +309,11 @@ def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
         try:
             _vals, vecs = eigsh(op, k=1, which="LA", v0=v, maxiter=10 * n, tol=1e-12)
             v = vecs[:, 0]
-        except ArpackError:
-            pass  # fall through to plain power steps from the seeded vector
+        except ArpackError as exc:
+            # Plain power steps from the seeded vector, still certified.
+            method = f"power-iteration (ARPACK failed: {type(exc).__name__})"
     lam, resid = _power_steps(gram, v, 10 * n)
-    return SpectralEstimate(_unscale(math.sqrt(lam), s.e), "power-iteration", m.order,
-                            _unscale(resid, 2 * s.e))
+    return SpectralEstimate(_unscale(math.sqrt(lam), s.e), method, m.order, _unscale(resid, 2 * s.e))
 
 
 def _lower_triangular(a: np.ndarray) -> bool:

@@ -122,9 +122,6 @@ class MoebiusMap:
         require_pole_free(den, z)
         return self.det / (den * den)
 
-    def inverse(self) -> "MoebiusMap":
-        return MoebiusMap(self.d, -self.b, -self.c, self.a)
-
     def scaled(self, lam: complex) -> "MoebiusMap":
         """The map z -> lam * phi(z)."""
         return MoebiusMap(lam * self.a, lam * self.b, self.c, self.d)

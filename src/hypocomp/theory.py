@@ -68,7 +68,6 @@ CIT_WEIGHT_VANISHES_AT_CONTACT = "the weight vanishes at the unique unimodular c
 CIT_PARABOLIC_KERNEL_INEQUALITY = (
     "the kernel norm-ratio inequality at the parabolic boundary fixed point fails"
 )
-CIT_PARABOLIC_NO_ORIGIN = "a parabolic symbol fixes only one point, on the unit circle"
 CIT_COMPACT_NORMAL_FORM = (
     "a compact hyponormal weighted composition operator is normal and matches the "
     "kernel-quotient normal form exactly"
@@ -191,10 +190,6 @@ def classify_unweighted(phi: MoebiusMap, space: SpaceSpec) -> HyponormalityVerdi
             Outcome.NOT_HYPONORMAL,
             CIT_COMPACT_FORCES_DILATION,
             details="strict contraction fixing the origin but not a dilation",
-        )
-    if cls.kind is MapKind.PARABOLIC_NONAUTOMORPHISM:
-        return HyponormalityVerdict(
-            Outcome.NOT_HYPONORMAL, CIT_PARABOLIC_NO_ORIGIN, details="parabolic non-automorphism"
         )
     return HyponormalityVerdict(
         Outcome.NOT_HYPONORMAL,

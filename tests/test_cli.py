@@ -152,6 +152,13 @@ class TestCheckCommand:
         assert code == 0
         assert rep["verdict"]["outcome"] == "Normal"
 
+    def test_weight_vanishing_at_the_interior_fixed_point(self, capsys):
+        # -0.3 + z vanishes at p = 0.3, where the normal form needs psi(p) != 0.
+        code, rep = run_json(capsys, "check", "--psi=-0.3,1", "--map=normal-form:0.3,0.4")
+        assert code == 0
+        assert rep["verdict"]["outcome"] == "NotHyponormal"
+        assert rep["verdict"]["details"] == "weight vanishes at the interior fixed point"
+
     def test_candidate_with_bounds(self, capsys):
         code, rep = run_json(capsys, "check", "--psi", "1", "--map", "1,0,1,2")
         assert code == 0
@@ -413,6 +420,13 @@ class TestConvergenceExit:
         code = cli.main(["spectral", "--psi", "1", "--map", "0.5,0,0,1",
                          "--numeric", "--order", "16"])
         assert code == 4
+
+    def test_exit_4_from_power_iteration(self, capsys, monkeypatch):
+        # No residual meets a zero tolerance, so the power steps run out.
+        monkeypatch.setattr(cli.matrixrep, "_NORM_REL_TOL", 0.0)
+        code = cli.main(["spectral", "--numeric", "--order=16", "--map=0.5,0,0,1", "--psi=1,0.5"])
+        assert code == 4
+        assert capsys.readouterr().err == "error: power iteration did not reach 0 in 160 steps\n"
 
 
 class TestOutputContracts:

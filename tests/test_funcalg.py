@@ -155,6 +155,14 @@ class TestSeriesPow:
             assert np.abs(once.coefficients - twice.coefficients).max() < 1e-10
 
 
+@st.composite
+def disk_self_maps(draw):
+    """alpha_p(t z) = (p - t z)/(1 - conj(p) t z): |p| <= 0.9, 0.05 <= |t| <= 1."""
+    p, t = (draw(st.floats(lo, hi)) * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+            for lo, hi in ((0.0, 0.9), (0.05, 1.0)))
+    return hc.MoebiusMap(-t, p, -p.conjugate() * t, 1)
+
+
 class TestComposeWithMoebius:
     def test_kernel_with_identity(self):
         k = hc.kernel_function(0.3, 1.0)
@@ -191,6 +199,39 @@ class TestComposeWithMoebius:
         for factor in (r, composed):
             with pytest.raises(BranchViolationError):
                 hc.AnalyticFunction(hc.rational((1,)), ((factor, 0.5),))
+
+    @DERANDOMIZED
+    @given(disk_self_maps(), st.sampled_from(("kernel", "linear", "constant")),
+           *[st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))] * 3)
+    def test_linear_factors_take_the_coefficient_product(self, phi, form, u, v, w):
+        # Every kernel, kernel image and kernel quotient composes a factor of
+        # degree at most one: its coefficients must be exactly these Python
+        # complex products, which keeps the CLI output machine-independent.
+        q, p, t = (complex(*x) for x in (u, v, w))
+        s = 4.0 + 0.5 * p  # |s| > 0.9 |t| >= |t phi(0)|: the composed den(0) = s d + t b is not 0
+        num, den = {"kernel": ((1, q), (1,)), "linear": ((p, q), (s, t)), "constant": ((p,), (s, t))}[form]
+        r = hc.rational(num, den)
+        composed = funcalg.compose_rational_moebius(r, phi)
+        if max(r.num.degree, r.den.degree) == 0:
+            assert composed == r
+            return
+        (c0, c1), (s0, s1) = (tuple(complex(x) for x in c) + (0j,) * (2 - len(c)) for c in (num, den))
+        a, b, c, d = phi.coefficients()
+        assert composed.num == hc.Polynomial((c0 * d + c1 * b, c0 * c + c1 * a))
+        assert composed.den == hc.Polynomial((s0 * d + s1 * b, s0 * c + s1 * a))
+
+    @DERANDOMIZED
+    @given(disk_self_maps(), st.integers(2, 8), st.integers(0, 2**32 - 1))
+    def test_higher_degree_bases_match_pointwise(self, phi, degree, seed):
+        # Error relative to sum |c_k| |phi(z)|^k, the size of the terms that
+        # r(phi(z)) sums; bases of degree 16 and more exceed 1e-10.
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        composed = funcalg.compose_rational_moebius(hc.rational(coeffs), phi)
+        z = 0.95 * np.sqrt(rng.uniform(size=32)) * np.exp(2j * math.pi * rng.uniform(size=32))
+        w = phi(z)
+        size = sum(abs(ck) * np.abs(w) ** k for k, ck in enumerate(coeffs))
+        assert np.all(np.abs(composed(z) - hc.Polynomial(tuple(coeffs))(w)) <= 1e-10 * size)
 
 
 class TestExpandAnalytic:

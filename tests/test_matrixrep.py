@@ -14,6 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -315,6 +316,17 @@ class TestSpectralEstimates:
     def test_zero_matrix(self, H2):
         m = hc.OperatorMatrix(np.zeros((5, 5), complex), H2, 5, "zero")
         assert hc.operator_norm(m).value == 0.0
+
+    def test_arpack_failure_falls_back_to_power_steps(self, H2, monkeypatch):
+        def fail(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", None, None)
+
+        m = hc.build_weighted_composition(hc.polynomial_fn(2, 1), cli.parse_map("parabolic:1,1"), H2, 64)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+        est = hc.operator_norm(m)
+        assert est.value == pytest.approx(2.99013334456, rel=1e-10)
+        assert est.residual <= 1e-8 * est.value**2
+        assert est.method == "power-iteration (ARPACK failed: ArpackNoConvergence)"
 
     def test_power_iteration_matches_svd(self, H2):
         rng = np.random.default_rng(77)
