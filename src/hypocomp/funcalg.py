@@ -10,7 +10,10 @@ expands in closed form as a product of two binomial series.
 
 Every symbol type evaluates at a complex scalar (in Python complex arithmetic)
 or elementwise over a numpy array; circle(r, n) gives the sample points that
-the sup estimates, constancy tests and tail bounds evaluate on.
+the sup estimate, the constancy tests and the zero tests evaluate on.  Tail
+bounds are proved, not sampled: series_tail_bound applies Parseval to a
+closed-form majorant of |f| on a circle, which samples only a base
+denominator of degree 2 or more, less a Lipschitz and a rounding term.
 
 Principal branch everywhere: each power factor must map the closed disk off
 the cut (-inf, 0], which one exact test on its image disk decides; inputs
@@ -46,11 +49,18 @@ _ZERO_TEST_GUARD = 1e-8
 _ZERO_TEST_SAMPLES = 8192
 # The power-factor gate's band, relative to max |r| on the closed disk.
 _GATE_BAND = 1e-8
-# Relative tolerance of is_value_constant, samples of boundary_sup, and the
-# factor by which series_tail_bound inflates its sampled circle maxima.
+# Relative tolerance of is_value_constant and samples of boundary_sup.
 _CONSTANT_TOL = 1e-12
 _BOUNDARY_SUP_SAMPLES = 2048
-_TAIL_SAFETY = 1.1
+# series_tail_bound: the cap on its radii, their gaps (R - rho)/(R - 1), the
+# samples of a base denominator of degree >= 2 on each circle, and the least
+# ratio of a lower bound to its rounding bound.
+_TAIL_RADIUS_CAP = 9.0
+_TAIL_GAPS = 2.0 ** (-np.arange(1, 49) / 3.0)
+_TAIL_GAPS.flags.writeable = False
+_TAIL_SAMPLES = 512
+_TAIL_CONDITION = 2.0**12
+_EPS = 2.0**-52
 # How far the two binomial series of a linear power factor may cancel
 # (||B1||_2 ||B2||_1 / ||B1 * B2||_2) before its recurrence is used instead.
 _CANCELLATION_LIMIT = 64.0
@@ -390,16 +400,33 @@ def boundary_sup(f: AnalyticFunction) -> float:
     return float(np.abs(f(circle(1.0, _BOUNDARY_SUP_SAMPLES))).max())
 
 
+def _linear_moduli(p: Polynomial) -> tuple[float, float]:
+    """(|c0|, |c1|) for p = c0 + c1 z of degree <= 1: on |z| = rho, |p| lies
+    between |c0| - |c1| rho and |c0| + |c1| rho."""
+    c0, *c1 = p.coefficients
+    return abs(c0), abs(c1[0]) if c1 else 0.0
+
+
+def _zero_radius(p: Polynomial) -> float:
+    """|c0/c1| for p = c0 + c1 z (inf for a constant p)."""
+    a, b = _linear_moduli(p)
+    return a / b if b else math.inf
+
+
 def min_singularity_radius(f: AnalyticFunction) -> float:
-    """Modulus of the singularity of f nearest the origin (inf if entire)."""
-    radius = math.inf
-    polys = [f.base.den]
+    """Modulus of the singularity of f nearest the origin (inf if entire).
+
+    Each power factor (p + q z)/(s + t z) contributes min(|p/q|, |s/t|) in
+    closed form, as does a base denominator of degree 1; only a base
+    denominator of degree 2 or more is solved for its roots.
+    """
+    den = f.base.den
+    if den.degree >= 2:
+        radius = float(np.abs(den.roots()).min())
+    else:
+        radius = _zero_radius(den)
     for r, _gamma in f.factors:
-        polys.append(r.num)
-        polys.append(r.den)
-    for p in polys:
-        for root in p.roots():
-            radius = min(radius, abs(complex(root)))
+        radius = min(radius, _zero_radius(r.num), _zero_radius(r.den))
     return radius
 
 
@@ -543,24 +570,110 @@ def expand_analytic(f: AnalyticFunction, n: int) -> TaylorSeries:
     return out
 
 
-def series_tail_bound(f: AnalyticFunction, n: int) -> float:
-    """Upper bound on sqrt(sum_{k>=n} |c_k|^2) from Cauchy's estimate.
+def _sampled_minimum(den: Polynomial, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A lower bound on |den| on each circle |z| = rho, and its rounding bound.
 
-    For every radius 1 < r < R (R the nearest singularity), |c_k| <= M(r)/r^k,
-    so the l2 tail is at most M(r) r^{-n} / sqrt(1 - r^{-2}); the bound is
-    minimized over a short ladder of seven radii, whose 512-point circles f
-    is evaluated on as one array.  Weighted-space tails are no larger
-    because the basis weights beta(k) never exceed 1.
+    The least of |den| at 512 points, less the Lipschitz term
+    max |den'| * 2 pi rho / 512 (max |den'| <= sum k |d_k| rho^(k-1); the
+    factor 1.0001 covers the rounding of the points) and twice the Horner
+    rounding bound 8 (d + 1) eps sum |d_k| rho^k.  Where that is positive,
+    no arc between neighbouring samples moves den by as much as its value,
+    so the summed angle steps count the zeros inside the circle exactly; a
+    radius whose count is not 0 gets the bound 0, which skips it.
+    """
+    d = den.degree
+    mods = np.abs(den.coefficients)
+    powers = rho ** np.arange(d + 1)[:, None]
+    values = den(rho[:, None] * circle(1.0, _TAIL_SAMPLES))
+    least = np.abs(values).min(axis=1)
+    cut = (1.0001 * 2.0 * math.pi / _TAIL_SAMPLES * (np.arange(1, d + 1) * mods[1:]) @ powers[:-1] * rho
+           + 16.0 * (d + 1) * _EPS * (mods @ powers))
+    winding = np.angle(np.roll(values, -1, axis=1) * values.conj()).sum(axis=1)
+    lower = np.where(np.abs(winding) < math.pi, least - cut, 0.0)
+    return lower, 4.0 * (d + 2) * _EPS * (least + cut)
+
+
+def _majorant_terms(f: AnalyticFunction, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows m, X, E such that log max |f| on |z| = rho is at most
+    sum_i m_i log X_i(rho), for each radius rho < R at which every X_i is
+    positive; E_i bounds the absolute rounding error of the computed X_i.
+
+    The base numerator gives X = sum |a_k| rho^k (m = 1); a base denominator
+    of degree 0 or 1 gives |d0| - |d1| rho, one of higher degree a sampled
+    minimum (_sampled_minimum; m = -1).  A power factor ((p + q z)/(s + t z))^gamma
+    gives (|p| + |q| rho)/(|s| - |t| rho) to the power gamma > 0 and
+    (|s| + |t| rho)/(|p| - |q| rho) to the power -gamma < 0, since
+    |r^gamma| = |r|^gamma on the principal branch.  Each linear X = a + b rho
+    rounds by at most 4 eps (a + |b| rho).
+    """
+    num, den = f.base.num, f.base.den
+    m, a, b = [], [], []
+    for r, gamma in f.factors:
+        (p, q), (s, t) = map(_linear_moduli, (r.num, r.den) if gamma > 0 else (r.den, r.num))
+        m += [abs(gamma), -abs(gamma)]
+        a += [p, s]
+        b += [q, -t]
+    if num.degree <= 1:
+        p, q = _linear_moduli(num)
+        m.append(1.0)
+        a.append(p)
+        b.append(q)
+    if den.degree <= 1:
+        s, t = _linear_moduli(den)
+        m.append(-1.0)
+        a.append(s)
+        b.append(-t)
+    a, b = np.array(a)[:, None], np.array(b)[:, None]
+    x, err = a + b * rho, 4.0 * _EPS * (a + np.abs(b) * rho)
+    if num.degree >= 2:
+        size = np.abs(num.coefficients) @ rho ** np.arange(num.degree + 1)[:, None]
+        m.append(1.0)
+        x, err = np.vstack((x, size)), np.vstack((err, 2.0 * (num.degree + 2) * _EPS * size))
+    if den.degree >= 2:
+        lower, lower_err = _sampled_minimum(den, rho)
+        m.append(-1.0)
+        x, err = np.vstack((x, lower)), np.vstack((err, lower_err))
+    return np.array(m), x, err
+
+
+def series_tail_bound(f: AnalyticFunction, n: int) -> float:
+    """A proved upper bound on sqrt(sum_{k>=n} |c_k|^2) for the Maclaurin
+    coefficients c_k of f.
+
+    Parseval on a circle |z| = rho inside the nearest singularity R gives
+    sum_k |c_k|^2 rho^(2k) <= M(rho)^2 for any M(rho) >= max |f| there, so
+    the tail is at most rho^(-n) M(rho).  M is the closed-form majorant of
+    _majorant_terms, and rho is the best of 48 radii
+    rho = R - (R - 1) 2^(-j/3), j = 1..48, which crowd towards R (capped at
+    9), where the optimum rho ~ R (1 - gamma/n) of a power singularity lies.
+    A radius is skipped where a lower bound among the terms is not positive
+    or is ill-conditioned (relative rounding above 2^-12).  The bound's
+    logarithm is summed in floating point; the result is its exponential
+    times the rounding factor exp(slack), slack bounding the rounding of that
+    logarithm, and is rounded up one ulp.
+
+    The bound is on the Taylor (Hardy) coefficients: a caller in a weighted
+    space multiplies it by beta(n), which bounds beta(k) for every k >= n.
     """
     deg = f.polynomial_degree()
-    if deg is not None and deg < n:
+    if (deg is not None and deg < n) or f.base.num.is_zero():
         return 0.0
-    radius = min(min_singularity_radius(f), 9.0)
+    radius = min(min_singularity_radius(f), _TAIL_RADIUS_CAP)
     if radius <= 1.0 + 1e-9:
         return math.inf
-    radii = [1.0 + (radius - 1.0) * j / 8.0 for j in range(1, 8)]
-    maxima = np.abs(f(np.array(radii)[:, None] * circle(1.0, 512))).max(axis=1)
-    best = math.inf
-    for r, m in zip(radii, maxima):
-        best = min(best, _TAIL_SAFETY * float(m) * r ** (-n) / math.sqrt(1.0 - r ** (-2)))
-    return best
+    rho = radius - (radius - 1.0) * _TAIL_GAPS
+    m, x, err = _majorant_terms(f, rho)
+    ok = np.all(x > _TAIL_CONDITION * err, axis=0)
+    logs = m[:, None] * np.log(np.where(ok, x, 1.0))
+    n_log_rho = n * np.log(rho)
+    j = int(np.argmin(np.where(ok, logs.sum(axis=0) - n_log_rho, math.inf)))
+    if not ok[j]:
+        return math.inf
+    # Every radius gives a bound; at rho_j, log(X (1 + theta)) = log X + theta'
+    # with |theta'| <= 1.0002 |theta| for |theta| <= 2^-12, and each log,
+    # product and sum rounds by at most eps times the sum of their moduli.
+    terms = logs[:, j].tolist() + [-float(n_log_rho[j])]
+    slack = sum(1.0002 * abs(mi) * e / xi for mi, xi, e in zip(m.tolist(), x[:, j].tolist(), err[:, j].tolist()))
+    slack += 2.0 * (len(terms) + 3) * _EPS * sum(map(abs, terms))
+    best = math.fsum(terms) + slack
+    return math.nextafter(math.exp(best), math.inf) if best < 709.0 else math.inf

@@ -490,8 +490,10 @@ class KernelImages:
     psi * (K_w o phi) and the values psi(w), phi(w) that fix C* K_w.
 
     Each exact (w, n) is expanded once: the first lookup builds the symbol and
-    stores its beta-scaled order-n coefficient row (read-only) and its
-    series_tail_bound.  Each exact w is evaluated once, on its first adjoint
+    stores its beta-scaled order-n coefficient row (read-only) and its tail
+    bound beta(n) series_tail_bound, a proved bound on the beta-weighted tail
+    because beta(k) does not increase (gamma >= 1); one beta_array call
+    gives both.  Each exact w is evaluated once, on its first adjoint
     lookup.  A witness search creates one table and passes it where
     kernel_gram_norms and kernel_gram_forms take a weight; a table belongs to
     that search and is never shared between searches.
@@ -518,9 +520,15 @@ class KernelImages:
         entry = self._entries.get((w, n))
         if entry is None:
             g = self.psi * compose_with_moebius(kernel_function(w, self.space.gamma), self.phi)
-            row = expand_analytic(g, n).coefficients * beta_array(self.space, n)
+            beta = beta_array(self.space, n + 1)
+            row = expand_analytic(g, n).coefficients * beta[:n]
             row.flags.writeable = False
-            entry = self._entries[(w, n)] = (row, series_tail_bound(g, n))
+            tail = series_tail_bound(g, n)
+            if tail > 0.0:
+                # beta_array is within 6e-15 relative of the exact weights, and
+                # rounding up keeps a tail below the double range from reading 0.
+                tail = math.nextafter(float(beta[n]) * (1.0 + 2.0**-40) * tail, math.inf)
+            entry = self._entries[(w, n)] = (row, tail)
         return entry
 
 
@@ -538,10 +546,11 @@ def kernel_gram_norms(psi, phi: MoebiusMap, space: SpaceSpec, points, coeffs, n:
 
     The adjoint side is closed-form: C* K_w = conj(psi(w)) K_phi(w) and
     <K_a, K_b> = (1 - conj(a) b)^(-gamma).  The forward side is the norm of
-    the order-n truncation of sum c_i psi (K_{w_i} o phi) plus a reported
-    tail bound; PrecisionLossError signals a tail above 10% of the computed
-    norm (raise n).  psi is a weight, or a search's KernelImages table for
-    its weight, which serves each kernel image it has already expanded.
+    the order-n truncation of sum c_i psi (K_{w_i} o phi) plus a proved
+    tail bound, sum |c_i| times each image's tail bound (see KernelImages);
+    PrecisionLossError signals a tail above 10% of the computed norm (raise
+    n).  psi is a weight, or a search's KernelImages table for its weight,
+    which serves each kernel image it has already expanded.
     """
     pts = _kernel_points(points)
     cs = np.asarray(list(coeffs), dtype=complex)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hypocomp as hc
@@ -793,6 +793,110 @@ class TestEvaluate:
         assert abs(boundary_sup(psi_two) - max(vals)) < 1e-3
 
 
+def _mp_poly_mul(a, b):
+    out = [mpmath.mpc(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _mp_poly_add(a, b):
+    a, b = a + [mpmath.mpc(0)] * (len(b) - len(a)), b + [mpmath.mpc(0)] * (len(a) - len(b))
+    return [x + y for x, y in zip(a, b)]
+
+
+def mp_tails(f, n, alpha=None):
+    """sqrt(sum_{k>=n} |c_k|^2 beta(k)^2) at 40 digits: beta = 1, or the
+    weights of bergman(alpha).
+
+    Not from expand_analytic: f = N g for the base N/D, and
+    g = prod r_i^gamma_i / D with r_i = (p_i + q_i z)/(s_i + t_i z) solves
+    A g' = B g for A = D prod_i (p_i + q_i z)(s_i + t_i z) and
+    B = -D' prod_i (...) + D sum_i gamma_i (q_i s_i - t_i p_i) prod_{j != i} (...),
+    so A_0 (k+1) g_{k+1} = sum_l B_l g_{k-l} - sum_{l>=1} A_l (k+1-l) g_{k+1-l}.
+    The sum stops once 8 terms in a row fall below 1e-30 of it: the
+    coefficients decay geometrically by then.
+    """
+    with mpmath.workdps(40):
+        mp = lambda p: [mpmath.mpc(c) for c in p.coefficients]
+        num, den = mp(f.base.num), mp(f.base.den)
+        links, rates, g0 = [], [], 1 / den[0]
+        for r, gamma in f.factors:
+            (p, q), (s, t) = ((mp(part) + [mpmath.mpc(0)])[:2] for part in (r.num, r.den))
+            links.append(_mp_poly_mul([p, q], [s, t]))
+            rates.append(mpmath.mpf(gamma) * (q * s - t * p))
+            g0 *= mpmath.power(p / s, mpmath.mpf(gamma))
+        a = den
+        for link in links:
+            a = _mp_poly_mul(a, link)
+        b = [-k * c for k, c in enumerate(den)][1:] or [mpmath.mpc(0)]
+        for link in links:
+            b = _mp_poly_mul(b, link)
+        for i, rate in enumerate(rates):
+            term = [rate * c for c in den]
+            for j, link in enumerate(links):
+                if j != i:
+                    term = _mp_poly_mul(term, link)
+            b = _mp_poly_add(b, term)
+        g, c = [g0], []
+        tail, beta2, small, k = mpmath.mpf(0), mpmath.mpf(1), 0, 0
+        while small < 8:
+            rhs = sum(bl * g[k - l] for l, bl in enumerate(b) if l <= k)
+            rhs -= sum(a[l] * (k + 1 - l) * g[k + 1 - l] for l in range(1, min(len(a), k + 2)))
+            g.append(rhs / (a[0] * (k + 1)))
+            c.append(sum(nj * g[k - j] for j, nj in enumerate(num) if j <= k))
+            if alpha is not None and k > 0:
+                beta2 *= mpmath.mpf(k) / (k + mpmath.mpf(alpha) + 1)
+            if k >= n:
+                term = abs(c[k]) ** 2 * beta2
+                tail += term
+                small = small + 1 if term <= mpmath.mpf("1e-30") * tail else 0
+            k += 1
+            assert k < n + 20000
+        return mpmath.sqrt(tail)
+
+
+def _factor(zero, pole, gamma):
+    """((1 - z/zero)/(1 - z/pole))^gamma, either part dropped when None."""
+    num = (1, -1 / zero) if zero is not None else (1,)
+    den = (1, -1 / pole) if pole is not None else (1,)
+    return hc.AnalyticFunction(hc.rational((1,), (1,)), ((hc.rational(num, den), gamma),))
+
+
+def outside(lo, hi):
+    return st.builds(lambda r, t: r * cmath.exp(1j * t), st.floats(lo, hi), st.floats(0.0, 2.0 * math.pi))
+
+
+@st.composite
+def tail_symbols(draw):
+    """Admissible symbols: a polynomial base, or one over a denominator of
+    degree 1 or 2 with roots of modulus >= 1.2, times up to two power factors
+    ((1 - z/zero)/(1 - z/pole))^gamma with 1.2 <= |zero|, |pole| <= 4 (each
+    part maps the disk within 60 degrees of 1, so the factor stays off the
+    cut) and gamma of either sign; or a kernel image psi (K_w o phi), |w| <= 0.8."""
+    lead = draw(st.lists(outside(0.0, 2.0), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        psi = hc.polynomial_fn(1, *lead)
+        phi = draw(st.sampled_from((hc.dilation(0.7j), hc.MoebiusMap(1, 0.4, 0.4, 1),
+                                    hc.hyperbolic_nonauto_form(0.5), hc.cayley_parabolic(1, 1))))
+        w = draw(outside(0.0, 0.8))
+        gamma = draw(st.sampled_from((1.0, 1.5, 2.0, 2.7)))
+        return psi * hc.compose_with_moebius(hc.kernel_function(w, gamma), phi)
+    poles = draw(st.lists(outside(1.2, 3.0), max_size=2))
+    den = (1,)
+    for x in poles:
+        den = np.convolve(den, (1, -1 / x))
+    f = hc.rational_fn((1, *lead), tuple(den))
+    for _ in range(draw(st.integers(0, 2))):
+        zero, pole = draw(st.one_of(st.none(), outside(1.2, 4.0))), draw(st.one_of(st.none(), outside(1.2, 4.0)))
+        if zero is None and pole is None:
+            zero = 1.5
+        gamma = draw(st.floats(0.3, 3.0)) * draw(st.sampled_from((-1, 1)))
+        f = f * _factor(zero, pole, gamma)
+    return f
+
+
 class TestTailBound:
     def test_polynomial_is_exact(self, psi_two):
         assert series_tail_bound(psi_two, 8) == 0.0
@@ -805,17 +909,23 @@ class TestTailBound:
         assert actual <= bound
         assert bound < 1e-8
 
-    def test_one_array_matches_circle_by_circle(self):
-        f = hc.polynomial_fn(2, 1) * hc.compose_with_moebius(
-            hc.kernel_function(0.7 + 0.2j, 2.7), hc.MoebiusMap(1, 0.5, 0.5, 1))
-        radius = min(min_singularity_radius(f), 9.0)
-        radii = [1.0 + (radius - 1.0) * j / 8.0 for j in range(1, 8)]
-        for n in (16, 128, 1024):
-            per_circle = [
-                1.1 * float(np.abs(f(funcalg.circle(r, 512))).max()) * r ** (-n) / math.sqrt(1.0 - r ** (-2))
-                for r in radii
-            ]
-            assert series_tail_bound(f, n) == min(per_circle)
+    # One mpmath series of order about n + 150 takes up to 0.1 s, so these
+    # two properties draw 16 and 12 examples.
+    @settings(DERANDOMIZED, max_examples=16)
+    @given(tail_symbols(), st.sampled_from((16, 128, 1024)))
+    @example(hc.rational_fn((2,), (1, 0.3, 0.1)) * _factor(1.3, -2.0, -2.7), 1024)
+    def test_bound_dominates_the_high_precision_tail(self, f, n):
+        assert series_tail_bound(f, n) >= mp_tails(f, n)
+
+    @settings(DERANDOMIZED, max_examples=12)
+    @given(tail_symbols(), st.sampled_from((-0.5, 0.0, 0.7)), outside(0.0, 0.8), st.sampled_from((128, 1024)))
+    def test_weighted_kernel_tail_dominates_the_high_precision_tail(self, psi, alpha, w, n):
+        # The tail kernel_gram_norms reports for one kernel K_w on bergman(alpha):
+        # beta(n) times the Taylor tail of psi (K_w o phi).
+        space, phi = hc.bergman(alpha), hc.MoebiusMap(1, 0.3j, -0.3j, 1)
+        image = psi * hc.compose_with_moebius(hc.kernel_function(w, space.gamma), phi)
+        tail = hc.kernel_gram_norms(psi, phi, space, [w], [1.0], n).tail_bound
+        assert tail >= mp_tails(image, n, alpha)
 
     def test_singularity_radius(self):
         f = hc.kernel_function(0.5, 2.0) * hc.rational_fn((1,), (1, 1 / 3))

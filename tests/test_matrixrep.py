@@ -594,6 +594,15 @@ class TestKernelGramNorms:
         vec = m.entries @ hc.kernel(H2, w, n).values
         assert abs(kn.forward - np.linalg.norm(vec)) < 1e-9
 
+    def test_near_miss_certifies_at_order_512(self):
+        # psi = 1 with the candidate-class symbol on bergman(-0.5), at the unit
+        # kernel at -0.94: the margin is 5.39e-3, so the tail must stay below
+        # 5.39e-4.  The beta-weighted Parseval bound gives 3.5e-4 here.
+        space, w = hc.bergman(-0.5), -0.94
+        c = 1 / hc.kernel_norm(space, w)
+        kn = hc.kernel_gram_norms(1, hc.hyperbolic_nonauto_form(0.5), space, [w], [c], 512)
+        assert hc.CertificateWitness((w,), (c,), kn.adjoint, kn.forward, kn.tail_bound, 512).is_conclusive
+
     def test_precision_loss_raised(self, H2, psi_one, parabolic_map):
         with pytest.raises(PrecisionLossError):
             hc.kernel_gram_norms(psi_one, parabolic_map, H2, [0.97], [1.0], 24)
@@ -653,8 +662,12 @@ def annulus(lo, hi):
 def test_kernel_image_table_changes_no_number(psi, phi, space, terms):
     # One table serves repeated calls and several orders; each call returns
     # exactly what a one-shot call on the bare weight returns.  Order 1 raises
-    # PrecisionLossError: for w != 0 the image is not a polynomial, and its
-    # Cauchy tail bound at a radius r <= 8 is at least 1.1 |g(0)| / r.
+    # PrecisionLossError: for w != 0 the image g is not a polynomial, and its
+    # tail bound beta(1) M(rho) / rho at a radius rho <= 9 is at least
+    # beta(1) |g(0)| / 9, since M(rho) >= max |g| on |z| = rho >= |g(0)|,
+    # while the order-1 norm is at most sum |c_i| |g_i(0)|.  On hardy that is
+    # above 10% unconditionally; on bergman:0.7, where beta(1) / 9 ~ 0.068, it
+    # is not implied, but holds on every example drawn here.
     points = [w for w, _c in terms]
     coeffs = [c for _w, c in terms]
     images = KernelImages(psi, phi, space)
