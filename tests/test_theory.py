@@ -23,6 +23,7 @@ from hypocomp.errors import (
     TheoryUnavailableError,
     ZeroSymbolError,
 )
+from hypocomp.matrixrep import KernelImages, kernel_gram_forms
 from hypocomp.theory import (
     Outcome,
     WeightedOptions,
@@ -712,6 +713,64 @@ def _count_grams(monkeypatch):
     return counts
 
 
+def _one_trial_at_a_time(psi, phi, space, order, seed=1729):
+    """The witness search with a loop over its 400 stage-2 trials, each
+    solving its own 2x2 or 3x3 eigenproblem: the reference for the stacked
+    stage 2.  No deadline."""
+    images = KernelImages(psi, phi, space)
+    grid = theory._radial_grid((0.15, 0.3, 0.45, 0.6, 0.75, 0.9))
+    ranked = []
+    for w in grid:
+        witness = theory._norms_with_escalation(images, phi, space, [w], [1.0 / hc.kernel_norm(space, w)], order)
+        if witness is None:
+            continue
+        if witness.is_conclusive:
+            return witness
+        ranked.append((witness.adjoint_norm / max(witness.forward_norm, 1e-300), w))
+    ranked.sort(key=lambda t: -t[0])
+    top = [w for _ratio, w in ranked[:20]] or grid
+    rng = np.random.default_rng(seed)
+    for trial in range(1, 401):
+        m = 2 if trial % 2 == 1 else 3
+        pts = []
+        while len(pts) < m:
+            pool = top if rng.random() < 0.7 else grid
+            w = pool[int(rng.integers(0, len(pool)))]
+            if all(abs(w - u) > 1e-9 for u in pts):
+                pts.append(w)
+        kernel, adjoint, forward = kernel_gram_forms(images, phi, space, pts, order)
+        reg = 1e-12 * float(np.trace(forward).real) / m
+        try:
+            _lam, c = theory._top_eigenpair(adjoint, forward + reg * np.eye(m))
+        except np.linalg.LinAlgError:
+            continue
+        nf = float(np.real(np.einsum("i,ij,j->", np.conj(c), kernel, c)))
+        if nf <= 0:
+            continue
+        c = c / math.sqrt(nf)
+        witness = theory._norms_with_escalation(images, phi, space, pts, [complex(x) for x in c], order)
+        if witness is not None and witness.is_conclusive:
+            return witness
+    return None
+
+
+def _near_constant_weight_cases():
+    """(weight coefficients, map, space): psi = 1 + eps (a z + b z^2) with eps
+    log-uniform in [1e-3, 1e-1] on hyperbolic non-automorphisms, three per
+    space from a fixed seed, where stage 1 often finds no witness and stage 2
+    does; first the stage-2 find the tier-1 workflow runs, last a dilation,
+    where no witness exists."""
+    cases = [((1, 0.01), hc.hyperbolic_nonauto_form(0.5), hc.hardy())]
+    rng = np.random.default_rng(2215)
+    for k in range(12):
+        c = rng.uniform(0.05, 0.95) * cmath.exp(2j * math.pi * rng.uniform())
+        eps = 10 ** rng.uniform(-3, -1)
+        a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        space = (hc.hardy(), hc.bergman(0), hc.bergman(1), hc.bergman(-0.5))[k % 4]
+        cases.append(((1, eps * a, eps * b), hc.hyperbolic_nonauto_form(c), space))
+    return cases + [((1,), hc.dilation(0.5), hc.hardy())]
+
+
 class TestWitnessSearch:
     def test_parabolic_weighted_found(self, H2, psi_one, parabolic_map):
         w = hc.witness_search(psi_one, parabolic_map, H2, budget_seconds=30, order=128)
@@ -737,6 +796,22 @@ class TestWitnessSearch:
         assert hc.witness_search(nf.psi, nf.phi, H2, budget_seconds=2.5, order=48) is None
         assert grams == {"single": 97, "multi": 400}
         assert hc.witness_search(nf.psi, nf.phi, H2, budget_seconds=3600, order=48) is None
+
+    def test_stacked_stage_two_finds_what_one_trial_at_a_time_finds(self):
+        outcomes = []
+        for coeffs, phi, space in _near_constant_weight_cases():
+            psi = hc.polynomial_fn(*coeffs)
+            got = hc.witness_search(psi, phi, space, budget_seconds=3600, order=48)
+            want = _one_trial_at_a_time(psi, phi, space, 48)
+            assert (got is None) == (want is None)
+            outcomes.append(None if got is None else len(got.points))
+            if got is None:
+                continue
+            assert (got.points, got.order) == (want.points, want.order)
+            for x, y in ((got.adjoint_norm, want.adjoint_norm), (got.forward_norm, want.forward_norm)):
+                assert abs(x - y) <= 1e-12 * abs(y)
+        # The sample must reach stage 2, and exhaust it once, to test it.
+        assert sum(k is not None and k > 1 for k in outcomes) >= 3 and None in outcomes
 
     @pytest.mark.parametrize(
         "coeffs, phi",
