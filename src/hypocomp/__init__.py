@@ -25,27 +25,21 @@ from .errors import (
     PoleEncounteredError,
     PrecisionLossError,
     TheoryUnavailableError,
-    ZeroConstantTermError,
     ZeroSymbolError,
 )
 from .funcalg import (
     AnalyticFunction,
     Polynomial,
     RationalFunction,
-    TaylorSeries,
     compose_with_moebius,
     constant_fn,
-    evaluate,
     expand_analytic,
-    expand_rational,
     kernel_function,
     no_zero_in_closed_disk,
     poly,
     polynomial_fn,
     rational,
     rational_fn,
-    series_mul,
-    series_pow_real,
 )
 from .matrixrep import (
     OperatorMatrix,

@@ -45,7 +45,6 @@ from .moebius import (
     cayley_parabolic,
     classify,
     hyperbolic_nonauto_form,
-    require_in_disk,
     rotation,
 )
 from .space import SpaceSpec, hardy, space_from_label
@@ -65,22 +64,16 @@ from .theory import (
     spectral_report,
 )
 
-_DEFAULT_SEED = 1729
 _DEFAULT_ORDER = 128
 
 
-def _space_and_grid(args) -> tuple[SpaceSpec, tuple[complex, ...] | None]:
-    """The space of check or spectral and check's --grid, if given, after
-    checking, in this order, that every grid point lies in the open disk, that
-    the space is known and that 8 <= --order <= MAX_TRUNCATION."""
-    grid = None
-    if getattr(args, "grid", None):
-        grid = tuple(require_in_disk(parse_complex(tok), "grid point")
-                     for tok in args.grid.split(";") if tok.strip())
+def _space(args) -> SpaceSpec:
+    """The space of check or spectral, after checking that it is known and
+    that 8 <= --order <= MAX_TRUNCATION."""
     space = space_from_label(args.space)
     if not 8 <= args.order <= matrixrep.MAX_TRUNCATION:
         raise ValueError(f"truncation order must lie in [8, {matrixrep.MAX_TRUNCATION}]")
-    return space, grid
+    return space
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +251,11 @@ def _norm_bound_block(psi, phi, space) -> dict | None:
 
 
 def _cmd_check(args) -> tuple[dict, int]:
-    space, grid = _space_and_grid(args)
-    phi = parse_map(args.map)
-    psi = parse_weight(args.psi, phi, space)
+    # --grid is checked first: WeightedOptions passes each point through the
+    # disk gate and refuses an empty grid, "" and ";" included.
+    grid = None
+    if args.grid is not None:
+        grid = tuple(parse_complex(tok) for tok in args.grid.split(";") if tok.strip())
     opts = WeightedOptions(
         escalate_numeric=args.escalate,
         budget_seconds=args.budget,
@@ -268,6 +263,9 @@ def _cmd_check(args) -> tuple[dict, int]:
         order=args.order,
         grid=grid,
     )
+    space = _space(args)
+    phi = parse_map(args.map)
+    psi = parse_weight(args.psi, phi, space)
     verdict = classify_weighted(psi, phi, space, opts)
     cls = classify(phi)   # after classify_weighted, whose zero-weight error comes first
     report = {
@@ -284,7 +282,7 @@ def _cmd_check(args) -> tuple[dict, int]:
 
 
 def _cmd_spectral(args) -> tuple[dict, int]:
-    space, _ = _space_and_grid(args)
+    space = _space(args)
     phi = parse_map(args.map)
     psi = parse_weight(args.psi, phi, space)
     rep = spectral_report(psi, phi, space)
@@ -424,17 +422,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="weighted hyponormality verdict")
     common(p_check)
-    p_check.add_argument("--seed", type=int, default=_DEFAULT_SEED, help="witness search seed")
+    p_check.add_argument("--seed", type=int, default=WeightedOptions.seed, help="witness search seed")
     p_check.add_argument("--order", type=int, default=_DEFAULT_ORDER,
                          help="starting order of the witness search")
     p_check.add_argument("--map", required=True)
     p_check.add_argument("--psi", required=True)
     p_check.add_argument("--escalate", action="store_true",
                          help="escalate undecided verdicts through the numeric witness search")
-    p_check.add_argument("--budget", type=float, default=60.0,
+    p_check.add_argument("--budget", type=float, default=WeightedOptions.budget_seconds,
                          help="witness search budget in seconds")
     p_check.add_argument("--grid", default=None,
-                         help="semicolon-separated kernel points overriding the default grid")
+                         help="semicolon-separated kernel points, at least one, each in the open "
+                              "unit disk, replacing the parabolic kernel inequality's default grid")
     p_check.set_defaults(func=_cmd_check)
 
     p_spectral = sub.add_parser("spectral", help="closed-form spectral report")

@@ -33,10 +33,6 @@ class PoleAtOriginError(HypocompError):
     """Denominator vanishes at the origin; no Maclaurin expansion exists."""
 
 
-class ZeroConstantTermError(HypocompError):
-    """Real powers of a series need a nonzero constant term."""
-
-
 class BranchViolationError(HypocompError):
     """A power factor left the principal branch or acquired a zero in the closed disk."""
 

@@ -8,6 +8,10 @@ closed under products, reciprocals (of zero-free members), composition with a
 linear-fractional disk self-map, and pointwise evaluation, and each factor
 expands in closed form as a product of two binomial series.
 
+A truncated Maclaurin series is a plain complex array of its first n
+coefficients, and expand_analytic is the one way to get one.  It tests no
+denominator: AnalyticFunction construction is the one place that does.
+
 Every symbol type evaluates at a complex scalar (in Python complex arithmetic)
 or elementwise over a numpy array; circle(r, n) gives the sample points that
 the sup estimate, the constancy tests and the zero tests evaluate on.  Tail
@@ -36,7 +40,6 @@ from .errors import (
     InvalidParameterError,
     PoleAtOriginError,
     PoleEncounteredError,
-    ZeroConstantTermError,
 )
 from .moebius import MoebiusMap, disk_image, require_in_disk, require_pole_free
 
@@ -350,11 +353,6 @@ def kernel_function(w: complex, gamma: float) -> AnalyticFunction:
     return AnalyticFunction(rational((1,)), ((rational((1, -w.conjugate())), -float(gamma)),))
 
 
-def evaluate(f: AnalyticFunction, z: complex) -> complex:
-    """Pointwise value with principal-branch powers."""
-    return f(complex(z))
-
-
 def compose_with_moebius(f: AnalyticFunction, phi: MoebiusMap) -> AnalyticFunction:
     """f(phi(z)): the base and each power factor composed by
     compose_rational_moebius (Horner's rule; for a linear-fractional factor,
@@ -431,46 +429,16 @@ def min_singularity_radius(f: AnalyticFunction) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Truncated Maclaurin series
+# Truncated Maclaurin series: complex arrays of the first n coefficients
 
-@dataclass(frozen=True)
-class TaylorSeries:
-    """First N Maclaurin coefficients."""
+def _rational_series(f: RationalFunction, n: int) -> np.ndarray:
+    """The first n Maclaurin coefficients of num/den, for a base or power
+    factor of an AnalyticFunction, whose construction tested its denominator.
 
-    coefficients: np.ndarray
-    order: int
-
-    def __post_init__(self):
-        arr = np.asarray(self.coefficients, dtype=complex).copy()
-        if arr.ndim != 1 or arr.size != self.order or self.order < 1:
-            raise InvalidParameterError("coefficient array must have length equal to the order")
-        arr.flags.writeable = False
-        object.__setattr__(self, "coefficients", arr)
-
-
-def _check_order(n: int) -> None:
-    if not 1 <= n <= MAX_ORDER:
-        raise InvalidParameterError(f"expansion order must lie in [1, {MAX_ORDER}]")
-
-
-def expand_rational(f: RationalFunction, n: int) -> TaylorSeries:
-    """Maclaurin coefficients of num/den by the standard linear recurrence.
-
-    den(0) c_n = num_n - sum_{k>=1} den_k c_{n-k}; exact in exact arithmetic.
-    A denominator of degree 0 or 1 takes its closed form instead: num/d0,
-    or num times the geometric series of 1/den.  The denominator must be
-    zero-free on the closed unit disk for the series to converge there;
-    violations raise PoleEncounteredError.
+    den(0) c_n = num_n - sum_{k>=1} den_k c_{n-k}; a denominator of degree 0
+    or 1 takes its closed form instead: num/d0, or num times the geometric
+    series of 1/den.
     """
-    _check_order(n)
-    if f.den.degree >= 1 and not _poly_zero_free(f.den):
-        raise PoleEncounteredError("denominator has a zero in the closed unit disk")
-    return _rational_series(f, n)
-
-
-def _rational_series(f: RationalFunction, n: int) -> TaylorSeries:
-    # The series of expand_rational, for a base or power factor of an
-    # AnalyticFunction, whose construction already tested its denominator.
     num = np.zeros(n, dtype=complex)
     m = min(n, f.num.degree + 1)
     num[:m] = f.num.coefficients[:m]
@@ -478,48 +446,38 @@ def _rational_series(f: RationalFunction, n: int) -> TaylorSeries:
     d0 = den[0]
     dd = len(den) - 1
     if dd == 0:
-        return TaylorSeries(num / d0, n)
+        return num / d0
     c = np.zeros(n, dtype=complex)
     if dd == 1:
         # 1/den = (1 + (d1/d0) z)^-1 / d0.
         series = np.convolve(num[:m], _binomial_series(den[1] / d0, -1.0, n))[:n]
         c[: series.size] = series / d0
-        return TaylorSeries(c, n)
+        return c
     for k in range(n):
         acc = num[k]
         j = min(k, dd)
         if j > 0:
             acc -= np.dot(den[1 : j + 1], c[k - 1 :: -1][:j])
         c[k] = acc / d0
-    return TaylorSeries(c, n)
+    return c
 
 
-def series_mul(f: TaylorSeries, g: TaylorSeries) -> TaylorSeries:
-    """Cauchy product truncated to the common order."""
-    if f.order != g.order:
-        raise InvalidParameterError("series orders must agree")
-    prod = np.convolve(f.coefficients, g.coefficients)[: f.order]
-    return TaylorSeries(prod, f.order)
-
-
-def series_pow_real(f: TaylorSeries, gamma: float) -> TaylorSeries:
-    """Coefficients of f^gamma on the principal branch at f(0).
+def _pow_series(c: np.ndarray, gamma: float) -> np.ndarray:
+    """Coefficients of f^gamma on the principal branch at f(0), for the series c of f.
 
     First-order recurrence n c_0 w_n = sum_{k=1..n} (gamma k - (n - k)) c_k w_{n-k},
     seeded with w_0 = c_0^gamma.
     """
-    c = f.coefficients
+    # c_0 = r(0) != 0: _factor_admissible refuses a zero on the closed disk, z = 0 included.
     c0 = c[0]
-    if c0 == 0:
-        raise ZeroConstantTermError("constant term vanishes; real power undefined")
-    n = f.order
+    n = c.size
     w = np.zeros(n, dtype=complex)
     w[0] = complex(c0) ** float(gamma)
     for m in range(1, n):
         ks = np.arange(1, m + 1)
         weights = gamma * ks - (m - ks)
         w[m] = np.dot(weights * c[1 : m + 1], w[m - 1 :: -1][:m]) / (m * c0)
-    return TaylorSeries(w, n)
+    return w
 
 
 def _binomial_series(a: complex, gamma: float, n: int) -> np.ndarray:
@@ -527,10 +485,12 @@ def _binomial_series(a: complex, gamma: float, n: int) -> np.ndarray:
     cumulative product; trailing zeros (gamma a nonnegative integer) dropped."""
     k = np.arange(1.0, n)
     steps = np.concatenate(([1.0 + 0j], (gamma - k + 1.0) / k * a))
-    return np.trim_zeros(np.cumprod(steps), "b")
+    series = np.cumprod(steps)
+    # Entry 0 is 1, so there is a last nonzero entry (a NaN counts as nonzero).
+    return series[: np.flatnonzero(series)[-1] + 1]
 
 
-def _linear_power_series(r: RationalFunction, gamma: float, n: int) -> TaylorSeries | None:
+def _linear_power_series(r: RationalFunction, gamma: float, n: int) -> np.ndarray | None:
     """r^gamma for a power factor r = (p1 + q1 z)/(p2 + q2 z) in closed form:
     r(0)^gamma times the truncated Cauchy product B1 * B2 of the binomial
     series B1 = (1 + (q1/p1) z)^gamma and B2 = (1 + (q2/p2) z)^-gamma.
@@ -550,23 +510,28 @@ def _linear_power_series(r: RationalFunction, gamma: float, n: int) -> TaylorSer
             return None
     coeffs = np.zeros(n, dtype=complex)
     coeffs[: series.size] = series * complex(np.complex128(p1) / p2) ** float(gamma)
-    return TaylorSeries(coeffs, n)
+    return coeffs
 
 
-def expand_analytic(f: AnalyticFunction, n: int) -> TaylorSeries:
-    """Truncated series of base * prod r_i^gamma_i.
+def expand_analytic(f: AnalyticFunction, n: int) -> np.ndarray:
+    """The first n Maclaurin coefficients of base * prod r_i^gamma_i, as a
+    new complex array that the caller owns.
 
-    Every power factor is linear-fractional and gets its binomial series in
-    closed form (_linear_power_series); only one whose two binomial series
-    cancel takes the recurrence of series_pow_real on its rational series.
+    The base takes its rational series; every power factor is
+    linear-fractional and gets its binomial series in closed form
+    (_linear_power_series); only one whose two binomial series cancel takes
+    the recurrence of _pow_series on its rational series.  Each part joins
+    by a truncated Cauchy product.  Construction of f tested every
+    denominator, so nothing is tested here.
     """
-    _check_order(n)
+    if not 1 <= n <= MAX_ORDER:
+        raise InvalidParameterError(f"expansion order must lie in [1, {MAX_ORDER}]")
     out = _rational_series(f.base, n)
     for r, gamma in f.factors:
         part = _linear_power_series(r, gamma, n)
         if part is None:
-            part = series_pow_real(_rational_series(r, n), gamma)
-        out = series_mul(out, part)
+            part = _pow_series(_rational_series(r, n), gamma)
+        out = np.convolve(out, part)[:n]
     return out
 
 

@@ -155,7 +155,9 @@ def _section(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, n: int,
     Each column is the previous one times phi = (a z + b) / (c z + d),
     truncated to n terms: a banded product with the lower-triangular Toeplitz
     matrix of the numerator (BLAS tbmv), then a banded solve with that of the
-    denominator (BLAS tbsv), O(N) per column and O(N^2) in all.
+    denominator (BLAS tbsv), O(N) per column and O(N^2) in all.  The first
+    column starts from the array expand_analytic returns, which the section
+    owns, so the two routines overwrite it in place.
     scipy.signal.lfilter would do the same filtering, but importing
     scipy.signal costs about a second.  The two BLAS routines are fetched
     here, on the first build, so that only processes that build a section
@@ -166,7 +168,7 @@ def _section(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, n: int,
     phi_r = moebius_rational(phi)
     num, kn = _toeplitz_band(phi_r.num, n)
     den, kd = _toeplitz_band(phi_r.den, n)
-    col = expand_analytic(psi_f, n).coefficients.copy()
+    col = expand_analytic(psi_f, n)
     b = beta_array(space, n)
     scaled = np.empty(n, dtype=complex)
     cols = np.zeros((n, n), dtype=complex)
@@ -519,7 +521,7 @@ class KernelImages:
         if entry is None:
             g = self.psi * compose_with_moebius(kernel_function(w, self.space.gamma), self.phi)
             beta = beta_array(self.space, n + 1)
-            row = expand_analytic(g, n).coefficients * beta[:n]
+            row = expand_analytic(g, n) * beta[:n]
             row.flags.writeable = False
             tail = series_tail_bound(g, n)
             if tail > 0.0:

@@ -142,11 +142,21 @@ class HyponormalityVerdict:
 
 @dataclass(frozen=True)
 class WeightedOptions:
+    """Options of classify_weighted.  The witness search's defaults (budget in
+    seconds, seed and starting order) are stated here once: witness_search
+    and the command line read them from this class.  grid replaces the
+    parabolic kernel inequality's default grid; each of its points passes
+    the disk gate, and an empty grid is refused."""
+
     escalate_numeric: bool = False
     budget_seconds: float = 60.0
     seed: int = 1729
     order: int = 256
     grid: tuple[complex, ...] | None = None
+
+    def __post_init__(self):
+        if self.grid is not None:
+            object.__setattr__(self, "grid", _kernel_grid(self.grid))
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +231,25 @@ def default_inequality_grid() -> tuple[complex, ...]:
     return tuple(_radial_grid((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)))
 
 
+def _kernel_grid(grid) -> tuple[complex, ...]:
+    """The default grid for None; else grid's points as complex numbers, each
+    through the disk gate, and InvalidParameterError for an empty grid."""
+    if grid is None:
+        return default_inequality_grid()
+    pts = tuple(require_in_disk(w, "grid point") for w in grid)
+    if not pts:
+        raise InvalidParameterError("a kernel grid needs at least one point")
+    return pts
+
+
 def kernel_ratio_value(psi, phi: MoebiusMap, space: SpaceSpec, w: complex) -> float:
-    """|psi(w)| ((1 - |w|^2)/(1 - |phi(w)|^2))^(gamma/2) = ||C* (K_w/||K_w||)||."""
-    psi_f = as_analytic(psi)
-    w = complex(w)
+    """|psi(w)| ((1 - |w|^2)/(1 - |phi(w)|^2))^(gamma/2) = ||C* (K_w/||K_w||)||,
+    for w in the open disk."""
+    return _kernel_ratio(as_analytic(psi), phi, space, require_in_disk(w, "kernel point"))
+
+
+def _kernel_ratio(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, w: complex) -> float:
+    # kernel_ratio_value at a point that has passed the disk gate.
     ratio = (1.0 - abs(w) ** 2) / (1.0 - abs(phi(w)) ** 2)
     return abs(psi_f(w)) * ratio ** (space.gamma / 2.0)
 
@@ -235,7 +260,10 @@ def parabolic_kernel_inequality(psi, phi: MoebiusMap, space: SpaceSpec, grid=Non
     Defined for parabolic non-automorphisms, zeta being the fixed point of
     phi; a hyponormal weighted composition with such a symbol must satisfy
     the inequality at every disk point, so a violation excludes hyponormality.
+    A grid given replaces the default one: each point must lie in the open
+    disk, and an empty grid is refused.
     """
+    grid = _kernel_grid(grid)
     cls = classify(phi)
     if cls.kind is not MapKind.PARABOLIC_NONAUTOMORPHISM:
         raise HypothesisMismatchError("symbol is not a parabolic non-automorphism")
@@ -244,14 +272,15 @@ def parabolic_kernel_inequality(psi, phi: MoebiusMap, space: SpaceSpec, grid=Non
 
 
 def _first_violation(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, zeta: complex,
-                     grid, scale: float) -> InequalityViolation | None:
+                     grid: tuple[complex, ...], scale: float) -> InequalityViolation | None:
     """parabolic_kernel_inequality for a symbol already known to be a parabolic
-    non-automorphism fixing the unimodular zeta; scale is value_scale(psi_f)."""
+    non-automorphism fixing the unimodular zeta, on a grid from _kernel_grid;
+    scale is value_scale(psi_f)."""
     lhs = abs(psi_f(zeta))
-    for w in (grid if grid is not None else default_inequality_grid()):
-        rhs = kernel_ratio_value(psi_f, phi, space, w)
+    for w in grid:
+        rhs = _kernel_ratio(psi_f, phi, space, w)
         if rhs - lhs > 1e-12 * scale:
-            return InequalityViolation(complex(w), lhs, rhs)
+            return InequalityViolation(w, lhs, rhs)
     return None
 
 
@@ -411,7 +440,7 @@ def classify_weighted(
                 details=f"psi({zeta:.12g}) = {psi_f(zeta):.3e}",
             )
         if cls.kind is MapKind.PARABOLIC_NONAUTOMORPHISM:
-            violation = _first_violation(psi_f, phi, space, zeta, opts.grid, scale)
+            violation = _first_violation(psi_f, phi, space, zeta, _kernel_grid(opts.grid), scale)
             if violation is not None:
                 return HyponormalityVerdict(
                     Outcome.NOT_HYPONORMAL,
@@ -599,10 +628,12 @@ def norm_bounds(psi, phi: MoebiusMap, space: SpaceSpec) -> NormBounds:
 
 
 def norm_lower_bound_grid(psi, phi: MoebiusMap, space: SpaceSpec, grid=None) -> float:
-    """Unconditional: max over the grid of ||C* (K_w/||K_w||)||."""
+    """Unconditional: max over the grid of ||C* (K_w/||K_w||)||.  A grid
+    given replaces the default one: each point must lie in the open disk,
+    and an empty grid is refused."""
+    pts = _kernel_grid(grid)
     psi_f = as_analytic(psi)
-    pts = grid if grid is not None else default_inequality_grid()
-    return max(kernel_ratio_value(psi_f, phi, space, w) for w in pts)
+    return max(_kernel_ratio(psi_f, phi, space, w) for w in pts)
 
 
 # ---------------------------------------------------------------------------
@@ -741,9 +772,9 @@ def witness_search(
     psi,
     phi: MoebiusMap,
     space: SpaceSpec,
-    budget_seconds: float = 60.0,
-    seed: int = 1729,
-    order: int = 256,
+    budget_seconds: float = WeightedOptions.budget_seconds,
+    seed: int = WeightedOptions.seed,
+    order: int = WeightedOptions.order,
 ) -> CertificateWitness | None:
     """Search kernel combinations for ||C* f|| > ||C f|| beyond all error terms.
 

@@ -116,6 +116,16 @@ class TestInputOutsideHypotheses:
         assert code == 2
         assert "open unit disk" in capsys.readouterr().err
 
+    # A grid with no point checks nothing, so it is refused rather than read as
+    # "parabolic inequality holds on the grid"; the default grid finds a violation.
+    @pytest.mark.parametrize("grid", [";", "", " ; "])
+    def test_empty_grid_exit_2(self, capsys, grid):
+        code = cli.main(["check", "--psi", "0.5,-0.25", "--map", "parabolic:1,1", "--grid", grid])
+        assert code == 2
+        assert "at least one point" in capsys.readouterr().err
+        code, rep = run_json(capsys, "check", "--psi", "0.5,-0.25", "--map", "parabolic:1,1")
+        assert code == 0 and rep["verdict"]["outcome"] == "NotHyponormal"
+
     # Kernel-quotient and normal-form points go through the same disk gate as --grid, NaN included.
     @pytest.mark.parametrize("argv", [
         ("check", "--psi=kernel-quotient:nan,1", "--map=normal-form:0.3,0.4"),

@@ -8,9 +8,11 @@ import pytest
 import hypocomp as hc
 from hypocomp.errors import InvalidParameterError, NotAFixedPointError, OutsideDiskError
 from hypocomp.matrixrep import kernel_gram_forms
+from hypocomp.theory import kernel_ratio_value
 
 H2 = hc.hardy()
 NORMAL_FORM = hc.normal_form_map(0.3, 0.4)   # fixes 0.3
+PARABOLIC = hc.cayley_parabolic(1, 1)
 
 # Each takes a point that must lie in the open unit disk.
 ENTRY_POINTS = {
@@ -27,6 +29,12 @@ ENTRY_POINTS = {
     "theory.normal_form_map": lambda w: hc.normal_form_map(w, 0.4),
     "theory.normal_form": lambda w: hc.normal_form(w, 0.4, 1, H2),
     "theory.conjugate_to_origin": lambda w: hc.conjugate_to_origin(1, NORMAL_FORM, w, H2),
+    "theory.kernel_ratio_value": lambda w: kernel_ratio_value(1, PARABOLIC, H2, w),
+    # 0.3 comes first and violates the inequality, so every point is checked before any is used.
+    "theory.parabolic_kernel_inequality": lambda w: hc.parabolic_kernel_inequality(
+        hc.polynomial_fn(0.5, -0.25), PARABOLIC, H2, grid=[0.3, w]),
+    "theory.norm_lower_bound_grid": lambda w: hc.norm_lower_bound_grid(1, PARABOLIC, H2, grid=[0.3, w]),
+    "theory.WeightedOptions.grid": lambda w: hc.WeightedOptions(grid=(0.3, w)),
 }
 
 
@@ -39,6 +47,20 @@ def test_disk_gate(entry, w):
 
 def test_disk_gate_error_is_a_parameter_error():
     assert issubclass(OutsideDiskError, InvalidParameterError)
+
+
+# Each takes a kernel grid, which must hold at least one point.
+GRID_ENTRIES = {
+    "parabolic_kernel_inequality": lambda g: hc.parabolic_kernel_inequality(1, PARABOLIC, H2, grid=g),
+    "norm_lower_bound_grid": lambda g: hc.norm_lower_bound_grid(1, PARABOLIC, H2, grid=g),
+    "WeightedOptions": lambda g: hc.WeightedOptions(grid=g),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(GRID_ENTRIES))
+def test_empty_grid_refused(entry):
+    with pytest.raises(InvalidParameterError, match="at least one point"):
+        GRID_ENTRIES[entry](())
 
 
 # Each takes a point that phi must fix; 0.5 lies in the disk but is not fixed.
