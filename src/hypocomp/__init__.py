@@ -51,7 +51,6 @@ from .matrixrep import (
     kernel_gram_norms,
     operator_norm,
     self_commutator,
-    truncation_eigenvalues,
     truncation_spectral_radius,
     write_eigenvalues_csv,
     write_matrix_csv,
@@ -76,7 +75,6 @@ from .moebius import (
     rotation,
 )
 from .space import (
-    CoeffVector,
     KreinData,
     SpaceSpec,
     bergman,

@@ -33,6 +33,8 @@ import re
 import sys
 import time
 
+import numpy as np
+
 from . import matrixrep
 from .errors import (
     ConvergenceFailureError,
@@ -309,7 +311,7 @@ def _cmd_spectral(args) -> tuple[dict, int]:
             matrixrep.write_matrix_csv(m, args.dump_matrix)
             diagnostics.append(f"matrix dumped to {args.dump_matrix}")
         if args.dump_eigs:
-            matrixrep.write_eigenvalues_csv(matrixrep.truncation_eigenvalues(m), args.dump_eigs)
+            matrixrep.write_eigenvalues_csv(np.linalg.eigvals(m.entries), args.dump_eigs)
             diagnostics.append(f"eigenvalues dumped to {args.dump_eigs}")
     return {
         "input": {"psi": args.psi, "map": args.map},
@@ -430,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--escalate", action="store_true",
                          help="escalate undecided verdicts through the numeric witness search")
     p_check.add_argument("--budget", type=float, default=WeightedOptions.budget_seconds,
-                         help="witness search budget in seconds")
+                         help="witness search budget in seconds, positive; inf for no deadline")
     p_check.add_argument("--grid", default=None,
                          help="semicolon-separated kernel points, at least one, each in the open "
                               "unit disk, replacing the parabolic kernel inequality's default grid")

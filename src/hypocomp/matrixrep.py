@@ -32,8 +32,7 @@ LAPACK's own backward error on M.  The scale and K are found once per section,
 which keeps no scaled copy (OperatorMatrix._analysis); operator_norm,
 truncation_spectral_radius and gelfand_estimate work on A_K, formed from
 entries[:K, :K] (see each for what that moves).  Automorphism, parabolic,
-rotation and multiplication sections keep K = N and run in full;
-SpectralEstimate.order is N either way, and truncation_eigenvalues solves all N.
+rotation and multiplication sections keep K = N and run in full.
 
 Finite-section positivity is advisory only: compressions do not preserve the
 sign of A*A - AA* (the forward shift gives a spurious negative eigenvalue),
@@ -76,20 +75,22 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class OperatorMatrix:
+    """A square section: its entries as a read-only C-contiguous complex
+    array (a copy unless they already are one), and its analysis
+    (_analysis), made once."""
+
     entries: np.ndarray
-    space: SpaceSpec
-    order: int
-    provenance: str
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.entries, dtype=complex)
-        if arr.shape != (self.order, self.order):
-            raise InvalidParameterError("entries must be square of size order")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise InvalidParameterError("entries must be a square matrix")
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 
-    def adjoint_entries(self) -> np.ndarray:
-        return self.entries.conj().T
+    @property
+    def order(self) -> int:
+        return self.entries.shape[0]
 
     @cached_property
     def _analysis(self) -> _Analysis | None:
@@ -127,7 +128,6 @@ class _Analysis(NamedTuple):
 class SpectralEstimate:
     value: float
     method: str
-    order: int
     residual: float
 
 
@@ -148,8 +148,7 @@ def _toeplitz_band(p: Polynomial, n: int) -> tuple[np.ndarray, int]:
     return np.asfortranarray(np.repeat(c[:, None], n, axis=1)), c.size - 1
 
 
-def _section(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, n: int,
-             provenance: str) -> OperatorMatrix:
+def _section(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, n: int) -> OperatorMatrix:
     """Section whose column j holds the coordinates of psi * phi^j / beta(j).
 
     Each column is the previous one times phi = (a z + b) / (c z + d),
@@ -179,7 +178,7 @@ def _section(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, n: int,
         if j + 1 < n:
             col = ztbmv(kn, num, col, lower=1, overwrite_x=1)
             col = ztbsv(kd, den, col, lower=1, overwrite_x=1)
-    return OperatorMatrix(cols, space, n, provenance)
+    return OperatorMatrix(cols)
 
 
 def build_weighted_composition(psi, phi: MoebiusMap, space: SpaceSpec, n: int) -> OperatorMatrix:
@@ -189,7 +188,7 @@ def build_weighted_composition(psi, phi: MoebiusMap, space: SpaceSpec, n: int) -
     if not isinstance(phi, MoebiusMap):
         raise InvalidParameterError("finite sections need a linear-fractional symbol")
     require_self_map(phi)
-    return _section(as_analytic(psi), phi, space, n, f"weighted-composition on {space.label()}")
+    return _section(as_analytic(psi), phi, space, n)
 
 
 def build_multiplication(h, space: SpaceSpec, n: int) -> OperatorMatrix:
@@ -198,7 +197,7 @@ def build_multiplication(h, space: SpaceSpec, n: int) -> OperatorMatrix:
     It is the weighted composition section with weight h and phi(z) = z.
     """
     _check_truncation(n)
-    return _section(as_analytic(h), IDENTITY, space, n, f"multiplication on {space.label()}")
+    return _section(as_analytic(h), IDENTITY, space, n)
 
 
 def self_commutator(m: OperatorMatrix) -> np.ndarray:
@@ -289,7 +288,7 @@ def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
     """
     s = m._analysis
     if s is None:
-        return SpectralEstimate(0.0, "power-iteration", m.order, 0.0)
+        return SpectralEstimate(0.0, "power-iteration", 0.0)
     n = s.order
     a = m._scaled_block(n)
 
@@ -309,7 +308,7 @@ def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
             # Plain power steps from the seeded vector, still certified.
             method = f"power-iteration (ARPACK failed: {type(exc).__name__})"
     lam, resid = _power_steps(gram, v, 10 * n)
-    return SpectralEstimate(_unscale(math.sqrt(lam), s.e), method, m.order, _unscale(resid, 2 * s.e))
+    return SpectralEstimate(_unscale(math.sqrt(lam), s.e), method, _unscale(resid, 2 * s.e))
 
 
 def _lower_triangular(a: np.ndarray) -> bool:
@@ -338,18 +337,11 @@ def truncation_spectral_radius(m: OperatorMatrix) -> SpectralEstimate:
         vals = np.diagonal(a)
     else:
         vals = np.linalg.eigvals(a[:m._analysis.order, :m._analysis.order])
-    return SpectralEstimate(float(np.max(np.abs(vals))) if vals.size else 0.0,
-                            "truncation-eig", m.order, 0.0)
+    return SpectralEstimate(float(np.max(np.abs(vals))) if vals.size else 0.0, "truncation-eig", 0.0)
 
 
-def truncation_eigenvalues(m: OperatorMatrix) -> np.ndarray:
-    return np.linalg.eigvals(m.entries)
-
-
-def _power_norm(a: np.ndarray, k: int, m: OperatorMatrix) -> tuple[float, float]:
+def _power_norm(a: np.ndarray, k: int) -> tuple[float, float]:
     """(||a^k||, residual of (a^H)^k a^k) for gelfand_estimate."""
-    n = a.shape[0]
-
     def gram_power(x):
         for _ in range(k):
             x = a @ x
@@ -357,11 +349,11 @@ def _power_norm(a: np.ndarray, k: int, m: OperatorMatrix) -> tuple[float, float]
             x = _adjoint_apply(a, x)
         return x
 
-    quick = _power_steps(gram_power, _seed_vector(n), _QUICK_STEPS, quick=True)
+    quick = _power_steps(gram_power, _seed_vector(a.shape[0]), _QUICK_STEPS, quick=True)
     if quick is not None:
         return math.sqrt(quick[0]), quick[1]
     p = np.linalg.matrix_power(a, k)
-    est = operator_norm(OperatorMatrix(p, m.space, n, f"power{k}({m.provenance})"))
+    est = operator_norm(OperatorMatrix(p))
     return est.value, est.residual
 
 
@@ -389,11 +381,11 @@ def gelfand_estimate(m: OperatorMatrix, k: int) -> SpectralEstimate:
     n = m.order
     s = m._analysis
     if s is None:
-        return SpectralEstimate(0.0, "gelfand", n, 0.0)
-    norm, resid = _power_norm(m._scaled_block(s.order), k, m)
+        return SpectralEstimate(0.0, "gelfand", 0.0)
+    norm, resid = _power_norm(m._scaled_block(s.order), k)
     if s.order < n and math.sqrt(2.0) * k * _EPS * s.fro**k > _NORM_REL_TOL * norm:
-        norm, resid = _power_norm(m._scaled_block(n), k, m)
-    return SpectralEstimate(_unscale(norm ** (1.0 / k), s.e), "gelfand", n, _unscale(resid, 2 * k * s.e))
+        norm, resid = _power_norm(m._scaled_block(n), k)
+    return SpectralEstimate(_unscale(norm ** (1.0 / k), s.e), "gelfand", _unscale(resid, 2 * k * s.e))
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +437,10 @@ def adjoint_kernel_residual(m: OperatorMatrix, psi, phi, w: complex, space: Spac
     w = require_in_disk(w, "kernel point")
     psi_f = as_analytic(psi)
     n = m.order
-    kv = kernel(space, w, n).values
+    kv = kernel(space, w, n)
     phi_w = phi(w)
-    target = complex(psi_f(w)).conjugate() * kernel(space, phi_w, n).values
-    resid = float(np.linalg.norm(m.adjoint_entries() @ kv - target))
+    target = complex(psi_f(w)).conjugate() * kernel(space, phi_w, n)
+    resid = float(np.linalg.norm(m.entries.conj().T @ kv - target))
     bound = _composition_norm_upper(psi_f, phi, space) * _kernel_tail(space, w, n)
     bound += 20.0 * _EPS * n * float(np.linalg.norm(m.entries)) * float(np.linalg.norm(kv))
     return AdjointResidual(resid, bound)

@@ -75,30 +75,13 @@ def beta_array(space: SpaceSpec, n: int) -> np.ndarray:
     return np.sqrt(np.concatenate(([1.0], squares))[:n])
 
 
-@dataclass(frozen=True)
-class CoeffVector:
-    """Coefficients in the orthonormal basis e_n = z^n / beta(n)."""
-
-    values: np.ndarray
-    space: SpaceSpec
-    order: int
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=complex).copy()
-        if arr.ndim != 1 or arr.size != self.order:
-            raise InvalidParameterError("value array must have length equal to the order")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
-
-def kernel(space: SpaceSpec, w: complex, n: int) -> CoeffVector:
-    """Orthonormal coordinates of the evaluation kernel at w: conj(w)^k / beta(k)."""
+def kernel(space: SpaceSpec, w: complex, n: int) -> np.ndarray:
+    """Orthonormal coordinates of the evaluation kernel at w, conj(w)^k / beta(k)
+    for k < n, as a read-only complex array."""
     w = require_in_disk(w, "kernel point")
-    powers = np.power(w.conjugate(), np.arange(n))
-    return CoeffVector(powers / beta_array(space, n), space, n)
+    values = np.power(w.conjugate(), np.arange(n)) / beta_array(space, n)
+    values.flags.writeable = False
+    return values
 
 
 def kernel_norm(space: SpaceSpec, w: complex) -> float:

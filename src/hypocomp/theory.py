@@ -146,7 +146,8 @@ class WeightedOptions:
     seconds, seed and starting order) are stated here once: witness_search
     and the command line read them from this class.  grid replaces the
     parabolic kernel inequality's default grid; each of its points passes
-    the disk gate, and an empty grid is refused."""
+    the disk gate, and an empty grid is refused.  budget_seconds must be
+    positive; +inf means no deadline, and NaN is refused."""
 
     escalate_numeric: bool = False
     budget_seconds: float = 60.0
@@ -155,8 +156,17 @@ class WeightedOptions:
     grid: tuple[complex, ...] | None = None
 
     def __post_init__(self):
+        _check_budget(self.budget_seconds)
         if self.grid is not None:
             object.__setattr__(self, "grid", _kernel_grid(self.grid))
+
+
+def _check_budget(budget_seconds: float) -> None:
+    """InvalidParameterError for a witness search budget that is NaN or not positive."""
+    if not budget_seconds > 0.0:
+        raise InvalidParameterError(
+            f"witness search budget must be positive seconds (inf for no deadline), got {budget_seconds!r}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -222,20 +232,21 @@ class InequalityViolation:
         return self.kernel_side_value - self.fixed_point_value
 
 
-def _radial_grid(radii) -> list[complex]:
+def _radial_grid(radii) -> tuple[complex, ...]:
     """0 and 16 equally spaced points on each radius, as Python complex numbers."""
-    return [0j] + [complex(w) for r in radii for w in circle(r, 16)]
+    return (0j,) + tuple(complex(w) for r in radii for w in circle(r, 16))
 
 
-def default_inequality_grid() -> tuple[complex, ...]:
-    return tuple(_radial_grid((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)))
+# The default kernel grid (145 points) and the witness search's grid (97 points).
+_INEQUALITY_GRID = _radial_grid((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9))
+_SEARCH_GRID = _radial_grid((0.15, 0.3, 0.45, 0.6, 0.75, 0.9))
 
 
 def _kernel_grid(grid) -> tuple[complex, ...]:
     """The default grid for None; else grid's points as complex numbers, each
     through the disk gate, and InvalidParameterError for an empty grid."""
     if grid is None:
-        return default_inequality_grid()
+        return _INEQUALITY_GRID
     pts = tuple(require_in_disk(w, "grid point") for w in grid)
     if not pts:
         raise InvalidParameterError("a kernel grid needs at least one point")
@@ -787,18 +798,20 @@ def witness_search(
     call and one batched numpy Cholesky reduction (_top_eigenpair), and then
     certifies them in trial order.  Returns the first conclusive witness, or
     None once all 400 trials have failed; running out of budget_seconds
-    aborts the search early, also with None.  The deadline is checked before
-    each grid point and each trial, not inside the stacked solves (a few
-    milliseconds for 400 trials).  Each kernel image psi * (K_w o phi) is
-    expanded once per order, in one KernelImages table for the search.
+    aborts the search early, also with None.  budget_seconds must be
+    positive, +inf for no deadline (see WeightedOptions).  The deadline is
+    checked before each grid point and each trial, not inside the stacked
+    solves (a few milliseconds for 400 trials).  Each kernel image
+    psi * (K_w o phi) is expanded once per order, in one KernelImages table
+    for the search.
     """
+    _check_budget(budget_seconds)
     require_self_map(phi)
     images = KernelImages(psi, phi, space)
     deadline = time.monotonic() + budget_seconds
 
-    grid = _radial_grid((0.15, 0.3, 0.45, 0.6, 0.75, 0.9))
     ranked: list[tuple[float, complex]] = []
-    for w in grid:
+    for w in _SEARCH_GRID:
         if time.monotonic() > deadline:
             return None
         witness = _norms_with_escalation(images, phi, space, [w], [1.0 / kernel_norm(space, w)], order)
@@ -809,13 +822,13 @@ def witness_search(
         ranked.append((witness.adjoint_norm / max(witness.forward_norm, 1e-300), w))
 
     ranked.sort(key=lambda t: -t[0])
-    top = [w for _ratio, w in ranked[:20]] or grid
+    top = [w for _ratio, w in ranked[:20]] or _SEARCH_GRID
     rng = np.random.default_rng(seed)
     trials: list[list[complex]] = []
     for trial in range(400):
         pts: list[complex] = []
         while len(pts) < (2 if trial % 2 == 0 else 3):
-            pool = top if rng.random() < 0.7 else grid
+            pool = top if rng.random() < 0.7 else _SEARCH_GRID
             w = pool[int(rng.integers(0, len(pool)))]
             if all(abs(w - u) > 1e-9 for u in pts):
                 pts.append(w)

@@ -116,6 +116,13 @@ class TestInputOutsideHypotheses:
         assert code == 2
         assert "open unit disk" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", ["nan", "0", "-1"])
+    def test_invalid_budget_exit_2(self, capsys, budget):
+        code = cli.main(["check", "--escalate", "--map=rotation:i", "--psi=2,1", f"--budget={budget}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "budget must be positive" in captured.err
+
     # A grid with no point checks nothing, so it is refused rather than read as
     # "parabolic inequality holds on the grid"; the default grid finds a violation.
     @pytest.mark.parametrize("grid", [";", "", " ; "])

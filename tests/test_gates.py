@@ -20,7 +20,7 @@ ENTRY_POINTS = {
     "space.kernel": lambda w: hc.kernel(H2, w, 8),
     "space.kernel_norm": lambda w: hc.kernel_norm(H2, w),
     "matrixrep.adjoint_kernel_residual": lambda w: hc.adjoint_kernel_residual(
-        hc.OperatorMatrix(np.eye(8), H2, 8, "identity"), 1, hc.MoebiusMap(1, 0, 0, 1), w, H2),
+        hc.OperatorMatrix(np.eye(8)), 1, hc.MoebiusMap(1, 0, 0, 1), w, H2),
     "matrixrep.kernel_gram_norms": lambda w: hc.kernel_gram_norms(
         1, hc.dilation(0.5), H2, [0.3, w], [1.0, 1.0], 8),
     "matrixrep.kernel_gram_forms": lambda w: kernel_gram_forms(1, hc.dilation(0.5), H2, [w], 8),

@@ -247,6 +247,21 @@ class TestSelfCommutator:
         assert np.linalg.norm(hc.self_commutator(m), 2) < 1e-6
 
 
+class TestOperatorMatrix:
+    @pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 2, 2)])
+    def test_refuses_entries_that_are_not_square(self, shape):
+        with pytest.raises(InvalidParameterError):
+            hc.OperatorMatrix(np.zeros(shape))
+
+    def test_entries_are_a_read_only_complex_copy(self):
+        a = np.arange(9.0).reshape(3, 3)
+        m = hc.OperatorMatrix(a)
+        assert m.order == 3 and m.entries.dtype == complex and m.entries.flags.c_contiguous
+        assert np.array_equal(m.entries, a) and a.flags.writeable
+        with pytest.raises(ValueError):
+            m.entries[0, 0] = 1.0
+
+
 class TestSpectralEstimates:
     def test_diagonal_norm_and_radius(self, H2):
         m = hc.build_weighted_composition(1, hc.dilation(0.5), H2, 3)
@@ -275,8 +290,6 @@ class TestSpectralEstimates:
                 patched.setattr(np.linalg, "eigvals", None)  # no eigensolve
                 radius = hc.truncation_spectral_radius(m).value
             assert radius == float(np.max(np.abs(eigs)))
-            # truncation_eigenvalues keeps LAPACK's values in LAPACK's order.
-            assert np.array_equal(hc.truncation_eigenvalues(m), eigs)
             assert np.array_equal(np.sort(eigs), np.sort(np.diagonal(m.entries)))
 
     @pytest.mark.parametrize("n", [1, 64, 130])
@@ -313,8 +326,8 @@ class TestSpectralEstimates:
         est = hc.gelfand_estimate(m, 16)
         assert abs(est.value - 1) < 1e-3
 
-    def test_zero_matrix(self, H2):
-        m = hc.OperatorMatrix(np.zeros((5, 5), complex), H2, 5, "zero")
+    def test_zero_matrix(self):
+        m = hc.OperatorMatrix(np.zeros((5, 5), complex))
         assert hc.operator_norm(m).value == 0.0
 
     def test_arpack_failure_falls_back_to_power_steps(self, H2, monkeypatch):
@@ -328,10 +341,10 @@ class TestSpectralEstimates:
         assert est.residual <= 1e-8 * est.value**2
         assert est.method == "power-iteration (ARPACK failed: ArpackNoConvergence)"
 
-    def test_power_iteration_matches_svd(self, H2):
+    def test_power_iteration_matches_svd(self):
         rng = np.random.default_rng(77)
         a = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
-        m = hc.OperatorMatrix(a, H2, 40, "random")
+        m = hc.OperatorMatrix(a)
         assert abs(hc.operator_norm(m).value - np.linalg.norm(a, 2)) < 1e-6
 
 
@@ -371,15 +384,15 @@ class TestGelfandEstimate:
         rng = np.random.default_rng(5)
         strict = np.tril(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)), -1)
         shift = hc.build_multiplication(hc.polynomial_fn(0, 1), H2, 16)
-        for m, k in ((hc.OperatorMatrix(np.zeros((5, 5), complex), H2, 5, "zero"), 3),
-                     (hc.OperatorMatrix(strict, H2, 6, "strictly lower"), 8),
+        for m, k in ((hc.OperatorMatrix(np.zeros((5, 5), complex)), 3),
+                     (hc.OperatorMatrix(strict), 8),
                      (shift, 16)):
             assert hc.gelfand_estimate(m, k).value == 0.0
 
     @pytest.mark.parametrize("j", [-200, -70, 70, 200])
     def test_scale_equivariant(self, j):
         for name, m, _quick in _gelfand_sections():
-            scaled = hc.OperatorMatrix(m.entries * 2.0**j, m.space, m.order, "scaled")
+            scaled = hc.OperatorMatrix(m.entries * 2.0**j)
             for routine in (hc.operator_norm, lambda x: hc.gelfand_estimate(x, 8)):
                 want = routine(m).value * 2.0**j
                 assert routine(scaled).value == pytest.approx(want, rel=1e-12, abs=0.0), name
@@ -453,7 +466,6 @@ class TestDeflation:
         got_radius, got_norm = hc.truncation_spectral_radius(m), hc.operator_norm(m)
         assert abs(got_radius.value - radius) <= bound + n * np.finfo(float).eps * fro
         assert abs(got_norm.value - norm) <= bound + 1e-8 * norm
-        assert got_radius.order == got_norm.order == hc.gelfand_estimate(m, 8).order == n
 
     @pytest.mark.parametrize("name,psi,phi,space", _NON_COMPACT, ids=[c[0] for c in _NON_COMPACT])
     def test_non_compact_sections_keep_the_full_order(self, monkeypatch, name, psi, phi, space):
@@ -474,7 +486,7 @@ class TestDeflation:
         assert _block_order(m) == 53
         orders = []
         real = matrixrep._power_norm
-        monkeypatch.setattr(matrixrep, "_power_norm", lambda a, k, x: orders.append(a.shape[0]) or real(a, k, x))
+        monkeypatch.setattr(matrixrep, "_power_norm", lambda a, k: orders.append(a.shape[0]) or real(a, k))
         got = hc.gelfand_estimate(m, 8)
         assert orders == [53, 128]
         _full_order_leading_block(monkeypatch)
@@ -591,7 +603,7 @@ class TestKernelGramNorms:
         m = hc.build_weighted_composition(psi_one, parabolic_map, H2, n)
         w = 0.4
         kn = hc.kernel_gram_norms(psi_one, parabolic_map, H2, [w], [1.0], n)
-        vec = m.entries @ hc.kernel(H2, w, n).values
+        vec = m.entries @ hc.kernel(H2, w, n)
         assert abs(kn.forward - np.linalg.norm(vec)) < 1e-9
 
     def test_near_miss_certifies_at_order_512(self):

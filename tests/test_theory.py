@@ -690,8 +690,8 @@ class TestConjugateToOrigin:
     def test_truncation_spectra_agree(self, H2):
         nf = hc.normal_form(0.4, 0.5j, 1, H2)
         q, pt = hc.conjugate_to_origin(nf.psi, nf.phi, 0.4, H2)
-        e1 = hc.truncation_eigenvalues(hc.build_weighted_composition(nf.psi, nf.phi, H2, 64))
-        e2 = hc.truncation_eigenvalues(hc.build_weighted_composition(q, pt, H2, 64))
+        e1 = np.linalg.eigvals(hc.build_weighted_composition(nf.psi, nf.phi, H2, 64).entries)
+        e2 = np.linalg.eigvals(hc.build_weighted_composition(q, pt, H2, 64).entries)
         assert hausdorff_distance(e1, e2) < 1e-6
 
     def test_requires_fixed_point(self, H2, half_shift_map):
@@ -796,6 +796,20 @@ class TestWitnessSearch:
         assert hc.witness_search(nf.psi, nf.phi, H2, budget_seconds=2.5, order=48) is None
         assert grams == {"single": 97, "multi": 400}
         assert hc.witness_search(nf.psi, nf.phi, H2, budget_seconds=3600, order=48) is None
+
+    # NaN would switch the deadline off; zero or less would end the search unrun.
+    @pytest.mark.parametrize("budget", [math.nan, 0.0, -1.0, -math.inf])
+    def test_budget_must_be_positive(self, H2, budget):
+        with pytest.raises(InvalidParameterError, match="budget"):
+            WeightedOptions(budget_seconds=budget)
+        with pytest.raises(InvalidParameterError, match="budget"):
+            hc.witness_search(hc.polynomial_fn(2, 1), hc.rotation(1j), H2, budget_seconds=budget, order=64)
+
+    def test_infinite_budget_means_no_deadline(self, H2):
+        assert WeightedOptions(budget_seconds=math.inf).budget_seconds == math.inf
+        runs = [hc.witness_search(hc.polynomial_fn(2, 1), hc.rotation(1j), H2, budget_seconds=b, order=64)
+                for b in (math.inf, 600)]
+        assert runs[0] is not None and repr(runs[0]) == repr(runs[1])
 
     def test_stacked_stage_two_finds_what_one_trial_at_a_time_finds(self):
         outcomes = []
