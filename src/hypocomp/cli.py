@@ -7,8 +7,8 @@ check      weighted hyponormality verdict with citations, optional witness
 spectral   closed-form spectral report, optional finite-section diagnostics
 selftest   frozen battery of worked cases; nonzero exit on any failure
 
-Exit codes: 0 verdict reached, 2 input error, 3 requested theory unavailable,
-4 numeric non-convergence.
+Exit codes: 0 verdict reached, 2 input error (float overflow included),
+3 requested theory unavailable, 4 numeric non-convergence.
 
 Every subcommand takes --space, --format and --json; check also --seed and
 --order (the witness search's seed and starting order), spectral --order
@@ -51,6 +51,8 @@ from .moebius import (
 )
 from .space import SpaceSpec, hardy, space_from_label
 from .theory import (
+    CIT_NORM_MU_LOWER,
+    CIT_NORM_MU_UPPER,
     Outcome,
     WeightedOptions,
     clark_singular_part,
@@ -153,19 +155,18 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
         rows.append((prefix, json.dumps(value)))
 
 
-def emit(report: dict, fmt: str, stream=None) -> None:
-    stream = stream or sys.stdout
+def emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        stream.write(json.dumps(report, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
         return
     if fmt == "csv":
         rows: list[tuple[str, str]] = []
         _flatten("", report, rows)
-        stream.write("field,value\n")
+        sys.stdout.write("field,value\n")
         for key, val in rows:
-            stream.write(f"{key},{val}\n")
+            sys.stdout.write(f"{key},{val}\n")
         return
-    _emit_text(report, stream)
+    _emit_text(report, sys.stdout)
 
 
 def _emit_text(report: dict, stream) -> None:
@@ -244,8 +245,8 @@ def _norm_bound_block(psi, phi, space) -> dict | None:
     except TheoryUnavailableError:
         return None
     citations = {
-        "norm_lower": nb.citations[0] + " (assuming hyponormality)",
-        "norm_upper": nb.citations[1] + " (assuming hyponormality)",
+        "norm_lower": CIT_NORM_MU_LOWER + " (assuming hyponormality)",
+        "norm_upper": CIT_NORM_MU_UPPER + " (assuming hyponormality)",
         "mu": f"mu = {nb.mu!r}",
     }
     return {"r": None, "r_e": None, "norm_lower": nb.lower, "norm_upper": nb.upper,
@@ -253,8 +254,9 @@ def _norm_bound_block(psi, phi, space) -> dict | None:
 
 
 def _cmd_check(args) -> tuple[dict, int]:
-    # --grid is checked first: WeightedOptions passes each point through the
-    # disk gate and refuses an empty grid, "" and ";" included.
+    # --space and --order first, then --grid: WeightedOptions passes each point
+    # through the disk gate and refuses an empty grid, "" and ";" included.
+    space = _space(args)
     grid = None
     if args.grid is not None:
         grid = tuple(parse_complex(tok) for tok in args.grid.split(";") if tok.strip())
@@ -265,7 +267,6 @@ def _cmd_check(args) -> tuple[dict, int]:
         order=args.order,
         grid=grid,
     )
-    space = _space(args)
     phi = parse_map(args.map)
     psi = parse_weight(args.psi, phi, space)
     verdict = classify_weighted(psi, phi, space, opts)
@@ -340,7 +341,7 @@ def _selftest_items(space_labels: list[str]) -> list[dict]:
             verdict = classify_weighted(psi, par, space)
             ok = verdict.outcome is Outcome.NOT_HYPONORMAL
             detail = verdict.citation or ""
-            if pname == "(2-z)/4" and space.kind == "hardy":
+            if pname == "(2-z)/4" and space == hardy():
                 violation = parabolic_kernel_inequality(psi, par, space)
                 margin = violation.margin if violation else float("nan")
                 expected = 0.5 * math.sqrt(9.0 / 8.0) - 0.25
@@ -468,6 +469,9 @@ def main(argv=None) -> int:
         if isinstance(exc, ConvergenceFailureError):
             return 4
         return 3 if isinstance(exc, TheoryUnavailableError) else 2
+    except OverflowError as exc:
+        print(f"error: floating-point overflow on this input: {exc}", file=sys.stderr)
+        return 2
     report["wall_time_ms"] = round(1000 * (time.monotonic() - t0), 3)
     emit(report, args.format)
     return code

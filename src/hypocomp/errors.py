@@ -69,15 +69,6 @@ class PrecisionLossError(HypocompError):
 class TheoryUnavailableError(HypocompError):
     """No implemented closed form covers this input."""
 
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
 
 class ConvergenceFailureError(HypocompError):
     """Iterative routine failed to reach its tolerance within the iteration cap."""
-
-    def __init__(self, message: str, iterations: int = 0, residual: float = float("nan")):
-        super().__init__(message)
-        self.iterations = iterations
-        self.residual = residual

@@ -76,13 +76,15 @@ _EPS = float(np.finfo(float).eps)
 @dataclass(frozen=True)
 class OperatorMatrix:
     """A square section: its entries as a read-only C-contiguous complex
-    array (a copy unless they already are one), and its analysis
-    (_analysis), made once."""
+    array (a read-only one is shared, anything else copied, so a caller's
+    array stays writeable), and its analysis (_analysis), made once."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.entries, dtype=complex)
+        e = self.entries
+        read_only = isinstance(e, np.ndarray) and not e.flags.writeable
+        arr = (np.asarray if read_only else np.array)(e, dtype=complex, order="C")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidParameterError("entries must be a square matrix")
         arr.flags.writeable = False
@@ -178,6 +180,7 @@ def _section(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, n: int)
         if j + 1 < n:
             col = ztbmv(kn, num, col, lower=1, overwrite_x=1)
             col = ztbsv(kd, den, col, lower=1, overwrite_x=1)
+    cols.flags.writeable = False   # so that OperatorMatrix shares it
     return OperatorMatrix(cols)
 
 
@@ -254,7 +257,7 @@ def _power_steps(apply, v: np.ndarray, cap: int, quick: bool = False) -> tuple[f
     stops shrinking, or its last contraction ratio, kept up for the steps
     left, would not bring the relative residual to the tolerance.
     """
-    resid = rel = math.inf
+    rel = math.inf
     for step in range(cap):
         w = apply(v)
         lam = float(np.real(np.vdot(v, w)))
@@ -268,7 +271,7 @@ def _power_steps(apply, v: np.ndarray, cap: int, quick: bool = False) -> tuple[f
     if quick:
         return None
     raise ConvergenceFailureError(
-        f"power iteration did not reach {_NORM_REL_TOL:g} in {cap} steps", iterations=cap, residual=resid
+        f"power iteration did not reach {_NORM_REL_TOL:g} in {cap} steps (relative residual {rel:.3g})"
     )
 
 
@@ -353,6 +356,7 @@ def _power_norm(a: np.ndarray, k: int) -> tuple[float, float]:
     if quick is not None:
         return math.sqrt(quick[0]), quick[1]
     p = np.linalg.matrix_power(a, k)
+    p.flags.writeable = False
     est = operator_norm(OperatorMatrix(p))
     return est.value, est.residual
 

@@ -42,7 +42,8 @@ from .funcalg import (
     no_zero_in_closed_disk,
     value_scale,
 )
-from .matrixrep import MAX_TRUNCATION, KernelImages, as_analytic, kernel_gram_forms, kernel_gram_norms
+from .matrixrep import MAX_TRUNCATION, KernelImages, _check_truncation, as_analytic
+from .matrixrep import kernel_gram_forms, kernel_gram_norms
 from .moebius import (
     MapKind,
     MoebiusMap,
@@ -143,11 +144,11 @@ class HyponormalityVerdict:
 @dataclass(frozen=True)
 class WeightedOptions:
     """Options of classify_weighted.  The witness search's defaults (budget in
-    seconds, seed and starting order) are stated here once: witness_search
-    and the command line read them from this class.  grid replaces the
-    parabolic kernel inequality's default grid; each of its points passes
-    the disk gate, and an empty grid is refused.  budget_seconds must be
-    positive; +inf means no deadline, and NaN is refused."""
+    seconds, seed and starting order) are stated here once; witness_search
+    reads all three, the command line the budget and seed (check --order
+    starts at 128, not 256).  grid replaces the parabolic kernel inequality's
+    default grid; its points pass the disk gate, and an empty grid is refused.
+    budget_seconds must be positive (+inf: no deadline), order in [1, MAX_TRUNCATION]."""
 
     escalate_numeric: bool = False
     budget_seconds: float = 60.0
@@ -157,6 +158,7 @@ class WeightedOptions:
 
     def __post_init__(self):
         _check_budget(self.budget_seconds)
+        _check_truncation(self.order)
         if self.grid is not None:
             object.__setattr__(self, "grid", _kernel_grid(self.grid))
 
@@ -339,10 +341,8 @@ def kernel_quotient_weight(p: complex, value_at_p: complex, phi: MoebiusMap, spa
 @dataclass(frozen=True)
 class NormalFormSymbols:
     p: complex
-    delta: complex
     psi: AnalyticFunction
     phi: MoebiusMap
-    value_at_p: complex
 
     def __post_init__(self):
         _require_fixed(self.phi, self.p)
@@ -393,7 +393,7 @@ def normal_form(p: complex, delta: complex, value_at_p: complex, space: SpaceSpe
     mult = phi.derivative(p)
     if abs(mult - delta) > _near_circle_tol(p):
         raise InvalidParameterError("interior multiplier does not equal delta")
-    return NormalFormSymbols(p, delta, psi, phi, complex(value_at_p))
+    return NormalFormSymbols(p, psi, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +535,6 @@ def _proved(cf: ClosedFormValue) -> ClosedFormValue:
 class NormBounds:
     lower: float
     upper: float
-    citations: tuple[str, ...]
     mu: float
 
 
@@ -612,7 +611,7 @@ def _closed_forms(psi_f: AnalyticFunction, phi: MoebiusMap,
     kp = kernel_function(p, space.gamma)
     mu = abs(psi_f(zeta) * kp(alpha_p(p)(zeta)) * kp(zeta)) / kernel_norm(space, p) ** 2
     low = mu / abs(angular_derivative(phi, zeta)) ** g
-    return r, r_e, NormBounds(low, max(mu, abs(psi_f(p))), (CIT_NORM_MU_LOWER, CIT_NORM_MU_UPPER), mu)
+    return r, r_e, NormBounds(low, max(mu, abs(psi_f(p))), mu)
 
 
 def spectral_radius_closed(psi, phi: MoebiusMap, space: SpaceSpec) -> ClosedFormValue:
@@ -798,14 +797,15 @@ def witness_search(
     call and one batched numpy Cholesky reduction (_top_eigenpair), and then
     certifies them in trial order.  Returns the first conclusive witness, or
     None once all 400 trials have failed; running out of budget_seconds
-    aborts the search early, also with None.  budget_seconds must be
-    positive, +inf for no deadline (see WeightedOptions).  The deadline is
+    aborts the search early, also with None.  budget_seconds and order are
+    checked as in WeightedOptions.  The deadline is
     checked before each grid point and each trial, not inside the stacked
     solves (a few milliseconds for 400 trials).  Each kernel image
     psi * (K_w o phi) is expanded once per order, in one KernelImages table
     for the search.
     """
     _check_budget(budget_seconds)
+    _check_truncation(order)
     require_self_map(phi)
     images = KernelImages(psi, phi, space)
     deadline = time.monotonic() + budget_seconds
@@ -886,5 +886,5 @@ def spectral_report(psi, phi: MoebiusMap, space: SpaceSpec) -> SpectralReport:
         )
     else:
         upper = nb.upper
-        citations["norm_upper"] = nb.citations[1] + " (assuming hyponormality)"
+        citations["norm_upper"] = CIT_NORM_MU_UPPER + " (assuming hyponormality)"
     return SpectralReport(r_cf.value, re_cf.value, lower, upper, citations)

@@ -116,6 +116,31 @@ class TestInputOutsideHypotheses:
         assert code == 2
         assert "open unit disk" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("space", ["bergman:inf", "bergman:nan", "bergman:-1"])
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--map=parabolic:1,1"),
+        ("check", "--map=parabolic:1,1", "--psi=1,0.5"),
+        ("spectral", "--map=parabolic:1,1", "--psi=1,0.5"),
+        ("selftest",),
+    ])
+    def test_space_outside_theorems_exit_2(self, capsys, argv, space):
+        code = cli.main([*argv, f"--space={space}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    # The kernel ratio and the kernel norm overflow a float at alpha = 1e4.
+    @pytest.mark.parametrize("argv", [
+        ("spectral", "--map=parabolic:1,1", "--psi=1,0.5"),
+        ("spectral", "--map=1,0.5,0.5,1", "--psi=2,1"),
+        ("check", "--map=hyperbolic-nonauto:0.5", "--psi=1,0.5"),
+    ])
+    def test_overflow_exit_2(self, capsys, argv):
+        code = cli.main([*argv, "--space=bergman:1e4"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: floating-point overflow") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("budget", ["nan", "0", "-1"])
     def test_invalid_budget_exit_2(self, capsys, budget):
         code = cli.main(["check", "--escalate", "--map=rotation:i", "--psi=2,1", f"--budget={budget}"])
@@ -431,7 +456,7 @@ def test_tiny_weights_are_not_constant_or_zero(capsys):
 class TestConvergenceExit:
     def test_exit_4(self, capsys, monkeypatch):
         def boom(*a, **k):
-            raise ConvergenceFailureError("stalled", iterations=10, residual=1.0)
+            raise ConvergenceFailureError("stalled")
 
         monkeypatch.setattr(cli.matrixrep, "operator_norm", boom)
         code = cli.main(["spectral", "--psi", "1", "--map", "0.5,0,0,1",
@@ -443,7 +468,8 @@ class TestConvergenceExit:
         monkeypatch.setattr(cli.matrixrep, "_NORM_REL_TOL", 0.0)
         code = cli.main(["spectral", "--numeric", "--order=16", "--map=0.5,0,0,1", "--psi=1,0.5"])
         assert code == 4
-        assert capsys.readouterr().err == "error: power iteration did not reach 0 in 160 steps\n"
+        assert capsys.readouterr().err == (
+            "error: power iteration did not reach 0 in 160 steps (relative residual 3.9e-16)\n")
 
 
 class TestOutputContracts:
@@ -485,6 +511,13 @@ class TestOutputContracts:
         code, out = run(capsys, "classify", "--map", "rotation:i", "--json")
         assert code == 0
         assert json.loads(out)["verdict"]["outcome"] == "Normal"
+
+    @pytest.mark.parametrize("alpha", ["-0.999999999999", "0.30000000000000004"])
+    def test_space_label_round_trips(self, capsys, alpha):
+        _, rep = run_json(capsys, "classify", "--map=parabolic:1,1", f"--space=bergman:{alpha}")
+        assert rep["space"] == f"bergman:{alpha}"
+        code, again = run_json(capsys, "classify", "--map=parabolic:1,1", f"--space={rep['space']}")
+        assert code == 0 and again["space"] == rep["space"]
 
     @pytest.mark.parametrize("command", ["check", "spectral"])
     @pytest.mark.parametrize("order", ["7", "1025"])

@@ -1,4 +1,4 @@
-"""The one disk-point gate and the one fixed-point gate, at every entry point."""
+"""The disk-point, grid, fixed-point, space and truncation-order gates, at every entry point."""
 
 import math
 
@@ -67,8 +67,7 @@ def test_empty_grid_refused(entry):
 FIXED_POINT_ENTRIES = {
     "kernel_quotient_weight": lambda p: hc.kernel_quotient_weight(p, 1, NORMAL_FORM, H2),
     "conjugate_to_origin": lambda p: hc.conjugate_to_origin(1, NORMAL_FORM, p, H2),
-    "NormalFormSymbols": lambda p: hc.NormalFormSymbols(
-        p, 0.4, hc.constant_fn(1), NORMAL_FORM, 1),
+    "NormalFormSymbols": lambda p: hc.NormalFormSymbols(p, hc.constant_fn(1), NORMAL_FORM),
 }
 
 
@@ -76,3 +75,33 @@ FIXED_POINT_ENTRIES = {
 def test_fixed_point_gate(entry):
     with pytest.raises(NotAFixedPointError, match="differs from p"):
         FIXED_POINT_ENTRIES[entry](0.5)
+
+
+# Each names a space outside the theorems' hypotheses: alpha must be finite and >= -1.
+SPACE_ENTRIES = {
+    "bergman(inf)": lambda: hc.bergman(math.inf),
+    "space_from_label('bergman:inf')": lambda: hc.space_from_label("bergman:inf"),
+    "SpaceSpec(nan)": lambda: hc.SpaceSpec(math.nan),
+    "SpaceSpec(-1.5)": lambda: hc.SpaceSpec(-1.5),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SPACE_ENTRIES))
+def test_space_gate(entry):
+    with pytest.raises(InvalidParameterError, match="finite alpha >= -1"):
+        SPACE_ENTRIES[entry]()
+
+
+# Each takes a truncation order, which must lie in [1, MAX_TRUNCATION].
+ORDER_ENTRIES = {
+    "build_weighted_composition": lambda n: hc.build_weighted_composition(1, hc.dilation(0.5), H2, n),
+    "WeightedOptions": lambda n: hc.WeightedOptions(order=n),
+    "witness_search": lambda n: hc.witness_search(hc.polynomial_fn(2, 1), hc.rotation(1j), H2, order=n),
+}
+
+
+@pytest.mark.parametrize("order", [0, 1025, 2048])
+@pytest.mark.parametrize("entry", sorted(ORDER_ENTRIES))
+def test_order_gate(entry, order):
+    with pytest.raises(InvalidParameterError, match=r"truncation order must lie in \[1, 1024\]"):
+        ORDER_ENTRIES[entry](order)

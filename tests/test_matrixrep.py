@@ -261,6 +261,26 @@ class TestOperatorMatrix:
         with pytest.raises(ValueError):
             m.entries[0, 0] = 1.0
 
+    def test_a_writeable_array_is_copied_and_a_read_only_one_shared(self):
+        a = np.zeros((3, 3), complex)
+        m = hc.OperatorMatrix(a)
+        assert m.entries is not a and a.flags.writeable and not m.entries.flags.writeable
+        a[0, 0] = 1.0
+        assert m.entries[0, 0] == 0.0
+        a.flags.writeable = False
+        assert hc.OperatorMatrix(a).entries is a
+
+    def test_a_section_is_built_once(self, H2):
+        # One N=256 section is 1 MiB; a copy in OperatorMatrix would double the peak.
+        n = 256
+        tracemalloc.start()
+        try:
+            hc.build_weighted_composition(hc.polynomial_fn(1, 0.5), hc.dilation(0.5), H2, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 16 * n * n
+
 
 class TestSpectralEstimates:
     def test_diagonal_norm_and_radius(self, H2):

@@ -2,14 +2,19 @@
 
 import cmath
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import hypocomp as hc
 from hypocomp.errors import OutsideDiskError
+
+from conftest import DERANDOMIZED
 
 
 def monomial_norm_sq_oracle(alpha, n):
@@ -22,6 +27,19 @@ def monomial_norm_sq_oracle(alpha, n):
 class TestBeta:
     def test_hardy_trivial(self, H2):
         assert np.all(hc.beta_array(H2, 50) == 1.0)
+
+    def test_hardy_shortcut_is_the_product(self, H2):
+        # An alpha that adds like -1.0 but fails the shortcut's == test, so
+        # the cumulative product itself runs at alpha = -1.
+        class Unequal(float):
+            def __eq__(self, other):
+                return False
+
+            __hash__ = float.__hash__
+
+        product = hc.beta_array(SimpleNamespace(alpha=Unequal(-1.0)), 4096)
+        assert np.array_equal(product, np.ones(4096))
+        assert np.array_equal(hc.beta_array(H2, 4096), product)
 
     def test_bergman_alpha0_first(self, A0):
         b = hc.beta_array(A0, 2)
@@ -142,12 +160,27 @@ class TestSpaceSpec:
         assert hc.bergman(0).gamma == 2.0
         assert hc.bergman(1).gamma == 3.0
 
+    def test_hardy_is_alpha_minus_one(self):
+        assert hc.hardy() == hc.SpaceSpec(-1.0) and hc.hardy().gamma == 1.0
+
     def test_labels_roundtrip(self):
-        for label in ("hardy", "bergman:0", "bergman:1.5"):
+        for label in ("hardy", "bergman:0", "bergman:1", "bergman:1.5", "bergman:0.7",
+                      "bergman:0.5", "bergman:-0.5", "bergman:2.9", "bergman:10000"):
             assert hc.space_from_label(label).label() == label
 
+    # The shortest digits that read back as alpha, where %g kept six.
+    @pytest.mark.parametrize("alpha", [-0.999999999999, 0.30000000000000004, 1 / 3, 1e-300, 1e300])
+    def test_label_keeps_every_digit(self, alpha):
+        assert hc.bergman(alpha).label() == f"bergman:{alpha!r}"
+
+    @DERANDOMIZED
+    @given(st.floats(min_value=-1.0, allow_nan=False, allow_infinity=False))
+    def test_label_reads_back_as_the_space(self, alpha):
+        space = hc.hardy() if alpha == -1.0 else hc.bergman(alpha)
+        assert hc.space_from_label(space.label()) == space
+
     def test_alpha_range(self):
-        with pytest.raises(hc.InvalidParameterError):
+        with pytest.raises(hc.InvalidParameterError, match="alpha > -1"):
             hc.bergman(-1)
 
 
