@@ -14,6 +14,9 @@ Every subcommand takes --space, --format and --json; check also --seed and
 --order (the witness search's seed and starting order), spectral --order
 (the finite-section size), either in [8, 1024].
 
+main builds its argument parser once per process, on its first call, and
+parsing keeps no state between calls: each call gets a fresh namespace.
+
 Formats: --format json emits one JSON object
 {input, space, verdict{outcome, citation, witness?}, spectral{r?, r_e?,
 norm_lower?, norm_upper?, citations}, diagnostics[], wall_time_ms};
@@ -27,6 +30,7 @@ eigenvalue dumps (--dump-eigs PATH) have header k,re,im.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -405,6 +409,7 @@ def _cmd_selftest(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 # Entry point
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypocomp",

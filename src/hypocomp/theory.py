@@ -399,6 +399,22 @@ def normal_form(p: complex, delta: complex, value_at_p: complex, space: SpaceSpe
 # ---------------------------------------------------------------------------
 # Weighted classifier
 
+def _vanishes_at(psi_f: AnalyticFunction, a: complex, tol: float) -> bool:
+    """Whether psi_f(a) = 0 at a point a of the closed disk, to tol relative.
+
+    The AnalyticFunction gate keeps every power factor and the base
+    denominator zero-free on the closed disk, so psi_f(a) = 0 exactly when the
+    base numerator vanishes at a.  Its value is measured against the size of
+    its own terms there, sum |c_k| |a|^k, which no power factor and no alpha
+    enters (value_scale(psi_f) grows like a power alpha + 2 for a kernel
+    quotient, and called psi_f(p) = 1 a zero at alpha = 150).  c psi_f passes
+    exactly when psi_f does.
+    """
+    num = psi_f.base.num
+    size = sum(abs(c) * abs(a) ** k for k, c in enumerate(num.coefficients))
+    return abs(num(a)) <= tol * size
+
+
 def classify_weighted(
     psi, phi: MoebiusMap, space: SpaceSpec, options: WeightedOptions | None = None
 ) -> HyponormalityVerdict:
@@ -436,8 +452,7 @@ def classify_weighted(
 
     if cls.contact is not None:
         zeta, eta = cls.contact
-        scale = value_scale(psi_f)
-        vanishes = abs(psi_f(zeta)) <= 1e-12 * scale
+        vanishes = _vanishes_at(psi_f, zeta, 1e-12)
         if not cls.fixes_contact:
             return HyponormalityVerdict(
                 Outcome.NOT_HYPONORMAL,
@@ -451,7 +466,8 @@ def classify_weighted(
                 details=f"psi({zeta:.12g}) = {psi_f(zeta):.3e}",
             )
         if cls.kind is MapKind.PARABOLIC_NONAUTOMORPHISM:
-            violation = _first_violation(psi_f, phi, space, zeta, _kernel_grid(opts.grid), scale)
+            violation = _first_violation(psi_f, phi, space, zeta, _kernel_grid(opts.grid),
+                                         value_scale(psi_f))
             if violation is not None:
                 return HyponormalityVerdict(
                     Outcome.NOT_HYPONORMAL,
@@ -472,16 +488,15 @@ def classify_weighted(
                 CIT_COMPACT_NORMAL_FORM,
                 details="strictly contracting symbol is not alpha_p (delta alpha_p)",
             )
-        value = psi_f(p)
-        scale = value_scale(psi_f)
-        if abs(value) <= 1e-14 * scale:
+        if _vanishes_at(psi_f, p, 1e-14):
             return HyponormalityVerdict(
                 Outcome.NOT_HYPONORMAL,
                 CIT_COMPACT_NORMAL_FORM,
                 details="weight vanishes at the interior fixed point",
             )
+        scale = value_scale(psi_f)
         z = circle(0.85, 20)
-        ref = kernel_quotient_weight(p, value, phi, space)(z)
+        ref = kernel_quotient_weight(p, psi_f(p), phi, space)(z)
         differs = np.abs(psi_f(z) - ref) > _near_circle_tol(p) * (scale + np.abs(ref))
         if differs.any():
             return HyponormalityVerdict(

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: parsing, formats, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -17,6 +18,7 @@ from hypocomp import cli, moebius
 from hypocomp.errors import ConvergenceFailureError, NotAFixedPointError
 
 from conftest import DERANDOMIZED
+from test_cli_golden import CASES, assert_matches
 
 
 def run(capsys, *argv):
@@ -191,6 +193,14 @@ class TestCheckCommand:
         # grows with its conditioning (1 - |p|^2)^-2.
         code, rep = run_json(capsys, "check", "--psi", "kernel-quotient:0.99999,0.7",
                              "--map", "normal-form:0.99999,0.4")
+        assert code == 0
+        assert rep["verdict"]["outcome"] == "Normal"
+
+    def test_kernel_quotient_normal_at_large_alpha(self, capsys):
+        # The kernel quotient's values reach 5e14 on |z| = 0.7 here; psi(p) = 1
+        # is still not a zero.
+        code, rep = run_json(capsys, "check", "--map=normal-form:0.4i,-0.4",
+                             "--psi=kernel-quotient:0.4i,1", "--space=bergman:150")
         assert code == 0
         assert rep["verdict"]["outcome"] == "Normal"
 
@@ -549,6 +559,14 @@ class TestSelftest:
         assert rep["passed_count"] == rep["total_count"]
         assert "bergman:1" in rep["input"]["spaces"]
 
+    @pytest.mark.parametrize("alpha", ["150", "300", "1000"])
+    def test_large_alpha_battery_passes(self, capsys, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, rep = run_json(capsys, "selftest", f"--space=bergman:{alpha}")
+        assert code == 0
+        assert rep["passed_count"] == rep["total_count"]
+
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_failing_item_exits_1_with_report(self, capsys, monkeypatch, fmt):
         battery = cli._selftest_items
@@ -570,3 +588,56 @@ class TestSelftest:
             assert lines[2].startswith("FAIL  ")
             total = len(lines) - 3
             assert lines[-1] == f"{total - 1}/{total} items passed"
+
+
+class TestSharedParser:
+    """main parses every call against one parser, built on its first call."""
+
+    def test_golden_reports_replayed_in_reverse(self):
+        cli._build_parser.cache_clear()
+        for case in reversed(CASES):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(case["argv"])
+            assert code == case["exit"], case["argv"]
+            report = json.loads(out.getvalue())
+            report.pop("wall_time_ms")
+            assert_matches(report, case["report"])
+
+    def test_rejected_call_leaves_the_next_one_alone(self, capsys):
+        cli._build_parser.cache_clear()
+        _, before = run_json(capsys, "classify", "--map=parabolic:1,1")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["classify", "--seed=1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, after = run_json(capsys, "classify", "--map=parabolic:1,1")
+        assert code == 0
+        before.pop("wall_time_ms")
+        after.pop("wall_time_ms")
+        assert after == before
+
+    def test_no_option_carries_over(self, capsys):
+        code, rep = run_json(capsys, "check", "--escalate", "--map=rotation:i", "--psi=2,1")
+        assert code == 0 and "witness" in rep["verdict"]
+        code, out = run(capsys, "check", "--map=rotation:i", "--psi=2,1")
+        assert code == 0
+        assert out.startswith("input: ") and "witness" not in out
+
+    def test_built_once_per_process(self, capsys, monkeypatch):
+        init = argparse.ArgumentParser.__init__
+        built = []
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli._build_parser.cache_clear()
+        for argv in 5 * [("classify", "--map=rotation:i"),
+                         ("check", "--map=1,0,1,2", "--psi=1"),
+                         ("spectral", "--map=parabolic:1,1", "--psi=1,0.5"),
+                         ("selftest", "--json")]:
+            assert cli.main(list(argv)) == 0
+        capsys.readouterr()
+        assert len(built) <= 5   # the root parser and its four subcommands

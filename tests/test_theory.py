@@ -198,6 +198,17 @@ class TestClassifyWeighted:
         bent = psi * hc.polynomial_fn(1, 10.0**log_eps * tau * cmath.exp(1j * theta))
         assert hc.classify_weighted(bent, phi, space).outcome is Outcome.NOT_HYPONORMAL
 
+    def test_weight_vanishing_at_p_at_large_alpha(self):
+        # psi(p) = 0 is read off the base numerator: the kernel quotient's
+        # factors, which grow like a power alpha + 2, neither make a zero at p
+        # nor hide one.
+        space = hc.bergman(150)
+        nf = hc.normal_form(0.4j, -0.4, 1, space)
+        assert hc.classify_weighted(nf.psi, nf.phi, space).outcome is Outcome.NORMAL
+        v = hc.classify_weighted(nf.psi * hc.polynomial_fn(-nf.p, 1), nf.phi, space)
+        assert v.outcome is Outcome.NOT_HYPONORMAL
+        assert v.details == "weight vanishes at the interior fixed point"
+
     def test_perturbed_map_rejected(self, H2):
         # scaling b alone breaks the |b| = |c| signature of alpha_p (delta alpha_p)
         nf = hc.normal_form(0.3, 0.4, 1, H2)
