@@ -32,6 +32,7 @@ from .funcalg import (
     Polynomial,
     RationalFunction,
     compose_with_moebius,
+    composed_kernel,
     constant_fn,
     expand_analytic,
     kernel_function,

@@ -166,6 +166,11 @@ class RationalFunction:
         return self.num(z) / d
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
+        # The unit 1/1 (the base of every kernel) returns the other operand.
+        if other == _UNIT:
+            return self
+        if self == _UNIT:
+            return other
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     def scale(self, lam: complex) -> "RationalFunction":
@@ -179,6 +184,9 @@ class RationalFunction:
 
 def rational(num_coeffs, den_coeffs=(1,)) -> RationalFunction:
     return RationalFunction(poly(*num_coeffs), poly(*den_coeffs))
+
+
+_UNIT = rational((1,))
 
 
 def moebius_rational(phi: MoebiusMap) -> RationalFunction:
@@ -288,28 +296,46 @@ def _factor_admissible(r: RationalFunction) -> None:
 # ---------------------------------------------------------------------------
 # The symbol class
 
+def _admit_base(base: RationalFunction) -> None:
+    """Admit a base with no pole in the closed disk, or raise."""
+    if not base.den.is_constant() and not _poly_zero_free(base.den):
+        raise PoleEncounteredError("denominator has a zero in the closed unit disk")
+
+
 @dataclass(frozen=True)
 class AnalyticFunction:
     """base(z) * prod_i r_i(z)^gamma_i, analytic on the closed disk.
 
-    Every construction, products, scalings and reciprocals included, rejects
-    a base with a pole in the closed disk (PoleEncounteredError, or
-    IndeterminateError for one too close to the circle to place), a power
-    factor that is not linear-fractional (InvalidParameterError), and one
-    that _factor_admissible refuses (BranchViolationError or IndeterminateError).
+    Construction rejects a base with a pole in the closed disk
+    (PoleEncounteredError, or IndeterminateError for one too close to the
+    circle to place), a power factor that is not linear-fractional
+    (InvalidParameterError), and one that _factor_admissible refuses
+    (BranchViolationError or IndeterminateError).  Each factor passes that
+    gate once, when it is built: products, scalings and reciprocals reuse
+    their operands' immutable, admitted factors untested (the gate does not
+    read the exponent).  Of their bases only a reciprocal's is tested, since
+    its denominator is the old numerator; a product's denominator has just
+    the zeros of two admitted ones.
     """
 
     base: RationalFunction
     factors: tuple[tuple[RationalFunction, float], ...] = ()
 
     def __post_init__(self):
-        if not self.base.den.is_constant() and not _poly_zero_free(self.base.den):
-            raise PoleEncounteredError("denominator has a zero in the closed unit disk")
+        _admit_base(self.base)
         for r, _gamma in self.factors:
             if r.num.degree > 1 or r.den.degree > 1:
                 raise InvalidParameterError("a power factor must be (p + q z)/(s + t z): write r^gamma as "
                                             "r(0)^gamma prod (1 - z/zero)^gamma prod (1 - z/pole)^-gamma")
             _factor_admissible(r)
+
+    @classmethod
+    def _admitted(cls, base: RationalFunction, factors: tuple) -> "AnalyticFunction":
+        """The symbol of parts that have passed the gates: none runs again."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "base", base)
+        object.__setattr__(f, "factors", factors)
+        return f
 
     def __call__(self, z):
         out = self.base(z)
@@ -318,13 +344,15 @@ class AnalyticFunction:
         return out
 
     def __mul__(self, other: "AnalyticFunction") -> "AnalyticFunction":
-        return AnalyticFunction(self.base * other.base, self.factors + other.factors)
+        return AnalyticFunction._admitted(self.base * other.base, self.factors + other.factors)
 
     def scale(self, lam: complex) -> "AnalyticFunction":
-        return AnalyticFunction(self.base.scale(lam), self.factors)
+        return AnalyticFunction._admitted(self.base.scale(lam), self.factors)
 
     def reciprocal(self) -> "AnalyticFunction":
-        return AnalyticFunction(self.base.reciprocal(), tuple((r, -gamma) for r, gamma in self.factors))
+        base = self.base.reciprocal()
+        _admit_base(base)
+        return AnalyticFunction._admitted(base, tuple((r, -gamma) for r, gamma in self.factors))
 
     def polynomial_degree(self) -> int | None:
         """Degree if the function is literally a polynomial, else None."""
@@ -350,7 +378,22 @@ def kernel_function(w: complex, gamma: float) -> AnalyticFunction:
     |v - 1| <= |w|: admitted for |w| < 1 - 2e-8, indeterminate closer to 1.
     """
     w = require_in_disk(w, "kernel point")
-    return AnalyticFunction(rational((1,)), ((rational((1, -w.conjugate())), -float(gamma)),))
+    return AnalyticFunction(_UNIT, ((rational((1, -w.conjugate())), -float(gamma)),))
+
+
+def composed_kernel(w: complex, gamma: float, phi: MoebiusMap) -> AnalyticFunction:
+    """K_w o phi, the kernel at w for exponent gamma composed with
+    phi = (a z + b)/(c z + d), as the one power factor
+    ((d - conj(w) b) + (c - conj(w) a) z)/(d + c z) to the power -gamma.
+
+    Bit for bit compose_with_moebius(kernel_function(w, gamma), phi), whose
+    factor it composes by the same compose_rational_moebius, but through one
+    gate: w through require_in_disk, the composed factor through
+    _factor_admissible, and no kernel built first.
+    """
+    w = require_in_disk(w, "kernel point")
+    factor = compose_rational_moebius(RationalFunction(Polynomial((1, -w.conjugate()))), phi)
+    return AnalyticFunction(_UNIT, ((factor, -float(gamma)),))
 
 
 def compose_with_moebius(f: AnalyticFunction, phi: MoebiusMap) -> AnalyticFunction:
@@ -482,10 +525,15 @@ def _pow_series(c: np.ndarray, gamma: float) -> np.ndarray:
 
 def _binomial_series(a: complex, gamma: float, n: int) -> np.ndarray:
     """binom(gamma, k) a^k for k < n, the series of (1 + a z)^gamma, from one
-    cumulative product; trailing zeros (gamma a nonnegative integer) dropped."""
+    cumulative product; trailing zeros (gamma a nonnegative integer, or a = 0)
+    dropped."""
+    if a == 0:
+        return np.ones(1, dtype=complex)
     k = np.arange(1.0, n)
     steps = np.concatenate(([1.0 + 0j], (gamma - k + 1.0) / k * a))
     series = np.cumprod(steps)
+    if series[-1] != 0:
+        return series
     # Entry 0 is 1, so there is a last nonzero entry (a NaN counts as nonzero).
     return series[: np.flatnonzero(series)[-1] + 1]
 
@@ -521,17 +569,18 @@ def expand_analytic(f: AnalyticFunction, n: int) -> np.ndarray:
     linear-fractional and gets its binomial series in closed form
     (_linear_power_series); only one whose two binomial series cancel takes
     the recurrence of _pow_series on its rational series.  Each part joins
-    by a truncated Cauchy product.  Construction of f tested every
-    denominator, so nothing is tested here.
+    by a truncated Cauchy product; a unit base 1/1, as kernels and composed
+    kernels have, joins none.  Construction of f tested every denominator,
+    so nothing is tested here.
     """
     if not 1 <= n <= MAX_ORDER:
         raise InvalidParameterError(f"expansion order must lie in [1, {MAX_ORDER}]")
-    out = _rational_series(f.base, n)
+    out = None if f.base == _UNIT and f.factors else _rational_series(f.base, n)
     for r, gamma in f.factors:
         part = _linear_power_series(r, gamma, n)
         if part is None:
             part = _pow_series(_rational_series(r, n), gamma)
-        out = np.convolve(out, part)[:n]
+        out = part if out is None else np.convolve(out, part)[:n]
     return out
 
 
@@ -628,7 +677,7 @@ def series_tail_bound(f: AnalyticFunction, n: int) -> float:
         return math.inf
     rho = radius - (radius - 1.0) * _TAIL_GAPS
     m, x, err = _majorant_terms(f, rho)
-    ok = np.all(x > _TAIL_CONDITION * err, axis=0)
+    ok = (x > _TAIL_CONDITION * err).all(axis=0)
     logs = m[:, None] * np.log(np.where(ok, x, 1.0))
     n_log_rho = n * np.log(rho)
     j = int(np.argmin(np.where(ok, logs.sum(axis=0) - n_log_rho, math.inf)))

@@ -55,10 +55,9 @@ from .funcalg import (
     Polynomial,
     boundary_sup,
     constant_fn,
+    composed_kernel,
     expand_analytic,
-    kernel_function,
     moebius_rational,
-    compose_with_moebius,
     series_tail_bound,
 )
 from .moebius import IDENTITY, MoebiusMap, require_in_disk, require_self_map
@@ -485,14 +484,19 @@ class KernelImages:
     """Kernel images of one weight, symbol and space: the forward images
     psi * (K_w o phi) and the values psi(w), phi(w) that fix C* K_w.
 
-    Each exact (w, n) is expanded once: the first lookup builds the symbol and
-    stores its beta-scaled order-n coefficient row (read-only) and its tail
-    bound beta(n) series_tail_bound, a proved bound on the beta-weighted tail
-    because beta(k) does not increase (gamma >= 1); one beta_array call
-    gives both.  Each exact w is evaluated once, on its first adjoint
-    lookup.  A witness search creates one table and passes it where
-    kernel_gram_norms and kernel_gram_forms take a weight; a table belongs to
-    that search and is never shared between searches.
+    Per order n the table keeps what every point shares: psi's order-n
+    series (one expand_analytic call), less its trailing zeros, and
+    beta(0..n) (one beta_array call).
+    Each exact (w, n) is then expanded once: the first lookup builds K_w o phi
+    by composed_kernel (one gate), expands that one factor (expand_analytic,
+    with its cancellation fallback), convolves it with psi's series and
+    stores the beta-scaled row (read-only) and its tail bound beta(n)
+    series_tail_bound of the product psi (K_w o phi), which is built without
+    re-gating; that is a proved bound on the beta-weighted tail because
+    beta(k) does not increase (gamma >= 1).  Each exact w is evaluated once,
+    on its first adjoint lookup.  A witness search creates one table and
+    passes it where kernel_gram_norms and kernel_gram_forms take a weight; a
+    table belongs to that search and is never shared between searches.
     """
 
     def __init__(self, psi, phi: MoebiusMap, space: SpaceSpec):
@@ -501,6 +505,7 @@ class KernelImages:
         self.psi = as_analytic(psi)
         self.phi = phi
         self.space = space
+        self._orders: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._entries: dict[tuple[complex, int], tuple[np.ndarray, float]] = {}
         self._values: dict[complex, tuple[complex, complex]] = {}
 
@@ -515,11 +520,19 @@ class KernelImages:
         """(beta-scaled order-n row, tail bound) of psi * (K_w o phi)."""
         entry = self._entries.get((w, n))
         if entry is None:
-            g = self.psi * compose_with_moebius(kernel_function(w, self.space.gamma), self.phi)
-            beta = beta_array(self.space, n + 1)
-            row = expand_analytic(g, n) * beta[:n]
+            order = self._orders.get(n)
+            if order is None:
+                series = expand_analytic(self.psi, n)
+                nonzero = np.flatnonzero(series)
+                # Without a polynomial weight's trailing zeros, each
+                # convolution costs O(n deg) instead of O(n^2).
+                order = self._orders[n] = (series[: nonzero[-1] + 1 if nonzero.size else 1],
+                                           beta_array(self.space, n + 1))
+            series, beta = order
+            k = composed_kernel(w, self.space.gamma, self.phi)
+            row = np.convolve(series, expand_analytic(k, n))[:n] * beta[:n]
             row.flags.writeable = False
-            tail = series_tail_bound(g, n)
+            tail = series_tail_bound(self.psi * k, n)
             if tail > 0.0:
                 # beta_array is within 6e-15 relative of the exact weights, and
                 # rounding up keeps a tail below the double range from reading 0.

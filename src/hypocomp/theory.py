@@ -36,6 +36,7 @@ from .funcalg import (
     AnalyticFunction,
     circle,
     compose_with_moebius,
+    composed_kernel,
     constant_fn,
     is_value_constant,
     kernel_function,
@@ -57,6 +58,8 @@ from .moebius import (
     require_self_map,
 )
 from .space import SpaceSpec, kernel_norm
+
+_EPS = 2.0**-52
 
 # Citation clauses attached to verdicts and closed forms.
 CIT_ORIGIN_NOT_FIXED = "a hyponormal composition symbol must fix the origin"
@@ -242,6 +245,9 @@ def _radial_grid(radii) -> tuple[complex, ...]:
 # The default kernel grid (145 points) and the witness search's grid (97 points).
 _INEQUALITY_GRID = _radial_grid((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9))
 _SEARCH_GRID = _radial_grid((0.15, 0.3, 0.45, 0.6, 0.75, 0.9))
+# 1 - |x|^2 at the search grid's outermost point: every kernel Gram entry
+# |(1 - conj(x) y)^-gamma| on the grid is at most this to the power -gamma.
+_SEARCH_GRAM_BASE = min(1.0 - abs(w) ** 2 for w in _SEARCH_GRID)
 
 
 def _kernel_grid(grid) -> tuple[complex, ...]:
@@ -334,7 +340,7 @@ def kernel_quotient_weight(p: complex, value_at_p: complex, phi: MoebiusMap, spa
     for a symbol fixing p under the small-essential-spectrum hypothesis."""
     p = _require_fixed(phi, p)
     kp = kernel_function(p, space.gamma)
-    kp_phi = compose_with_moebius(kp, phi)
+    kp_phi = composed_kernel(p, space.gamma, phi)
     return (constant_fn(complex(value_at_p)) * kp) * kp_phi.reciprocal()
 
 
@@ -415,6 +421,19 @@ def _vanishes_at(psi_f: AnalyticFunction, a: complex, tol: float) -> bool:
     return abs(num(a)) <= tol * size
 
 
+def _interior_zero_tol(p: complex) -> float:
+    """Relative tolerance of _vanishes_at at the interior fixed point p:
+    16 eps/(1 - |p|^2), the rounding of the computed p, and at least 1e-14.
+
+    The Denjoy-Wolff point found from the map's coefficients misses the p a
+    normal form was built at by up to 4.7 eps/(1 - |p|^2), relative to the
+    size of z - p there (3000 random normal forms, 1 - |p| from 1e-7 to 0.5,
+    |delta| from 0.001 to 0.999), so a weight with the factor z - p must
+    read as vanishing at the computed point.
+    """
+    return max(1e-14, 16.0 * _EPS / (1.0 - abs(p) ** 2))
+
+
 def classify_weighted(
     psi, phi: MoebiusMap, space: SpaceSpec, options: WeightedOptions | None = None
 ) -> HyponormalityVerdict:
@@ -488,7 +507,7 @@ def classify_weighted(
                 CIT_COMPACT_NORMAL_FORM,
                 details="strictly contracting symbol is not alpha_p (delta alpha_p)",
             )
-        if _vanishes_at(psi_f, p, 1e-14):
+        if _vanishes_at(psi_f, p, _interior_zero_tol(p)):
             return HyponormalityVerdict(
                 Outcome.NOT_HYPONORMAL,
                 CIT_COMPACT_NORMAL_FORM,
@@ -709,7 +728,7 @@ def conjugate_to_origin(
     phi_tilde = compose(a, compose(phi, a))
     kp = kernel_function(p, gamma)
     psi_a = compose_with_moebius(psi_f, a)
-    kp_phia = compose_with_moebius(kp, compose(phi, a))
+    kp_phia = composed_kernel(p, gamma, compose(phi, a))
     q = (kp * psi_a * kp_phia).scale((1.0 - abs(p) ** 2) ** gamma)
     return q, phi_tilde
 
@@ -793,6 +812,19 @@ def _stage_two_coefficients(images, phi, space, trials, order) -> list[np.ndarra
     return coeffs
 
 
+def _require_representable_grams(space: SpaceSpec) -> None:
+    """InvalidParameterError when the search grid's largest kernel Gram entry,
+    (1 - |x|^2)^-gamma at |x| = 0.9, exceeds the double range (gamma above
+    about 427): no kernel image or Gram of the search could be computed."""
+    try:
+        _SEARCH_GRAM_BASE ** -space.gamma
+    except OverflowError:
+        raise InvalidParameterError(
+            f"witness search: the kernel Gram (1 - |w|^2)^-gamma at the grid point |w| = 0.9 "
+            f"exceeds the double range at gamma = {space.gamma:.6g}"
+        ) from None
+
+
 def witness_search(
     psi,
     phi: MoebiusMap,
@@ -813,15 +845,18 @@ def witness_search(
     certifies them in trial order.  Returns the first conclusive witness, or
     None once all 400 trials have failed; running out of budget_seconds
     aborts the search early, also with None.  budget_seconds and order are
-    checked as in WeightedOptions.  The deadline is
+    checked as in WeightedOptions, and a space whose kernel Grams on the grid
+    exceed the double range is refused before any expansion
+    (_require_representable_grams).  The deadline is
     checked before each grid point and each trial, not inside the stacked
-    solves (a few milliseconds for 400 trials).  Each kernel image
-    psi * (K_w o phi) is expanded once per order, in one KernelImages table
-    for the search.
+    solves (a few milliseconds for 400 trials).  The search's one
+    KernelImages table expands psi and computes beta(0..n) once per order n,
+    and each kernel image psi * (K_w o phi) once per point and order.
     """
     _check_budget(budget_seconds)
     _check_truncation(order)
     require_self_map(phi)
+    _require_representable_grams(space)
     images = KernelImages(psi, phi, space)
     deadline = time.monotonic() + budget_seconds
 

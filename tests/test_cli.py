@@ -143,6 +143,14 @@ class TestInputOutsideHypotheses:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: floating-point overflow") and captured.err.count("\n") == 1
 
+    def test_escalate_at_large_alpha_exit_2_without_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["check", "--escalate", "--map=rotation:i", "--psi=2,1", "--space=bergman:1e4"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: witness search:") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("budget", ["nan", "0", "-1"])
     def test_invalid_budget_exit_2(self, capsys, budget):
         code = cli.main(["check", "--escalate", "--map=rotation:i", "--psi=2,1", f"--budget={budget}"])

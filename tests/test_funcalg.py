@@ -303,6 +303,51 @@ def kernel_image_factors(draw):
     return hc.compose_with_moebius(hc.kernel_function(w, gamma), phi)
 
 
+@st.composite
+def maps_of_every_class(draw):
+    """A linear-fractional self-map of each MapKind, with that kind drawn first."""
+    kind = draw(st.sampled_from(tuple(hc.MapKind)))
+    u = cmath.exp(1j * draw(st.floats(0.1, 2.0 * math.pi - 0.1)))
+    p = draw(st.floats(0.0, 0.9)) * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+    r = draw(st.floats(0.05, 0.95))
+    t = draw(st.floats(0.1, 2.0))
+    build = {
+        hc.MapKind.IDENTITY: lambda: hc.MoebiusMap(1, 0, 0, 1),
+        # The rotation by u conjugated by alpha_p fixes p.
+        hc.MapKind.ELLIPTIC_AUTOMORPHISM: lambda: hc.compose(hc.alpha_p(p), hc.compose(hc.rotation(u), hc.alpha_p(p))),
+        hc.MapKind.HYPERBOLIC_AUTOMORPHISM: lambda: hc.MoebiusMap(1, r * u.conjugate(), r * u, 1),
+        hc.MapKind.PARABOLIC_AUTOMORPHISM: lambda: hc.cayley_parabolic(u, 1j * t),
+        hc.MapKind.INTERIOR_CONTRACTION: lambda: hc.normal_form_map(p, r * u),
+        hc.MapKind.HYPERBOLIC_NONAUTOMORPHISM: lambda: hc.hyperbolic_nonauto_form(r * u),
+        hc.MapKind.PARABOLIC_NONAUTOMORPHISM: lambda: hc.cayley_parabolic(u, complex(t, r)),
+        # u (1 + z)/2 touches the circle at 1 only, and sends it to u != 1.
+        hc.MapKind.BOUNDARY_CONTACT_NO_BOUNDARY_FIXED_POINT: lambda: hc.MoebiusMap(u / 2, u / 2, 0, 1),
+    }
+    phi = build[kind]()
+    assert hc.classify(phi).kind is kind
+    return phi
+
+
+class TestComposedKernel:
+    @DERANDOMIZED
+    @given(maps_of_every_class(), st.floats(0.0, 0.99), st.floats(0.0, 2.0 * math.pi),
+           st.sampled_from((1.0, 2.0, 2.7, 3.0, 150.0)))
+    def test_is_the_composed_kernel_function_bit_for_bit(self, phi, modulus, theta, gamma):
+        w = modulus * cmath.exp(1j * theta)
+        got = hc.composed_kernel(w, gamma, phi)
+        want = hc.compose_with_moebius(hc.kernel_function(w, gamma), phi)
+        assert got == want
+        # repr tells -0.0 from 0.0, which == does not.
+        assert repr(got) == repr(want)
+
+    def test_one_gate(self, monkeypatch):
+        runs = []
+        gate = funcalg._factor_admissible
+        monkeypatch.setattr(funcalg, "_factor_admissible", lambda r: runs.append(r) or gate(r))
+        f = hc.composed_kernel(0.3 + 0.4j, 2.7, hc.MoebiusMap(1, 0.5, 0.5, 1))
+        assert runs == [f.factors[0][0]]
+
+
 class TestLinearPowerFactors:
     @DERANDOMIZED
     @given(kernel_image_factors(), st.sampled_from((1, 2, 128, 1024)))
@@ -728,13 +773,18 @@ class TestAdmission:
         assert tested and all(p == psi.base.den for p in tested)
         assert g == hc.AnalyticFunction(g.base, g.factors)
 
-    def test_products_scalings_and_reciprocals_pass_the_gates(self, gate_runs):
+    def test_products_scalings_and_reciprocals_reuse_admitted_factors(self, gate_runs):
+        # Each factor passed the gate when its operand was built; the same
+        # immutable factor is not tested again, whatever its new exponent.
         f = hc.rational_fn((1, 0.3), (2, -0.5)) * hc.kernel_function(0.35, 1.5)
         g = hc.AnalyticFunction(hc.rational((1,)), ((hc.rational((3, 1j)), 0.5),))
-        for build in (lambda: f * g, lambda: f.scale(-2j), f.reciprocal, (f * g).reciprocal):
+        fg = f * g
+        assert len(gate_runs) == len(f.factors) + len(g.factors)
+        for build in (lambda: f * g, lambda: f.scale(-2j), f.reciprocal, fg.reciprocal,
+                      lambda: fg.scale(3) * f.reciprocal()):
             runs = len(gate_runs)
             h = build()
-            assert [r for r, _ in h.factors] == gate_runs[runs:]
+            assert gate_runs[runs:] == []
             assert hc.AnalyticFunction(h.base, h.factors) == h
 
     @pytest.mark.parametrize("coeffs", [(1, -2), (1, -1), (2, 0, -3)], ids=["inside", "on", "two"])

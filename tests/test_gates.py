@@ -17,6 +17,7 @@ PARABOLIC = hc.cayley_parabolic(1, 1)
 # Each takes a point that must lie in the open unit disk.
 ENTRY_POINTS = {
     "funcalg.kernel_function": lambda w: hc.kernel_function(w, 1.5),
+    "funcalg.composed_kernel": lambda w: hc.composed_kernel(w, 1.5, NORMAL_FORM),
     "space.kernel": lambda w: hc.kernel(H2, w, 8),
     "space.kernel_norm": lambda w: hc.kernel_norm(H2, w),
     "matrixrep.adjoint_kernel_residual": lambda w: hc.adjoint_kernel_residual(

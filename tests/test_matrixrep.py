@@ -19,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hypocomp as hc
-from hypocomp import cli, matrixrep
+from hypocomp import cli, funcalg, matrixrep
 from hypocomp.errors import HypocompError, InvalidParameterError, OutsideDiskError, PrecisionLossError
 from hypocomp.funcalg import moebius_rational
 from hypocomp.matrixrep import AdjointResidual, KernelImages, KernelNorms, _kernel_tail, kernel_gram_forms
@@ -712,6 +712,39 @@ def test_kernel_image_table_changes_no_number(psi, phi, space, terms):
         got = _outcome(kernel_gram_forms, images, phi, space, points, n)
         want = _outcome(kernel_gram_forms, psi, phi, space, points, n)
         assert _same(got, want)
+
+
+@DERANDOMIZED
+@given(weights, self_maps(), spaces, st.lists(disk(0.9), min_size=1, max_size=3), st.sampled_from((1, 48, 128)))
+def test_table_images_match_the_reference_path(psi, phi, space, points, n):
+    # The table convolves psi's cached series with the kernel factor's; the
+    # reference expands psi (K_w o phi) whole.  The tail is the same call on
+    # the same product, so it agrees bit for bit.
+    images = KernelImages(psi, phi, space)
+    beta = hc.beta_array(space, n + 1)
+    for w in points:
+        image = psi * hc.compose_with_moebius(hc.kernel_function(w, space.gamma), phi)
+        want = hc.expand_analytic(image, n) * beta[:n]
+        tail = funcalg.series_tail_bound(image, n)
+        if tail > 0.0:
+            tail = math.nextafter(float(beta[n]) * (1.0 + 2.0**-40) * tail, math.inf)
+        row, got_tail = images.image(w, n)
+        assert np.linalg.norm(row - want) <= 1e-13 * np.linalg.norm(want)
+        assert got_tail.hex() == tail.hex()
+
+
+def test_table_gates_each_kernel_image_once(monkeypatch):
+    # psi's factor passed the gate when psi was built; each new point costs
+    # its composed kernel's one gate, and a repeated lookup or another order
+    # of a point costs none beyond that.
+    psi = hc.rational_fn((2,), (1, 0.2)) * hc.kernel_function(0.3j, 2.0)
+    images = KernelImages(psi, hc.hyperbolic_nonauto_form(0.5), hc.bergman(0))
+    runs = []
+    gate = funcalg._factor_admissible
+    monkeypatch.setattr(funcalg, "_factor_admissible", lambda r: runs.append(r) or gate(r))
+    for w, n in ((0.3, 48), (0.5j, 48), (0.3, 48), (0.3, 96), (-0.2, 96)):
+        images.image(w, n)
+    assert len(runs) == 4
 
 
 @DERANDOMIZED

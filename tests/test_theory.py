@@ -209,6 +209,16 @@ class TestClassifyWeighted:
         assert v.outcome is Outcome.NOT_HYPONORMAL
         assert v.details == "weight vanishes at the interior fixed point"
 
+    @pytest.mark.parametrize("P", [0.9, 0.999, 0.99999])
+    def test_weight_vanishing_at_p_near_the_circle(self, H2, P):
+        # The Denjoy-Wolff point computed from the map misses nf.p by about
+        # eps/(1 - |p|^2): the zero test at p allows that rounding.
+        nf = hc.normal_form(P, 0.4, 1, H2)
+        assert hc.classify_weighted(nf.psi, nf.phi, H2).outcome is Outcome.NORMAL
+        v = hc.classify_weighted(nf.psi * hc.polynomial_fn(-nf.p, 1), nf.phi, H2)
+        assert v.outcome is Outcome.NOT_HYPONORMAL
+        assert v.details == "weight vanishes at the interior fixed point"
+
     def test_perturbed_map_rejected(self, H2):
         # scaling b alone breaks the |b| = |c| signature of alpha_p (delta alpha_p)
         nf = hc.normal_form(0.3, 0.4, 1, H2)
@@ -815,6 +825,19 @@ class TestWitnessSearch:
             WeightedOptions(budget_seconds=budget)
         with pytest.raises(InvalidParameterError, match="budget"):
             hc.witness_search(hc.polynomial_fn(2, 1), hc.rotation(1j), H2, budget_seconds=budget, order=64)
+
+    def test_unrepresentable_kernel_grams_refused_before_any_expansion(self, monkeypatch):
+        # At gamma = 10002 the Gram (1 - 0.81)^-gamma at the grid's outer ring
+        # exceeds the double range; at gamma = 427 it does not.
+        def refuse(*args):
+            raise AssertionError("expanded a kernel image")
+
+        monkeypatch.setattr(theory, "KernelImages", refuse)
+        with pytest.raises(InvalidParameterError, match="kernel Gram"):
+            hc.witness_search(hc.polynomial_fn(2, 1), hc.rotation(1j), hc.bergman(1e4), order=64)
+        theory._require_representable_grams(hc.bergman(425))
+        with pytest.raises(InvalidParameterError, match="double range"):
+            theory._require_representable_grams(hc.bergman(426))
 
     def test_infinite_budget_means_no_deadline(self, H2):
         assert WeightedOptions(budget_seconds=math.inf).budget_seconds == math.inf
