@@ -71,4 +71,5 @@ class TheoryUnavailableError(HypocompError):
 
 
 class ConvergenceFailureError(HypocompError):
-    """Iterative routine failed to reach its tolerance within the iteration cap."""
+    """A numeric routine did not converge: LAPACK's singular values of a
+    finite section (matrixrep.operator_norm's last path).  Exit 4."""

@@ -17,9 +17,11 @@ run concurrently on separate inputs.
 operator_norm and gelfand_estimate iterate on the section scaled by a power
 of two to Frobenius norm in [1/2, 1) and scale the value back, both exactly:
 2^j M gives 2^j times the value for M, and no weight is too large or too
-small for them.  gelfand_estimate certifies ||M^k|| by power steps with M
-alone (2k matrix-vector products a step) and forms M^k with matrix_power only
-when those steps stall, as they do on the clustered top singular values of
+small for them.  operator_norm takes at most K Lanczos products, 8 power
+steps and one LAPACK call; its path depends on work done, never on time.
+gelfand_estimate certifies ||M^k|| by power steps with M alone (2k
+matrix-vector products a step) and forms M^k with matrix_power only when
+those steps stall, as they do on the clustered top singular values of
 Toeplitz-like sections.
 
 Compact sections deflate (_leading_block).  Column j of a section is
@@ -67,7 +69,7 @@ MAX_TRUNCATION = 1024
 _POWER_SEED = 1729
 # Relative residual at which power steps stop (_power_steps).
 _NORM_REL_TOL = 1e-8
-# Most power steps gelfand_estimate takes before it forms M^k instead.
+# Most power steps of one certificate (operator_norm, gelfand_estimate).
 _QUICK_STEPS = 8
 _EPS = float(np.finfo(float).eps)
 
@@ -246,13 +248,11 @@ def _adjoint_apply(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (x.conj() @ a).conj()
 
 
-def _power_steps(apply, v: np.ndarray, cap: int, quick: bool = False) -> tuple[float, float] | None:
+def _power_steps(apply, v: np.ndarray, cap: int) -> tuple[float, float] | None:
     """Power steps v <- w / ||w||, w = apply(v), for a positive semidefinite
     apply, until the residual ||w - lam v|| with lam = <v, w> certifies that
-    some eigenvalue lies within 1e-8 lam of lam.  Returns (lam, residual).
-
-    Raises ConvergenceFailureError after cap steps.  With quick, returns None
-    instead, and gives up early once a value is non-finite, the residual
+    some eigenvalue lies within 1e-8 lam of lam.  Returns (lam, residual), or
+    None after cap steps, or sooner once a value is non-finite, the residual
     stops shrinking, or its last contraction ratio, kept up for the steps
     left, would not bring the relative residual to the tolerance.
     """
@@ -264,53 +264,60 @@ def _power_steps(apply, v: np.ndarray, cap: int, quick: bool = False) -> tuple[f
         if resid <= _NORM_REL_TOL * lam:
             return lam, resid
         prev, rel = rel, resid / lam if lam > 0.0 else math.inf
-        if quick and not (rel < prev and rel * (rel / prev) ** (cap - 1 - step) <= _NORM_REL_TOL):
+        if not (rel < prev and rel * (rel / prev) ** (cap - 1 - step) <= _NORM_REL_TOL):
             return None
         v = w / np.linalg.norm(w)
-    if quick:
-        return None
-    raise ConvergenceFailureError(
-        f"power iteration did not reach {_NORM_REL_TOL:g} in {cap} steps (relative residual {rel:.3g})"
-    )
+    return None
 
 
 def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
-    """Largest singular value via Lanczos-accelerated power iteration on M*M.
+    """Largest singular value, by work bounded by the block order K.
 
     Deterministically seeded, on M scaled by a power of two to Frobenius norm
     in [1/2, 1) (OperatorMatrix._analysis), and on its leading block A_K alone
     (_leading_block): by Weyl, ||A_K|| is within ||E||_2 <= sqrt(2) eps
-    ||M||_F of ||M||.  A Lanczos pass (which copes with the clustered top
-    spectra of Toeplitz-like sections) supplies the start vector, followed by
-    power steps until the residual ||(M*M)v - lambda v|| certifies that some
-    eigenvalue of M*M lies within 1e-8 lambda of lambda.  When ARPACK
-    fails, the power steps start from the seed vector instead, and method
-    names the failure.  Raises ConvergenceFailureError after 10 K polish
-    steps without meeting that.
+    ||M||_F of ||M||.  A Lanczos pass on M*M of at most K products is kept
+    (method "lanczos") if at most 8 power steps then certify, by the residual
+    ||(M*M)v - lambda v||, that some eigenvalue of M*M lies within 1e-8
+    lambda of lambda.  Otherwise one scipy.linalg.svdvals call on the block
+    gives it (method "lapack-svdvals"), with LAPACK's stated bound eps sigma
+    on sigma as residual in the units of M*M: eps sigma (2 sigma + eps sigma).
+    Raises ConvergenceFailureError only when LAPACK does not converge.
     """
     s = m._analysis
     if s is None:
-        return SpectralEstimate(0.0, "power-iteration", 0.0)
+        return SpectralEstimate(0.0, "zero", 0.0)
     n = s.order
     a = m._scaled_block(n)
 
     def gram(x):
         return _adjoint_apply(a, a @ x)
 
-    v = _seed_vector(n)
-    method = "power-iteration"
-    if n >= 4:
+    # Seeking one eigenvalue with ncv = 20 Lanczos vectors, ARPACK spends 21
+    # products on its first pass and at most 10 on each restart (it keeps
+    # half of them), so `restarts` restarts stay within K products.
+    restarts, certified = (n - 21) // 10, None
+    if restarts >= 1:
         from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
         op = LinearOperator((n, n), matvec=gram, dtype=complex)
         try:
-            _vals, vecs = eigsh(op, k=1, which="LA", v0=v, maxiter=10 * n, tol=1e-12)
-            v = vecs[:, 0]
-        except ArpackError as exc:
-            # Plain power steps from the seeded vector, still certified.
-            method = f"power-iteration (ARPACK failed: {type(exc).__name__})"
-    lam, resid = _power_steps(gram, v, 10 * n)
-    return SpectralEstimate(_unscale(math.sqrt(lam), s.e), method, _unscale(resid, 2 * s.e))
+            _vals, vecs = eigsh(op, k=1, which="LA", v0=_seed_vector(n), maxiter=restarts, tol=1e-12)
+        except ArpackError:  # out of products, or failed: the dense path below
+            pass
+        else:
+            certified = _power_steps(gram, vecs[:, 0], _QUICK_STEPS)
+    if certified is not None:
+        value, resid, method = math.sqrt(certified[0]), certified[1], "lanczos"
+    else:
+        import scipy.linalg
+
+        try:
+            value = float(scipy.linalg.svdvals(a, overwrite_a=True)[0])
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailureError(f"LAPACK singular values did not converge: {exc}") from exc
+        resid, method = _EPS * value * value * (2.0 + _EPS), "lapack-svdvals"
+    return SpectralEstimate(_unscale(value, s.e), method, _unscale(resid, 2 * s.e))
 
 
 def _lower_triangular(a: np.ndarray) -> bool:
@@ -351,7 +358,7 @@ def _power_norm(a: np.ndarray, k: int) -> tuple[float, float]:
             x = _adjoint_apply(a, x)
         return x
 
-    quick = _power_steps(gram_power, _seed_vector(a.shape[0]), _QUICK_STEPS, quick=True)
+    quick = _power_steps(gram_power, _seed_vector(a.shape[0]), _QUICK_STEPS)
     if quick is not None:
         return math.sqrt(quick[0]), quick[1]
     p = np.linalg.matrix_power(a, k)
@@ -369,9 +376,9 @@ def gelfand_estimate(m: OperatorMatrix, k: int) -> SpectralEstimate:
     gap between the top two singular values of M^k is that of M raised to
     the 2k-th power, so compact and contractive sections certify in a few
     steps.  After at most 8 steps, or sooner once the steps stall (see
-    _power_steps), it falls back to forming M^k and taking its operator_norm:
-    Toeplitz-like sections (multiplications, rotations, parabolic maps) have
-    clustered top singular values, which the Lanczos pass there copes with.
+    _power_steps), it falls back to forming M^k and taking its operator_norm
+    (bounded work): Toeplitz-like sections (multiplications, rotations,
+    parabolic maps) have clustered top singular values.
 
     With M = diag(A_K, 0) + E (_leading_block), ||M^k - diag(A_K, 0)^k|| <=
     k ||M||_F^(k-1) ||E||_F <= sqrt(2) k eps ||M||_F^k.  The value for A_K is
@@ -471,12 +478,13 @@ def _adjoint_gram(images: KernelImages, pts: np.ndarray) -> np.ndarray:
     return np.conj(psis)[..., :, None] * psis[..., None, :] * _gram(phis, images.space.gamma)
 
 
-def _kernel_points(points) -> list[complex]:
-    """The kernel points as complex numbers: at least one, each finite and
-    strictly inside the unit disk."""
-    pts = [require_in_disk(w, "kernel point") for w in points]
+def _kernel_points(points) -> tuple[complex, ...]:
+    """The one gate for a list of kernel points (a kernel grid too): the points
+    as complex numbers, each through the disk gate, and InvalidParameterError
+    unless there is at least one."""
+    pts = tuple(require_in_disk(w, "kernel point") for w in points)
     if not pts:
-        raise InvalidParameterError("need at least one kernel point")
+        raise InvalidParameterError("a list of kernel points needs at least one point")
     return pts
 
 

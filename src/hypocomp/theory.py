@@ -43,7 +43,7 @@ from .funcalg import (
     no_zero_in_closed_disk,
     value_scale,
 )
-from .matrixrep import MAX_TRUNCATION, KernelImages, _check_truncation, as_analytic
+from .matrixrep import MAX_TRUNCATION, KernelImages, _check_truncation, _kernel_points, as_analytic
 from .matrixrep import kernel_gram_forms, kernel_gram_norms
 from .moebius import (
     MapKind,
@@ -163,7 +163,7 @@ class WeightedOptions:
         _check_budget(self.budget_seconds)
         _check_truncation(self.order)
         if self.grid is not None:
-            object.__setattr__(self, "grid", _kernel_grid(self.grid))
+            object.__setattr__(self, "grid", _kernel_points(self.grid))
 
 
 def _check_budget(budget_seconds: float) -> None:
@@ -250,17 +250,6 @@ _SEARCH_GRID = _radial_grid((0.15, 0.3, 0.45, 0.6, 0.75, 0.9))
 _SEARCH_GRAM_BASE = min(1.0 - abs(w) ** 2 for w in _SEARCH_GRID)
 
 
-def _kernel_grid(grid) -> tuple[complex, ...]:
-    """The default grid for None; else grid's points as complex numbers, each
-    through the disk gate, and InvalidParameterError for an empty grid."""
-    if grid is None:
-        return _INEQUALITY_GRID
-    pts = tuple(require_in_disk(w, "grid point") for w in grid)
-    if not pts:
-        raise InvalidParameterError("a kernel grid needs at least one point")
-    return pts
-
-
 def kernel_ratio_value(psi, phi: MoebiusMap, space: SpaceSpec, w: complex) -> float:
     """|psi(w)| ((1 - |w|^2)/(1 - |phi(w)|^2))^(gamma/2) = ||C* (K_w/||K_w||)||,
     for w in the open disk."""
@@ -282,7 +271,7 @@ def parabolic_kernel_inequality(psi, phi: MoebiusMap, space: SpaceSpec, grid=Non
     A grid given replaces the default one: each point must lie in the open
     disk, and an empty grid is refused.
     """
-    grid = _kernel_grid(grid)
+    grid = _INEQUALITY_GRID if grid is None else _kernel_points(grid)
     cls = classify(phi)
     if cls.kind is not MapKind.PARABOLIC_NONAUTOMORPHISM:
         raise HypothesisMismatchError("symbol is not a parabolic non-automorphism")
@@ -293,7 +282,7 @@ def parabolic_kernel_inequality(psi, phi: MoebiusMap, space: SpaceSpec, grid=Non
 def _first_violation(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, zeta: complex,
                      grid: tuple[complex, ...], scale: float) -> InequalityViolation | None:
     """parabolic_kernel_inequality for a symbol already known to be a parabolic
-    non-automorphism fixing the unimodular zeta, on a grid from _kernel_grid;
+    non-automorphism fixing the unimodular zeta, on the default grid or one from _kernel_points;
     scale is value_scale(psi_f)."""
     lhs = abs(psi_f(zeta))
     for w in grid:
@@ -485,7 +474,7 @@ def classify_weighted(
                 details=f"psi({zeta:.12g}) = {psi_f(zeta):.3e}",
             )
         if cls.kind is MapKind.PARABOLIC_NONAUTOMORPHISM:
-            violation = _first_violation(psi_f, phi, space, zeta, _kernel_grid(opts.grid),
+            violation = _first_violation(psi_f, phi, space, zeta, opts.grid or _INEQUALITY_GRID,
                                          value_scale(psi_f))
             if violation is not None:
                 return HyponormalityVerdict(
@@ -675,7 +664,7 @@ def norm_lower_bound_grid(psi, phi: MoebiusMap, space: SpaceSpec, grid=None) -> 
     """Unconditional: max over the grid of ||C* (K_w/||K_w||)||.  A grid
     given replaces the default one: each point must lie in the open disk,
     and an empty grid is refused."""
-    pts = _kernel_grid(grid)
+    pts = _INEQUALITY_GRID if grid is None else _kernel_points(grid)
     psi_f = as_analytic(psi)
     return max(_kernel_ratio(psi_f, phi, space, w) for w in pts)
 

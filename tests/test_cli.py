@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -481,13 +482,18 @@ class TestConvergenceExit:
                          "--numeric", "--order", "16"])
         assert code == 4
 
-    def test_exit_4_from_power_iteration(self, capsys, monkeypatch):
-        # No residual meets a zero tolerance, so the power steps run out.
-        monkeypatch.setattr(cli.matrixrep, "_NORM_REL_TOL", 0.0)
+    def test_exit_4_from_lapack(self, capsys, monkeypatch):
+        # The N=16 section is too small for a Lanczos pass, so its norm is
+        # LAPACK's; exit 4 is LAPACK failing to converge.
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "svdvals", no_convergence)
         code = cli.main(["spectral", "--numeric", "--order=16", "--map=0.5,0,0,1", "--psi=1,0.5"])
         assert code == 4
-        assert capsys.readouterr().err == (
-            "error: power iteration did not reach 0 in 160 steps (relative residual 3.9e-16)\n")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: LAPACK singular values did not converge: SVD did not converge\n"
 
 
 class TestOutputContracts:

@@ -350,16 +350,19 @@ class TestSpectralEstimates:
         m = hc.OperatorMatrix(np.zeros((5, 5), complex))
         assert hc.operator_norm(m).value == 0.0
 
-    def test_arpack_failure_falls_back_to_power_steps(self, H2, monkeypatch):
+    def test_arpack_failure_takes_the_dense_path(self, H2, monkeypatch):
         def fail(*args, **kwargs):
             raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", None, None)
 
         m = hc.build_weighted_composition(hc.polynomial_fn(2, 1), cli.parse_map("parabolic:1,1"), H2, 64)
+        lanczos = hc.operator_norm(m)
+        assert lanczos.method == "lanczos"
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
         est = hc.operator_norm(m)
+        assert est.method == "lapack-svdvals"
+        assert est.value == pytest.approx(lanczos.value, rel=1e-12, abs=0.0)
         assert est.value == pytest.approx(2.99013334456, rel=1e-10)
-        assert est.residual <= 1e-8 * est.value**2
-        assert est.method == "power-iteration (ARPACK failed: ArpackNoConvergence)"
+        assert est.residual <= 3 * np.finfo(float).eps * est.value**2
 
     def test_power_iteration_matches_svd(self):
         rng = np.random.default_rng(77)
@@ -558,6 +561,73 @@ class TestDeflation:
                              "--space=bergman:0", "--numeric", "--order=1024", "--json"])
         assert code == 0
         assert orders and max(orders) <= 128
+
+
+@st.composite
+def norm_sections(draw):
+    """(psi, phi, space, N) at N <= 128: a compact section (compact_sections),
+    or a rotation, multiplication (Toeplitz-like) or parabolic one."""
+    kind = draw(st.sampled_from(("compact", "rotation", "multiplication", "parabolic")))
+    n = draw(st.sampled_from((16, 64, 128)))
+    if kind == "compact":
+        return (*draw(compact_sections()), n)
+    space = draw(st.sampled_from((hc.hardy(), hc.bergman(0), hc.bergman(1))))
+    psi = hc.polynomial_fn(1, *draw(st.lists(disk(0.7), max_size=2)))
+    phi = {
+        "rotation": lambda: hc.rotation(draw(unimodular)),
+        "multiplication": lambda: hc.MoebiusMap(1, 0, 0, 1),
+        "parabolic": lambda: hc.cayley_parabolic(draw(unimodular), draw(st.floats(0.2, 2.0))),
+    }[kind]()
+    return psi, phi, space, n
+
+
+def _counted_operator_norm(m):
+    """operator_norm(m) with its Gram products and LAPACK calls counted."""
+    products, lapack = [], []
+    real_apply, real_svdvals = matrixrep._adjoint_apply, scipy.linalg.svdvals
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(matrixrep, "_adjoint_apply", lambda a, x: products.append(1) or real_apply(a, x))
+        patched.setattr(scipy.linalg, "svdvals", lambda *a, **k: lapack.append(1) or real_svdvals(*a, **k))
+        est = hc.operator_norm(m)
+    return est, len(products), len(lapack)
+
+
+class TestOperatorNorm:
+    @DERANDOMIZED
+    @given(norm_sections())
+    def test_both_paths_match_lapack_within_their_bound(self, case):
+        # A certified value lam of M*M is within residual of an eigenvalue, so
+        # sqrt(lam) is within residual / sqrt(lam) of a singular value; the
+        # block moves it by sqrt(2) eps ||M||_F, and the oracle carries LAPACK's
+        # own eps ||M||.
+        m = hc.build_weighted_composition(*case)
+        want = float(np.linalg.norm(m.entries, 2))
+        eps = np.finfo(float).eps
+        slack = math.sqrt(2.0) * eps * float(np.linalg.norm(m.entries)) + 4 * eps * want
+        order = m._analysis.order
+        natural, products, lapack = _counted_operator_norm(m)
+        assert products <= order + matrixrep._QUICK_STEPS and lapack <= 1
+        assert lapack == (natural.method == "lapack-svdvals")
+
+        def fail(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", None, None)
+
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(scipy.sparse.linalg, "eigsh", fail)
+            dense = hc.operator_norm(m)
+        assert dense.method == "lapack-svdvals"
+        for est in (natural, dense):
+            assert abs(est.value - want) <= est.residual / est.value + slack, est.method
+        again = hc.operator_norm(hc.build_weighted_composition(*case))
+        assert (again.method, again.value.hex()) == (natural.method, natural.value.hex())
+
+    def test_toeplitz_sections_stop_at_k_products(self):
+        # A rotation section's clustered top singular values need more than
+        # K = 128 Gram products, so the Lanczos pass gives up within K.
+        m = hc.build_weighted_composition(hc.polynomial_fn(2, 1), hc.rotation(1j), hc.hardy(), 128)
+        est, products, lapack = _counted_operator_norm(m)
+        assert (est.method, lapack) == ("lapack-svdvals", 1)
+        assert products <= 128
 
 
 class TestAdjointKernelResidual:
