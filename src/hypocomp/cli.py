@@ -476,7 +476,7 @@ def main(argv=None) -> int:
             return 4
         return 3 if isinstance(exc, TheoryUnavailableError) else 2
     except OverflowError as exc:
-        print(f"error: floating-point overflow on this input: {exc}", file=sys.stderr)
+        print(f"error: floating-point overflow on this input, a value leaves the double range: {exc}", file=sys.stderr)
         return 2
     report["wall_time_ms"] = round(1000 * (time.monotonic() - t0), 3)
     emit(report, args.format)

@@ -52,6 +52,10 @@ _ZERO_TEST_GUARD = 1e-8
 _ZERO_TEST_SAMPLES = 8192
 # The power-factor gate's band, relative to max |r| on the closed disk.
 _GATE_BAND = 1e-8
+# Machine epsilon of a double, np.finfo(float).eps: the unit of every rounding bound in the package.
+_EPS = 2.0**-52
+# The least positive normal double.
+_TINY = float(np.finfo(float).tiny)
 # Relative tolerance of is_value_constant and samples of boundary_sup.
 _CONSTANT_TOL = 1e-12
 _BOUNDARY_SUP_SAMPLES = 2048
@@ -63,7 +67,6 @@ _TAIL_GAPS = 2.0 ** (-np.arange(1, 49) / 3.0)
 _TAIL_GAPS.flags.writeable = False
 _TAIL_SAMPLES = 512
 _TAIL_CONDITION = 2.0**12
-_EPS = 2.0**-52
 # How far the two binomial series of a linear power factor may cancel
 # (||B1||_2 ||B2||_1 / ||B1 * B2||_2) before its recurrence is used instead.
 _CANCELLATION_LIMIT = 64.0
@@ -282,9 +285,9 @@ def _factor_admissible(r: RationalFunction) -> None:
     centre, radius = disk_image(q, p, t, s)
     dist = abs(centre) if centre.real >= 0.0 else abs(centre.imag)
     # C and R share the divisor |s|^2 - |t|^2, and their numerators round by
-    # less than 4 eps (|p| + |q|)(|s| + |t|), eps = 2^-52.
+    # less than 4 eps (|p| + |q|)(|s| + |t|).
     size = (abs(p) + abs(q)) * (abs(s) + abs(t)) / (abs(s) ** 2 - abs(t) ** 2)
-    if abs(dist - radius) <= _GATE_BAND * (abs(centre) + radius) + 4.0 * 2.0**-52 * size:
+    if abs(dist - radius) <= _GATE_BAND * (abs(centre) + radius) + 4.0 * _EPS * size:
         margin = (dist - radius) / (abs(centre) + radius)
         raise IndeterminateError(f"factor's image disk is {margin:.3g} of its size off the cut: too close to decide")
     if abs(centre) < radius:
@@ -338,9 +341,16 @@ class AnalyticFunction:
         return f
 
     def __call__(self, z):
+        """f(z) at a complex scalar, InvalidParameterError where it leaves the
+        double range, or elementwise over an array (sample checks samples)."""
         out = self.base(z)
-        for r, gamma in self.factors:
-            out *= r(z) ** gamma
+        try:
+            for r, gamma in self.factors:
+                out *= r(z) ** gamma
+        except (OverflowError, ZeroDivisionError):  # only a scalar power raises
+            out = cmath.inf
+        if not isinstance(out, np.ndarray) and not cmath.isfinite(out):
+            raise InvalidParameterError(f"the weight's value at z = {z:.6g} leaves the double range")
         return out
 
     def __mul__(self, other: "AnalyticFunction") -> "AnalyticFunction":
@@ -421,18 +431,35 @@ _VALUE_POINTS = np.append(0j, circle(0.7, 24))
 _VALUE_POINTS.flags.writeable = False
 
 
+def in_double_range(values: np.ndarray, f: AnalyticFunction) -> np.ndarray:
+    """values, samples of f, if every one is finite and, unless f is zero (its
+    base numerator is, exactly), not all are zero or subnormal: else a test
+    comparing them decides nothing, and InvalidParameterError says so."""
+    top = float(np.abs(values).max())
+    if math.isfinite(top) and (top >= _TINY or f.base.num.is_zero()):
+        return values
+    why = f"every one is zero or subnormal (at most {top:.3g})" if math.isfinite(top) else "one is not finite"
+    raise InvalidParameterError(f"samples of the weight leave the double range: {why}")
+
+
+def sample(f: AnalyticFunction, z: np.ndarray) -> np.ndarray:
+    """f at the points z, through in_double_range, with numpy's warnings silenced."""
+    with np.errstate(all="ignore"):
+        return in_double_range(f(z), f)
+
+
 def value_scale(f: AnalyticFunction) -> float:
     """max |f| over the samples of is_value_constant: the size the vanishing
     tests in theory measure values of f against, so that c f passes them
-    exactly when f does.  Zero only when every sample is exactly 0."""
-    return float(np.abs(f(_VALUE_POINTS)).max())
+    exactly when f does.  Zero only for the zero function."""
+    return float(np.abs(sample(f, _VALUE_POINTS)).max())
 
 
 def is_value_constant(f: AnalyticFunction) -> bool:
     """Whether f is constant as a function: each of its samples on the grid
     circle(0.7, 24) lies within 1e-12 value_scale(f) of f(0), a test that
     c f passes exactly when f does."""
-    v = f(_VALUE_POINTS)
+    v = sample(f, _VALUE_POINTS)
     return not np.any(np.abs(v[1:] - v[0]) > _CONSTANT_TOL * np.abs(v).max())
 
 

@@ -53,6 +53,7 @@ import numpy as np
 
 from .errors import ConvergenceFailureError, InvalidParameterError, PrecisionLossError
 from .funcalg import (
+    _EPS,
     AnalyticFunction,
     Polynomial,
     boundary_sup,
@@ -71,7 +72,6 @@ _POWER_SEED = 1729
 _NORM_REL_TOL = 1e-8
 # Most power steps of one certificate (operator_norm, gelfand_estimate).
 _QUICK_STEPS = 8
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)

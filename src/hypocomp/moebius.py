@@ -42,8 +42,6 @@ BOUNDARY_POINT_TOL = 1e-8
 
 _DET_UNDERFLOW = 1e-14
 _COEFF_SNAP = 1e-14
-# Coefficient tolerance of match_hyperbolic_nonauto_form.
-_NONAUTO_MATCH_TOL = 1e-10
 
 
 def _snap(x: complex) -> complex:
@@ -501,20 +499,4 @@ def hyperbolic_nonauto_form(c: complex) -> MoebiusMap:
     if not 0.0 < abs(c) < 1.0:
         raise InvalidParameterError("parameter must satisfy 0 < |c| < 1")
     return MoebiusMap(1.0 - abs(c), 0, c, 1)
-
-
-def match_hyperbolic_nonauto_form(phi: MoebiusMap) -> complex | None:
-    """The parameter c if phi equals (1-|c|) z/(c z + 1) within 1e-10, else None."""
-    if abs(phi.d) < 1e-14:
-        return None
-    a = phi.a / phi.d
-    b = phi.b / phi.d
-    c = phi.c / phi.d
-    if abs(b) > _NONAUTO_MATCH_TOL:
-        return None
-    if not 0.0 < abs(c) < 1.0:
-        return None
-    if abs(a - (1.0 - abs(c))) > _NONAUTO_MATCH_TOL:
-        return None
-    return c
 

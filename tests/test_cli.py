@@ -81,6 +81,26 @@ class TestClassifyCommand:
     def test_parse_failure_exit_2(self, capsys):
         assert cli.main(["classify", "--map", "garbage:1"]) == 2
 
+    # Inside classify's bands: a = 0.5 + 5e-10i is off the exact form
+    # (1-|c|) z/(c z + 1) by 5e-10, and c = 1e-11 is no dilation, yet
+    # classify calls them a hyperbolic non-automorphism and an elliptic
+    # automorphism.  The verdict cites what the class says, in classify and
+    # in check with a constant weight alike.
+    @pytest.mark.parametrize("command", [("classify",), ("check", "--psi=1")])
+    def test_band_hyperbolic_nonautomorphism_is_the_candidate(self, capsys, command):
+        code, rep = run_json(capsys, *command, "--map=0.5+5e-10j,0,0.5,1")
+        assert code == 0 and rep["map_class"] == "hyperbolic-nonautomorphism"
+        assert rep["verdict"]["outcome"] == "CandidateNotExcluded"
+        assert rep["verdict"]["citation"] == hc.theory.CIT_HYPERBOLIC_CANDIDATE
+
+    @pytest.mark.parametrize("command", [("classify",), ("check", "--psi=1")])
+    def test_band_elliptic_automorphism_cites_no_hyperbolic_map(self, capsys, command):
+        code, rep = run_json(capsys, *command, "--map=1,0,1e-11,1")
+        assert code == 0 and rep["map_class"] == "elliptic-automorphism"
+        assert rep["verdict"]["outcome"] == "CandidateNotExcluded"
+        assert rep["verdict"]["citation"] == hc.theory.CIT_UNDECIDED
+        assert "hyperbolic" not in rep["verdict"]["details"]
+
 
 class TestInputOutsideHypotheses:
     @pytest.mark.parametrize("argv", [
@@ -143,6 +163,27 @@ class TestInputOutsideHypotheses:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: floating-point overflow") and captured.err.count("\n") == 1
+
+    # The kernel quotient of a normal form near the circle leaves the double
+    # range as alpha grows: a power factor overflows at the fixed point (64 to
+    # 74), every sample on circle(0.7, 24) underflows though psi(p) = 0.7
+    # (75 to 100), or samples overflow (1000).  The selftest's normal forms
+    # overflow from alpha = 2000 on.  A weight's value at a point is checked too.
+    @pytest.mark.parametrize("argv", [
+        *(("check", "--map=normal-form:0.99999,0.4", "--psi=kernel-quotient:0.99999,0.7", f"--space=bergman:{a}")
+          for a in ("64", "70", "75", "100", "1000")),
+        *(("selftest", f"--space=bergman:{a}") for a in ("2000", "5000", "1e4")),
+        ("check", "--map=1,0,1,-2", "--psi=1e308,1e308"),   # |psi| reaches 2e308 at the contact point 1
+        ("check", "--map=parabolic:1,1", "--psi=1e308,-1e308"),
+    ])
+    def test_weight_outside_the_double_range_exit_2_without_warning(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main([*argv, "--json"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "double range" in captured.err and "identically zero" not in captured.err
 
     def test_escalate_at_large_alpha_exit_2_without_warning(self, capsys):
         with warnings.catch_warnings():

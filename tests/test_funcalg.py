@@ -821,6 +821,22 @@ class TestEvaluate:
         q = hc.kernel_quotient_weight(0.0, 3.0, hc.dilation(0.5), H2)
         assert is_value_constant(q)
 
+    def test_samples_outside_the_double_range_are_refused(self):
+        # (1 - 0.9 z)^-8000 overflows at z = 0.7; a subnormal weight keeps
+        # too few digits to compare; the zero function may read 0.
+        big = hc.kernel_function(0.9, 8000.0)
+        z = funcalg.circle(0.7, 24)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidParameterError, match="double range: one is not finite"):
+                funcalg.sample(big, z)
+            with pytest.raises(InvalidParameterError, match="leaves the double range"):
+                big(0.7)
+            with pytest.raises(InvalidParameterError, match=r"double range: every one is zero or subnormal \(at most 1e-310\)"):
+                is_value_constant(hc.constant_fn(1e-310))
+        assert is_value_constant(hc.constant_fn(1e-300))
+        assert not funcalg.sample(hc.constant_fn(0.0), z).any()
+
     def test_boundary_sup(self, psi_two):
         # |psi2| on the circle peaks at z = -1 with value 3+2-(-3) -> |-3-2+3|=2? oracle by dense scan
         vals = [abs(psi_two(cmath.exp(2j * math.pi * k / 20000))) for k in range(20000)]

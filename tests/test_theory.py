@@ -70,6 +70,41 @@ class TestClassifyUnweighted:
         v = hc.classify_unweighted(hc.MoebiusMap(1, 0, 1, -2), H2)
         assert v.outcome is Outcome.NOT_HYPONORMAL
 
+    @DERANDOMIZED
+    @given(
+        modulus=st.floats(1e-3, 0.999),
+        turn=st.floats(0.0, 1.0),
+        part=st.sampled_from(["phase of a", "modulus of a", "phase of c"]),
+        exponent=st.floats(-12.0, -7.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+    )
+    def test_citations_agree_with_the_map_class(self, modulus, turn, part, exponent, sign):
+        # (1-|c|) z/(c z + 1) moved by 1e-12 to 1e-7 lands inside or outside
+        # classify's bands; whichever class it gets, the unweighted verdict
+        # cites only what that class says, and a constant weight alike.
+        a, _b, c, d = hc.hyperbolic_nonauto_form(modulus * cmath.exp(2j * math.pi * turn)).coefficients()
+        eps = sign * 10.0**exponent
+        if part == "phase of a":
+            a *= cmath.exp(1j * eps)
+        elif part == "modulus of a":
+            a *= 1.0 + eps
+        else:
+            c *= cmath.exp(1j * eps)
+        phi = hc.MoebiusMap(a, 0, c, d)
+        try:
+            cls = hc.classify(phi)
+        except NotSelfMapError:
+            return  # |a| grew past the self-map band
+        verdict = hc.classify_unweighted(phi, hc.hardy())
+        if verdict.citation == theory.CIT_CONTACT_NOT_FIXED:
+            assert cls.contact is not None and not cls.fixes_contact
+        if verdict.citation == theory.CIT_COMPACT_FORCES_DILATION:
+            assert cls.kind is hc.MapKind.INTERIOR_CONTRACTION
+        if verdict.citation == theory.CIT_HYPERBOLIC_CANDIDATE:
+            assert cls.kind is hc.MapKind.HYPERBOLIC_NONAUTOMORPHISM
+        weighted = hc.classify_weighted(1, phi, hc.hardy())
+        assert (weighted.outcome, weighted.citation) == (verdict.outcome, verdict.citation)
+
 
 class TestParabolicInequality:
     def test_worked_margin_hardy(self, H2, psi_one, parabolic_map):
@@ -255,6 +290,15 @@ class TestClassifyWeighted:
     def test_zero_weight(self, H2, half_shift_map):
         with pytest.raises(ZeroSymbolError):
             hc.classify_weighted(0, half_shift_map, H2)
+
+    def test_underflowing_weight_is_not_zero(self):
+        # At alpha = 100 every sample of this kernel quotient underflows,
+        # though psi(p) = 0.7: a double-range refusal, not a zero weight.
+        space = hc.bergman(100)
+        nf = hc.normal_form_map(0.99999, 0.4)
+        psi = hc.kernel_quotient_weight(0.99999, 0.7, nf, space)
+        with pytest.raises(InvalidParameterError, match="double range"):
+            hc.classify_weighted(psi, nf, space)
 
     def test_weight_with_pole_in_disk_rejected(self, H2, parabolic_map):
         # 1/(1 - 2z) has a pole at 1/2: outside every theorem's hypotheses.
