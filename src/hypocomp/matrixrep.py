@@ -4,12 +4,15 @@ An N x N section holds, in column j, the orthonormal-basis coordinates of the
 image of e_j = z^j / beta(j).  Dense complex storage; N is at most
 MAX_TRUNCATION = 1024.  Sections are built for linear-fractional symbols
 phi only.  Weighted composition and multiplication sections (the latter is
-the case phi(z) = z) share one build, column by column by a banded
-recurrence, O(N^2) (see _section).
-Sections with phi(0) = 0, multiplication sections among them, are lower
-triangular; their spectral radius is read off the diagonal.  The two banded
-BLAS routines are fetched from scipy.linalg on the first build, so a process
-that builds no section never imports scipy.  Everything is pure but a
+the case phi(z) = z) share one build, row by row: each row of the
+coefficients of psi phi^j follows from the row above it by the recurrence
+that (c z + d) phi = a z + b gives, written once and contiguously, O(N^2) in
+all (see _section).  Sections with phi(0) = 0, multiplication sections among
+them, need no solve: each row is plain vector arithmetic, and the section is
+lower triangular with its strict upper triangle exactly zero, so its
+spectral radius is read off the diagonal.  Any other row is one bidiagonal
+solve (BLAS tbsv, fetched from scipy.linalg on the first build, so a process
+that builds no section never imports scipy).  Everything is pure but a
 KernelImages table, which fills as the one witness search that owns it looks
 up kernel images, and is never shared between searches; matrix builds may
 run concurrently on separate inputs.
@@ -30,8 +33,10 @@ coefficients decay geometrically in i and j, so the section is, to unit
 roundoff, a small leading block A_K padded with zeros.  K is the smallest
 order such that rows K.. and columns K.. each hold at most eps^2 ||M||_F^2;
 then M = diag(A_K, 0) + E with ||E||_F <= sqrt(2) eps ||M||_F, the size of
-LAPACK's own backward error on M.  The scale and K are found once per section,
-which keeps no scaled copy (OperatorMatrix._analysis); operator_norm,
+LAPACK's own backward error on M.  The scale and K are found once per
+section, from the row and column sums of squares of one pass over blocks of
+rows, each scaled into a buffer of one block, with no scaled copy of the
+section (OperatorMatrix._analysis); operator_norm,
 truncation_spectral_radius and gelfand_estimate work on A_K, formed from
 entries[:K, :K] (see each for what that moves).  Automorphism, parabolic,
 rotation and multiplication sections keep K = N and run in full.
@@ -55,12 +60,10 @@ from .errors import ConvergenceFailureError, InvalidParameterError, PrecisionLos
 from .funcalg import (
     _EPS,
     AnalyticFunction,
-    Polynomial,
     boundary_sup,
     constant_fn,
     composed_kernel,
     expand_analytic,
-    moebius_rational,
     series_tail_bound,
 )
 from .moebius import IDENTITY, MoebiusMap, require_in_disk, require_self_map
@@ -72,6 +75,9 @@ _POWER_SEED = 1729
 _NORM_REL_TOL = 1e-8
 # Most power steps of one certificate (operator_norm, gelfand_estimate).
 _QUICK_STEPS = 8
+# Rows per block of a section's analysis (OperatorMatrix._analysis): its
+# scaled block is 512 KiB at N = 1024.
+_BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -100,18 +106,32 @@ class OperatorMatrix:
         """Scale and leading block of the section, found on first use; None if it is zero.
 
         b = M 2^-e has Frobenius norm fro in [1/2, 1) and block order K
-        (_leading_block); it is made exactly, by 2^-e1 and then 2^(e1 - e), only
-        to find K.  The first step brings the largest real or imaginary part
-        into [1/2, 1), so that the sum of squares stays in the float range.
+        (_leading_block).  2^-e1 brings the largest real or imaginary part
+        into [1/2, 1), so that the sums of squares stay in the float range,
+        and 2^-e2 = 2^(e1 - e) the Frobenius norm.  One pass over blocks of
+        rows scales each block by 2^-e1, by ldexp into a buffer of one block,
+        and takes its row and column sums of squares while it is in cache;
+        the 2^-e2 step scales those sums by an exact power of four.  No N x N
+        scaled copy is made.
         """
         parts = self.entries.view(np.float64)
         big = max(float(parts.max()), -float(parts.min()))
         if big == 0.0:
             return None
         e1 = math.frexp(big)[1]
-        b = np.ldexp(parts, -e1)
-        e2 = math.frexp(float(np.linalg.norm(b)))[1]
-        return _Analysis(e1, e1 + e2, *_leading_block(np.ldexp(b, -e2, out=b)))
+        n, width = parts.shape
+        rows, cols = np.empty(n), np.zeros(width)
+        buf = np.empty((min(_BLOCK_ROWS, n), width))
+        for i in range(0, n, _BLOCK_ROWS):
+            block = parts[i:i + _BLOCK_ROWS]
+            block = np.ldexp(block, -e1, out=buf[:len(block)])
+            np.einsum("ij,ij->i", block, block, out=rows[i:i + _BLOCK_ROWS])
+            cols += np.einsum("ij,ij->j", block, block)
+        e2 = math.frexp(math.sqrt(float(rows.sum())))[1]
+        scale = math.ldexp(1.0, -2 * e2)
+        rows *= scale
+        cols = cols.reshape(-1, 2).sum(axis=1) * scale   # each column's real and imaginary parts
+        return _Analysis(e1, e1 + e2, _leading_block(rows, cols), math.sqrt(float(rows.sum())))
 
     def _scaled_block(self, order: int) -> np.ndarray:
         """b[:order, :order], by the two ldexp steps of _analysis, bit for bit."""
@@ -145,44 +165,62 @@ def as_analytic(psi) -> AnalyticFunction:
     return constant_fn(complex(psi))
 
 
-def _toeplitz_band(p: Polynomial, n: int) -> tuple[np.ndarray, int]:
-    """Lower band storage of the n x n Toeplitz matrix of multiplication by p, and its bandwidth."""
-    c = np.asarray(p.coefficients[:n])
-    return np.asfortranarray(np.repeat(c[:, None], n, axis=1)), c.size - 1
-
-
 def _section(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, n: int) -> OperatorMatrix:
     """Section whose column j holds the coordinates of psi * phi^j / beta(j).
 
-    Each column is the previous one times phi = (a z + b) / (c z + d),
-    truncated to n terms: a banded product with the lower-triangular Toeplitz
-    matrix of the numerator (BLAS tbmv), then a banded solve with that of the
-    denominator (BLAS tbsv), O(N) per column and O(N^2) in all.  The first
-    column starts from the array expand_analytic returns, which the section
-    owns, so the two routines overwrite it in place.
-    scipy.signal.lfilter would do the same filtering, but importing
-    scipy.signal costs about a second.  The two BLAS routines are fetched
-    here, on the first build, so that only processes that build a section
-    import scipy.linalg.
-    """
-    from scipy.linalg.blas import ztbmv, ztbsv
+    Built row by row.  With phi = (a z + b) / (c z + d) and
+    Q[i, j] = [z^i] psi phi^j, the identity (c z + d) psi phi^(j+1) =
+    (a z + b) psi phi^j gives
 
-    phi_r = moebius_rational(phi)
-    num, kn = _toeplitz_band(phi_r.num, n)
-    den, kd = _toeplitz_band(phi_r.den, n)
-    col = expand_analytic(psi_f, n)
-    b = beta_array(space, n)
-    scaled = np.empty(n, dtype=complex)
-    cols = np.zeros((n, n), dtype=complex)
-    # In place: the loop allocates nothing, so no per-column temporaries
+        d Q[i, j+1] - b Q[i, j] = a Q[i-1, j] - c Q[i-1, j+1],   Q[i, 0] = psi_i,
+
+    so each row follows from the one above it and is written once,
+    contiguously, in O(N): O(N^2) in all.  When phi(0) = 0 (b = 0:
+    dilations, rotations, multiplications, every map fixing the origin) a row
+    is plain vector arithmetic with no solve, Q[i, j+1] = (a Q[i-1, j] -
+    c Q[i-1, j+1]) / d, and it is non-zero only for j <= i: the section is
+    lower triangular and its strict upper triangle is never written.
+    Otherwise a row is one bidiagonal solve along it (BLAS tbsv), a
+    first-order recurrence in j whose factor b / d = phi(0) has modulus below
+    1, so it is stable.  Then, off Hardy, the whole section is scaled in place
+    to Q[i, j] beta(i) / beta(j), multiplied by beta(i) and divided by
+    beta(j) in complex arithmetic, so no loop casts.
+    scipy.signal.lfilter would do the same filtering, but importing
+    scipy.signal costs about a second.  tbsv is fetched here, on the first
+    build, so that only processes that build a section import scipy.linalg.
+    """
+    from scipy.linalg.blas import ztbsv
+
+    a, b, c, d = phi.a, phi.b, phi.c, phi.d
+    q = np.zeros((n, n), dtype=complex)
+    q[:, 0] = expand_analytic(psi_f, n)
+    if b:
+        # Lower band storage of the bidiagonal matrix with diagonal (1, d, d, ...)
+        # and subdiagonal -b: row i solves Q[i, 0] = psi_i and the recurrence.
+        band = np.empty((2, n), dtype=complex, order="F")
+        band[0], band[1] = d, -b
+        band[0, 0] = 1.0
+    term = np.empty(n, dtype=complex)
+    # In place: the loop allocates nothing, so no per-row temporaries
     # fragment the heap around the section.
-    for j in range(n):
-        np.divide(np.multiply(col, b, out=scaled), b[j], out=cols[:, j])
-        if j + 1 < n:
-            col = ztbmv(kn, num, col, lower=1, overwrite_x=1)
-            col = ztbsv(kd, den, col, lower=1, overwrite_x=1)
-    cols.flags.writeable = False   # so that OperatorMatrix shares it
-    return OperatorMatrix(cols)
+    for i in range(n):
+        width = n if b else i + 1   # row i is zero beyond column i when b = 0
+        row = q[i, 1:width]
+        if i:
+            prev = q[i - 1, :width]
+            np.multiply(prev[:-1], a, out=row)
+            if c:
+                np.subtract(row, np.multiply(prev[1:], c, out=term[:width - 1]), out=row)
+        if b:
+            ztbsv(1, band, q[i], lower=1, overwrite_x=1)   # a contiguous row: solved in place
+        elif d != 1:
+            np.divide(row, d, out=row)
+    if space.alpha != -1.0:   # on Hardy every beta is 1
+        beta = beta_array(space, n).astype(complex)
+        q *= beta[:, None]
+        q /= beta
+    q.flags.writeable = False   # so that OperatorMatrix shares it
+    return OperatorMatrix(q)
 
 
 def build_weighted_composition(psi, phi: MoebiusMap, space: SpaceSpec, n: int) -> OperatorMatrix:
@@ -211,22 +249,18 @@ def self_commutator(m: OperatorMatrix) -> np.ndarray:
     return 0.5 * (h + h.conj().T)
 
 
-def _leading_block(b: np.ndarray) -> tuple[int, float]:
-    """(K, ||b||_F) for the float64 view b of a unit-scaled section (see
-    OperatorMatrix._analysis): K is the smallest order such that rows K.. of
-    b hold at most eps^2 ||b||_F^2, and columns K.. hold at most as much.
+def _leading_block(rows: np.ndarray, cols: np.ndarray) -> int:
+    """K for a unit-scaled section b (see OperatorMatrix._analysis), from the
+    sums of squares of its rows and of its columns: the smallest order such
+    that rows K.. of b hold at most eps^2 ||b||_F^2, and columns K.. hold at
+    most as much.
 
-    Then b = diag(b[:K, :K], 0) + E with ||E||_F <= sqrt(2) eps ||b||_F.  Sums
-    of squares run on that view (no N x N temporary; entries are at most 1, so
-    none overflows).  Suffix sums of non-negative terms do not decrease toward
-    the front, so counting those above the threshold finds K.
+    Then b = diag(b[:K, :K], 0) + E with ||E||_F <= sqrt(2) eps ||b||_F.
+    Suffix sums of non-negative terms do not decrease toward the front, so
+    counting those above the threshold finds K.
     """
-    rows = np.einsum("ij,ij->i", b, b)
-    cols = np.einsum("ij,ij->j", b, b).reshape(-1, 2).sum(axis=1)
-    fro_sq = float(rows.sum())
-    limit = _EPS * _EPS * fro_sq
-    order = max(int(np.count_nonzero(np.cumsum(sums[::-1]) > limit)) for sums in (rows, cols))
-    return order, math.sqrt(fro_sq)
+    limit = _EPS * _EPS * float(rows.sum())
+    return max(int(np.count_nonzero(np.cumsum(sums[::-1]) > limit)) for sums in (rows, cols))
 
 
 def _unscale(x: float, e: int) -> float:
@@ -450,7 +484,7 @@ def adjoint_kernel_residual(m: OperatorMatrix, psi, phi, w: complex, space: Spac
     kv = kernel(space, w, n)
     phi_w = phi(w)
     target = complex(psi_f(w)).conjugate() * kernel(space, phi_w, n)
-    resid = float(np.linalg.norm(m.entries.conj().T @ kv - target))
+    resid = float(np.linalg.norm(_adjoint_apply(m.entries, kv) - target))
     bound = _composition_norm_upper(psi_f, phi, space) * _kernel_tail(space, w, n)
     bound += 20.0 * _EPS * n * float(np.linalg.norm(m.entries)) * float(np.linalg.norm(kv))
     return AdjointResidual(resid, bound)

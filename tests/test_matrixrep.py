@@ -137,6 +137,57 @@ def test_build_matches_repeated_cauchy_products(psi, phi, space, n):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def column_recurrence_section(psi, phi, space, n):
+    """The section column by column, as a reference: column j + 1 is column j
+    times phi, a banded product with the Toeplitz matrix of phi's numerator
+    (BLAS tbmv) then a banded solve with that of its denominator (tbsv), each
+    column scaled to beta(i) / beta(j) as it is stored."""
+    phi_r = moebius_rational(phi)
+
+    def band(p):
+        c = np.asarray(p.coefficients[:n])
+        return np.asfortranarray(np.repeat(c[:, None], n, axis=1)), c.size - 1
+
+    (num, kn), (den, kd) = band(phi_r.num), band(phi_r.den)
+    col = hc.expand_analytic(psi, n)
+    b = hc.beta_array(space, n)
+    out = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        out[:, j] = col * b / b[j]
+        col = scipy.linalg.blas.ztbmv(kn, num, col, lower=1)
+        col = scipy.linalg.blas.ztbsv(kd, den, col, lower=1)
+    return out
+
+
+@st.composite
+def origin_fixing_maps(draw):
+    """Self-maps with phi(0) = 0, whose rows need no solve."""
+    kind = draw(st.sampled_from(("fixes-0", "hyperbolic non-automorphism", "dilation", "rotation",
+                                 "multiplication")))
+    lam = draw(unimodular)
+    if kind == "fixes-0":
+        r = draw(st.floats(0.05, 0.95))
+        return hc.MoebiusMap(r * lam, 0, -(1.0 - r) * draw(st.floats(0.0, 0.99)) * draw(unimodular), 1)
+    if kind == "hyperbolic non-automorphism":
+        return hc.hyperbolic_nonauto_form(draw(st.floats(0.05, 0.95)) * lam)
+    if kind == "dilation":
+        return hc.dilation(draw(st.floats(0.05, 1.0)) * lam)
+    if kind == "rotation":
+        return hc.rotation(lam)
+    return hc.MoebiusMap(1, 0, 0, 1)
+
+
+@DERANDOMIZED
+@given(weights, origin_fixing_maps(), spaces, st.integers(1, 256))
+def test_origin_fixing_sections_are_the_column_recurrence_bit_for_bit(psi, phi, space, n):
+    # With b = 0 a row does, entry by entry, the arithmetic tbmv and tbsv do
+    # down the columns, and the triangle above the diagonal stays exactly zero,
+    # so truncation_spectral_radius keeps reading the diagonal.
+    got = hc.build_weighted_composition(psi, phi, space, n).entries
+    assert np.array_equal(got, column_recurrence_section(psi, phi, space, n))
+    assert not np.triu(got, 1).any()
+
+
 def _fresh_process(body):
     """Stdout words of a fresh interpreter that imports hypocomp and its cli
     from this checkout, then runs body."""
@@ -425,10 +476,32 @@ def _block_order(m):
     return m._analysis.order
 
 
+def two_copy_analysis(a):
+    """(e1, e, K, fro) as the analysis computed them from two N x N scaled
+    copies: b = ldexp(ldexp(M, -e1), -e2), then the sums of squares of b."""
+    parts = a.view(np.float64)
+    e1 = math.frexp(max(float(parts.max()), -float(parts.min())))[1]
+    b = np.ldexp(parts, -e1)
+    e2 = math.frexp(float(np.linalg.norm(b)))[1]
+    b = np.ldexp(b, -e2, out=b)
+    rows = np.einsum("ij,ij->i", b, b)
+    cols = np.einsum("ij,ij->j", b, b).reshape(-1, 2).sum(axis=1)
+    fro_sq = float(rows.sum())
+    limit = np.finfo(float).eps ** 2 * fro_sq
+    order = max(int(np.count_nonzero(np.cumsum(sums[::-1]) > limit)) for sums in (rows, cols))
+    return e1, e1 + e2, order, math.sqrt(fro_sq)
+
+
+def _assert_analysis_is_the_two_copy_one(m):
+    e1, e, order, fro = two_copy_analysis(m.entries)
+    got = m._analysis
+    assert (got.e1, got.e, got.order) == (e1, e, order)
+    assert abs(got.fro - fro) <= 4 * math.ulp(fro)
+
+
 def _full_order_leading_block(monkeypatch):
     """Make every section analysed from now on keep K = N."""
-    real = matrixrep._leading_block
-    monkeypatch.setattr(matrixrep, "_leading_block", lambda b: (b.shape[0], real(b)[1]))
+    monkeypatch.setattr(matrixrep, "_leading_block", lambda rows, cols: rows.size)
 
 
 _ROUTINES = (hc.operator_norm, hc.truncation_spectral_radius, lambda x: hc.gelfand_estimate(x, 8))
@@ -524,7 +597,8 @@ class TestDeflation:
         real_init, real_block = matrixrep.OperatorMatrix.__post_init__, matrixrep._leading_block
         monkeypatch.setattr(matrixrep.OperatorMatrix, "__post_init__",
                             lambda self: built.append(self.order) or real_init(self))
-        monkeypatch.setattr(matrixrep, "_leading_block", lambda b: analysed.append(b.shape[0]) or real_block(b))
+        monkeypatch.setattr(matrixrep, "_leading_block",
+                            lambda rows, cols: analysed.append(rows.size) or real_block(rows, cols))
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["spectral", "--numeric", "--json", *argv]) == 0
         assert analysed == built == [int(argv[-1].split("=")[1])]
@@ -548,9 +622,30 @@ class TestDeflation:
             m = hc.build_weighted_composition(psi, phi, space, 256)
             scaled = hc.build_weighted_composition(psi.scale(2.0**j), phi, space, 256)
             assert _block_order(scaled) == _block_order(m) < 256
+            # At these scales too the blocked pass finds what two scaled copies find.
+            _assert_analysis_is_the_two_copy_one(scaled)
             for routine in (hc.operator_norm, hc.truncation_spectral_radius):
                 want = routine(m).value * 2.0**j
                 assert routine(scaled).value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @DERANDOMIZED
+    @given(compact_sections() | st.sampled_from([c[1:] for c in _NON_COMPACT]), st.sampled_from((128, 256)),
+           st.sampled_from((0, -900, 900)))
+    def test_analysis_is_the_two_copy_analysis(self, case, n, j):
+        psi, phi, space = case
+        _assert_analysis_is_the_two_copy_one(hc.build_weighted_composition(psi.scale(2.0**j), phi, space, n))
+
+    def test_analysis_makes_no_scaled_copy(self, H2):
+        # Two scaled copies of an N=1024 section would take 32 MiB; the
+        # analysis scales one block of rows at a time into a 512 KiB buffer.
+        m = hc.build_weighted_composition(hc.rational_fn((2, 1), (1, -0.4)), hc.dilation(0.5), H2, 1024)
+        tracemalloc.start()
+        try:
+            assert m._analysis.order < 1024
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
 
     def test_normal_form_eigensolve_stays_small(self, monkeypatch):
         orders = []
