@@ -531,7 +531,7 @@ class KernelImages:
     beta(0..n) (one beta_array call).
     Each exact (w, n) is then expanded once: the first lookup builds K_w o phi
     by composed_kernel (one gate), expands that one factor (expand_analytic,
-    with its cancellation fallback), convolves it with psi's series and
+    one O(n) recurrence), convolves it with psi's series and
     stores the beta-scaled row (read-only) and its tail bound beta(n)
     series_tail_bound of the product psi (K_w o phi), which is built without
     re-gating; that is a proved bound on the beta-weighted tail because

@@ -90,55 +90,6 @@ class TestExpandRational:
             hc.rational_fn((1,), (1, -2))
 
 
-class TestSeriesPow:
-    def test_binomial_square(self):
-        got = funcalg._pow_series(np.array([1, 1, 0], complex), 2.0)
-        assert np.allclose(got, [1, 2, 1])
-
-    def test_inverse_sqrt(self):
-        # generalized binomial oracle: coefficients of (1-z)^(-1/2)
-        oracle = [1.0]
-        for n in range(1, 6):
-            oracle.append(oracle[-1] * (n - 0.5) / n)
-        got = funcalg._pow_series(hc.expand_analytic(hc.polynomial_fn(1, -1), 6), -0.5)
-        assert np.allclose(got, oracle, atol=1e-14)
-        assert np.allclose(got[:4], [1, 0.5, 0.375, 0.3125])
-
-    def test_zeroth_power(self):
-        got = funcalg._pow_series(hc.expand_analytic(hc.polynomial_fn(2, 1, -0.3), 5), 0.0)
-        assert np.allclose(got, [1, 0, 0, 0, 0], atol=1e-15)
-
-    def test_power_composition_law(self):
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            coeffs = np.concatenate([[1.0], 0.3 * (rng.standard_normal(9) + 1j * rng.standard_normal(9))])
-            g1, g2 = rng.uniform(-2, 2, 2)
-            once = funcalg._pow_series(coeffs, g1 * g2)
-            twice = funcalg._pow_series(funcalg._pow_series(coeffs, g1), g2)
-            assert np.abs(once - twice).max() < 1e-10
-
-
-def trimmed_binomial_reference(a, gamma, n):
-    """The binomial series with trailing zeros dropped by np.trim_zeros."""
-    k = np.arange(1.0, n)
-    steps = np.concatenate(([1.0 + 0j], (gamma - k + 1.0) / k * a))
-    return np.trim_zeros(np.cumprod(steps), "b")
-
-
-class TestBinomialSeries:
-    def test_matches_trim_zeros(self):
-        # Integer gamma ends the series at degree gamma; a = 0 leaves only the
-        # leading 1; a huge a overflows to inf and then NaN, which both slices
-        # count as nonzero.
-        for gamma in (0.0, 1.0, 2.0, 5.0, 2.5, -1.0):
-            for a in (0j, 0.5 - 0.25j, 1e200, complex(1e300, -1e300)):
-                for n in (1, 2, 7, 64):
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        got = funcalg._binomial_series(a, gamma, n)
-                        ref = trimmed_binomial_reference(a, gamma, n)
-                    assert got.tobytes() == ref.tobytes(), (gamma, a, n)
-
-
 @st.composite
 def disk_self_maps(draw):
     """alpha_p(t z) = (p - t z)/(1 - conj(p) t z): |p| <= 0.9, 0.05 <= |t| <= 1."""
@@ -288,6 +239,21 @@ def linear_power_oracle(r, gamma, n):
         return np.array([complex(x) for x in f])
 
 
+def binomial_product_oracle(r, gamma, n, dps):
+    """The first n coefficients of r^gamma, r = (p1 + q1 z)/(p2 + q2 z), at dps digits:
+    r(0)^gamma times the Cauchy product of the binomial series of
+    (1 + (q1/p1) z)^gamma and (1 + (q2/p2) z)^-gamma, a derivation apart from
+    the differential equation of linear_power_oracle and of the library."""
+    with mpmath.workdps(dps):
+        p1, q1 = (mpmath.mpc(x) for x in (r.num.coefficients + (0j,))[:2])
+        p2, q2 = (mpmath.mpc(x) for x in (r.den.coefficients + (0j,))[:2])
+        g = mpmath.mpf(gamma)
+        b1 = [mpmath.binomial(g, k) * (q1 / p1) ** k for k in range(n)]
+        b2 = [mpmath.binomial(-g, k) * (q2 / p2) ** k for k in range(n)]
+        lead = mpmath.power(p1 / p2, g)
+        return np.array([complex(lead * mpmath.fsum(b1[j] * b2[k - j] for j in range(k + 1))) for k in range(n)])
+
+
 @st.composite
 def kernel_image_factors(draw):
     """(K_w o phi, gamma): |w| <= 0.95, phi a hyperbolic automorphism
@@ -357,32 +323,73 @@ class TestLinearPowerFactors:
         coeffs = hc.expand_analytic(f, n)
         assert np.linalg.norm(coeffs - oracle) <= 1e-13 * np.linalg.norm(oracle)
 
-    def test_kernel_image_skips_the_recurrence(self, monkeypatch):
+    @DERANDOMIZED
+    @given(maps_of_every_class(), st.floats(0.0, 0.99), st.floats(0.0, 2.0 * math.pi),
+           st.sampled_from((1.0, 2.0, 2.7, 3.0, 150.0)), st.sampled_from((128, 1024)))
+    def test_composed_kernels_of_every_class_match_the_oracle(self, phi, modulus, theta, gamma, n):
+        f = hc.composed_kernel(modulus * cmath.exp(1j * theta), gamma, phi)
+        (r, power), = f.factors
+        oracle = linear_power_oracle(r, power, n)
+        coeffs = hc.expand_analytic(f, n)
+        # At gamma = 150 the squares of the coefficients can leave the double
+        # range, so both norms are taken at the oracle's scale.
+        scale = np.abs(oracle).max()
+        assert np.linalg.norm((coeffs - oracle) / scale) <= 2e-13 * np.linalg.norm(oracle / scale)
+
+    def test_weighted_kernel_image_matches_the_oracle(self):
         f = hc.polynomial_fn(2, 1) * hc.compose_with_moebius(
             hc.kernel_function(0.3 + 0.4j, 2.7), hc.MoebiusMap(1, 0.5, 0.5, 1))
-
-        def refuse(*args):
-            raise AssertionError("recurrence run on a linear power factor")
-
-        monkeypatch.setattr(funcalg, "_pow_series", refuse)
         oracle = np.convolve([2, 1], linear_power_oracle(f.factors[0][0], -2.7, 256))[:256]
         assert np.linalg.norm(hc.expand_analytic(f, 256) - oracle) <= 1e-13 * np.linalg.norm(oracle)
 
-    def test_cancelling_binomials_keep_the_recurrence(self):
+    def test_cancelling_binomials_match_the_oracle(self):
         # (1 + 0.5z)^3000 and (1 + 0.49z)^-3000 reach 1e115 and cancel to
-        # coefficients below 1e8: the closed form would keep no digit.
+        # coefficients below 1e8: their product would keep no digit.
         r = hc.rational((1, 0.5), (1, 0.49))
         f = hc.AnalyticFunction(hc.rational((1,)), ((r, 3000.0),))
         coeffs = hc.expand_analytic(f, 64)
         oracle = linear_power_oracle(r, 3000.0, 64)
         assert np.linalg.norm(coeffs - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
-    @pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0])
-    def test_integer_exponent_is_a_polynomial(self, gamma):
-        # (2 - 0.5z)^gamma: a finite binomial sum, zero past degree gamma.
-        f = hc.AnalyticFunction(hc.rational((1,)), ((hc.rational((2, -0.5)), gamma),))
-        coeffs = hc.expand_analytic(f, 8)
-        exact = [math.comb(int(gamma), k) * 2 ** (gamma - k) * (-0.5) ** k for k in range(8)]
+    @pytest.mark.parametrize("num, den, gamma, n, dps", [
+        # K_w at w = 0.3 + 0.4i for gamma = 2.7.
+        ((1, -0.3 + 0.4j), (1,), -2.7, 128, 60),
+        # K_w o phi for the same w and the automorphism (z + 0.5)/(0.5 z + 1).
+        ((0.85 + 0.2j, 0.2 + 0.4j), (1, 0.5), -2.7, 128, 60),
+        # K_w o phi for w = 0.54i, phi = hyperbolic_nonauto_form(0.95) and
+        # gamma = 2 (bergman(0)): ||B1||_2 ||B2||_1 of its two binomial
+        # series is 170 times the norm of their product.
+        ((1, 0.95 + 0.027j), (1, 0.95), -2.0, 128, 60),
+        # Binomial series that reach 1e115 and cancel to below 1e8.
+        ((1, 0.5), (1, 0.49), 3000.0, 64, 160),
+    ])
+    def test_oracle_matches_the_binomial_product(self, num, den, gamma, n, dps):
+        r = hc.rational(num, den)
+        product = binomial_product_oracle(r, gamma, n, dps)
+        assert np.linalg.norm(linear_power_oracle(r, gamma, n) - product) <= 1e-15 * np.linalg.norm(product)
+
+    def test_inverse_sqrt(self):
+        # (1 - z)^(-1/2), zero on the circle so no admitted factor, against
+        # the generalized binomial coefficients.
+        oracle = [1.0]
+        for k in range(1, 6):
+            oracle.append(oracle[-1] * (k - 0.5) / k)
+        got = funcalg._linear_power(1, -1, 1, 0, -0.5, 6)
+        assert np.allclose(got, oracle, atol=1e-14)
+        assert np.allclose(got[:4], [1, 0.5, 0.375, 0.3125])
+
+    @pytest.mark.parametrize("p, q, gamma", [(2, -0.5, 1.0), (2, -0.5, 2.0), (2, -0.5, 3.0), (2, -0.5, 0.0), (1, 1, 2.0)],
+                             ids=["1.0", "2.0", "3.0", "0.0", "1+z-2.0"])
+    def test_integer_exponent_is_a_polynomial(self, p, q, gamma):
+        # (p + q z)^gamma: a finite binomial sum, zero past degree gamma.  The
+        # gate refuses 1 + z, zero on the circle, so that one runs the
+        # recurrence of every factor directly.
+        if abs(q) < abs(p):
+            f = hc.AnalyticFunction(hc.rational((1,)), ((hc.rational((p, q)), gamma),))
+            coeffs = hc.expand_analytic(f, 8)
+        else:
+            coeffs = funcalg._linear_power(p, q, 1, 0, gamma, 8)
+        exact = [math.comb(int(gamma), k) * p ** (gamma - k) * q**k for k in range(8)]
         assert np.array_equal(coeffs, np.array(exact, dtype=complex))
 
     # Moduli 1e-60 .. 1e61: the quotient stays inside the range where LAPACK
