@@ -498,18 +498,17 @@ class KernelNorms:
 
 
 def _gram(xs: np.ndarray, gamma: float) -> np.ndarray:
-    """<K_{x_i}, K_{x_j}> = (1 - conj(x_i) x_j)^(-gamma), over the last axis of xs."""
-    return (1.0 - np.conj(xs)[..., :, None] * xs[..., None, :]) ** (-gamma)
+    """<K_{x_i}, K_{x_j}> = (1 - conj(x_i) x_j)^(-gamma) for the points xs."""
+    return (1.0 - np.conj(xs)[:, None] * xs[None, :]) ** (-gamma)
 
 
 def _adjoint_gram(images: KernelImages, pts: np.ndarray) -> np.ndarray:
-    """<C* K_{w_i}, C* K_{w_j}> over the last axis of pts, closed-form from
+    """<C* K_{w_i}, C* K_{w_j}> for the points pts, closed-form from
     C* K_w = conj(psi(w)) K_phi(w)."""
     # tolist gives Python complex points, which the table's symbols evaluate in
     # Python complex arithmetic (numpy scalars would round differently).
-    values = zip(*(images.values(w) for w in pts.ravel().tolist()))
-    psis, phis = (np.array(v).reshape(pts.shape) for v in values)
-    return np.conj(psis)[..., :, None] * psis[..., None, :] * _gram(phis, images.space.gamma)
+    psis, phis = (np.array(v) for v in zip(*(images.values(w) for w in pts.tolist())))
+    return np.conj(psis)[:, None] * psis[None, :] * _gram(phis, images.space.gamma)
 
 
 def _kernel_points(points) -> tuple[complex, ...]:
@@ -601,12 +600,16 @@ def kernel_gram_norms(psi, phi: MoebiusMap, space: SpaceSpec, points, coeffs, n:
     tail bound, sum |c_i| times each image's tail bound (see KernelImages);
     PrecisionLossError signals a tail above 10% of the computed norm (raise
     n).  psi is a weight, or a search's KernelImages table for its weight,
-    which serves each kernel image it has already expanded.
+    which serves each kernel image it has already expanded.  An n outside
+    [1, MAX_TRUNCATION] or a non-finite c_i is an InvalidParameterError.
     """
+    _check_truncation(n)
     pts = _kernel_points(points)
     cs = np.asarray(list(coeffs), dtype=complex)
     if len(pts) != cs.size:
         raise InvalidParameterError("need matching points and coefficients")
+    if not np.isfinite(cs).all():
+        raise InvalidParameterError("kernel coefficients must be finite")
     images = _images_for(psi, phi, space)
 
     # <C*f, C*f> = sum_ij c_i conj(c_j) <C* K_{w_i}, C* K_{w_j}>
@@ -632,24 +635,17 @@ def kernel_gram_forms(psi, phi: MoebiusMap, space: SpaceSpec, points, n: int):
     ||P_n C f||^2 = c^H F c for f = sum_i c_i K_{w_i}.
 
     The forms kernel_gram_norms evaluates, as matrices; F is the order-n
-    truncation and carries no tail bound.  points is one list of m kernel
-    points, or a stack of T such lists, shape (T, m): the forms are then
-    (T, m, m) stacks, and each slice is exactly, bit for bit, the forms of
-    its own list (F is one batched product; slices of a Gram over all the
-    points would round F differently).  psi is a weight or a search's
-    KernelImages table, as in kernel_gram_norms.
+    truncation and carries no tail bound.  The forms of a sublist are index
+    slices of these: K and A are elementwise, so a slice of either is bit for
+    bit the sublist's own form, while a slice of F, one matrix product over
+    all the points, may differ from the sublist's by rounding.  psi and n are
+    as in kernel_gram_norms.
     """
-    try:
-        shape = np.shape(points)
-    except ValueError as exc:  # numpy refuses ragged nesting
-        raise InvalidParameterError("a stack of kernel point lists needs lists of one length") from exc
-    flat = _kernel_points(np.ravel(points))
-    pts = np.array(flat).reshape(shape)
+    _check_truncation(n)
+    pts = np.array(_kernel_points(points))
     images = _images_for(psi, phi, space)
-    rows = np.array([images.image(w, n)[0] for w in flat]).reshape(shape + (n,))
-    kernel = _gram(pts, space.gamma).swapaxes(-1, -2)
-    adjoint = _adjoint_gram(images, pts).swapaxes(-1, -2)
-    return kernel, adjoint, rows.conj() @ rows.swapaxes(-1, -2)
+    rows = np.array([images.image(w, n)[0] for w in pts.tolist()])
+    return _gram(pts, space.gamma).T, _adjoint_gram(images, pts).T, rows.conj() @ rows.T
 
 
 # ---------------------------------------------------------------------------

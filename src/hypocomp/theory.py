@@ -8,9 +8,9 @@ kernel-quotient weight, conjugation of an interior fixed point to the
 origin, and a numeric witness search for non-hyponormality certificates.
 
 Grid searches evaluate in a fixed deterministic order (first violation in
-grid order wins); every function is pure.  The witness search's 2x2 and 3x3
-generalized eigenproblems are solved as stacks by a numpy Cholesky
-reduction, so nothing here imports scipy.
+grid order wins); every function is pure.  The witness search slices its 2x2
+and 3x3 generalized eigenproblems from one grid Gram and solves them as stacks
+by a numpy Cholesky reduction, so nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -763,30 +763,25 @@ def _top_eigenpair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return lam, v
 
 
-# A stack of stage-2 trials gathers m * order complex row entries per trial,
-# twice (F = conj(R) R^T); at most 2^14 a stack holds that to 512 KiB at any
-# order, against 19 MiB for all 200 trials of one size at order 1024.
-_STACK_ENTRIES = 2**14
-
-
 def _stage_two_coefficients(images, phi, space, trials, order) -> list[np.ndarray | None]:
     """Each trial's coefficients: the top eigenvector of its adjoint form
     against its regularised forward form, scaled to ||f|| = 1; None where
-    the eigensolve fails or ||f||^2 is not positive.  Trials of one size are
-    solved in stacks, each one kernel_gram_forms call and one eigensolve.
+    the eigensolve fails or ||f||^2 is not positive.  A trial is a list of
+    _SEARCH_GRID indices, its forms index slices of the grid's forms (one
+    kernel_gram_forms call); trials of one size are one _top_eigenpair stack.
     """
+    grid_forms = kernel_gram_forms(images, phi, space, _SEARCH_GRID, order)
     coeffs: list[np.ndarray | None] = [None] * len(trials)
-    for m in sorted({len(pts) for pts in trials}):
-        same_size = [t for t, pts in enumerate(trials) if len(pts) == m]
-        size = max(1, _STACK_ENTRIES // (m * order))
-        for ts in (same_size[i:i + size] for i in range(0, len(same_size), size)):
-            kernel, adjoint, forward = kernel_gram_forms(images, phi, space, [trials[t] for t in ts], order)
-            reg = 1e-12 * np.trace(forward, axis1=1, axis2=2).real / m
-            _lam, c = _top_eigenpair(adjoint, forward + reg[:, None, None] * np.eye(m))
-            nf = np.einsum("ti,tij,tj->t", c.conj(), kernel, c).real
-            for t, ct, nft in zip(ts, c, nf):
-                if nft > 0:  # False for a NaN slice too
-                    coeffs[t] = ct / math.sqrt(nft)
+    for m in sorted({len(idx) for idx in trials}):
+        ts = [t for t, idx in enumerate(trials) if len(idx) == m]
+        sel = np.array([trials[t] for t in ts])
+        kernel, adjoint, forward = (g[sel[:, :, None], sel[:, None, :]] for g in grid_forms)
+        reg = 1e-12 * np.trace(forward, axis1=1, axis2=2).real / m
+        _lam, c = _top_eigenpair(adjoint, forward + reg[:, None, None] * np.eye(m))
+        nf = np.einsum("ti,tij,tj->t", c.conj(), kernel, c).real
+        for t, ct, nft in zip(ts, c, nf):
+            if nft > 0:  # False for a NaN slice too
+                coeffs[t] = ct / math.sqrt(nft)
     return coeffs
 
 
@@ -817,17 +812,17 @@ def witness_search(
     tries 400 seeded random 2- and 3-kernel combinations of grid points,
     optimizing coefficients through the generalized eigenvalue problem of the
     two Gram forms before an honest re-evaluation.  Stage 2 draws every
-    trial's points first.  It then solves the candidates of each size m in
-    stacks of up to 2^14 / (m order) trials, each stack one kernel_gram_forms
-    call and one batched numpy Cholesky reduction (_top_eigenpair), and then
-    certifies them in trial order.  Returns the first conclusive witness, or
-    None once all 400 trials have failed; running out of budget_seconds
-    aborts the search early, also with None.  budget_seconds and order are
-    checked as in WeightedOptions, and a space whose kernel Grams on the grid
-    exceed the double range is refused before any expansion
-    (_require_representable_grams).  The deadline is
-    checked before each grid point and each trial, not inside the stacked
-    solves (a few milliseconds for 400 trials).  The search's one
+    trial first, as grid indices, slices their forms from one
+    kernel_gram_forms call over the grid, solves each size as one batched
+    numpy Cholesky reduction (_top_eigenpair), and certifies each candidate
+    alone (kernel_gram_norms) in trial order.  Returns the first conclusive
+    witness, or None once all 400 trials have failed; running out of
+    budget_seconds aborts the search early, also with None.  budget_seconds
+    and order are checked as in WeightedOptions, and a space whose kernel
+    Grams on the grid exceed the double range is refused before any
+    expansion (_require_representable_grams).  The deadline is checked
+    before each grid point and each trial, not inside the grid Gram or the
+    stacked solves (a few milliseconds for 400 trials).  The search's one
     KernelImages table expands psi and computes beta(0..n) once per order n,
     and each kernel image psi * (K_w o phi) once per point and order.
     """
@@ -838,8 +833,8 @@ def witness_search(
     images = KernelImages(psi, phi, space)
     deadline = time.monotonic() + budget_seconds
 
-    ranked: list[tuple[float, complex]] = []
-    for w in _SEARCH_GRID:
+    ranked: list[tuple[float, int]] = []
+    for i, w in enumerate(_SEARCH_GRID):
         if time.monotonic() > deadline:
             return None
         witness = _norms_with_escalation(images, phi, space, [w], [1.0 / kernel_norm(space, w)], order)
@@ -847,28 +842,30 @@ def witness_search(
             continue
         if witness.is_conclusive:
             return witness
-        ranked.append((witness.adjoint_norm / max(witness.forward_norm, 1e-300), w))
+        ranked.append((witness.adjoint_norm / max(witness.forward_norm, 1e-300), i))
 
     ranked.sort(key=lambda t: -t[0])
-    top = [w for _ratio, w in ranked[:20]] or _SEARCH_GRID
+    grid = range(len(_SEARCH_GRID))
+    top = [i for _ratio, i in ranked[:20]] or grid
     rng = np.random.default_rng(seed)
-    trials: list[list[complex]] = []
+    trials: list[list[int]] = []
     for trial in range(400):
-        pts: list[complex] = []
-        while len(pts) < (2 if trial % 2 == 0 else 3):
-            pool = top if rng.random() < 0.7 else _SEARCH_GRID
-            w = pool[int(rng.integers(0, len(pool)))]
-            if all(abs(w - u) > 1e-9 for u in pts):
-                pts.append(w)
-        trials.append(pts)
+        idx: list[int] = []
+        while len(idx) < (2 if trial % 2 == 0 else 3):
+            pool = top if rng.random() < 0.7 else grid
+            i = pool[int(rng.integers(0, len(pool)))]
+            if i not in idx:
+                idx.append(i)
+        trials.append(idx)
 
     # Every trial point is a grid point, so stage 1 has expanded its image at this order.
-    for pts, c in zip(trials, _stage_two_coefficients(images, phi, space, trials, order)):
+    for idx, c in zip(trials, _stage_two_coefficients(images, phi, space, trials, order)):
         if time.monotonic() >= deadline:
             return None
         if c is None:
             continue
-        witness = _norms_with_escalation(images, phi, space, pts, [complex(x) for x in c], order)
+        pts, cs = [_SEARCH_GRID[i] for i in idx], [complex(x) for x in c]
+        witness = _norms_with_escalation(images, phi, space, pts, cs, order)
         if witness is not None and witness.is_conclusive:
             return witness
     return None

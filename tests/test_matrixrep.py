@@ -973,20 +973,32 @@ def test_stacked_eigenpairs_skip_only_the_indefinite_slice():
 
 @DERANDOMIZED
 @given(weights, kernel_maps, st.sampled_from((hc.hardy(), hc.bergman(0.7))),
-       st.sampled_from((2, 3)).flatmap(
-           lambda m: st.lists(st.lists(annulus(0.1, 0.9), min_size=m, max_size=m), min_size=1, max_size=6)))
-def test_stacked_forms_are_the_one_list_forms(psi, phi, space, stack):
-    # Bit for bit, so a stacked stage 2 finds the witnesses one trial at a time would.
+       st.lists(annulus(0.1, 0.9), min_size=3, max_size=12, unique=True),
+       st.sampled_from((48, 128, 1024)), st.data())
+def test_grid_form_slices_are_the_one_list_forms(psi, phi, space, grid, n, data):
+    # Stage 2 of the witness search slices its trials' forms from the forms of
+    # its grid.  K and A are elementwise, so their slices are exact; F is one
+    # matrix product over the grid, whose slices may round differently.
     images = KernelImages(psi, phi, space)
-    forms = kernel_gram_forms(images, phi, space, stack, 48)
-    assert all(f.shape == (len(stack), len(stack[0]), len(stack[0])) for f in forms)
-    for i, points in enumerate(stack):
-        assert _same(tuple(f[i] for f in forms), kernel_gram_forms(images, phi, space, points, 48))
+    forms = kernel_gram_forms(images, phi, space, grid, n)
+    for _ in range(3):
+        idx = data.draw(st.lists(st.integers(0, len(grid) - 1), min_size=2, max_size=3, unique=True))
+        kernel, adjoint, forward = (g[np.ix_(idx, idx)] for g in forms)
+        want_k, want_a, want_f = kernel_gram_forms(images, phi, space, [grid[i] for i in idx], n)
+        assert np.array_equal(kernel, want_k) and np.array_equal(adjoint, want_a)
+        assert np.max(np.abs(forward - want_f)) <= 1e-14 * np.max(np.abs(want_f))
 
 
-def test_ragged_point_stack_refused(H2):
-    with pytest.raises(InvalidParameterError, match="lists of one length"):
-        kernel_gram_forms(1, hc.dilation(0.5), H2, [[0.1, 0.2], [0.3]], 8)
+@pytest.mark.parametrize("c", [math.nan, math.inf, complex(0.0, -math.inf)], ids=repr)
+def test_non_finite_coefficient_refused(H2, monkeypatch, c):
+    # Refused before any numerics: no kernel image is expanded, and no NaN
+    # norm or RuntimeWarning comes out.
+    def refuse(*args):
+        raise AssertionError("expanded a kernel image")
+
+    monkeypatch.setattr(matrixrep, "composed_kernel", refuse)
+    with pytest.raises(InvalidParameterError, match="coefficients must be finite"):
+        hc.kernel_gram_norms(1, hc.dilation(0.5), H2, [0.3, 0.5], [1.0, c], 48)
 
 
 class TestCsvDumps:

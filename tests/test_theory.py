@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import hypocomp as hc
 import hypocomp.theory as theory
+from hypocomp import matrixrep
 from hypocomp.errors import (
     DegenerateMapError,
     HypothesisMismatchError,
@@ -780,7 +781,7 @@ def _count_grams(monkeypatch):
 
 def _one_trial_at_a_time(psi, phi, space, order, seed=1729):
     """The witness search with a loop over its 400 stage-2 trials, each
-    solving its own 2x2 or 3x3 eigenproblem: the reference for the stacked
+    solving its own 2x2 or 3x3 eigenproblem: the reference for the sliced
     stage 2.  No deadline."""
     images = KernelImages(psi, phi, space)
     grid = theory._radial_grid((0.15, 0.3, 0.45, 0.6, 0.75, 0.9))
@@ -889,7 +890,7 @@ class TestWitnessSearch:
                 for b in (math.inf, 600)]
         assert runs[0] is not None and repr(runs[0]) == repr(runs[1])
 
-    def test_stacked_stage_two_finds_what_one_trial_at_a_time_finds(self):
+    def test_sliced_stage_two_finds_what_one_trial_at_a_time_finds(self):
         outcomes = []
         for coeffs, phi, space in _near_constant_weight_cases():
             psi = hc.polynomial_fn(*coeffs)
@@ -904,6 +905,29 @@ class TestWitnessSearch:
                 assert abs(x - y) <= 1e-12 * abs(y)
         # The sample must reach stage 2, and exhaust it once, to test it.
         assert sum(k is not None and k > 1 for k in outcomes) >= 3 and None in outcomes
+
+    @pytest.mark.parametrize("coeffs, phi, found", [
+        ((1,), hc.dilation(0.5), False),
+        ((1, 0.01), hc.hyperbolic_nonauto_form(0.5), True),
+    ])
+    def test_stage_two_reads_one_grid_gram_of_stage_one_images(self, H2, monkeypatch, coeffs, phi, found):
+        # Stage 2 slices every trial's forms from one kernel_gram_forms call
+        # over the search grid.  Each grid point's kernel image was expanded
+        # by stage 1 at the search's order, so that call expands none.
+        calls, expanded = [], []
+        forms, composed = theory.kernel_gram_forms, matrixrep.composed_kernel
+        monkeypatch.setattr(matrixrep, "composed_kernel", lambda *a: expanded.append(a) or composed(*a))
+
+        def counted(psi, phi, space, points, n):
+            before = len(expanded)
+            out = forms(psi, phi, space, points, n)
+            calls.append((points, n, len(expanded) - before))
+            return out
+
+        monkeypatch.setattr(theory, "kernel_gram_forms", counted)
+        w = hc.witness_search(hc.polynomial_fn(*coeffs), phi, H2, budget_seconds=3600, order=48)
+        assert (w is not None) == found and (w is None or len(w.points) > 1)
+        assert calls == [(theory._SEARCH_GRID, 48, 0)]
 
     @pytest.mark.parametrize(
         "coeffs, phi",
