@@ -6,26 +6,26 @@ MAX_TRUNCATION = 1024.  Sections are built for linear-fractional symbols
 phi only.  Weighted composition and multiplication sections (the latter is
 the case phi(z) = z) share one build, row by row: each row of the
 coefficients of psi phi^j follows from the row above it by the recurrence
-that (c z + d) phi = a z + b gives, written once and contiguously, O(N^2) in
-all (see _section).  Sections with phi(0) = 0, multiplication sections among
-them, need no solve: each row is plain vector arithmetic, and the section is
-lower triangular with its strict upper triangle exactly zero, so its
-spectral radius is read off the diagonal.  Any other row is one bidiagonal
-solve (BLAS tbsv, fetched from scipy.linalg on the first build, so a process
-that builds no section never imports scipy).  Everything is pure but a
-KernelImages table, which fills as the one witness search that owns it looks
-up kernel images, and is never shared between searches; matrix builds may
-run concurrently on separate inputs.
+that (c z + d) phi = a z + b gives, written once and contiguously (see
+_section).  Sections with phi(0) = 0, multiplication sections among them,
+need no solve: each row is plain vector arithmetic, O(N^2) in all, and the
+section is lower triangular with its strict upper triangle exactly zero, so
+its spectral radius is read off the diagonal.  Any other row is one
+bidiagonal solve, a doubling scan of log2 N vector steps in place.  All of
+it is numpy; nothing in this package imports scipy.  Everything is pure but
+a KernelImages table, which fills as the one witness search that owns it
+looks up kernel images, and is never shared between searches; matrix builds
+may run concurrently on separate inputs.
 
 operator_norm and gelfand_estimate iterate on the section scaled by a power
 of two to Frobenius norm in [1/2, 1) and scale the value back, both exactly:
 2^j M gives 2^j times the value for M, and no weight is too large or too
-small for them.  operator_norm takes at most K Lanczos products, 8 power
-steps and one LAPACK call; its path depends on work done, never on time.
-gelfand_estimate certifies ||M^k|| by power steps with M alone (2k
-matrix-vector products a step) and forms M^k with matrix_power only when
-those steps stall, as they do on the clustered top singular values of
-Toeplitz-like sections.
+small for them.  operator_norm takes at most K products of a thick-restart
+Lanczos pass, 8 power steps and one LAPACK call; its path depends on work
+done, never on time.  gelfand_estimate certifies ||M^k|| by power steps
+with M alone (2k matrix-vector products a step) and forms M^k with
+matrix_power only when those steps stall, as they do on the clustered top
+singular values of Toeplitz-like sections.
 
 Compact sections deflate (_leading_block).  Column j of a section is
 psi phi^j / beta(j); when phi maps the closed disk into the open disk its
@@ -75,6 +75,11 @@ _POWER_SEED = 1729
 _NORM_REL_TOL = 1e-8
 # Most power steps of one certificate (operator_norm, gelfand_estimate).
 _QUICK_STEPS = 8
+# Lanczos basis size, the Ritz vectors each restart keeps, and the relative
+# residual at which a Ritz pair or the basis counts as converged (_lanczos).
+_LANCZOS_BASIS = 20
+_LANCZOS_KEEP = 10
+_LANCZOS_TOL = 1e-12
 # Rows per block of a section's analysis (OperatorMatrix._analysis): its
 # scaled block is 512 KiB at N = 1024.
 _BLOCK_ROWS = 32
@@ -175,46 +180,54 @@ def _section(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, n: int)
         d Q[i, j+1] - b Q[i, j] = a Q[i-1, j] - c Q[i-1, j+1],   Q[i, 0] = psi_i,
 
     so each row follows from the one above it and is written once,
-    contiguously, in O(N): O(N^2) in all.  When phi(0) = 0 (b = 0:
+    contiguously, in O(N), or O(N log N) with a solve.  When phi(0) = 0 (b = 0:
     dilations, rotations, multiplications, every map fixing the origin) a row
     is plain vector arithmetic with no solve, Q[i, j+1] = (a Q[i-1, j] -
     c Q[i-1, j+1]) / d, and it is non-zero only for j <= i: the section is
     lower triangular and its strict upper triangle is never written.
-    Otherwise a row is one bidiagonal solve along it (BLAS tbsv), a
-    first-order recurrence in j whose factor b / d = phi(0) has modulus below
-    1, so it is stable.  Then, off Hardy, the whole section is scaled in place
-    to Q[i, j] beta(i) / beta(j), multiplied by beta(i) and divided by
-    beta(j) in complex arithmetic, so no loop casts.
-    scipy.signal.lfilter would do the same filtering, but importing
-    scipy.signal costs about a second.  tbsv is fetched here, on the first
-    build, so that only processes that build a section import scipy.linalg.
+    Otherwise a row is the first-order recurrence x_j = r x_(j-1) + y_j along
+    it, with r = b / d = phi(0) of modulus below 1, so it is stable: after
+    the division by d, a doubling scan adds r^s x_(j-s) to every x_j for
+    s = 1, 2, 4, ..., at most log2 N vector steps in place.  After the steps
+    below S, x_j lacks exactly r^S x_(j-S) of its sum, so the scan stops at
+    the first S with |r|^S <= eps^2 (S = 128 for |r| = 1/2): what it leaves
+    out is below eps^2 of the largest entry of the row.  The scan adds the
+    terms in another order than a serial solve (BLAS tbsv) and is as
+    accurate: on random sections at N <= 256, both differ from an 80-bit
+    serial solve by at most about 8 eps of the largest entry.  Then, off
+    Hardy, the whole section is scaled in place to Q[i, j] beta(i) / beta(j),
+    multiplied by beta(i) and divided by beta(j) in complex arithmetic, so no
+    loop casts.
     """
-    from scipy.linalg.blas import ztbsv
-
     a, b, c, d = phi.a, phi.b, phi.c, phi.d
     q = np.zeros((n, n), dtype=complex)
     q[:, 0] = expand_analytic(psi_f, n)
-    if b:
-        # Lower band storage of the bidiagonal matrix with diagonal (1, d, d, ...)
-        # and subdiagonal -b: row i solves Q[i, 0] = psi_i and the recurrence.
-        band = np.empty((2, n), dtype=complex, order="F")
-        band[0], band[1] = d, -b
-        band[0, 0] = 1.0
-    term = np.empty(n, dtype=complex)
+    solved, term = np.zeros(n, dtype=complex), np.empty(n, dtype=complex)
+    # A solved row is built in `solved` and then copied, so that the scan's
+    # views, and its powers as numpy scalars, are made once: slicing and
+    # converting cost about as much as a step's arithmetic.
+    scan, s, rs = [], 1, b / d   # x[s:] += r^s x[:-s] for x = solved, r = phi(0)
+    while b and s < n and abs(rs) > _EPS * _EPS:
+        scan.append((solved[s:], solved[:-s], term[:n - s], np.array(rs)))
+        s, rs = 2 * s, rs * rs
     # In place: the loop allocates nothing, so no per-row temporaries
     # fragment the heap around the section.
     for i in range(n):
+        x = solved if b else q[i]
         width = n if b else i + 1   # row i is zero beyond column i when b = 0
-        row = q[i, 1:width]
+        row = x[1:width]
         if i:
             prev = q[i - 1, :width]
             np.multiply(prev[:-1], a, out=row)
             if c:
                 np.subtract(row, np.multiply(prev[1:], c, out=term[:width - 1]), out=row)
-        if b:
-            ztbsv(1, band, q[i], lower=1, overwrite_x=1)   # a contiguous row: solved in place
-        elif d != 1:
+        if d != 1:
             np.divide(row, d, out=row)
+        if b:
+            x[0] = q[i, 0]
+            for hi, lo, product, power in scan:
+                np.add(hi, np.multiply(lo, power, product), hi)
+            q[i] = x
     if space.alpha != -1.0:   # on Hardy every beta is 1
         beta = beta_array(space, n).astype(complex)
         q *= beta[:, None]
@@ -225,7 +238,7 @@ def _section(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, n: int)
 
 def build_weighted_composition(psi, phi: MoebiusMap, space: SpaceSpec, n: int) -> OperatorMatrix:
     """Section of f -> psi * (f o phi) for a linear-fractional self-map phi,
-    in O(N^2) (see _section)."""
+    in O(N^2), or O(N^2 log N) when phi(0) != 0 (see _section)."""
     _check_truncation(n)
     if not isinstance(phi, MoebiusMap):
         raise InvalidParameterError("finite sections need a linear-fractional symbol")
@@ -304,19 +317,69 @@ def _power_steps(apply, v: np.ndarray, cap: int) -> tuple[float, float] | None:
     return None
 
 
+def _lanczos(apply, v: np.ndarray, budget: int) -> np.ndarray | None:
+    """Top eigenvector of a Hermitian apply by thick-restart Lanczos (Wu and
+    Simon, SIAM J. Matrix Anal. Appl. 22 (2000)), in at most budget products.
+
+    The basis holds _LANCZOS_BASIS orthonormal vectors, each new one
+    orthogonalised twice against all the others, so the projection H = V^H A V
+    is read from the orthogonalisation coefficients alone.  When the basis is
+    full, the top Ritz pair (theta, y) of H has residual beta |y_last|, beta
+    the norm of the next direction; the Ritz vector is returned once that is
+    at most 1e-12 theta.  Otherwise the top _LANCZOS_KEEP Ritz vectors and
+    the next direction start the next cycle, which costs _LANCZOS_BASIS -
+    _LANCZOS_KEEP products; None when the budget cannot pay for it.  A next
+    direction of norm at most 1e-12 ||A v_j|| is rounding noise: the basis
+    spans an invariant subspace, which holds the top eigenvector for a
+    generic v, so its top Ritz vector is returned at once (continuing from
+    the noise would lose orthogonality).
+    """
+    m, keep = _LANCZOS_BASIS, _LANCZOS_KEEP
+    basis = np.empty((m + 1, v.size), dtype=complex)
+    h = np.zeros((m, m), dtype=complex)   # its upper triangle is H
+    basis[0] = v
+    k, products = 0, 0
+    while products + m - k <= budget:
+        for j in range(k, m):
+            w = apply(basis[j])
+            products += 1
+            size = float(np.linalg.norm(w))
+            coef = basis[:j + 1].conj() @ w
+            w -= coef @ basis[:j + 1]
+            again = basis[:j + 1].conj() @ w
+            w -= again @ basis[:j + 1]
+            h[:j + 1, j] = coef + again
+            beta = float(np.linalg.norm(w))
+            if beta <= _LANCZOS_TOL * size:
+                y = np.linalg.eigh(h[:j + 1, :j + 1], UPLO="U")[1]
+                return y[:, -1] @ basis[:j + 1]
+            basis[j + 1] = w / beta
+        theta, y = np.linalg.eigh(h, UPLO="U")
+        if beta * abs(y[-1, -1]) <= _LANCZOS_TOL * theta[-1]:
+            return y[:, -1] @ basis[:m]
+        basis[:keep] = y[:, -keep:].T @ basis[:m]
+        basis[keep] = basis[m]
+        h[:] = 0.0
+        h[:keep, :keep] = np.diag(theta[-keep:])
+        k = keep
+    return None
+
+
 def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
     """Largest singular value, by work bounded by the block order K.
 
     Deterministically seeded, on M scaled by a power of two to Frobenius norm
     in [1/2, 1) (OperatorMatrix._analysis), and on its leading block A_K alone
     (_leading_block): by Weyl, ||A_K|| is within ||E||_2 <= sqrt(2) eps
-    ||M||_F of ||M||.  A Lanczos pass on M*M of at most K products is kept
-    (method "lanczos") if at most 8 power steps then certify, by the residual
-    ||(M*M)v - lambda v||, that some eigenvalue of M*M lies within 1e-8
-    lambda of lambda.  Otherwise one scipy.linalg.svdvals call on the block
-    gives it (method "lapack-svdvals"), with LAPACK's stated bound eps sigma
-    on sigma as residual in the units of M*M: eps sigma (2 sigma + eps sigma).
-    Raises ConvergenceFailureError only when LAPACK does not converge.
+    ||M||_F of ||M||.  A Lanczos pass on M*M of at most K products (_lanczos)
+    is kept (method "lanczos") if at most 8 power steps then certify, by the
+    residual ||(M*M)v - lambda v||, that some eigenvalue of M*M lies within
+    1e-8 lambda of lambda.  The pass runs only when K exceeds 30, room for a
+    full basis and one restart.  Otherwise one LAPACK gesdd call on the block
+    (np.linalg.svd, values only) gives it (method "lapack-svdvals"), with
+    LAPACK's stated bound eps sigma on sigma as residual in the units of M*M:
+    eps sigma (2 sigma + eps sigma).  Raises ConvergenceFailureError only when
+    LAPACK does not converge.
     """
     s = m._analysis
     if s is None:
@@ -327,27 +390,16 @@ def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
     def gram(x):
         return _adjoint_apply(a, a @ x)
 
-    # Seeking one eigenvalue with ncv = 20 Lanczos vectors, ARPACK spends 21
-    # products on its first pass and at most 10 on each restart (it keeps
-    # half of them), so `restarts` restarts stay within K products.
-    restarts, certified = (n - 21) // 10, None
-    if restarts >= 1:
-        from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-
-        op = LinearOperator((n, n), matvec=gram, dtype=complex)
-        try:
-            _vals, vecs = eigsh(op, k=1, which="LA", v0=_seed_vector(n), maxiter=restarts, tol=1e-12)
-        except ArpackError:  # out of products, or failed: the dense path below
-            pass
-        else:
-            certified = _power_steps(gram, vecs[:, 0], _QUICK_STEPS)
+    certified = None
+    if n > 2 * _LANCZOS_BASIS - _LANCZOS_KEEP:
+        vec = _lanczos(gram, _seed_vector(n), n)
+        if vec is not None:
+            certified = _power_steps(gram, vec, _QUICK_STEPS)
     if certified is not None:
         value, resid, method = math.sqrt(certified[0]), certified[1], "lanczos"
     else:
-        import scipy.linalg
-
         try:
-            value = float(scipy.linalg.svdvals(a, overwrite_a=True)[0])
+            value = float(np.linalg.svd(a, compute_uv=False)[0])
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailureError(f"LAPACK singular values did not converge: {exc}") from exc
         resid, method = _EPS * value * value * (2.0 + _EPS), "lapack-svdvals"

@@ -14,7 +14,6 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -188,6 +187,51 @@ def test_origin_fixing_sections_are_the_column_recurrence_bit_for_bit(psi, phi, 
     assert not np.triu(got, 1).any()
 
 
+def tbsv_section(psi, phi, space, n):
+    """The section row by row, each row solved serially by BLAS tbsv, as a
+    reference for the doubling scan: row i solves Q[i, 0] = psi_i and
+    d Q[i, j+1] - b Q[i, j] = a Q[i-1, j] - c Q[i-1, j+1]."""
+    a, b, c, d = phi.a, phi.b, phi.c, phi.d
+    band = np.empty((2, n), dtype=complex, order="F")   # diagonal (1, d, d, ...), subdiagonal -b
+    band[0], band[1] = d, -b
+    band[0, 0] = 1.0
+    q = np.zeros((n, n), dtype=complex)
+    q[:, 0] = hc.expand_analytic(psi, n)
+    for i in range(n):
+        if i:
+            q[i, 1:] = a * q[i - 1, :-1] - c * q[i - 1, 1:]
+        q[i] = scipy.linalg.blas.ztbsv(1, band, q[i], lower=1)
+    beta = hc.beta_array(space, n).astype(complex)
+    return q * beta[:, None] / beta
+
+
+@st.composite
+def origin_moving_maps(draw):
+    """Self-maps with phi(0) != 0, whose rows are solved."""
+    kind = draw(st.sampled_from(("automorphism", "normal form", "parabolic", "contraction")))
+    p = draw(st.floats(0.05, 0.7)) * draw(unimodular)
+    if kind == "automorphism":
+        return hc.compose(hc.rotation(draw(unimodular)), hc.alpha_p(p))
+    if kind == "normal form":
+        return hc.normal_form_map(p, draw(st.floats(0.05, 0.95)) * draw(unimodular))
+    if kind == "parabolic":
+        t = complex(draw(st.floats(0.05, 2.0)), draw(st.floats(-1.0, 1.0)))
+        return hc.cayley_parabolic(draw(unimodular), t)
+    return hc.compose(hc.alpha_p(p), hc.dilation(draw(st.floats(0.05, 0.95)) * draw(unimodular)))
+
+
+@DERANDOMIZED
+@given(weights, origin_moving_maps(), spaces, st.integers(1, 256))
+def test_solved_rows_match_tbsv(psi, phi, space, n):
+    # The scan sums each row in another order than tbsv, so the two agree to
+    # a few eps of the largest entry, and the deflation order is the same.
+    got = hc.build_weighted_composition(psi, phi, space, n)
+    want = tbsv_section(psi, phi, space, n)
+    assert phi.b != 0
+    assert np.abs(got.entries - want).max() <= 16 * np.finfo(float).eps * np.abs(want).max()
+    assert got._analysis.order == hc.OperatorMatrix(want)._analysis.order
+
+
 def _fresh_process(body):
     """Stdout words of a fresh interpreter that imports hypocomp and its cli
     from this checkout, then runs body."""
@@ -222,12 +266,21 @@ def test_escalate_and_numeric_spectral_leave_scipy_special_unimported():
     assert out == ["0", "0", "False"]
 
 
-def test_only_finite_sections_import_scipy():
-    # scipy.linalg costs more than half of a cold start.  Closed forms, the
-    # escalated check (stage 1), the selftest and a full stage-2 witness
-    # search (400 trials) load no scipy module; a numeric spectral call then
-    # loads it for its section and still succeeds.
+def test_no_call_imports_scipy(tmp_path):
+    # scipy is a test dependency only.  With every scipy import made to fail,
+    # closed forms, the escalated check (stage 1), the selftest, a full
+    # stage-2 witness search (400 trials) and numeric spectral calls on a
+    # section with phi(0) != 0, one the Lanczos pass certifies and one on the
+    # LAPACK path all succeed, eigenvalue dumps included.
+    numeric = [("parabolic:1,1", "1,0.5", "hardy", 64),
+               ("hyperbolic-nonauto:0.5", "1,0.5", "bergman:1", 256),
+               ("rotation:i", "2,1", "hardy", 128)]
     out = _fresh_process(
+        f"numeric = {numeric!r}\n"
+        f"dumps = {[str(tmp_path / f'eigs{k}.csv') for k in range(3)]!r}\n"
+        "print('scipy' in sys.modules)\n"
+        "sys.modules['scipy'] = None\n"
+        "methods = []\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(['classify', '--map', 'parabolic:1,1', '--json']),\n"
         "             cli.main(['check', '--psi', '1,0.5', '--map', 'parabolic:1,1', '--json']),\n"
@@ -236,12 +289,18 @@ def test_only_finite_sections_import_scipy():
         "                       '--space', 'bergman:0', '--escalate', '--json']),\n"
         "             cli.main(['selftest', '--json'])]\n"
         "    found = hypocomp.witness_search(1, hypocomp.dilation(0.5), hypocomp.hardy(), order=48)\n"
-        "    loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
-        "    numeric = cli.main(['spectral', '--psi', '1,0.5', '--map', 'parabolic:1,1',\n"
-        "                        '--numeric', '--order=64', '--json'])\n"
-        "print(*codes, found, loaded, numeric, 'scipy' in sys.modules)\n"
+        "    for (phi, psi, space, n), path in zip(numeric, dumps):\n"
+        "        codes.append(cli.main(['spectral', '--psi', psi, '--map', phi, '--space', space,\n"
+        "                               '--numeric', f'--order={n}', '--dump-eigs', path, '--json']))\n"
+        "        phi = cli.parse_map(phi)\n"
+        "        space = {'hardy': hypocomp.hardy(), 'bergman:1': hypocomp.bergman(1)}[space]\n"
+        "        m = hypocomp.build_weighted_composition(cli.parse_weight(psi, phi, space), phi, space, n)\n"
+        "        methods.append(hypocomp.operator_norm(m).method)\n"
+        "print(*methods, *codes, found)\n"
     )
-    assert out == ["0", "0", "0", "0", "0", "None", "[]", "0", "True"]
+    assert out == ["False", "lanczos", "lanczos", "lapack-svdvals", *["0"] * 8, "None"]
+    for k, (_phi, _psi, _space, n) in enumerate(numeric):
+        assert len((tmp_path / f"eigs{k}.csv").read_text().splitlines()) == n + 1
 
 
 class TestBuildMultiplication:
@@ -401,14 +460,11 @@ class TestSpectralEstimates:
         m = hc.OperatorMatrix(np.zeros((5, 5), complex))
         assert hc.operator_norm(m).value == 0.0
 
-    def test_arpack_failure_takes_the_dense_path(self, H2, monkeypatch):
-        def fail(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", None, None)
-
+    def test_lanczos_failure_takes_the_dense_path(self, H2, monkeypatch):
         m = hc.build_weighted_composition(hc.polynomial_fn(2, 1), cli.parse_map("parabolic:1,1"), H2, 64)
         lanczos = hc.operator_norm(m)
         assert lanczos.method == "lanczos"
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+        monkeypatch.setattr(matrixrep, "_lanczos", lambda apply, v, budget: None)
         est = hc.operator_norm(m)
         assert est.method == "lapack-svdvals"
         assert est.value == pytest.approx(lanczos.value, rel=1e-12, abs=0.0)
@@ -679,10 +735,10 @@ def norm_sections(draw):
 def _counted_operator_norm(m):
     """operator_norm(m) with its Gram products and LAPACK calls counted."""
     products, lapack = [], []
-    real_apply, real_svdvals = matrixrep._adjoint_apply, scipy.linalg.svdvals
+    real_apply, real_svd = matrixrep._adjoint_apply, np.linalg.svd
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(matrixrep, "_adjoint_apply", lambda a, x: products.append(1) or real_apply(a, x))
-        patched.setattr(scipy.linalg, "svdvals", lambda *a, **k: lapack.append(1) or real_svdvals(*a, **k))
+        patched.setattr(np.linalg, "svd", lambda *a, **k: lapack.append(1) or real_svd(*a, **k))
         est = hc.operator_norm(m)
     return est, len(products), len(lapack)
 
@@ -703,12 +759,8 @@ class TestOperatorNorm:
         natural, products, lapack = _counted_operator_norm(m)
         assert products <= order + matrixrep._QUICK_STEPS and lapack <= 1
         assert lapack == (natural.method == "lapack-svdvals")
-
-        def fail(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", None, None)
-
         with pytest.MonkeyPatch.context() as patched:
-            patched.setattr(scipy.sparse.linalg, "eigsh", fail)
+            patched.setattr(matrixrep, "_lanczos", lambda apply, v, budget: None)
             dense = hc.operator_norm(m)
         assert dense.method == "lapack-svdvals"
         for est in (natural, dense):
@@ -723,6 +775,81 @@ class TestOperatorNorm:
         est, products, lapack = _counted_operator_norm(m)
         assert (est.method, lapack) == ("lapack-svdvals", 1)
         assert products <= 128
+
+    @pytest.mark.parametrize("phi, psi, space, n, converges", [
+        ("rotation:i", "2,1", "hardy", 128, False),
+        ("1,0,0,1", "2,1", "bergman:0", 96, False),
+        ("1,0.5,0.5,1", "2,1", "hardy", 256, True),
+        ("parabolic:1,1", "1,0.5", "bergman:1", 128, True),
+        ("normal-form:0.3,0.4", "kernel-quotient:0.3,0.7", "bergman:0", 256, True),
+    ])
+    def test_lanczos_pass_stays_within_its_budget(self, phi, psi, space, n, converges):
+        # The pass alone makes at most K Gram products, whether it returns a
+        # vector or runs out; a pass that runs out has spent all but at most
+        # one restart of them.  Called directly, it keeps to any budget.
+        phi = cli.parse_map(phi)
+        space = hc.hardy() if space == "hardy" else hc.bergman(float(space.split(":")[1]))
+        m = hc.build_weighted_composition(cli.parse_weight(psi, phi, space), phi, space, n)
+        order = m._analysis.order
+        products, passes = [], []
+        real_apply, real_lanczos = matrixrep._adjoint_apply, matrixrep._lanczos
+
+        def counted_lanczos(apply, v, budget):
+            before = len(products)
+            vec = real_lanczos(apply, v, budget)
+            passes.append((len(products) - before, budget, vec is not None))
+            return vec
+
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(matrixrep, "_adjoint_apply", lambda a, x: products.append(1) or real_apply(a, x))
+            patched.setattr(matrixrep, "_lanczos", counted_lanczos)
+            est = hc.operator_norm(m)
+            [(spent, budget, returned)] = passes
+            assert (budget, returned) == (order, converges)
+            assert spent <= order
+            if not converges:
+                assert spent > order - (matrixrep._LANCZOS_BASIS - matrixrep._LANCZOS_KEEP)
+            assert est.method == ("lanczos" if converges else "lapack-svdvals")
+            a = m._scaled_block(order)
+            seed = matrixrep._seed_vector(order)
+            for budget in (20, 31, 45, order // 2):
+                products.clear()
+                matrixrep._lanczos(lambda x: matrixrep._adjoint_apply(a, a @ x), seed, budget)
+                assert 0 < len(products) <= budget
+
+    @pytest.mark.parametrize("phi, n", [("rotation:i", 128), ("1,0.5,0.5,1", 256), ("parabolic:1,1", 128)])
+    @pytest.mark.parametrize("wrong", ["seed", "last basis vector", "nan"])
+    def test_a_wrong_lanczos_vector_moves_no_value(self, phi, n, wrong, monkeypatch):
+        # The Lanczos vector only seeds the power steps that certify a value:
+        # from a wrong one they either still certify, or the block goes to
+        # LAPACK, and either way the value is LAPACK's within its bound.
+        m = hc.build_weighted_composition(hc.polynomial_fn(2, 1), cli.parse_map(phi), hc.hardy(), n)
+        want = float(np.linalg.svd(m.entries, compute_uv=False)[0])
+        eps = np.finfo(float).eps
+        slack = math.sqrt(2.0) * eps * float(np.linalg.norm(m.entries)) + 4 * eps * want
+        vector = {"seed": lambda k: matrixrep._seed_vector(k),
+                  "last basis vector": lambda k: np.eye(k, dtype=complex)[-1],
+                  "nan": lambda k: np.full(k, np.nan, dtype=complex)}[wrong]
+        monkeypatch.setattr(matrixrep, "_lanczos", lambda apply, v, budget: vector(v.size))
+        est = hc.operator_norm(m)
+        assert abs(est.value - want) <= est.residual / est.value + slack, est.method
+        if phi == "rotation:i" or wrong == "nan":
+            assert est.method == "lapack-svdvals"
+
+    @pytest.mark.parametrize("kind", ["2 I", "shift", "rank 3", "two values"])
+    def test_an_invariant_krylov_space_ends_the_pass(self, kind):
+        # Here the seed's Krylov space is invariant after a few products, and
+        # the next direction is rounding noise: the pass returns the top Ritz
+        # vector, which certifies, instead of losing orthogonality.
+        rng = np.random.default_rng(3)
+        a = {"2 I": lambda: 2.0 * np.eye(64),
+             "shift": lambda: np.eye(64, k=-1),
+             "rank 3": lambda: rng.standard_normal((64, 3)) @ rng.standard_normal((3, 64)),
+             "two values": lambda: np.diag([3.0] * 10 + [1.0] * 54)}[kind]()
+        est = hc.operator_norm(hc.OperatorMatrix(a))
+        want = float(np.linalg.svd(a, compute_uv=False)[0])
+        assert est.method == "lanczos"
+        assert abs(est.value - want) <= est.residual / est.value + 4 * np.finfo(float).eps * want
 
 
 class TestAdjointKernelResidual:
