@@ -46,7 +46,7 @@ from .errors import (
     HypocompError,
     TheoryUnavailableError,
 )
-from .funcalg import AnalyticFunction, polynomial_fn, rational_fn
+from .funcalg import MAX_TRUNCATION, AnalyticFunction, polynomial_fn, rational_fn
 from .moebius import (
     MoebiusMap,
     cayley_parabolic,
@@ -80,8 +80,8 @@ def _space(args) -> SpaceSpec:
     """The space of check or spectral, after checking that it is known and
     that 8 <= --order <= MAX_TRUNCATION."""
     space = space_from_label(args.space)
-    if not 8 <= args.order <= matrixrep.MAX_TRUNCATION:
-        raise ValueError(f"truncation order must lie in [8, {matrixrep.MAX_TRUNCATION}]")
+    if not 8 <= args.order <= MAX_TRUNCATION:
+        raise ValueError(f"truncation order must lie in [8, {MAX_TRUNCATION}]")
     return space
 
 

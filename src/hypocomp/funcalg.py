@@ -45,7 +45,6 @@ from .errors import (
 from .moebius import MoebiusMap, disk_image, require_in_disk, require_pole_free
 
 MAX_DEGREE = 64
-MAX_ORDER = 4096
 
 # The zero test's circle, refusal threshold and samples (no_zero_in_closed_disk).
 _ZERO_TEST_RADIUS = 1.0 + 1e-6
@@ -424,7 +423,7 @@ def circle(r: float, n: int) -> np.ndarray:
     return r * np.exp(1j * (2.0 * math.pi * np.arange(n) / n))
 
 
-# The sample points of is_value_constant and value_scale: 0, then circle(0.7, 24).
+# The sample points of is_value_constant: 0, then circle(0.7, 24).
 _VALUE_POINTS = np.append(0j, circle(0.7, 24))
 _VALUE_POINTS.flags.writeable = False
 
@@ -446,17 +445,10 @@ def sample(f: AnalyticFunction, z: np.ndarray) -> np.ndarray:
         return in_double_range(f(z), f)
 
 
-def value_scale(f: AnalyticFunction) -> float:
-    """max |f| over the samples of is_value_constant: the size the vanishing
-    tests in theory measure values of f against, so that c f passes them
-    exactly when f does.  Zero only for the zero function."""
-    return float(np.abs(sample(f, _VALUE_POINTS)).max())
-
-
 def is_value_constant(f: AnalyticFunction) -> bool:
     """Whether f is constant as a function: each of its samples on the grid
-    circle(0.7, 24) lies within 1e-12 value_scale(f) of f(0), a test that
-    c f passes exactly when f does."""
+    circle(0.7, 24) lies within 1e-12 of f(0), relative to the largest of
+    those samples and f(0), a test that c f passes exactly when f does."""
     v = sample(f, _VALUE_POINTS)
     return not np.any(np.abs(v[1:] - v[0]) > _CONSTANT_TOL * np.abs(v).max())
 
@@ -558,6 +550,15 @@ def _linear_power(p: complex, q: complex, s: complex, t: complex, gamma: float, 
     return np.array(f, dtype=complex)
 
 
+# The one cap on truncation orders: series, sections, Grams and searches.
+MAX_TRUNCATION = 1024
+
+
+def _check_truncation(n: int) -> None:
+    if not 1 <= n <= MAX_TRUNCATION:
+        raise InvalidParameterError(f"truncation order must lie in [1, {MAX_TRUNCATION}]")
+
+
 def expand_analytic(f: AnalyticFunction, n: int) -> np.ndarray:
     """The first n Maclaurin coefficients of base * prod r_i^gamma_i, as a
     new complex array that the caller owns.
@@ -566,10 +567,9 @@ def expand_analytic(f: AnalyticFunction, n: int) -> np.ndarray:
     linear-fractional and takes the O(n) recurrence of _linear_power.  Each
     part joins by a truncated Cauchy product; a unit base 1/1, as kernels
     and composed kernels have, joins none.  Construction of f tested every
-    denominator, so nothing is tested here.
+    denominator, so nothing is tested here; n must lie in [1, MAX_TRUNCATION].
     """
-    if not 1 <= n <= MAX_ORDER:
-        raise InvalidParameterError(f"expansion order must lie in [1, {MAX_ORDER}]")
+    _check_truncation(n)
     out = None if f.base == _UNIT and f.factors else _rational_series(f.base, n)
     for r, gamma in f.factors:
         (p, q), (s, t) = (c + (0j,) * (2 - len(c)) for c in (r.num.coefficients, r.den.coefficients))

@@ -60,6 +60,7 @@ from .errors import ConvergenceFailureError, InvalidParameterError, PrecisionLos
 from .funcalg import (
     _EPS,
     AnalyticFunction,
+    _check_truncation,
     boundary_sup,
     constant_fn,
     composed_kernel,
@@ -69,7 +70,6 @@ from .funcalg import (
 from .moebius import IDENTITY, MoebiusMap, require_in_disk, require_self_map
 from .space import SpaceSpec, beta_array, kernel
 
-MAX_TRUNCATION = 1024
 _POWER_SEED = 1729
 # Relative residual at which power steps stop (_power_steps).
 _NORM_REL_TOL = 1e-8
@@ -157,11 +157,6 @@ class SpectralEstimate:
     value: float
     method: str
     residual: float
-
-
-def _check_truncation(n: int) -> None:
-    if not 1 <= n <= MAX_TRUNCATION:
-        raise InvalidParameterError(f"truncation order must lie in [1, {MAX_TRUNCATION}]")
 
 
 def as_analytic(psi) -> AnalyticFunction:

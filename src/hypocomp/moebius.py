@@ -215,9 +215,6 @@ def require_self_map(phi: MoebiusMap) -> None:
 # ---------------------------------------------------------------------------
 # Fixed points
 
-_INFINITY = "infinity"
-
-
 @dataclass(frozen=True)
 class FixedPointData:
     """A fixed point with its multiplier phi'(p) (angular derivative on the circle)."""

@@ -34,7 +34,9 @@ from .errors import (
 )
 from .funcalg import (
     _EPS,
+    MAX_TRUNCATION,
     AnalyticFunction,
+    _check_truncation,
     circle,
     compose_with_moebius,
     composed_kernel,
@@ -44,9 +46,8 @@ from .funcalg import (
     kernel_function,
     no_zero_in_closed_disk,
     sample,
-    value_scale,
 )
-from .matrixrep import MAX_TRUNCATION, KernelImages, _check_truncation, _kernel_points, as_analytic
+from .matrixrep import KernelImages, _kernel_points, as_analytic
 from .matrixrep import kernel_gram_forms, kernel_gram_norms
 from .moebius import (
     MapKind,
@@ -269,13 +270,12 @@ def parabolic_kernel_inequality(psi, phi: MoebiusMap, space: SpaceSpec, grid=Non
 
 def _first_violation(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, zeta: complex,
                      grid: tuple[complex, ...]) -> InequalityViolation | None:
-    """parabolic_kernel_inequality for a symbol already known to be a parabolic
-    non-automorphism fixing the unimodular zeta, on the default grid or one from _kernel_points."""
-    scale = value_scale(psi_f)
+    """parabolic_kernel_inequality for a parabolic non-automorphism fixing the unimodular zeta, on a grid
+    from _kernel_points.  A violation exceeds |psi(zeta)| by 1e-12 of the larger side: c psi violates alike."""
     lhs = abs(psi_f(zeta))
     for w in grid:
         rhs = _kernel_ratio(psi_f, phi, space, w)
-        if rhs - lhs > 1e-12 * scale:
+        if rhs - lhs > 1e-12 * max(lhs, rhs):
             return InequalityViolation(w, lhs, rhs)
     return None
 
@@ -341,6 +341,20 @@ def _near_circle_tol(p: complex) -> float:
     return 1e-12 / (1.0 - abs(p) ** 2) ** 2
 
 
+def _kernel_quotient_mismatch(psi_f, p, value, phi, space) -> complex | None:
+    """The first z of circle(0.85, 20) where psi_f(z) and value K_p(z)/K_p(phi(z))
+    differ by more than _near_circle_tol(p) times the larger of the two, or
+    None: the one test of the normal-form identity.  Both sides pass
+    in_double_range; scaling psi_f and value by one c != 0 moves no decision."""
+    z = circle(0.85, 20)
+    lhs = sample(psi_f, z)
+    kp = kernel_function(p, space.gamma)
+    with np.errstate(all="ignore"):
+        rhs = in_double_range(complex(value) * kp(z) / kp(phi(z)), psi_f)
+    differs = np.abs(lhs - rhs) > _near_circle_tol(p) * np.maximum(np.abs(lhs), np.abs(rhs))
+    return complex(z[differs][0]) if differs.any() else None
+
+
 def normal_form_map(p: complex, delta: complex) -> MoebiusMap:
     """alpha_p o (delta alpha_p), the symbol that fixes p with multiplier delta.
 
@@ -361,18 +375,14 @@ def normal_form(p: complex, delta: complex, value_at_p: complex, space: SpaceSpe
     """phi = normal_form_map(p, delta) and psi = value K_p / (K_p o phi).
 
     The compact hyponormal (equivalently normal) weighted composition
-    operators are exactly these, for |delta| < 1.
+    operators are exactly these, for |delta| < 1.  psi must pass classify_weighted's
+    identity test, _kernel_quotient_mismatch (relative tolerance _near_circle_tol(p), scale-free).
     """
     p = complex(p)
     delta = complex(delta)
     phi = normal_form_map(p, delta)
     psi = kernel_quotient_weight(p, value_at_p, phi, space)
-    # Verify the defining identities on a 20-point grid.
-    z = circle(0.8, 20)
-    kp = kernel_function(p, space.gamma)
-    with np.errstate(all="ignore"):
-        rhs = in_double_range(complex(value_at_p) * kp(z) / kp(phi(z)), psi)
-    if np.any(np.abs(sample(psi, z) - rhs) > 1e-12 * (1.0 + np.abs(rhs))):
+    if _kernel_quotient_mismatch(psi, p, value_at_p, phi, space) is not None:
         raise InvalidParameterError("normal-form weight failed its defining identity")
     mult = phi.derivative(p)
     if abs(mult - delta) > _near_circle_tol(p):
@@ -390,9 +400,8 @@ def _vanishes_at(psi_f: AnalyticFunction, a: complex, tol: float) -> bool:
     denominator zero-free on the closed disk, so psi_f(a) = 0 exactly when the
     base numerator vanishes at a.  Its value is measured against the size of
     its own terms there, sum |c_k| |a|^k, which no power factor and no alpha
-    enters (value_scale(psi_f) grows like a power alpha + 2 for a kernel
-    quotient, and called psi_f(p) = 1 a zero at alpha = 150).  c psi_f passes
-    exactly when psi_f does; a size past the double range is refused.
+    enters.  c psi_f passes exactly when psi_f does; a size past the double
+    range is refused.
     """
     num = psi_f.base.num
     size = sum(abs(c) * abs(a) ** k for k, c in enumerate(num.coefficients))
@@ -423,7 +432,9 @@ def classify_weighted(
     point, the parabolic kernel inequality on a deterministic grid, exact
     normal-form matching for strict contractions, then candidate (optionally
     escalated to a numeric certificate by witness search).  Value-constant
-    weights delegate to the unweighted classifier.
+    weights delegate to the unweighted classifier.  The normal-form match is
+    normal_form's test, _kernel_quotient_mismatch: psi = psi(p) K_p/(K_p o phi)
+    on |z| = 0.85 to _near_circle_tol(p) relative, so c psi decides as psi.
     """
     opts = options or WeightedOptions()
     psi_f = as_analytic(psi)
@@ -491,15 +502,12 @@ def classify_weighted(
                 CIT_COMPACT_NORMAL_FORM,
                 details="weight vanishes at the interior fixed point",
             )
-        scale = value_scale(psi_f)
-        z = circle(0.85, 20)
-        ref = sample(kernel_quotient_weight(p, psi_f(p), phi, space), z)
-        differs = np.abs(sample(psi_f, z) - ref) > _near_circle_tol(p) * (scale + np.abs(ref))
-        if differs.any():
+        z = _kernel_quotient_mismatch(psi_f, p, psi_f(p), phi, space)
+        if z is not None:
             return HyponormalityVerdict(
                 Outcome.NOT_HYPONORMAL,
                 CIT_COMPACT_NORMAL_FORM,
-                details=f"weight differs from the kernel quotient at z = {complex(z[differs][0]):.6g}",
+                details=f"weight differs from the kernel quotient at z = {z:.6g}",
             )
         return HyponormalityVerdict(
             Outcome.NORMAL,

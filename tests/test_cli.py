@@ -209,6 +209,17 @@ class TestInputOutsideHypotheses:
         code, rep = run_json(capsys, "check", "--psi", "0.5,-0.25", "--map", "parabolic:1,1")
         assert code == 0 and rep["verdict"]["outcome"] == "NotHyponormal"
 
+    @pytest.mark.parametrize("argv, message", [
+        (("check", "--psi=1,abc", "--map=parabolic:1,1"), "cannot parse complex number 'abc'"),
+        (("classify", "--map=1,0,1"), "a raw map needs exactly four coefficients a,b,c,d"),
+        (("check", "--psi=kernel-quotient:0.3", "--map=normal-form:0.3,0.4"), "kernel-quotient takes p,value"),
+    ])
+    def test_malformed_input_exit_2(self, capsys, argv, message):
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     # Kernel-quotient and normal-form points go through the same disk gate as --grid, NaN included.
     @pytest.mark.parametrize("argv", [
         ("check", "--psi=kernel-quotient:nan,1", "--map=normal-form:0.3,0.4"),
@@ -429,6 +440,14 @@ class TestNumericDiagnostics:
         # perfbench reads the three values by this pattern; the advisory must not match it.
         assert not re.search(r"(operator norm|truncation spectral radius|gelfand estimate k=8) (\S+)$",
                              advisory)
+
+    def test_text_format_prints_the_diagnostics(self, capsys):
+        argv = ("spectral", "--psi", "2,1", "--map", "0.5,0,0,1", *self.SMALL)
+        _, rep = run_json(capsys, *argv)
+        code, out = run(capsys, *argv, "--format=text")
+        assert code == 0 and len(rep["diagnostics"]) == 3
+        assert [line for line in out.splitlines() if line.startswith("diagnostic: ")] == [
+            f"diagnostic: {d}" for d in rep["diagnostics"]]
 
     @staticmethod
     def _numbers(rep):

@@ -96,6 +96,7 @@ def test_space_gate(entry):
 # Each takes a truncation order, which must lie in [1, MAX_TRUNCATION].
 ORDER_ENTRIES = {
     "build_weighted_composition": lambda n: hc.build_weighted_composition(1, hc.dilation(0.5), H2, n),
+    "expand_analytic": lambda n: hc.expand_analytic(hc.polynomial_fn(2, 1), n),
     "kernel_gram_forms": lambda n: kernel_gram_forms(1, hc.dilation(0.5), H2, [0.3], n),
     "kernel_gram_norms": lambda n: hc.kernel_gram_norms(1, hc.dilation(0.5), H2, [0.3], [1.0], n),
     "WeightedOptions": lambda n: hc.WeightedOptions(order=n),

@@ -1,8 +1,10 @@
 """Classifiers, closed forms, normal forms, conjugation, witness search."""
 
 import cmath
+import itertools
 import math
 import re
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -21,6 +23,7 @@ from hypocomp.errors import (
     NotAFixedPointError,
     NotSelfMapError,
     PoleEncounteredError,
+    PrecisionLossError,
     TheoryUnavailableError,
     ZeroSymbolError,
 )
@@ -196,6 +199,79 @@ def normal_forms_near_the_circle(draw):
     delta = draw(st.floats(0.05, 0.95)) * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
     value = draw(st.floats(0.5, 2.0)) * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
     return p, delta, value, draw(st.sampled_from((hc.hardy(), hc.bergman(0), hc.bergman(1))))
+
+
+# c = 2^k, |k| <= 300, or 10^(+-m), 6 <= m <= 100: far beyond the rounding of
+# any tolerance, and exact (2^k) or not (10^m) in binary.
+SCALES = st.one_of(st.integers(-300, 300).map(lambda k: 2.0**k),
+                   st.builds(lambda m, sign: 10.0 ** (sign * m), st.integers(6, 100), st.sampled_from((1, -1))))
+BERGMAN_OR_HARDY = st.one_of(st.just(hc.hardy()), st.floats(0.0, 10.0).map(hc.bergman))
+
+
+class TestOneIdentityTest:
+    """normal_form and classify_weighted decide the normal-form identity by one
+    scale-free test, and the parabolic inequality is scale-free too."""
+
+    @DERANDOMIZED
+    @given(normal_forms_near_the_circle(), SCALES, BERGMAN_OR_HARDY)
+    def test_scaled_normal_forms_build_and_are_normal(self, case, c, space):
+        # Such as normal_form(0.9999, 0.4, 1e6, hardy()): the identity test is
+        # relative at each point, so the value's scale moves no decision.
+        p, delta, value, _space = case
+        nf = hc.normal_form(p, delta, c * value, space)
+        assert hc.classify_weighted(nf.psi, nf.phi, space).outcome is Outcome.NORMAL
+
+    @DERANDOMIZED
+    @given(st.lists(st.complex_numbers(max_magnitude=2.0), min_size=1, max_size=3),
+           st.floats(0.0, 2.0 * math.pi), st.floats(0.1, 2.0), st.floats(-1.0, 1.0), SCALES, BERGMAN_OR_HARDY)
+    def test_scaled_weights_violate_at_the_same_point(self, coeffs, turn, t_re, t_im, c, space):
+        phi = hc.cayley_parabolic(cmath.exp(1j * turn), complex(t_re, t_im))
+        psi = hc.polynomial_fn(1, *coeffs)
+        base = hc.parabolic_kernel_inequality(psi, phi, space)
+        scaled = hc.parabolic_kernel_inequality(psi.scale(c), phi, space)
+        assert (base is None) is (scaled is None)
+        if base is not None:
+            assert scaled.point == base.point
+            assert scaled.kernel_side_value == pytest.approx(c * base.kernel_side_value, rel=1e-13)
+
+    def test_normal_form_and_the_classifier_share_it(self, H2, monkeypatch):
+        nf = hc.normal_form(0.3, 0.4, 1, H2)
+        seen = []
+
+        def mismatch(psi_f, p, value, phi, space):
+            seen.append((p, value))
+            return 0.85j
+
+        monkeypatch.setattr(theory, "_kernel_quotient_mismatch", mismatch)
+        with pytest.raises(InvalidParameterError, match="defining identity"):
+            hc.normal_form(0.3, 0.4, 2, H2)
+        v = hc.classify_weighted(nf.psi, nf.phi, H2)
+        assert v.outcome is Outcome.NOT_HYPONORMAL
+        assert v.details == "weight differs from the kernel quotient at z = 0+0.85j"
+        assert [value for _p, value in seen] == [2, pytest.approx(1, rel=1e-12)]
+
+    # psi (1 + eps e^(i theta) z^m) against the normal form of psi: at a sample z
+    # of circle(0.85, 20) the two sides differ by eps |z^m - p^m|, relative to
+    # the larger within a factor 1 + eps (0.85^m + |p|^m).  For m not a multiple
+    # of 20 some sample has z^m at least 90 degrees from p^m, where
+    # |z^m - p^m| >= 0.85^m; at every sample |z^m - p^m| <= 0.85^m + |p|^m.
+    # Hence NotHyponormal from eps 0.85^m = 10 tau, and Normal up to
+    # eps (0.85^m + |p|^m) = tau/10, for tau = _near_circle_tol(p).
+    @DERANDOMIZED
+    @given(normal_forms_near_the_circle(), st.integers(1, 19), st.floats(0.0, 2.0 * math.pi),
+           st.booleans(), st.floats(0.0, 1.0))
+    def test_the_verdict_band(self, case, m, theta, far, u):
+        p, delta, value, space = case
+        phi = hc.normal_form_map(p, delta)
+        psi = hc.kernel_quotient_weight(p, value, phi, space)
+        tau = theory._near_circle_tol(p)
+        if far:
+            eps = 10.0 ** (1.0 + u) * tau / 0.85**m
+        else:
+            eps = 10.0 ** (-1.0 - 2.0 * u) * tau / (0.85**m + abs(p) ** m)
+        bent = psi * hc.polynomial_fn(1, *[0] * (m - 1), eps * cmath.exp(1j * theta))
+        want = Outcome.NOT_HYPONORMAL if far else Outcome.NORMAL
+        assert hc.classify_weighted(bent, phi, space).outcome is want
 
 
 class TestClassifyWeighted:
@@ -855,6 +931,48 @@ class TestWitnessSearch:
         assert hc.witness_search(1, hc.dilation(0.5), H2, budget_seconds=2.5, order=48) is None
         assert grams == {"single": 97, "multi": 400}
         assert hc.witness_search(1, hc.dilation(0.5), H2, budget_seconds=3600, order=48) is None
+
+    @staticmethod
+    def _clock_past_the_deadline_from(monkeypatch, reading):
+        """A clock for theory that reads 0 until its reading-th call (the
+        first, 0, sets the deadline) and 2 from then on, past a 1 s budget."""
+        calls = itertools.count()
+        monkeypatch.setattr(theory, "time", SimpleNamespace(monotonic=lambda: 0.0 if next(calls) < reading else 2.0))
+
+    # Stage 1 reads the clock before each of the 97 grid points, stage 2
+    # before each of its 400 trials; the dilation has no witness, so every
+    # point and trial before the deadline costs exactly one Gram evaluation.
+    @pytest.mark.parametrize("k", [0, 1, 50, 96])
+    def test_deadline_before_a_grid_point(self, H2, monkeypatch, k):
+        grams = _count_grams(monkeypatch)
+        self._clock_past_the_deadline_from(monkeypatch, 1 + k)
+        assert hc.witness_search(1, hc.dilation(0.5), H2, budget_seconds=1.0, order=48) is None
+        assert grams == {"single": k, "multi": 0}
+
+    @pytest.mark.parametrize("j", [0, 1, 150, 399])
+    def test_deadline_before_a_stage_two_trial(self, H2, monkeypatch, j):
+        grams = _count_grams(monkeypatch)
+        self._clock_past_the_deadline_from(monkeypatch, 1 + 97 + j)
+        assert hc.witness_search(1, hc.dilation(0.5), H2, budget_seconds=1.0, order=48) is None
+        assert grams == {"single": 97, "multi": j}
+
+    @pytest.mark.parametrize("order, tried", [
+        (64, [64, 128, 256, 512, 1024]),
+        (48, [48, 96, 192, 384, 768]),
+        (1024, [1024]),
+    ])
+    def test_escalation_gives_up_past_the_truncation_cap(self, H2, monkeypatch, order, tried):
+        orders = []
+
+        def lossy(psi, phi, space, points, coeffs, n):
+            orders.append(n)
+            raise PrecisionLossError("tail bound not within 10% of the norm")
+
+        monkeypatch.setattr(theory, "kernel_gram_norms", lossy)
+        phi = hc.dilation(0.5)
+        images = KernelImages(1, phi, H2)
+        assert theory._norms_with_escalation(images, phi, H2, [0.3], [1.0], order) is None
+        assert orders == tried
 
     def test_normal_form_none(self, H2, monkeypatch):
         nf = hc.normal_form(0.3, 0.4, 1, H2)
