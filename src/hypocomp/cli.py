@@ -297,7 +297,10 @@ def _cmd_spectral(args) -> tuple[dict, int]:
     diagnostics: list[str] = []
     if args.numeric:
         n = args.order
-        m = matrixrep.build_weighted_composition(psi, phi, space, n)
+        # A compact section is built only to the order that proves the rest
+        # below the analysis' tolerance; a dump writes every entry asked for.
+        k = n if args.dump_matrix or args.dump_eigs else matrixrep.proved_block_order(psi, phi, space, n)
+        m = matrixrep.build_weighted_composition(psi, phi, space, k)
         norm_est = matrixrep.operator_norm(m)
         tsr = matrixrep.truncation_spectral_radius(m)
         gel = matrixrep.gelfand_estimate(m, 8)

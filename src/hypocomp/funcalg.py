@@ -59,9 +59,10 @@ _TINY = float(np.finfo(float).tiny)
 # Relative tolerance of is_value_constant and samples of boundary_sup.
 _CONSTANT_TOL = 1e-12
 _BOUNDARY_SUP_SAMPLES = 2048
-# series_tail_bound: the cap on its radii, their gaps (R - rho)/(R - 1), the
-# samples of a base denominator of degree >= 2 on each circle, and the least
-# ratio of a lower bound to its rounding bound.
+# The majorant's circles (_tail_radii, _log_majorant): the cap on their
+# radii, their gaps (R - rho)/(R - 1), the samples of a base denominator of
+# degree >= 2 on each circle, and the least ratio of a lower bound to its
+# rounding bound.
 _TAIL_RADIUS_CAP = 9.0
 _TAIL_GAPS = 2.0 ** (-np.arange(1, 49) / 3.0)
 _TAIL_GAPS.flags.writeable = False
@@ -533,10 +534,11 @@ def _linear_power(p: complex, q: complex, s: complex, t: complex, gamma: float, 
     admits only p != 0 and |t| < |s|, so a and b are finite.  Kept in this
     factored form, the recurrence leaves the roots -1/a and -1/b where they
     are; multiplying (1 + a z)(1 + b z) out moves them.  Measured against a
-    40-digit oracle on 300 composed kernels K_w o phi of every map class,
-    |w| <= 0.99, gamma up to 150 and n up to 1024, the relative l2 error is
-    at most 8.4e-14 (tests bound it by 2e-13), below the 1e-12 adjoint_norm
-    rounding allowance of CertificateWitness.is_conclusive.
+    40-digit oracle on 400 seeded composed kernels K_w o phi of every map
+    class at gamma = 150 and n = 1024, |w| <= 0.99, the relative l2 error
+    reached 3.9e-13 (6 of them above 2e-13, all on automorphisms and
+    interior contractions), below the 1e-12 adjoint_norm rounding allowance
+    of CertificateWitness.is_conclusive; no bound on it is proved.
     """
     a, b = q / p, t / s
     g = gamma * (q * s - p * t) / (p * s)
@@ -644,6 +646,39 @@ def _majorant_terms(f: AnalyticFunction, rho: np.ndarray) -> tuple[np.ndarray, n
     return np.array(m), x, err
 
 
+def _tail_radii(f: AnalyticFunction, limit=None) -> np.ndarray | None:
+    """The 48 radii at which a Parseval bound on f is tried:
+    rho = R - (R - 1) 2^(-j/3), j = 1..48, which crowd towards R, the least
+    of f's singularity radius and 9 (where the optimum rho ~ R (1 - gamma/n)
+    of a power singularity lies), or limit(R), a caller's own bound on R.
+    None when R <= 1 + 1e-9, so that no circle beyond the unit circle is
+    left.
+    """
+    top = min(min_singularity_radius(f), _TAIL_RADIUS_CAP)
+    if limit is not None:
+        top = limit(top)
+    return top - (top - 1.0) * _TAIL_GAPS if top > 1.0 + 1e-9 else None
+
+
+def _log_majorant(f: AnalyticFunction, rho: np.ndarray, n: int = 0) -> np.ndarray:
+    """Upper bounds on log(rho^-n max_{|z|=rho} |f|) for an array of radii
+    rho > 1: _majorant_terms' sum of m_i log X_i, less n log rho, plus a
+    bound on the rounding of that sum.  inf at a radius where a lower bound
+    among the terms is not positive or is ill-conditioned (relative rounding
+    above 2^-12).
+
+    log(X (1 + theta)) = log X + theta' with |theta'| <= 1.0002 |theta| for
+    |theta| <= 2^-12, and each log, product and sum rounds by at most eps
+    times the sum of the moduli of its terms, of which there are len(m) + 1.
+    """
+    m, x, err = _majorant_terms(f, rho)
+    ok = (x > _TAIL_CONDITION * err).all(axis=0)
+    x = np.where(ok, x, 1.0)
+    logs, weights, shift = np.log(x), np.abs(m), n * np.log(rho)
+    slack = 1.0002 * (weights @ (err / x)) + 2.0 * (len(m) + 4) * _EPS * (weights @ np.abs(logs) + shift)
+    return np.where(ok, m @ logs - shift + slack, math.inf)
+
+
 def series_tail_bound(f: AnalyticFunction, n: int) -> float:
     """A proved upper bound on sqrt(sum_{k>=n} |c_k|^2) for the Maclaurin
     coefficients c_k of f.
@@ -651,14 +686,9 @@ def series_tail_bound(f: AnalyticFunction, n: int) -> float:
     Parseval on a circle |z| = rho inside the nearest singularity R gives
     sum_k |c_k|^2 rho^(2k) <= M(rho)^2 for any M(rho) >= max |f| there, so
     the tail is at most rho^(-n) M(rho).  M is the closed-form majorant of
-    _majorant_terms, and rho is the best of 48 radii
-    rho = R - (R - 1) 2^(-j/3), j = 1..48, which crowd towards R (capped at
-    9), where the optimum rho ~ R (1 - gamma/n) of a power singularity lies.
-    A radius is skipped where a lower bound among the terms is not positive
-    or is ill-conditioned (relative rounding above 2^-12).  The bound's
-    logarithm is summed in floating point; the result is its exponential
-    times the rounding factor exp(slack), slack bounding the rounding of that
-    logarithm, and is rounded up one ulp.
+    _majorant_terms, and rho is the best of _tail_radii's 48 radii.  The
+    result is the exponential of the least of _log_majorant's bounds on
+    log(rho^-n M(rho)), which states their rounding, rounded up one ulp.
 
     The bound is on the Taylor (Hardy) coefficients: a caller in a weighted
     space multiplies it by beta(n), which bounds beta(k) for every k >= n.
@@ -666,22 +696,8 @@ def series_tail_bound(f: AnalyticFunction, n: int) -> float:
     deg = f.polynomial_degree()
     if (deg is not None and deg < n) or f.base.num.is_zero():
         return 0.0
-    radius = min(min_singularity_radius(f), _TAIL_RADIUS_CAP)
-    if radius <= 1.0 + 1e-9:
+    rho = _tail_radii(f)
+    if rho is None:
         return math.inf
-    rho = radius - (radius - 1.0) * _TAIL_GAPS
-    m, x, err = _majorant_terms(f, rho)
-    ok = (x > _TAIL_CONDITION * err).all(axis=0)
-    logs = m[:, None] * np.log(np.where(ok, x, 1.0))
-    n_log_rho = n * np.log(rho)
-    j = int(np.argmin(np.where(ok, logs.sum(axis=0) - n_log_rho, math.inf)))
-    if not ok[j]:
-        return math.inf
-    # Every radius gives a bound; at rho_j, log(X (1 + theta)) = log X + theta'
-    # with |theta'| <= 1.0002 |theta| for |theta| <= 2^-12, and each log,
-    # product and sum rounds by at most eps times the sum of their moduli.
-    terms = logs[:, j].tolist() + [-float(n_log_rho[j])]
-    slack = sum(1.0002 * abs(mi) * e / xi for mi, xi, e in zip(m.tolist(), x[:, j].tolist(), err[:, j].tolist()))
-    slack += 2.0 * (len(terms) + 3) * _EPS * sum(map(abs, terms))
-    best = math.fsum(terms) + slack
+    best = float(_log_majorant(f, rho, n).min())
     return math.nextafter(math.exp(best), math.inf) if best < 709.0 else math.inf

@@ -27,19 +27,25 @@ with M alone (2k matrix-vector products a step) and forms M^k with
 matrix_power only when those steps stall, as they do on the clustered top
 singular values of Toeplitz-like sections.
 
-Compact sections deflate (_leading_block).  Column j of a section is
+Compact sections are built in part and deflate.  Column j of a section is
 psi phi^j / beta(j); when phi maps the closed disk into the open disk its
-coefficients decay geometrically in i and j, so the section is, to unit
-roundoff, a small leading block A_K padded with zeros.  K is the smallest
-order such that rows K.. and columns K.. each hold at most eps^2 ||M||_F^2;
-then M = diag(A_K, 0) + E with ||E||_F <= sqrt(2) eps ||M||_F, the size of
-LAPACK's own backward error on M.  The scale and K are found once per
-section, from the row and column sums of squares of one pass over blocks of
-rows, each scaled into a buffer of one block, with no scaled copy of the
-section (OperatorMatrix._analysis); operator_norm,
+coefficients decay geometrically in i and j, so the order-N section M_N is,
+to unit roundoff, a small leading block padded with zeros.
+proved_block_order proves from one circle |z| = rho > 1 an order beyond
+which M_N holds at most eps^2/4 ||M_N||_F^2, and spectral --numeric builds
+that leading block alone, bit for bit entries[:K, :K] of M_N.  The analysis
+of a section M (OperatorMatrix._analysis) deflates it further to A_K
+(_leading_block): K is the smallest order such that rows K.. and columns
+K.. each hold at most eps^2 ||M||_F^2, so M = diag(A_K, 0) + E with
+||E||_F <= sqrt(2) eps ||M||_F, the size of LAPACK's own backward error on
+M.  So A_K differs from M_N by at most (sqrt(2) + 1/2) eps ||M_N||_F in
+Frobenius norm: sqrt(2) eps from the deflation, eps/2 from the part not
+built.  The scale and K are found once per section, from the row and
+column sums of squares of one pass over blocks of rows, each scaled into a
+buffer of one block, with no scaled copy of the section; operator_norm,
 truncation_spectral_radius and gelfand_estimate work on A_K, formed from
 entries[:K, :K] (see each for what that moves).  Automorphism, parabolic,
-rotation and multiplication sections keep K = N and run in full.
+rotation and multiplication sections are built and run in full.
 
 Finite-section positivity is advisory only: compressions do not preserve the
 sign of A*A - AA* (the forward shift gives a spurious negative eigenvalue),
@@ -61,13 +67,15 @@ from .funcalg import (
     _EPS,
     AnalyticFunction,
     _check_truncation,
+    _log_majorant,
+    _tail_radii,
     boundary_sup,
     constant_fn,
     composed_kernel,
     expand_analytic,
     series_tail_bound,
 )
-from .moebius import IDENTITY, MoebiusMap, require_in_disk, require_self_map
+from .moebius import IDENTITY, MoebiusMap, disk_image, require_in_disk, require_self_map
 from .space import SpaceSpec, beta_array, kernel
 
 _POWER_SEED = 1729
@@ -83,6 +91,14 @@ _LANCZOS_TOL = 1e-12
 # Rows per block of a section's analysis (OperatorMatrix._analysis): its
 # scaled block is 512 KiB at N = 1024.
 _BLOCK_ROWS = 32
+# Grid radii and narrowings of the search for the radius where s_rho
+# reaches 1 (_s_one_radius), the entries of column 0 summed for the bound
+# on ||M||_F, and log(eps^2 / 4), the share of that bound's square that the
+# part of a section left unbuilt may hold (_tail_ratio_bound).
+_SECTIONS = 64
+_NARROWINGS = 4
+_COLUMN_TERMS = 64
+_LOG_QUARTER_EPS2 = math.log(0.25 * _EPS * _EPS)
 
 
 @dataclass(frozen=True)
@@ -250,6 +266,154 @@ def build_multiplication(h, space: SpaceSpec, n: int) -> OperatorMatrix:
     return _section(as_analytic(h), IDENTITY, space, n)
 
 
+def _image_sup(phi: MoebiusMap, rho: np.ndarray) -> np.ndarray:
+    """Upper bounds on s_rho = max_{|z|=rho} |phi| for an array of radii rho.
+
+    z -> phi(rho z) = (a rho z + b)/(c rho z + d) maps the closed unit disk
+    onto the disk |w - C| <= R of moebius.disk_image, so s_rho = |C| + R.  Its
+    products, moduli and the difference g = |d|^2 - |c rho|^2 each round by a
+    few eps relative to the moduli of their operands, so the computed value
+    is within 8 eps ((|b| + |a rho|)(|d| + |c rho|) + s (|d|^2 + |c rho|^2)) / g
+    of the exact one, which is added.  inf where g <= 0, where the pole -d/c
+    is not outside the circle.
+    """
+    a, b, c, d = phi.coefficients()
+    ar, cr = a * rho, c * rho
+    gap = abs(d) ** 2 - np.abs(cr) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):   # masked where gap <= 0
+        centre, radius = disk_image(ar, b, cr, d)
+        s = np.abs(centre) + radius
+        err = 8.0 * _EPS * ((abs(b) + np.abs(ar)) * (abs(d) + np.abs(cr)) + s * (abs(d) ** 2 + np.abs(cr) ** 2)) / gap
+    return np.where(gap > 0.0, s + err, math.inf)
+
+
+def _s_one_radius(phi: MoebiusMap, top: float) -> float:
+    """A radius in (1, top] with s_rho < 1 (_image_sup), near the least
+    radius in (1, top] where s_rho reaches 1; 1.0 when no radius the search
+    tries has s_rho < 1.
+
+    s_rho increases with rho, so where s_top >= 1 the radius is narrowed
+    _SECTIONS-fold _NARROWINGS times, each time to the two grid radii around
+    the first at which s_rho >= 1; one array call per narrowing.
+    """
+    if _image_sup(phi, np.array([top]))[0] < 1.0:
+        return top
+    lo, hi = 1.0, top
+    for _ in range(_NARROWINGS):
+        grid = np.linspace(lo, hi, _SECTIONS + 1)
+        first = int(np.argmax(_image_sup(phi, grid[1:]) >= 1.0))   # grid[-1] = hi has s >= 1
+        lo, hi = float(grid[first]), float(grid[first + 1])
+    return lo
+
+
+def _tail_ratio_bound(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, n: int):
+    """A function mapping an integer array of orders 1 <= K < n to upper
+    bounds on log(t_K^2 / ||column 0||^2), or None when no circle beyond the
+    unit circle bounds the section (see proved_block_order for t_K).
+
+    s_1 is tested first: an automorphism, a parabolic map or any map with a
+    contact point has s_1 = 1, and with its rounding bound s_1 >= 1.  (A
+    normal form near the circle passes, but its s_rho stays so near 1 that
+    no K < n is proved.)  The work is in the unit scale, on
+    psi 2^-e with 2^e the order of the largest entry of column 0: the
+    entries of column 0 and psi's coefficients scale exactly by powers of
+    two, so psi 2^j gives bit for bit the same bounds.  Only the first 64
+    entries of column 0 are summed: a part of it bounds ||M_n||_F as well,
+    and the sum costs no expansion to order n.  The radii are _tail_radii's
+    48, crowding toward the least of psi's singularity radius, 9, |d/c| and
+    the radius where s_rho reaches 1 (_s_one_radius); radii with s_rho >= 1
+    or no majorant are dropped, and each bound is the least over the radii
+    left.
+    It is a sum of logs, so no factor leaves the double range.  s_rho^2 and
+    _kernel_tail's ratio q are rounded up, so that every term moves the
+    bound up; the few operations after them round each log by at most 16 eps
+    times the sum of the moduli of its terms, and 1e-13 covers log beta(K)^2
+    (beta_array is within 6e-15 relative) and log(eps^2/4).  The computed
+    ||column 0||^2, a sum of at most n squares, is within 2 (n + 2) eps
+    relative, so its log is lowered by 4 (n + 2) eps.
+    """
+    if _image_sup(phi, np.ones(1))[0] >= 1.0:
+        return None
+    beta = beta_array(space, n)
+    col0 = expand_analytic(psi_f, min(n, _COLUMN_TERMS)) * beta[:_COLUMN_TERMS]
+    big = float(np.abs(col0).max())
+    e = math.frexp(big)[1]
+    if not 0.0 < big < math.inf or abs(e) > 1000:   # or 2^-e would leave the normal range
+        return None
+    parts = np.ldexp(col0.view(np.float64), -e)
+    log_col0 = math.log(float(parts @ parts))
+    log_col0 -= 4.0 * (n + 2) * _EPS + 16.0 * _EPS * (abs(log_col0) + 1.0)
+    a, b, c, d = phi.coefficients()
+    rho = _tail_radii(psi_f, lambda top: _s_one_radius(phi, min(top, abs(d / c) if c else math.inf)))
+    if rho is None:
+        return None
+    s, log_m = _image_sup(phi, rho), _log_majorant(psi_f.scale(math.ldexp(1.0, -e)), rho)
+    s2 = s * s * (1.0 + 4.0 * _EPS)   # rounded up, as is q below
+    ok = (s2 < 1.0) & np.isfinite(log_m)
+    if not ok.any():
+        return None
+    log_rho, log_m, s2 = np.log(rho[ok])[:, None], log_m[ok][:, None], s2[ok][:, None]
+    gamma = space.gamma
+    # sum_j s^(2j) / beta(j)^2 = (1 - s^2)^-gamma, the rows' factor and the
+    # columns' bound wherever _kernel_tail's ratio q is not below 1.
+    full, log_s2 = -gamma * np.log1p(-s2), np.log(s2)
+    with np.errstate(divide="ignore"):   # a beta that underflows gives the bound inf
+        log_b2 = 2.0 * np.log(beta)
+    moduli, growth = 2.0 * (np.abs(log_m) + np.abs(full)), 2.0 * log_rho - log_s2
+
+    def ratios(k: np.ndarray) -> np.ndarray:
+        rows = full - 2.0 * k * log_rho
+        # _kernel_tail's bound r2^K / beta(K)^2 / (1 - q) on the terms from K.
+        q = s2 * (k + gamma) / (k + 1.0) * (1.0 + 4.0 * _EPS)
+        fits = q < 1.0
+        shrink = -np.log1p(-np.where(fits, q, 0.0))
+        cols = np.where(fits, np.minimum(k * log_s2 - log_b2[k] + shrink, full), full)
+        slack = 16.0 * _EPS * (moduli + k * growth + np.abs(log_b2[k]) + shrink) + 1e-13
+        return (2.0 * log_m + np.logaddexp(rows, cols) + slack).min(axis=0) - log_col0
+
+    return ratios
+
+
+def proved_block_order(psi, phi: MoebiusMap, space: SpaceSpec, n: int) -> int:
+    """An order K whose section, built alone, is the order-n section less a
+    part of Frobenius norm at most eps/2 ||M_n||_F; n when none is proved (a
+    map with s_1 >= 1, or no K < n suffices).
+
+    The K x K section is bit for bit entries[:K, :K] of the order-n one:
+    the first K entries of row i need only the first K entries of row i - 1,
+    and of the doubling scan only the steps s < K (see _section).
+
+    The bound: take rho > 1 with psi and phi analytic on |z| <= rho and
+    s_rho = max_{|z|=rho} |phi| < 1 (_image_sup), and M_rho >= max_{|z|=rho}
+    |psi| (_log_majorant).  Parseval on |z| = rho gives
+    sum_i |[z^i] psi phi^j|^2 rho^(2i) <= M_rho^2 s_rho^(2j), and the entry
+    (i, j) is [z^i] psi phi^j beta(i) / beta(j) with beta <= 1.  So the rows
+    i >= K hold at most M^2 rho^(-2K) sum_j s^(2j) / beta(j)^2 = M^2 rho^(-2K)
+    (1 - s^2)^-gamma, the columns j >= K at most M^2 _kernel_tail(space, s,
+    K)^2, and the section outside its K x K block at most
+
+        t_K^2 = M_rho^2 (rho^(-2K) (1 - s_rho^2)^-gamma + _kernel_tail(space, s_rho, K)^2)
+
+    at any n.  Column 0, psi's coefficients times beta, is part of M_n, so
+    ||column 0|| <= ||M_n||_F, and K is where t_K^2 <= eps^2/4 ||column 0||^2
+    first holds (_tail_ratio_bound), found by bisection on K: t_K decreases
+    with K, and each K returned is checked on its own.  With the deflation
+    of OperatorMatrix._analysis the routines on the K x K section then work
+    on M_n up to sqrt(2) eps + eps/2 of ||M_n||_F.
+    """
+    _check_truncation(n)
+    if not isinstance(phi, MoebiusMap):
+        raise InvalidParameterError("finite sections need a linear-fractional symbol")
+    ratios = _tail_ratio_bound(as_analytic(psi), phi, space, n)
+    if ratios is None:
+        return n
+    lo, hi = 0, n   # order hi is proved (or is n itself), order lo is not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if ratios(np.array([mid]))[0] <= _LOG_QUARTER_EPS2 else (mid, hi)
+    return hi
+
+
 def self_commutator(m: OperatorMatrix) -> np.ndarray:
     """M*M - MM*, symmetrized to kill rounding skew."""
     a = m.entries
@@ -263,8 +427,10 @@ def _leading_block(rows: np.ndarray, cols: np.ndarray) -> int:
     that rows K.. of b hold at most eps^2 ||b||_F^2, and columns K.. hold at
     most as much.
 
-    Then b = diag(b[:K, :K], 0) + E with ||E||_F <= sqrt(2) eps ||b||_F.
-    Suffix sums of non-negative terms do not decrease toward the front, so
+    Then b = diag(b[:K, :K], 0) + E with ||E||_F <= sqrt(2) eps ||b||_F.  A
+    section built to proved_block_order's order adds at most eps/2 of the
+    order-N section's Frobenius norm for the part left unbuilt.  Suffix
+    sums of non-negative terms do not decrease toward the front, so
     counting those above the threshold finds K.
     """
     limit = _EPS * _EPS * float(rows.sum())
@@ -366,7 +532,9 @@ def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
     Deterministically seeded, on M scaled by a power of two to Frobenius norm
     in [1/2, 1) (OperatorMatrix._analysis), and on its leading block A_K alone
     (_leading_block): by Weyl, ||A_K|| is within ||E||_2 <= sqrt(2) eps
-    ||M||_F of ||M||.  A Lanczos pass on M*M of at most K products (_lanczos)
+    ||M||_F of ||M||, and within (sqrt(2) + 1/2) eps ||M_N||_F of the norm of
+    the order-N section M_N when M is its proved leading block
+    (proved_block_order).  A Lanczos pass on M*M of at most K products (_lanczos)
     is kept (method "lanczos") if at most 8 power steps then certify, by the
     residual ||(M*M)v - lambda v||, that some eigenvalue of M*M lies within
     1e-8 lambda of lambda.  The pass runs only when K exceeds 30, room for a
@@ -420,7 +588,9 @@ def truncation_spectral_radius(m: OperatorMatrix) -> SpectralEstimate:
     read off without the O(N^3) eigensolve.  Any other section is solved on
     its leading block A_K (_leading_block): the eigenvalues of diag(A_K, 0)
     are those of A_K and zero, and M differs from it by ||E||_F <= sqrt(2)
-    eps ||M||_F, the size of LAPACK's own backward error on M.
+    eps ||M||_F, the size of LAPACK's own backward error on M; the order-N
+    section M_N, when M is its proved leading block (proved_block_order),
+    differs from it by at most (sqrt(2) + 1/2) eps ||M_N||_F.
     """
     a = m.entries
     if _lower_triangular(a):
@@ -464,8 +634,11 @@ def gelfand_estimate(m: OperatorMatrix, k: int) -> SpectralEstimate:
     With M = diag(A_K, 0) + E (_leading_block), ||M^k - diag(A_K, 0)^k|| <=
     k ||M||_F^(k-1) ||E||_F <= sqrt(2) k eps ||M||_F^k.  The value for A_K is
     kept when that bound is at most 1e-8 ||A_K^k||, the power steps' own
-    tolerance; otherwise the full section is used.  The residual is that of
-    (A^H)^k A^k for the matrix A used, inf beyond the float range.
+    tolerance; otherwise all of M, the section as built, is used: the
+    order-N section M_N, or its proved leading block (proved_block_order),
+    which differs from it by at most eps/2 ||M_N||_F, so that the same bound
+    holds against M_N with (sqrt(2) + 1/2) for sqrt(2).  The residual is
+    that of (A^H)^k A^k for the matrix A used, inf beyond the float range.
     """
     if k < 1:
         raise InvalidParameterError("k must be at least 1")

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hypocomp as hc
-from hypocomp import cli, moebius
+from hypocomp import cli, matrixrep, moebius
 from hypocomp.errors import ConvergenceFailureError, NotAFixedPointError
 
 from conftest import DERANDOMIZED
@@ -407,6 +407,17 @@ class TestSpectralCommand:
         assert code == 0
         assert mpath.read_text().splitlines()[0] == "n,j,re,im"
         assert epath.read_text().splitlines()[0] == "k,re,im"
+
+    @pytest.mark.parametrize("dump", ["--dump-matrix", "--dump-eigs"])
+    def test_dumps_write_the_full_order_of_a_compact_section(self, capsys, tmp_path, dump):
+        # The analysis would build only the proved leading block; a dump asks for all N.
+        n = 128
+        assert matrixrep.proved_block_order(hc.polynomial_fn(1), hc.dilation(0.5), hc.hardy(), n) < n
+        path = tmp_path / "dump.csv"
+        code, _ = run_json(capsys, "spectral", "--psi", "1", "--map", "0.5,0,0,1",
+                           "--numeric", "--order", str(n), dump, str(path))
+        assert code == 0
+        assert len(path.read_text().splitlines()) == 1 + (n * n if dump == "--dump-matrix" else n)
 
 
 class TestNumericDiagnostics:

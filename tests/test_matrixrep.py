@@ -649,15 +649,20 @@ class TestDeflation:
         ("--map=normal-form:0.3,0.4", "--psi=kernel-quotient:0.3,0.7", "--space=bergman:0", "--order=512"),
     ], ids=["triangular dilation", "normal form"])
     def test_numeric_spectral_analyses_each_section_once(self, monkeypatch, argv):
-        built, analysed = [], []
+        # The one section built is the proved leading block, below the order asked for.
+        built, analysed, proved = [], [], []
         real_init, real_block = matrixrep.OperatorMatrix.__post_init__, matrixrep._leading_block
+        real_order = matrixrep.proved_block_order
         monkeypatch.setattr(matrixrep.OperatorMatrix, "__post_init__",
                             lambda self: built.append(self.order) or real_init(self))
         monkeypatch.setattr(matrixrep, "_leading_block",
                             lambda rows, cols: analysed.append(rows.size) or real_block(rows, cols))
+        monkeypatch.setattr(matrixrep, "proved_block_order",
+                            lambda *args: proved.append(real_order(*args)) or proved[-1])
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["spectral", "--numeric", "--json", *argv]) == 0
-        assert analysed == built == [int(argv[-1].split("=")[1])]
+        assert len(proved) == 1 and proved[0] < int(argv[-1].split("=")[1])
+        assert analysed == built == proved
 
     @DERANDOMIZED
     @given(compact_sections() | st.sampled_from([c[1:] for c in _NON_COMPACT]), st.permutations(range(3)))
@@ -712,6 +717,78 @@ class TestDeflation:
                              "--space=bergman:0", "--numeric", "--order=1024", "--json"])
         assert code == 0
         assert orders and max(orders) <= 128
+
+
+@st.composite
+def full_order_maps(draw):
+    """(touches, (psi, phi, space)) for a section that keeps its full order:
+    an automorphism, a parabolic map or a hyperbolic map with a contact
+    point, whose image touches the circle (touches is True), or a normal
+    form with 1 - |p| in [3e-7, 1e-6] (closer, its determinant underflows),
+    whose s_1 is within about 1e-6 of 1."""
+    space = draw(st.sampled_from((hc.hardy(), hc.bergman(0), hc.bergman(1))))
+    psi = hc.polynomial_fn(1, *draw(st.lists(disk(0.7), max_size=2)))
+    kind = draw(st.sampled_from(("automorphism", "parabolic", "contact point", "normal form")))
+    lam = draw(unimodular)
+    if kind == "automorphism":
+        return True, (psi, hc.compose(hc.rotation(lam), hc.alpha_p(draw(disk(0.9)))), space)
+    if kind == "parabolic":
+        t = complex(draw(st.sampled_from((0.0, 0.5, 2.0))), draw(st.floats(-2.0, 2.0)))
+        return True, (psi, hc.cayley_parabolic(lam, t if t else 1.0), space)
+    if kind == "contact point":
+        return True, (psi, hc.hyperbolic_nonauto_form(draw(st.floats(0.05, 0.95)) * lam), space)
+    p = (1.0 - 10.0 ** -draw(st.floats(6.0, 6.5))) * lam
+    return False, (psi, hc.normal_form_map(p, draw(st.floats(0.3, 0.9)) * draw(unimodular)), space)
+
+
+def _outside_block_mass(a, order):
+    """sum |a_ij|^2 over i >= order or j >= order, without cancellation."""
+    sq = np.abs(a) ** 2
+    return float(sq[order:].sum() + sq[:order, order:].sum())
+
+
+class TestProvedBlockOrder:
+    @DERANDOMIZED
+    @given(compact_sections(), st.sampled_from((64, 128, 256)))
+    def test_unbuilt_mass_is_at_most_the_bound(self, case, n):
+        # For every K < n, the full section's mass outside its K x K block is
+        # at most t_K^2, which the bound gives relative to ||column 0||^2.
+        ratios = matrixrep._tail_ratio_bound(*case, n)
+        assert ratios is not None
+        a = hc.build_weighted_composition(*case, n).entries
+        log_col0 = math.log(float(np.linalg.norm(a[:64, 0])) ** 2)
+        bounds = ratios(np.arange(1, n)) + log_col0
+        for order, bound in zip(range(1, n), bounds.tolist()):
+            mass = _outside_block_mass(a, order)
+            assert mass == 0.0 or math.log(mass) <= bound
+        order = matrixrep.proved_block_order(*case, n)
+        assert order == n or bounds[order - 1] <= math.log(0.25) + 2.0 * math.log(np.finfo(float).eps) + log_col0
+
+    @DERANDOMIZED
+    @given(compact_sections(), st.sampled_from((128, 256)))
+    def test_block_prints_the_full_sections_digits(self, case, n):
+        order = matrixrep.proved_block_order(*case, n)
+        full, block = (hc.build_weighted_composition(*case, k) for k in (n, order))
+        assert np.array_equal(block.entries, full.entries[:order, :order])
+        assert [f"{routine(block).value:.12g}" for routine in _ROUTINES] == \
+            [f"{routine(full).value:.12g}" for routine in _ROUTINES]
+
+    @DERANDOMIZED
+    @given(compact_sections(), st.sampled_from((-900, 900)))
+    def test_order_is_scale_free(self, case, j):
+        psi, phi, space = case
+        assert matrixrep.proved_block_order(psi.scale(2.0**j), phi, space, 256) == \
+            matrixrep.proved_block_order(psi, phi, space, 256)
+
+    @DERANDOMIZED
+    @given(full_order_maps(), st.sampled_from((32, 256)))
+    def test_maps_near_the_circle_keep_the_full_order(self, drawn, n):
+        # Where the image touches the circle no bound is tried; near it, the
+        # bound exists but proves no K < n.
+        touches, case = drawn
+        if touches:
+            assert matrixrep._tail_ratio_bound(*case, n) is None
+        assert matrixrep.proved_block_order(*case, n) == n
 
 
 @st.composite
