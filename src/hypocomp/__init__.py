@@ -71,7 +71,6 @@ from .moebius import (
     fixed_points,
     hyperbolic_nonauto_form,
     is_self_map,
-    iterate,
     map_distance,
     rotation,
 )

@@ -50,7 +50,6 @@ from .funcalg import MAX_TRUNCATION, AnalyticFunction, polynomial_fn, rational_f
 from .moebius import (
     MoebiusMap,
     cayley_parabolic,
-    classify,
     hyperbolic_nonauto_form,
     rotation,
 )
@@ -230,12 +229,11 @@ def _spectral_dict(rep) -> dict:
 def _cmd_classify(args) -> tuple[dict, int]:
     space = space_from_label(args.space)
     phi = parse_map(args.map)
-    cls = classify(phi)
     verdict = classify_unweighted(phi, space)
     return {
         "input": {"map": args.map},
         "space": space.label(),
-        "map_class": cls.kind.value,
+        "map_class": verdict.map_kind.value,
         "verdict": _verdict_dict(verdict),
         "diagnostics": [],
     }, 0
@@ -275,11 +273,10 @@ def _cmd_check(args) -> tuple[dict, int]:
     phi = parse_map(args.map)
     psi = parse_weight(args.psi, phi, space)
     verdict = classify_weighted(psi, phi, space, opts)
-    cls = classify(phi)   # after classify_weighted, whose zero-weight error comes first
     report = {
         "input": {"psi": args.psi, "map": args.map},
         "space": space.label(),
-        "map_class": cls.kind.value,
+        "map_class": verdict.map_kind.value,
         "verdict": _verdict_dict(verdict),
         "diagnostics": [],
     }

@@ -143,15 +143,6 @@ def compose(f: MoebiusMap, g: MoebiusMap) -> MoebiusMap:
     return MoebiusMap(a, b, c, d)
 
 
-def iterate(phi: MoebiusMap, n: int) -> MoebiusMap:
-    if n < 0:
-        raise InvalidParameterError("iterate count must be nonnegative")
-    out = IDENTITY
-    for _ in range(n):
-        out = compose(phi, out)
-    return out
-
-
 def map_distance(f: MoebiusMap, g: MoebiusMap) -> float:
     """Coefficient distance after aligning the unit-scalar ambiguity."""
     u = np.array(f.coefficients())

@@ -1,11 +1,12 @@
 """Decidable hyponormality statements as executable logic.
 
 Classifiers return theorem-backed verdicts with human-readable citation
-clauses; closed-form spectral and essential spectral radii and norm bounds
-(one dispatch, one classify, deriving the interior Denjoy-Wolff point where
-a formula needs it), Clark singular parts, the compact normal form and its
-kernel-quotient weight, conjugation of an interior fixed point to the
-origin, and a numeric witness search for non-hyponormality certificates.
+clauses and the map's class; closed-form spectral and essential spectral
+radii and norm bounds (each public function classifies the map once and
+computes only what it returns), Clark singular parts, the compact normal
+form and its kernel-quotient weight, conjugation of an interior fixed point
+to the origin, and a numeric witness search for non-hyponormality
+certificates.
 
 Grid searches evaluate in a fixed deterministic order (first violation in
 grid order wins); every function is pure.  The witness search slices its 2x2
@@ -17,8 +18,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -50,6 +52,7 @@ from .funcalg import (
 from .matrixrep import KernelImages, _kernel_points, as_analytic
 from .matrixrep import kernel_gram_forms, kernel_gram_norms
 from .moebius import (
+    MapClass,
     MapKind,
     MoebiusMap,
     alpha_p,
@@ -134,6 +137,7 @@ class HyponormalityVerdict:
     citation: str | None = None
     witness: CertificateWitness | None = None
     details: str = ""
+    map_kind: MapKind | None = None   # the class of phi the classifier decided on
 
     def __post_init__(self):
         if self.outcome is Outcome.NOT_HYPONORMAL and not self.citation:
@@ -193,23 +197,24 @@ def classify_unweighted(phi: MoebiusMap, space: SpaceSpec) -> HyponormalityVerdi
     such as z/(1e-11 z + 1), an elliptic automorphism to classify.
     """
     cls = classify(phi)
+    verdict = partial(HyponormalityVerdict, map_kind=cls.kind)
     if cls.kind is MapKind.IDENTITY:
-        return HyponormalityVerdict(Outcome.NORMAL, CIT_NORMAL_DILATION, details="identity map")
+        return verdict(Outcome.NORMAL, CIT_NORMAL_DILATION, details="identity map")
     if abs(phi(0)) > 1e-12:
-        return HyponormalityVerdict(Outcome.NOT_HYPONORMAL, CIT_ORIGIN_NOT_FIXED,
-                                    details=f"phi(0) = {phi(0):.12g}; class {cls.kind.value}")
+        return verdict(Outcome.NOT_HYPONORMAL, CIT_ORIGIN_NOT_FIXED,
+                       details=f"phi(0) = {phi(0):.12g}; class {cls.kind.value}")
     if abs(phi.c) <= 1e-12:
-        return HyponormalityVerdict(Outcome.NORMAL, CIT_NORMAL_DILATION, details=f"phi(z) = ({phi.a / phi.d:.12g}) z")
+        return verdict(Outcome.NORMAL, CIT_NORMAL_DILATION, details=f"phi(z) = ({phi.a / phi.d:.12g}) z")
     if cls.kind is MapKind.HYPERBOLIC_NONAUTOMORPHISM:
-        return HyponormalityVerdict(Outcome.CANDIDATE_NOT_EXCLUDED, CIT_HYPERBOLIC_CANDIDATE,
-                                    details=f"matches (1-|c|) z/(c z + 1) with c = {phi.c / phi.d:.12g}")
+        return verdict(Outcome.CANDIDATE_NOT_EXCLUDED, CIT_HYPERBOLIC_CANDIDATE,
+                       details=f"matches (1-|c|) z/(c z + 1) with c = {phi.c / phi.d:.12g}")
     if cls.kind is MapKind.INTERIOR_CONTRACTION:
-        return HyponormalityVerdict(Outcome.NOT_HYPONORMAL, CIT_COMPACT_FORCES_DILATION,
-                                    details="strict contraction fixing the origin but not a dilation")
+        return verdict(Outcome.NOT_HYPONORMAL, CIT_COMPACT_FORCES_DILATION,
+                       details="strict contraction fixing the origin but not a dilation")
     details = f"class {cls.kind.value} fixing the origin"
     if cls.contact is not None and not cls.fixes_contact:
-        return HyponormalityVerdict(Outcome.NOT_HYPONORMAL, CIT_CONTACT_NOT_FIXED, details=details)
-    return HyponormalityVerdict(Outcome.CANDIDATE_NOT_EXCLUDED, CIT_UNDECIDED, details=details)
+        return verdict(Outcome.NOT_HYPONORMAL, CIT_CONTACT_NOT_FIXED, details=details)
+    return verdict(Outcome.CANDIDATE_NOT_EXCLUDED, CIT_UNDECIDED, details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -443,17 +448,13 @@ def classify_weighted(
 
     if is_value_constant(psi_f):
         base = classify_unweighted(phi, space)
-        return HyponormalityVerdict(
-            base.outcome,
-            base.citation,
-            base.witness,
-            details=f"{CIT_CONSTANT_WEIGHT}; {base.details}",
-        )
+        return replace(base, details=f"{CIT_CONSTANT_WEIGHT}; {base.details}")
 
     cls = classify(phi)
+    verdict = partial(HyponormalityVerdict, map_kind=cls.kind)
 
     if cls.kind is MapKind.IDENTITY:
-        return HyponormalityVerdict(
+        return verdict(
             Outcome.CANDIDATE_NOT_EXCLUDED,
             CIT_UNDECIDED,
             details="analytic multiplication operator (always hyponormal)",
@@ -463,13 +464,13 @@ def classify_weighted(
         zeta, eta = cls.contact
         vanishes = _vanishes_at(psi_f, zeta, 1e-12)
         if not cls.fixes_contact:
-            return HyponormalityVerdict(
+            return verdict(
                 Outcome.NOT_HYPONORMAL,
                 CIT_WEIGHT_VANISHES_AT_CONTACT if vanishes else CIT_CONTACT_NOT_FIXED,
                 details=f"contact {zeta:.12g} -> {eta:.12g}",
             )
         if vanishes:
-            return HyponormalityVerdict(
+            return verdict(
                 Outcome.NOT_HYPONORMAL,
                 CIT_WEIGHT_VANISHES_AT_CONTACT,
                 details=f"psi({zeta:.12g}) = {psi_f(zeta):.3e}",
@@ -477,7 +478,7 @@ def classify_weighted(
         if cls.kind is MapKind.PARABOLIC_NONAUTOMORPHISM:
             violation = _first_violation(psi_f, phi, space, zeta, opts.grid or _INEQUALITY_GRID)
             if violation is not None:
-                return HyponormalityVerdict(
+                return verdict(
                     Outcome.NOT_HYPONORMAL,
                     CIT_PARABOLIC_KERNEL_INEQUALITY,
                     details=(
@@ -485,49 +486,47 @@ def classify_weighted(
                         f"> |psi(zeta)| = {violation.fixed_point_value:.12g}"
                     ),
                 )
-            return _candidate(psi_f, phi, space, opts, "parabolic inequality holds on the grid")
+            return _candidate(verdict, psi_f, phi, space, opts, "parabolic inequality holds on the grid")
 
     if cls.kind is MapKind.INTERIOR_CONTRACTION:
         p = cls.denjoy_wolff.location
         delta = cls.denjoy_wolff.multiplier
         if map_distance(phi, normal_form_map(p, delta)) > _fixed_point_tol(p):
-            return HyponormalityVerdict(
+            return verdict(
                 Outcome.NOT_HYPONORMAL,
                 CIT_COMPACT_NORMAL_FORM,
                 details="strictly contracting symbol is not alpha_p (delta alpha_p)",
             )
         if _vanishes_at(psi_f, p, _interior_zero_tol(p)):
-            return HyponormalityVerdict(
+            return verdict(
                 Outcome.NOT_HYPONORMAL,
                 CIT_COMPACT_NORMAL_FORM,
                 details="weight vanishes at the interior fixed point",
             )
         z = _kernel_quotient_mismatch(psi_f, p, psi_f(p), phi, space)
         if z is not None:
-            return HyponormalityVerdict(
+            return verdict(
                 Outcome.NOT_HYPONORMAL,
                 CIT_COMPACT_NORMAL_FORM,
                 details=f"weight differs from the kernel quotient at z = {z:.6g}",
             )
-        return HyponormalityVerdict(
+        return verdict(
             Outcome.NORMAL,
             CIT_COMPACT_NORMAL_FORM,
             details=f"exact normal form with p = {p:.12g}, delta = {delta:.12g}",
         )
 
-    return _candidate(psi_f, phi, space, opts, f"class {cls.kind.value}")
+    return _candidate(verdict, psi_f, phi, space, opts, f"class {cls.kind.value}")
 
 
-def _candidate(psi_f, phi, space, opts: WeightedOptions, note: str) -> HyponormalityVerdict:
+def _candidate(verdict, psi_f, phi, space, opts: WeightedOptions, note: str) -> HyponormalityVerdict:
     if opts.escalate_numeric:
         witness = witness_search(
             psi_f, phi, space, budget_seconds=opts.budget_seconds, seed=opts.seed, order=opts.order
         )
         if witness is not None and witness.is_conclusive:
-            return HyponormalityVerdict(
-                Outcome.CERTIFIED_NOT_NUMERIC, CIT_NUMERIC_WITNESS, witness, details=note
-            )
-    return HyponormalityVerdict(Outcome.CANDIDATE_NOT_EXCLUDED, CIT_UNDECIDED, details=note)
+            return verdict(Outcome.CERTIFIED_NOT_NUMERIC, CIT_NUMERIC_WITNESS, witness, details=note)
+    return verdict(Outcome.CANDIDATE_NOT_EXCLUDED, CIT_UNDECIDED, details=note)
 
 
 # ---------------------------------------------------------------------------
@@ -558,21 +557,16 @@ class NormBounds:
     mu: float
 
 
-def _closed_forms(psi_f: AnalyticFunction, phi: MoebiusMap,
-                  space: SpaceSpec) -> tuple[ClosedFormValue, ClosedFormValue, NormBounds | str]:
-    """(r, r_e, norm bounds or the reason there are none) of C_{psi,phi},
-    from one classify(phi) and one branch on its kind.
+def _spectral_radius(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, cls: MapClass) -> ClosedFormValue:
+    """r(C_{psi,phi}) for cls = classify(phi), or why it is unavailable.
 
-    g = gamma/2, zeta a boundary Denjoy-Wolff point; psi, like every symbol,
-    is analytic on the closed disk.
-    - Interior contraction, Denjoy-Wolff point p in D: r = |psi(p)| and
-      r_e = 0, for every psi, on H^2 and on A^2_alpha.  C* K_p = conj(psi(p))
-      K_p, so r >= |psi(p)|.  C^n = C_{psi_n, phi_n} with psi_n = prod_{k<n}
-      psi o phi_k, so ||C^n|| <= prod_{k<n} sup_D |psi o phi_k| ||C_{phi_n}||;
-      phi_k -> p uniformly on the closed disk and ||C_{phi_n}|| <= ((1 +
-      |phi_n(0)|)/(1 - |phi_n(0)|))^g stays bounded, so r <= |psi(p)|.  phi
-      maps the closed disk into D, so C is compact and r_e = 0 (Cowen &
-      MacCluer, Composition Operators on Spaces of Analytic Functions, 1995).
+    g = gamma/2; psi, like every symbol, is analytic on the closed disk.
+    - Interior contraction, Denjoy-Wolff point p in D: r = |psi(p)| for every
+      psi, on H^2 and on A^2_alpha.  C* K_p = conj(psi(p)) K_p, so r >=
+      |psi(p)|.  C^n = C_{psi_n, phi_n} with psi_n = prod_{k<n} psi o phi_k,
+      so ||C^n|| <= prod_{k<n} sup_D |psi o phi_k| ||C_{phi_n}||; phi_k -> p
+      uniformly on the closed disk and ||C_{phi_n}|| <= ((1 + |phi_n(0)|)/(1
+      - |phi_n(0)|))^g stays bounded, so r <= |psi(p)|.
     - Automorphism, hyperbolic or parabolic: r = max |psi(b)| phi'(b)^(-g)
       over its boundary fixed points b (one, with phi'(b) = 1, if parabolic).
       Each b bounds r below for every psi: C*^n K_w = conj(psi_n(w)) K_{phi_n(w)}
@@ -583,65 +577,79 @@ def _closed_forms(psi_f: AnalyticFunction, phi: MoebiusMap,
       Saukko, J. Funct. Anal. 265 (2013), on A^2_alpha).  Any other psi, or a
       zero test that cannot decide (it is scale-free, so 2^j psi decides as
       psi), leaves r unavailable with that lower bound.
-    - Non-automorphism, hyperbolic or parabolic, with boundary zeta:
-      r = |psi(zeta)| phi'(zeta)^(-g).
-    - Outside contractions, r_e = |c| phi'(zeta)^(-g) for a value-constant
-      psi = c and boundary zeta.
-    - Norm bounds under hyponormality, when phi fixes its contact point zeta
-      and its Denjoy-Wolff point p (a non-automorphism's only fixed point in
-      D) lies in D: mu / phi'(zeta)^g <= ||C|| <= max{mu, |psi(p)|} with
-      mu = |psi(zeta) K_p(alpha_p(zeta)) K_p(zeta)| / ||K_p||^2, the p = 0
-      bounds (mu = |psi(zeta)|) after conjugating p to the origin.
+    - Non-automorphism, hyperbolic or parabolic, with boundary Denjoy-Wolff
+      point zeta: r = |psi(zeta)| phi'(zeta)^(-g).
     """
-    cls = classify(phi)
     kind, dw, g = cls.kind, cls.denjoy_wolff, space.gamma / 2.0
     if kind is MapKind.INTERIOR_CONTRACTION:
-        r = ClosedFormValue(abs(psi_f(dw.location)), CIT_R_CONTRACTION)
-        r_e = ClosedFormValue(0.0, CIT_RE_COMPACT)
-    else:
-        zeta = dw.location / abs(dw.location) if dw is not None and dw.on_boundary else None
-        if not is_value_constant(psi_f):
-            r_e = _unavailable("closed form applies to constant weights only")
-        elif zeta is None:
-            r_e = _unavailable("essential spectral radius closed form needs a boundary Denjoy-Wolff point")
-        else:
-            r_e = ClosedFormValue(abs(psi_f(0)) * abs(angular_derivative(phi, zeta)) ** -g, CIT_RE_BOUNDARY)
+        return ClosedFormValue(abs(psi_f(dw.location)), CIT_R_CONTRACTION)
+    if kind in (MapKind.HYPERBOLIC_AUTOMORPHISM, MapKind.PARABOLIC_AUTOMORPHISM):
+        low = max(abs(psi_f(b)) * abs(angular_derivative(phi, b)) ** -g
+                  for b in (f.location / abs(f.location) for f in cls.fixed if f.on_boundary))
+        try:
+            zero_free = no_zero_in_closed_disk(psi_f.base)
+            why = None if zero_free else "the weight has a zero in the closed disk"
+        except IndeterminateError as exc:
+            why = f"zero test: {exc}"
+        return _unavailable(f"r >= {low:.12g} from the boundary fixed points; {why}") if why else (
+            ClosedFormValue(low, CIT_R_AUTOMORPHISM))
+    if kind in (MapKind.HYPERBOLIC_NONAUTOMORPHISM, MapKind.PARABOLIC_NONAUTOMORPHISM) and dw.on_boundary:
+        zeta = dw.location / abs(dw.location)
+        cite = CIT_R_PARABOLIC if kind is MapKind.PARABOLIC_NONAUTOMORPHISM else CIT_R_BOUNDARY
+        return ClosedFormValue(abs(psi_f(zeta)) * abs(angular_derivative(phi, zeta)) ** -g, cite)
+    return _unavailable(f"no closed form for class {kind.value} with this fixed-point structure")
 
-        if kind in (MapKind.HYPERBOLIC_AUTOMORPHISM, MapKind.PARABOLIC_AUTOMORPHISM):
-            low = max(abs(psi_f(b)) * abs(angular_derivative(phi, b)) ** -g
-                      for b in (f.location / abs(f.location) for f in cls.fixed if f.on_boundary))
-            try:
-                zero_free = no_zero_in_closed_disk(psi_f.base)
-                why = None if zero_free else "the weight has a zero in the closed disk"
-            except IndeterminateError as exc:
-                why = f"zero test: {exc}"
-            r = _unavailable(f"r >= {low:.12g} from the boundary fixed points; {why}") if why else (
-                ClosedFormValue(low, CIT_R_AUTOMORPHISM))
-        elif kind in (MapKind.HYPERBOLIC_NONAUTOMORPHISM, MapKind.PARABOLIC_NONAUTOMORPHISM) and zeta is not None:
-            cite = CIT_R_PARABOLIC if kind is MapKind.PARABOLIC_NONAUTOMORPHISM else CIT_R_BOUNDARY
-            r = ClosedFormValue(abs(psi_f(zeta)) * abs(angular_derivative(phi, zeta)) ** -g, cite)
-        else:
-            r = _unavailable(f"no closed form for class {kind.value} with this fixed-point structure")
 
+def _essential_radius(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, cls: MapClass) -> ClosedFormValue:
+    """r_e(C_{psi,phi}) for cls = classify(phi), or why it is unavailable.
+
+    - Interior contraction: phi maps the closed disk into D, so C is compact
+      and r_e = 0 (Cowen & MacCluer, Composition Operators on Spaces of
+      Analytic Functions, 1995).
+    - Otherwise r_e = |c| phi'(zeta)^(-gamma/2) for a value-constant psi = c
+      and a boundary Denjoy-Wolff point zeta.
+    """
+    dw = cls.denjoy_wolff
+    if cls.kind is MapKind.INTERIOR_CONTRACTION:
+        return ClosedFormValue(0.0, CIT_RE_COMPACT)
+    if not is_value_constant(psi_f):
+        return _unavailable("closed form applies to constant weights only")
+    if dw is None or not dw.on_boundary:
+        return _unavailable("essential spectral radius closed form needs a boundary Denjoy-Wolff point")
+    zeta = dw.location / abs(dw.location)
+    return ClosedFormValue(abs(psi_f(0)) * abs(angular_derivative(phi, zeta)) ** (-space.gamma / 2.0),
+                           CIT_RE_BOUNDARY)
+
+
+def _norm_bounds(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, cls: MapClass) -> NormBounds | str:
+    """Norm bounds of C_{psi,phi} under hyponormality for cls = classify(phi),
+    or the reason there are none.
+
+    When phi fixes its contact point zeta and its Denjoy-Wolff point p (a
+    non-automorphism's only fixed point in D) lies in D: mu / phi'(zeta)^g
+    <= ||C|| <= max{mu, |psi(p)|} with g = gamma/2 and mu = |psi(zeta)
+    K_p(alpha_p(zeta)) K_p(zeta)| / ||K_p||^2, the p = 0 bounds (mu =
+    |psi(zeta)|) after conjugating p to the origin.
+    """
     if not cls.fixes_contact:
-        return r, r_e, "norm bounds need a fixed unimodular contact point"
-    if not dw.in_disk:
-        return r, r_e, "bounds without an interior fixed point need a symbol fixing the origin"
-    zeta, p = cls.contact[0], dw.location
+        return "norm bounds need a fixed unimodular contact point"
+    if not cls.denjoy_wolff.in_disk:
+        return "bounds without an interior fixed point need a symbol fixing the origin"
+    zeta, p = cls.contact[0], cls.denjoy_wolff.location
     kp = kernel_function(p, space.gamma)
     mu = abs(psi_f(zeta) * kp(alpha_p(p)(zeta)) * kp(zeta)) / kernel_norm(space, p) ** 2
-    low = mu / abs(angular_derivative(phi, zeta)) ** g
-    return r, r_e, NormBounds(low, max(mu, abs(psi_f(p))), mu)
+    low = mu / abs(angular_derivative(phi, zeta)) ** (space.gamma / 2.0)
+    return NormBounds(low, max(mu, abs(psi_f(p))), mu)
 
 
 def spectral_radius_closed(psi, phi: MoebiusMap, space: SpaceSpec) -> ClosedFormValue:
-    """r(C_{psi,phi}) where _closed_forms proves it, else TheoryUnavailableError."""
-    return _proved(_closed_forms(as_analytic(psi), phi, space)[0])
+    """r(C_{psi,phi}) where _spectral_radius proves it, else TheoryUnavailableError."""
+    return _proved(_spectral_radius(as_analytic(psi), phi, space, classify(phi)))
 
 
 def essential_spectral_radius_closed(phi: MoebiusMap, space: SpaceSpec) -> ClosedFormValue:
-    """r_e(C_phi) where _closed_forms proves it, else TheoryUnavailableError."""
-    return _proved(_closed_forms(constant_fn(1.0), phi, space)[1])
+    """r_e(C_phi) where _essential_radius proves it, else TheoryUnavailableError."""
+    return _proved(_essential_radius(constant_fn(1.0), phi, space, classify(phi)))
 
 
 # ---------------------------------------------------------------------------
@@ -649,9 +657,9 @@ def essential_spectral_radius_closed(phi: MoebiusMap, space: SpaceSpec) -> Close
 
 def norm_bounds(psi, phi: MoebiusMap, space: SpaceSpec) -> NormBounds:
     """Two-sided norm bounds valid under hyponormality, at phi's interior
-    Denjoy-Wolff point (see _closed_forms); TheoryUnavailableError with the
+    Denjoy-Wolff point (see _norm_bounds); TheoryUnavailableError with the
     reason where there are none."""
-    nb = _closed_forms(as_analytic(psi), phi, space)[2]
+    nb = _norm_bounds(as_analytic(psi), phi, space, classify(phi))
     if isinstance(nb, str):
         raise TheoryUnavailableError(nb)
     return nb
@@ -901,12 +909,16 @@ class SpectralReport:
 def spectral_report(psi, phi: MoebiusMap, space: SpaceSpec) -> SpectralReport:
     """Best available closed-form spectral data for C_{psi,phi}.
 
-    r, r_e and the norm bounds come from one _closed_forms call; norm_upper
-    is conditional on hyponormality and is dropped, with a note, if the
+    r, r_e and the norm bounds come from one classify(phi); norm_upper is
+    conditional on hyponormality and is dropped, with a note, if the
     unconditional lower bound already exceeds it.
     """
     psi_f = as_analytic(psi)
-    r_cf, re_cf, nb = _closed_forms(psi_f, phi, space)
+    cls = classify(phi)
+    # r_e's constancy test first: a weight that fails there fails with that error.
+    re_cf = _essential_radius(psi_f, phi, space, cls)
+    r_cf = _spectral_radius(psi_f, phi, space, cls)
+    nb = _norm_bounds(psi_f, phi, space, cls)
     citations = {"r": r_cf.citation, "r_e": re_cf.citation, "norm_lower": CIT_NORM_KERNEL_GRID}
     lower = norm_lower_bound_grid(psi_f, phi, space)
     upper = None

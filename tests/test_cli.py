@@ -14,11 +14,27 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hypocomp as hc
-from hypocomp import cli, matrixrep, moebius
-from hypocomp.errors import ConvergenceFailureError, NotAFixedPointError
+from hypocomp import cli, funcalg, matrixrep, moebius
+from hypocomp.errors import ConvergenceFailureError, NotAFixedPointError, TheoryUnavailableError
 
 from conftest import DERANDOMIZED
 from test_cli_golden import CASES, assert_matches
+from test_theory import maps_of_every_kind
+
+
+def count_calls(monkeypatch, *functions) -> dict[str, int]:
+    """Calls of each function by name, counted wherever hypocomp binds it."""
+    calls = dict.fromkeys((f.__name__ for f in functions), 0)
+    modules = [m for name, m in sys.modules.items() if name == "hypocomp" or name.startswith("hypocomp.")]
+    for original in functions:
+        def counted(*args, original=original, **kwargs):
+            calls[original.__name__] += 1
+            return original(*args, **kwargs)
+
+        for module in modules:
+            for key in [k for k, v in vars(module).items() if v is original]:
+                monkeypatch.setattr(module, key, counted)
+    return calls
 
 
 def run(capsys, *argv):
@@ -281,6 +297,11 @@ class TestCheckCommand:
     def test_zero_weight_exit_2(self, capsys):
         assert cli.main(["check", "--psi", "0", "--map", "1,0,1,2"]) == 2
 
+    def test_zero_weight_is_refused_before_the_map(self, capsys):
+        # 2z is no self-map, yet the zero weight is what check reports.
+        assert cli.main(["check", "--map=2,0,0,1", "--psi=0"]) == 2
+        assert "identically zero" in capsys.readouterr().err
+
     def test_norm_bound_errors_reach_the_exit_code(self, capsys, monkeypatch):
         # Only TheoryUnavailableError drops the spectral block; any other
         # library error is an input error.
@@ -304,21 +325,27 @@ class TestCheckCommand:
         ("spectral", "--map=parabolic:1,1", "--psi=1,0.5"),
     ])
     def test_classifies_at_most_three_times(self, capsys, monkeypatch, argv):
-        original = moebius.classify
-        calls = []
-
-        def counted(phi):
-            calls.append(phi)
-            return original(phi)
-
-        modules = [m for name, m in sys.modules.items()
-                   if name == "hypocomp" or name.startswith("hypocomp.")]
-        for module in modules:
-            for key in [k for k, v in vars(module).items() if v is original]:
-                monkeypatch.setattr(module, key, counted)
+        calls = count_calls(monkeypatch, moebius.classify)
         assert cli.main(list(argv)) == 0
         capsys.readouterr()
-        assert len(calls) == 1 if argv[0] == "spectral" else 1 <= len(calls) <= 3
+        assert calls["classify"] == 1 if argv[0] == "spectral" else 1 <= calls["classify"] <= 3
+
+    # Each traced theory function the command calls classifies the map once:
+    # classify_unweighted in classify, classify_weighted and norm_bounds in
+    # check, spectral_report in spectral.  check tests the weight's constancy
+    # once (in classify_weighted) and the zero test of an automorphism's r
+    # runs only where r is reported.
+    @pytest.mark.parametrize("argv, want", [
+        (("classify", "--map=1,0.5,0.5,1"), (1, 0, 0)),
+        (("check", "--map=1,0.5,0.5,1", "--psi=2,1"), (2, 1, 0)),
+        (("spectral", "--map=1,0.5,0.5,1", "--psi=2,1"), (1, 1, 1)),
+    ])
+    def test_each_fact_is_derived_once_per_call(self, capsys, monkeypatch, argv, want):
+        calls = count_calls(monkeypatch, moebius.classify, funcalg.is_value_constant,
+                            funcalg.no_zero_in_closed_disk)
+        assert cli.main(list(argv)) == 0
+        capsys.readouterr()
+        assert (calls["classify"], calls["is_value_constant"], calls["no_zero_in_closed_disk"]) == want
 
     # --order is the witness search's starting order, passed through as given.
     @pytest.mark.parametrize("order", [8, 128])
@@ -540,6 +567,47 @@ def test_tiny_weights_are_not_constant_or_zero(capsys):
     assert code == 0
     code, _ = run(capsys, "check", "--psi", "0", "--map", "0.5,0,0,1")
     assert code == 2
+
+
+def _closed_or_none(closed_form, *args):
+    try:
+        return closed_form(*args)
+    except TheoryUnavailableError:
+        return None
+
+
+@DERANDOMIZED
+@given(seed=st.integers(0, 2**32 - 1), alpha=st.none() | st.floats(0.0, 4.0))
+def test_commands_and_closed_forms_agree_on_every_class(seed, alpha):
+    # classify and check print the class moebius.classify finds and the
+    # verdict carries; spectral_report gives r, r_e and the norm bounds
+    # exactly where the public closed-form functions give them.
+    rng = np.random.default_rng(seed)
+    label = "hardy" if alpha is None else f"bergman:{alpha!r}"
+    space = hc.space_from_label(label)
+    for phi in maps_of_every_kind(rng):
+        spec = ",".join(repr(complex(x)) for x in phi.coefficients())
+        kind = hc.classify(phi).kind.value
+        code, rep = _main_json("classify", f"--map={spec}", f"--space={label}")
+        assert code == 0 and rep["map_class"] == kind == hc.classify_unweighted(phi, space).map_kind.value
+        for weight, psi in (("2", hc.constant_fn(2.0)), ("1,0.5", hc.polynomial_fn(1, 0.5))):
+            code, rep = _main_json("check", f"--map={spec}", f"--psi={weight}", f"--space={label}")
+            assert code == 0 and rep["map_class"] == kind
+            assert hc.classify_weighted(psi, phi, space).map_kind.value == kind
+            report = hc.spectral_report(psi, phi, space)
+            r = _closed_or_none(hc.spectral_radius_closed, psi, phi, space)
+            assert report.r == (None if r is None else r.value)
+            assert report.citations["r"].startswith("unavailable") is (r is None)
+            # r_e(C_{c,phi}) = |c| r_e(C_phi); past a compact C only a constant weight has one.
+            r_e = _closed_or_none(hc.essential_spectral_radius_closed, phi, space)
+            if r_e is not None and (weight == "2" or r_e.value == 0.0):
+                assert report.r_e == abs(psi(0)) * r_e.value
+            else:
+                assert report.r_e is None
+            nb = _closed_or_none(hc.norm_bounds, psi, phi, space)
+            assert ("spectral" in rep) is (nb is not None)
+            assert report.citations["norm_upper"].startswith("unavailable") is (nb is None)
+            assert report.norm_upper is None or report.norm_upper == nb.upper
 
 
 class TestConvergenceExit:

@@ -1,6 +1,7 @@
 """Classifiers, closed forms, normal forms, conjugation, witness search."""
 
 import cmath
+import contextlib
 import itertools
 import math
 import re
@@ -600,6 +601,7 @@ class TestClosedFormDispatch:
 
     @pytest.mark.parametrize("kind", list(hc.MapKind))
     def test_one_classify_per_dispatch(self, monkeypatch, H2, kind):
+        # Each public closed-form function classifies the map once.
         rng = np.random.default_rng(17)
         phi = maps_of_every_kind(rng)[list(hc.MapKind).index(kind)]
         calls = []
@@ -610,9 +612,14 @@ class TestClosedFormDispatch:
 
         monkeypatch.setattr(theory, "classify", counted)
         for psi in (hc.constant_fn(2.0), hc.polynomial_fn(2, 1)):
-            calls.clear()
-            theory._closed_forms(psi, phi, H2)
-            assert len(calls) == 1
+            for closed_form in (lambda: hc.spectral_radius_closed(psi, phi, H2),
+                                lambda: hc.essential_spectral_radius_closed(phi, H2),
+                                lambda: hc.norm_bounds(psi, phi, H2),
+                                lambda: hc.spectral_report(psi, phi, H2)):
+                calls.clear()
+                with contextlib.suppress(TheoryUnavailableError):
+                    closed_form()
+                assert len(calls) == 1
 
     @pytest.mark.parametrize("label", SPACE_LABELS)
     @DERANDOMIZED
@@ -701,17 +708,19 @@ class TestInteriorContraction:
             phi_r = hc.compose(rho_inv, hc.compose(phi, rho))
             for psi in contraction_weights(rng, phi, hc.classify(phi).denjoy_wolff.location, space)[:2]:
                 psi_r = hc.compose_with_moebius(psi, rho)
-                a, b = theory._closed_forms(psi, phi, space), theory._closed_forms(psi_r, phi_r, space)
-                for x, y in zip(a[:2], b[:2]):
+                cls, cls_r = hc.classify(phi), hc.classify(phi_r)
+                for fact in (theory._spectral_radius, theory._essential_radius):
+                    x, y = fact(psi, phi, space, cls), fact(psi_r, phi_r, space, cls_r)
                     assert x.citation == y.citation
                     assert (x.value is None) is (y.value is None)
                     assert x.value is None or abs(x.value - y.value) <= 1e-12 * max(x.value, 1.0)
-                assert type(a[2]) is type(b[2])
-                if isinstance(a[2], str):
-                    assert a[2] == b[2]
+                a, b = theory._norm_bounds(psi, phi, space, cls), theory._norm_bounds(psi_r, phi_r, space, cls_r)
+                assert type(a) is type(b)
+                if isinstance(a, str):
+                    assert a == b
                     continue
                 for key in ("lower", "upper", "mu"):
-                    x, y = getattr(a[2], key), getattr(b[2], key)
+                    x, y = getattr(a, key), getattr(b, key)
                     assert abs(x - y) <= 1e-12 * x, key
 
     @DERANDOMIZED
