@@ -646,17 +646,14 @@ def _majorant_terms(f: AnalyticFunction, rho: np.ndarray) -> tuple[np.ndarray, n
     return np.array(m), x, err
 
 
-def _tail_radii(f: AnalyticFunction, limit=None) -> np.ndarray | None:
+def _tail_radii(f: AnalyticFunction, cap: float = math.inf) -> np.ndarray | None:
     """The 48 radii at which a Parseval bound on f is tried:
     rho = R - (R - 1) 2^(-j/3), j = 1..48, which crowd towards R, the least
-    of f's singularity radius and 9 (where the optimum rho ~ R (1 - gamma/n)
-    of a power singularity lies), or limit(R), a caller's own bound on R.
-    None when R <= 1 + 1e-9, so that no circle beyond the unit circle is
-    left.
+    of f's singularity radius, 9 (where the optimum rho ~ R (1 - gamma/n)
+    of a power singularity lies) and cap, a caller's own bound.  None when
+    R <= 1 + 1e-9, so that no circle beyond the unit circle is left.
     """
-    top = min(min_singularity_radius(f), _TAIL_RADIUS_CAP)
-    if limit is not None:
-        top = limit(top)
+    top = min(min_singularity_radius(f), _TAIL_RADIUS_CAP, cap)
     return top - (top - 1.0) * _TAIL_GAPS if top > 1.0 + 1e-9 else None
 
 

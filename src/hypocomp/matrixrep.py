@@ -91,12 +91,9 @@ _LANCZOS_TOL = 1e-12
 # Rows per block of a section's analysis (OperatorMatrix._analysis): its
 # scaled block is 512 KiB at N = 1024.
 _BLOCK_ROWS = 32
-# Grid radii and narrowings of the search for the radius where s_rho
-# reaches 1 (_s_one_radius), the entries of column 0 summed for the bound
-# on ||M||_F, and log(eps^2 / 4), the share of that bound's square that the
-# part of a section left unbuilt may hold (_tail_ratio_bound).
-_SECTIONS = 64
-_NARROWINGS = 4
+# The entries of column 0 summed for the bound on ||M||_F, and
+# log(eps^2 / 4), the share of that bound's square that the part of a
+# section left unbuilt may hold (_tail_ratio_bound).
 _COLUMN_TERMS = 64
 _LOG_QUARTER_EPS2 = math.log(0.25 * _EPS * _EPS)
 
@@ -287,23 +284,39 @@ def _image_sup(phi: MoebiusMap, rho: np.ndarray) -> np.ndarray:
     return np.where(gap > 0.0, s + err, math.inf)
 
 
-def _s_one_radius(phi: MoebiusMap, top: float) -> float:
-    """A radius in (1, top] with s_rho < 1 (_image_sup), near the least
-    radius in (1, top] where s_rho reaches 1; 1.0 when no radius the search
-    tries has s_rho < 1.
+def _contact_radius(phi: MoebiusMap) -> float:
+    """rho* = (|d|^2 - |b|^2) / (|B| + |ad - bc|), B = a conj(b) - c conj(d):
+    s_rho = max_{|z|=rho} |phi| < 1 exactly for rho < rho*.
 
-    s_rho increases with rho, so where s_top >= 1 the radius is narrowed
-    _SECTIONS-fold _NARROWINGS times, each time to the two grid radii around
-    the first at which s_rho >= 1; one array call per narrowing.
+    |phi(z)| < 1 exactly where A |z|^2 + 2 Re(B z) + C < 0, with A = |a|^2 -
+    |c|^2 and C = |b|^2 - |d|^2 < 0 for a self-map.  On |z| = rho the left
+    side peaks, at z = rho conj(B)/|B|, at A rho^2 + 2 |B| rho + C, whose
+    discriminant |B|^2 - AC is |ad - bc|^2; its least positive root is rho*
+    (also at A = 0).  So rho* > 1 exactly when phi maps the closed disk into
+    D.  At the pole -d/c the left side is |a z + b|^2 > 0, so the pole lies
+    beyond rho*.
     """
-    if _image_sup(phi, np.array([top]))[0] < 1.0:
-        return top
-    lo, hi = 1.0, top
-    for _ in range(_NARROWINGS):
-        grid = np.linspace(lo, hi, _SECTIONS + 1)
-        first = int(np.argmax(_image_sup(phi, grid[1:]) >= 1.0))   # grid[-1] = hi has s >= 1
-        lo, hi = float(grid[first]), float(grid[first + 1])
-    return lo
+    a, b, c, d = phi.coefficients()
+    return (abs(d) ** 2 - abs(b) ** 2) / (abs(a * b.conjugate() - c * d.conjugate()) + abs(a * d - b * c))
+
+
+def _log_kernel_tail(gamma: float, s2, k, log_b2k):
+    """Upper bounds on log(sum_{j>=k} s2^j / beta(j)^2) for 0 < s2 < 1, with
+    log_b2k = log beta(k)^2 (inf where beta(k) underflows).
+
+    The sum over all j is (1 - s2)^-gamma, and the terms' ratio s2 (j +
+    gamma) / (j + 1) does not increase in j since gamma >= 1, so where q =
+    s2 (k + gamma) / (k + 1) < 1 the sum is at most s2^k / beta(k)^2 /
+    (1 - q), with equality on Hardy; the lesser bound is taken.  q is
+    rounded up, and 16 eps times the sum of the moduli of the terms is added
+    for the rest of the rounding, but not for that of log_b2k.
+    """
+    full, log_s2 = -gamma * np.log1p(-s2), np.log(s2)
+    q = s2 * (k + gamma) / (k + 1.0) * (1.0 + 4.0 * _EPS)
+    fits = q < 1.0
+    shrink = -np.log1p(-np.where(fits, q, 0.0))
+    log_tail = np.where(fits, np.minimum(k * log_s2 - log_b2k + shrink, full), full)
+    return log_tail + 16.0 * _EPS * (np.abs(full) + k * np.abs(log_s2) + np.abs(log_b2k) + shrink)
 
 
 def _tail_ratio_bound(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, n: int):
@@ -311,28 +324,27 @@ def _tail_ratio_bound(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec
     bounds on log(t_K^2 / ||column 0||^2), or None when no circle beyond the
     unit circle bounds the section (see proved_block_order for t_K).
 
-    s_1 is tested first: an automorphism, a parabolic map or any map with a
-    contact point has s_1 = 1, and with its rounding bound s_1 >= 1.  (A
-    normal form near the circle passes, but its s_rho stays so near 1 that
-    no K < n is proved.)  The work is in the unit scale, on
-    psi 2^-e with 2^e the order of the largest entry of column 0: the
-    entries of column 0 and psi's coefficients scale exactly by powers of
-    two, so psi 2^j gives bit for bit the same bounds.  Only the first 64
-    entries of column 0 are summed: a part of it bounds ||M_n||_F as well,
-    and the sum costs no expansion to order n.  The radii are _tail_radii's
-    48, crowding toward the least of psi's singularity radius, 9, |d/c| and
-    the radius where s_rho reaches 1 (_s_one_radius); radii with s_rho >= 1
-    or no majorant are dropped, and each bound is the least over the radii
-    left.
-    It is a sum of logs, so no factor leaves the double range.  s_rho^2 and
-    _kernel_tail's ratio q are rounded up, so that every term moves the
-    bound up; the few operations after them round each log by at most 16 eps
-    times the sum of the moduli of its terms, and 1e-13 covers log beta(K)^2
-    (beta_array is within 6e-15 relative) and log(eps^2/4).  The computed
-    ||column 0||^2, a sum of at most n squares, is within 2 (n + 2) eps
-    relative, so its log is lowered by 4 (n + 2) eps.
+    The radii are _tail_radii's 48 below the least of psi's singularity
+    radius, 9 and rho* (_contact_radius): none when rho* <= 1 + 1e-9, as for
+    any map whose image touches the circle.  (A normal form near the circle
+    has some, but its s_rho stays so near 1 that no K < n is proved.)  Radii
+    with s_rho >= 1 by _image_sup's rounded bound, or with no majorant, are
+    dropped, and each bound is the least over those left.  The work is in
+    the unit scale, on psi 2^-e with 2^e the order of the largest entry of
+    column 0: the entries of column 0 and psi's coefficients scale exactly
+    by powers of two, so psi 2^j gives bit for bit the same bounds.  Only
+    the first 64 entries of column 0 are summed: a part of it bounds
+    ||M_n||_F as well, and the sum costs no expansion to order n.
+    It is a sum of logs, so no factor leaves the double range.  s_rho^2 is
+    rounded up and _log_kernel_tail bounds its own rounding; the operations
+    around it round each log by at most 16 eps times the sum of the moduli
+    of its terms, and 1e-13 covers log beta(K)^2 (beta_array is within
+    6e-15 relative) and log(eps^2/4).  The computed ||column 0||^2, a sum of
+    at most n squares, is within 2 (n + 2) eps relative, so its log is
+    lowered by 4 (n + 2) eps.
     """
-    if _image_sup(phi, np.ones(1))[0] >= 1.0:
+    rho = _tail_radii(psi_f, _contact_radius(phi))
+    if rho is None:
         return None
     beta = beta_array(space, n)
     col0 = expand_analytic(psi_f, min(n, _COLUMN_TERMS)) * beta[:_COLUMN_TERMS]
@@ -343,32 +355,22 @@ def _tail_ratio_bound(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec
     parts = np.ldexp(col0.view(np.float64), -e)
     log_col0 = math.log(float(parts @ parts))
     log_col0 -= 4.0 * (n + 2) * _EPS + 16.0 * _EPS * (abs(log_col0) + 1.0)
-    a, b, c, d = phi.coefficients()
-    rho = _tail_radii(psi_f, lambda top: _s_one_radius(phi, min(top, abs(d / c) if c else math.inf)))
-    if rho is None:
-        return None
     s, log_m = _image_sup(phi, rho), _log_majorant(psi_f.scale(math.ldexp(1.0, -e)), rho)
-    s2 = s * s * (1.0 + 4.0 * _EPS)   # rounded up, as is q below
+    s2 = s * s * (1.0 + 4.0 * _EPS)   # rounded up
     ok = (s2 < 1.0) & np.isfinite(log_m)
     if not ok.any():
         return None
     log_rho, log_m, s2 = np.log(rho[ok])[:, None], log_m[ok][:, None], s2[ok][:, None]
-    gamma = space.gamma
-    # sum_j s^(2j) / beta(j)^2 = (1 - s^2)^-gamma, the rows' factor and the
-    # columns' bound wherever _kernel_tail's ratio q is not below 1.
-    full, log_s2 = -gamma * np.log1p(-s2), np.log(s2)
+    # sum_j s^(2j) / beta(j)^2 = (1 - s^2)^-gamma, the rows' factor.
+    full = -space.gamma * np.log1p(-s2)
     with np.errstate(divide="ignore"):   # a beta that underflows gives the bound inf
         log_b2 = 2.0 * np.log(beta)
-    moduli, growth = 2.0 * (np.abs(log_m) + np.abs(full)), 2.0 * log_rho - log_s2
+    moduli = 2.0 * np.abs(log_m) + np.abs(full)
 
     def ratios(k: np.ndarray) -> np.ndarray:
         rows = full - 2.0 * k * log_rho
-        # _kernel_tail's bound r2^K / beta(K)^2 / (1 - q) on the terms from K.
-        q = s2 * (k + gamma) / (k + 1.0) * (1.0 + 4.0 * _EPS)
-        fits = q < 1.0
-        shrink = -np.log1p(-np.where(fits, q, 0.0))
-        cols = np.where(fits, np.minimum(k * log_s2 - log_b2[k] + shrink, full), full)
-        slack = 16.0 * _EPS * (moduli + k * growth + np.abs(log_b2[k]) + shrink) + 1e-13
+        cols = _log_kernel_tail(space.gamma, s2, k, log_b2[k])
+        slack = 16.0 * _EPS * (moduli + 2.0 * k * log_rho + np.abs(cols)) + 1e-13
         return (2.0 * log_m + np.logaddexp(rows, cols) + slack).min(axis=0) - log_col0
 
     return ratios
@@ -377,7 +379,7 @@ def _tail_ratio_bound(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec
 def proved_block_order(psi, phi: MoebiusMap, space: SpaceSpec, n: int) -> int:
     """An order K whose section, built alone, is the order-n section less a
     part of Frobenius norm at most eps/2 ||M_n||_F; n when none is proved (a
-    map with s_1 >= 1, or no K < n suffices).
+    map whose image touches the circle, or no K < n suffices).
 
     The K x K section is bit for bit entries[:K, :K] of the order-n one:
     the first K entries of row i need only the first K entries of row i - 1,
@@ -389,10 +391,11 @@ def proved_block_order(psi, phi: MoebiusMap, space: SpaceSpec, n: int) -> int:
     sum_i |[z^i] psi phi^j|^2 rho^(2i) <= M_rho^2 s_rho^(2j), and the entry
     (i, j) is [z^i] psi phi^j beta(i) / beta(j) with beta <= 1.  So the rows
     i >= K hold at most M^2 rho^(-2K) sum_j s^(2j) / beta(j)^2 = M^2 rho^(-2K)
-    (1 - s^2)^-gamma, the columns j >= K at most M^2 _kernel_tail(space, s,
-    K)^2, and the section outside its K x K block at most
+    (1 - s^2)^-gamma, the columns j >= K at most M^2 T_K with T_K =
+    sum_{j>=K} s^(2j) / beta(j)^2 (_log_kernel_tail), and the section
+    outside its K x K block at most
 
-        t_K^2 = M_rho^2 (rho^(-2K) (1 - s_rho^2)^-gamma + _kernel_tail(space, s_rho, K)^2)
+        t_K^2 = M_rho^2 (rho^(-2K) (1 - s_rho^2)^-gamma + T_K)
 
     at any n.  Column 0, psi's coefficients times beta, is part of M_n, so
     ||column 0|| <= ||M_n||_F, and K is where t_K^2 <= eps^2/4 ||column 0||^2
@@ -662,25 +665,15 @@ def _composition_norm_upper(psi_f: AnalyticFunction, phi, space: SpaceSpec) -> f
 
 
 def _kernel_tail(space: SpaceSpec, w: complex, n: int) -> float:
-    """A proved upper bound on sqrt(sum_{k>=n} |w|^(2k) / beta(k)^2), in closed form.
-
-    The terms t_k = r2^k / beta(k)^2 (r2 = |w|^2) have ratio
-    r2 (k + gamma) / (k + 1), which does not increase in k since gamma >= 1.
-    When q = r2 (n + gamma) / (n + 1) < 1 the tail is at most t_n / (1 - q),
-    with equality on Hardy.  Otherwise it is the full sum (1 - r2)^(-gamma)
-    less the first n terms; there the tail is not small against the sum, so
-    the subtraction does not cancel.  Reads beta(0..n) only.
-    """
+    """An upper bound on sqrt(sum_{k>=n} |w|^(2k) / beta(k)^2), from
+    _log_kernel_tail; inf beyond the float range.  Reads beta(0..n) only."""
     r2 = abs(w) ** 2
     if r2 == 0.0:
         return 0.0
-    gamma = space.gamma
-    b2 = beta_array(space, n + 1) ** 2
-    q = r2 * (n + gamma) / (n + 1)
-    if q < 1.0:
-        return math.sqrt(r2**n / b2[n] / (1.0 - q))
-    head = float(np.sum(r2 ** np.arange(n) / b2[:n]))
-    return math.sqrt((1.0 - r2) ** (-gamma) - head)
+    with np.errstate(divide="ignore"):   # a beta that underflows gives the bound inf
+        log_b2n = 2.0 * np.log(beta_array(space, n + 1)[n])
+    half = 0.5 * float(_log_kernel_tail(space.gamma, r2, n, log_b2n))
+    return math.exp(half) if half < 709.0 else math.inf
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,11 @@ to the origin, and a numeric witness search for non-hyponormality
 certificates.
 
 Grid searches evaluate in a fixed deterministic order (first violation in
-grid order wins); every function is pure.  The witness search slices its 2x2
-and 3x3 generalized eigenproblems from one grid Gram and solves them as stacks
-by a numpy Cholesky reduction, so nothing here imports scipy.
+grid order wins); every function is pure but witness_search, whose
+wall-clock deadline can end a search early on a slow machine.  The witness
+search slices its 2x2 and 3x3 generalized eigenproblems from one grid Gram
+and solves them as stacks by a numpy Cholesky reduction, so nothing here
+imports scipy.
 """
 
 from __future__ import annotations

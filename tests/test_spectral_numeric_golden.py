@@ -4,9 +4,12 @@ Each line holds an argv, its exit code and its parsed JSON report, without
 wall_time_ms.  The calls are the benchmark's finite_section workload at its
 smoke orders (N = 64, 64, 64, 32) for seeds 7001, 11 and 4242, and on hardy
 the multiplication 1,0,0,1 and rotation:i with weight 2,1 and parabolic:1,1
-and the dilation 0.9,0,0,1 with weight 1,0.5, each at N = 64 and 128.  The
-diagnostics print 12 significant digits, so the reports must match exactly:
-a change to the finite-section numerics that moves a printed digit shows here.
+and the dilation 0.9,0,0,1 with weight 1,0.5, each at N = 64 and 128, and
+last the workload at its full orders (N = 1024, 512, 512, 256) for seed
+7001, where the dilation and the normal form build only their proved
+leading blocks (K = 121 and 187).  The diagnostics print 12 significant
+digits, so the reports must match exactly: a change to the finite-section
+numerics that moves a printed digit shows here.
 """
 
 import contextlib
