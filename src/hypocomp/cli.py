@@ -13,8 +13,12 @@ non-convergence (LAPACK's singular values of a finite section did not
 converge).
 
 Every subcommand takes --space, --format and --json; check also --seed and
---order (the witness search's seed and starting order), spectral --order
-(the finite-section size), either in [8, 1024].
+--order (the witness search's seed and starting order), --escalate (run
+the witness search when no theorem decides), --budget SECONDS (the
+search's deadline: positive, inf for none) and --grid (semicolon-separated
+kernel points in the open disk, replacing the default grid of the parabolic
+kernel inequality); spectral --order (the finite-section size).  Either
+--order lies in [8, 1024].
 
 main builds its argument parser once per process, on its first call, and
 parsing keeps no state between calls: each call gets a fresh namespace.

@@ -50,7 +50,9 @@ rotation and multiplication sections are built and run in full.
 Finite-section positivity is advisory only: compressions do not preserve the
 sign of A*A - AA* (the forward shift gives a spurious negative eigenvalue),
 so non-hyponormality certificates must come from kernel_gram_norms, whose
-adjoint side is exact and whose forward side carries a truncation-tail bound.
+adjoint side is exact and whose forward side is exact too on H^2 with a
+polynomial weight (closed forms, with a stated rounding bound) and otherwise
+carries a truncation-tail bound.
 """
 
 from __future__ import annotations
@@ -734,13 +736,172 @@ def _kernel_points(points) -> tuple[complex, ...]:
     return pts
 
 
+class ClosedImage(NamedTuple):
+    """psi (K_w o phi) on H^2 for a polynomial weight psi of degree m, as
+    head[0] + ... + head[m] z^m + tail z^(m+1) / (1 - rho z), |rho| < 1
+    (see _closed_image); error bounds its H^2 distance from the exact
+    image, and size is sqrt(||head||^2 + |tail|^2 / (1 - |rho|^2)^2)."""
+
+    head: tuple[complex, ...]
+    tail: complex
+    rho: complex
+    error: float
+    size: float
+
+
+def _leading_product(a, b) -> list:
+    """The first len(b) coefficients of the product of the series a and b, len(a) <= len(b)."""
+    return [sum(a[j] * b[k - j] for j in range(min(k + 1, len(a)))) for k in range(len(b))]
+
+
+def _closed_image(psi: tuple[complex, ...], factor, phi: MoebiusMap, w: complex) -> ClosedImage:
+    """The ClosedImage of psi (K_w o phi) from the admitted factor
+    (p + q z)/(d + c z) of composed_kernel (K_w o phi is its reciprocal on
+    H^2) and psi's coefficients psi_0..psi_m.
+
+    With rho = -q/p, K_w o phi = (d + c z)/(p (1 - rho z)) has coefficients
+    g_0 = d/p and g_k = rho^(k-1) h, h = (d rho + c)/p, so the image's
+    coefficients e_k = sum_j psi_j g_(k-j) are e_(m+1) rho^(k-m-1) from
+    k = m + 1 on.  |rho| < 1: the factor's gate admits no zero of p + q z in
+    the closed disk.
+
+    The error is kappa W.  W = sqrt(sum_(k<=m) E_k^2 + E_(m+1)^2 / (1 - R^2))
+    majorises the image's norm, with R = |rho| (1 + 10 eps) >= |rho| before
+    and after rounding, M_0 = |d|/|p|, M_k = R^(k-1) (|d| R + |c|)/|p| >=
+    |g_k| and E = |psi| * M (convolution).  kappa sums three relative parts.
+    (a) p = d - conj(w) b and q = c - conj(w) a round by at most dp = 4 eps
+    (|d| + |w| |b|) and dq = 4 eps (|c| + |w| |a|); the image f of the
+    computed p, q and the exact one differ by f (dp' + dq' z)/(p + q z) with
+    |dp'| <= dp, |dq'| <= dq, whose norm is at most ||f|| (dp + dq)/(|p| -
+    |q| - dp - dq), and ||f|| <= 1.01 W.  (b) Complex sums round by at most
+    eps/2 and products by at most 1.5 eps of the moduli of their operands
+    (sqrt(2) gamma_2; Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, 3.6), quotients (Smith's method) by 8 eps relative, so every g_k
+    is within (10 k + 19) eps M_k of its value, and e_k, one more sum of at
+    most m + 1 products (and psi_j, one quotient by the weight's
+    denominator), within sigma E_k, sigma = (11 m + 40) eps.  The head then
+    moves by at most sigma W, and the tail by sigma E_(m+1)/sqrt(1 - R^2)
+    from e_(m+1) and by |e_(m+1)| |rho' - rho| / ((1 - R) sqrt(1 - R^2))
+    from rho' = rho (1 + 8 eps), the H^2 norm of e (z^(m+1)/(1 - rho' z) -
+    z^(m+1)/(1 - rho z)) being at most that: together 2 sigma + 9 eps/(1 -
+    R).  An R >= 1 or a non-positive gap in (a) gives error inf.
+    """
+    (p, q), (d, c) = (cs + (0j,) * (2 - len(cs)) for cs in (factor.num.coefficients, factor.den.coefficients))
+    m = len(psi) - 1
+    rho = -q / p
+    g = [d / p, (d * rho + c) / p]
+    for _ in range(m):
+        g.append(g[-1] * rho)
+    e = _leading_product(psi, g)
+    head, tail = tuple(e[: m + 1]), e[m + 1]
+    r = abs(rho)
+    spread = abs(tail) / ((1.0 - r) * (1.0 + r))
+    size = math.sqrt(sum(x.real * x.real + x.imag * x.imag for x in head) + spread * spread)
+    big_r = r * (1.0 + 10.0 * _EPS)
+    dp = 4.0 * _EPS * (abs(d) + abs(w) * abs(phi.b))
+    dq = 4.0 * _EPS * (abs(c) + abs(w) * abs(phi.a))
+    gap = abs(p) - abs(q) - dp - dq
+    if not (big_r < 1.0 and gap > 0.0):
+        return ClosedImage(head, tail, rho, math.inf, size)
+    rise = (abs(d) * big_r + abs(c)) / abs(p)
+    moduli = _leading_product([abs(x) for x in psi], [abs(d) / abs(p)] + [rise * big_r**k for k in range(m + 1)])
+    majorant = math.sqrt(sum(x * x for x in moduli[: m + 1]) + moduli[m + 1] * moduli[m + 1] / ((1.0 - big_r) * (1.0 + big_r)))
+    sigma = (11 * m + 40) * _EPS
+    kappa = 2.0 * sigma + 9.0 * _EPS / (1.0 - big_r) + 1.01 * (dp + dq) / gap
+    return ClosedImage(head, tail, rho, kappa * majorant, size)
+
+
+def _closed_gram(entries) -> np.ndarray:
+    """F[i, j] = <f_j, f_i> on H^2 for the ClosedImages f_i:
+    sum_(k<=m) head_j[k] conj(head_i[k]) + tail_j conj(tail_i) / (1 - rho_j conj(rho_i)),
+    the geometric tails' inner product being that of the kernels at conj(rho)."""
+    heads = np.array([e.head for e in entries])
+    tails = np.array([e.tail for e in entries])
+    return heads.conj() @ heads.T + np.conj(tails)[:, None] * tails * _gram(np.array([e.rho for e in entries]), 1.0)
+
+
+def _szego_form(xs, us) -> float:
+    """Re sum_ij conj(x_i) x_j / (1 - conj(u_i) u_j), in Python complex
+    arithmetic: on H^2, ||sum_i conj(x_i) K_(u_i)||^2, which is also
+    ||sum_i x_i z^s / (1 - u_i z)||^2 for any s >= 0."""
+    s = 0.0
+    for x, u in zip(xs, us):
+        x, u = x.conjugate(), u.conjugate()
+        for y, v in zip(xs, us):
+            s += (x * y / (1.0 - u * v)).real
+    return s
+
+
+def _closed_norms(images: KernelImages, pts, cs: list) -> KernelNorms:
+    """kernel_gram_norms on a table whose closed is True: on H^2,
+    ||C* f||^2 = _szego_form(conj(c_i) psi(w_i), phi(w_i)), since C* K_w =
+    conj(psi(w)) K_phi(w), and ||C f|| and its tail_bound from
+    _closed_forward.  The values psi(w), phi(w) are taken before the images
+    and the images, with their gates, before any form, in the order of the
+    series path."""
+    values = [images.values(w) for w in pts]
+    entries = [images.closed_image(w) for w in pts]
+    try:
+        adj_sq = _szego_form([c.conjugate() * v for c, (v, _u) in zip(cs, values)], [u for _v, u in values])
+    except ZeroDivisionError:   # |phi(w)| = 1: phi is no self-map, and the form is unbounded
+        adj_sq = math.inf
+    forward, tail = _closed_forward(entries, cs, images._shift)
+    return KernelNorms(forward, math.sqrt(max(adj_sq, 0.0)), tail)
+
+
+def _closed_forward(entries, cs: list, shift: int) -> tuple[float, float]:
+    """(||sum_i c_i f_i||, bound on its distance from the exact norm), both
+    times 2^shift, for the ClosedImages f_i and the coefficients c_i of
+    kernel_gram_norms.
+
+    In Python complex arithmetic, the squared norm is ||v||^2, v = sum_i c_i
+    head_i, plus _szego_form(c_i tail_i, rho_i).  The bound has three
+    parts.  Each image is within its error of the exact one (_closed_image),
+    which moves the norm by at most sum_i |c_i| error_i.  The squared norm
+    rounds by at most D = 2 (k^2 + m + 20) eps (sum_i |c_i| size_i)^2 for k
+    points: v and ||v||^2 by (k + 1) eps and (m + 2) eps of the sums of the
+    moduli of their terms, and each term of the form, with t_i = c_i tail_i,
+    by (12 + k^2/2) eps + 1.5 eps / |1 - conj(rho_i) rho_j| of its modulus
+    (1 - conj(rho_i) rho_j rounds by 1.5 eps absolutely, |rho| < 1).  Since
+
+        |1 - conj(rho_i) rho_j|^2 = (1 - |rho_i|^2)(1 - |rho_j|^2) + |rho_i - rho_j|^2,
+
+    sum_ij |t_i| |t_j| / |1 - conj(rho_i) rho_j|^s is at most
+    (sum_i |t_i| / (1 - |rho_i|^2)^(s/2))^2 for s = 1, 2, and by Minkowski
+    the head and tail parts together are at most (sum_i |c_i| size_i)^2.
+    The square root then moves by at most min(sqrt(D), D / forward), and
+    rounds by eps forward.  The factor 1 + 2^-20 covers the products of two
+    rounding errors and the rounding of the bound itself.  Both scale back
+    by 2^shift exactly but where they leave the normal range, and the bound
+    is then rounded up one ulp, which covers that rounding: it is never 0.
+    It is no truncation tail: no order enters it.
+    """
+    v = [0j] * len(entries[0].head)
+    for c, e in zip(cs, entries):
+        v = [x + c * y for x, y in zip(v, e.head)]
+    s = sum(x.real * x.real + x.imag * x.imag for x in v)
+    s += _szego_form([c * e.tail for c, e in zip(cs, entries)], [e.rho for e in entries])
+    forward = math.sqrt(max(s, 0.0))
+    moduli = [abs(c) for c in cs]
+    total = sum(c * e.size for c, e in zip(moduli, entries))
+    d = 2.0 * (len(cs) ** 2 + len(v) + 19) * _EPS * total * total
+    rounding = min(math.sqrt(d), d / forward) if forward > 0.0 else math.sqrt(d)
+    bound = sum(c * e.error for c, e in zip(moduli, entries)) + rounding + _EPS * forward
+    return _unscale(forward, shift), math.nextafter(_unscale(bound * (1.0 + 2.0**-20), shift), math.inf)
+
+
 class KernelImages:
     """Kernel images of one weight, symbol and space: the forward images
     psi * (K_w o phi) and the values psi(w), phi(w) that fix C* K_w.
 
-    Per order n the table keeps what every point shares: psi's order-n
-    series (one expand_analytic call), less its trailing zeros, and
-    beta(0..n) (one beta_array call).
+    On H^2 with a polynomial weight (closed is True) every image has a
+    closed form, a polynomial plus one geometric tail (ClosedImage), kept
+    once per exact w whatever the order: the first lookup builds K_w o phi by
+    composed_kernel (one gate) and reads its factor, with no expand_analytic
+    and no series_tail_bound call.  Otherwise (a rational or power-factor
+    weight, or a Bergman space) per order n the table keeps what every point
+    shares: psi's order-n series (one expand_analytic call), less its
+    trailing zeros, and beta(0..n) (one beta_array call).
     Each exact (w, n) is then expanded once: the first lookup builds K_w o phi
     by composed_kernel (one gate), expands that one factor (expand_analytic,
     one O(n) recurrence), convolves it with psi's series and
@@ -759,9 +920,28 @@ class KernelImages:
         self.psi = as_analytic(psi)
         self.phi = phi
         self.space = space
+        self.closed = space.alpha == -1.0 and self.psi.polynomial_degree() is not None
+        if self.closed:
+            # psi's coefficients as expand_analytic gives them, times the power
+            # of two 2^-shift that brings the largest real or imaginary part
+            # into [1/2, 1): the closed forms are those of 2^-shift psi, scaled
+            # back exactly, so that no weight's size under- or overflows them.
+            base = self.psi.base
+            coeffs = np.array(base.num.coefficients, dtype=complex) / base.den.coefficients[0]
+            self._shift = math.frexp(float(np.abs(coeffs.view(np.float64)).max()))[1]
+            self._weight = tuple(np.ldexp(coeffs.view(np.float64), -self._shift).view(complex).tolist())
+        self._closed: dict[complex, ClosedImage] = {}
         self._orders: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._entries: dict[tuple[complex, int], tuple[np.ndarray, float]] = {}
         self._values: dict[complex, tuple[complex, complex]] = {}
+
+    def closed_image(self, w: complex) -> ClosedImage:
+        """The ClosedImage of 2^-_shift psi * (K_w o phi); only for a table whose closed is True."""
+        entry = self._closed.get(w)
+        if entry is None:
+            ((factor, _gamma),) = composed_kernel(w, 1.0, self.phi).factors
+            entry = self._closed[w] = _closed_image(self._weight, factor, self.phi, w)
+        return entry
 
     def values(self, w: complex) -> tuple[complex, complex]:
         """(psi(w), phi(w))."""
@@ -808,7 +988,10 @@ def kernel_gram_norms(psi, phi: MoebiusMap, space: SpaceSpec, points, coeffs, n:
     """Norms of C f and C* f for f = sum_i c_i K_{w_i}.
 
     The adjoint side is closed-form: C* K_w = conj(psi(w)) K_phi(w) and
-    <K_a, K_b> = (1 - conj(a) b)^(-gamma).  The forward side is the norm of
+    <K_a, K_b> = (1 - conj(a) b)^(-gamma).  On H^2 with a polynomial weight
+    the forward side is closed-form too, ||C f|| itself with n unused, and
+    tail_bound bounds only its rounding (_closed_forward); it never raises
+    PrecisionLossError.  Otherwise it is the norm of
     the order-n truncation of sum c_i psi (K_{w_i} o phi) plus a proved
     tail bound, sum |c_i| times each image's tail bound (see KernelImages);
     PrecisionLossError signals a tail above 10% of the computed norm (raise
@@ -824,6 +1007,8 @@ def kernel_gram_norms(psi, phi: MoebiusMap, space: SpaceSpec, points, coeffs, n:
     if not np.isfinite(cs).all():
         raise InvalidParameterError("kernel coefficients must be finite")
     images = _images_for(psi, phi, space)
+    if images.closed:
+        return _closed_norms(images, pts, cs.tolist())
 
     # <C*f, C*f> = sum_ij c_i conj(c_j) <C* K_{w_i}, C* K_{w_j}>
     weighted = _adjoint_gram(images, np.array(pts))
@@ -848,7 +1033,8 @@ def kernel_gram_forms(psi, phi: MoebiusMap, space: SpaceSpec, points, n: int):
     ||P_n C f||^2 = c^H F c for f = sum_i c_i K_{w_i}.
 
     The forms kernel_gram_norms evaluates, as matrices; F is the order-n
-    truncation and carries no tail bound.  The forms of a sublist are index
+    truncation and carries no tail bound, or on H^2 with a polynomial weight
+    ||C f||^2 itself (_closed_gram).  The forms of a sublist are index
     slices of these: K and A are elementwise, so a slice of either is bit for
     bit the sublist's own form, while a slice of F, one matrix product over
     all the points, may differ from the sublist's by rounding.  psi and n are
@@ -857,8 +1043,13 @@ def kernel_gram_forms(psi, phi: MoebiusMap, space: SpaceSpec, points, n: int):
     _check_truncation(n)
     pts = np.array(_kernel_points(points))
     images = _images_for(psi, phi, space)
-    rows = np.array([images.image(w, n)[0] for w in pts.tolist()])
-    return _gram(pts, space.gamma).T, _adjoint_gram(images, pts).T, rows.conj() @ rows.T
+    if images.closed:
+        forward = _closed_gram([images.closed_image(w) for w in pts.tolist()])
+        forward = np.ldexp(forward.view(np.float64), 2 * images._shift).view(complex)
+    else:
+        rows = np.array([images.image(w, n)[0] for w in pts.tolist()])
+        forward = rows.conj() @ rows.T
+    return _gram(pts, space.gamma).T, _adjoint_gram(images, pts).T, forward
 
 
 # ---------------------------------------------------------------------------

@@ -733,20 +733,23 @@ def conjugate_to_origin(
 # Numeric witness search
 
 def _norms_with_escalation(images, phi, space, pts, cs, order) -> CertificateWitness | None:
-    """sum_i c_i K_{w_i} with its kernel_gram_norms at order, doubled until the
+    """sum_i c_i K_{w_i} with its kernel_gram_norms at order, the order
+    doubled, and raised to the truncation cap at the last step, until the
     tail bound is within 10% of the norm; the witness records the order that
-    held.  None when no order up to the truncation cap does.  images is the
-    search's KernelImages table.
+    held.  None when no order up to the cap does.  images is the search's
+    KernelImages table; on H^2 with a polynomial weight its norms are
+    closed-form and never raise PrecisionLossError, so the first order holds.
     """
     n = order
-    while n <= MAX_TRUNCATION:
+    while True:
         try:
             kn = kernel_gram_norms(images, phi, space, pts, cs, n)
         except PrecisionLossError:
-            n *= 2
+            if n >= MAX_TRUNCATION:
+                return None
+            n = min(2 * n, MAX_TRUNCATION)
             continue
         return CertificateWitness(tuple(pts), tuple(cs), kn.adjoint, kn.forward, kn.tail_bound, n)
-    return None
 
 
 def _top_eigenpair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -842,7 +845,9 @@ def witness_search(
     before each grid point and each trial, not inside the grid Gram or the
     stacked solves (a few milliseconds for 400 trials).  The search's one
     KernelImages table expands psi and computes beta(0..n) once per order n,
-    and each kernel image psi * (K_w o phi) once per point and order.
+    and each kernel image psi * (K_w o phi) once per point and order; on H^2
+    with a polynomial weight it holds each image's closed form, once per
+    point, and no order is escalated.
     """
     _check_budget(budget_seconds)
     _check_truncation(order)

@@ -15,7 +15,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import hypocomp as hc
@@ -25,7 +25,7 @@ from hypocomp.funcalg import moebius_rational
 from hypocomp.matrixrep import AdjointResidual, KernelImages, KernelNorms, _kernel_tail, kernel_gram_forms
 from hypocomp.theory import _top_eigenpair
 
-from conftest import DERANDOMIZED, random_disk_points
+from conftest import DERANDOMIZED, random_disk_points, random_self_maps
 from test_theory import maps_of_every_kind
 
 
@@ -1055,9 +1055,11 @@ class TestKernelGramNorms:
         kn = hc.kernel_gram_norms(1, hc.hyperbolic_nonauto_form(0.5), space, [w], [c], 512)
         assert hc.CertificateWitness((w,), (c,), kn.adjoint, kn.forward, kn.tail_bound, 512).is_conclusive
 
-    def test_precision_loss_raised(self, H2, psi_one, parabolic_map):
+    def test_precision_loss_raised(self, A0, psi_one, parabolic_map):
+        # A truncated series path: on H^2 this polynomial weight's norms are
+        # closed-form and carry no tail.
         with pytest.raises(PrecisionLossError):
-            hc.kernel_gram_norms(psi_one, parabolic_map, H2, [0.97], [1.0], 24)
+            hc.kernel_gram_norms(psi_one, parabolic_map, A0, [0.97], [1.0], 24)
 
     @pytest.mark.parametrize("routine", ("norms", "forms"))
     @pytest.mark.parametrize("points, error", [
@@ -1113,21 +1115,26 @@ def annulus(lo, hi):
        st.lists(st.tuples(annulus(0.1, 0.9), annulus(0.1, 2.0)), min_size=1, max_size=3))
 def test_kernel_image_table_changes_no_number(psi, phi, space, terms):
     # One table serves repeated calls and several orders; each call returns
-    # exactly what a one-shot call on the bare weight returns.  Order 1 raises
+    # exactly what a one-shot call on the bare weight returns.  On a series
+    # path (a rational weight, or bergman:0.7) order 1 raises
     # PrecisionLossError: for w != 0 the image g is not a polynomial, and its
     # tail bound beta(1) M(rho) / rho at a radius rho <= 9 is at least
     # beta(1) |g(0)| / 9, since M(rho) >= max |g| on |z| = rho >= |g(0)|,
     # while the order-1 norm is at most sum |c_i| |g_i(0)|.  On hardy that is
     # above 10% unconditionally; on bergman:0.7, where beta(1) / 9 ~ 0.068, it
-    # is not implied, but holds on every example drawn here.
+    # is not implied, but holds on every example drawn here.  A polynomial
+    # weight on hardy takes the closed forms, which no order changes.
     points = [w for w, _c in terms]
     coeffs = [c for _w, c in terms]
     images = KernelImages(psi, phi, space)
+    first = _outcome(hc.kernel_gram_norms, psi, phi, space, points, coeffs, 48)
     for n in (48, 96, 1, 48, 96):
         got = _outcome(hc.kernel_gram_norms, images, phi, space, points, coeffs, n)
         want = _outcome(hc.kernel_gram_norms, psi, phi, space, points, coeffs, n)
         assert _same(got, want)
-        if n == 1:
+        if images.closed:
+            assert _same(got, first)
+        elif n == 1:
             assert got is PrecisionLossError
         got = _outcome(kernel_gram_forms, images, phi, space, points, n)
         want = _outcome(kernel_gram_forms, psi, phi, space, points, n)
@@ -1165,6 +1172,187 @@ def test_table_gates_each_kernel_image_once(monkeypatch):
     for w, n in ((0.3, 48), (0.5j, 48), (0.3, 48), (0.3, 96), (-0.2, 96)):
         images.image(w, n)
     assert len(runs) == 4
+    # On hardy a polynomial weight's closed forms serve every order: each new
+    # point costs its one gate, a repeated point none, at any order.
+    runs.clear()
+    phi = hc.hyperbolic_nonauto_form(0.5)
+    closed = KernelImages(hc.polynomial_fn(2, 1, 0.5), phi, hc.hardy())
+    for w, n in ((0.3, 48), (0.5j, 48), (0.3, 48), (0.3, 96), (-0.2, 96)):
+        hc.kernel_gram_norms(closed, phi, hc.hardy(), [w], [1.0], n)
+    assert closed.closed and len(runs) == 3
+
+
+# ---------------------------------------------------------------------------
+# Closed-form kernel images: H^2 with a polynomial weight
+
+polynomial_weights = st.lists(disk(0.9), max_size=3).map(lambda c: hc.polynomial_fn(1, *c))
+
+
+def mp_image_data(psi, phi, w):
+    """(psi's coefficients, p, q, c, d) in mpmath: psi (K_w o phi) =
+    psi (d + c z)/(p + q z) on H^2, with p = d - conj(w) b, q = c - conj(w) a."""
+    a, b, c, d = (mpmath.mpc(x) for x in phi.coefficients())
+    den = mpmath.mpc(psi.base.den.coefficients[0])
+    coeffs = [mpmath.mpc(x) / den for x in psi.base.num.coefficients]
+    wc = mpmath.conj(mpmath.mpc(w))
+    return coeffs, d - wc * b, c - wc * a, c, d
+
+
+def mp_series_gram(psi, phi, points, terms):
+    """<f_j, f_i> for the images f_i = psi (K_{w_i} o phi), summed over their
+    first `terms` Maclaurin coefficients, each from the recurrence of
+    (p + q z) g = d + c z: no closed form enters."""
+    rows = []
+    for w in points:
+        coeffs, p, q, c, d = mp_image_data(psi, phi, w)
+        g = [d / p, (c - q * d / p) / p]
+        while len(g) < terms:
+            g.append(-q * g[-1] / p)
+        rows.append([mpmath.fsum(coeffs[j] * g[k - j] for j in range(min(k + 1, len(coeffs))))
+                     for k in range(terms)])
+    return [[mpmath.fsum(x * mpmath.conj(y) for x, y in zip(fj, fi)) for fj in rows] for fi in rows]
+
+
+def mp_closed_norm(psi, phi, points, coeffs):
+    """||sum_i c_i psi (K_{w_i} o phi)|| on H^2 from the closed form, in the
+    working precision."""
+    heads, tails = [], []
+    for w in points:
+        psi_k, p, q, c, d = mp_image_data(psi, phi, w)
+        rho = -q / p
+        m = len(psi_k) - 1
+        g = [d / p] + [rho ** (k - 1) * (d * rho + c) / p for k in range(1, m + 2)]
+        e = [mpmath.fsum(psi_k[j] * g[k - j] for j in range(min(k, m) + 1)) for k in range(m + 2)]
+        heads.append(e[: m + 1])
+        tails.append((e[m + 1], rho))
+    cs = [mpmath.mpc(x) for x in coeffs]
+    sq = mpmath.fsum(abs(mpmath.fsum(ci * h[k] for ci, h in zip(cs, heads))) ** 2 for k in range(len(heads[0])))
+    sq += mpmath.fsum((mpmath.conj(ci * ti) * cj * tj / (1 - mpmath.conj(ri) * rj)).real
+                      for ci, (ti, ri) in zip(cs, tails) for cj, (tj, rj) in zip(cs, tails))
+    return mpmath.sqrt(max(sq, 0))
+
+
+def largest_rho(psi, phi, points):
+    return max(abs(q / p) for _c, p, q, _cc, _d in (mp_image_data(psi, phi, w) for w in points))
+
+
+@DERANDOMIZED
+@given(polynomial_weights, self_maps(), st.lists(disk(0.8), min_size=1, max_size=3))
+def test_closed_gram_matches_a_40_digit_series_gram(psi, phi, points):
+    # Summed to where |rho|^k falls below 1e-42 of the first term.
+    with mpmath.workdps(40):
+        r = float(largest_rho(psi, phi, points))
+        assume(r <= 0.98)
+        terms = 8 + (int(math.log(1e-42) / math.log(r)) if r > 0.0 else 0)
+        want = mp_series_gram(psi, phi, points, terms)
+    got = kernel_gram_forms(psi, phi, hc.hardy(), points, 48)[2]
+    for i, j in np.ndindex(got.shape):
+        scale = mpmath.sqrt(abs(want[i][i] * want[j][j]))
+        assert abs(got[i, j] - complex(want[i][j])) <= 1e-13 * float(scale)
+
+
+@DERANDOMIZED
+@given(polynomial_weights, self_maps(), st.lists(disk(0.8), min_size=1, max_size=3))
+def test_closed_gram_matches_the_order_1024_series_gram(psi, phi, points):
+    # Where |rho|^1024 is negligible, the order-1024 truncation of the
+    # series path is the whole image.
+    assume(float(largest_rho(psi, phi, points)) <= 0.97)
+    closed = KernelImages(psi, phi, hc.hardy())
+    got = kernel_gram_forms(closed, phi, hc.hardy(), points, 1024)[2]
+    rows = np.array([closed.image(w, 1024)[0] for w in points])
+    want = rows.conj() @ rows.T
+    scale = np.sqrt(np.outer(np.diag(want).real, np.diag(want).real))
+    assert closed.closed and np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def test_closed_forward_is_within_its_bound_of_a_50_digit_norm():
+    # Combinations of 1 to 3 kernel images on maps of every class, with
+    # |c_i| up to 1e3 and points up to |w| = 1 - 1e-5; half of the pairs
+    # nearly cancel (nearby points, nearly opposite coefficients).
+    rng = np.random.default_rng(4099)
+    maps = random_self_maps(rng, 120) + [phi for _ in range(10) for phi in maps_of_every_kind(rng)]
+    for phi in maps:
+        psi = hc.polynomial_fn(*(rng.standard_normal(4) + 1j * rng.standard_normal(4))[: rng.integers(1, 5)])
+        k = int(rng.integers(1, 4))
+        top = (0.5, 0.9, 0.99, 1 - 1e-5)[rng.integers(0, 4)]
+        points = [top * rng.uniform() ** 0.3 * cmath.exp(2j * math.pi * rng.uniform()) for _ in range(k)]
+        coeffs = list(10 ** rng.uniform(-3, 3, k) * np.exp(2j * math.pi * rng.uniform(size=k)))
+        if k > 1 and rng.uniform() < 0.5:
+            near = points[0] + 10 ** rng.uniform(-9, -4) * cmath.exp(2j * math.pi * rng.uniform())
+            points[1] = near if abs(near) < 1 else points[0]
+            coeffs[1] = -coeffs[0] * (1 + 10 ** rng.uniform(-9, -3))
+        kn = hc.kernel_gram_norms(psi, phi, hc.hardy(), points, coeffs, 48)
+        with mpmath.workdps(50):
+            exact = mp_closed_norm(psi, phi, points, coeffs)
+            assert 0.0 < kn.tail_bound < math.inf
+            assert abs(mpmath.mpf(kn.forward) - exact) <= kn.tail_bound
+        if k == 1 and top <= 0.9:
+            assert kn.tail_bound <= 1e-12 * kn.forward
+
+
+non_self_maps = st.sampled_from((
+    hc.MoebiusMap(2, 0, 0, 1),
+    hc.MoebiusMap(1, 0.5, 0, 1),
+    hc.MoebiusMap(1, 0, 1, 0.5),
+    hc.MoebiusMap(0.5, 0.6, 0.2j, 1),
+))
+every_kind = st.builds(lambda seed, i: maps_of_every_kind(np.random.default_rng(seed))[i],
+                       st.integers(0, 2**32 - 1), st.integers(0, len(hc.MapKind) - 1))
+near_circle = st.builds(lambda r, u: r * u,
+                        st.one_of(st.floats(0.0, 1 - 1e-9), st.floats(0.99, 1 - 1e-9), st.just(1 - 1e-9)),
+                        unimodular)
+
+
+@DERANDOMIZED
+@given(polynomial_weights, st.one_of(every_kind, non_self_maps), st.lists(near_circle, min_size=1, max_size=3))
+def test_closed_path_refuses_what_the_series_path_refuses(psi, phi, points):
+    # The same table with its closed forms switched off takes the series path
+    # for the same weight.  Both gate each point by composed_kernel, so they
+    # raise the same error or both return; PrecisionLossError, which asks the
+    # series path for a higher order, refuses no input, and the closed path
+    # has no order to raise.
+    def outcome(routine, images, *args):
+        try:
+            routine(images, phi, hc.hardy(), points, *args)
+        except PrecisionLossError:
+            return None
+        except HypocompError as exc:
+            return type(exc)
+        return None
+
+    closed, series = KernelImages(psi, phi, hc.hardy()), KernelImages(psi, phi, hc.hardy())
+    series.closed = False
+    ones = [1.0] * len(points)
+    assert closed.closed
+    assert outcome(hc.kernel_gram_norms, closed, ones, 1024) == outcome(hc.kernel_gram_norms, series, ones, 1024)
+    assert outcome(kernel_gram_forms, closed, 1024) == outcome(kernel_gram_forms, series, 1024)
+
+
+def test_closed_adjoint_is_unbounded_where_phi_reaches_the_circle():
+    # z + 1/2 is no self-map and sends 1/2 to 1, where C* K_w = conj(psi(w)) K_1
+    # has no finite norm: the closed path reports inf rather than dividing by
+    # zero, after the gates, and no witness certifies with it.
+    phi, points, coeffs = hc.MoebiusMap(1, 0.5, 0, 1), [0.5, 0.2], [1.0, 1.0]
+    kn = hc.kernel_gram_norms(hc.polynomial_fn(1, 0.5), phi, hc.hardy(), points, coeffs, 48)
+    assert kn.adjoint == math.inf and math.isfinite(kn.forward)
+    assert not hc.CertificateWitness(tuple(points), tuple(coeffs), kn.adjoint, kn.forward, kn.tail_bound, 48).is_conclusive
+    # 2z sends 1/2 to 1 too, but there K_w o phi = 1/(1 - z) has its pole on
+    # the circle, and the gate refuses it before any form is evaluated.
+    with pytest.raises(hc.IndeterminateError):
+        hc.kernel_gram_norms(hc.polynomial_fn(1, 0.5), hc.MoebiusMap(2, 0, 0, 1), hc.hardy(), [0.5], [1.0], 48)
+
+
+def test_closed_path_expands_no_series(monkeypatch):
+    # A search on hardy with a polynomial weight: every Gram is closed-form,
+    # and the certificate holds at the order the search started from.
+    def refuse(*args):
+        raise AssertionError("expanded a series")
+
+    monkeypatch.setattr(matrixrep, "expand_analytic", refuse)
+    monkeypatch.setattr(matrixrep, "series_tail_bound", refuse)
+    assert hc.witness_search(1, hc.dilation(0.5), hc.hardy(), order=48) is None
+    w = hc.witness_search(hc.polynomial_fn(1, 0.01), hc.hyperbolic_nonauto_form(0.5), hc.hardy(), order=8)
+    assert w is not None and w.is_conclusive and w.order == 8
 
 
 @DERANDOMIZED

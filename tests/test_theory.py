@@ -28,7 +28,8 @@ from hypocomp.errors import (
     TheoryUnavailableError,
     ZeroSymbolError,
 )
-from hypocomp.matrixrep import KernelImages, kernel_gram_forms
+from hypocomp.funcalg import MAX_TRUNCATION
+from hypocomp.matrixrep import KernelImages, KernelNorms, kernel_gram_forms
 from hypocomp.theory import (
     Outcome,
     WeightedOptions,
@@ -967,7 +968,7 @@ class TestWitnessSearch:
 
     @pytest.mark.parametrize("order, tried", [
         (64, [64, 128, 256, 512, 1024]),
-        (48, [48, 96, 192, 384, 768]),
+        (48, [48, 96, 192, 384, 768, 1024]),
         (1024, [1024]),
     ])
     def test_escalation_gives_up_past_the_truncation_cap(self, H2, monkeypatch, order, tried):
@@ -982,6 +983,23 @@ class TestWitnessSearch:
         images = KernelImages(1, phi, H2)
         assert theory._norms_with_escalation(images, phi, H2, [0.3], [1.0], order) is None
         assert orders == tried
+
+    def test_escalation_reaches_the_truncation_cap_from_any_order(self, H2, monkeypatch):
+        # 600 is no power-of-two fraction of the cap: its double, 1200, is
+        # past it, so the next order tried is the cap itself.
+        orders = []
+
+        def lossy_below_the_cap(psi, phi, space, points, coeffs, n):
+            orders.append(n)
+            if n < MAX_TRUNCATION:
+                raise PrecisionLossError("tail bound not within 10% of the norm")
+            return KernelNorms(1.0, 2.0, 0.0)
+
+        monkeypatch.setattr(theory, "kernel_gram_norms", lossy_below_the_cap)
+        phi = hc.dilation(0.5)
+        w = theory._norms_with_escalation(KernelImages(1, phi, H2), phi, H2, [0.3], [1.0], 600)
+        assert orders == [600, 1024]
+        assert w is not None and w.order == 1024
 
     def test_normal_form_none(self, H2, monkeypatch):
         nf = hc.normal_form(0.3, 0.4, 1, H2)
@@ -1060,13 +1078,15 @@ class TestWitnessSearch:
         "coeffs, phi",
         [((1, 0.9), hc.dilation(0.9)), ((1, 0.5), hc.hyperbolic_nonauto_form(0.5))],
     )
-    def test_witness_reproduces_at_its_order(self, H2, coeffs, phi):
+    def test_witness_reproduces_at_its_order(self, A0, coeffs, phi):
         # order 8 is too short for these kernels' tails, so the search escalates;
-        # the witness must record the order its norms were certified at.
+        # the witness must record the order its norms were certified at.  On
+        # A^2_0 the forward norms are truncated series (on H^2 a polynomial
+        # weight's are closed-form and never escalate).
         psi = hc.polynomial_fn(*coeffs)
-        w = hc.witness_search(psi, phi, H2, budget_seconds=30, order=8)
+        w = hc.witness_search(psi, phi, A0, budget_seconds=30, order=8)
         assert w is not None and w.is_conclusive and w.order > 8
-        kn = hc.kernel_gram_norms(psi, phi, H2, w.points, w.coefficients, w.order)
+        kn = hc.kernel_gram_norms(psi, phi, A0, w.points, w.coefficients, w.order)
         assert (kn.adjoint, kn.forward, kn.tail_bound) == (w.adjoint_norm, w.forward_norm, w.tail_bound)
 
     def test_inequality_violations_are_confirmed(self, H2, A0, psi_one, psi_two, parabolic_map):
