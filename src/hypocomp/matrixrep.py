@@ -52,7 +52,8 @@ sign of A*A - AA* (the forward shift gives a spurious negative eigenvalue),
 so non-hyponormality certificates must come from kernel_gram_norms, whose
 adjoint side is exact and whose forward side is exact too on H^2 with a
 polynomial weight (closed forms, with a stated rounding bound) and otherwise
-carries a truncation-tail bound.
+carries a truncation-tail bound; on every space both sides are taken at a
+table's unit scale (KernelImages) and scaled back, exactly in the normal range.
 """
 
 from __future__ import annotations
@@ -67,11 +68,11 @@ import numpy as np
 from .errors import ConvergenceFailureError, InvalidParameterError, PrecisionLossError
 from .funcalg import (
     _EPS,
+    _TINY,
     AnalyticFunction,
     _check_truncation,
     _log_majorant,
     _tail_radii,
-    boundary_sup,
     constant_fn,
     composed_kernel,
     expand_analytic,
@@ -661,9 +662,11 @@ def gelfand_estimate(m: OperatorMatrix, k: int) -> SpectralEstimate:
 # Kernel-side identities
 
 def _composition_norm_upper(psi_f: AnalyticFunction, phi, space: SpaceSpec) -> float:
-    """Classical upper bound ||psi||_inf ((1+|phi(0)|)/(1-|phi(0)|))^(gamma/2)."""
+    """Classical upper bound ||psi||_inf ((1+|phi(0)|)/(1-|phi(0)|))^(gamma/2), with
+    ||psi||_inf from _log_majorant's proved bound, which holds at rho = 1 (psi is analytic there)."""
     r = abs(phi(0))
-    return 1.05 * boundary_sup(psi_f) * ((1.0 + r) / (1.0 - r)) ** (space.gamma / 2.0)
+    log_sup = float(_log_majorant(psi_f, np.array([1.0]))[0])
+    return (math.exp(log_sup) if log_sup < 709.0 else math.inf) * ((1.0 + r) / (1.0 - r)) ** (space.gamma / 2.0)
 
 
 def _kernel_tail(space: SpaceSpec, w: complex, n: int) -> float:
@@ -717,12 +720,10 @@ def _gram(xs: np.ndarray, gamma: float) -> np.ndarray:
     return (1.0 - np.conj(xs)[:, None] * xs[None, :]) ** (-gamma)
 
 
-def _adjoint_gram(images: KernelImages, pts: np.ndarray) -> np.ndarray:
-    """<C* K_{w_i}, C* K_{w_j}> for the points pts, closed-form from
-    C* K_w = conj(psi(w)) K_phi(w)."""
-    # tolist gives Python complex points, which the table's symbols evaluate in
-    # Python complex arithmetic (numpy scalars would round differently).
-    psis, phis = (np.array(v) for v in zip(*(images.values(w) for w in pts.tolist())))
+def _adjoint_gram(images: KernelImages, pts: tuple[complex, ...]) -> np.ndarray:
+    """<C* K_{w_i}, C* K_{w_j}> for the Python complex points pts, closed-form
+    from C* K_w = conj(psi(w)) K_phi(w)."""
+    psis, phis = (np.array(v) for v in zip(*(images.values(w) for w in pts)))
     return np.conj(psis)[:, None] * psis[None, :] * _gram(phis, images.space.gamma)
 
 
@@ -820,42 +821,24 @@ def _closed_gram(entries) -> np.ndarray:
     return heads.conj() @ heads.T + np.conj(tails)[:, None] * tails * _gram(np.array([e.rho for e in entries]), 1.0)
 
 
-def _szego_form(xs, us) -> float:
-    """Re sum_ij conj(x_i) x_j / (1 - conj(u_i) u_j), in Python complex
-    arithmetic: on H^2, ||sum_i conj(x_i) K_(u_i)||^2, which is also
-    ||sum_i x_i z^s / (1 - u_i z)||^2 for any s >= 0."""
+def _kernel_form(xs, us, gamma: float) -> float:
+    """Re sum_ij conj(x_i) x_j (1 - conj(u_i) u_j)^-gamma, in Python complex
+    arithmetic: ||sum_i conj(x_i) K_(u_i)||^2, for gamma = 1 also ||sum_i x_i
+    z^s / (1 - u_i z)||^2, s >= 0; ZeroDivisionError for a u_i on the circle."""
     s = 0.0
     for x, u in zip(xs, us):
         x, u = x.conjugate(), u.conjugate()
         for y, v in zip(xs, us):
-            s += (x * y / (1.0 - u * v)).real
+            s += (x * y / (1.0 - u * v) ** gamma).real
     return s
 
 
-def _closed_norms(images: KernelImages, pts, cs: list) -> KernelNorms:
-    """kernel_gram_norms on a table whose closed is True: on H^2,
-    ||C* f||^2 = _szego_form(conj(c_i) psi(w_i), phi(w_i)), since C* K_w =
-    conj(psi(w)) K_phi(w), and ||C f|| and its tail_bound from
-    _closed_forward.  The values psi(w), phi(w) are taken before the images
-    and the images, with their gates, before any form, in the order of the
-    series path."""
-    values = [images.values(w) for w in pts]
-    entries = [images.closed_image(w) for w in pts]
-    try:
-        adj_sq = _szego_form([c.conjugate() * v for c, (v, _u) in zip(cs, values)], [u for _v, u in values])
-    except ZeroDivisionError:   # |phi(w)| = 1: phi is no self-map, and the form is unbounded
-        adj_sq = math.inf
-    forward, tail = _closed_forward(entries, cs, images._shift)
-    return KernelNorms(forward, math.sqrt(max(adj_sq, 0.0)), tail)
-
-
-def _closed_forward(entries, cs: list, shift: int) -> tuple[float, float]:
-    """(||sum_i c_i f_i||, bound on its distance from the exact norm), both
-    times 2^shift, for the ClosedImages f_i and the coefficients c_i of
-    kernel_gram_norms.
+def _closed_forward(entries, cs: list) -> tuple[float, float]:
+    """(||sum_i c_i f_i||, bound on its distance from the exact norm) for the
+    ClosedImages f_i and the coefficients c_i of kernel_gram_norms.
 
     In Python complex arithmetic, the squared norm is ||v||^2, v = sum_i c_i
-    head_i, plus _szego_form(c_i tail_i, rho_i).  The bound has three
+    head_i, plus _kernel_form(c_i tail_i, rho_i, 1).  The bound has three
     parts.  Each image is within its error of the exact one (_closed_image),
     which moves the norm by at most sum_i |c_i| error_i.  The squared norm
     rounds by at most D = 2 (k^2 + m + 20) eps (sum_i |c_i| size_i)^2 for k
@@ -871,28 +854,30 @@ def _closed_forward(entries, cs: list, shift: int) -> tuple[float, float]:
     the head and tail parts together are at most (sum_i |c_i| size_i)^2.
     The square root then moves by at most min(sqrt(D), D / forward), and
     rounds by eps forward.  The factor 1 + 2^-20 covers the products of two
-    rounding errors and the rounding of the bound itself.  Both scale back
-    by 2^shift exactly but where they leave the normal range, and the bound
-    is then rounded up one ulp, which covers that rounding: it is never 0.
-    It is no truncation tail: no order enters it.
+    rounding errors and the rounding of the bound itself, which is then
+    rounded up one ulp: it is never 0.  It is no truncation tail: no order
+    enters it.
     """
     v = [0j] * len(entries[0].head)
     for c, e in zip(cs, entries):
         v = [x + c * y for x, y in zip(v, e.head)]
     s = sum(x.real * x.real + x.imag * x.imag for x in v)
-    s += _szego_form([c * e.tail for c, e in zip(cs, entries)], [e.rho for e in entries])
+    s += _kernel_form([c * e.tail for c, e in zip(cs, entries)], [e.rho for e in entries], 1.0)
     forward = math.sqrt(max(s, 0.0))
     moduli = [abs(c) for c in cs]
     total = sum(c * e.size for c, e in zip(moduli, entries))
     d = 2.0 * (len(cs) ** 2 + len(v) + 19) * _EPS * total * total
     rounding = min(math.sqrt(d), d / forward) if forward > 0.0 else math.sqrt(d)
     bound = sum(c * e.error for c, e in zip(moduli, entries)) + rounding + _EPS * forward
-    return _unscale(forward, shift), math.nextafter(_unscale(bound * (1.0 + 2.0**-20), shift), math.inf)
+    return forward, math.nextafter(bound * (1.0 + 2.0**-20), math.inf)
 
 
 class KernelImages:
     """Kernel images of one weight, symbol and space: the forward images
-    psi * (K_w o phi) and the values psi(w), phi(w) that fix C* K_w.
+    psi * (K_w o phi) and the values psi(w), phi(w) that fix C* K_w, for psi
+    the weight times 2^-_shift, which brings the largest real or imaginary
+    part of its base coefficients num/den(0) into [1/2, 1): 2^k psi makes the
+    same table but for _shift, and kernel_gram_norms and kernel_gram_forms scale back.
 
     On H^2 with a polynomial weight (closed is True) every image has a
     closed form, a polynomial plus one geometric tail (ClosedImage), kept
@@ -910,25 +895,22 @@ class KernelImages:
     re-gating; that is a proved bound on the beta-weighted tail because
     beta(k) does not increase (gamma >= 1).  Each exact w is evaluated once,
     on its first adjoint lookup.  A witness search creates one table and
-    passes it where kernel_gram_norms and kernel_gram_forms take a weight; a
-    table belongs to that search and is never shared between searches.
+    passes it where kernel_gram_norms takes a weight; a table belongs to
+    that search and is never shared between searches.
     """
 
     def __init__(self, psi, phi: MoebiusMap, space: SpaceSpec):
         if not isinstance(phi, MoebiusMap):
             raise InvalidParameterError("forward kernel images need a linear-fractional symbol")
-        self.psi = as_analytic(psi)
+        weight = as_analytic(psi)
+        coeffs = np.array(weight.base.num.coefficients, dtype=complex) / weight.base.den.coefficients[0]
+        # At least -1022, so that 2^-_shift is a double; the scaling is exact.
+        self._shift = max(math.frexp(float(np.abs(coeffs.view(np.float64)).max()))[1], -1022)
+        self.psi = weight.scale(math.ldexp(1.0, -self._shift))
         self.phi = phi
         self.space = space
         self.closed = space.alpha == -1.0 and self.psi.polynomial_degree() is not None
         if self.closed:
-            # psi's coefficients as expand_analytic gives them, times the power
-            # of two 2^-shift that brings the largest real or imaginary part
-            # into [1/2, 1): the closed forms are those of 2^-shift psi, scaled
-            # back exactly, so that no weight's size under- or overflows them.
-            base = self.psi.base
-            coeffs = np.array(base.num.coefficients, dtype=complex) / base.den.coefficients[0]
-            self._shift = math.frexp(float(np.abs(coeffs.view(np.float64)).max()))[1]
             self._weight = tuple(np.ldexp(coeffs.view(np.float64), -self._shift).view(complex).tolist())
         self._closed: dict[complex, ClosedImage] = {}
         self._orders: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -936,7 +918,7 @@ class KernelImages:
         self._values: dict[complex, tuple[complex, complex]] = {}
 
     def closed_image(self, w: complex) -> ClosedImage:
-        """The ClosedImage of 2^-_shift psi * (K_w o phi); only for a table whose closed is True."""
+        """The ClosedImage of psi * (K_w o phi); only for a table whose closed is True."""
         entry = self._closed.get(w)
         if entry is None:
             ((factor, _gamma),) = composed_kernel(w, 1.0, self.phi).factors
@@ -988,16 +970,18 @@ def kernel_gram_norms(psi, phi: MoebiusMap, space: SpaceSpec, points, coeffs, n:
     """Norms of C f and C* f for f = sum_i c_i K_{w_i}.
 
     The adjoint side is closed-form: C* K_w = conj(psi(w)) K_phi(w) and
-    <K_a, K_b> = (1 - conj(a) b)^(-gamma).  On H^2 with a polynomial weight
-    the forward side is closed-form too, ||C f|| itself with n unused, and
+    <K_a, K_b> = (1 - conj(a) b)^(-gamma) (_kernel_form; inf where some
+    phi(w_i) lies on the circle).  On H^2 with a polynomial weight the
+    forward side is closed-form too, ||C f|| itself with n unused, and
     tail_bound bounds only its rounding (_closed_forward); it never raises
-    PrecisionLossError.  Otherwise it is the norm of
-    the order-n truncation of sum c_i psi (K_{w_i} o phi) plus a proved
-    tail bound, sum |c_i| times each image's tail bound (see KernelImages);
-    PrecisionLossError signals a tail above 10% of the computed norm (raise
-    n).  psi is a weight, or a search's KernelImages table for its weight,
-    which serves each kernel image it has already expanded.  An n outside
-    [1, MAX_TRUNCATION] or a non-finite c_i is an InvalidParameterError.
+    PrecisionLossError.  Otherwise it is the norm of the order-n truncation
+    of sum c_i psi (K_{w_i} o phi) plus a proved tail bound, sum |c_i| times
+    each image's tail bound (see KernelImages); PrecisionLossError signals a
+    tail above 10% of the computed norm (raise n).  Both sides are taken at
+    the table's unit scale and scaled back at the end.  psi is a weight, or a
+    search's KernelImages table for its weight, which serves each kernel
+    image it has already expanded.  An n outside [1, MAX_TRUNCATION] or a
+    non-finite c_i is an InvalidParameterError.
     """
     _check_truncation(n)
     pts = _kernel_points(points)
@@ -1006,26 +990,42 @@ def kernel_gram_norms(psi, phi: MoebiusMap, space: SpaceSpec, points, coeffs, n:
         raise InvalidParameterError("need matching points and coefficients")
     if not np.isfinite(cs).all():
         raise InvalidParameterError("kernel coefficients must be finite")
+    cs = cs.tolist()
     images = _images_for(psi, phi, space)
+    # psi(w) and phi(w) before the images, and the images, with their gates, before any form.
+    values = [images.values(w) for w in pts]
+    e = images._shift
     if images.closed:
-        return _closed_norms(images, pts, cs.tolist())
+        forward, tail = _closed_forward([images.closed_image(w) for w in pts], cs)
+    else:
+        entries = [images.image(w, n) for w in pts]
+        vec = np.zeros(n, dtype=complex)
+        for c, (row, _tail) in zip(cs, entries):
+            vec += c * row
+        forward = float(np.linalg.norm(vec))
+        tail = float(sum(abs(c) * t for c, (_row, t) in zip(cs, entries)))
+        if tail > 0.1 * max(forward, 1e-300):
+            raise PrecisionLossError(f"tail bound {_unscale(tail, e):.3e} exceeds 10% of the computed "
+                                     f"norm {_unscale(forward, e):.3e}; raise the order")
+    try:
+        adj_sq = _kernel_form([c.conjugate() * v for c, (v, _u) in zip(cs, values)], [u for _v, u in values],
+                              space.gamma)
+    except ZeroDivisionError:   # |phi(w)| = 1: phi is no self-map, and the form is unbounded
+        adj_sq = math.inf
+    bound = _unscale(tail, e)
+    if 0.0 < tail and bound < _TINY:   # ldexp rounded it below the normal range: round it up
+        bound = math.nextafter(bound, math.inf)
+    return KernelNorms(_unscale(forward, e), _unscale(math.sqrt(max(adj_sq, 0.0)), e), bound)
 
-    # <C*f, C*f> = sum_ij c_i conj(c_j) <C* K_{w_i}, C* K_{w_j}>
-    weighted = _adjoint_gram(images, np.array(pts))
-    adj_sq = float(np.real(np.einsum("i,j,ij->", cs, np.conj(cs), weighted)))
-    adjoint = math.sqrt(max(adj_sq, 0.0))
 
-    entries = [images.image(w, n) for w in pts]
-    vec = np.zeros(n, dtype=complex)
-    for c, (row, _tail) in zip(cs, entries):
-        vec += c * row
-    forward = float(np.linalg.norm(vec))
-    tail = float(sum(abs(c) * t for c, (_row, t) in zip(cs, entries)))
-    if tail > 0.1 * max(forward, 1e-300):
-        raise PrecisionLossError(
-            f"tail bound {tail:.3e} exceeds 10% of the computed norm {forward:.3e}; raise the order"
-        )
-    return KernelNorms(forward, adjoint, tail)
+def _table_forms(images: KernelImages, pts: tuple[complex, ...], n: int):
+    """kernel_gram_forms' K, A and F at the table's unit scale."""
+    if images.closed:
+        forward = _closed_gram([images.closed_image(w) for w in pts])
+    else:
+        rows = np.array([images.image(w, n)[0] for w in pts])
+        forward = rows.conj() @ rows.T
+    return _gram(np.array(pts), images.space.gamma).T, _adjoint_gram(images, pts).T, forward
 
 
 def kernel_gram_forms(psi, phi: MoebiusMap, space: SpaceSpec, points, n: int):
@@ -1034,22 +1034,20 @@ def kernel_gram_forms(psi, phi: MoebiusMap, space: SpaceSpec, points, n: int):
 
     The forms kernel_gram_norms evaluates, as matrices; F is the order-n
     truncation and carries no tail bound, or on H^2 with a polynomial weight
-    ||C f||^2 itself (_closed_gram).  The forms of a sublist are index
+    ||C f||^2 itself (_closed_gram); A and F are scaled back from the table's
+    unit scale, inf beyond the float range.  The forms of a sublist are index
     slices of these: K and A are elementwise, so a slice of either is bit for
     bit the sublist's own form, while a slice of F, one matrix product over
     all the points, may differ from the sublist's by rounding.  psi and n are
     as in kernel_gram_norms.
     """
     _check_truncation(n)
-    pts = np.array(_kernel_points(points))
+    pts = _kernel_points(points)
     images = _images_for(psi, phi, space)
-    if images.closed:
-        forward = _closed_gram([images.closed_image(w) for w in pts.tolist()])
-        forward = np.ldexp(forward.view(np.float64), 2 * images._shift).view(complex)
-    else:
-        rows = np.array([images.image(w, n)[0] for w in pts.tolist()])
-        forward = rows.conj() @ rows.T
-    return _gram(pts, space.gamma).T, _adjoint_gram(images, pts).T, forward
+    kernel, *forms = _table_forms(images, pts, n)
+    with np.errstate(over="ignore"):   # an entry beyond the float range reads inf
+        return (kernel, *(np.ldexp(np.ascontiguousarray(g).view(np.float64), 2 * images._shift).view(complex)
+                          for g in forms))
 
 
 # ---------------------------------------------------------------------------

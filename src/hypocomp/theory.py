@@ -51,8 +51,7 @@ from .funcalg import (
     no_zero_in_closed_disk,
     sample,
 )
-from .matrixrep import KernelImages, _kernel_points, as_analytic
-from .matrixrep import kernel_gram_forms, kernel_gram_norms
+from .matrixrep import KernelImages, _kernel_points, _table_forms, as_analytic, kernel_gram_norms
 from .moebius import (
     MapClass,
     MapKind,
@@ -737,8 +736,9 @@ def _norms_with_escalation(images, phi, space, pts, cs, order) -> CertificateWit
     doubled, and raised to the truncation cap at the last step, until the
     tail bound is within 10% of the norm; the witness records the order that
     held.  None when no order up to the cap does.  images is the search's
-    KernelImages table; on H^2 with a polynomial weight its norms are
-    closed-form and never raise PrecisionLossError, so the first order holds.
+    KernelImages table, at whose unit scale the 10% test is taken on every
+    space; on H^2 with a polynomial weight its norms are closed-form and
+    never raise PrecisionLossError, so the first order holds.
     """
     n = order
     while True:
@@ -784,14 +784,15 @@ def _top_eigenpair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return lam, v
 
 
-def _stage_two_coefficients(images, phi, space, trials, order) -> list[np.ndarray | None]:
+def _stage_two_coefficients(images, trials, order) -> list[np.ndarray | None]:
     """Each trial's coefficients: the top eigenvector of its adjoint form
     against its regularised forward form, scaled to ||f|| = 1; None where
     the eigensolve fails or ||f||^2 is not positive.  A trial is a list of
     _SEARCH_GRID indices, its forms index slices of the grid's forms (one
-    kernel_gram_forms call); trials of one size are one _top_eigenpair stack.
+    _table_forms call, at the table's scale); trials of one size are one
+    _top_eigenpair stack.
     """
-    grid_forms = kernel_gram_forms(images, phi, space, _SEARCH_GRID, order)
+    grid_forms = _table_forms(images, _SEARCH_GRID, order)
     coeffs: list[np.ndarray | None] = [None] * len(trials)
     for m in sorted({len(idx) for idx in trials}):
         ts = [t for t, idx in enumerate(trials) if len(idx) == m]
@@ -833,8 +834,8 @@ def witness_search(
     tries 400 seeded random 2- and 3-kernel combinations of grid points,
     optimizing coefficients through the generalized eigenvalue problem of the
     two Gram forms before an honest re-evaluation.  Stage 2 draws every
-    trial first, as grid indices, slices their forms from one
-    kernel_gram_forms call over the grid, solves each size as one batched
+    trial first, as grid indices, slices their forms from one Gram of the
+    grid at the table's scale (_table_forms), solves each size as one batched
     numpy Cholesky reduction (_top_eigenpair), and certifies each candidate
     alone (kernel_gram_norms) in trial order.  Returns the first conclusive
     witness, or None once all 400 trials have failed; running out of
@@ -882,7 +883,7 @@ def witness_search(
         trials.append(idx)
 
     # Every trial point is a grid point, so stage 1 has expanded its image at this order.
-    for idx, c in zip(trials, _stage_two_coefficients(images, phi, space, trials, order)):
+    for idx, c in zip(trials, _stage_two_coefficients(images, trials, order)):
         if time.monotonic() >= deadline:
             return None
         if c is None:

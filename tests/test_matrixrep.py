@@ -1144,13 +1144,14 @@ def test_kernel_image_table_changes_no_number(psi, phi, space, terms):
 @DERANDOMIZED
 @given(weights, self_maps(), spaces, st.lists(disk(0.9), min_size=1, max_size=3), st.sampled_from((1, 48, 128)))
 def test_table_images_match_the_reference_path(psi, phi, space, points, n):
-    # The table convolves psi's cached series with the kernel factor's; the
-    # reference expands psi (K_w o phi) whole.  The tail is the same call on
-    # the same product, so it agrees bit for bit.
+    # The table convolves its psi's cached series with the kernel factor's;
+    # the reference expands psi (K_w o phi) whole for the table's psi, the
+    # weight at unit scale.  The tail is the same call on the same product,
+    # so it agrees bit for bit.
     images = KernelImages(psi, phi, space)
     beta = hc.beta_array(space, n + 1)
     for w in points:
-        image = psi * hc.compose_with_moebius(hc.kernel_function(w, space.gamma), phi)
+        image = images.psi * hc.compose_with_moebius(hc.kernel_function(w, space.gamma), phi)
         want = hc.expand_analytic(image, n) * beta[:n]
         tail = funcalg.series_tail_bound(image, n)
         if tail > 0.0:
@@ -1257,8 +1258,10 @@ def test_closed_gram_matches_the_order_1024_series_gram(psi, phi, points):
     # Where |rho|^1024 is negligible, the order-1024 truncation of the
     # series path is the whole image.
     assume(float(largest_rho(psi, phi, points)) <= 0.97)
+    # The rows are the table's, of its psi at unit scale, whose own table has
+    # _shift 0: its forms are at the same scale.
     closed = KernelImages(psi, phi, hc.hardy())
-    got = kernel_gram_forms(closed, phi, hc.hardy(), points, 1024)[2]
+    got = kernel_gram_forms(closed.psi, phi, hc.hardy(), points, 1024)[2]
     rows = np.array([closed.image(w, 1024)[0] for w in points])
     want = rows.conj() @ rows.T
     scale = np.sqrt(np.outer(np.diag(want).real, np.diag(want).real))
@@ -1340,6 +1343,70 @@ def test_closed_adjoint_is_unbounded_where_phi_reaches_the_circle():
     # the circle, and the gate refuses it before any form is evaluated.
     with pytest.raises(hc.IndeterminateError):
         hc.kernel_gram_norms(hc.polynomial_fn(1, 0.5), hc.MoebiusMap(2, 0, 0, 1), hc.hardy(), [0.5], [1.0], 48)
+
+
+def test_series_adjoint_is_unbounded_where_phi_reaches_the_circle():
+    # The same case on the series path (a hardy table with its closed forms
+    # switched off) gives the same inf, and no RuntimeWarning (an error in
+    # this suite): both paths evaluate the adjoint by one _kernel_form.
+    phi, points, coeffs = hc.MoebiusMap(1, 0.5, 0, 1), [0.5, 0.2], [1.0, 1.0]
+    for pts, cs in ((points[:1], coeffs[:1]), (points, coeffs)):
+        series = KernelImages(hc.polynomial_fn(1, 0.5), phi, hc.hardy())
+        series.closed = False
+        kn = hc.kernel_gram_norms(series, phi, hc.hardy(), pts, cs, 48)
+        assert kn.adjoint == math.inf and math.isfinite(kn.forward)
+
+
+def scaled_back(x: float, k: int, got: float) -> bool:
+    """Whether got is x 2^k as the Gram routines scale back: exactly where
+    that stays in the normal range or is 0, else rounded up."""
+    try:
+        want = math.ldexp(x, k)
+    except OverflowError:
+        want = math.inf
+    return got == want if want == 0.0 or want >= sys.float_info.min else got >= want
+
+
+@DERANDOMIZED
+@given(st.one_of(weights, st.builds(lambda p, u: p * hc.kernel_function(u, 1.5), weights, disk(0.7))),
+       kernel_maps, st.one_of(st.just(hc.hardy()), st.floats(-0.5, 3.0).map(hc.bergman)),
+       st.lists(st.tuples(annulus(0.1, 0.9), annulus(0.1, 2.0)), min_size=1, max_size=3),
+       st.integers(-560, 500), st.sampled_from((48, 128)))
+def test_power_of_two_weights_scale_norms_and_forms_exactly(psi, phi, space, terms, k, n):
+    # A table holds its weight at unit scale, so 2^k psi makes psi's table
+    # but for its shift, and the routines scale back once: the norms by 2^k
+    # and A, F by 4^k, bit for bit, an entry beyond the float range reading
+    # inf (with no RuntimeWarning, an error in this suite); K does not depend
+    # on the weight.  Errors, PrecisionLossError among them, are the same.
+    points, coeffs = [w for w, _c in terms], [c for _w, c in terms]
+    big = psi.scale(2.0**k)
+    got = _outcome(hc.kernel_gram_norms, big, phi, space, points, coeffs, n)
+    want = _outcome(hc.kernel_gram_norms, psi, phi, space, points, coeffs, n)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert all(scaled_back(x, k, y) for x, y in zip((want.forward, want.adjoint, want.tail_bound),
+                                                         (got.forward, got.adjoint, got.tail_bound)))
+    got = _outcome(kernel_gram_forms, big, phi, space, points, n)
+    want = _outcome(kernel_gram_forms, psi, phi, space, points, n)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert np.array_equal(got[0], want[0])
+    for g, f in zip(got[1:], want[1:]):
+        with np.errstate(over="ignore"):
+            f = np.ldexp(f.real, 2 * k) + 1j * np.ldexp(f.imag, 2 * k)
+        assert np.array_equal(g.real, f.real) and np.array_equal(g.imag, f.imag)
+
+
+def test_forms_beyond_the_float_range_read_inf():
+    # 4^520 |psi(w)|^2 exceeds the double range while 2^520 ||C* f|| does not.
+    phi, psi = hc.hyperbolic_nonauto_form(0.5), hc.polynomial_fn(2, 1).scale(2.0**520)
+    for space in (hc.hardy(), hc.bergman(0)):
+        _kernel, adjoint, forward = kernel_gram_forms(psi, phi, space, [0.3, -0.5j], 128)
+        assert np.isinf(adjoint.real).all() and np.isinf(forward.real.diagonal()).all()
+        kn = hc.kernel_gram_norms(psi, phi, space, [0.3], [1.0], 128)
+        assert 1e156 < min(kn.forward, kn.adjoint) and max(kn.forward, kn.adjoint) < math.inf
 
 
 def test_closed_path_expands_no_series(monkeypatch):

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hypocomp as hc
@@ -425,6 +425,61 @@ class TestScaleFreeCertificate:
             v = escalated(psi.scale(2.0**j), phi, space)
             assert v.outcome is reference.outcome is Outcome.CERTIFIED_NOT_NUMERIC
             assert (v.witness.points, v.witness.order) == (reference.witness.points, reference.witness.order)
+
+
+SCALE_EXPONENTS = (-560, -100, 300, 500)
+SEARCH_SPACES = (hc.hardy(), hc.bergman(0), hc.bergman(0.7))
+
+
+@st.composite
+def near_constant_searches(draw):
+    """(psi, phi): a polynomial, rational or power-factor weight within 1e-3
+    to 1e-1 of a constant, on a hyperbolic non-automorphism, whose searches
+    end in stage 1 or in stage 2, some after escalating."""
+    def unit():
+        return cmath.exp(2j * math.pi * draw(st.floats(0.0, 1.0)))
+
+    eps = 10 ** draw(st.floats(-3.0, -1.0))
+    kind = draw(st.sampled_from(("polynomial", "rational", "power factor")))
+    if kind == "polynomial":
+        psi = hc.polynomial_fn(1, eps * unit())
+    elif kind == "rational":
+        psi = hc.rational_fn((1, eps * unit()), (1, eps * unit()))
+    else:
+        psi = hc.polynomial_fn(1, 0.5 * eps * unit()) * hc.kernel_function(0.5 * eps * unit(), 1.5)
+    return psi, hc.hyperbolic_nonauto_form(draw(st.floats(0.1, 0.9)) * unit())
+
+
+class TestScaleFreeSearch:
+    @pytest.mark.parametrize("space", SEARCH_SPACES, ids=("hardy", "bergman:0", "bergman:0.7"))
+    @settings(DERANDOMIZED, max_examples=8)
+    @given(near_constant_searches())
+    # On hardy both examples end in stage 2, on bergman:0 the second does.
+    @example((hc.polynomial_fn(1, 0.01), hc.hyperbolic_nonauto_form(0.5)))
+    @example((hc.polynomial_fn(1, 0.01), hc.hyperbolic_nonauto_form(0.3)))
+    def test_power_of_two_weights_find_the_same_witness(self, space, case):
+        # Every norm and form of the search is taken at its table's unit
+        # scale, so 2^k psi finds psi's witness, with 2^k times its norms and
+        # tail bound, bit for bit, on every space.
+        psi, phi = case
+        want = hc.witness_search(psi, phi, space, budget_seconds=math.inf, order=48)
+        for k in SCALE_EXPONENTS:
+            got = hc.witness_search(psi.scale(2.0**k), phi, space, budget_seconds=math.inf, order=48)
+            if want is None:
+                assert got is None
+                continue
+            assert (got.points, got.coefficients, got.order) == (want.points, want.coefficients, want.order)
+            assert (got.adjoint_norm, got.forward_norm, got.tail_bound) == tuple(
+                math.ldexp(x, k) for x in (want.adjoint_norm, want.forward_norm, want.tail_bound))
+
+    @pytest.mark.parametrize("space", SEARCH_SPACES, ids=("hardy", "bergman:0", "bergman:0.7"))
+    def test_multiplication_operators_are_never_certified(self, space):
+        # M_(2+z) (phi the identity) is subnormal, hence hyponormal: no scale
+        # may certify it.  Scaling only the adjoint side would, at 2^-560,
+        # where the unscaled forward norm underflows to 0.
+        for k in (0,) + SCALE_EXPONENTS:
+            psi = hc.polynomial_fn(2, 1).scale(2.0**k)
+            assert hc.witness_search(psi, hc.MoebiusMap(1, 0, 0, 1), space, budget_seconds=math.inf, order=48) is None
 
 
 class TestSpectralRadius:
@@ -1056,20 +1111,20 @@ class TestWitnessSearch:
         ((1, 0.01), hc.hyperbolic_nonauto_form(0.5), True),
     ])
     def test_stage_two_reads_one_grid_gram_of_stage_one_images(self, H2, monkeypatch, coeffs, phi, found):
-        # Stage 2 slices every trial's forms from one kernel_gram_forms call
-        # over the search grid.  Each grid point's kernel image was expanded
-        # by stage 1 at the search's order, so that call expands none.
+        # Stage 2 slices every trial's forms from one _table_forms call over
+        # the search grid.  Each grid point's kernel image was expanded by
+        # stage 1 at the search's order, so that call expands none.
         calls, expanded = [], []
-        forms, composed = theory.kernel_gram_forms, matrixrep.composed_kernel
+        forms, composed = theory._table_forms, matrixrep.composed_kernel
         monkeypatch.setattr(matrixrep, "composed_kernel", lambda *a: expanded.append(a) or composed(*a))
 
-        def counted(psi, phi, space, points, n):
+        def counted(images, points, n):
             before = len(expanded)
-            out = forms(psi, phi, space, points, n)
+            out = forms(images, points, n)
             calls.append((points, n, len(expanded) - before))
             return out
 
-        monkeypatch.setattr(theory, "kernel_gram_forms", counted)
+        monkeypatch.setattr(theory, "_table_forms", counted)
         w = hc.witness_search(hc.polynomial_fn(*coeffs), phi, H2, budget_seconds=3600, order=48)
         assert (w is not None) == found and (w is None or len(w.points) > 1)
         assert calls == [(theory._SEARCH_GRID, 48, 0)]
