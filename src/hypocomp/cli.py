@@ -322,7 +322,11 @@ def _cmd_spectral(args) -> tuple[dict, int]:
             matrixrep.write_matrix_csv(m, args.dump_matrix)
             diagnostics.append(f"matrix dumped to {args.dump_matrix}")
         if args.dump_eigs:
-            matrixrep.write_eigenvalues_csv(np.linalg.eigvals(m.entries), args.dump_eigs)
+            try:
+                eigs = np.linalg.eigvals(m.entries)
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceFailureError(f"LAPACK eigenvalues did not converge: {exc}") from exc
+            matrixrep.write_eigenvalues_csv(eigs, args.dump_eigs)
             diagnostics.append(f"eigenvalues dumped to {args.dump_eigs}")
     return {
         "input": {"psi": args.psi, "map": args.map},

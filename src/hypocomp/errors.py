@@ -71,5 +71,8 @@ class TheoryUnavailableError(HypocompError):
 
 
 class ConvergenceFailureError(HypocompError):
-    """A numeric routine did not converge: LAPACK's singular values of a
-    finite section (matrixrep.operator_norm's last path).  Exit 4."""
+    """A numeric routine did not converge: LAPACK's singular values or
+    eigenvalues of a finite section (the last paths of
+    matrixrep.operator_norm and matrixrep.truncation_spectral_radius, and
+    spectral --dump-eigs).  np.linalg.LinAlgError is a ValueError, which
+    would exit 2, so each site raises this instead.  Exit 4."""

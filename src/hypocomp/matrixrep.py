@@ -17,15 +17,21 @@ a KernelImages table, which fills as the one witness search that owns it
 looks up kernel images, and is never shared between searches; matrix builds
 may run concurrently on separate inputs.
 
-operator_norm and gelfand_estimate iterate on the section scaled by a power
-of two to Frobenius norm in [1/2, 1) and scale the value back, both exactly:
-2^j M gives 2^j times the value for M, and no weight is too large or too
-small for them.  operator_norm takes at most K products of a thick-restart
-Lanczos pass, 8 power steps and one LAPACK call; its path depends on work
-done, never on time.  gelfand_estimate certifies ||M^k|| by power steps
-with M alone (2k matrix-vector products a step) and forms M^k with
-matrix_power only when those steps stall, as they do on the clustered top
-singular values of Toeplitz-like sections.
+operator_norm, truncation_spectral_radius and gelfand_estimate iterate on
+the section scaled by a power of two to Frobenius norm in [1/2, 1) and
+scale the value back, both exactly: 2^j M gives 2^j times the value for M,
+and no weight is too large or too small for them.  One Krylov-Schur routine
+(_krylov_schur) finds a dominant eigenpair for both of the first two: on
+the Hermitian M*M, where it is thick-restart Lanczos, operator_norm takes
+at most K products of it, 8 power steps and one LAPACK svd; on the section
+and its adjoint truncation_spectral_radius takes two passes of at most
+max(30, K/4) products each and one check, and calls LAPACK's eigvals only
+when they have not pinned the radius.  Their paths depend on work done,
+never on time.
+gelfand_estimate certifies ||M^k|| by power steps with M alone (2k
+matrix-vector products a step) and forms M^k with matrix_power only when
+those steps stall, as they do on the clustered top singular values of
+Toeplitz-like sections.
 
 Compact sections are built in part and deflate.  Column j of a section is
 psi phi^j / beta(j); when phi maps the closed disk into the open disk its
@@ -86,11 +92,16 @@ _POWER_SEED = 1729
 _NORM_REL_TOL = 1e-8
 # Most power steps of one certificate (operator_norm, gelfand_estimate).
 _QUICK_STEPS = 8
-# Lanczos basis size, the Ritz vectors each restart keeps, and the relative
-# residual at which a Ritz pair or the basis counts as converged (_lanczos).
-_LANCZOS_BASIS = 20
-_LANCZOS_KEEP = 10
-_LANCZOS_TOL = 1e-12
+# Krylov basis size, the Ritz vectors each restart keeps, and the relative
+# residual at which a Ritz pair or the basis counts as converged (_krylov_schur).
+_KRYLOV_BASIS = 20
+_KRYLOV_KEEP = 10
+_KRYLOV_TOL = 1e-12
+# Block orders above which a Krylov pass runs: room for a full basis and one restart.
+_KRYLOV_MIN_ORDER = 2 * _KRYLOV_BASIS - _KRYLOV_KEEP
+# Largest first-order error bound kappa r / |theta| of a kept Krylov radius
+# (truncation_spectral_radius): at most one unit in its 12th printed digit.
+_RADIUS_REL_TOL = 1e-11
 # Rows per block of a section's analysis (OperatorMatrix._analysis): its
 # scaled block is 512 KiB at N = 1024.
 _BLOCK_ROWS = 32
@@ -484,26 +495,40 @@ def _power_steps(apply, v: np.ndarray, cap: int) -> tuple[float, float] | None:
     return None
 
 
-def _lanczos(apply, v: np.ndarray, budget: int) -> np.ndarray | None:
-    """Top eigenvector of a Hermitian apply by thick-restart Lanczos (Wu and
-    Simon, SIAM J. Matrix Anal. Appl. 22 (2000)), in at most budget products.
+class _RitzPair(NamedTuple):
+    value: complex
+    vector: np.ndarray
+    residual: float
 
-    The basis holds _LANCZOS_BASIS orthonormal vectors, each new one
+
+def _krylov_schur(apply, v: np.ndarray, budget: int, hermitian: bool = False) -> _RitzPair | None:
+    """Largest-modulus Ritz pair of apply by Krylov-Schur (Stewart, SIAM J.
+    Matrix Anal. Appl. 23 (2001)), in at most budget products; for a
+    Hermitian apply (hermitian True) it is thick-restart Lanczos (Wu and
+    Simon, SIAM J. Matrix Anal. Appl. 22 (2000)), whose largest Ritz value is
+    the largest in modulus when apply is positive semidefinite.
+
+    The basis holds _KRYLOV_BASIS orthonormal vectors V, each new one
     orthogonalised twice against all the others, so the projection H = V^H A V
-    is read from the orthogonalisation coefficients alone.  When the basis is
-    full, the top Ritz pair (theta, y) of H has residual beta |y_last|, beta
-    the norm of the next direction; the Ritz vector is returned once that is
-    at most 1e-12 theta.  Otherwise the top _LANCZOS_KEEP Ritz vectors and
-    the next direction start the next cycle, which costs _LANCZOS_BASIS -
-    _LANCZOS_KEEP products; None when the budget cannot pay for it.  A next
+    is read from the orthogonalisation coefficients alone, and A V = V H +
+    beta v e_m^T with v the next direction.  When the basis is full, the top
+    Ritz pair (theta, y) of H (eigh of its upper triangle when hermitian,
+    else eig) has residual ||A V y - theta V y|| = beta |y_last|; the pair
+    (theta, V y, beta |y_last|) is returned once that is at most 1e-12
+    |theta|.  Otherwise the _KRYLOV_KEEP Ritz vectors of largest modulus,
+    made orthonormal (Q, by QR of eig's vectors; eigh's already are), and
+    the next direction start the next cycle, with Q^H H Q as its leading
+    projection (diag(theta) when hermitian) and beta e_m^T Q as the row that
+    couples it to v.  A cycle costs _KRYLOV_BASIS - _KRYLOV_KEEP products;
+    None when the budget cannot pay for it.  A next
     direction of norm at most 1e-12 ||A v_j|| is rounding noise: the basis
     spans an invariant subspace, which holds the top eigenvector for a
-    generic v, so its top Ritz vector is returned at once (continuing from
-    the noise would lose orthogonality).
+    generic v, so its top Ritz pair is returned at once (continuing from the
+    noise would lose orthogonality).
     """
-    m, keep = _LANCZOS_BASIS, _LANCZOS_KEEP
+    m, keep = _KRYLOV_BASIS, _KRYLOV_KEEP
     basis = np.empty((m + 1, v.size), dtype=complex)
-    h = np.zeros((m, m), dtype=complex)   # its upper triangle is H
+    h = np.zeros((m + 1, m), dtype=complex)   # A V = V h[:m] + v h[m], v = basis[m]
     basis[0] = v
     k, products = 0, 0
     while products + m - k <= budget:
@@ -517,19 +542,39 @@ def _lanczos(apply, v: np.ndarray, budget: int) -> np.ndarray | None:
             w -= again @ basis[:j + 1]
             h[:j + 1, j] = coef + again
             beta = float(np.linalg.norm(w))
-            if beta <= _LANCZOS_TOL * size:
-                y = np.linalg.eigh(h[:j + 1, :j + 1], UPLO="U")[1]
-                return y[:, -1] @ basis[:j + 1]
+            h[j + 1, j] = beta
+            if beta <= _KRYLOV_TOL * size:
+                theta, y = _ritz(h[:j + 1, :j + 1], hermitian)
+                return _RitzPair(theta[-1], y[:, -1] @ basis[:j + 1], beta * abs(y[-1, -1]))
             basis[j + 1] = w / beta
-        theta, y = np.linalg.eigh(h, UPLO="U")
-        if beta * abs(y[-1, -1]) <= _LANCZOS_TOL * theta[-1]:
-            return y[:, -1] @ basis[:m]
-        basis[:keep] = y[:, -keep:].T @ basis[:m]
+        theta, y = _ritz(h[:m], hermitian)
+        resid = beta * abs(y[-1, -1])
+        if resid <= _KRYLOV_TOL * abs(theta[-1]):
+            return _RitzPair(theta[-1], y[:, -1] @ basis[:m], resid)
+        if hermitian:
+            q, s = y[:, -keep:], np.diag(theta[-keep:])
+        else:
+            q = np.linalg.qr(y[:, -keep:])[0]
+            s = q.conj().T @ h[:m] @ q
+        basis[:keep] = q.T @ basis[:m]
         basis[keep] = basis[m]
+        row = h[m] @ q
         h[:] = 0.0
-        h[:keep, :keep] = np.diag(theta[-keep:])
+        h[:keep, :keep] = s
+        h[keep, :keep] = row
         k = keep
     return None
+
+
+def _ritz(h: np.ndarray, hermitian: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the projection h and their unit eigenvectors (columns),
+    in ascending order: of value by eigh on the upper triangle when
+    hermitian, else of modulus by eig (a stable sort, so ties keep eig's order)."""
+    if hermitian:
+        return np.linalg.eigh(h, UPLO="U")
+    theta, y = np.linalg.eig(h)
+    order = np.argsort(np.abs(theta), kind="stable")
+    return theta[order], y[:, order]
 
 
 def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
@@ -540,11 +585,12 @@ def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
     (_leading_block): by Weyl, ||A_K|| is within ||E||_2 <= sqrt(2) eps
     ||M||_F of ||M||, and within (sqrt(2) + 1/2) eps ||M_N||_F of the norm of
     the order-N section M_N when M is its proved leading block
-    (proved_block_order).  A Lanczos pass on M*M of at most K products (_lanczos)
-    is kept (method "lanczos") if at most 8 power steps then certify, by the
-    residual ||(M*M)v - lambda v||, that some eigenvalue of M*M lies within
-    1e-8 lambda of lambda.  The pass runs only when K exceeds 30, room for a
-    full basis and one restart.  Otherwise one LAPACK gesdd call on the block
+    (proved_block_order).  A Lanczos pass on M*M of at most K products
+    (_krylov_schur, Hermitian) seeds at most 8 power steps, whose value is
+    kept (method "lanczos") if they certify, by the residual ||(M*M)v -
+    lambda v||, that some eigenvalue of M*M lies within 1e-8 lambda of
+    lambda.  The pass runs only when K exceeds 30, room for a full basis and
+    one restart.  Otherwise one LAPACK gesdd call on the block
     (np.linalg.svd, values only) gives it (method "lapack-svdvals"), with
     LAPACK's stated bound eps sigma on sigma as residual in the units of M*M:
     eps sigma (2 sigma + eps sigma).  Raises ConvergenceFailureError only when
@@ -560,10 +606,10 @@ def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
         return _adjoint_apply(a, a @ x)
 
     certified = None
-    if n > 2 * _LANCZOS_BASIS - _LANCZOS_KEEP:
-        vec = _lanczos(gram, _seed_vector(n), n)
-        if vec is not None:
-            certified = _power_steps(gram, vec, _QUICK_STEPS)
+    if n > _KRYLOV_MIN_ORDER:
+        pair = _krylov_schur(gram, _seed_vector(n), n, hermitian=True)
+        if pair is not None:
+            certified = _power_steps(gram, pair.vector, _QUICK_STEPS)
     if certified is not None:
         value, resid, method = math.sqrt(certified[0]), certified[1], "lanczos"
     else:
@@ -591,19 +637,55 @@ def truncation_spectral_radius(m: OperatorMatrix) -> SpectralEstimate:
 
     A lower-triangular section (phi(0) = 0, or a multiplication operator) has
     its diagonal as eigenvalues; LAPACK returns exactly that set, so it is
-    read off without the O(N^3) eigensolve.  Any other section is solved on
-    its leading block A_K (_leading_block): the eigenvalues of diag(A_K, 0)
-    are those of A_K and zero, and M differs from it by ||E||_F <= sqrt(2)
-    eps ||M||_F, the size of LAPACK's own backward error on M; the order-N
-    section M_N, when M is its proved leading block (proved_block_order),
-    differs from it by at most (sqrt(2) + 1/2) eps ||M_N||_F.
+    read off without the O(N^3) eigensolve (method "diagonal", residual 0).
+    Any other section is solved on its leading block A_K (_leading_block):
+    the eigenvalues of diag(A_K, 0) are those of A_K and zero, and M differs
+    from it by ||E||_F <= sqrt(2) eps ||M||_F, the size of LAPACK's own
+    backward error on M; the order-N section M_N, when M is its proved
+    leading block (proved_block_order), differs from it by at most
+    (sqrt(2) + 1/2) eps ||M_N||_F.
+
+    When K exceeds 30, two Krylov-Schur passes (_krylov_schur) of at most
+    max(30, K/4) products each, deterministically seeded, run on A_K scaled
+    by a power of two (OperatorMatrix._analysis): on A_K for the
+    largest-modulus Ritz pair (theta, x), ||x|| = 1, and on A_K^H for a unit
+    left vector y.  One more product gives the Ritz residual r = ||A_K x -
+    theta x||: theta is an exact eigenvalue of A_K + E with ||E||_2 <= r
+    (E = -(A_K x - theta x) x^H).  A backward error moves an eigenvalue by up
+    to its condition number kappa ~ 1/|y^H x| times as much (Wilkinson's
+    first-order bound), and sections near a contact point reach kappa = 5e3,
+    so theta is kept (method "krylov-schur", residual r scaled back) only
+    when kappa r is at most 1e-11 |theta|, one unit in the 12th printed
+    digit at most.  As with ARPACK's which='LM',
+    that theta has the largest modulus in the whole spectrum is not proved:
+    the seed may miss an eigenvalue, so the line stays advisory.  Otherwise
+    (a pass ran out, the bound failed, or K is small) one LAPACK call on A_K
+    (np.linalg.eigvals) gives it (method "lapack-eigvals"), with the
+    backward-error scale K eps ||A_K||_F as residual (||M||_F from the
+    analysis, equal to rounding).  Both paths depend on work done, never on
+    time.  Raises ConvergenceFailureError only when LAPACK does not converge.
     """
     a = m.entries
     if _lower_triangular(a):
         vals = np.diagonal(a)
-    else:
-        vals = np.linalg.eigvals(a[:m._analysis.order, :m._analysis.order])
-    return SpectralEstimate(float(np.max(np.abs(vals))) if vals.size else 0.0, "truncation-eig", 0.0)
+        return SpectralEstimate(float(np.max(np.abs(vals))) if vals.size else 0.0, "diagonal", 0.0)
+    s = m._analysis
+    n = s.order
+    if n > _KRYLOV_MIN_ORDER:
+        b = m._scaled_block(n)
+        seed, budget = _seed_vector(n), max(_KRYLOV_MIN_ORDER, n // 4)
+        right = _krylov_schur(b.__matmul__, seed, budget)
+        left = None if right is None else _krylov_schur(lambda y: _adjoint_apply(b, y), seed, budget)
+        if left is not None:
+            theta, x = right.value, right.vector
+            resid = float(np.linalg.norm(b @ x - theta * x))
+            if resid <= _RADIUS_REL_TOL * abs(theta) * abs(np.vdot(left.vector, x)):   # kappa r <= 1e-11 |theta|
+                return SpectralEstimate(_unscale(abs(theta), s.e), "krylov-schur", _unscale(resid, s.e))
+    try:
+        vals = np.linalg.eigvals(a[:n, :n])
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailureError(f"LAPACK eigenvalues did not converge: {exc}") from exc
+    return SpectralEstimate(float(np.max(np.abs(vals))), "lapack-eigvals", _unscale(n * _EPS * s.fro, s.e))
 
 
 def _power_norm(a: np.ndarray, k: int) -> tuple[float, float]:

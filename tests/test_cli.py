@@ -633,6 +633,40 @@ class TestConvergenceExit:
         assert captured.out == ""
         assert captured.err == "error: LAPACK singular values did not converge: SVD did not converge\n"
 
+    def test_exit_4_from_lapack_eigenvalues(self, capsys, monkeypatch):
+        # A non-triangular section whose Krylov pass does not converge goes to
+        # LAPACK's eigvals; its LinAlgError (a ValueError) exits 4, not 2.
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(cli.matrixrep, "_krylov_schur", lambda apply, v, budget, hermitian=False: None)
+        monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+        code = cli.main(["spectral", "--numeric", "--order=64", "--map=parabolic:1,1", "--psi=1,0.5"])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: LAPACK eigenvalues did not converge: Eigenvalues did not converge\n"
+
+    def test_exit_4_from_dumped_eigenvalues(self, capsys, monkeypatch, tmp_path):
+        # A triangular section needs no eigensolve for its radius, but
+        # --dump-eigs does, and a LAPACK failure there exits 4 too.
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+        code = cli.main(["spectral", "--numeric", "--order=16", "--map=0.5,0,0,1", "--psi=1,0.5",
+                         f"--dump-eigs={tmp_path / 'eigs.csv'}"])
+        assert code == 4
+        assert capsys.readouterr().err == "error: LAPACK eigenvalues did not converge: Eigenvalues did not converge\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("psi", ["1e300", "1e-300"])
+    def test_extreme_weights_run_without_warnings(self, psi):
+        # Every finite-section routine works on the section scaled by a power of two.
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["spectral", "--numeric", "--order=256", "--map=1,0.5,0.5,1", f"--psi={psi}"])
+        assert code == 0
+
 
 class TestOutputContracts:
     def test_json_roundtrip_all_commands(self, capsys):

@@ -447,11 +447,15 @@ class TestSpectralEstimates:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_non_triangular_radius_from_lapack(self, H2, psi_one, parabolic_map):
+    def test_non_triangular_radius_from_lapack(self, H2, psi_one, parabolic_map, monkeypatch):
+        # Without a converged Krylov pass the radius is LAPACK's, bit for bit.
         m = hc.build_weighted_composition(psi_one, parabolic_map, H2, 96)
         assert np.triu(m.entries, 1).any()
         want = float(np.max(np.abs(np.linalg.eigvals(m.entries))))
-        assert hc.truncation_spectral_radius(m).value == want
+        monkeypatch.setattr(matrixrep, "_krylov_schur", lambda apply, v, budget, hermitian=False: None)
+        est = hc.truncation_spectral_radius(m)
+        assert est.value == want
+        assert est.method == "lapack-eigvals"
 
     def test_gelfand_dilation(self, H2):
         m = hc.build_weighted_composition(1, hc.dilation(0.5), H2, 24)
@@ -466,7 +470,7 @@ class TestSpectralEstimates:
         m = hc.build_weighted_composition(hc.polynomial_fn(2, 1), cli.parse_map("parabolic:1,1"), H2, 64)
         lanczos = hc.operator_norm(m)
         assert lanczos.method == "lanczos"
-        monkeypatch.setattr(matrixrep, "_lanczos", lambda apply, v, budget: None)
+        monkeypatch.setattr(matrixrep, "_krylov_schur", lambda apply, v, budget, hermitian=False: None)
         est = hc.operator_norm(m)
         assert est.method == "lapack-svdvals"
         assert est.value == pytest.approx(lanczos.value, rel=1e-12, abs=0.0)
@@ -690,6 +694,13 @@ class TestDeflation:
             for routine in (hc.operator_norm, hc.truncation_spectral_radius):
                 want = routine(m).value * 2.0**j
                 assert routine(scaled).value == pytest.approx(want, rel=1e-12, abs=0.0)
+        # Sections that do not deflate: the radius scales too, by the same path.
+        for _name, psi, phi, space in _NON_COMPACT[:2]:
+            m = hc.build_weighted_composition(psi, phi, space, 256)
+            scaled = hc.build_weighted_composition(psi.scale(2.0**j), phi, space, 256)
+            want, got = hc.truncation_spectral_radius(m), hc.truncation_spectral_radius(scaled)
+            assert got.value == pytest.approx(want.value * 2.0**j, rel=1e-12, abs=0.0)
+            assert got.method == want.method == "krylov-schur"
 
     @DERANDOMIZED
     @given(compact_sections() | st.sampled_from([c[1:] for c in _NON_COMPACT]), st.sampled_from((128, 256)),
@@ -718,7 +729,132 @@ class TestDeflation:
             code = cli.main(["spectral", "--map=normal-form:0.3,0.4", "--psi=kernel-quotient:0.3,0.7",
                              "--space=bergman:0", "--numeric", "--order=1024", "--json"])
         assert code == 0
-        assert orders and max(orders) <= 128
+        # A Krylov pass finds the radius of the K = 75 block, so none is
+        # expected at all; a fallback eigensolve must stay as small.
+        assert all(k <= 128 for k in orders)
+
+
+@st.composite
+def non_triangular_sections(draw):
+    """(psi, phi, space, n) with phi(0) != 0, so that the section is not
+    lower triangular and its radius comes from an eigensolve: automorphisms
+    of the three kinds, parabolic non-automorphisms, maps with a contact
+    point, contractions and normal forms."""
+    space = draw(st.sampled_from((hc.hardy(), hc.bergman(-0.5), hc.bergman(0), hc.bergman(1))))
+    n = draw(st.sampled_from((64, 128, 256)))
+    psi = hc.polynomial_fn(1, *draw(st.lists(disk(0.7), max_size=2)))
+    kind = draw(st.sampled_from(("hyperbolic", "parabolic", "elliptic", "parabolic non-automorphism",
+                                 "contact point", "contraction", "normal form")))
+    lam = draw(unimodular)
+    if kind == "hyperbolic":   # (z + r lam)/(r conj(lam) z + 1) fixes lam and -lam
+        r = draw(st.floats(0.05, 0.9))
+        phi = hc.MoebiusMap(1, r * lam, r * lam.conjugate(), 1)
+    elif kind == "parabolic":
+        phi = hc.cayley_parabolic(lam, 1j * draw(st.sampled_from((-2.0, -0.5, 0.5, 1.0, 2.0))))
+    elif kind == "elliptic":   # rotation about the interior fixed point p
+        alpha = hc.alpha_p(draw(st.floats(0.05, 0.8)) * draw(unimodular))
+        turn = cmath.exp(1j * draw(st.floats(0.1, 2.0 * math.pi - 0.1)))   # away from the identity
+        phi = hc.compose(alpha, hc.compose(hc.rotation(turn), alpha))
+    elif kind == "parabolic non-automorphism":
+        phi = hc.cayley_parabolic(lam, complex(draw(st.floats(0.1, 2.0)), draw(st.floats(-2.0, 2.0))))
+    elif kind == "contact point":   # s z + (1 - s) lam touches the circle at lam
+        s = draw(st.floats(0.1, 0.9))
+        phi = hc.MoebiusMap(s, (1.0 - s) * lam, 0, 1)
+    elif kind == "contraction":
+        s, a = draw(st.floats(0.2, 0.9)), draw(st.floats(0.1, 0.5)) * lam
+        phi = hc.MoebiusMap(s, -s * a, -a.conjugate(), 1)
+    else:
+        p = draw(st.floats(0.05, 0.5)) * lam
+        phi = hc.normal_form_map(p, draw(st.floats(0.1, 0.9)) * draw(unimodular))
+        psi = hc.kernel_quotient_weight(p, draw(st.floats(0.5, 2.0)) * draw(unimodular), phi, space)
+    return psi, phi, space, n
+
+
+class TestKrylovRadius:
+    @DERANDOMIZED
+    @given(non_triangular_sections())
+    def test_krylov_radius_matches_lapack_and_stays_below_the_norm(self, case):
+        # A kept Ritz value is LAPACK's largest modulus on the same block, and
+        # lies in the numerical range, so it is at most the norm: the
+        # "radius <= norm" check of the finite-section benchmark relies on it.
+        m = hc.build_weighted_composition(*case)
+        assert np.triu(m.entries, 1).any()
+        est = hc.truncation_spectral_radius(m)
+        assert est.method in ("krylov-schur", "lapack-eigvals")
+        if est.method == "krylov-schur":
+            k = m._analysis.order
+            want = float(np.max(np.abs(np.linalg.eigvals(m.entries[:k, :k]))))
+            assert est.value == pytest.approx(want, rel=1e-10, abs=0.0)
+            assert est.value <= hc.operator_norm(m).value * (1 + 1e-12)
+            assert 0.0 <= est.residual <= 1e-12 * est.value
+
+    @pytest.mark.parametrize("psi, phi, space, n", [
+        ("2,1", "1,0.5,0.5,1", "hardy", 512),
+        ("1,0.5", "parabolic:1,1", "hardy", 256),
+        ("1,0.5", "parabolic:1,1", "bergman:1", 256),
+    ])
+    def test_dominant_eigenvalue_needs_no_eigensolve(self, psi, phi, space, n, monkeypatch):
+        # Sections that do not deflate: two passes of at most K/4 products
+        # and one check find the radius, and LAPACK is never called.
+        phi = cli.parse_map(phi)
+        space = hc.hardy() if space == "hardy" else hc.bergman(float(space.split(":")[1]))
+        m = hc.build_weighted_composition(cli.parse_weight(psi, phi, space), phi, space, n)
+        assert m._analysis.order == n
+        want = float(np.max(np.abs(np.linalg.eigvals(m.entries))))
+        products = []
+        real_krylov = matrixrep._krylov_schur
+
+        def counted(apply, v, budget, hermitian=False):
+            return real_krylov(lambda x: products.append(1) or apply(x), v, budget, hermitian)
+
+        monkeypatch.setattr(matrixrep, "_krylov_schur", counted)
+        monkeypatch.setattr(np.linalg, "eigvals", None)
+        est = hc.truncation_spectral_radius(m)
+        assert est.method == "krylov-schur"
+        assert len(products) <= 2 * max(30, n // 4)
+        assert est.value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("space", [hc.hardy(), hc.bergman(-0.5), hc.bergman(0)], ids=lambda s: s.label())
+    def test_an_ill_conditioned_radius_keeps_lapacks_digits(self, space):
+        # 0.78 z + 0.22 touches the circle at 1, and its section's top
+        # eigenvalue has condition number kappa in the thousands: a Ritz value
+        # with residual r below 1e-11 |theta| is then off by up to kappa r,
+        # 8e-11 to 3e-10 here, so the radius takes LAPACK unless kappa r is small.
+        m = hc.build_weighted_composition(hc.polynomial_fn(1, -0.5), hc.MoebiusMap(0.78, 0.22, 0, 1), space, 64)
+        want = float(np.max(np.abs(np.linalg.eigvals(m.entries))))
+        assert hc.truncation_spectral_radius(m).value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_ritz_residual_is_the_true_residual(self):
+        # On a non-normal matrix whose top eigenvalue 1.3 sits near the rest,
+        # in [0.1, 1], the pass restarts; each restart keeps A V = V H + v h,
+        # so the Ritz residual beta |y_last| is ||A x - theta x|| for the unit
+        # vector x it returns.
+        rng = np.random.default_rng(5)
+        t = np.triu(rng.standard_normal((80, 80)) + 1j * rng.standard_normal((80, 80)), 1) / 9
+        a = t + np.diag(np.r_[1.3, np.linspace(0.1, 1.0, 79)])
+        q = np.linalg.qr(rng.standard_normal((80, 80)) + 1j * rng.standard_normal((80, 80)))[0]
+        a = q @ a @ q.conj().T
+        products = []
+        pair = matrixrep._krylov_schur(lambda x: products.append(1) or a @ x, matrixrep._seed_vector(80), 80)
+        assert len(products) > matrixrep._KRYLOV_BASIS
+        assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-14)
+        assert pair.value == pytest.approx(1.3, abs=1e-12)
+        true = float(np.linalg.norm(a @ pair.vector - pair.value * pair.vector))
+        assert pair.residual <= 1e-12 * abs(pair.value)
+        assert true == pytest.approx(pair.residual, abs=1e-14 * np.linalg.norm(a))
+
+    @pytest.mark.parametrize("kind", ["rank 3", "three values"])
+    def test_an_invariant_krylov_space_ends_a_non_hermitian_pass(self, kind):
+        # The seed's Krylov space is invariant after a few products: the pass
+        # returns at once with the dominant eigenvalue.
+        rng = np.random.default_rng(3)
+        s = np.eye(64) + 0.3 * rng.standard_normal((64, 64))
+        a = {"rank 3": lambda: rng.standard_normal((64, 3)) @ rng.standard_normal((3, 64)),
+             "three values": lambda: s @ np.diag([3.0] * 10 + [1.0] * 30 + [-2j] * 24) @ np.linalg.inv(s)}[kind]()
+        products = []
+        pair = matrixrep._krylov_schur(lambda x: products.append(1) or a @ x, matrixrep._seed_vector(64), 64)
+        assert len(products) <= 4
+        assert abs(pair.value) == pytest.approx(float(np.max(np.abs(np.linalg.eigvals(a)))), rel=1e-10)
 
 
 @st.composite
@@ -888,7 +1024,7 @@ class TestOperatorNorm:
         assert products <= order + matrixrep._QUICK_STEPS and lapack <= 1
         assert lapack == (natural.method == "lapack-svdvals")
         with pytest.MonkeyPatch.context() as patched:
-            patched.setattr(matrixrep, "_lanczos", lambda apply, v, budget: None)
+            patched.setattr(matrixrep, "_krylov_schur", lambda apply, v, budget, hermitian=False: None)
             dense = hc.operator_norm(m)
         assert dense.method == "lapack-svdvals"
         for est in (natural, dense):
@@ -920,29 +1056,29 @@ class TestOperatorNorm:
         m = hc.build_weighted_composition(cli.parse_weight(psi, phi, space), phi, space, n)
         order = m._analysis.order
         products, passes = [], []
-        real_apply, real_lanczos = matrixrep._adjoint_apply, matrixrep._lanczos
+        real_apply, real_krylov = matrixrep._adjoint_apply, matrixrep._krylov_schur
 
-        def counted_lanczos(apply, v, budget):
+        def counted_krylov(apply, v, budget, hermitian=False):
             before = len(products)
-            vec = real_lanczos(apply, v, budget)
-            passes.append((len(products) - before, budget, vec is not None))
-            return vec
+            pair = real_krylov(apply, v, budget, hermitian)
+            passes.append((len(products) - before, budget, pair is not None))
+            return pair
 
         with pytest.MonkeyPatch.context() as patched:
             patched.setattr(matrixrep, "_adjoint_apply", lambda a, x: products.append(1) or real_apply(a, x))
-            patched.setattr(matrixrep, "_lanczos", counted_lanczos)
+            patched.setattr(matrixrep, "_krylov_schur", counted_krylov)
             est = hc.operator_norm(m)
             [(spent, budget, returned)] = passes
             assert (budget, returned) == (order, converges)
             assert spent <= order
             if not converges:
-                assert spent > order - (matrixrep._LANCZOS_BASIS - matrixrep._LANCZOS_KEEP)
+                assert spent > order - (matrixrep._KRYLOV_BASIS - matrixrep._KRYLOV_KEEP)
             assert est.method == ("lanczos" if converges else "lapack-svdvals")
             a = m._scaled_block(order)
             seed = matrixrep._seed_vector(order)
             for budget in (20, 31, 45, order // 2):
                 products.clear()
-                matrixrep._lanczos(lambda x: matrixrep._adjoint_apply(a, a @ x), seed, budget)
+                matrixrep._krylov_schur(lambda x: matrixrep._adjoint_apply(a, a @ x), seed, budget, hermitian=True)
                 assert 0 < len(products) <= budget
 
     @pytest.mark.parametrize("phi, n", [("rotation:i", 128), ("1,0.5,0.5,1", 256), ("parabolic:1,1", 128)])
@@ -958,7 +1094,8 @@ class TestOperatorNorm:
         vector = {"seed": lambda k: matrixrep._seed_vector(k),
                   "last basis vector": lambda k: np.eye(k, dtype=complex)[-1],
                   "nan": lambda k: np.full(k, np.nan, dtype=complex)}[wrong]
-        monkeypatch.setattr(matrixrep, "_lanczos", lambda apply, v, budget: vector(v.size))
+        monkeypatch.setattr(matrixrep, "_krylov_schur",
+                            lambda apply, v, budget, hermitian=False: matrixrep._RitzPair(0.0, vector(v.size), 0.0))
         est = hc.operator_norm(m)
         assert abs(est.value - want) <= est.residual / est.value + slack, est.method
         if phi == "rotation:i" or wrong == "nan":
