@@ -8,9 +8,9 @@ spectral   closed-form spectral report, optional finite-section diagnostics
 selftest   frozen battery of worked cases; nonzero exit on any failure
 
 Exit codes: 0 verdict reached, 1 a selftest item failed, 2 input error
-(float overflow included), 3 requested theory unavailable, 4 numeric
-non-convergence (LAPACK's singular values of a finite section did not
-converge).
+(float overflow and finite sections outside the double range included),
+3 requested theory unavailable, 4 numeric non-convergence (LAPACK's
+singular values or eigenvalues of a finite section did not converge).
 
 Every subcommand takes --space, --format and --json; check also --seed and
 --order (the witness search's seed and starting order), --escalate (run

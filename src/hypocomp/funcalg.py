@@ -190,11 +190,6 @@ def rational(num_coeffs, den_coeffs=(1,)) -> RationalFunction:
 _UNIT = rational((1,))
 
 
-def moebius_rational(phi: MoebiusMap) -> RationalFunction:
-    """phi as a rational function (a z + b)/(c z + d)."""
-    return RationalFunction(poly(phi.b, phi.a), poly(phi.d, phi.c))
-
-
 def _times_linear(p: list[complex], u: complex, v: complex) -> list[complex]:
     """The coefficients of p(z) (u + v z), in Python complex arithmetic."""
     return [p[0] * u] + [x * u + y * v for x, y in zip(p[1:], p)] + [p[-1] * v]

@@ -17,17 +17,17 @@ a KernelImages table, which fills as the one witness search that owns it
 looks up kernel images, and is never shared between searches; matrix builds
 may run concurrently on separate inputs.
 
-operator_norm, truncation_spectral_radius and gelfand_estimate iterate on
-the section scaled by a power of two to Frobenius norm in [1/2, 1) and
-scale the value back, both exactly: 2^j M gives 2^j times the value for M,
-and no weight is too large or too small for them.  One Krylov-Schur routine
-(_krylov_schur) finds a dominant eigenpair for both of the first two: on
-the Hermitian M*M, where it is thick-restart Lanczos, operator_norm takes
-at most K products of it, 8 power steps and one LAPACK svd; on the section
-and its adjoint truncation_spectral_radius takes two passes of at most
-max(30, K/4) products each and one check, and calls LAPACK's eigvals only
-when they have not pinned the radius.  Their paths depend on work done,
-never on time.
+operator_norm, truncation_spectral_radius and gelfand_estimate work, LAPACK
+calls included, on the section scaled by a power of two to Frobenius norm
+in [1/2, 1) and scale the value back, both exactly: 2^j M gives 2^j times
+the value for M, and no weight is too large or too small for them.  One
+Krylov-Schur routine (_krylov_schur) finds a dominant eigenpair for both of
+the first two: on the Hermitian M*M, where it is thick-restart Lanczos,
+operator_norm takes at most K products of it, one to check the pair and
+one LAPACK svd if that fails; on the section and its adjoint
+truncation_spectral_radius takes two passes of at most max(30, K/4)
+products each and one check, and calls LAPACK's eigvals only when they
+have not pinned the radius.  Their paths depend on work done, never on time.
 gelfand_estimate certifies ||M^k|| by power steps with M alone (2k
 matrix-vector products a step) and forms M^k with matrix_power only when
 those steps stall, as they do on the clustered top singular values of
@@ -46,12 +46,12 @@ K.. each hold at most eps^2 ||M||_F^2, so M = diag(A_K, 0) + E with
 ||E||_F <= sqrt(2) eps ||M||_F, the size of LAPACK's own backward error on
 M.  So A_K differs from M_N by at most (sqrt(2) + 1/2) eps ||M_N||_F in
 Frobenius norm: sqrt(2) eps from the deflation, eps/2 from the part not
-built.  The scale and K are found once per section, from the row and
-column sums of squares of one pass over blocks of rows, each scaled into a
-buffer of one block, with no scaled copy of the section; operator_norm,
-truncation_spectral_radius and gelfand_estimate work on A_K, formed from
-entries[:K, :K] (see each for what that moves).  Automorphism, parabolic,
-rotation and multiplication sections are built and run in full.
+built.  The scale, K and whether M is lower triangular are found once per
+section, in one pass over blocks of rows with no scaled copy of M, and A_K
+is scaled once from entries[:K, :K]; operator_norm, truncation_spectral_radius
+and gelfand_estimate all read it (see each for what that moves).
+Automorphism, parabolic, rotation and multiplication sections are built and
+run in full.
 
 Finite-section positivity is advisory only: compressions do not preserve the
 sign of A*A - AA* (the forward shift gives a spurious negative eigenvalue),
@@ -88,9 +88,9 @@ from .moebius import IDENTITY, MoebiusMap, disk_image, require_in_disk, require_
 from .space import SpaceSpec, beta_array, kernel
 
 _POWER_SEED = 1729
-# Relative residual at which power steps stop (_power_steps).
+# Relative residual that certifies a Gram eigenvalue (operator_norm, _power_steps).
 _NORM_REL_TOL = 1e-8
-# Most power steps of one certificate (operator_norm, gelfand_estimate).
+# Most power steps of one certificate (gelfand_estimate).
 _QUICK_STEPS = 8
 # Krylov basis size, the Ritz vectors each restart keeps, and the relative
 # residual at which a Ritz pair or the basis counts as converged (_krylov_schur).
@@ -114,9 +114,9 @@ _LOG_QUARTER_EPS2 = math.log(0.25 * _EPS * _EPS)
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """A square section: its entries as a read-only C-contiguous complex
-    array (a read-only one is shared, anything else copied, so a caller's
-    array stays writeable), and its analysis (_analysis), made once."""
+    """A non-empty square section: its entries as a read-only C-contiguous
+    complex array (a read-only one is shared, anything else copied, so a
+    caller's array stays writeable), and its analysis (_analysis), made once."""
 
     entries: np.ndarray
 
@@ -124,8 +124,8 @@ class OperatorMatrix:
         e = self.entries
         read_only = isinstance(e, np.ndarray) and not e.flags.writeable
         arr = (np.asarray if read_only else np.array)(e, dtype=complex, order="C")
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise InvalidParameterError("entries must be a square matrix")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
+            raise InvalidParameterError("entries must be a non-empty square matrix")
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 
@@ -135,41 +135,46 @@ class OperatorMatrix:
 
     @cached_property
     def _analysis(self) -> _Analysis | None:
-        """Scale and leading block of the section, found on first use; None if it is zero.
+        """Scale, leading block and shape of the section, found on first use;
+        None if it is zero, InvalidParameterError if an entry is nan or inf.
 
         b = M 2^-e has Frobenius norm fro in [1/2, 1) and block order K
         (_leading_block).  2^-e1 brings the largest real or imaginary part
         into [1/2, 1), so that the sums of squares stay in the float range,
         and 2^-e2 = 2^(e1 - e) the Frobenius norm.  One pass over blocks of
-        rows scales each block by 2^-e1, by ldexp into a buffer of one block,
-        and takes its row and column sums of squares while it is in cache;
-        the 2^-e2 step scales those sums by an exact power of four.  No N x N
-        scaled copy is made.
+        rows tests each for entries above the diagonal until one is found
+        (lower), scales it by 2^-e1 into a buffer of one block and takes its
+        row and column sums of squares, which 2^-e2 scales by an exact power
+        of four.  Only block, A_K = b[:K, :K], is scaled from entries[:K, :K],
+        by the same two ldexp steps, and kept read-only.
         """
         parts = self.entries.view(np.float64)
         big = max(float(parts.max()), -float(parts.min()))
+        if not big < math.inf:   # nan too
+            raise InvalidParameterError("a finite-section entry is nan or inf: the section leaves the double range")
         if big == 0.0:
             return None
         e1 = math.frexp(big)[1]
         n, width = parts.shape
         rows, cols = np.empty(n), np.zeros(width)
         buf = np.empty((min(_BLOCK_ROWS, n), width))
+        lower = True
         for i in range(0, n, _BLOCK_ROWS):
-            block = parts[i:i + _BLOCK_ROWS]
-            block = np.ldexp(block, -e1, out=buf[:len(block)])
-            np.einsum("ij,ij->i", block, block, out=rows[i:i + _BLOCK_ROWS])
+            j = min(i + _BLOCK_ROWS, n)
+            block = parts[i:j]
+            lower = lower and not (block[:, 2 * j:].any() or np.triu(self.entries[i:j, i:j], 1).any())
+            block = np.ldexp(block, -e1, out=buf[:j - i])
+            np.einsum("ij,ij->i", block, block, out=rows[i:j])
             cols += np.einsum("ij,ij->j", block, block)
         e2 = math.frexp(math.sqrt(float(rows.sum())))[1]
         scale = math.ldexp(1.0, -2 * e2)
         rows *= scale
         cols = cols.reshape(-1, 2).sum(axis=1) * scale   # each column's real and imaginary parts
-        return _Analysis(e1, e1 + e2, _leading_block(rows, cols), math.sqrt(float(rows.sum())))
-
-    def _scaled_block(self, order: int) -> np.ndarray:
-        """b[:order, :order], by the two ldexp steps of _analysis, bit for bit."""
-        e1, e = self._analysis[:2]
-        b = np.ldexp(self.entries.view(np.float64)[:order, :2 * order], -e1)
-        return np.ldexp(b, e1 - e, out=b).view(complex)
+        order = _leading_block(rows, cols)
+        b = np.ldexp(parts[:order, :2 * order], -e1)
+        b = np.ldexp(b, -e2, out=b).view(complex)
+        b.flags.writeable = False
+        return _Analysis(e1, e1 + e2, order, math.sqrt(float(rows.sum())), lower, b)
 
 
 class _Analysis(NamedTuple):
@@ -177,6 +182,8 @@ class _Analysis(NamedTuple):
     e: int
     order: int
     fro: float
+    lower: bool          # the strict upper triangle is zero
+    block: np.ndarray    # A_K, unit-scaled
 
 
 @dataclass(frozen=True)
@@ -219,7 +226,7 @@ def _section(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, n: int)
     serial solve by at most about 8 eps of the largest entry.  Then, off
     Hardy, the whole section is scaled in place to Q[i, j] beta(i) / beta(j),
     multiplied by beta(i) and divided by beta(j) in complex arithmetic, so no
-    loop casts.
+    loop casts; a beta that underflows to 0 is an InvalidParameterError.
     """
     a, b, c, d = phi.a, phi.b, phi.c, phi.d
     q = np.zeros((n, n), dtype=complex)
@@ -252,8 +259,11 @@ def _section(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, n: int)
             q[i] = x
     if space.alpha != -1.0:   # on Hardy every beta is 1
         beta = beta_array(space, n).astype(complex)
+        if not beta[-1]:   # beta decreases
+            raise InvalidParameterError(f"beta({n - 1}) underflows to 0 on {space.label()}, outside the double range")
         q *= beta[:, None]
-        q /= beta
+        with np.errstate(over="ignore"):   # inf beyond the double range, which the analysis refuses
+            q /= beta
     q.flags.writeable = False   # so that OperatorMatrix shares it
     return OperatorMatrix(q)
 
@@ -473,19 +483,25 @@ def _adjoint_apply(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (x.conj() @ a).conj()
 
 
+def _rayleigh(apply, v: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """(lam, ||w - lam v||, w) for w = apply(v), lam = <v, w>: for a Hermitian
+    apply and a unit v, some eigenvalue lies within that residual of lam."""
+    w = apply(v)
+    lam = float(np.real(np.vdot(v, w)))
+    return lam, float(np.linalg.norm(w - lam * v)), w
+
+
 def _power_steps(apply, v: np.ndarray, cap: int) -> tuple[float, float] | None:
     """Power steps v <- w / ||w||, w = apply(v), for a positive semidefinite
-    apply, until the residual ||w - lam v|| with lam = <v, w> certifies that
-    some eigenvalue lies within 1e-8 lam of lam.  Returns (lam, residual), or
-    None after cap steps, or sooner once a value is non-finite, the residual
-    stops shrinking, or its last contraction ratio, kept up for the steps
-    left, would not bring the relative residual to the tolerance.
+    apply, until the residual (_rayleigh) certifies that some eigenvalue lies
+    within 1e-8 lam of lam.  Returns (lam, residual), or None after cap
+    steps, or sooner once a value is non-finite, the residual stops
+    shrinking, or its last contraction ratio, kept up for the steps left,
+    would not bring the relative residual to the tolerance.
     """
     rel = math.inf
     for step in range(cap):
-        w = apply(v)
-        lam = float(np.real(np.vdot(v, w)))
-        resid = float(np.linalg.norm(w - lam * v))
+        lam, resid, w = _rayleigh(apply, v)
         if resid <= _NORM_REL_TOL * lam:
             return lam, resid
         prev, rel = rel, resid / lam if lam > 0.0 else math.inf
@@ -586,32 +602,28 @@ def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
     ||M||_F of ||M||, and within (sqrt(2) + 1/2) eps ||M_N||_F of the norm of
     the order-N section M_N when M is its proved leading block
     (proved_block_order).  A Lanczos pass on M*M of at most K products
-    (_krylov_schur, Hermitian) seeds at most 8 power steps, whose value is
-    kept (method "lanczos") if they certify, by the residual ||(M*M)v -
-    lambda v||, that some eigenvalue of M*M lies within 1e-8 lambda of
-    lambda.  The pass runs only when K exceeds 30, room for a full basis and
-    one restart.  Otherwise one LAPACK gesdd call on the block
-    (np.linalg.svd, values only) gives it (method "lapack-svdvals"), with
-    LAPACK's stated bound eps sigma on sigma as residual in the units of M*M:
-    eps sigma (2 sigma + eps sigma).  Raises ConvergenceFailureError only when
-    LAPACK does not converge.
+    (_krylov_schur, Hermitian) gives a vector v, whose lambda = <v, M*M v>,
+    one product more, is kept (method "lanczos") if the residual
+    ||(M*M)v - lambda v|| certifies that some eigenvalue of M*M lies within
+    1e-8 lambda of it (_rayleigh).  The pass runs only when K exceeds 30,
+    room for a full basis and one restart.  Otherwise one LAPACK gesdd call
+    on the block (np.linalg.svd, values only) gives it (method
+    "lapack-svdvals"), with LAPACK's stated bound eps sigma on sigma as
+    residual in the units of M*M: eps sigma (2 sigma + eps sigma).  Raises
+    ConvergenceFailureError only when LAPACK does not converge.
     """
     s = m._analysis
     if s is None:
         return SpectralEstimate(0.0, "zero", 0.0)
-    n = s.order
-    a = m._scaled_block(n)
+    n, a = s.order, s.block
 
     def gram(x):
         return _adjoint_apply(a, a @ x)
 
-    certified = None
-    if n > _KRYLOV_MIN_ORDER:
-        pair = _krylov_schur(gram, _seed_vector(n), n, hermitian=True)
-        if pair is not None:
-            certified = _power_steps(gram, pair.vector, _QUICK_STEPS)
-    if certified is not None:
-        value, resid, method = math.sqrt(certified[0]), certified[1], "lanczos"
+    pair = _krylov_schur(gram, _seed_vector(n), n, hermitian=True) if n > _KRYLOV_MIN_ORDER else None
+    lam, resid = (0.0, math.inf) if pair is None else _rayleigh(gram, pair.vector)[:2]
+    if resid <= _NORM_REL_TOL * lam:
+        value, method = math.sqrt(lam), "lanczos"
     else:
         try:
             value = float(np.linalg.svd(a, compute_uv=False)[0])
@@ -621,23 +633,12 @@ def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
     return SpectralEstimate(_unscale(value, s.e), method, _unscale(resid, 2 * s.e))
 
 
-def _lower_triangular(a: np.ndarray) -> bool:
-    """Whether the strict upper triangle of a is zero, tested on views of 64
-    rows at a time: only each 64 x 64 diagonal block is copied, never a."""
-    n = a.shape[0]
-    for i in range(0, n, 64):
-        j = min(i + 64, n)
-        if a[i:j, j:].any() or np.triu(a[i:j, i:j], 1).any():
-            return False
-    return True
-
-
 def truncation_spectral_radius(m: OperatorMatrix) -> SpectralEstimate:
     """Max-modulus eigenvalue of the section. Diagnostic only for non-compact limits.
 
-    A lower-triangular section (phi(0) = 0, or a multiplication operator) has
-    its diagonal as eigenvalues; LAPACK returns exactly that set, so it is
-    read off without the O(N^3) eigensolve (method "diagonal", residual 0).
+    A section the analysis finds lower triangular (phi(0) = 0, or a
+    multiplication) has its diagonal as eigenvalues, the set LAPACK returns:
+    it is read off without the O(N^3) eigensolve (method "diagonal", residual 0).
     Any other section is solved on its leading block A_K (_leading_block):
     the eigenvalues of diag(A_K, 0) are those of A_K and zero, and M differs
     from it by ||E||_F <= sqrt(2) eps ||M||_F, the size of LAPACK's own
@@ -659,20 +660,18 @@ def truncation_spectral_radius(m: OperatorMatrix) -> SpectralEstimate:
     digit at most.  As with ARPACK's which='LM',
     that theta has the largest modulus in the whole spectrum is not proved:
     the seed may miss an eigenvalue, so the line stays advisory.  Otherwise
-    (a pass ran out, the bound failed, or K is small) one LAPACK call on A_K
-    (np.linalg.eigvals) gives it (method "lapack-eigvals"), with the
-    backward-error scale K eps ||A_K||_F as residual (||M||_F from the
+    (a pass ran out, the bound failed, or K is small) one LAPACK call on the
+    scaled A_K (np.linalg.eigvals) gives it (method "lapack-eigvals"), with
+    the backward-error scale K eps ||A_K||_F as residual (||M||_F from the
     analysis, equal to rounding).  Both paths depend on work done, never on
     time.  Raises ConvergenceFailureError only when LAPACK does not converge.
     """
-    a = m.entries
-    if _lower_triangular(a):
-        vals = np.diagonal(a)
-        return SpectralEstimate(float(np.max(np.abs(vals))) if vals.size else 0.0, "diagonal", 0.0)
     s = m._analysis
-    n = s.order
+    if s is None or s.lower:
+        vals = np.diagonal(m.entries)
+        return SpectralEstimate(float(np.max(np.abs(vals))), "diagonal", 0.0)
+    n, b = s.order, s.block
     if n > _KRYLOV_MIN_ORDER:
-        b = m._scaled_block(n)
         seed, budget = _seed_vector(n), max(_KRYLOV_MIN_ORDER, n // 4)
         right = _krylov_schur(b.__matmul__, seed, budget)
         left = None if right is None else _krylov_schur(lambda y: _adjoint_apply(b, y), seed, budget)
@@ -682,10 +681,10 @@ def truncation_spectral_radius(m: OperatorMatrix) -> SpectralEstimate:
             if resid <= _RADIUS_REL_TOL * abs(theta) * abs(np.vdot(left.vector, x)):   # kappa r <= 1e-11 |theta|
                 return SpectralEstimate(_unscale(abs(theta), s.e), "krylov-schur", _unscale(resid, s.e))
     try:
-        vals = np.linalg.eigvals(a[:n, :n])
+        radius = float(np.max(np.abs(np.linalg.eigvals(b))))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailureError(f"LAPACK eigenvalues did not converge: {exc}") from exc
-    return SpectralEstimate(float(np.max(np.abs(vals))), "lapack-eigvals", _unscale(n * _EPS * s.fro, s.e))
+    return SpectralEstimate(_unscale(radius, s.e), "lapack-eigvals", _unscale(n * _EPS * s.fro, s.e))
 
 
 def _power_norm(a: np.ndarray, k: int) -> tuple[float, float]:
@@ -734,9 +733,10 @@ def gelfand_estimate(m: OperatorMatrix, k: int) -> SpectralEstimate:
     s = m._analysis
     if s is None:
         return SpectralEstimate(0.0, "gelfand", 0.0)
-    norm, resid = _power_norm(m._scaled_block(s.order), k)
+    norm, resid = _power_norm(s.block, k)
     if s.order < n and math.sqrt(2.0) * k * _EPS * s.fro**k > _NORM_REL_TOL * norm:
-        norm, resid = _power_norm(m._scaled_block(n), k)
+        b = np.ldexp(m.entries.view(np.float64), -s.e1)   # the analysis' two steps, on all of M
+        norm, resid = _power_norm(np.ldexp(b, s.e1 - s.e, out=b).view(complex), k)
     return SpectralEstimate(_unscale(norm ** (1.0 / k), s.e), "gelfand", _unscale(resid, 2 * k * s.e))
 
 
@@ -1058,8 +1058,9 @@ def kernel_gram_norms(psi, phi: MoebiusMap, space: SpaceSpec, points, coeffs, n:
     tail_bound bounds only its rounding (_closed_forward); it never raises
     PrecisionLossError.  Otherwise it is the norm of the order-n truncation
     of sum c_i psi (K_{w_i} o phi) plus a proved tail bound, sum |c_i| times
-    each image's tail bound (see KernelImages); PrecisionLossError signals a
-    tail above 10% of the computed norm (raise n).  Both sides are taken at
+    each image's tail bound (see KernelImages), rounded up so that it is
+    positive when a term is; PrecisionLossError signals a tail above 10% of
+    the computed norm (raise n).  Both sides are taken at
     the table's unit scale and scaled back at the end.  psi is a weight, or a
     search's KernelImages table for its weight, which serves each kernel
     image it has already expanded.  An n outside [1, MAX_TRUNCATION] or a
@@ -1086,6 +1087,8 @@ def kernel_gram_norms(psi, phi: MoebiusMap, space: SpaceSpec, points, coeffs, n:
             vec += c * row
         forward = float(np.linalg.norm(vec))
         tail = float(sum(abs(c) * t for c, (_row, t) in zip(cs, entries)))
+        if tail < _TINY and any(c and t for c, (_row, t) in zip(cs, entries)):   # each product rounds by
+            tail += len(cs) * math.ulp(0.0)   # at most half the least subnormal, and the sum is exact
         if tail > 0.1 * max(forward, 1e-300):
             raise PrecisionLossError(f"tail bound {_unscale(tail, e):.3e} exceeds 10% of the computed "
                                      f"norm {_unscale(forward, e):.3e}; raise the order")

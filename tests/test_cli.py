@@ -356,6 +356,12 @@ class TestCheckCommand:
         assert rep["verdict"]["outcome"] == "CertifiedNotNumeric"
         assert rep["verdict"]["witness"]["order"] == order
 
+    def test_tail_bound_below_the_double_range_is_positive(self, capsys):
+        code, rep = run_json(capsys, "check", "--escalate", "--map=rotation:i", "--psi=2,1",
+                             "--space=bergman:350", "--order=1024")
+        assert code == 0 and rep["verdict"]["outcome"] == "CertifiedNotNumeric"
+        assert rep["verdict"]["witness"]["tail_bound"] > 0.0
+
     def test_escalation_attaches_witness(self, capsys):
         code, rep = run_json(capsys, "check", "--psi", "2,1", "--map", "1,0.5,0.5,1",
                              "--escalate", "--budget", "15", "--order", "64")
@@ -658,6 +664,36 @@ class TestConvergenceExit:
                          f"--dump-eigs={tmp_path / 'eigs.csv'}"])
         assert code == 4
         assert capsys.readouterr().err == "error: LAPACK eigenvalues did not converge: Eigenvalues did not converge\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("args, want", [
+        *((args, 0) for args in (
+            "--order=64 --map=0.5,0,0,1 --psi=2,1/1,-0.4",
+            "--order=64 --map=normal-form:0.3,0.4 --psi=kernel-quotient:0.3,0.7 --space=bergman:0",
+            "--order=64 --map=normal-form:0.99999,0.4 --psi=kernel-quotient:0.99999,0.7",
+            "--order=64 --map=1,0.5,0.5,1 --psi=2,1",
+            "--order=64 --map=parabolic:1,1 --psi=1,0.5 --space=bergman:1",
+            "--order=64 --map=1,0,0,1 --psi=2,1",
+            "--order=64 --map=rotation:i --psi=2,1",
+            "--order=64 --map=parabolic:1,1 --psi=1,0.5",
+            "--order=64 --map=0.9,0,0,1 --psi=1,0.5",
+            "--order=64 --map=0.5,0,0,1 --psi=1e20",
+            "--order=64 --map=0.5,0,0,1 --psi=1e-20",
+            "--order=64 --map=0.5,0,0,1 --psi=0,1",
+        )),
+        # beta(N - 1) underflows to 0: the section leaves the double range.
+        *((f"--order=1024 --map=0.5,0,0,1 --psi=1,0.5 --space=bergman:{a}", 2) for a in (550, 600, 650, 700)),
+        ("--order=256 --map=0.5,0,0,1 --psi=1,0.5 --space=bergman:2000", 2),
+        # beta(i) / beta(j) reaches 1e161 and an entry overflows to inf.
+        ("--order=1024 --map=1,0.5,0.5,1 --psi=1e300 --space=bergman:300", 2),
+    ])
+    def test_numeric_diagnostics_run_without_warnings(self, capsys, args, want):
+        code = cli.main(["spectral", "--numeric", *args.split(), "--json"])
+        captured = capsys.readouterr()
+        assert code == want
+        if want == 2:
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert captured.err.startswith("error:") and "double range" in captured.err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("psi", ["1e300", "1e-300"])

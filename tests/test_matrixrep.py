@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import hypocomp as hc
 from hypocomp import cli, funcalg, matrixrep
 from hypocomp.errors import HypocompError, InvalidParameterError, OutsideDiskError, PrecisionLossError
-from hypocomp.funcalg import moebius_rational
+from hypocomp.funcalg import rational
 from hypocomp.matrixrep import AdjointResidual, KernelImages, KernelNorms, _kernel_tail, kernel_gram_forms
 from hypocomp.theory import _top_eigenpair
 
@@ -85,7 +85,7 @@ class TestBuildWeightedComposition:
 
 def reference_section(psi, phi, space, n):
     """Column j = psi * phi^j / beta(j) by repeated truncated Cauchy products."""
-    phi_series = hc.expand_analytic(hc.AnalyticFunction(moebius_rational(phi)), n)
+    phi_series = hc.expand_analytic(hc.AnalyticFunction(rational((phi.b, phi.a), (phi.d, phi.c))), n)
     col = hc.expand_analytic(psi, n)
     b = hc.beta_array(space, n)
     out = np.zeros((n, n), dtype=complex)
@@ -143,7 +143,7 @@ def column_recurrence_section(psi, phi, space, n):
     times phi, a banded product with the Toeplitz matrix of phi's numerator
     (BLAS tbmv) then a banded solve with that of its denominator (tbsv), each
     column scaled to beta(i) / beta(j) as it is stored."""
-    phi_r = moebius_rational(phi)
+    phi_r = rational((phi.b, phi.a), (phi.d, phi.c))
 
     def band(p):
         c = np.asarray(p.coefficients[:n])
@@ -365,6 +365,11 @@ class TestOperatorMatrix:
         with pytest.raises(InvalidParameterError):
             hc.OperatorMatrix(np.zeros(shape))
 
+    def test_refuses_an_empty_section(self):
+        # The analysis reads the largest entry, which an empty section lacks.
+        with pytest.raises(InvalidParameterError):
+            hc.OperatorMatrix(np.zeros((0, 0)))
+
     def test_entries_are_a_read_only_complex_copy(self):
         a = np.arange(9.0).reshape(3, 3)
         m = hc.OperatorMatrix(a)
@@ -427,21 +432,21 @@ class TestSpectralEstimates:
     @pytest.mark.parametrize("n", [1, 64, 130])
     def test_triangular_test_matches_triu(self, n):
         # One tiny non-zero entry on or above the subdiagonal, anywhere
-        # against the 64-row block edges, against np.triu.
+        # against the edges of the analysis' blocks of rows, against np.triu.
         a = np.zeros((n, n), complex)
         for i in range(n):
             for j in range(max(i - 1, 0), n):
                 a[i, j] = 5e-324j
-                assert matrixrep._lower_triangular(a) is (not np.triu(a, 1).any()), (i, j)
+                assert hc.OperatorMatrix(a)._analysis.lower is (not np.triu(a, 1).any()), (i, j)
                 a[i, j] = 0
 
     def test_triangular_test_copies_no_section(self, H2):
-        # np.triu(a, 1) copied the whole N=1024 section, 16 MiB; the test
-        # copies one 64 x 64 block at a time.
-        a = hc.build_weighted_composition(hc.rational_fn((2, 1), (1, -0.4)), hc.dilation(0.5), H2, 1024).entries
+        # np.triu(a, 1) copied the whole N=1024 section, 16 MiB; the analysis
+        # copies only the diagonal part of one block of rows at a time.
+        m = hc.build_weighted_composition(hc.rational_fn((2, 1), (1, -0.4)), hc.dilation(0.5), H2, 1024)
         tracemalloc.start()
         try:
-            assert matrixrep._lower_triangular(a)
+            assert m._analysis.lower
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -456,6 +461,35 @@ class TestSpectralEstimates:
         est = hc.truncation_spectral_radius(m)
         assert est.value == want
         assert est.method == "lapack-eigvals"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_non_finite_sections_are_refused(self, H2, bad):
+        # Each estimate reads the analysis, which refuses a largest entry that
+        # is not finite: an all-nan section, and one nan or inf entry on the
+        # diagonal of a triangular section or above that of a full one.
+        triangular = hc.build_weighted_composition(1, hc.dilation(0.5), H2, 64).entries.copy()
+        full = hc.build_weighted_composition(hc.polynomial_fn(2, 1), hc.MoebiusMap(1, 0.5, 0.5, 1), H2, 64).entries.copy()
+        triangular[5, 5], full[3, 40] = bad, bad
+        for a in (np.full((40, 40), bad, complex), triangular, full):
+            for routine in _ROUTINES:
+                with pytest.raises(InvalidParameterError, match="double range"):
+                    routine(hc.OperatorMatrix(a))
+
+    @pytest.mark.parametrize("j", [-900, -300, 300, 900])
+    def test_lapack_radius_scales_exactly(self, j, monkeypatch):
+        # LAPACK's eigvals runs on the unit-scaled block like every other
+        # path, so 2^j psi gives exactly 2^j times the radius of psi.
+        monkeypatch.setattr(matrixrep, "_krylov_schur", lambda apply, v, budget, hermitian=False: None)
+        for phi, psi, space in (("1,0.5,0.5,1", "2,1", hc.hardy()),
+                                ("parabolic:1,1", "1,0.5", hc.bergman(1)),
+                                ("1,0.05,0.05,1", "2,1", hc.hardy()),
+                                ("normal-form:0.3,0.4", "kernel-quotient:0.3,0.7", hc.bergman(0))):
+            phi = cli.parse_map(phi)
+            psi = cli.parse_weight(psi, phi, space)
+            want = hc.truncation_spectral_radius(hc.build_weighted_composition(psi, phi, space, 128))
+            got = hc.truncation_spectral_radius(hc.build_weighted_composition(psi.scale(2.0**j), phi, space, 128))
+            assert got.method == want.method == "lapack-eigvals"
+            assert got.value == want.value * 2.0**j, phi
 
     def test_gelfand_dilation(self, H2):
         m = hc.build_weighted_composition(1, hc.dilation(0.5), H2, 24)
@@ -539,7 +573,7 @@ def _block_order(m):
 
 
 def two_copy_analysis(a):
-    """(e1, e, K, fro) as the analysis computed them from two N x N scaled
+    """(e1, e, K, fro, b) as the analysis computed them from two N x N scaled
     copies: b = ldexp(ldexp(M, -e1), -e2), then the sums of squares of b."""
     parts = a.view(np.float64)
     e1 = math.frexp(max(float(parts.max()), -float(parts.min())))[1]
@@ -551,14 +585,17 @@ def two_copy_analysis(a):
     fro_sq = float(rows.sum())
     limit = np.finfo(float).eps ** 2 * fro_sq
     order = max(int(np.count_nonzero(np.cumsum(sums[::-1]) > limit)) for sums in (rows, cols))
-    return e1, e1 + e2, order, math.sqrt(fro_sq)
+    return e1, e1 + e2, order, math.sqrt(fro_sq), b.view(complex)
 
 
 def _assert_analysis_is_the_two_copy_one(m):
-    e1, e, order, fro = two_copy_analysis(m.entries)
+    e1, e, order, fro, b = two_copy_analysis(m.entries)
     got = m._analysis
     assert (got.e1, got.e, got.order) == (e1, e, order)
     assert abs(got.fro - fro) <= 4 * math.ulp(fro)
+    # The block A_K is the two-copy b[:K, :K], bit for bit, and read-only.
+    assert not got.block.flags.writeable
+    assert got.block.tobytes() == np.ascontiguousarray(b[:order, :order]).tobytes()
 
 
 def _full_order_leading_block(monkeypatch):
@@ -611,7 +648,8 @@ class TestDeflation:
         # K is the smallest order whose dropped rows, and dropped columns,
         # each hold at most eps^2 ||M||_F^2 (up to the rounding of the sums).
         order, b_fro = m._analysis.order, m._analysis.fro
-        b = m._scaled_block(n)
+        _assert_analysis_is_the_two_copy_one(m)
+        b = two_copy_analysis(a)[-1]
         assert b_fro == pytest.approx(np.linalg.norm(b), rel=1e-12)
         sq, limit = np.abs(b) ** 2, np.finfo(float).eps ** 2 * b_fro**2
         assert 0 < order < n
@@ -1021,7 +1059,7 @@ class TestOperatorNorm:
         slack = math.sqrt(2.0) * eps * float(np.linalg.norm(m.entries)) + 4 * eps * want
         order = m._analysis.order
         natural, products, lapack = _counted_operator_norm(m)
-        assert products <= order + matrixrep._QUICK_STEPS and lapack <= 1
+        assert products <= order + 1 and lapack <= 1
         assert lapack == (natural.method == "lapack-svdvals")
         with pytest.MonkeyPatch.context() as patched:
             patched.setattr(matrixrep, "_krylov_schur", lambda apply, v, budget, hermitian=False: None)
@@ -1074,7 +1112,7 @@ class TestOperatorNorm:
             if not converges:
                 assert spent > order - (matrixrep._KRYLOV_BASIS - matrixrep._KRYLOV_KEEP)
             assert est.method == ("lanczos" if converges else "lapack-svdvals")
-            a = m._scaled_block(order)
+            a = m._analysis.block
             seed = matrixrep._seed_vector(order)
             for budget in (20, 31, 45, order // 2):
                 products.clear()
@@ -1084,8 +1122,8 @@ class TestOperatorNorm:
     @pytest.mark.parametrize("phi, n", [("rotation:i", 128), ("1,0.5,0.5,1", 256), ("parabolic:1,1", 128)])
     @pytest.mark.parametrize("wrong", ["seed", "last basis vector", "nan"])
     def test_a_wrong_lanczos_vector_moves_no_value(self, phi, n, wrong, monkeypatch):
-        # The Lanczos vector only seeds the power steps that certify a value:
-        # from a wrong one they either still certify, or the block goes to
+        # The Lanczos vector only feeds the residual check that certifies a
+        # value: a wrong one either still certifies, or the block goes to
         # LAPACK, and either way the value is LAPACK's within its bound.
         m = hc.build_weighted_composition(hc.polynomial_fn(2, 1), cli.parse_map(phi), hc.hardy(), n)
         want = float(np.linalg.svd(m.entries, compute_uv=False)[0])
@@ -1191,6 +1229,18 @@ class TestKernelGramNorms:
         c = 1 / hc.kernel_norm(space, w)
         kn = hc.kernel_gram_norms(1, hc.hyperbolic_nonauto_form(0.5), space, [w], [c], 512)
         assert hc.CertificateWitness((w,), (c,), kn.adjoint, kn.forward, kn.tail_bound, 512).is_conclusive
+
+    def test_a_tail_below_the_double_range_is_not_zero(self):
+        # At bergman:350 and order 1024 the image's tail bound is subnormal,
+        # and c times it underflows to 0: the sum is rounded up, so that a
+        # bound on a positive tail is positive, and the witness still holds.
+        space, phi, c = hc.bergman(350), hc.rotation(1j), 0.018220103008334345
+        images = KernelImages(hc.polynomial_fn(2, 1), phi, space)
+        tail = images.image(0.15, 1024)[1]
+        assert 0.0 < tail and c * tail == 0.0
+        kn = hc.kernel_gram_norms(images, phi, space, [0.15], [c], 1024)
+        assert kn.tail_bound > 0.0
+        assert hc.CertificateWitness((0.15,), (c,), kn.adjoint, kn.forward, kn.tail_bound, 1024).is_conclusive
 
     def test_precision_loss_raised(self, A0, psi_one, parabolic_map):
         # A truncated series path: on H^2 this polynomial weight's norms are
