@@ -8,7 +8,8 @@ spectral   closed-form spectral report, optional finite-section diagnostics
 selftest   frozen battery of worked cases; nonzero exit on any failure
 
 Exit codes: 0 verdict reached, 1 a selftest item failed, 2 input error
-(float overflow and finite sections outside the double range included),
+(float overflow, finite sections outside the double range and a dump path
+that cannot be written included),
 3 requested theory unavailable, 4 numeric non-convergence (LAPACK's
 singular values or eigenvalues of a finite section did not converge).
 
@@ -486,6 +487,9 @@ def main(argv=None) -> int:
         return 3 if isinstance(exc, TheoryUnavailableError) else 2
     except OverflowError as exc:
         print(f"error: floating-point overflow on this input, a value leaves the double range: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:   # the only files a command writes are --dump-matrix and --dump-eigs
+        print(f"error: cannot write a dump file: {exc}", file=sys.stderr)
         return 2
     report["wall_time_ms"] = round(1000 * (time.monotonic() - t0), 3)
     emit(report, args.format)

@@ -29,9 +29,9 @@ truncation_spectral_radius takes two passes of at most max(30, K/4)
 products each and one check, and calls LAPACK's eigvals only when they
 have not pinned the radius.  Their paths depend on work done, never on time.
 gelfand_estimate certifies ||M^k|| by power steps with M alone (2k
-matrix-vector products a step) and forms M^k with matrix_power only when
-those steps stall, as they do on the clustered top singular values of
-Toeplitz-like sections.
+matrix-vector products a step) and forms M^k, each product scaled to unit
+size, only when those steps stall, as they do on the clustered top singular
+values of Toeplitz-like sections, or underflow.
 
 Compact sections are built in part and deflate.  Column j of a section is
 psi phi^j / beta(j); when phi maps the closed disk into the open disk its
@@ -687,8 +687,9 @@ def truncation_spectral_radius(m: OperatorMatrix) -> SpectralEstimate:
     return SpectralEstimate(_unscale(radius, s.e), "lapack-eigvals", _unscale(n * _EPS * s.fro, s.e))
 
 
-def _power_norm(a: np.ndarray, k: int) -> tuple[float, float]:
-    """(||a^k||, residual of (a^H)^k a^k) for gelfand_estimate."""
+def _power_norm(a: np.ndarray, k: int) -> tuple[float, float, int]:
+    """(nu, residual, e) with ||a^k|| = nu 2^e and residual that of
+    (a^H)^k a^k in units of 2^(2e), for gelfand_estimate."""
     def gram_power(x):
         for _ in range(k):
             x = a @ x
@@ -697,12 +698,41 @@ def _power_norm(a: np.ndarray, k: int) -> tuple[float, float]:
         return x
 
     quick = _power_steps(gram_power, _seed_vector(a.shape[0]), _QUICK_STEPS)
-    if quick is not None:
-        return math.sqrt(quick[0]), quick[1]
-    p = np.linalg.matrix_power(a, k)
+    if quick is not None and quick[0] >= _TINY:   # an underflowed lam certifies nothing
+        return math.sqrt(quick[0]), quick[1], 0
+    p, e = _scaled_power(a, k)
     p.flags.writeable = False
     est = operator_norm(OperatorMatrix(p))
-    return est.value, est.residual
+    return est.value, est.residual, e
+
+
+def _scaled_power(a: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """(p, e) with a^k = p 2^e, by square-and-multiply in matrix_power's
+    order, each product scaled by a power of two to largest part in
+    [1/2, 1): exactly in the normal range, and no power of a section whose
+    norm far exceeds its spectral radius underflows as a whole."""
+    z, ez, p, e = a, 0, None, 0
+    while True:
+        k, bit = divmod(k, 2)
+        if bit:
+            if p is None:
+                p, e = z, ez
+            else:
+                p = p @ z
+                e += ez + _unit_scale(p)
+        if not k:
+            return p, e
+        z = z @ z
+        ez = 2 * ez + _unit_scale(z)
+
+
+def _unit_scale(x: np.ndarray) -> int:
+    """Scale x in place by 2^-s, s the exponent of its largest real or
+    imaginary part (0 for a zero x), and return s."""
+    parts = x.view(np.float64)
+    s = math.frexp(max(float(parts.max()), -float(parts.min())))[1]
+    np.ldexp(parts, -s, out=parts)
+    return s
 
 
 def gelfand_estimate(m: OperatorMatrix, k: int) -> SpectralEstimate:
@@ -714,9 +744,15 @@ def gelfand_estimate(m: OperatorMatrix, k: int) -> SpectralEstimate:
     gap between the top two singular values of M^k is that of M raised to
     the 2k-th power, so compact and contractive sections certify in a few
     steps.  After at most 8 steps, or sooner once the steps stall (see
-    _power_steps), it falls back to forming M^k and taking its operator_norm
+    _power_steps), or when their value of ||M^k||^2 is below the smallest
+    normal double, it falls back to forming M^k and taking its operator_norm
     (bounded work): Toeplitz-like sections (multiplications, rotations,
-    parabolic maps) have clustered top singular values.
+    parabolic maps) have clustered top singular values, and a section whose
+    radius lies far below its norm (1.5 against 1e40) has a unit-scaled M^k
+    that underflows.  The fallback forms M^k by square-and-multiply, scaling each
+    product by a power of two to unit size and summing the exponents
+    (_scaled_power); in the normal range each scaling is exact, so the value
+    is that of M^k formed directly.
 
     With M = diag(A_K, 0) + E (_leading_block), ||M^k - diag(A_K, 0)^k|| <=
     k ||M||_F^(k-1) ||E||_F <= sqrt(2) k eps ||M||_F^k.  The value for A_K is
@@ -733,11 +769,13 @@ def gelfand_estimate(m: OperatorMatrix, k: int) -> SpectralEstimate:
     s = m._analysis
     if s is None:
         return SpectralEstimate(0.0, "gelfand", 0.0)
-    norm, resid = _power_norm(s.block, k)
-    if s.order < n and math.sqrt(2.0) * k * _EPS * s.fro**k > _NORM_REL_TOL * norm:
+    norm, resid, e = _power_norm(s.block, k)
+    if s.order < n and math.sqrt(2.0) * k * _EPS * s.fro**k > _NORM_REL_TOL * _unscale(norm, e):
         b = np.ldexp(m.entries.view(np.float64), -s.e1)   # the analysis' two steps, on all of M
-        norm, resid = _power_norm(np.ldexp(b, s.e1 - s.e, out=b).view(complex), k)
-    return SpectralEstimate(_unscale(norm ** (1.0 / k), s.e), "gelfand", _unscale(resid, 2 * k * s.e))
+        norm, resid, e = _power_norm(np.ldexp(b, s.e1 - s.e, out=b).view(complex), k)
+    q, r = divmod(e, k)   # (norm 2^e)^(1/k) = (norm 2^r)^(1/k) 2^q
+    return SpectralEstimate(_unscale(_unscale(norm, r) ** (1.0 / k), q + s.e), "gelfand",
+                            _unscale(resid, 2 * (e + k * s.e)))
 
 
 # ---------------------------------------------------------------------------

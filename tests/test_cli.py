@@ -5,8 +5,10 @@ import contextlib
 import io
 import json
 import re
+import shlex
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +97,14 @@ class TestClassifyCommand:
 
     def test_parse_failure_exit_2(self, capsys):
         assert cli.main(["classify", "--map", "garbage:1"]) == 2
+
+    @pytest.mark.parametrize("spec", ["rotation:i", "parabolic:1,1", "hyperbolic-nonauto:0.5",
+                                      "normal-form:0.3,0.4", "identity", "1,0.5,0.5,1", "0.5,0,0,1"])
+    def test_check_prints_the_class_classify_prints(self, capsys, spec):
+        code, classified = run_json(capsys, "classify", f"--map={spec}")
+        ccode, checked = run_json(capsys, "check", f"--map={spec}", "--psi=1,0.5")
+        assert code == ccode == 0
+        assert classified["map_class"] and checked["map_class"] == classified["map_class"]
 
     # Inside classify's bands: a = 0.5 + 5e-10i is off the exact form
     # (1-|c|) z/(c z + 1) by 5e-10, and c = 1e-11 is no dilation, yet
@@ -272,6 +282,15 @@ class TestCheckCommand:
         assert code == 0
         assert rep["verdict"]["outcome"] == "Normal"
 
+    @pytest.mark.parametrize("argv", [
+        ("--map=normal-form:0.9999,0.4", "--psi=kernel-quotient:0.9999,1e6"),
+        ("--map=normal-form:0.99999,0.4", "--psi=kernel-quotient:0.99999,1e100", "--space=bergman:0"),
+    ])
+    def test_kernel_quotient_normal_near_the_circle_at_any_scale(self, capsys, argv):
+        code, rep = run_json(capsys, "check", *argv)
+        assert code == 0
+        assert rep["verdict"]["outcome"] == "Normal"
+
     def test_kernel_quotient_normal_at_large_alpha(self, capsys):
         # The kernel quotient's values reach 5e14 on |z| = 0.7 here; psi(p) = 1
         # is still not a zero.
@@ -362,6 +381,32 @@ class TestCheckCommand:
         assert code == 0 and rep["verdict"]["outcome"] == "CertifiedNotNumeric"
         assert rep["verdict"]["witness"]["tail_bound"] > 0.0
 
+    @pytest.mark.parametrize("args", [
+        "--psi=1 --map=1,0,1,2 --budget=30",
+        "--map=rotation:i --psi=2,1",
+        "--map=rotation:i --psi=2e-20,1e-20",
+        "--map=hyperbolic-nonauto:0.5 --space=bergman:0 --psi=2/1,0.2",
+        "--map=rotation:i --psi=2/1,0.3,0.1",
+        "--map=hyperbolic-nonauto:0.5 --space=bergman:0.7 --psi=3,-1/1,0.3,0.1",
+    ])
+    def test_escalated_check_exit_0(self, capsys, args):
+        code, _ = run_json(capsys, "check", "--escalate", *args.split())
+        assert code == 0
+
+    # The weight's size does not change the search: 1e300 and 1e-170 times
+    # (1, 0.5) certify where (2, 1) does, at the same points.
+    @pytest.mark.parametrize("space", ["hardy", "bergman:0"])
+    def test_escalation_certifies_at_any_weight_scale(self, capsys, space):
+        found = []
+        for psi in ("2,1", "1e300,0.5e300", "1e-170,0.5e-170"):
+            code, rep = run_json(capsys, "check", "--escalate", "--map=hyperbolic-nonauto:0.5",
+                                 f"--space={space}", f"--psi={psi}")
+            assert code == 0
+            verdict = rep["verdict"]
+            found.append((verdict["outcome"], (verdict.get("witness") or {}).get("points")))
+        assert found[0][0] == "CertifiedNotNumeric"
+        assert found == 3 * found[:1]
+
     def test_escalation_attaches_witness(self, capsys):
         code, rep = run_json(capsys, "check", "--psi", "2,1", "--map", "1,0.5,0.5,1",
                              "--escalate", "--budget", "15", "--order", "64")
@@ -442,6 +487,15 @@ class TestSpectralCommand:
         assert epath.read_text().splitlines()[0] == "k,re,im"
 
     @pytest.mark.parametrize("dump", ["--dump-matrix", "--dump-eigs"])
+    @pytest.mark.parametrize("where", ["missing/dump.csv", "."])   # a missing directory, a directory
+    def test_unwritable_dump_path_exit_2(self, capsys, tmp_path, dump, where):
+        path = tmp_path / where
+        code = cli.main(["spectral", "--numeric", "--order=8", "--map=0.5,0,0,1", "--psi=1", f"{dump}={path}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1 and str(path) in captured.err
+
+    @pytest.mark.parametrize("dump", ["--dump-matrix", "--dump-eigs"])
     def test_dumps_write_the_full_order_of_a_compact_section(self, capsys, tmp_path, dump):
         # The analysis would build only the proved leading block; a dump asks for all N.
         n = 128
@@ -463,8 +517,8 @@ class TestNumericDiagnostics:
     ])
     def test_gelfand_forms_the_power_only_when_steps_stall(self, capsys, monkeypatch, psi, spec, forms):
         calls = []
-        real = np.linalg.matrix_power
-        monkeypatch.setattr(np.linalg, "matrix_power", lambda a, k: calls.append(k) or real(a, k))
+        real = matrixrep._scaled_power
+        monkeypatch.setattr(matrixrep, "_scaled_power", lambda a, k: calls.append(k) or real(a, k))
         code, _ = run_json(capsys, "spectral", "--psi", psi, "--map", spec, *self.SMALL)
         assert code == 0
         assert len(calls) == forms
@@ -492,6 +546,16 @@ class TestNumericDiagnostics:
         assert code == 0 and len(rep["diagnostics"]) == 3
         assert [line for line in out.splitlines() if line.startswith("diagnostic: ")] == [
             f"diagnostic: {d}" for d in rep["diagnostics"]]
+
+    # The section's norm exceeds its radius 1.5 by 1e40 and 1e65: the power
+    # steps' ||M^8||^2 at unit scale underflows to 0 and certifies nothing.
+    @pytest.mark.parametrize("alpha", ["300", "700"])
+    def test_gelfand_estimate_lies_between_radius_and_norm(self, capsys, alpha):
+        code, rep = run_json(capsys, "spectral", "--numeric", "--order=256", "--map=1,0.5,0.5,1",
+                             "--psi=1,0.5", f"--space=bergman:{alpha}")
+        assert code == 0
+        norm, radius, gelfand = (float(d.rsplit(" ", 1)[1]) for d in rep["diagnostics"][:3])
+        assert radius * (1.0 - 1e-8) <= gelfand <= norm * (1.0 + 1e-6)
 
     @staticmethod
     def _numbers(rep):
@@ -680,6 +744,17 @@ class TestConvergenceExit:
             "--order=64 --map=0.5,0,0,1 --psi=1e20",
             "--order=64 --map=0.5,0,0,1 --psi=1e-20",
             "--order=64 --map=0.5,0,0,1 --psi=0,1",
+            # N = 1024, on both row branches, at extreme weight scales and
+            # near the circle.
+            "--order=1024 --map=0.5,0,0,1 --psi=2,1/1,-0.4",
+            "--order=1024 --map=normal-form:0.3,0.4 --psi=kernel-quotient:0.3,0.7 --space=bergman:0",
+            "--order=1024 --map=hyperbolic-nonauto:0.5 --psi=1,0.5 --space=bergman:1",
+            "--order=1024 --map=1,0.5,0.5,1 --psi=2,1 --space=bergman:0",
+            "--order=1024 --map=0.5,0,0,1 --psi=1e300",
+            "--order=1024 --map=0.5,0,0,1 --psi=1e-300",
+            "--order=1024 --map=normal-form:0.99999,0.4 --psi=kernel-quotient:0.99999,0.7",
+            "--order=1024 --map=0.999,0,0,1 --psi=1,0.5",
+            "--order=1024 --map=normal-form:0.999,0.4 --psi=kernel-quotient:0.999,0.7",
         )),
         # beta(N - 1) underflows to 0: the section leaves the double range.
         *((f"--order=1024 --map=0.5,0,0,1 --psi=1,0.5 --space=bergman:{a}", 2) for a in (550, 600, 650, 700)),
@@ -702,6 +777,15 @@ class TestConvergenceExit:
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["spectral", "--numeric", "--order=256", "--map=1,0.5,0.5,1", f"--psi={psi}"])
         assert code == 0
+
+
+def test_readme_examples_exit_0():
+    # Every line of the README that starts with the console script's name runs as printed.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line for line in readme.read_text(encoding="utf-8").splitlines() if line.startswith("hypocomp ")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = {line: cli.main(shlex.split(line)[1:]) for line in lines}
+    assert codes and set(codes.values()) == {0}, codes
 
 
 class TestOutputContracts:

@@ -305,6 +305,40 @@ def test_no_call_imports_scipy(tmp_path):
         assert len((tmp_path / f"eigs{k}.csv").read_text().splitlines()) == n + 1
 
 
+# Every command, the closed forms and the escalated check, compact,
+# Lanczos and LAPACK sections and an eigenvalue dump.
+_CLI_CALLS = (
+    "classify --map=parabolic:1,1",
+    "check --map=parabolic:1,1 --psi=1,0.5",
+    "check --map=parabolic:1,1 --psi=1/7.450580596923828e-09,3.725290298461914e-09",
+    "check --map=rotation:i --psi=2,1 --escalate",
+    "spectral --map=parabolic:1,1 --psi=1,0.5",
+    "spectral --map=1,0.5,0.5,1 --psi=1,-0.9",
+    "spectral --map=parabolic:1,0.5j --psi=1,0.5",
+    "spectral --map=0.5,0,0,1 --psi=1,0.5 --require-all",
+    "spectral --map=normal-form:0.999999,0.4 --psi=1",
+    "check --map=normal-form:0.3,0.4 --psi=kernel-quotient:0.3,0.7",
+    "spectral --map=normal-form:0.3,0.4 --psi=kernel-quotient:0.3,0.7",
+    "spectral --numeric --order=64 --map=parabolic:1,1 --psi=1,0.5",
+    "spectral --numeric --order=1024 --map=0.5,0,0,1 --psi=2,1/1,-0.4",
+    "spectral --numeric --order=128 --map=rotation:i --psi=2,1",
+    "spectral --numeric --order=64 --map=1,0.5,0.5,1 --psi=2,1 --dump-eigs={dump}",
+    "selftest",
+)
+
+
+def test_cli_calls_leave_scipy_unimported(tmp_path):
+    argvs = [[*call.format(dump=tmp_path / "eigs.csv").split(), "--json"] for call in _CLI_CALLS]
+    out = _fresh_process(
+        f"argvs = {argvs!r}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for argv in argvs]\n"
+        "print(*codes, *sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    assert out == ["0"] * len(argvs)
+    assert len((tmp_path / "eigs.csv").read_text().splitlines()) == 65
+
+
 class TestBuildMultiplication:
     def test_constant(self, A1):
         m = hc.build_multiplication(2.5, A1, 4)
@@ -542,8 +576,8 @@ class TestGelfandEstimate:
         oracle = [np.linalg.norm(np.linalg.matrix_power(m.entries, 8), 2) ** (1 / 8)
                   for _name, m, _quick in sections]
         calls = []
-        real = np.linalg.matrix_power
-        monkeypatch.setattr(np.linalg, "matrix_power", lambda a, k: calls.append(k) or real(a, k))
+        real = matrixrep._scaled_power
+        monkeypatch.setattr(matrixrep, "_scaled_power", lambda a, k: calls.append(k) or real(a, k))
         for (name, m, quick), want in zip(sections, oracle):
             calls.clear()
             est = hc.gelfand_estimate(m, 8)

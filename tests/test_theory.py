@@ -997,6 +997,19 @@ class TestWitnessSearch:
         assert grams == {"single": 97, "multi": 400}
         assert hc.witness_search(1, hc.dilation(0.5), H2, budget_seconds=3600, order=48) is None
 
+    # Stage 2 at the benchmark's start order and at the largest one: no
+    # witness for the dilation, and one of at least two kernels for a weight
+    # off a constant by 0.01 z.
+    @pytest.mark.parametrize("order", [48, 1024])
+    def test_stage_two_decides(self, H2, order):
+        assert hc.witness_search(1, hc.dilation(0.5), H2, order=order) is None
+        w = hc.witness_search(hc.polynomial_fn(1, 0.01), hc.hyperbolic_nonauto_form(0.5), H2, order=order)
+        assert w is not None and w.is_conclusive and len(w.points) >= 2
+
+    def test_kernel_images_that_cancel_still_certify(self):
+        w = hc.witness_search(1, hc.hyperbolic_nonauto_form(0.95), hc.bergman(0), order=128)
+        assert w is not None and w.is_conclusive
+
     @staticmethod
     def _clock_past_the_deadline_from(monkeypatch, reading):
         """A clock for theory that reads 0 until its reading-th call (the
