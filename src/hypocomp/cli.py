@@ -24,6 +24,11 @@ kernel inequality); spectral --order (the finite-section size).  Either
 main builds its argument parser once per process, on its first call, and
 parsing keeps no state between calls: each call gets a fresh namespace.
 
+Only the numeric layers funcalg, matrixrep and theory import numpy, and
+they load inside the commands that use them: check, spectral and selftest.
+classify and the parser need moebius, space and verdict alone, so a cold
+classify never imports numpy.
+
 Formats: --format json emits one JSON object
 {input, space, verdict{outcome, citation, witness?}, spectral{r?, r_e?,
 norm_lower?, norm_upper?, citations}, diagnostics[], wall_time_ms};
@@ -43,16 +48,13 @@ import math
 import re
 import sys
 import time
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import matrixrep
 from .errors import (
     ConvergenceFailureError,
     HypocompError,
     TheoryUnavailableError,
 )
-from .funcalg import MAX_TRUNCATION, AnalyticFunction, polynomial_fn, rational_fn
 from .moebius import (
     MoebiusMap,
     cayley_parabolic,
@@ -60,30 +62,22 @@ from .moebius import (
     rotation,
 )
 from .space import SpaceSpec, hardy, space_from_label
-from .theory import (
-    CIT_NORM_MU_LOWER,
-    CIT_NORM_MU_UPPER,
-    Outcome,
-    WeightedOptions,
-    clark_singular_part,
-    classify_unweighted,
-    classify_weighted,
-    kernel_quotient_weight,
-    norm_bounds,
-    normal_form,
-    normal_form_map,
-    parabolic_kernel_inequality,
-    spectral_radius_closed,
-    essential_spectral_radius_closed,
-    spectral_report,
-)
+from .verdict import SEARCH_BUDGET_S, SEARCH_SEED, Outcome, classify_unweighted, normal_form_map
+
+if TYPE_CHECKING:
+    from .funcalg import AnalyticFunction
 
 _DEFAULT_ORDER = 128
+# A standalone i or I, the imaginary unit; and a unit with no coefficient.
+_IMAGINARY_UNIT = re.compile(r"(?<![a-z])i(?![a-z])", re.IGNORECASE)
+_BARE_UNIT = re.compile(r"(^|[+\-*(])j")
 
 
 def _space(args) -> SpaceSpec:
     """The space of check or spectral, after checking that it is known and
     that 8 <= --order <= MAX_TRUNCATION."""
+    from .funcalg import MAX_TRUNCATION
+
     space = space_from_label(args.space)
     if not 8 <= args.order <= MAX_TRUNCATION:
         raise ValueError(f"truncation order must lie in [8, {MAX_TRUNCATION}]")
@@ -94,8 +88,10 @@ def _space(args) -> SpaceSpec:
 # Mini-language parsers
 
 def parse_complex(text: str) -> complex:
-    s = text.strip().replace(" ", "").replace("i", "j").replace("I", "j")
-    s = re.sub(r"(^|[+\-*(])j", r"\g<1>1j", s)
+    """A complex literal; only a standalone i or I is the imaginary unit, so
+    inf and infinity keep their letters."""
+    s = _IMAGINARY_UNIT.sub("j", text.strip().replace(" ", ""))
+    s = _BARE_UNIT.sub(r"\g<1>1j", s)
     try:
         return complex(s)
     except ValueError as exc:
@@ -126,8 +122,12 @@ def parse_map(spec: str) -> MoebiusMap:
 
 
 def parse_weight(spec: str, phi: MoebiusMap, space: SpaceSpec) -> AnalyticFunction:
+    from .funcalg import polynomial_fn, rational_fn
+
     spec = spec.strip()
     if spec.lower().startswith("kernel-quotient:"):
+        from .theory import kernel_quotient_weight
+
         args = [parse_complex(tok) for tok in spec.split(":", 1)[1].split(",")]
         if len(args) != 2:
             raise ValueError("kernel-quotient takes p,value")
@@ -249,6 +249,8 @@ def _norm_bound_block(psi, phi, space) -> dict | None:
     """check's spectral block: the norm bounds that hold if the operator is
     hyponormal, at the interior Denjoy-Wolff point; None when no bound
     applies."""
+    from .theory import CIT_NORM_MU_LOWER, CIT_NORM_MU_UPPER, norm_bounds
+
     try:
         nb = norm_bounds(psi, phi, space)
     except TheoryUnavailableError:
@@ -263,6 +265,8 @@ def _norm_bound_block(psi, phi, space) -> dict | None:
 
 
 def _cmd_check(args) -> tuple[dict, int]:
+    from .theory import WeightedOptions, classify_weighted
+
     # --space and --order first, then --grid: WeightedOptions passes each point
     # through the disk gate and refuses an empty grid, "" and ";" included.
     space = _space(args)
@@ -293,6 +297,11 @@ def _cmd_check(args) -> tuple[dict, int]:
 
 
 def _cmd_spectral(args) -> tuple[dict, int]:
+    import numpy as np
+
+    from . import matrixrep
+    from .theory import spectral_report
+
     space = _space(args)
     phi = parse_map(args.map)
     psi = parse_weight(args.psi, phi, space)
@@ -342,6 +351,17 @@ def _cmd_spectral(args) -> tuple[dict, int]:
 # Self-test battery
 
 def _selftest_items(space_labels: list[str]) -> list[dict]:
+    from .funcalg import polynomial_fn
+    from .theory import (
+        clark_singular_part,
+        classify_weighted,
+        essential_spectral_radius_closed,
+        norm_bounds,
+        normal_form,
+        parabolic_kernel_inequality,
+        spectral_radius_closed,
+    )
+
     par = cayley_parabolic(1, 1)
     psi1 = polynomial_fn(0.5, -0.25)
     psi2 = polynomial_fn(3, 2, -3)
@@ -441,14 +461,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="weighted hyponormality verdict")
     common(p_check)
-    p_check.add_argument("--seed", type=int, default=WeightedOptions.seed, help="witness search seed")
+    p_check.add_argument("--seed", type=int, default=SEARCH_SEED, help="witness search seed")
     p_check.add_argument("--order", type=int, default=_DEFAULT_ORDER,
                          help="starting order of the witness search")
     p_check.add_argument("--map", required=True)
     p_check.add_argument("--psi", required=True)
     p_check.add_argument("--escalate", action="store_true",
                          help="escalate undecided verdicts through the numeric witness search")
-    p_check.add_argument("--budget", type=float, default=WeightedOptions.budget_seconds,
+    p_check.add_argument("--budget", type=float, default=SEARCH_BUDGET_S,
                          help="witness search budget in seconds, positive; inf for no deadline")
     p_check.add_argument("--grid", default=None,
                          help="semicolon-separated kernel points, at least one, each in the open "

@@ -17,8 +17,6 @@ import cmath
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import (
     DegenerateMapError,
     IdentityMapError,
@@ -64,10 +62,10 @@ def require_pole_free(den, z) -> None:
     """Raise PoleEncounteredError where |den| < 1e-300; z is a complex scalar
     or a numpy array and den its denominator values."""
     small = abs(den) < 1e-300
-    if isinstance(small, np.ndarray):
+    if hasattr(small, "any"):   # an array: name its first pole
         if not small.any():
             return
-        z = complex(np.asarray(z)[small][0])
+        z = complex(z[small][0])
     elif not small:
         return
     raise PoleEncounteredError(f"pole at z = {z}")
@@ -144,14 +142,12 @@ def compose(f: MoebiusMap, g: MoebiusMap) -> MoebiusMap:
 
 
 def map_distance(f: MoebiusMap, g: MoebiusMap) -> float:
-    """Coefficient distance after aligning the unit-scalar ambiguity."""
-    u = np.array(f.coefficients())
-    v = np.array(g.coefficients())
-    inner = np.vdot(v, u)
-    if abs(inner) < 1e-30:
-        return float(max(np.abs(u - v)))
-    lam = inner / abs(inner)
-    return float(max(np.abs(u - lam * v)))
+    """Coefficient distance after aligning the unit-scalar ambiguity: the
+    largest |u_k - lam v_k| with lam the phase of <u, v>."""
+    u, v = f.coefficients(), g.coefficients()
+    inner = sum(y.conjugate() * x for x, y in zip(u, v))
+    lam = inner / abs(inner) if abs(inner) >= 1e-30 else 1.0
+    return max(abs(x - lam * y) for x, y in zip(u, v))
 
 
 def is_identity(phi: MoebiusMap) -> bool:

@@ -5,6 +5,8 @@ gamma = alpha + 2, and weights beta(n)^2 = n! Gamma(alpha+2) / Gamma(n+alpha+2):
 the Hardy space at alpha = -1 (gamma = 1, weights 1), the weighted Bergman
 space A^2_alpha for alpha > -1.  Labels round-trip.  Vectors are stored in the
 orthonormal basis e_n = z^n / beta(n); every weight comes from beta_array.
+numpy (beta_array, kernel) and funcalg (krein_adjoint) load where they run, so
+SpaceSpec and the labels need neither.
 """
 
 from __future__ import annotations
@@ -12,10 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidParameterError, NotSelfMapError
-from .funcalg import AnalyticFunction, rational
 from .moebius import MoebiusMap, is_self_map, require_in_disk, require_self_map
 
 
@@ -67,6 +66,8 @@ def beta_array(space: SpaceSpec, n: int) -> np.ndarray:
     factor j / (j + alpha + 1) drifts ten times further than this one because
     j + alpha + 1 rounds the same way at every j.  numpy only.
     """
+    import numpy as np
+
     if space.alpha == -1.0:
         return np.ones(n)   # what the product gives on Hardy, at a sixth of its cost
     j = np.arange(1, n, dtype=float)
@@ -77,6 +78,8 @@ def beta_array(space: SpaceSpec, n: int) -> np.ndarray:
 def kernel(space: SpaceSpec, w: complex, n: int) -> np.ndarray:
     """Orthonormal coordinates of the evaluation kernel at w, conj(w)^k / beta(k)
     for k < n, as a read-only complex array."""
+    import numpy as np
+
     w = require_in_disk(w, "kernel point")
     values = np.power(w.conjugate(), np.arange(n)) / beta_array(space, n)
     values.flags.writeable = False
@@ -110,6 +113,8 @@ def krein_adjoint(phi: MoebiusMap, space: SpaceSpec) -> KreinData:
     keeps both power bases on the principal branch for every gamma.  The
     triple product T_g C_sigma T_h^* does not depend on that rescaling.
     """
+    from .funcalg import AnalyticFunction, rational
+
     require_self_map(phi)
     a, b, c, d = phi.coefficients()
     if abs(d) < 1e-14:

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import re
 import shlex
 import sys
@@ -16,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hypocomp as hc
-from hypocomp import cli, funcalg, matrixrep, moebius
+from hypocomp import cli, funcalg, matrixrep, moebius, theory
 from hypocomp.errors import ConvergenceFailureError, NotAFixedPointError, TheoryUnavailableError
 
 from conftest import DERANDOMIZED
@@ -57,6 +58,9 @@ class TestParsers:
         assert cli.parse_complex("0.5") == 0.5
         assert cli.parse_complex("1+2i") == 1 + 2j
         assert cli.parse_complex("0.3-0.4j") == 0.3 - 0.4j
+        assert cli.parse_complex("-2I") == -2j
+        assert cli.parse_complex("Infinity") == math.inf
+        assert cli.parse_complex("1-infj") == complex(1, -math.inf)
 
     def test_map_forms(self):
         assert hc.map_distance(cli.parse_map("1,0,1,2"), hc.MoebiusMap(1, 0, 1, 2)) < 1e-15
@@ -141,6 +145,18 @@ class TestInputOutsideHypotheses:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error:") and "finite" in captured.err
+
+    # The letters of inf and infinity are no imaginary unit: each literal
+    # reaches the finiteness gates, in a map and in a weight alike.
+    @pytest.mark.parametrize("literal", ["inf", "-inf", "infj", "Infinity"])
+    def test_infinite_literals_reach_the_finiteness_gates(self, capsys, literal):
+        for argv in (["classify", f"--map={literal},0,0,1"],
+                     ["check", "--map=parabolic:1,1", f"--psi={literal},1"]):
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert captured.err.startswith("error:") and "finite" in captured.err
 
     # Poles at 0.5, just inside the unit circle, and at +-1 on it.
     @pytest.mark.parametrize("psi", ["1/1,-2", "1,0.5/1,-1.0000001", "1/1,0,-1"])
@@ -327,7 +343,7 @@ class TestCheckCommand:
         def not_fixed(*args, **kwargs):
             raise NotAFixedPointError("p is not a fixed point of the symbol")
 
-        monkeypatch.setattr(cli, "norm_bounds", not_fixed)
+        monkeypatch.setattr(theory, "norm_bounds", not_fixed)
         code = cli.main(["check", "--psi", "1", "--map", "1,0,1,2"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
@@ -685,7 +701,7 @@ class TestConvergenceExit:
         def boom(*a, **k):
             raise ConvergenceFailureError("stalled")
 
-        monkeypatch.setattr(cli.matrixrep, "operator_norm", boom)
+        monkeypatch.setattr(matrixrep, "operator_norm", boom)
         code = cli.main(["spectral", "--psi", "1", "--map", "0.5,0,0,1",
                          "--numeric", "--order", "16"])
         assert code == 4
@@ -709,7 +725,7 @@ class TestConvergenceExit:
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(cli.matrixrep, "_krylov_schur", lambda apply, v, budget, hermitian=False: None)
+        monkeypatch.setattr(matrixrep, "_krylov_schur", lambda apply, v, budget, hermitian=False: None)
         monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
         code = cli.main(["spectral", "--numeric", "--order=64", "--map=parabolic:1,1", "--psi=1,0.5"])
         assert code == 4

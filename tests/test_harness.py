@@ -5,6 +5,10 @@ would trip over fails here first.
 """
 
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +64,37 @@ def test_workload_calls_bind(harness):
     assert argvs
     for argv in argvs:
         parser.parse_args(list(argv))
+
+
+def test_lazy_layers_are_traced_in_the_workers_order():
+    # The worker installs the tracer after its warm-up and untraced passes;
+    # closed_form warms up with classify alone, which loads no numeric layer.
+    # The passes' check and spectral calls load the rest before the install,
+    # so the traced calls give the spans of a process that imported every
+    # module up front.
+    script = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(PERFBENCH)!r})\n"
+        "import workloads\n"
+        "from tracing import Tracer\n"
+        "if sys.argv[1] == 'eager':\n"
+        "    import hypocomp.cli, hypocomp.funcalg, hypocomp.matrixrep, hypocomp.space, hypocomp.theory\n"
+        "calls = [workloads.CLOSED_FORM_WARMUP.argv,\n"
+        "         ('check', '--map=parabolic:1,1', '--psi=1,0.5', '--json'),\n"
+        "         ('spectral', '--numeric', '--order=32', '--map=0.5,0,0,1', '--psi=2,1', '--json')]\n"
+        "assert all(workloads.run_cli(argv).rc == 0 for argv in calls)\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "assert all(workloads.run_cli(argv).rc == 0 for argv in calls)\n"
+        "tracer.uninstall()\n"
+        "print(json.dumps(sorted({span[0] for span in tracer.spans})))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hc.__file__)))
+    names = {}
+    for order in ("lazy", "eager"):
+        out = subprocess.run([sys.executable, "-c", script, order], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        names[order] = json.loads(out)
+    assert names["lazy"] == names["eager"]
+    layers = {name.partition(".")[0] for name in names["lazy"]}
+    assert layers == {"cli", "moebius", "funcalg", "space", "matrixrep", "theory"}

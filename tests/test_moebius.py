@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import hypocomp as hc
 from hypocomp.errors import (
+    DegenerateMapError,
     IdentityMapError,
     InvalidParameterError,
     NoAngularDerivativeError,
@@ -43,6 +44,42 @@ class TestCompose:
     def test_degenerate_product_rejected(self):
         with pytest.raises(hc.DegenerateMapError):
             hc.MoebiusMap(1, 1, 1, 1)
+
+
+def _numpy_map_distance(f, g):
+    """map_distance as it was computed with numpy: np.vdot aligns the phase."""
+    u, v = np.array(f.coefficients()), np.array(g.coefficients())
+    inner = np.vdot(v, u)
+    if abs(inner) < 1e-30:
+        return float(max(np.abs(u - v)))
+    lam = inner / abs(inner)
+    return float(max(np.abs(u - lam * v)))
+
+
+def test_map_distance_matches_the_numpy_form():
+    # 1000 seeded pairs: independent maps, and unit multiples perturbed by
+    # 1e-16 to 1e-11, around is_identity's 1e-12.  numpy's vdot and complex
+    # products round through fused multiply-adds, so the two forms agree to
+    # the conditioning of the aligning phase, eps (1 + sum |u_k v_k| / |<u, v>|)
+    # times a small constant, and f is exactly at distance 0 from itself.
+    rng = np.random.default_rng(2027)
+    pairs = []
+    while len(pairs) < 1000:
+        f_c = rng.normal(size=4) + 1j * rng.normal(size=4)
+        g_c = rng.normal(size=4) + 1j * rng.normal(size=4)
+        if len(pairs) % 2:
+            g_c = cmath.exp(2j * math.pi * rng.random()) * f_c + 10.0 ** rng.uniform(-16, -11) * g_c
+        try:
+            pairs.append((hc.MoebiusMap(*f_c), hc.MoebiusMap(*g_c)))
+        except DegenerateMapError:
+            continue
+    eps = np.finfo(float).eps
+    for f, g in pairs:
+        u, v = f.coefficients(), g.coefficients()
+        inner = abs(sum(y.conjugate() * x for x, y in zip(u, v)))
+        cond = 1.0 + sum(abs(x * y) for x, y in zip(u, v)) / inner
+        assert abs(hc.map_distance(f, g) - _numpy_map_distance(f, g)) <= 4.0 * eps * cond
+        assert hc.map_distance(f, f) == 0.0
 
 
 class TestSelfMap:
