@@ -322,7 +322,8 @@ def _cmd_spectral(args) -> tuple[dict, int]:
             f"advisory finite-section N={n}: gelfand estimate k=8 {gel.value:.12g}",
         ]
         # A section is a compression, so its norm is at most ||C||; one below
-        # the proved lower bound (beyond the power steps' 1e-8) misses part of C.
+        # the proved lower bound (beyond the 1e-8 residual certificate of its
+        # value) misses part of C.
         if norm_est.value < rep.norm_lower * (1.0 - 1e-8):
             diagnostics.append(
                 f"advisory finite-section N={n}: section norm is {norm_est.value / rep.norm_lower:.6g}"

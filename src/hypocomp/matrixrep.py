@@ -20,14 +20,13 @@ may run concurrently on separate inputs.
 operator_norm, truncation_spectral_radius and gelfand_estimate work, LAPACK
 calls included, on the section scaled by a power of two to Frobenius norm
 in [1/2, 1) and scale the value back, both exactly: 2^j M gives 2^j times
-the value for M, and no weight is too large or too small for them.  One
-Krylov-Schur routine (_krylov_schur) finds a dominant eigenpair for both of
-the first two: on the Hermitian M*M, where it is thick-restart Lanczos,
-operator_norm takes at most K products of it, one to check the pair and
-one LAPACK svd if that fails; on the section and its adjoint
-truncation_spectral_radius takes two passes of at most max(30, K/4)
-products each and one check, and calls LAPACK's eigvals only when they
-have not pinned the radius.  Their paths depend on work done, never on time.
+the value for M, and no weight is too large or too small for them.  On the
+Hermitian M*M, operator_norm takes one plain Lanczos pass (_lanczos) of at
+most K/2 products, one product to check its vector and one LAPACK svd if
+that fails; on the section and its adjoint truncation_spectral_radius takes
+two Krylov-Schur passes (_krylov_schur) of at most max(30, K/4) products
+each and one check, and calls LAPACK's eigvals only when they have not
+pinned the radius.  Their paths depend on work done, never on time.
 gelfand_estimate certifies ||M^k|| by power steps with M alone (2k
 matrix-vector products a step) and forms M^k, each product scaled to unit
 size, only when those steps stall, as they do on the clustered top singular
@@ -88,17 +87,24 @@ from .moebius import IDENTITY, MoebiusMap, disk_image, require_in_disk, require_
 from .space import SpaceSpec, beta_array, kernel
 
 _POWER_SEED = 1729
-# Relative residual that certifies a Gram eigenvalue (operator_norm, _power_steps).
+# Relative residual that certifies a Gram eigenvalue (operator_norm, _power_steps):
+# the check every Lanczos or power-step value must pass to be printed.
 _NORM_REL_TOL = 1e-8
 # Most power steps of one certificate (gelfand_estimate).
 _QUICK_STEPS = 8
-# Krylov basis size, the Ritz vectors each restart keeps, and the relative
-# residual at which a Ritz pair or the basis counts as converged (_krylov_schur).
+# Relative residual at which a Ritz pair, or a next direction's norm, counts
+# as converged (_krylov_schur, _lanczos).
+_KRYLOV_TOL = 1e-12
+# Krylov-Schur basis size and the Ritz vectors each restart keeps (_krylov_schur).
 _KRYLOV_BASIS = 20
 _KRYLOV_KEEP = 10
-_KRYLOV_TOL = 1e-12
-# Block orders above which a Krylov pass runs: room for a full basis and one restart.
+# Block orders above which a Krylov pass runs: room for a full Krylov-Schur
+# basis and one restart (truncation_spectral_radius).  At or below it one
+# LAPACK call on the block costs less than a Lanczos pass (operator_norm).
 _KRYLOV_MIN_ORDER = 2 * _KRYLOV_BASIS - _KRYLOV_KEEP
+# Lanczos steps up to which convergence is tested after every product; then
+# every max(10, j/16) products (_lanczos).
+_LANCZOS_EVERY_STEP = 30
 # Largest first-order error bound kappa r / |theta| of a kept Krylov radius
 # (truncation_spectral_radius): at most one unit in its 12th printed digit.
 _RADIUS_REL_TOL = 1e-11
@@ -517,30 +523,25 @@ class _RitzPair(NamedTuple):
     residual: float
 
 
-def _krylov_schur(apply, v: np.ndarray, budget: int, hermitian: bool = False) -> _RitzPair | None:
+def _krylov_schur(apply, v: np.ndarray, budget: int) -> _RitzPair | None:
     """Largest-modulus Ritz pair of apply by Krylov-Schur (Stewart, SIAM J.
-    Matrix Anal. Appl. 23 (2001)), in at most budget products; for a
-    Hermitian apply (hermitian True) it is thick-restart Lanczos (Wu and
-    Simon, SIAM J. Matrix Anal. Appl. 22 (2000)), whose largest Ritz value is
-    the largest in modulus when apply is positive semidefinite.
+    Matrix Anal. Appl. 23 (2001)), in at most budget products.
 
     The basis holds _KRYLOV_BASIS orthonormal vectors V, each new one
     orthogonalised twice against all the others, so the projection H = V^H A V
     is read from the orthogonalisation coefficients alone, and A V = V H +
     beta v e_m^T with v the next direction.  When the basis is full, the top
-    Ritz pair (theta, y) of H (eigh of its upper triangle when hermitian,
-    else eig) has residual ||A V y - theta V y|| = beta |y_last|; the pair
-    (theta, V y, beta |y_last|) is returned once that is at most 1e-12
-    |theta|.  Otherwise the _KRYLOV_KEEP Ritz vectors of largest modulus,
-    made orthonormal (Q, by QR of eig's vectors; eigh's already are), and
-    the next direction start the next cycle, with Q^H H Q as its leading
-    projection (diag(theta) when hermitian) and beta e_m^T Q as the row that
-    couples it to v.  A cycle costs _KRYLOV_BASIS - _KRYLOV_KEEP products;
-    None when the budget cannot pay for it.  A next
-    direction of norm at most 1e-12 ||A v_j|| is rounding noise: the basis
-    spans an invariant subspace, which holds the top eigenvector for a
-    generic v, so its top Ritz pair is returned at once (continuing from the
-    noise would lose orthogonality).
+    Ritz pair (theta, y) of H (by eig) has residual ||A V y - theta V y|| =
+    beta |y_last|; the pair (theta, V y, beta |y_last|) is returned once that
+    is at most 1e-12 |theta|.  Otherwise the _KRYLOV_KEEP Ritz vectors of
+    largest modulus, made orthonormal (Q, by QR of eig's vectors), and the
+    next direction start the next cycle, with Q^H H Q as its leading
+    projection and beta e_m^T Q as the row that couples it to v.  A cycle
+    costs _KRYLOV_BASIS - _KRYLOV_KEEP products; None when the budget cannot
+    pay for it.  A next direction of norm at most 1e-12 ||A v_j|| is rounding
+    noise: the basis spans an invariant subspace, which holds the top
+    eigenvector for a generic v, so its top Ritz pair is returned at once
+    (continuing from the noise would lose orthogonality).
     """
     m, keep = _KRYLOV_BASIS, _KRYLOV_KEEP
     basis = np.empty((m + 1, v.size), dtype=complex)
@@ -560,18 +561,15 @@ def _krylov_schur(apply, v: np.ndarray, budget: int, hermitian: bool = False) ->
             beta = float(np.linalg.norm(w))
             h[j + 1, j] = beta
             if beta <= _KRYLOV_TOL * size:
-                theta, y = _ritz(h[:j + 1, :j + 1], hermitian)
+                theta, y = _ritz(h[:j + 1, :j + 1])
                 return _RitzPair(theta[-1], y[:, -1] @ basis[:j + 1], beta * abs(y[-1, -1]))
             basis[j + 1] = w / beta
-        theta, y = _ritz(h[:m], hermitian)
+        theta, y = _ritz(h[:m])
         resid = beta * abs(y[-1, -1])
         if resid <= _KRYLOV_TOL * abs(theta[-1]):
             return _RitzPair(theta[-1], y[:, -1] @ basis[:m], resid)
-        if hermitian:
-            q, s = y[:, -keep:], np.diag(theta[-keep:])
-        else:
-            q = np.linalg.qr(y[:, -keep:])[0]
-            s = q.conj().T @ h[:m] @ q
+        q = np.linalg.qr(y[:, -keep:])[0]
+        s = q.conj().T @ h[:m] @ q
         basis[:keep] = q.T @ basis[:m]
         basis[keep] = basis[m]
         row = h[m] @ q
@@ -582,15 +580,58 @@ def _krylov_schur(apply, v: np.ndarray, budget: int, hermitian: bool = False) ->
     return None
 
 
-def _ritz(h: np.ndarray, hermitian: bool) -> tuple[np.ndarray, np.ndarray]:
+def _ritz(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of the projection h and their unit eigenvectors (columns),
-    in ascending order: of value by eigh on the upper triangle when
-    hermitian, else of modulus by eig (a stable sort, so ties keep eig's order)."""
-    if hermitian:
-        return np.linalg.eigh(h, UPLO="U")
+    in ascending order of modulus, by eig (a stable sort, so ties keep eig's order)."""
     theta, y = np.linalg.eig(h)
     order = np.argsort(np.abs(theta), kind="stable")
     return theta[order], y[:, order]
+
+
+def _lanczos(apply, v: np.ndarray, budget: int) -> _RitzPair | None:
+    """Top Ritz pair of a Hermitian positive semidefinite apply by plain
+    Lanczos (Lanczos, J. Res. Nat. Bur. Standards 45 (1950)), in at most
+    budget products: no restart and no reorthogonalisation.
+
+    The three-term recurrence beta_j v_(j+1) = A v_j - alpha_j v_j -
+    beta_(j-1) v_(j-1) gives the real tridiagonal T_j = V_j^H A V_j, and the
+    top eigenpair (theta, s) of T_j (eigh) has residual ||A V_j s - theta
+    V_j s|| = beta_j |s_last| while V_j is orthonormal.  That is tested after
+    every product while j <= 30, then every max(10, j/16) products and after
+    the last, and (theta, V_j s / ||V_j s||, beta_j |s_last|) is returned once
+    it is at most 1e-12 theta; None when the budget runs out first.  The
+    basis vectors are kept only to form that vector, summed one at a time
+    so that the basis is never stacked into a copy.  In floating point V_j
+    loses orthogonality, but only along Ritz vectors that have converged
+    (Paige, Linear Algebra Appl. 34 (1980)), so V_j s is normalised and the
+    caller certifies it by its own residual (_rayleigh), which refuses
+    anything else.  A next direction of norm at most 1e-12 ||A v_j|| is
+    rounding noise: V_j spans an invariant subspace, and its top Ritz pair is
+    returned at once.
+    """
+    basis, alpha, beta = [], [], []
+    check = 1
+    for steps in range(1, budget + 1):
+        w = apply(v)
+        size = float(np.linalg.norm(w))
+        if basis:
+            w -= beta[-1] * basis[-1]
+        basis.append(v)
+        alpha.append(float(np.real(np.vdot(v, w))))
+        w -= alpha[-1] * v
+        beta.append(float(np.linalg.norm(w)))
+        invariant = beta[-1] <= _KRYLOV_TOL * size
+        if invariant or steps == check or steps == budget:
+            theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], 1), UPLO="U")
+            resid = beta[-1] * abs(s[-1, -1])
+            if invariant or resid <= _KRYLOV_TOL * theta[-1]:
+                x = np.zeros_like(v)
+                for c, u in zip(s[:, -1], basis):
+                    x += c * u
+                return _RitzPair(theta[-1], x / np.linalg.norm(x), resid)
+            check = steps + (1 if steps < _LANCZOS_EVERY_STEP else max(10, steps // 16))
+        v = w / beta[-1]
+    return None
 
 
 def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
@@ -601,16 +642,19 @@ def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
     (_leading_block): by Weyl, ||A_K|| is within ||E||_2 <= sqrt(2) eps
     ||M||_F of ||M||, and within (sqrt(2) + 1/2) eps ||M_N||_F of the norm of
     the order-N section M_N when M is its proved leading block
-    (proved_block_order).  A Lanczos pass on M*M of at most K products
-    (_krylov_schur, Hermitian) gives a vector v, whose lambda = <v, M*M v>,
+    (proved_block_order).  A plain Lanczos pass on M*M of at most K/2
+    products (_lanczos) gives a unit vector v, whose lambda = <v, M*M v>,
     one product more, is kept (method "lanczos") if the residual
     ||(M*M)v - lambda v|| certifies that some eigenvalue of M*M lies within
-    1e-8 lambda of it (_rayleigh).  The pass runs only when K exceeds 30,
-    room for a full basis and one restart.  Otherwise one LAPACK gesdd call
-    on the block (np.linalg.svd, values only) gives it (method
-    "lapack-svdvals"), with LAPACK's stated bound eps sigma on sigma as
-    residual in the units of M*M: eps sigma (2 sigma + eps sigma).  Raises
-    ConvergenceFailureError only when LAPACK does not converge.
+    1e-8 lambda of it (_rayleigh): that check, not the pass, certifies the
+    value, so a vector spoilt by lost orthogonality is refused, never
+    printed.  The pass runs only when K exceeds 30; a block that small costs
+    less in LAPACK.  Otherwise, or when the pass runs out or its vector
+    fails the check, one LAPACK gesdd call on the block (np.linalg.svd,
+    values only) gives it (method "lapack-svdvals"), with LAPACK's stated
+    bound eps sigma on sigma as residual in the units of M*M: eps sigma
+    (2 sigma + eps sigma).  Raises ConvergenceFailureError only when LAPACK
+    does not converge.
     """
     s = m._analysis
     if s is None:
@@ -620,7 +664,7 @@ def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
     def gram(x):
         return _adjoint_apply(a, a @ x)
 
-    pair = _krylov_schur(gram, _seed_vector(n), n, hermitian=True) if n > _KRYLOV_MIN_ORDER else None
+    pair = _lanczos(gram, _seed_vector(n), n // 2) if n > _KRYLOV_MIN_ORDER else None
     lam, resid = (0.0, math.inf) if pair is None else _rayleigh(gram, pair.vector)[:2]
     if resid <= _NORM_REL_TOL * lam:
         value, method = math.sqrt(lam), "lanczos"

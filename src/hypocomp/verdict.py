@@ -46,7 +46,7 @@ CIT_R_AUTOMORPHISM = (
     "zero-free on the closed disk (Gunatillake 2011 on H^2; Hyvarinen-Lindstrom-Nieminen-Saukko 2013 on A^2_alpha)"
 )
 CIT_R_CONTRACTION = "spectral radius |psi(p)| at the interior Denjoy-Wolff point p of a strictly contracting symbol"
-CIT_RE_BOUNDARY = "essential spectral radius phi'(zeta)^(-gamma/2) at the boundary Denjoy-Wolff point"
+CIT_RE_BOUNDARY = "essential spectral radius |c| phi'(zeta)^(-gamma/2) for a constant weight c at the boundary Denjoy-Wolff point"
 CIT_RE_COMPACT = "essential spectral radius 0: a symbol mapping the closed disk into D gives a compact operator"
 CIT_NORM_MU_LOWER = "lower bound mu / |phi'(zeta)|^(gamma/2) after conjugating the interior fixed point to the origin"
 CIT_NORM_MU_UPPER = "upper bound max{mu, |psi(p)|} after conjugating the interior fixed point to the origin"

@@ -725,7 +725,7 @@ class TestConvergenceExit:
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(matrixrep, "_krylov_schur", lambda apply, v, budget, hermitian=False: None)
+        monkeypatch.setattr(matrixrep, "_krylov_schur", lambda apply, v, budget: None)
         monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
         code = cli.main(["spectral", "--numeric", "--order=64", "--map=parabolic:1,1", "--psi=1,0.5"])
         assert code == 4

@@ -7,13 +7,15 @@ the multiplication 1,0,0,1 and rotation:i with weight 2,1 and parabolic:1,1
 and the dilation 0.9,0,0,1 with weight 1,0.5, each at N = 64 and 128, and
 then the workload at its full orders (N = 1024, 512, 512, 256) for seed
 7001, where the dilation and the normal form build only their proved
-leading blocks (K = 121 and 187), and last, on hardy at N = 512, the
+leading blocks (K = 121 and 187), then, on hardy at N = 512, the
 hyperbolic automorphism 1,0.5,0.5,1 with weight 2,1 and parabolic:1,1 with
 weight 1,0.5: sections that neither deflate nor are triangular, whose
-radius a Krylov-Schur pass finds, recorded from LAPACK's eigenvalues.  The
-diagnostics print 12 significant digits, so the reports must match
-exactly: a change to the finite-section numerics that moves a printed
-digit shows here.
+radius a Krylov-Schur pass finds, recorded from LAPACK's eigenvalues, and
+last that automorphism at N = 1024, whose norm took the longest Lanczos
+pass that converged (about 550 products, restarted), recorded before the
+plain pass replaced it.  The diagnostics print 12 significant digits, so
+the reports must match exactly: a change to the finite-section numerics
+that moves a printed digit shows here.
 """
 
 import contextlib

@@ -539,6 +539,21 @@ class TestEssentialRadius:
         with pytest.raises(TheoryUnavailableError):
             hc.essential_spectral_radius_closed(half_shift_map, H2)
 
+    @pytest.mark.parametrize("c", [2.0, 0.82j, cmath.exp(1j) * 1.08, -0.3 + 0.4j])
+    @pytest.mark.parametrize("space", [hc.hardy(), hc.bergman(0), hc.bergman(0.7)], ids=lambda s: s.label())
+    def test_value_is_rebuilt_from_its_citation(self, space, c):
+        # The citation |c| phi'(zeta)^(-gamma/2) names the weight's modulus:
+        # each map's angular derivative at its Denjoy-Wolff point zeta = 1 is
+        # known in closed form (1/3, 1/2, 1), and the reported r_e must be
+        # the cited formula at it, not phi'(zeta)^(-gamma/2) alone.
+        assert "|c| phi'(zeta)^(-gamma/2) for a constant weight c" in theory.CIT_RE_BOUNDARY
+        for phi, derivative in ((hc.MoebiusMap(1, 0.5, 0.5, 1), 1 / 3),
+                                (hc.MoebiusMap(1, 1, 0, 2), 0.5),
+                                (hc.cayley_parabolic(1, 1), 1.0)):
+            rep = hc.spectral_report(hc.constant_fn(c), phi, space)
+            assert rep.citations["r_e"] == theory.CIT_RE_BOUNDARY
+            assert rep.r_e == pytest.approx(abs(c) * derivative ** (-space.gamma / 2.0), rel=1e-12, abs=0.0)
+
 
 def maps_of_every_kind(rng):
     """One self-map of each MapKind, with random parameters."""
