@@ -13,13 +13,13 @@ that cannot be written included),
 3 requested theory unavailable, 4 numeric non-convergence (LAPACK's
 singular values or eigenvalues of a finite section did not converge).
 
-Every subcommand takes --space, --format and --json; check also --seed and
---order (the witness search's seed and starting order), --escalate (run
-the witness search when no theorem decides), --budget SECONDS (the
-search's deadline: positive, inf for none) and --grid (semicolon-separated
-kernel points in the open disk, replacing the default grid of the parabolic
-kernel inequality); spectral --order (the finite-section size).  Either
---order lies in [8, 1024].
+Every subcommand takes --space, --format and --json; check also
+--escalate (run the witness search when no theorem decides), --seed (the
+search's seed) and --budget SECONDS (the search's deadline: positive, inf
+for none); spectral --order (the finite-section size, in [8, 1024]).  The
+search starts at the truncation order verdict.SEARCH_ORDER and raises it
+where a tail bound is too large; the parabolic kernel inequality is decided
+on one fixed grid of 145 kernel points.
 
 main builds its argument parser once per process, on its first call, and
 parsing keeps no state between calls: each call gets a fresh namespace.
@@ -67,21 +67,9 @@ from .verdict import SEARCH_BUDGET_S, SEARCH_SEED, Outcome, classify_unweighted,
 if TYPE_CHECKING:
     from .funcalg import AnalyticFunction
 
-_DEFAULT_ORDER = 128
 # A standalone i or I, the imaginary unit; and a unit with no coefficient.
 _IMAGINARY_UNIT = re.compile(r"(?<![a-z])i(?![a-z])", re.IGNORECASE)
 _BARE_UNIT = re.compile(r"(^|[+\-*(])j")
-
-
-def _space(args) -> SpaceSpec:
-    """The space of check or spectral, after checking that it is known and
-    that 8 <= --order <= MAX_TRUNCATION."""
-    from .funcalg import MAX_TRUNCATION
-
-    space = space_from_label(args.space)
-    if not 8 <= args.order <= MAX_TRUNCATION:
-        raise ValueError(f"truncation order must lie in [8, {MAX_TRUNCATION}]")
-    return space
 
 
 # ---------------------------------------------------------------------------
@@ -267,19 +255,8 @@ def _norm_bound_block(psi, phi, space) -> dict | None:
 def _cmd_check(args) -> tuple[dict, int]:
     from .theory import WeightedOptions, classify_weighted
 
-    # --space and --order first, then --grid: WeightedOptions passes each point
-    # through the disk gate and refuses an empty grid, "" and ";" included.
-    space = _space(args)
-    grid = None
-    if args.grid is not None:
-        grid = tuple(parse_complex(tok) for tok in args.grid.split(";") if tok.strip())
-    opts = WeightedOptions(
-        escalate_numeric=args.escalate,
-        budget_seconds=args.budget,
-        seed=args.seed,
-        order=args.order,
-        grid=grid,
-    )
+    space = space_from_label(args.space)
+    opts = WeightedOptions(escalate_numeric=args.escalate, budget_seconds=args.budget, seed=args.seed)
     phi = parse_map(args.map)
     psi = parse_weight(args.psi, phi, space)
     verdict = classify_weighted(psi, phi, space, opts)
@@ -300,9 +277,12 @@ def _cmd_spectral(args) -> tuple[dict, int]:
     import numpy as np
 
     from . import matrixrep
+    from .funcalg import MAX_TRUNCATION
     from .theory import spectral_report
 
-    space = _space(args)
+    space = space_from_label(args.space)
+    if not 8 <= args.order <= MAX_TRUNCATION:
+        raise ValueError(f"truncation order must lie in [8, {MAX_TRUNCATION}]")
     phi = parse_map(args.map)
     psi = parse_weight(args.psi, phi, space)
     rep = spectral_report(psi, phi, space)
@@ -463,23 +443,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="weighted hyponormality verdict")
     common(p_check)
     p_check.add_argument("--seed", type=int, default=SEARCH_SEED, help="witness search seed")
-    p_check.add_argument("--order", type=int, default=_DEFAULT_ORDER,
-                         help="starting order of the witness search")
     p_check.add_argument("--map", required=True)
     p_check.add_argument("--psi", required=True)
     p_check.add_argument("--escalate", action="store_true",
                          help="escalate undecided verdicts through the numeric witness search")
     p_check.add_argument("--budget", type=float, default=SEARCH_BUDGET_S,
                          help="witness search budget in seconds, positive; inf for no deadline")
-    p_check.add_argument("--grid", default=None,
-                         help="semicolon-separated kernel points, at least one, each in the open "
-                              "unit disk, replacing the parabolic kernel inequality's default grid")
     p_check.set_defaults(func=_cmd_check)
 
     p_spectral = sub.add_parser("spectral", help="closed-form spectral report")
     common(p_spectral)
-    p_spectral.add_argument("--order", type=int, default=_DEFAULT_ORDER,
-                            help="finite-section size")
+    p_spectral.add_argument("--order", type=int, default=128, help="finite-section size")
     p_spectral.add_argument("--map", required=True)
     p_spectral.add_argument("--psi", default="1")
     p_spectral.add_argument("--numeric", action="store_true",

@@ -892,9 +892,9 @@ def _adjoint_gram(images: KernelImages, pts: tuple[complex, ...]) -> np.ndarray:
 
 
 def _kernel_points(points) -> tuple[complex, ...]:
-    """The one gate for a list of kernel points (a kernel grid too): the points
-    as complex numbers, each through the disk gate, and InvalidParameterError
-    unless there is at least one."""
+    """The one gate for a list of kernel points: the points as complex
+    numbers, each through the disk gate, and InvalidParameterError unless
+    there is at least one."""
     pts = tuple(require_in_disk(w, "kernel point") for w in points)
     if not pts:
         raise InvalidParameterError("a list of kernel points needs at least one point")

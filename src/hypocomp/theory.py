@@ -53,7 +53,7 @@ from .funcalg import (
     no_zero_in_closed_disk,
     sample,
 )
-from .matrixrep import KernelImages, _kernel_points, _table_forms, as_analytic, kernel_gram_norms
+from .matrixrep import KernelImages, _table_forms, as_analytic, kernel_gram_norms
 from .moebius import (
     MapClass,
     MapKind,
@@ -72,31 +72,24 @@ from .verdict import (  # every name of verdict, re-exported
     CIT_HYPERBOLIC_CANDIDATE, CIT_NORM_KERNEL_GRID, CIT_NORM_MU_LOWER, CIT_NORM_MU_UPPER, CIT_NORMAL_DILATION,
     CIT_NUMERIC_WITNESS, CIT_ORIGIN_NOT_FIXED, CIT_PARABOLIC_KERNEL_INEQUALITY, CIT_R_AUTOMORPHISM,
     CIT_R_BOUNDARY, CIT_R_CONTRACTION, CIT_R_PARABOLIC, CIT_RE_BOUNDARY, CIT_RE_COMPACT, CIT_UNDECIDED,
-    CIT_WEIGHT_VANISHES_AT_CONTACT, SEARCH_BUDGET_S, SEARCH_SEED, CertificateWitness, HyponormalityVerdict,
-    Outcome, classify_unweighted, normal_form_map,
+    CIT_WEIGHT_VANISHES_AT_CONTACT, SEARCH_BUDGET_S, SEARCH_ORDER, SEARCH_SEED, CertificateWitness,
+    HyponormalityVerdict, Outcome, classify_unweighted, normal_form_map,
 )
 
 
 @dataclass(frozen=True)
 class WeightedOptions:
-    """Options of classify_weighted.  The witness search's defaults are its
-    starting order and verdict's SEARCH_BUDGET_S and SEARCH_SEED; witness_search
-    reads all three, the command line the budget and seed (check --order
-    starts at 128, not 256).  grid replaces the parabolic kernel inequality's
-    default grid; its points pass the disk gate, and an empty grid is refused.
-    budget_seconds must be positive (+inf: no deadline), order in [1, MAX_TRUNCATION]."""
+    """Options of classify_weighted: whether an undecided verdict escalates
+    to witness_search, and that search's budget and seed, which default to
+    verdict's SEARCH_BUDGET_S and SEARCH_SEED.  The search starts at
+    SEARCH_ORDER.  budget_seconds must be positive (+inf: no deadline)."""
 
     escalate_numeric: bool = False
     budget_seconds: float = SEARCH_BUDGET_S
     seed: int = SEARCH_SEED
-    order: int = 256
-    grid: tuple[complex, ...] | None = None
 
     def __post_init__(self):
         _check_budget(self.budget_seconds)
-        _check_truncation(self.order)
-        if self.grid is not None:
-            object.__setattr__(self, "grid", _kernel_points(self.grid))
 
 
 def _check_budget(budget_seconds: float) -> None:
@@ -126,7 +119,8 @@ def _radial_grid(radii) -> tuple[complex, ...]:
     return (0j,) + tuple(complex(w) for r in radii for w in circle(r, 16))
 
 
-# The default kernel grid (145 points) and the witness search's grid (97 points).
+# The kernel grid of the parabolic inequality and the norm lower bound (145
+# points), and the witness search's grid (97 points).
 _INEQUALITY_GRID = _radial_grid((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9))
 _SEARCH_GRID = _radial_grid((0.15, 0.3, 0.45, 0.6, 0.75, 0.9))
 # 1 - |x|^2 at the search grid's outermost point: every kernel Gram entry
@@ -146,29 +140,28 @@ def _kernel_ratio(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, w:
     return abs(psi_f(w)) * ratio ** (space.gamma / 2.0)
 
 
-def parabolic_kernel_inequality(psi, phi: MoebiusMap, space: SpaceSpec, grid=None) -> InequalityViolation | None:
-    """First grid point where |psi(zeta)| fails to dominate the kernel ratio.
+def parabolic_kernel_inequality(psi, phi: MoebiusMap, space: SpaceSpec) -> InequalityViolation | None:
+    """First point of _INEQUALITY_GRID where |psi(zeta)| fails to dominate
+    the kernel ratio.
 
     Defined for parabolic non-automorphisms, zeta being the fixed point of
     phi; a hyponormal weighted composition with such a symbol must satisfy
     the inequality at every disk point, so a violation excludes hyponormality.
-    A grid given replaces the default one: each point must lie in the open
-    disk, and an empty grid is refused.
+    kernel_ratio_value tests the inequality at any other point.
     """
-    grid = _INEQUALITY_GRID if grid is None else _kernel_points(grid)
     cls = classify(phi)
     if cls.kind is not MapKind.PARABOLIC_NONAUTOMORPHISM:
         raise HypothesisMismatchError("symbol is not a parabolic non-automorphism")
     psi_f = as_analytic(psi)
-    return _first_violation(psi_f, phi, space, cls.contact[0], grid)
+    return _first_violation(psi_f, phi, space, cls.contact[0])
 
 
-def _first_violation(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, zeta: complex,
-                     grid: tuple[complex, ...]) -> InequalityViolation | None:
-    """parabolic_kernel_inequality for a parabolic non-automorphism fixing the unimodular zeta, on a grid
-    from _kernel_points.  A violation exceeds |psi(zeta)| by 1e-12 of the larger side: c psi violates alike."""
+def _first_violation(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec,
+                     zeta: complex) -> InequalityViolation | None:
+    """parabolic_kernel_inequality for a parabolic non-automorphism fixing the unimodular zeta.
+    A violation exceeds |psi(zeta)| by 1e-12 of the larger side: c psi violates alike."""
     lhs = abs(psi_f(zeta))
-    for w in grid:
+    for w in _INEQUALITY_GRID:
         rhs = _kernel_ratio(psi_f, phi, space, w)
         if rhs - lhs > 1e-12 * max(lhs, rhs):
             return InequalityViolation(w, lhs, rhs)
@@ -350,7 +343,7 @@ def classify_weighted(
                 details=f"psi({zeta:.12g}) = {psi_f(zeta):.3e}",
             )
         if cls.kind is MapKind.PARABOLIC_NONAUTOMORPHISM:
-            violation = _first_violation(psi_f, phi, space, zeta, opts.grid or _INEQUALITY_GRID)
+            violation = _first_violation(psi_f, phi, space, zeta)
             if violation is not None:
                 return verdict(
                     Outcome.NOT_HYPONORMAL,
@@ -395,9 +388,7 @@ def classify_weighted(
 
 def _candidate(verdict, psi_f, phi, space, opts: WeightedOptions, note: str) -> HyponormalityVerdict:
     if opts.escalate_numeric:
-        witness = witness_search(
-            psi_f, phi, space, budget_seconds=opts.budget_seconds, seed=opts.seed, order=opts.order
-        )
+        witness = witness_search(psi_f, phi, space, budget_seconds=opts.budget_seconds, seed=opts.seed)
         if witness is not None and witness.is_conclusive:
             return verdict(Outcome.CERTIFIED_NOT_NUMERIC, CIT_NUMERIC_WITNESS, witness, details=note)
     return verdict(Outcome.CANDIDATE_NOT_EXCLUDED, CIT_UNDECIDED, details=note)
@@ -539,13 +530,10 @@ def norm_bounds(psi, phi: MoebiusMap, space: SpaceSpec) -> NormBounds:
     return nb
 
 
-def norm_lower_bound_grid(psi, phi: MoebiusMap, space: SpaceSpec, grid=None) -> float:
-    """Unconditional: max over the grid of ||C* (K_w/||K_w||)||.  A grid
-    given replaces the default one: each point must lie in the open disk,
-    and an empty grid is refused."""
-    pts = _INEQUALITY_GRID if grid is None else _kernel_points(grid)
+def norm_lower_bound_grid(psi, phi: MoebiusMap, space: SpaceSpec) -> float:
+    """Unconditional: max over _INEQUALITY_GRID of ||C* (K_w/||K_w||)||."""
     psi_f = as_analytic(psi)
-    return max(_kernel_ratio(psi_f, phi, space, w) for w in pts)
+    return max(_kernel_ratio(psi_f, phi, space, w) for w in _INEQUALITY_GRID)
 
 
 # ---------------------------------------------------------------------------
@@ -697,9 +685,9 @@ def witness_search(
     psi,
     phi: MoebiusMap,
     space: SpaceSpec,
-    budget_seconds: float = WeightedOptions.budget_seconds,
-    seed: int = WeightedOptions.seed,
-    order: int = WeightedOptions.order,
+    budget_seconds: float = SEARCH_BUDGET_S,
+    seed: int = SEARCH_SEED,
+    order: int = SEARCH_ORDER,
 ) -> CertificateWitness | None:
     """Search kernel combinations for ||C* f|| > ||C f|| beyond all error terms.
 
@@ -712,10 +700,13 @@ def witness_search(
     numpy Cholesky reduction (_top_eigenpair), and certifies each candidate
     alone (kernel_gram_norms) in trial order.  Returns the first conclusive
     witness, or None once all 400 trials have failed; running out of
-    budget_seconds aborts the search early, also with None.  budget_seconds
-    and order are checked as in WeightedOptions, and a space whose kernel
-    Grams on the grid exceed the double range is refused before any
-    expansion (_require_representable_grams).  The deadline is checked
+    budget_seconds aborts the search early, also with None.  The defaults
+    are verdict's SEARCH_BUDGET_S, SEARCH_SEED and SEARCH_ORDER.
+    budget_seconds is checked as in WeightedOptions; order must lie in
+    [1, MAX_TRUNCATION] and is the start order, which each evaluation
+    doubles while its tail bound is too large (_norms_with_escalation).  A
+    space whose kernel Grams on the grid exceed the double range is refused
+    before any expansion (_require_representable_grams).  The deadline is checked
     before each grid point and each trial, not inside the grid Gram or the
     stacked solves (a few milliseconds for 400 trials).  The search's one
     KernelImages table expands psi and computes beta(0..n) once per order n,

@@ -1,8 +1,8 @@
 """Verdict types and the unweighted classifier: the numpy-free core of theory.
 
 The citation clauses, the outcome of a verdict and its witness, the
-witness search's default budget and seed, classify_unweighted and
-normal_form_map need only the map algebra of moebius, so the classify
+witness search's default budget, seed and start order, classify_unweighted
+and normal_form_map need only the map algebra of moebius, so the classify
 command runs without importing numpy.  theory re-exports every name here.
 """
 
@@ -52,10 +52,12 @@ CIT_NORM_MU_LOWER = "lower bound mu / |phi'(zeta)|^(gamma/2) after conjugating t
 CIT_NORM_MU_UPPER = "upper bound max{mu, |psi(p)|} after conjugating the interior fixed point to the origin"
 CIT_NORM_KERNEL_GRID = "norm >= |psi(w)| ((1-|w|^2)/(1-|phi(w)|^2))^(gamma/2) at every kernel point"
 
-# The witness search's default budget in seconds and seed, stated once:
-# WeightedOptions, witness_search and check's --budget and --seed read them.
+# The witness search's default budget in seconds, seed and start order,
+# stated once: witness_search reads all three, WeightedOptions and check's
+# --budget and --seed the budget and seed.
 SEARCH_BUDGET_S = 60.0
 SEARCH_SEED = 1729
+SEARCH_ORDER = 128
 
 
 class Outcome(Enum):
@@ -67,7 +69,12 @@ class Outcome(Enum):
 
 @dataclass(frozen=True)
 class CertificateWitness:
-    """A kernel combination f with ||C* f|| provably above ||C f||."""
+    """A kernel combination f with ||C* f|| provably above ||C f||.
+
+    order is the truncation order at which the norms and tail_bound held.
+    On H^2 with a polynomial weight the norms are closed-form and no
+    truncation enters them, so order is only the search's start order.
+    """
 
     points: tuple[complex, ...]
     coefficients: tuple[complex, ...]

@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hypocomp as hc
-from hypocomp import cli, funcalg, matrixrep, moebius, theory
+from hypocomp import cli, funcalg, matrixrep, moebius, theory, verdict
 from hypocomp.errors import ConvergenceFailureError, NotAFixedPointError, TheoryUnavailableError
 
 from conftest import DERANDOMIZED
@@ -174,12 +174,6 @@ class TestInputOutsideHypotheses:
         assert code == 0
         assert rep["verdict"]["outcome"] == "CandidateNotExcluded"
 
-    @pytest.mark.parametrize("grid", ["1.5;0", "0.2;1", "nan"])
-    def test_grid_point_outside_disk_exit_2(self, capsys, grid):
-        code = cli.main(["check", "--psi", "1,0.5", "--map", "parabolic:1,1", "--grid", grid])
-        assert code == 2
-        assert "open unit disk" in capsys.readouterr().err
-
     @pytest.mark.parametrize("space", ["bergman:inf", "bergman:nan", "bergman:-1"])
     @pytest.mark.parametrize("argv", [
         ("classify", "--map=parabolic:1,1"),
@@ -241,16 +235,6 @@ class TestInputOutsideHypotheses:
         assert code == 2 and captured.out == ""
         assert "budget must be positive" in captured.err
 
-    # A grid with no point checks nothing, so it is refused rather than read as
-    # "parabolic inequality holds on the grid"; the default grid finds a violation.
-    @pytest.mark.parametrize("grid", [";", "", " ; "])
-    def test_empty_grid_exit_2(self, capsys, grid):
-        code = cli.main(["check", "--psi", "0.5,-0.25", "--map", "parabolic:1,1", "--grid", grid])
-        assert code == 2
-        assert "at least one point" in capsys.readouterr().err
-        code, rep = run_json(capsys, "check", "--psi", "0.5,-0.25", "--map", "parabolic:1,1")
-        assert code == 0 and rep["verdict"]["outcome"] == "NotHyponormal"
-
     @pytest.mark.parametrize("argv, message", [
         (("check", "--psi=1,abc", "--map=parabolic:1,1"), "cannot parse complex number 'abc'"),
         (("classify", "--map=1,0,1"), "a raw map needs exactly four coefficients a,b,c,d"),
@@ -262,10 +246,14 @@ class TestInputOutsideHypotheses:
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: {message}\n"
 
-    # Kernel-quotient and normal-form points go through the same disk gate as --grid, NaN included.
+    # Kernel-quotient and normal-form points go through the disk gate: points
+    # outside the disk, on the circle and NaN.
     @pytest.mark.parametrize("argv", [
         ("check", "--psi=kernel-quotient:nan,1", "--map=normal-form:0.3,0.4"),
         ("check", "--psi=kernel-quotient:1,1", "--map=normal-form:0.3,0.4"),
+        ("check", "--psi=kernel-quotient:1.5,1", "--map=normal-form:0.3,0.4"),
+        ("check", "--psi=1", "--map=normal-form:1j,0.4"),
+        ("classify", "--map=normal-form:1.5,0.4"),
         ("classify", "--map=normal-form:nan,0.4"),
         ("spectral", "--map=normal-form:-2j,0.4"),
     ])
@@ -277,6 +265,33 @@ class TestInputOutsideHypotheses:
 
 
 class TestCheckCommand:
+    # The one fixed kernel grid finds the violation of this weight in each space.
+    @pytest.mark.parametrize("space", ["hardy", "bergman:0", "bergman:1"])
+    def test_kernel_grid_finds_the_violation(self, capsys, space):
+        code, rep = run_json(capsys, "check", "--psi", "0.5,-0.25", "--map", "parabolic:1,1",
+                             f"--space={space}")
+        assert code == 0 and rep["verdict"]["outcome"] == "NotHyponormal"
+        assert "kernel norm-ratio" in rep["verdict"]["citation"]
+
+    # check's search and the library's witness_search with its defaults are
+    # one search: the same start order, budget and seed give the same witness.
+    @pytest.mark.parametrize("map_arg, space, psi, phi", [
+        ("rotation:i", "hardy", (2, 1), hc.rotation(1j)),
+        ("rotation:-1", "bergman:1", (3, -1), hc.rotation(-1)),
+        ("1,0.5,0.5,1", "hardy", (2, 1), hc.MoebiusMap(1, 0.5, 0.5, 1)),
+    ])
+    def test_search_matches_the_library_default(self, capsys, map_arg, space, psi, phi):
+        code, rep = run_json(capsys, "check", "--escalate", f"--map={map_arg}", f"--space={space}",
+                             "--psi=" + ",".join(map(str, psi)))
+        assert code == 0 and rep["verdict"]["outcome"] == "CertifiedNotNumeric"
+        got = rep["verdict"]["witness"]
+        want = hc.witness_search(hc.polynomial_fn(*psi), phi, hc.space_from_label(space))
+        assert got["order"] == want.order == verdict.SEARCH_ORDER
+        assert [complex(*p) for p in got["points"]] == list(want.points)
+        assert [complex(*c) for c in got["coefficients"]] == list(want.coefficients)
+        assert (got["adjoint_norm"], got["forward_norm"], got["tail_bound"]) == (
+            want.adjoint_norm, want.forward_norm, want.tail_bound)
+
     def test_worked_example(self, capsys):
         code, rep = run_json(capsys, "check", "--psi", "3,2,-3", "--map", "parabolic:1,1",
                              "--space", "hardy")
@@ -382,21 +397,6 @@ class TestCheckCommand:
         capsys.readouterr()
         assert (calls["classify"], calls["is_value_constant"], calls["no_zero_in_closed_disk"]) == want
 
-    # --order is the witness search's starting order, passed through as given.
-    @pytest.mark.parametrize("order", [8, 128])
-    def test_order_starts_the_witness_search(self, capsys, order):
-        code, rep = run_json(capsys, "check", "--map=rotation:i", "--psi=2,1", "--escalate",
-                             f"--order={order}")
-        assert code == 0
-        assert rep["verdict"]["outcome"] == "CertifiedNotNumeric"
-        assert rep["verdict"]["witness"]["order"] == order
-
-    def test_tail_bound_below_the_double_range_is_positive(self, capsys):
-        code, rep = run_json(capsys, "check", "--escalate", "--map=rotation:i", "--psi=2,1",
-                             "--space=bergman:350", "--order=1024")
-        assert code == 0 and rep["verdict"]["outcome"] == "CertifiedNotNumeric"
-        assert rep["verdict"]["witness"]["tail_bound"] > 0.0
-
     @pytest.mark.parametrize("args", [
         "--psi=1 --map=1,0,1,2 --budget=30",
         "--map=rotation:i --psi=2,1",
@@ -425,11 +425,10 @@ class TestCheckCommand:
 
     def test_escalation_attaches_witness(self, capsys):
         code, rep = run_json(capsys, "check", "--psi", "2,1", "--map", "1,0.5,0.5,1",
-                             "--escalate", "--budget", "15", "--order", "64")
-        assert code == 0
-        if rep["verdict"]["outcome"] == "CertifiedNotNumeric":
-            w = rep["verdict"]["witness"]
-            assert w["adjoint_norm"] > w["forward_norm"]
+                             "--escalate", "--budget", "15")
+        assert code == 0 and rep["verdict"]["outcome"] == "CertifiedNotNumeric"
+        w = rep["verdict"]["witness"]
+        assert w["adjoint_norm"] > w["forward_norm"]
 
 
 class TestSpectralCommand:
@@ -851,21 +850,27 @@ class TestOutputContracts:
         code, again = run_json(capsys, "classify", "--map=parabolic:1,1", f"--space={rep['space']}")
         assert code == 0 and again["space"] == rep["space"]
 
-    @pytest.mark.parametrize("command", ["check", "spectral"])
     @pytest.mark.parametrize("order", ["7", "1025"])
-    def test_order_outside_range_exit_2(self, capsys, command, order):
-        code = cli.main([command, "--psi", "1", "--map", "0.5,0,0,1", "--order", order])
+    def test_order_outside_range_exit_2(self, capsys, order):
+        code = cli.main(["spectral", "--psi", "1", "--map", "0.5,0,0,1", "--order", order])
         assert code == 2
         assert "truncation order must lie in [8, 1024]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["classify", "selftest"])
-    @pytest.mark.parametrize("flag", ["--seed", "--order"])
+    # check's witness search starts at one order and reads one kernel grid.
+    @pytest.mark.parametrize("flag, command", [
+        pytest.param(flag, command, id=f"{flag}-{command}")
+        for flag, command in (("--seed", "classify"), ("--seed", "selftest"), ("--order", "classify"),
+                              ("--order", "selftest"), ("--grid", "check"), ("--order", "check"))
+    ])
     def test_options_registered_where_read(self, capsys, command, flag):
-        argv = [command, flag, "64"] + (["--map", "rotation:i"] if command == "classify" else [])
+        required = {"classify": ["--map", "rotation:i"], "check": ["--map", "rotation:i", "--psi", "2,1"]}
+        argv = [command, flag, "64"] + required.get(command, [])
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag} 64" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("usage:") == 1
+        assert f"unrecognized arguments: {flag} 64" in err
 
 
 class TestSelftest:

@@ -2,10 +2,11 @@
 
 Each line holds an argv, its exit code and its parsed JSON report, without
 wall_time_ms.  The calls are every third call of the benchmark's closed_form
-workload at seed 7001, its first three escalate calls at that seed, and
-selftest on hardy and bergman:1.  Strings, ints and booleans must match
-exactly, floats to 1e-12 relative, so that another numpy or BLAS build cannot
-make the comparison flaky.
+workload at seed 7001, its first three escalate calls at that seed, selftest
+on hardy and bergman:1, then the other ten escalate calls at seed 7001 and
+the four witness searches of CI's numpy-only job.  Strings, ints and booleans
+must match exactly, floats to 1e-12 relative, so that another numpy or BLAS
+build cannot make the comparison flaky.
 """
 
 import contextlib

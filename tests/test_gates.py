@@ -1,4 +1,4 @@
-"""The disk-point, grid, fixed-point, space and truncation-order gates, at every entry point."""
+"""The disk-point, fixed-point, space and truncation-order gates, at every entry point."""
 
 import math
 
@@ -31,11 +31,6 @@ ENTRY_POINTS = {
     "theory.normal_form": lambda w: hc.normal_form(w, 0.4, 1, H2),
     "theory.conjugate_to_origin": lambda w: hc.conjugate_to_origin(1, NORMAL_FORM, w, H2),
     "theory.kernel_ratio_value": lambda w: kernel_ratio_value(1, PARABOLIC, H2, w),
-    # 0.3 comes first and violates the inequality, so every point is checked before any is used.
-    "theory.parabolic_kernel_inequality": lambda w: hc.parabolic_kernel_inequality(
-        hc.polynomial_fn(0.5, -0.25), PARABOLIC, H2, grid=[0.3, w]),
-    "theory.norm_lower_bound_grid": lambda w: hc.norm_lower_bound_grid(1, PARABOLIC, H2, grid=[0.3, w]),
-    "theory.WeightedOptions.grid": lambda w: hc.WeightedOptions(grid=(0.3, w)),
 }
 
 
@@ -50,18 +45,17 @@ def test_disk_gate_error_is_a_parameter_error():
     assert issubclass(OutsideDiskError, InvalidParameterError)
 
 
-# Each takes a kernel grid, which must hold at least one point.
-GRID_ENTRIES = {
-    "parabolic_kernel_inequality": lambda g: hc.parabolic_kernel_inequality(1, PARABOLIC, H2, grid=g),
-    "norm_lower_bound_grid": lambda g: hc.norm_lower_bound_grid(1, PARABOLIC, H2, grid=g),
-    "WeightedOptions": lambda g: hc.WeightedOptions(grid=g),
+# Each takes a list of kernel points, which must hold at least one point.
+POINT_LIST_ENTRIES = {
+    "kernel_gram_norms": lambda pts: hc.kernel_gram_norms(1, hc.dilation(0.5), H2, pts, [], 8),
+    "kernel_gram_forms": lambda pts: kernel_gram_forms(1, hc.dilation(0.5), H2, pts, 8),
 }
 
 
-@pytest.mark.parametrize("entry", sorted(GRID_ENTRIES))
-def test_empty_grid_refused(entry):
+@pytest.mark.parametrize("entry", sorted(POINT_LIST_ENTRIES))
+def test_empty_point_list_refused(entry):
     with pytest.raises(InvalidParameterError, match="at least one point"):
-        GRID_ENTRIES[entry](())
+        POINT_LIST_ENTRIES[entry](())
 
 
 # Each takes a point that phi must fix; 0.5 lies in the disk but is not fixed.
@@ -99,7 +93,6 @@ ORDER_ENTRIES = {
     "expand_analytic": lambda n: hc.expand_analytic(hc.polynomial_fn(2, 1), n),
     "kernel_gram_forms": lambda n: kernel_gram_forms(1, hc.dilation(0.5), H2, [0.3], n),
     "kernel_gram_norms": lambda n: hc.kernel_gram_norms(1, hc.dilation(0.5), H2, [0.3], [1.0], n),
-    "WeightedOptions": lambda n: hc.WeightedOptions(order=n),
     "witness_search": lambda n: hc.witness_search(hc.polynomial_fn(2, 1), hc.rotation(1j), H2, order=n),
 }
 

@@ -132,7 +132,7 @@ class TestParabolicInequality:
         # and phi(0.5) = 0.6 > 0.5 keeps the ratio above 1 on the grid: the
         # unweighted parabolic operator fails the inequality, consistent with
         # its non-hyponormality
-        v = hc.parabolic_kernel_inequality(1, parabolic_map, H2, grid=[0])
+        v = hc.parabolic_kernel_inequality(1, parabolic_map, H2)
         assert v is not None
         assert abs(v.kernel_side_value - math.sqrt(9 / 8)) < 1e-12
         assert abs(parabolic_map(0.5)) > 0.5
@@ -391,11 +391,10 @@ class TestClassifyWeighted:
     def test_escalation_produces_certificate(self, H2):
         psi = hc.polynomial_fn(2, 1)
         phi = hc.MoebiusMap(1, 0.5, 0.5, 1)
-        opts = WeightedOptions(escalate_numeric=True, budget_seconds=20, order=128)
+        opts = WeightedOptions(escalate_numeric=True, budget_seconds=20)
         v = hc.classify_weighted(psi, phi, H2, opts)
-        assert v.outcome in (Outcome.CERTIFIED_NOT_NUMERIC, Outcome.CANDIDATE_NOT_EXCLUDED)
-        if v.outcome is Outcome.CERTIFIED_NOT_NUMERIC:
-            assert v.witness.is_conclusive
+        assert v.outcome is Outcome.CERTIFIED_NOT_NUMERIC
+        assert v.witness.is_conclusive
 
 
 ESCALATE_CASES = [
@@ -406,7 +405,7 @@ ESCALATE_CASES = [
 
 
 def escalated(psi, phi, space):
-    opts = WeightedOptions(escalate_numeric=True, budget_seconds=600, order=128)
+    opts = WeightedOptions(escalate_numeric=True, budget_seconds=600)
     return hc.classify_weighted(psi, phi, space, opts)
 
 
@@ -847,8 +846,11 @@ class TestNormBounds:
             hc.norm_bounds(1, parabolic_map, H2)
 
     def test_lower_bound_grid(self, H2, psi_one, parabolic_map):
-        got = hc.norm_lower_bound_grid(psi_one, parabolic_map, H2, grid=[0])
-        assert abs(got - 0.5 * math.sqrt(9 / 8)) < 1e-12
+        at_zero = theory.kernel_ratio_value(psi_one, parabolic_map, H2, 0)
+        assert abs(at_zero - 0.5 * math.sqrt(9 / 8)) < 1e-12
+        got = hc.norm_lower_bound_grid(psi_one, parabolic_map, H2)
+        assert got == max(theory.kernel_ratio_value(psi_one, parabolic_map, H2, w)
+                          for w in theory._INEQUALITY_GRID)
         ident = hc.MoebiusMap(1, 0, 0, 1)
         assert abs(hc.norm_lower_bound_grid(1, ident, H2) - 1.0) < 1e-12
         # dilation: the ratio decreases in |w|, so the best point is w = 0
@@ -1020,6 +1022,21 @@ class TestWitnessSearch:
         assert hc.witness_search(1, hc.dilation(0.5), H2, order=order) is None
         w = hc.witness_search(hc.polynomial_fn(1, 0.01), hc.hyperbolic_nonauto_form(0.5), H2, order=order)
         assert w is not None and w.is_conclusive and len(w.points) >= 2
+
+    # order is where the search starts: on H^2 with a polynomial weight the
+    # norms are closed-form, so the witness keeps it as given.
+    @pytest.mark.parametrize("order", [8, 128])
+    def test_order_starts_the_witness_search(self, H2, order):
+        w = hc.witness_search(hc.polynomial_fn(2, 1), hc.rotation(1j), H2, order=order)
+        assert w is not None and w.is_conclusive
+        assert w.order == order
+
+    # At alpha = 350 the tail at order 1024 is about 2.5e-323, a subnormal
+    # above 0; a search from SEARCH_ORDER certifies at order 128, tail 2e-44.
+    def test_tail_bound_below_the_double_range_is_positive(self):
+        w = hc.witness_search(hc.polynomial_fn(2, 1), hc.rotation(1j), hc.bergman(350), order=1024)
+        assert w is not None and w.is_conclusive
+        assert w.tail_bound > 0.0
 
     def test_kernel_images_that_cancel_still_certify(self):
         w = hc.witness_search(1, hc.hyperbolic_nonauto_form(0.95), hc.bergman(0), order=128)
