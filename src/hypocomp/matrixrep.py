@@ -23,10 +23,14 @@ in [1/2, 1) and scale the value back, both exactly: 2^j M gives 2^j times
 the value for M, and no weight is too large or too small for them.  On the
 Hermitian M*M, operator_norm takes one plain Lanczos pass (_lanczos) of at
 most K/2 products, one product to check its vector and one LAPACK svd if
-that fails; on the section and its adjoint truncation_spectral_radius takes
-two Krylov-Schur passes (_krylov_schur) of at most max(30, K/4) products
-each and one check, and calls LAPACK's eigvals only when they have not
-pinned the radius.  Their paths depend on work done, never on time.
+that fails.  Each product reads the block from memory once
+(_gram_product), and past 30 steps the pass tests convergence in O(j), by
+a Rayleigh-quotient iteration and a Sturm count on its tridiagonal T_j,
+running a dense eigh only to confirm a stop.  On the section and its
+adjoint truncation_spectral_radius takes two Krylov-Schur passes
+(_krylov_schur) of at most max(30, K/4) products each and one check, and
+calls LAPACK's eigvals only when they have not pinned the radius.  Their
+paths depend on work done, never on time.
 gelfand_estimate certifies ||M^k|| by power steps with M alone (2k
 matrix-vector products a step) and forms M^k, each product scaled to unit
 size, only when those steps stall, as they do on the clustered top singular
@@ -66,6 +70,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -105,12 +110,23 @@ _KRYLOV_MIN_ORDER = 2 * _KRYLOV_BASIS - _KRYLOV_KEEP
 # Lanczos steps up to which convergence is tested after every product; then
 # every max(10, j/16) products (_lanczos).
 _LANCZOS_EVERY_STEP = 30
+# Most Rayleigh-quotient steps of one top pair of T_j (_tridiagonal_top), and
+# the factor above 1e-12 theta by which its Lanczos residual must lie for a
+# check to skip eigh (_lanczos).
+_RQI_STEPS = 8
+_LANCZOS_FAR = 16.0
 # Largest first-order error bound kappa r / |theta| of a kept Krylov radius
 # (truncation_spectral_radius): at most one unit in its 12th printed digit.
 _RADIUS_REL_TOL = 1e-11
 # Rows per block of a section's analysis (OperatorMatrix._analysis): its
 # scaled block is 512 KiB at N = 1024.
 _BLOCK_ROWS = 32
+# Bytes of A_K per block of rows of a Gram product (_gram_product): one block
+# stays in a core's 2 MiB L2 cache between its two products.  On one thread of
+# a 2-vCPU Xeon VM, numpy 2.4 with OpenBLAS, one product at K = 512 / 1024 took
+# 0.31 / 1.23 ms unblocked and 0.27 / 1.09 ms in 1 MiB blocks (0.26 / 1.08 at
+# 512 KiB, 0.29 / 1.17 at 2 MiB).
+_GRAM_BLOCK_BYTES = 1 << 20
 # The entries of column 0 summed for the bound on ||M||_F, and
 # log(eps^2 / 4), the share of that bound's square that the part of a
 # section left unbuilt may hold (_tail_ratio_bound).
@@ -489,6 +505,21 @@ def _adjoint_apply(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (x.conj() @ a).conj()
 
 
+def _gram_product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a^H (a x) in one read of a from memory: over blocks B of at most
+    _GRAM_BLOCK_BYTES of rows, y = B x and then B^H y, summed, while B is
+    still in cache.  An a of one block (K <= 256 for a square complex one)
+    takes exactly the two products a x and a^H (a x)."""
+    rows = max(1, _GRAM_BLOCK_BYTES // a[:1].nbytes)
+    if rows >= a.shape[0]:
+        return _adjoint_apply(a, a @ x)
+    z = np.zeros(a.shape[1], dtype=complex)
+    for i in range(0, a.shape[0], rows):
+        b = a[i:i + rows]
+        z += (b @ x).conj() @ b
+    return z.conj()
+
+
 def _rayleigh(apply, v: np.ndarray) -> tuple[float, float, np.ndarray]:
     """(lam, ||w - lam v||, w) for w = apply(v), lam = <v, w>: for a Hermitian
     apply and a unit v, some eigenvalue lies within that residual of lam."""
@@ -588,6 +619,99 @@ def _ritz(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return theta[order], y[:, order]
 
 
+def _tridiagonal_top(alpha: list, off: list, start: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """The top eigenpair (theta, s), s a unit vector, of the real symmetric
+    tridiagonal T of order j with diagonal alpha and off-diagonal off, by
+    Rayleigh-quotient iteration from start (any non-zero vector of length j)
+    in O(j) a step (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998);
+    None when the pair is not confirmed.
+
+    Each step solves (T - theta I) y = s (_shifted_solve) and takes s =
+    y/||y||, theta = s^T T s, until r = ||T s - theta s|| <= 8 eps c, where
+    c = max |alpha| + 2 max |off| >= ||T||, within _RQI_STEPS steps; then
+    some eigenvalue lies within r of theta.  With rho = r + 8 eps c and h =
+    8 rho / |s_last|, one Sturm count (_eigenvalues_above) confirms that
+    exactly one eigenvalue exceeds theta - h: the top one, within r of theta,
+    with every other at least h below theta.  So the top unit eigenvector u
+    makes an angle with sin <= r / h with s (Davis-Kahan), and ||u_last| -
+    |s_last|| <= sqrt(2) r / h; a vector whose residual on T is at most
+    8 eps c, as LAPACK's eigh gives (a small multiple of eps ||T||), has a
+    last component within sqrt(2) rho / h = |s_last| sqrt(2)/8 < |s_last|/4 of
+    s_last in modulus.  None too when a value is not finite, c exceeds 1e300
+    (T s could overflow), s_last is 0 or the count is not 1.  A pivot of
+    modulus below max(eps c, the smallest normal double) is taken as that,
+    so no step divides by 0.
+    """
+    c = max(map(abs, alpha)) + 2.0 * max(map(abs, off), default=0.0)
+    if not 0.0 < c <= 1e300:
+        return None
+    floor = 8.0 * _EPS * c
+    pivot = max(_EPS * c, _TINY)
+    diag, sub = np.array(alpha), np.array(off)
+    s = start.tolist()
+    for _ in range(_RQI_STEPS):
+        size = math.hypot(*s)
+        if not 0.0 < size < math.inf:
+            return None
+        s = np.array(s) / size
+        ts = diag * s
+        ts[:-1] += sub * s[1:]
+        ts[1:] += sub * s[:-1]
+        theta = float(s @ ts)
+        r = float(np.linalg.norm(ts - theta * s))
+        if r <= floor:
+            break
+        s = _shifted_solve(alpha, off, theta, s.tolist(), pivot)
+    else:
+        return None
+    last = abs(float(s[-1]))
+    if not last > 0.0:
+        return None
+    h = 8.0 * (r + floor) / last
+    return (theta, s) if _eigenvalues_above(alpha, off, theta - h, pivot) == 1 else None
+
+
+def _shifted_solve(alpha: list, off: list, sigma: float, s: list, pivot: float) -> list:
+    """y with (T - sigma I) y = s for the tridiagonal T of _tridiagonal_top,
+    by T - sigma I = L D L^T with no pivoting, a pivot of modulus below pivot
+    taken as pivot."""
+    d = alpha[0] - sigma
+    if not abs(d) >= pivot:
+        d = pivot
+    z = s[0]
+    ds, ls, zs = [d], [], [z]
+    for a, b, x in zip(alpha[1:], off, s[1:]):
+        l = b / d
+        d = a - sigma - l * b
+        if not abs(d) >= pivot:
+            d = pivot
+        z = x - l * z
+        ds.append(d)
+        ls.append(l)
+        zs.append(z)
+    y = z / d
+    ys = [y]
+    for z, d, l in zip(zs[-2::-1], ds[-2::-1], ls[::-1]):
+        y = z / d - l * y
+        ys.append(y)
+    ys.reverse()
+    return ys
+
+
+def _eigenvalues_above(alpha: list, off: list, x: float, pivot: float) -> int:
+    """The number of eigenvalues of the tridiagonal T of _tridiagonal_top
+    above x: the positive pivots of T - x I = L D L^T (Sylvester's law of
+    inertia), a pivot of modulus below pivot taken as -pivot (a Sturm count)."""
+    count, q = 0, 1.0
+    for a, b2 in zip(alpha, [0.0, *map(mul, off, off)]):
+        q = a - x - b2 / q
+        if q > 0.0:
+            count += 1
+        elif not q <= -pivot:
+            q = -pivot
+    return count
+
+
 def _lanczos(apply, v: np.ndarray, budget: int) -> _RitzPair | None:
     """Top Ritz pair of a Hermitian positive semidefinite apply by plain
     Lanczos (Lanczos, J. Res. Nat. Bur. Standards 45 (1950)), in at most
@@ -599,8 +723,16 @@ def _lanczos(apply, v: np.ndarray, budget: int) -> _RitzPair | None:
     V_j s|| = beta_j |s_last| while V_j is orthonormal.  That is tested after
     every product while j <= 30, then every max(10, j/16) products and after
     the last, and (theta, V_j s / ||V_j s||, beta_j |s_last|) is returned once
-    it is at most 1e-12 theta; None when the budget runs out first.  The
-    basis vectors are kept only to form that vector, summed one at a time
+    it is at most 1e-12 theta; None when the budget runs out first.  Past
+    step 30 a check first takes T_j's top pair in O(j) (_tridiagonal_top),
+    warm-started from the last check's top eigenvector padded with zeros.
+    When that pair is confirmed and beta_j |s_last| exceeds 16e-12 theta
+    (_LANCZOS_FAR), beta_j times the last component of eigh's vector exceeds
+    12e-12 theta, so eigh would not stop the pass: the check ends there, and
+    at the last step the pass returns None.  Every other check runs eigh
+    and decides by its pair, so the O(j) test changes no step count, value
+    or vector, and the dense O(j^3) eigh runs only near convergence or when
+    the O(j) pair is not confirmed.  The basis vectors are kept only to form that vector, summed one at a time
     so that the basis is never stacked into a copy.  In floating point V_j
     loses orthogonality, but only along Ritz vectors that have converged
     (Paige, Linear Algebra Appl. 34 (1980)), so V_j s is normalised and the
@@ -610,7 +742,7 @@ def _lanczos(apply, v: np.ndarray, budget: int) -> _RitzPair | None:
     returned at once.
     """
     basis, alpha, beta = [], [], []
-    check = 1
+    check, top = 1, None   # set by the dense eigh at every check through step 30
     for steps in range(1, budget + 1):
         w = apply(v)
         size = float(np.linalg.norm(w))
@@ -622,13 +754,21 @@ def _lanczos(apply, v: np.ndarray, budget: int) -> _RitzPair | None:
         beta.append(float(np.linalg.norm(w)))
         invariant = beta[-1] <= _KRYLOV_TOL * size
         if invariant or steps == check or steps == budget:
-            theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], 1), UPLO="U")
-            resid = beta[-1] * abs(s[-1, -1])
-            if invariant or resid <= _KRYLOV_TOL * theta[-1]:
-                x = np.zeros_like(v)
-                for c, u in zip(s[:, -1], basis):
-                    x += c * u
-                return _RitzPair(theta[-1], x / np.linalg.norm(x), resid)
+            pair = (None if invariant or steps <= _LANCZOS_EVERY_STEP
+                    else _tridiagonal_top(alpha, beta[:-1], np.pad(top, (0, steps - top.size))))
+            if pair is not None and beta[-1] * abs(pair[1][-1]) > _LANCZOS_FAR * _KRYLOV_TOL * pair[0]:
+                if steps == budget:
+                    return None
+                top = pair[1]
+            else:
+                theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], 1), UPLO="U")
+                resid = beta[-1] * abs(s[-1, -1])
+                if invariant or resid <= _KRYLOV_TOL * theta[-1]:
+                    x = np.zeros_like(v)
+                    for c, u in zip(s[:, -1], basis):
+                        x += c * u
+                    return _RitzPair(theta[-1], x / np.linalg.norm(x), resid)
+                top = s[:, -1]
             check = steps + (1 if steps < _LANCZOS_EVERY_STEP else max(10, steps // 16))
         v = w / beta[-1]
     return None
@@ -648,8 +788,10 @@ def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
     ||(M*M)v - lambda v|| certifies that some eigenvalue of M*M lies within
     1e-8 lambda of it (_rayleigh): that check, not the pass, certifies the
     value, so a vector spoilt by lost orthogonality is refused, never
-    printed.  The pass runs only when K exceeds 30; a block that small costs
-    less in LAPACK.  Otherwise, or when the pass runs out or its vector
+    printed.  Each product M*M x reads A_K from memory once, in blocks of
+    rows that stay in cache between M x and M^H (M x) (_gram_product); a
+    block of K <= 256 is one such block.  The pass runs only when K exceeds
+    30; a block that small costs less in LAPACK.  Otherwise, or when the pass runs out or its vector
     fails the check, one LAPACK gesdd call on the block (np.linalg.svd,
     values only) gives it (method "lapack-svdvals"), with LAPACK's stated
     bound eps sigma on sigma as residual in the units of M*M: eps sigma
@@ -662,7 +804,7 @@ def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
     n, a = s.order, s.block
 
     def gram(x):
-        return _adjoint_apply(a, a @ x)
+        return _gram_product(a, x)
 
     pair = _lanczos(gram, _seed_vector(n), n // 2) if n > _KRYLOV_MIN_ORDER else None
     lam, resid = (0.0, math.inf) if pair is None else _rayleigh(gram, pair.vector)[:2]

@@ -1081,15 +1081,62 @@ def norm_sections(draw):
     return psi, phi, space, n
 
 
-def _counted_operator_norm(m):
-    """operator_norm(m) with its Gram products and LAPACK calls counted."""
-    products, lapack = [], []
-    real_apply, real_svd = matrixrep._adjoint_apply, np.linalg.svd
+def _counted_operator_norm(m, lanczos=None):
+    """operator_norm(m), through lanczos in place of matrixrep._lanczos if
+    given, with its Gram products, LAPACK calls and the orders of its dense
+    eigh calls counted.  A value the Lanczos pass certifies costs at least
+    one product, so a count that reads 0 there misses the product."""
+    products, lapack, eigh = [], [], []
+    real_product, real_svd, real_eigh = matrixrep._gram_product, np.linalg.svd, np.linalg.eigh
     with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(matrixrep, "_adjoint_apply", lambda a, x: products.append(1) or real_apply(a, x))
+        patched.setattr(matrixrep, "_gram_product", lambda a, x: products.append(1) or real_product(a, x))
         patched.setattr(np.linalg, "svd", lambda *a, **k: lapack.append(1) or real_svd(*a, **k))
+        patched.setattr(np.linalg, "eigh", lambda t, **k: eigh.append(len(t)) or real_eigh(t, **k))
+        if lanczos is not None:
+            patched.setattr(matrixrep, "_lanczos", lanczos)
         est = hc.operator_norm(m)
-    return est, len(products), len(lapack)
+    assert est.method != "lanczos" or products
+    return est, len(products), len(lapack), eigh
+
+
+def _dense_check_lanczos(apply, v, budget):
+    """matrixrep._lanczos as it was before its O(j) convergence test: the
+    same recurrence and schedule, with a dense eigh of T_j at every check.
+    The oracle for the step count, value and vector of the pass."""
+    basis, alpha, beta = [], [], []
+    check = 1
+    for steps in range(1, budget + 1):
+        w = apply(v)
+        size = float(np.linalg.norm(w))
+        if basis:
+            w -= beta[-1] * basis[-1]
+        basis.append(v)
+        alpha.append(float(np.real(np.vdot(v, w))))
+        w -= alpha[-1] * v
+        beta.append(float(np.linalg.norm(w)))
+        invariant = beta[-1] <= matrixrep._KRYLOV_TOL * size
+        if invariant or steps == check or steps == budget:
+            theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], 1), UPLO="U")
+            resid = beta[-1] * abs(s[-1, -1])
+            if invariant or resid <= matrixrep._KRYLOV_TOL * theta[-1]:
+                x = np.zeros_like(v)
+                for c, u in zip(s[:, -1], basis):
+                    x += c * u
+                return matrixrep._RitzPair(theta[-1], x / np.linalg.norm(x), resid)
+            check = steps + (1 if steps < matrixrep._LANCZOS_EVERY_STEP else max(10, steps // 16))
+        v = w / beta[-1]
+    return None
+
+
+def _assert_same_pass(m):
+    """The pass with the O(j) test and the dense-check pass make the same
+    Gram products and give the same value bit for bit; the O(j) test makes
+    no more dense eigh calls.  Returns both counts."""
+    natural = _counted_operator_norm(m)
+    dense = _counted_operator_norm(m, _dense_check_lanczos)
+    assert (natural[0].method, natural[0].value.hex(), natural[1:3]) == (dense[0].method, dense[0].value.hex(), dense[1:3])
+    assert len(natural[3]) <= len(dense[3])
+    return natural, dense
 
 
 class TestOperatorNorm:
@@ -1099,13 +1146,14 @@ class TestOperatorNorm:
         # A certified value lam of M*M is within residual of an eigenvalue, so
         # sqrt(lam) is within residual / sqrt(lam) of a singular value; the
         # block moves it by sqrt(2) eps ||M||_F, and the oracle carries LAPACK's
-        # own eps ||M||.
+        # own eps ||M||.  The pass makes the Gram products and gives the value
+        # of the pass with a dense eigh at every check (_assert_same_pass).
         m = hc.build_weighted_composition(*case)
         want = float(np.linalg.norm(m.entries, 2))
         eps = np.finfo(float).eps
         slack = math.sqrt(2.0) * eps * float(np.linalg.norm(m.entries)) + 4 * eps * want
         order = m._analysis.order
-        natural, products, lapack = _counted_operator_norm(m)
+        (natural, products, lapack, _), _ = _assert_same_pass(m)
         assert products <= order + 1 and lapack <= 1
         assert products <= order // 2 + 1
         assert lapack == (natural.method == "lapack-svdvals")
@@ -1118,11 +1166,22 @@ class TestOperatorNorm:
         again = hc.operator_norm(hc.build_weighted_composition(*case))
         assert (again.method, again.value.hex()) == (natural.method, natural.value.hex())
 
+    @pytest.mark.parametrize("gap", [0.1, 0.05, 0.03])
+    @pytest.mark.parametrize("k", [256, 512])
+    def test_the_o_j_check_keeps_the_stop_of_a_separated_top(self, gap, k):
+        # M*M = diag(1, 1 - gap, values spread below): the O(j) pair is
+        # confirmed up to the check that stops the pass, where only eigh
+        # may decide; the pass stops where the dense-check pass stops.
+        d = np.r_[1.0, np.linspace(1.0 - gap, 0.0, k - 1)]
+        (est, products, _, eigh), _ = _assert_same_pass(hc.OperatorMatrix(np.diag(np.sqrt(d))))
+        assert est.method == "lanczos" and products < k // 2
+        assert sum(j > matrixrep._LANCZOS_EVERY_STEP for j in eigh) <= 2
+
     def test_toeplitz_sections_stop_at_k_products(self):
         # A rotation section's clustered top singular values need more than
         # K/2 = 64 Gram products, so the Lanczos pass gives up within K/2.
         m = hc.build_weighted_composition(hc.polynomial_fn(2, 1), hc.rotation(1j), hc.hardy(), 128)
-        est, products, lapack = _counted_operator_norm(m)
+        est, products, lapack, _ = _counted_operator_norm(m)
         assert (est.method, lapack) == ("lapack-svdvals", 1)
         assert products <= 128
         assert products <= 128 // 2
@@ -1143,7 +1202,7 @@ class TestOperatorNorm:
         m = hc.build_weighted_composition(cli.parse_weight(psi, phi, space), phi, space, n)
         order = m._analysis.order
         products, passes = [], []
-        real_apply, real_lanczos = matrixrep._adjoint_apply, matrixrep._lanczos
+        real_product, real_lanczos = matrixrep._gram_product, matrixrep._lanczos
 
         def counted_lanczos(apply, v, budget):
             before = len(products)
@@ -1152,12 +1211,12 @@ class TestOperatorNorm:
             return pair
 
         with pytest.MonkeyPatch.context() as patched:
-            patched.setattr(matrixrep, "_adjoint_apply", lambda a, x: products.append(1) or real_apply(a, x))
+            patched.setattr(matrixrep, "_gram_product", lambda a, x: products.append(1) or real_product(a, x))
             patched.setattr(matrixrep, "_lanczos", counted_lanczos)
             est = hc.operator_norm(m)
             [(spent, budget, returned)] = passes
             assert (budget, returned) == (order // 2, converges)
-            assert spent <= order // 2
+            assert 0 < spent <= order // 2
             if not converges:
                 assert spent == budget
             assert est.method == ("lanczos" if converges else "lapack-svdvals")
@@ -1165,7 +1224,7 @@ class TestOperatorNorm:
             seed = matrixrep._seed_vector(order)
             for budget in (20, 31, 45, order // 2):
                 products.clear()
-                matrixrep._lanczos(lambda x: matrixrep._adjoint_apply(a, a @ x), seed, budget)
+                matrixrep._lanczos(lambda x: matrixrep._gram_product(a, x), seed, budget)
                 assert 0 < len(products) <= budget
 
     @pytest.mark.parametrize("phi, n", [("rotation:i", 128), ("1,0.5,0.5,1", 256), ("parabolic:1,1", 128)])
@@ -1212,24 +1271,29 @@ class TestOperatorNorm:
         est = hc.operator_norm(hc.OperatorMatrix(a))
         assert abs(est.value - 1.0) <= est.residual / est.value + 4 * np.finfo(float).eps
 
-    @pytest.mark.parametrize("phi, psi, space, n, most", [
-        ("0.5,0,0,1", "2,1/1,-0.4", "hardy", 1024, 12),
-        ("normal-form:0.3,0.4", "kernel-quotient:0.3,1", "bergman:0", 512, 12),
-        ("1,0.5,0.5,1", "2,1", "hardy", 512, 160),
-        ("parabolic:1,1", "1,0.5", "bergman:1", 256, 26),
+    @pytest.mark.parametrize("phi, psi, space, n, most, checks", [
+        ("0.5,0,0,1", "2,1/1,-0.4", "hardy", 1024, 12, 7),
+        ("normal-form:0.3,0.4", "kernel-quotient:0.3,1", "bergman:0", 512, 12, 6),
+        ("1,0.5,0.5,1", "2,1", "hardy", 512, 160, 42),
+        ("parabolic:1,1", "1,0.5", "bergman:1", 256, 26, 22),
     ])
-    def test_finite_section_work_counts(self, phi, psi, space, n, most):
+    def test_finite_section_work_counts(self, phi, psi, space, n, most, checks):
         # The benchmark's four finite sections (rotation 1, scale 1), each
         # built as spectral --numeric builds it: Gram products counted,
         # machine-independent, against 21, 21, 231 and 31 for the restarted
-        # pass this one replaced, and no LAPACK call.
+        # pass this one replaced, and no LAPACK call.  Against the pass with
+        # a dense eigh at each of its checks, the same products and value
+        # bit for bit, and past step 30 at most two dense eigh calls (12 of
+        # the 42 checks on the N = 512 automorphism lie there).
         phi = cli.parse_map(phi)
         space = hc.space_from_label(space)
         psi = cli.parse_weight(psi, phi, space)
         m = hc.build_weighted_composition(psi, phi, space, matrixrep.proved_block_order(psi, phi, space, n))
-        est, products, lapack = _counted_operator_norm(m)
+        (est, products, lapack, eigh), dense = _assert_same_pass(m)
         assert (est.method, lapack) == ("lanczos", 0)
         assert products <= most
+        assert len(dense[3]) == checks
+        assert sum(j > matrixrep._LANCZOS_EVERY_STEP for j in eigh) <= 2
 
     @pytest.mark.parametrize("kind", ["2 I", "shift", "rank 3", "two values"])
     def test_an_invariant_krylov_space_ends_the_pass(self, kind):
@@ -1245,6 +1309,168 @@ class TestOperatorNorm:
         want = float(np.linalg.svd(a, compute_uv=False)[0])
         assert est.method == "lanczos"
         assert abs(est.value - want) <= est.residual / est.value + 4 * np.finfo(float).eps * want
+
+
+def _check_top_pair(alpha, off, start):
+    """matrixrep._tridiagonal_top against eigh: None, or theta within 8 eps c
+    of eigh's top eigenvalue (c = max |alpha| + 2 max |off| >= ||T||; 4.4 eps
+    c at most in 2000 random cases), a unit s, and |s_last| within |s_last|/4
+    of the modulus of the last component of eigh's top eigenvector, the
+    tolerance the routine states."""
+    pair = matrixrep._tridiagonal_top(list(alpha), list(off), np.asarray(start, dtype=float))
+    if pair is None:
+        return None
+    theta, s = pair
+    vals, vecs = np.linalg.eigh(np.diag(alpha) + np.diag(off, 1), UPLO="U")
+    c = max(map(abs, alpha)) + 2.0 * max(map(abs, off), default=0.0)
+    eps = np.finfo(float).eps
+    assert abs(theta - vals[-1]) <= 8 * eps * c
+    assert abs(np.linalg.norm(s) - 1.0) <= 4 * eps * len(s)
+    assert abs(abs(s[-1]) - abs(vecs[-1, -1])) <= abs(s[-1]) / 4
+    return pair
+
+
+def _tridiagonalise(d, v):
+    """(alpha, off) of T = Q^T diag(d) Q, Q from Lanczos on diag(d) from v
+    with full reorthogonalisation: a tridiagonal with the eigenvalues d."""
+    q = [v / np.linalg.norm(v)]
+    alpha, off = [], []
+    for k in range(len(d)):
+        w = d * q[-1]
+        alpha.append(float(q[-1] @ w))
+        basis = np.array(q)
+        for _ in range(2):
+            w = w - basis.T @ (basis @ w)
+        if k + 1 < len(d):
+            off.append(float(np.linalg.norm(w)))
+            q.append(w / off[-1])
+    return alpha, off
+
+
+def _warm_start(alpha, off, rng, warm):
+    """The top eigenvector of the leading block of order j - 1 padded with 0,
+    as a Lanczos check starts, if warm; else a random vector."""
+    if not warm or len(alpha) == 1:
+        return rng.standard_normal(len(alpha))
+    lead = np.linalg.eigh(np.diag(alpha[:-1]) + np.diag(off[:-1], 1), UPLO="U")[1][:, -1]
+    return np.r_[lead, 0.0]
+
+
+@st.composite
+def diagonally_dominant(draw):
+    """(alpha, off, start): a random positive semidefinite tridiagonal of
+    order 1 to 120 (alpha_i >= |off_(i-1)| + |off_i|), some off-diagonals
+    exactly 0, and a warm or random start (_warm_start)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    j = draw(st.integers(1, 120))
+    off = rng.uniform(-1.0, 1.0, j - 1) * (rng.random(j - 1) > 0.1)
+    pad = np.r_[0.0, np.abs(off), 0.0]
+    alpha = pad[:-1] + pad[1:] + rng.uniform(0.0, 1.0, j) * draw(st.sampled_from((1.0, 1e-6)))
+    alpha, off = alpha.tolist(), off.tolist()
+    return alpha, off, _warm_start(alpha, off, rng, draw(st.booleans()))
+
+
+@st.composite
+def clustered_tops(draw):
+    """(alpha, off, start): a tridiagonal of order 8 to 60 whose top two
+    eigenvalues 1 and 1 - gap, gap from 1e-4 to 1e-10, stand above the rest
+    in [0, 0.9], and a warm or random start (_warm_start)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(8, 60))
+    gap = 10.0 ** -draw(st.integers(4, 10))
+    d = np.r_[1.0, 1.0 - gap, rng.uniform(0.0, 0.9, n - 2)]
+    alpha, off = _tridiagonalise(d, rng.standard_normal(n))
+    return alpha, off, _warm_start(alpha, off, rng, draw(st.booleans()))
+
+
+class TestTridiagonalTop:
+    @DERANDOMIZED
+    @given(diagonally_dominant())
+    def test_random_tridiagonals_match_eigh(self, case):
+        _check_top_pair(*case)
+
+    @DERANDOMIZED
+    @given(clustered_tops())
+    def test_clustered_tops_match_eigh_or_defer(self, case):
+        _check_top_pair(*case)
+
+    @staticmethod
+    def _checks_of(m):
+        """(alpha, off, start) of every O(j) check of operator_norm(m)'s pass."""
+        calls, real = [], matrixrep._tridiagonal_top
+
+        def recorded(alpha, off, start):
+            calls.append((list(alpha), list(off), start.copy()))
+            return real(alpha, off, start)
+
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(matrixrep, "_tridiagonal_top", recorded)
+            hc.operator_norm(m)
+        return calls
+
+    @DERANDOMIZED
+    @given(norm_sections())
+    def test_the_checks_of_real_passes_match_eigh(self, case):
+        # Every T_j a pass over a section checks past step 30, with the
+        # warm start it was given: each confirmed pair matches eigh.
+        for alpha, off, start in self._checks_of(hc.build_weighted_composition(*case)):
+            assert len(alpha) > matrixrep._LANCZOS_EVERY_STEP
+            _check_top_pair(alpha, off, start)
+
+    def test_real_passes_confirm_their_checks(self):
+        # On the N = 512 automorphism the O(j) pair is confirmed at every
+        # check past step 30 but the last, the one eigh confirms.
+        phi = hc.MoebiusMap(1, 0.5, 0.5, 1)
+        m = hc.build_weighted_composition(hc.polynomial_fn(2, 1), phi, hc.hardy(), 512)
+        pairs = [_check_top_pair(*call) for call in self._checks_of(m)]
+        assert len(pairs) == 12 and all(p is not None for p in pairs[:-1])
+
+    @pytest.mark.parametrize("start", ["block", "first", "coupled"])
+    def test_exact_zero_pivots_do_not_raise(self, start):
+        # T = 2 I_4 coupled to three more rows: the shift theta = 2 of a start
+        # in the 2 I block makes the first pivots of T - 2I exactly 0, and so
+        # does a Sturm count at 2.
+        alpha = [2.0, 2.0, 2.0, 2.0, 1.0, 3.0, 0.5]
+        off = [0.0, 0.0, 0.0, 0.5, 0.25, 0.1]
+        v = {"block": [1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0],
+             "first": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+             "coupled": [0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0]}[start]
+        _check_top_pair(alpha, off, v)
+        pivot = np.finfo(float).eps * 4.0
+        y = matrixrep._shifted_solve(alpha, off, 2.0, v, pivot)
+        assert all(math.isfinite(x) for x in y)
+        vals = np.linalg.eigvalsh(np.diag(alpha) + np.diag(off, 1), UPLO="U")
+        assert matrixrep._eigenvalues_above(alpha, off, 2.0, pivot) == int(np.sum(vals > 2.0 + 1e-12))
+
+    @DERANDOMIZED
+    @given(diagonally_dominant(), st.floats(0.0, 1.0))
+    def test_sturm_counts_match_eigh(self, case, where):
+        # The count above x, for x at least 1e-9 c from every eigenvalue.
+        alpha, off, _ = case
+        vals = np.linalg.eigvalsh(np.diag(alpha) + np.diag(off, 1), UPLO="U")
+        c = max(map(abs, alpha)) + 2.0 * max(map(abs, off), default=0.0)
+        x = -0.1 * c + where * 1.2 * c
+        assume(np.min(np.abs(vals - x)) > 1e-9 * c)
+        pivot = np.finfo(float).eps * c
+        assert matrixrep._eigenvalues_above(alpha, off, x, pivot) == int(np.sum(vals > x))
+
+
+class TestGramProduct:
+    @pytest.mark.parametrize("k", [1, 31, 256, 257, 512, 700])
+    def test_one_read_matches_two_products(self, k):
+        # A block of one piece (K <= 256) is today's two products bit for
+        # bit; more pieces sum the same terms in another order.
+        rng = np.random.default_rng(k)
+        a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        x = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        got = matrixrep._gram_product(a, x)
+        two = matrixrep._adjoint_apply(a, a @ x)
+        if k <= 256:
+            assert np.array_equal(got, two)
+        eps = np.finfo(float).eps
+        bound = 4 * k * eps * np.linalg.norm(a, 2) ** 2 * np.linalg.norm(x)
+        assert np.linalg.norm(got - a.conj().T @ (a @ x)) <= bound
+        assert np.linalg.norm(got - two) <= bound
 
 
 class TestAdjointKernelResidual:
