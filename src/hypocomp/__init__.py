@@ -7,7 +7,8 @@ radii and norm bounds, and backs the formulas with finite-section matrix
 numerics and kernel-vector certificates.
 
 Public names load their module on first use (PEP 562): ``import hypocomp``
-imports nothing else, and only funcalg, matrixrep and theory import numpy.
+imports nothing else, and only funcalg, matrixrep and theory import numpy
+or dataclasses.
 """
 
 import importlib

@@ -27,7 +27,8 @@ parsing keeps no state between calls: each call gets a fresh namespace.
 Only the numeric layers funcalg, matrixrep and theory import numpy, and
 they load inside the commands that use them: check, spectral and selftest.
 classify and the parser need moebius, space and verdict alone, so a cold
-classify never imports numpy.
+classify never imports numpy; their records are NamedTuples, so it imports
+neither dataclasses nor inspect.
 
 Formats: --format json emits one JSON object
 {input, space, verdict{outcome, citation, witness?}, spectral{r?, r_e?,
@@ -36,7 +37,8 @@ norm_lower?, norm_upper?, citations}, diagnostics[], wall_time_ms};
 for a fixed seed and configuration, except the wall_time_ms field.
 
 Matrix dumps (--dump-matrix PATH) are CSV with header n,j,re,im, row-major;
-eigenvalue dumps (--dump-eigs PATH) have header k,re,im.
+eigenvalue dumps (--dump-eigs PATH) have header k,re,im.  Both need
+--numeric: a dump without it exits 2.
 """
 
 from __future__ import annotations
@@ -274,6 +276,11 @@ def _cmd_check(args) -> tuple[dict, int]:
 
 
 def _cmd_spectral(args) -> tuple[dict, int]:
+    # A dump writes the section that --numeric builds; without it nothing would be written.
+    for flag, path in (("--dump-matrix", args.dump_matrix), ("--dump-eigs", args.dump_eigs)):
+        if path and not args.numeric:
+            raise ValueError(f"{flag} needs --numeric, which builds the finite section it writes")
+
     import numpy as np
 
     from . import matrixrep

@@ -14,8 +14,8 @@ needs no synchronization.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     DegenerateMapError,
@@ -71,23 +71,29 @@ def require_pole_free(den, z) -> None:
     raise PoleEncounteredError(f"pole at z = {z}")
 
 
-@dataclass(frozen=True)
-class MoebiusMap:
+class _MoebiusCoefficients(NamedTuple):
+    a: complex
+    b: complex
+    c: complex
+    d: complex
+
+
+class MoebiusMap(_MoebiusCoefficients):
     """Map z -> (a z + b)/(c z + d), coefficients scaled to max modulus 1.
 
     Normalization divides all four coefficients by the largest coefficient
     modulus (a positive real), so the representation is unique up to a unit
     scalar.  Entries smaller than 1e-14 after scaling are snapped to zero.
     Non-finite coefficients raise InvalidParameterError.
+
+    A NamedTuple that validates in __new__, so it compares and hashes by its
+    normalized coefficients; _make and _replace skip the validation.
     """
 
-    a: complex
-    b: complex
-    c: complex
-    d: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        a, b, c, d = (complex(self.a), complex(self.b), complex(self.c), complex(self.d))
+    def __new__(cls, a: complex, b: complex, c: complex, d: complex):
+        a, b, c, d = (complex(a), complex(b), complex(c), complex(d))
         if not all(cmath.isfinite(x) for x in (a, b, c, d)):
             raise InvalidParameterError("map coefficients must be finite")
         scale = max(abs(a), abs(b), abs(c), abs(d))
@@ -98,10 +104,7 @@ class MoebiusMap:
             raise DegenerateMapError(
                 f"determinant {abs(a * d - b * c):.3e} below 1e-14 after normalization"
             )
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        return tuple.__new__(cls, (a, b, c, d))
 
     @property
     def det(self) -> complex:
@@ -202,8 +205,7 @@ def require_self_map(phi: MoebiusMap) -> None:
 # ---------------------------------------------------------------------------
 # Fixed points
 
-@dataclass(frozen=True)
-class FixedPointData:
+class FixedPointData(NamedTuple):
     """A fixed point with its multiplier phi'(p) (angular derivative on the circle)."""
 
     location: complex | None  # None encodes the point at infinity
@@ -313,8 +315,7 @@ class MapKind(Enum):
     BOUNDARY_CONTACT_NO_BOUNDARY_FIXED_POINT = "boundary-contact-no-boundary-fixed-point"
 
 
-@dataclass(frozen=True)
-class MapClass:
+class MapClass(NamedTuple):
     """Classification of a linear-fractional self-map.
 
     contact is the pair (zeta, eta=phi(zeta)) where the modulus 1 is attained,

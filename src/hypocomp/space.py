@@ -12,22 +12,27 @@ SpaceSpec and the labels need neither.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidParameterError, NotSelfMapError
 from .moebius import MoebiusMap, is_self_map, require_in_disk, require_self_map
 
 
-@dataclass(frozen=True)
-class SpaceSpec:
-    """The space with kernel (1 - conj(w) z)^-(alpha + 2): the Hardy space at
-    alpha = -1, the weighted Bergman space A^2_alpha for finite alpha > -1."""
-
+class _SpaceParameter(NamedTuple):
     alpha: float
 
-    def __post_init__(self):
-        if not -1.0 <= self.alpha < math.inf:
-            raise InvalidParameterError(f"space parameter must be a finite alpha >= -1, got {self.alpha!r}")
+
+class SpaceSpec(_SpaceParameter):
+    """The space with kernel (1 - conj(w) z)^-(alpha + 2): the Hardy space at
+    alpha = -1, the weighted Bergman space A^2_alpha for finite alpha > -1.
+    A NamedTuple that validates in __new__; _make and _replace skip it."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: float):
+        if not -1.0 <= alpha < math.inf:
+            raise InvalidParameterError(f"space parameter must be a finite alpha >= -1, got {alpha!r}")
+        return tuple.__new__(cls, (alpha,))
 
     @property
     def gamma(self) -> float:
@@ -95,8 +100,7 @@ def kernel_norm(space: SpaceSpec, w: complex) -> float:
 # ---------------------------------------------------------------------------
 # Krein adjoint data (needs the symbol class, hence lives beside it)
 
-@dataclass(frozen=True)
-class KreinData:
+class KreinData(NamedTuple):
     """sigma, g, h with C_phi^* = T_g C_sigma T_h^* on the chosen space."""
 
     sigma: MoebiusMap

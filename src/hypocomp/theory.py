@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -315,7 +315,7 @@ def classify_weighted(
 
     if is_value_constant(psi_f):
         base = classify_unweighted(phi, space)
-        return replace(base, details=f"{CIT_CONSTANT_WEIGHT}; {base.details}")
+        return base._replace(details=f"{CIT_CONSTANT_WEIGHT}; {base.details}")
 
     cls = classify(phi)
     verdict = partial(HyponormalityVerdict, map_kind=cls.kind)

@@ -8,9 +8,9 @@ command runs without importing numpy.  theory re-exports every name here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from typing import NamedTuple
 
 from .errors import DegenerateMapError, InvalidParameterError
 from .moebius import MapKind, MoebiusMap, alpha_p, classify, compose
@@ -67,8 +67,7 @@ class Outcome(Enum):
     CERTIFIED_NOT_NUMERIC = "CertifiedNotNumeric"
 
 
-@dataclass(frozen=True)
-class CertificateWitness:
+class CertificateWitness(NamedTuple):
     """A kernel combination f with ||C* f|| provably above ||C f||.
 
     order is the truncation order at which the norms and tail_bound held.
@@ -94,22 +93,31 @@ class CertificateWitness:
         return self.margin > 10.0 * (self.tail_bound + 1e-12 * self.adjoint_norm)
 
 
-@dataclass(frozen=True)
-class HyponormalityVerdict:
+class _VerdictFields(NamedTuple):
     outcome: Outcome
-    citation: str | None = None
-    witness: CertificateWitness | None = None
-    details: str = ""
-    map_kind: MapKind | None = None   # the class of phi the classifier decided on
+    citation: str | None
+    witness: CertificateWitness | None
+    details: str
+    map_kind: MapKind | None   # the class of phi the classifier decided on
 
-    def __post_init__(self):
-        if self.outcome is Outcome.NOT_HYPONORMAL and not self.citation:
+
+class HyponormalityVerdict(_VerdictFields):
+    """A NamedTuple that validates in __new__: NotHyponormal needs a citation
+    and CertifiedNotNumeric a conclusive witness.  _make and _replace skip
+    the check, so change only other fields with them."""
+
+    __slots__ = ()
+
+    def __new__(cls, outcome: Outcome, citation: str | None = None, witness: CertificateWitness | None = None,
+                details: str = "", map_kind: MapKind | None = None):
+        if outcome is Outcome.NOT_HYPONORMAL and not citation:
             raise InvalidParameterError("a NotHyponormal verdict must carry a citation")
-        if self.outcome is Outcome.CERTIFIED_NOT_NUMERIC:
-            if self.witness is None or not self.witness.is_conclusive:
+        if outcome is Outcome.CERTIFIED_NOT_NUMERIC:
+            if witness is None or not witness.is_conclusive:
                 raise InvalidParameterError(
                     "a CertifiedNotNumeric verdict needs a conclusive witness"
                 )
+        return tuple.__new__(cls, (outcome, citation, witness, details, map_kind))
 
 
 # ---------------------------------------------------------------------------

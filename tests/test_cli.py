@@ -511,6 +511,16 @@ class TestSpectralCommand:
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1 and str(path) in captured.err
 
     @pytest.mark.parametrize("dump", ["--dump-matrix", "--dump-eigs"])
+    def test_dump_without_numeric_exit_2(self, capsys, tmp_path, dump):
+        # A dump is written from the section --numeric builds; a dump without it is refused, not dropped.
+        path = tmp_path / "dump.csv"
+        code = cli.main(["spectral", "--map=0.5,0,0,1", "--psi=1", "--order=64", f"{dump}={path}", "--json"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {dump} needs --numeric, which builds the finite section it writes\n"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("dump", ["--dump-matrix", "--dump-eigs"])
     def test_dumps_write_the_full_order_of_a_compact_section(self, capsys, tmp_path, dump):
         # The analysis would build only the proved leading block; a dump asks for all N.
         n = 128

@@ -52,6 +52,18 @@ def test_import_leaves_numpy_unimported():
     assert _fresh_python("import sys\nimport hypocomp\nprint('numpy' in sys.modules)\n").split() == ["False"]
 
 
+def test_cli_import_leaves_numpy_dataclasses_and_inspect_unimported():
+    # The start-up modules' records are NamedTuples: dataclasses, and the
+    # inspect module it imports, cost a cold classify about 10 ms.
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import hypocomp.cli\n"
+        "print(sorted({'numpy', 'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    assert _fresh_python(script).split() == ["[]"]
+
+
 def _outputs(results) -> list:
     """[code, stdout without the wall_time_ms value, stderr] of each call."""
     return [[code, _WALL_TIME.sub(r"\g<1>_", out), err] for code, out, err in results]
@@ -59,7 +71,8 @@ def _outputs(results) -> list:
 
 def test_classify_runs_without_numpy():
     # The benchmark's cold starts classify these maps; each output, in every
-    # format and on two spaces, is the one a process with numpy prints.
+    # format and on two spaces, is the one a process with numpy and
+    # dataclasses prints.
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(PERFBENCH))
         from worker import COLD_MAPS
@@ -69,6 +82,7 @@ def test_classify_runs_without_numpy():
     blocked = _outputs(json.loads(_fresh_python(
         "import contextlib, io, json, sys\n"
         "sys.modules['numpy'] = None   # any import of numpy fails\n"
+        "sys.modules['dataclasses'] = None\n"
         "from hypocomp import cli\n"
         "results = []\n"
         f"for argv in {argvs + bad!r}:\n"
