@@ -276,7 +276,6 @@ def _cmd_check(args) -> tuple[dict, int]:
 
 
 def _cmd_spectral(args) -> tuple[dict, int]:
-    # A dump writes the section that --numeric builds; without it nothing would be written.
     for flag, path in (("--dump-matrix", args.dump_matrix), ("--dump-eigs", args.dump_eigs)):
         if path and not args.numeric:
             raise ValueError(f"{flag} needs --numeric, which builds the finite section it writes")
