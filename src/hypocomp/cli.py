@@ -31,10 +31,14 @@ classify never imports numpy; their records are NamedTuples, so it imports
 neither dataclasses nor inspect.
 
 Formats: --format json emits one JSON object
-{input, space, verdict{outcome, citation, witness?}, spectral{r?, r_e?,
-norm_lower?, norm_upper?, citations}, diagnostics[], wall_time_ms};
---format csv emits "field,value" lines.  Output is byte-identical across runs
-for a fixed seed and configuration, except the wall_time_ms field.
+{input, space, map_class?, verdict{outcome, citation, details, witness?},
+spectral{r?, r_e?, norm_lower?, norm_upper?, citations}?, diagnostics[],
+wall_time_ms}: classify and check add map_class, spectral has a null
+verdict, and selftest has items[{name, passed, detail}], passed_count and
+total_count in place of verdict and spectral.  --format csv emits
+"field,value" lines, one per scalar, its dict keys and list indices joined
+by dots; an empty list stays [].  Output is byte-identical across runs for a
+fixed seed and configuration, except the wall_time_ms field.
 
 Matrix dumps (--dump-matrix PATH) are CSV with header n,j,re,im, row-major;
 eigenvalue dumps (--dump-eigs PATH) have header k,re,im.  Both need
@@ -151,6 +155,9 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
     if isinstance(value, dict):
         for k in sorted(value):
             _flatten(f"{prefix}.{k}" if prefix else str(k), value[k], rows)
+    elif isinstance(value, list) and value:
+        for i, item in enumerate(value):
+            _flatten(f"{prefix}.{i}", item, rows)
     else:
         rows.append((prefix, json.dumps(value)))
 
@@ -301,7 +308,7 @@ def _cmd_spectral(args) -> tuple[dict, int]:
         m = matrixrep.build_weighted_composition(psi, phi, space, k)
         norm_est = matrixrep.operator_norm(m)
         tsr = matrixrep.truncation_spectral_radius(m)
-        gel = matrixrep.gelfand_estimate(m, 8)
+        gel = matrixrep.gelfand_estimate(m)
         diagnostics = [
             f"advisory finite-section N={n}: operator norm {norm_est.value:.12g}",
             f"advisory finite-section N={n}: truncation spectral radius {tsr.value:.12g}",

@@ -277,9 +277,10 @@ def _factor_admissible(r: RationalFunction) -> None:
         raise BranchViolationError("factor has a pole in the closed unit disk")
     centre, radius = disk_image(q, p, t, s)
     dist = abs(centre) if centre.real >= 0.0 else abs(centre.imag)
-    # C and R share the divisor |s|^2 - |t|^2, and their numerators round by
-    # less than 4 eps (|p| + |q|)(|s| + |t|).
-    size = (abs(p) + abs(q)) * (abs(s) + abs(t)) / (abs(s) ** 2 - abs(t) ** 2)
+    # C and R share the divisor (|s| - |t|)(|s| + |t|), whose rounding scales
+    # both alike, and their numerators round by less than
+    # 4 eps (|p| + |q|)(|s| + |t|): by 4 eps (|p| + |q|)/(|s| - |t|) once divided.
+    size = (abs(p) + abs(q)) / (abs(s) - abs(t))
     if abs(dist - radius) <= _GATE_BAND * (abs(centre) + radius) + 4.0 * _EPS * size:
         margin = (dist - radius) / (abs(centre) + radius)
         raise IndeterminateError(f"factor's image disk is {margin:.3g} of its size off the cut: too close to decide")

@@ -31,10 +31,10 @@ adjoint truncation_spectral_radius takes two Krylov-Schur passes
 (_krylov_schur) of at most max(30, K/4) products each and one check, and
 calls LAPACK's eigvals only when they have not pinned the radius.  Their
 paths depend on work done, never on time.
-gelfand_estimate certifies ||M^k|| by power steps with M alone (2k
-matrix-vector products a step) and forms M^k, each product scaled to unit
-size, only when those steps stall, as they do on the clustered top singular
-values of Toeplitz-like sections, or underflow.
+gelfand_estimate certifies ||M^8|| by power steps with M alone (16
+matrix-vector products a step) and forms M^8 by three squarings, each
+scaled to unit size, only when those steps stall, as they do on the
+clustered top singular values of Toeplitz-like sections, or underflow.
 
 Compact sections are built in part and deflate.  Column j of a section is
 psi phi^j / beta(j); when phi maps the closed disk into the open disk its
@@ -97,6 +97,9 @@ _POWER_SEED = 1729
 _NORM_REL_TOL = 1e-8
 # Most power steps of one certificate (gelfand_estimate).
 _QUICK_STEPS = 8
+# The power k of gelfand_estimate's ||M^k||^(1/k), a power of two: M^8 is
+# formed by three squarings (_power_norm).
+_GELFAND_POWER = 8
 # Relative residual at which a Ritz pair, or a next direction's norm, counts
 # as converged (_krylov_schur, _lanczos).
 _KRYLOV_TOL = 1e-12
@@ -314,15 +317,16 @@ def _image_sup(phi: MoebiusMap, rho: np.ndarray) -> np.ndarray:
 
     z -> phi(rho z) = (a rho z + b)/(c rho z + d) maps the closed unit disk
     onto the disk |w - C| <= R of moebius.disk_image, so s_rho = |C| + R.  Its
-    products, moduli and the difference g = |d|^2 - |c rho|^2 each round by a
-    few eps relative to the moduli of their operands, so the computed value
+    products and moduli each round by a few eps relative to the moduli of
+    their operands, and the divisor g = (|d| - |c rho|)(|d| + |c rho|) by a
+    few eps (|d| + |c rho|)^2 <= 2 (|d|^2 + |c rho|^2), so the computed value
     is within 8 eps ((|b| + |a rho|)(|d| + |c rho|) + s (|d|^2 + |c rho|^2)) / g
     of the exact one, which is added.  inf where g <= 0, where the pole -d/c
     is not outside the circle.
     """
     a, b, c, d = phi.coefficients()
     ar, cr = a * rho, c * rho
-    gap = abs(d) ** 2 - np.abs(cr) ** 2
+    gap = (abs(d) - np.abs(cr)) * (abs(d) + np.abs(cr))
     with np.errstate(divide="ignore", invalid="ignore"):   # masked where gap <= 0
         centre, radius = disk_image(ar, b, cr, d)
         s = np.abs(centre) + radius
@@ -509,10 +513,8 @@ def _gram_product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """a^H (a x) in one read of a from memory: over blocks B of at most
     _GRAM_BLOCK_BYTES of rows, y = B x and then B^H y, summed, while B is
     still in cache.  An a of one block (K <= 256 for a square complex one)
-    takes exactly the two products a x and a^H (a x)."""
+    takes the two products a x and a^H (a x)."""
     rows = max(1, _GRAM_BLOCK_BYTES // a[:1].nbytes)
-    if rows >= a.shape[0]:
-        return _adjoint_apply(a, a @ x)
     z = np.zeros(a.shape[1], dtype=complex)
     for i in range(0, a.shape[0], rows):
         b = a[i:i + rows]
@@ -528,21 +530,21 @@ def _rayleigh(apply, v: np.ndarray) -> tuple[float, float, np.ndarray]:
     return lam, float(np.linalg.norm(w - lam * v)), w
 
 
-def _power_steps(apply, v: np.ndarray, cap: int) -> tuple[float, float] | None:
+def _power_steps(apply, v: np.ndarray) -> tuple[float, float] | None:
     """Power steps v <- w / ||w||, w = apply(v), for a positive semidefinite
     apply, until the residual (_rayleigh) certifies that some eigenvalue lies
-    within 1e-8 lam of lam.  Returns (lam, residual), or None after cap
-    steps, or sooner once a value is non-finite, the residual stops
-    shrinking, or its last contraction ratio, kept up for the steps left,
-    would not bring the relative residual to the tolerance.
+    within 1e-8 lam of lam.  Returns (lam, residual), or None after
+    _QUICK_STEPS steps, or sooner once a value is non-finite, the residual
+    stops shrinking, or its last contraction ratio, kept up for the steps
+    left, would not bring the relative residual to the tolerance.
     """
     rel = math.inf
-    for step in range(cap):
+    for step in range(_QUICK_STEPS):
         lam, resid, w = _rayleigh(apply, v)
         if resid <= _NORM_REL_TOL * lam:
             return lam, resid
         prev, rel = rel, resid / lam if lam > 0.0 else math.inf
-        if not (rel < prev and rel * (rel / prev) ** (cap - 1 - step) <= _NORM_REL_TOL):
+        if not (rel < prev and rel * (rel / prev) ** (_QUICK_STEPS - 1 - step) <= _NORM_REL_TOL):
             return None
         v = w / np.linalg.norm(w)
     return None
@@ -789,9 +791,9 @@ def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
     1e-8 lambda of it (_rayleigh): that check, not the pass, certifies the
     value, so a vector spoilt by lost orthogonality is refused, never
     printed.  Each product M*M x reads A_K from memory once, in blocks of
-    rows that stay in cache between M x and M^H (M x) (_gram_product); a
-    block of K <= 256 is one such block.  The pass runs only when K exceeds
-    30; a block that small costs less in LAPACK.  Otherwise, or when the pass runs out or its vector
+    rows that stay in cache between M x and M^H (M x) (_gram_product); up to
+    K = 256 one block of rows holds all of A_K.  The pass runs only when K
+    exceeds 30; a block that small costs less in LAPACK.  Otherwise, or when the pass runs out or its vector
     fails the check, one LAPACK gesdd call on the block (np.linalg.svd,
     values only) gives it (method "lapack-svdvals"), with LAPACK's stated
     bound eps sigma on sigma as residual in the units of M*M: eps sigma
@@ -873,43 +875,26 @@ def truncation_spectral_radius(m: OperatorMatrix) -> SpectralEstimate:
     return SpectralEstimate(_unscale(radius, s.e), "lapack-eigvals", _unscale(n * _EPS * s.fro, s.e))
 
 
-def _power_norm(a: np.ndarray, k: int) -> tuple[float, float, int]:
-    """(nu, residual, e) with ||a^k|| = nu 2^e and residual that of
-    (a^H)^k a^k in units of 2^(2e), for gelfand_estimate."""
+def _power_norm(a: np.ndarray) -> tuple[float, float, int]:
+    """(nu, residual, e) with ||a^8|| = nu 2^e and residual that of
+    (a^H)^8 a^8 in units of 2^(2e), for gelfand_estimate."""
     def gram_power(x):
-        for _ in range(k):
+        for _ in range(_GELFAND_POWER):
             x = a @ x
-        for _ in range(k):
+        for _ in range(_GELFAND_POWER):
             x = _adjoint_apply(a, x)
         return x
 
-    quick = _power_steps(gram_power, _seed_vector(a.shape[0]), _QUICK_STEPS)
+    quick = _power_steps(gram_power, _seed_vector(a.shape[0]))
     if quick is not None and quick[0] >= _TINY:   # an underflowed lam certifies nothing
         return math.sqrt(quick[0]), quick[1], 0
-    p, e = _scaled_power(a, k)
+    p, e = a, 0
+    for _ in range(_GELFAND_POWER.bit_length() - 1):   # a^8 = ((a^2)^2)^2
+        p = p @ p
+        e = 2 * e + _unit_scale(p)
     p.flags.writeable = False
     est = operator_norm(OperatorMatrix(p))
     return est.value, est.residual, e
-
-
-def _scaled_power(a: np.ndarray, k: int) -> tuple[np.ndarray, int]:
-    """(p, e) with a^k = p 2^e, by square-and-multiply in matrix_power's
-    order, each product scaled by a power of two to largest part in
-    [1/2, 1): exactly in the normal range, and no power of a section whose
-    norm far exceeds its spectral radius underflows as a whole."""
-    z, ez, p, e = a, 0, None, 0
-    while True:
-        k, bit = divmod(k, 2)
-        if bit:
-            if p is None:
-                p, e = z, ez
-            else:
-                p = p @ z
-                e += ez + _unit_scale(p)
-        if not k:
-            return p, e
-        z = z @ z
-        ez = 2 * ez + _unit_scale(z)
 
 
 def _unit_scale(x: np.ndarray) -> int:
@@ -921,24 +906,24 @@ def _unit_scale(x: np.ndarray) -> int:
     return s
 
 
-def gelfand_estimate(m: OperatorMatrix, k: int) -> SpectralEstimate:
-    """||M^k||^(1/k), an upper-biased spectral radius estimate.
+def gelfand_estimate(m: OperatorMatrix) -> SpectralEstimate:
+    """||M^k||^(1/k) for k = 8, an upper-biased spectral radius estimate.
 
     Works on M scaled by a power of two (OperatorMatrix._analysis).  Quick path:
-    power steps on x -> (M^H)^k M^k x, 2k products with M each, from
+    power steps on x -> (M^H)^8 M^8 x, 16 products with M each, from
     operator_norm's seeded vector and with its residual certificate.  The
-    gap between the top two singular values of M^k is that of M raised to
-    the 2k-th power, so compact and contractive sections certify in a few
+    gap between the top two singular values of M^8 is that of M raised to
+    the 16th power, so compact and contractive sections certify in a few
     steps.  After at most 8 steps, or sooner once the steps stall (see
-    _power_steps), or when their value of ||M^k||^2 is below the smallest
-    normal double, it falls back to forming M^k and taking its operator_norm
+    _power_steps), or when their value of ||M^8||^2 is below the smallest
+    normal double, it falls back to forming M^8 and taking its operator_norm
     (bounded work): Toeplitz-like sections (multiplications, rotations,
     parabolic maps) have clustered top singular values, and a section whose
-    radius lies far below its norm (1.5 against 1e40) has a unit-scaled M^k
-    that underflows.  The fallback forms M^k by square-and-multiply, scaling each
+    radius lies far below its norm (1.5 against 1e40) has a unit-scaled M^8
+    that underflows.  The fallback forms M^8 by three squarings, scaling each
     product by a power of two to unit size and summing the exponents
-    (_scaled_power); in the normal range each scaling is exact, so the value
-    is that of M^k formed directly.
+    (_power_norm): no power underflows as a whole, and in the normal range
+    each scaling is exact, so the value is that of M^8 formed directly.
 
     With M = diag(A_K, 0) + E (_leading_block), ||M^k - diag(A_K, 0)^k|| <=
     k ||M||_F^(k-1) ||E||_F <= sqrt(2) k eps ||M||_F^k.  The value for A_K is
@@ -949,16 +934,14 @@ def gelfand_estimate(m: OperatorMatrix, k: int) -> SpectralEstimate:
     holds against M_N with (sqrt(2) + 1/2) for sqrt(2).  The residual is
     that of (A^H)^k A^k for the matrix A used, inf beyond the float range.
     """
-    if k < 1:
-        raise InvalidParameterError("k must be at least 1")
-    n = m.order
+    k, n = _GELFAND_POWER, m.order
     s = m._analysis
     if s is None:
         return SpectralEstimate(0.0, "gelfand", 0.0)
-    norm, resid, e = _power_norm(s.block, k)
+    norm, resid, e = _power_norm(s.block)
     if s.order < n and math.sqrt(2.0) * k * _EPS * s.fro**k > _NORM_REL_TOL * _unscale(norm, e):
         b = np.ldexp(m.entries.view(np.float64), -s.e1)   # the analysis' two steps, on all of M
-        norm, resid, e = _power_norm(np.ldexp(b, s.e1 - s.e, out=b).view(complex), k)
+        norm, resid, e = _power_norm(np.ldexp(b, s.e1 - s.e, out=b).view(complex))
     q, r = divmod(e, k)   # (norm 2^e)^(1/k) = (norm 2^r)^(1/k) 2^q
     return SpectralEstimate(_unscale(_unscale(norm, r) ** (1.0 / k), q + s.e), "gelfand",
                             _unscale(resid, 2 * (e + k * s.e)))

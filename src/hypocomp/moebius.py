@@ -166,9 +166,10 @@ def disk_image(a: complex, b: complex, c: complex, d: complex) -> tuple[complex,
 
     The image is |w - C| <= R with C = (b conj(d) - a conj(c))/(|d|^2 - |c|^2)
     and R = |ad - bc|/(|d|^2 - |c|^2), exact up to rounding; no point of the
-    circle is sampled.
+    circle is sampled.  The divisor is taken as (|d| - |c|)(|d| + |c|), which
+    keeps its (|d| - |c|)^2 part when the pole lies near the circle.
     """
-    gap = abs(d) ** 2 - abs(c) ** 2
+    gap = (abs(d) - abs(c)) * (abs(d) + abs(c))
     return (b * d.conjugate() - a * c.conjugate()) / gap, abs(a * d - b * c) / gap
 
 

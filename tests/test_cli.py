@@ -130,6 +130,16 @@ class TestClassifyCommand:
         assert rep["verdict"]["citation"] == hc.theory.CIT_UNDECIDED
         assert "hyperbolic" not in rep["verdict"]["details"]
 
+    # The pole -1/c lies outside the closed disk, within 1e-9 and 1e-8 of the
+    # circle, and the map fixes -|c|/c on the circle: C is not compact, so no
+    # compactness theorem applies.
+    @pytest.mark.parametrize("command", [("classify",), ("check", "--psi=1,0.5")])
+    @pytest.mark.parametrize("c", ["0.999999999", "0.99999999"])
+    def test_near_pole_hyperbolic_form_is_the_candidate(self, capsys, command, c):
+        code, rep = run_json(capsys, *command, f"--map=hyperbolic-nonauto:{c}")
+        assert code == 0 and rep["map_class"] == "hyperbolic-nonautomorphism"
+        assert rep["verdict"]["outcome"] == "CandidateNotExcluded"
+
 
 class TestInputOutsideHypotheses:
     @pytest.mark.parametrize("argv", [
@@ -541,12 +551,14 @@ class TestNumericDiagnostics:
         ("2,1", "1,0,0,1", 1),
     ])
     def test_gelfand_forms_the_power_only_when_steps_stall(self, capsys, monkeypatch, psi, spec, forms):
+        # spectral calls operator_norm once itself; gelfand_estimate calls it
+        # once more, on M^8, when it forms the power.
         calls = []
-        real = matrixrep._scaled_power
-        monkeypatch.setattr(matrixrep, "_scaled_power", lambda a, k: calls.append(k) or real(a, k))
+        real = matrixrep.operator_norm
+        monkeypatch.setattr(matrixrep, "operator_norm", lambda m: calls.append(m) or real(m))
         code, _ = run_json(capsys, "spectral", "--psi", psi, "--map", spec, *self.SMALL)
         assert code == 0
-        assert len(calls) == forms
+        assert len(calls) == 1 + forms
 
     def test_section_norm_below_the_proved_bound_is_flagged(self, capsys):
         # Near the circle the N=64 section misses most of the operator: its

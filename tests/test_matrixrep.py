@@ -271,20 +271,32 @@ def test_escalate_and_numeric_spectral_leave_scipy_special_unimported():
 def test_no_call_imports_scipy(tmp_path):
     # scipy is a test dependency only.  With every scipy import made to fail,
     # closed forms, the escalated check (stage 1), the selftest, a full
-    # stage-2 witness search (400 trials) and numeric spectral calls on a
-    # section with phi(0) != 0, one the Lanczos pass certifies and one on the
-    # LAPACK path all succeed, eigenvalue dumps included.
+    # stage-2 witness search (400 trials), numeric spectral calls on a
+    # section with phi(0) != 0, on ones the Lanczos pass certifies (N = 512
+    # among them, past its O(j) convergence test) and one on the LAPACK path,
+    # eigenvalue dumps included, and witness searches on closed-form and
+    # series kernel images all succeed.
     numeric = [("parabolic:1,1", "1,0.5", "hardy", 64),
                ("hyperbolic-nonauto:0.5", "1,0.5", "bergman:1", 256),
-               ("rotation:i", "2,1", "hardy", 128)]
+               ("rotation:i", "2,1", "hardy", 128),
+               ("1,0.5,0.5,1", "2,1", "hardy", 512)]
+    # A polynomial weight on H^2 (closed-form images), a rational weight on
+    # H^2 and on A^2_0, and a polynomial weight on A^2_1 (truncated series).
+    searches = [("rotation:i", "2,1", "hardy"),
+                ("rotation:i", "2/1,0.3,0.1", "hardy"),
+                ("hyperbolic-nonauto:0.5", "2/1,0.2", "bergman:0"),
+                ("rotation:-1", "3,-1", "bergman:1")]
     out = _fresh_process(
+        "import json\n"
         f"numeric = {numeric!r}\n"
-        f"dumps = {[str(tmp_path / f'eigs{k}.csv') for k in range(3)]!r}\n"
+        f"searches = {searches!r}\n"
+        f"dumps = {[str(tmp_path / f'eigs{k}.csv') for k in range(len(numeric))]!r}\n"
         "print('scipy' in sys.modules)\n"
         "sys.modules['scipy'] = None\n"
-        "methods = []\n"
+        "methods, outcomes = [], []\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(['classify', '--map', 'parabolic:1,1', '--json']),\n"
+        "             cli.main(['classify', '--map', 'normal-form:0.3,0.4', '--space', 'bergman:1', '--json']),\n"
         "             cli.main(['check', '--psi', '1,0.5', '--map', 'parabolic:1,1', '--json']),\n"
         "             cli.main(['spectral', '--psi', '1,0.5', '--map', '0.5,0,0,1', '--json']),\n"
         "             cli.main(['check', '--psi', '3,-1', '--map', '1,0.5,0.5,1',\n"
@@ -298,9 +310,15 @@ def test_no_call_imports_scipy(tmp_path):
         "        space = {'hardy': hypocomp.hardy(), 'bergman:1': hypocomp.bergman(1)}[space]\n"
         "        m = hypocomp.build_weighted_composition(cli.parse_weight(psi, phi, space), phi, space, n)\n"
         "        methods.append(hypocomp.operator_norm(m).method)\n"
-        "print(*methods, *codes, found)\n"
+        "    for phi, psi, space in searches:\n"
+        "        with contextlib.redirect_stdout(io.StringIO()) as report:\n"
+        "            codes.append(cli.main(['check', '--escalate', '--map', phi, '--psi', psi,\n"
+        "                                   '--space', space, '--json']))\n"
+        "        outcomes.append(json.loads(report.getvalue())['verdict']['outcome'])\n"
+        "print(*methods, *codes, found, *outcomes)\n"
     )
-    assert out == ["False", "lanczos", "lanczos", "lapack-svdvals", *["0"] * 8, "None"]
+    assert out == ["False", "lanczos", "lanczos", "lapack-svdvals", "lanczos", *["0"] * 14, "None",
+                   *["CertifiedNotNumeric"] * len(searches)]
     for k, (_phi, _psi, _space, n) in enumerate(numeric):
         assert len((tmp_path / f"eigs{k}.csv").read_text().splitlines()) == n + 1
 
@@ -527,7 +545,7 @@ class TestSpectralEstimates:
 
     def test_gelfand_dilation(self, H2):
         m = hc.build_weighted_composition(1, hc.dilation(0.5), H2, 24)
-        est = hc.gelfand_estimate(m, 16)
+        est = hc.gelfand_estimate(m)
         assert abs(est.value - 1) < 1e-3
 
     def test_zero_matrix(self):
@@ -575,29 +593,30 @@ class TestGelfandEstimate:
         sections = _gelfand_sections()
         oracle = [np.linalg.norm(np.linalg.matrix_power(m.entries, 8), 2) ** (1 / 8)
                   for _name, m, _quick in sections]
+        # The fallback forms M^8 and takes its operator_norm; the quick path
+        # calls no operator_norm.
         calls = []
-        real = matrixrep._scaled_power
-        monkeypatch.setattr(matrixrep, "_scaled_power", lambda a, k: calls.append(k) or real(a, k))
+        real = matrixrep.operator_norm
+        monkeypatch.setattr(matrixrep, "operator_norm", lambda a: calls.append(a) or real(a))
         for (name, m, quick), want in zip(sections, oracle):
             calls.clear()
-            est = hc.gelfand_estimate(m, 8)
-            assert calls == ([] if quick else [8]), name
+            est = hc.gelfand_estimate(m)
+            assert len(calls) == (0 if quick else 1), name
             assert est.value == pytest.approx(want, rel=1e-10, abs=0.0), name
 
     def test_zero_and_nilpotent_sections(self, H2):
+        # Each is nilpotent of index at most 8, so M^8 = 0.
         rng = np.random.default_rng(5)
         strict = np.tril(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)), -1)
-        shift = hc.build_multiplication(hc.polynomial_fn(0, 1), H2, 16)
-        for m, k in ((hc.OperatorMatrix(np.zeros((5, 5), complex)), 3),
-                     (hc.OperatorMatrix(strict), 8),
-                     (shift, 16)):
-            assert hc.gelfand_estimate(m, k).value == 0.0
+        shift = hc.build_multiplication(hc.polynomial_fn(0, 1), H2, 8)
+        for m in (hc.OperatorMatrix(np.zeros((5, 5), complex)), hc.OperatorMatrix(strict), shift):
+            assert hc.gelfand_estimate(m).value == 0.0
 
     @pytest.mark.parametrize("j", [-200, -70, 70, 200])
     def test_scale_equivariant(self, j):
         for name, m, _quick in _gelfand_sections():
             scaled = hc.OperatorMatrix(m.entries * 2.0**j)
-            for routine in (hc.operator_norm, lambda x: hc.gelfand_estimate(x, 8)):
+            for routine in (hc.operator_norm, hc.gelfand_estimate):
                 want = routine(m).value * 2.0**j
                 assert routine(scaled).value == pytest.approx(want, rel=1e-12, abs=0.0), name
 
@@ -637,7 +656,7 @@ def _full_order_leading_block(monkeypatch):
     monkeypatch.setattr(matrixrep, "_leading_block", lambda rows, cols: rows.size)
 
 
-_ROUTINES = (hc.operator_norm, hc.truncation_spectral_radius, lambda x: hc.gelfand_estimate(x, 8))
+_ROUTINES = (hc.operator_norm, hc.truncation_spectral_radius, hc.gelfand_estimate)
 
 
 @st.composite
@@ -716,11 +735,11 @@ class TestDeflation:
         assert _block_order(m) == 53
         orders = []
         real = matrixrep._power_norm
-        monkeypatch.setattr(matrixrep, "_power_norm", lambda a, k: orders.append(a.shape[0]) or real(a, k))
-        got = hc.gelfand_estimate(m, 8)
+        monkeypatch.setattr(matrixrep, "_power_norm", lambda a: orders.append(a.shape[0]) or real(a))
+        got = hc.gelfand_estimate(m)
         assert orders == [53, 128]
         _full_order_leading_block(monkeypatch)
-        assert repr(hc.gelfand_estimate(hc.build_weighted_composition(*case), 8)) == repr(got)
+        assert repr(hc.gelfand_estimate(hc.build_weighted_composition(*case))) == repr(got)
 
     @pytest.mark.parametrize("argv", [
         ("--map=0.5,0,0,1", "--psi=2,1/1,-0.4", "--order=1024"),

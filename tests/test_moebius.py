@@ -312,6 +312,30 @@ def test_boundary_data_is_exact(phi, lam):
         assert abs(abs(phi(zeta)) - cls.sup_modulus) <= 1e-14
 
 
+@st.composite
+def near_pole_forms(draw):
+    """hyperbolic_nonauto_form(c) with 1 - |c| in [2e-12, 1e-6]: the pole
+    -1/c lies that close to the circle, yet outside the 1e-12 band in which
+    _boundary_data refuses it.  Half the draws take a real c."""
+    gap = 10.0 ** draw(st.floats(math.log10(2e-12), -6.0))
+    lam = draw(st.one_of(st.sampled_from((1.0, -1.0)), unimodular))
+    return hc.hyperbolic_nonauto_form((1.0 - gap) * lam)
+
+
+@DERANDOMIZED
+@given(near_pole_forms())
+def test_near_pole_forms_keep_their_contact(phi):
+    # The image circle's divisor |d|^2 - |c|^2 is taken as (|d| - |c|)(|d| + |c|):
+    # squaring |c| first drops the (1 - |c|)^2 part, which put sup |phi|
+    # (1 - |c|)/2 below 1 and classed the map as an interior contraction.
+    cls = hc.classify(phi)
+    assert cls.kind is MapKind.HYPERBOLIC_NONAUTOMORPHISM
+    c = phi.coefficients()[2]
+    zeta, eta = cls.contact
+    assert abs(zeta + abs(c) / c) <= 1e-9
+    assert abs(eta - zeta) <= 1e-9
+
+
 class TestAngularDerivative:
     def test_half_shift(self, half_shift_map):
         assert abs(hc.angular_derivative(half_shift_map, -1) - 2) < 1e-12
