@@ -17,10 +17,20 @@ a KernelImages table, which fills as the one witness search that owns it
 looks up kernel images, and is never shared between searches; matrix builds
 may run concurrently on separate inputs.
 
-operator_norm, truncation_spectral_radius and gelfand_estimate work, LAPACK
-calls included, on the section scaled by a power of two to Frobenius norm
-in [1/2, 1) and scale the value back, both exactly: 2^j M gives 2^j times
-the value for M, and no weight is too large or too small for them.  On the
+operator_norm, truncation_spectral_radius and gelfand_estimate work on
+b = M 2^-e, the section scaled by a power of two to Frobenius norm in
+[1/2, 1), and scale the value back, both exactly: 2^j M gives 2^j times
+the value for M, and no weight is too large or too small for them.  No
+copy of b is held: each product takes M itself and carries 2^-e on its
+vectors, as (M (x 2^-p)) 2^(p-e) (_unit_products), with p = 0 unless e
+exceeds 1023, where ||M||_F leaves the double range, or e < 0
+(_vector_share); the Gram product M*M x splits 2^-2e between its vector,
+its blocks of rows and its sum (_gram_product).  Every intermediate then
+lies below 2^1023 and is b's times a power of two of at least 1 (2^-13
+for e > 1023).  Multiplying by a power of two commutes with rounding in
+the normal range, so each product is b's bit for bit while b's
+intermediates stay normal.  Only LAPACK's inputs are copies, transient
+and scaled as the analysis scales (_Analysis.unit).  On the
 Hermitian M*M, operator_norm takes one plain Lanczos pass (_lanczos) of at
 most K/2 products, one product to check its vector and one LAPACK svd if
 that fails.  Each product reads the block from memory once
@@ -51,8 +61,9 @@ M.  So A_K differs from M_N by at most (sqrt(2) + 1/2) eps ||M_N||_F in
 Frobenius norm: sqrt(2) eps from the deflation, eps/2 from the part not
 built.  The scale, K and whether M is lower triangular are found once per
 section, in one pass over blocks of rows with no scaled copy of M, and A_K
-is scaled once from entries[:K, :K]; operator_norm, truncation_spectral_radius
-and gelfand_estimate all read it (see each for what that moves).
+is kept as the view entries[:K, :K], so a section is held once;
+operator_norm, truncation_spectral_radius and gelfand_estimate all read it
+(see each for what that moves).
 Automorphism, parabolic, rotation and multiplication sections are built and
 run in full.
 
@@ -170,8 +181,9 @@ class OperatorMatrix:
         rows tests each for entries above the diagonal until one is found
         (lower), scales it by 2^-e1 into a buffer of one block and takes its
         row and column sums of squares, which 2^-e2 scales by an exact power
-        of four.  Only block, A_K = b[:K, :K], is scaled from entries[:K, :K],
-        by the same two ldexp steps, and kept read-only.
+        of four.  block, A_K = entries[:K, :K], is a read-only view, not
+        scaled: the products put 2^-e on their vectors (see the module
+        docstring), and unit() scales LAPACK's inputs.
         """
         parts = self.entries.view(np.float64)
         big = max(float(parts.max()), -float(parts.min()))
@@ -196,10 +208,7 @@ class OperatorMatrix:
         rows *= scale
         cols = cols.reshape(-1, 2).sum(axis=1) * scale   # each column's real and imaginary parts
         order = _leading_block(rows, cols)
-        b = np.ldexp(parts[:order, :2 * order], -e1)
-        b = np.ldexp(b, -e2, out=b).view(complex)
-        b.flags.writeable = False
-        return _Analysis(e1, e1 + e2, order, math.sqrt(float(rows.sum())), lower, b)
+        return _Analysis(e1, e1 + e2, order, math.sqrt(float(rows.sum())), lower, self.entries[:order, :order])
 
 
 class _Analysis(NamedTuple):
@@ -208,7 +217,14 @@ class _Analysis(NamedTuple):
     order: int
     fro: float
     lower: bool          # the strict upper triangle is zero
-    block: np.ndarray    # A_K, unit-scaled
+    block: np.ndarray    # A_K, a read-only view of the entries
+
+    def unit(self, a: np.ndarray) -> np.ndarray:
+        """a 2^-e, for a the block or all of the section, as a new array
+        scaled by the analysis' two steps, 2^-e1 and then 2^(e1 - e): the
+        transient copy that a LAPACK call takes."""
+        b = np.ldexp(a.view(np.float64), -self.e1)
+        return np.ldexp(b, self.e1 - self.e, out=b).view(complex)
 
 
 @dataclass(frozen=True)
@@ -509,17 +525,63 @@ def _adjoint_apply(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (x.conj() @ a).conj()
 
 
-def _gram_product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a^H (a x) in one read of a from memory: over blocks B of at most
-    _GRAM_BLOCK_BYTES of rows, y = B x and then B^H y, summed, while B is
-    still in cache.  An a of one block (K <= 256 for a square complex one)
-    takes the two products a x and a^H (a x)."""
+def _vector_share(e: int) -> int:
+    """The exponent p of the part of 2^-e that a product with a section M,
+    ||M||_F < 2^e, puts on its vector x, ||x|| <= 1, before the product;
+    2^(p - e) goes on the result.  p = 0 for 0 <= e <= 1023: the terms of
+    M x lie below 2^e.  p = e - 1023 above, where ||M||_F leaves the double
+    range: the terms of M (x 2^-p) lie below 2^1023.  p = max(e, -1022)
+    below 0: the terms of M (x 2^-p) are those of b x for b = M 2^-e, in the
+    normal range with b's, and x 2^-p stays below 2^1022."""
+    return e - 1023 if e > 1023 else min(max(e, -1022), 0)
+
+
+def _scaled(x: np.ndarray, s: int, out: np.ndarray | None = None) -> np.ndarray:
+    """x 2^-s for a contiguous complex x (x itself for s = 0), into out if given."""
+    if not s:
+        return x
+    return np.ldexp(x.view(np.float64), -s, out=None if out is None else out.view(np.float64)).view(complex)
+
+
+def _unit_products(a: np.ndarray, e: int):
+    """(x -> (a x) 2^-e, y -> (a^H y) 2^-e) for an a of Frobenius norm below
+    2^e and vectors of norm at most 1, the scale split by _vector_share:
+    b x and b^H y for b = a 2^-e, bit for bit while their terms stay normal."""
+    pre = _vector_share(e)
+
+    def forward(x):
+        y = a @ _scaled(x, pre)
+        return _scaled(y, e - pre, out=y)
+
+    def adjoint(x):
+        y = _adjoint_apply(a, _scaled(x, pre))
+        return _scaled(y, e - pre, out=y)
+
+    return forward, adjoint
+
+
+def _gram_product(a: np.ndarray, x: np.ndarray, e: int) -> np.ndarray:
+    """(a^H (a x)) 2^-2e, b^H (b x) for b = a 2^-e, in one read of a from
+    memory, for an a and x as in _unit_products: over blocks B of at most
+    _GRAM_BLOCK_BYTES of rows, y = (B x 2^-p) 2^-m and then y^H B, summed
+    while B is still in cache, and the sum times 2^-t, with p the share of
+    _vector_share and p + m + t = 2e.  For e >= 0, t = min(2e - p, 1023):
+    the terms of y^H B are 2^t times b's, and up to e = 511 nothing is
+    scaled inside the loop.  For e < 0, m = e and the terms of y^H B are
+    b's.  Every term stays below 2^1023.  An a of one block (K <= 256 for a
+    square complex one) takes the two products."""
+    pre = _vector_share(e)
+    end = min(2 * e - pre, 1023) if e >= 0 else e - pre
+    mid = 2 * e - pre - end
+    x = _scaled(x, pre)
     rows = max(1, _GRAM_BLOCK_BYTES // a[:1].nbytes)
     z = np.zeros(a.shape[1], dtype=complex)
     for i in range(0, a.shape[0], rows):
         b = a[i:i + rows]
-        z += (b @ x).conj() @ b
-    return z.conj()
+        y = b @ x
+        z += _scaled(y, mid, out=y).conj() @ b
+    z = z.conj()
+    return _scaled(z, end, out=z)
 
 
 def _rayleigh(apply, v: np.ndarray) -> tuple[float, float, np.ndarray]:
@@ -791,11 +853,13 @@ def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
     1e-8 lambda of it (_rayleigh): that check, not the pass, certifies the
     value, so a vector spoilt by lost orthogonality is refused, never
     printed.  Each product M*M x reads A_K from memory once, in blocks of
-    rows that stay in cache between M x and M^H (M x) (_gram_product); up to
-    K = 256 one block of rows holds all of A_K.  The pass runs only when K
-    exceeds 30; a block that small costs less in LAPACK.  Otherwise, or when the pass runs out or its vector
-    fails the check, one LAPACK gesdd call on the block (np.linalg.svd,
-    values only) gives it (method "lapack-svdvals"), with LAPACK's stated
+    rows that stay in cache between M x and M^H (M x), and carries the
+    scale on its vectors (_gram_product); up to K = 256 one block of rows
+    holds all of A_K.  The pass runs only when K exceeds 30; a block that
+    small costs less in LAPACK.  Otherwise, or when the pass runs out or its
+    vector fails the check, one LAPACK gesdd call on a transient scaled copy
+    of the block (np.linalg.svd, values only) gives it (method
+    "lapack-svdvals"), with LAPACK's stated
     bound eps sigma on sigma as residual in the units of M*M: eps sigma
     (2 sigma + eps sigma).  Raises ConvergenceFailureError only when LAPACK
     does not converge.
@@ -806,7 +870,7 @@ def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
     n, a = s.order, s.block
 
     def gram(x):
-        return _gram_product(a, x)
+        return _gram_product(a, x, s.e)
 
     pair = _lanczos(gram, _seed_vector(n), n // 2) if n > _KRYLOV_MIN_ORDER else None
     lam, resid = (0.0, math.inf) if pair is None else _rayleigh(gram, pair.vector)[:2]
@@ -814,7 +878,7 @@ def operator_norm(m: OperatorMatrix) -> SpectralEstimate:
         value, method = math.sqrt(lam), "lanczos"
     else:
         try:
-            value = float(np.linalg.svd(a, compute_uv=False)[0])
+            value = float(np.linalg.svd(s.unit(a), compute_uv=False)[0])
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailureError(f"LAPACK singular values did not converge: {exc}") from exc
         resid, method = _EPS * value * value * (2.0 + _EPS), "lapack-svdvals"
@@ -836,7 +900,8 @@ def truncation_spectral_radius(m: OperatorMatrix) -> SpectralEstimate:
 
     When K exceeds 30, two Krylov-Schur passes (_krylov_schur) of at most
     max(30, K/4) products each, deterministically seeded, run on A_K scaled
-    by a power of two (OperatorMatrix._analysis): on A_K for the
+    by a power of two (OperatorMatrix._analysis), the scale carried on the
+    vectors (_unit_products): on A_K for the
     largest-modulus Ritz pair (theta, x), ||x|| = 1, and on A_K^H for a unit
     left vector y.  One more product gives the Ritz residual r = ||A_K x -
     theta x||: theta is an exact eigenvalue of A_K + E with ||E||_2 <= r
@@ -848,8 +913,8 @@ def truncation_spectral_radius(m: OperatorMatrix) -> SpectralEstimate:
     digit at most.  As with ARPACK's which='LM',
     that theta has the largest modulus in the whole spectrum is not proved:
     the seed may miss an eigenvalue, so the line stays advisory.  Otherwise
-    (a pass ran out, the bound failed, or K is small) one LAPACK call on the
-    scaled A_K (np.linalg.eigvals) gives it (method "lapack-eigvals"), with
+    (a pass ran out, the bound failed, or K is small) one LAPACK call on a
+    transient scaled copy of A_K (np.linalg.eigvals) gives it (method "lapack-eigvals"), with
     the backward-error scale K eps ||A_K||_F as residual (||M||_F from the
     analysis, equal to rounding).  Both paths depend on work done, never on
     time.  Raises ConvergenceFailureError only when LAPACK does not converge.
@@ -858,37 +923,43 @@ def truncation_spectral_radius(m: OperatorMatrix) -> SpectralEstimate:
     if s is None or s.lower:
         vals = np.diagonal(m.entries)
         return SpectralEstimate(float(np.max(np.abs(vals))), "diagonal", 0.0)
-    n, b = s.order, s.block
+    n = s.order
     if n > _KRYLOV_MIN_ORDER:
         seed, budget = _seed_vector(n), max(_KRYLOV_MIN_ORDER, n // 4)
-        right = _krylov_schur(b.__matmul__, seed, budget)
-        left = None if right is None else _krylov_schur(lambda y: _adjoint_apply(b, y), seed, budget)
+        forward, adjoint = _unit_products(s.block, s.e)
+        right = _krylov_schur(forward, seed, budget)
+        left = None if right is None else _krylov_schur(adjoint, seed, budget)
         if left is not None:
             theta, x = right.value, right.vector
-            resid = float(np.linalg.norm(b @ x - theta * x))
+            resid = float(np.linalg.norm(forward(x) - theta * x))
             if resid <= _RADIUS_REL_TOL * abs(theta) * abs(np.vdot(left.vector, x)):   # kappa r <= 1e-11 |theta|
                 return SpectralEstimate(_unscale(abs(theta), s.e), "krylov-schur", _unscale(resid, s.e))
     try:
-        radius = float(np.max(np.abs(np.linalg.eigvals(b))))
+        radius = float(np.max(np.abs(np.linalg.eigvals(s.unit(s.block)))))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailureError(f"LAPACK eigenvalues did not converge: {exc}") from exc
     return SpectralEstimate(_unscale(radius, s.e), "lapack-eigvals", _unscale(n * _EPS * s.fro, s.e))
 
 
-def _power_norm(a: np.ndarray) -> tuple[float, float, int]:
-    """(nu, residual, e) with ||a^8|| = nu 2^e and residual that of
-    (a^H)^8 a^8 in units of 2^(2e), for gelfand_estimate."""
+def _power_norm(a: np.ndarray, s: _Analysis) -> tuple[float, float, int]:
+    """(nu, residual, e) with ||b^8|| = nu 2^e for b = a 2^-s.e, a the block
+    or all of the section that s analyses, and residual that of (b^H)^8 b^8
+    in units of 2^(2e), for gelfand_estimate.  Each of a power step's 16
+    products carries 2^-s.e on its vector (_unit_products); the squarings
+    start from a transient scaled copy (s.unit)."""
+    forward, adjoint = _unit_products(a, s.e)
+
     def gram_power(x):
         for _ in range(_GELFAND_POWER):
-            x = a @ x
+            x = forward(x)
         for _ in range(_GELFAND_POWER):
-            x = _adjoint_apply(a, x)
+            x = adjoint(x)
         return x
 
     quick = _power_steps(gram_power, _seed_vector(a.shape[0]))
     if quick is not None and quick[0] >= _TINY:   # an underflowed lam certifies nothing
         return math.sqrt(quick[0]), quick[1], 0
-    p, e = a, 0
+    p, e = s.unit(a), 0
     for _ in range(_GELFAND_POWER.bit_length() - 1):   # a^8 = ((a^2)^2)^2
         p = p @ p
         e = 2 * e + _unit_scale(p)
@@ -909,7 +980,8 @@ def _unit_scale(x: np.ndarray) -> int:
 def gelfand_estimate(m: OperatorMatrix) -> SpectralEstimate:
     """||M^k||^(1/k) for k = 8, an upper-biased spectral radius estimate.
 
-    Works on M scaled by a power of two (OperatorMatrix._analysis).  Quick path:
+    Works on M scaled by a power of two (OperatorMatrix._analysis), the
+    scale carried on the vectors of its products (_power_norm).  Quick path:
     power steps on x -> (M^H)^8 M^8 x, 16 products with M each, from
     operator_norm's seeded vector and with its residual certificate.  The
     gap between the top two singular values of M^8 is that of M raised to
@@ -920,7 +992,8 @@ def gelfand_estimate(m: OperatorMatrix) -> SpectralEstimate:
     (bounded work): Toeplitz-like sections (multiplications, rotations,
     parabolic maps) have clustered top singular values, and a section whose
     radius lies far below its norm (1.5 against 1e40) has a unit-scaled M^8
-    that underflows.  The fallback forms M^8 by three squarings, scaling each
+    that underflows.  The fallback forms M^8 by three squarings of a
+    transient scaled copy, scaling each
     product by a power of two to unit size and summing the exponents
     (_power_norm): no power underflows as a whole, and in the normal range
     each scaling is exact, so the value is that of M^8 formed directly.
@@ -928,7 +1001,8 @@ def gelfand_estimate(m: OperatorMatrix) -> SpectralEstimate:
     With M = diag(A_K, 0) + E (_leading_block), ||M^k - diag(A_K, 0)^k|| <=
     k ||M||_F^(k-1) ||E||_F <= sqrt(2) k eps ||M||_F^k.  The value for A_K is
     kept when that bound is at most 1e-8 ||A_K^k||, the power steps' own
-    tolerance; otherwise all of M, the section as built, is used: the
+    tolerance; otherwise all of M, the section as built, is used, read from
+    its entries the same way: the
     order-N section M_N, or its proved leading block (proved_block_order),
     which differs from it by at most eps/2 ||M_N||_F, so that the same bound
     holds against M_N with (sqrt(2) + 1/2) for sqrt(2).  The residual is
@@ -938,10 +1012,9 @@ def gelfand_estimate(m: OperatorMatrix) -> SpectralEstimate:
     s = m._analysis
     if s is None:
         return SpectralEstimate(0.0, "gelfand", 0.0)
-    norm, resid, e = _power_norm(s.block)
+    norm, resid, e = _power_norm(s.block, s)
     if s.order < n and math.sqrt(2.0) * k * _EPS * s.fro**k > _NORM_REL_TOL * _unscale(norm, e):
-        b = np.ldexp(m.entries.view(np.float64), -s.e1)   # the analysis' two steps, on all of M
-        norm, resid, e = _power_norm(np.ldexp(b, s.e1 - s.e, out=b).view(complex))
+        norm, resid, e = _power_norm(m.entries, s)
     q, r = divmod(e, k)   # (norm 2^e)^(1/k) = (norm 2^r)^(1/k) 2^q
     return SpectralEstimate(_unscale(_unscale(norm, r) ** (1.0 / k), q + s.e), "gelfand",
                             _unscale(resid, 2 * (e + k * s.e)))
@@ -983,7 +1056,12 @@ def adjoint_kernel_residual(m: OperatorMatrix, psi, phi, w: complex, space: Spac
     at phi(w), so the section residual is exactly the truncated image of the
     kernel tail; the reported bound is ||C|| * tail + a floating-point
     allowance 20 eps N ||M||_F ||k_w|| (the analytic part alone sits far
-    below the rounding floor for small |w|).
+    below the rounding floor for small |w|).  Both are taken at the
+    analysis' unit scale, ||M||_F = fro 2^e, and scaled back: the residual
+    is ||M^H (k 2^-e) - target 2^-e|| 2^e, with k_w scaled by a power of two
+    to norm in [1/2, 1) first and scaled back with it (_unit_products), so
+    that 2^j psi gives 2^j times both, the residual bit for bit in the normal
+    range, and neither overflows nor underflows to 0 for any weight.
     """
     w = require_in_disk(w, "kernel point")
     psi_f = as_analytic(psi)
@@ -991,10 +1069,18 @@ def adjoint_kernel_residual(m: OperatorMatrix, psi, phi, w: complex, space: Spac
     kv = kernel(space, w, n)
     phi_w = phi(w)
     target = complex(psi_f(w)).conjugate() * kernel(space, phi_w, n)
-    resid = float(np.linalg.norm(_adjoint_apply(m.entries, kv) - target))
+    k_size = float(np.linalg.norm(kv))
     bound = _composition_norm_upper(psi_f, phi, space) * _kernel_tail(space, w, n)
-    bound += 20.0 * _EPS * n * float(np.linalg.norm(m.entries)) * float(np.linalg.norm(kv))
-    return AdjointResidual(resid, bound)
+    s = m._analysis
+    if s is None:   # M = 0
+        return AdjointResidual(float(np.linalg.norm(target)), bound)
+    ek = math.frexp(k_size)[1]
+    image = _unit_products(m.entries, s.e)[1](_scaled(kv, ek))
+    with np.errstate(over="ignore"):   # a target beyond the section's range reads inf
+        target = np.ldexp(target.view(np.float64), -(s.e + ek)).view(complex)
+        resid = float(np.linalg.norm(image - target))
+    bound += _unscale(20.0 * _EPS * n * s.fro * k_size, s.e)
+    return AdjointResidual(_unscale(resid, s.e + ek), bound)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -612,13 +613,19 @@ class TestGelfandEstimate:
         for m in (hc.OperatorMatrix(np.zeros((5, 5), complex)), hc.OperatorMatrix(strict), shift):
             assert hc.gelfand_estimate(m).value == 0.0
 
-    @pytest.mark.parametrize("j", [-200, -70, 70, 200])
+    @pytest.mark.parametrize("j", [-900, -200, 200, 900, "top"])
     def test_scale_equivariant(self, j):
+        # Each routine works at the analysis' unit scale and scales back
+        # exactly, so 2^j M gives 2^j times each value, bit for bit, by the
+        # same method.  "top" puts the largest part of the section in
+        # [2^1023, 2^1024); a value beyond the double range then reads inf.
         for name, m, _quick in _gelfand_sections():
-            scaled = hc.OperatorMatrix(m.entries * 2.0**j)
-            for routine in (hc.operator_norm, hc.gelfand_estimate):
-                want = routine(m).value * 2.0**j
-                assert routine(scaled).value == pytest.approx(want, rel=1e-12, abs=0.0), name
+            parts = m.entries.view(np.float64)
+            k = 1024 - math.frexp(float(np.abs(parts).max()))[1] if j == "top" else j
+            scaled = hc.OperatorMatrix(np.ldexp(parts, k).view(complex))
+            for routine in _ROUTINES:
+                want, got = routine(m), routine(scaled)
+                assert (got.value, got.method) == (matrixrep._unscale(want.value, k), want.method), (name, routine)
 
 
 def _block_order(m):
@@ -646,9 +653,13 @@ def _assert_analysis_is_the_two_copy_one(m):
     got = m._analysis
     assert (got.e1, got.e, got.order) == (e1, e, order)
     assert abs(got.fro - fro) <= 4 * math.ulp(fro)
-    # The block A_K is the two-copy b[:K, :K], bit for bit, and read-only.
+    # The block A_K is a read-only view of the entries, and scaled by 2^-e it
+    # is the two-copy b[:K, :K], bit for bit, as is LAPACK's copy of it.
     assert not got.block.flags.writeable
-    assert got.block.tobytes() == np.ascontiguousarray(b[:order, :order]).tobytes()
+    assert np.shares_memory(got.block, m.entries)
+    want = np.ascontiguousarray(b[:order, :order]).tobytes()
+    assert np.ldexp(got.block.view(np.float64), -e).tobytes() == want
+    assert got.unit(got.block).tobytes() == want
 
 
 def _full_order_leading_block(monkeypatch):
@@ -735,7 +746,7 @@ class TestDeflation:
         assert _block_order(m) == 53
         orders = []
         real = matrixrep._power_norm
-        monkeypatch.setattr(matrixrep, "_power_norm", lambda a: orders.append(a.shape[0]) or real(a))
+        monkeypatch.setattr(matrixrep, "_power_norm", lambda a, s: orders.append(a.shape[0]) or real(a, s))
         got = hc.gelfand_estimate(m)
         assert orders == [53, 128]
         _full_order_leading_block(monkeypatch)
@@ -811,6 +822,53 @@ class TestDeflation:
         finally:
             tracemalloc.stop()
         assert peak <= 2**20
+
+    def test_analysis_of_a_dense_section_makes_no_copy(self, H2):
+        # A section that does not deflate keeps A_K as a view of its entries:
+        # the analysis allocates its buffer of one block of rows and its sums
+        # (16.5 MiB when it kept A_K as a scaled copy).
+        m = hc.build_weighted_composition(hc.polynomial_fn(2, 1), hc.MoebiusMap(1, 0.5, 0.5, 1), H2, 1024)
+        tracemalloc.start()
+        try:
+            assert m._analysis.order == 1024
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+
+    def test_the_estimates_read_the_section_in_place(self, H2):
+        # On the 4 MiB N = 512 automorphism the analysis and the three
+        # routines after it hold the Lanczos basis and a few vectors at most,
+        # no copy of the section (5.7 MiB when the analysis kept a scaled one).
+        m = hc.build_weighted_composition(hc.polynomial_fn(2, 1), hc.MoebiusMap(1, 0.5, 0.5, 1), H2, 512)
+        tracemalloc.start()
+        try:
+            assert m._analysis.order == 512
+            methods = [routine(m).method for routine in _ROUTINES]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert methods == ["lanczos", "krylov-schur", "gelfand"]
+        assert peak <= 3 * 2**20
+
+    @pytest.mark.parametrize("name,psi,phi,space", [
+        *_NON_COMPACT, ("rejected block", hc.polynomial_fn(0, 1), hc.dilation(0.5), hc.hardy()),
+    ], ids=[c[0] for c in _NON_COMPACT] + ["rejected block"])
+    def test_a_section_beyond_the_double_range(self, name, psi, phi, space):
+        # Every entry is finite, but the largest part lies in [2^1023, 2^1024)
+        # and the Frobenius norm beyond the double range (e > 1023): each
+        # routine gives 2^k times the value of the unscaled section by the
+        # same method, inf where that leaves the range, with no RuntimeWarning.
+        m = hc.build_weighted_composition(psi, phi, space, 128)
+        parts = m.entries.view(np.float64)
+        k = 1024 - math.frexp(float(np.abs(parts).max()))[1]
+        scaled = hc.OperatorMatrix(np.ldexp(parts, k).view(complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert scaled._analysis.e > 1023
+            got = [routine(scaled) for routine in _ROUTINES]
+        want = [routine(m) for routine in _ROUTINES]
+        assert [(g.value, g.method) for g in got] == [(matrixrep._unscale(w.value, k), w.method) for w in want]
 
     def test_normal_form_eigensolve_stays_small(self, monkeypatch):
         orders = []
@@ -1108,7 +1166,7 @@ def _counted_operator_norm(m, lanczos=None):
     products, lapack, eigh = [], [], []
     real_product, real_svd, real_eigh = matrixrep._gram_product, np.linalg.svd, np.linalg.eigh
     with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(matrixrep, "_gram_product", lambda a, x: products.append(1) or real_product(a, x))
+        patched.setattr(matrixrep, "_gram_product", lambda a, x, e: products.append(1) or real_product(a, x, e))
         patched.setattr(np.linalg, "svd", lambda *a, **k: lapack.append(1) or real_svd(*a, **k))
         patched.setattr(np.linalg, "eigh", lambda t, **k: eigh.append(len(t)) or real_eigh(t, **k))
         if lanczos is not None:
@@ -1230,7 +1288,7 @@ class TestOperatorNorm:
             return pair
 
         with pytest.MonkeyPatch.context() as patched:
-            patched.setattr(matrixrep, "_gram_product", lambda a, x: products.append(1) or real_product(a, x))
+            patched.setattr(matrixrep, "_gram_product", lambda a, x, e: products.append(1) or real_product(a, x, e))
             patched.setattr(matrixrep, "_lanczos", counted_lanczos)
             est = hc.operator_norm(m)
             [(spent, budget, returned)] = passes
@@ -1239,11 +1297,11 @@ class TestOperatorNorm:
             if not converges:
                 assert spent == budget
             assert est.method == ("lanczos" if converges else "lapack-svdvals")
-            a = m._analysis.block
+            a, e = m._analysis.block, m._analysis.e
             seed = matrixrep._seed_vector(order)
             for budget in (20, 31, 45, order // 2):
                 products.clear()
-                matrixrep._lanczos(lambda x: matrixrep._gram_product(a, x), seed, budget)
+                matrixrep._lanczos(lambda x: matrixrep._gram_product(a, x, e), seed, budget)
                 assert 0 < len(products) <= budget
 
     @pytest.mark.parametrize("phi, n", [("rotation:i", 128), ("1,0.5,0.5,1", 256), ("parabolic:1,1", 128)])
@@ -1482,7 +1540,7 @@ class TestGramProduct:
         rng = np.random.default_rng(k)
         a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
         x = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        got = matrixrep._gram_product(a, x)
+        got = matrixrep._gram_product(a, x, 0)
         two = matrixrep._adjoint_apply(a, a @ x)
         if k <= 256:
             assert np.array_equal(got, two)
@@ -1490,6 +1548,28 @@ class TestGramProduct:
         bound = 4 * k * eps * np.linalg.norm(a, 2) ** 2 * np.linalg.norm(x)
         assert np.linalg.norm(got - a.conj().T @ (a @ x)) <= bound
         assert np.linalg.norm(got - two) <= bound
+
+    @pytest.mark.parametrize("k", [31, 257, 700])
+    @pytest.mark.parametrize("j", [-900, 0, 200, 900, "top"])
+    def test_the_scale_rides_on_the_vectors(self, k, j):
+        # For a = b 2^e the products with 2^-e on their vectors are b's own,
+        # bit for bit, with no RuntimeWarning, on each of the Gram product's
+        # paths: e < 0, e <= 511, e <= 1023, and "top", which puts the largest
+        # part of a in [2^1023, 2^1024), so that its Frobenius norm leaves the
+        # double range (e > 1023).
+        rng = np.random.default_rng(k)
+        b = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        b = np.ldexp(b.view(np.float64), -math.frexp(float(np.linalg.norm(b)))[1])   # ||b||_F in [1/2, 1)
+        e = 1024 - math.frexp(float(np.abs(b).max()))[1] if j == "top" else j
+        a, b = np.ldexp(b, e).view(complex), b.view(complex)
+        x = matrixrep._seed_vector(k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            forward, adjoint = matrixrep._unit_products(a, e)
+            got = matrixrep._gram_product(a, x, e), forward(x), adjoint(x)
+        want = matrixrep._gram_product(b, x, 0), b @ x, matrixrep._adjoint_apply(b, x)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert e > 1023 or j != "top"
 
 
 class TestAdjointKernelResidual:
@@ -1517,6 +1597,25 @@ class TestAdjointKernelResidual:
                 ar = hc.adjoint_kernel_residual(m, psi_one, parabolic_map, w, space)
                 assert ar.residual <= ar.tail_bound
                 assert ar.residual < 1e-6
+
+    @pytest.mark.parametrize("j", [0, 900, -900])
+    def test_scales_with_the_weight(self, H2, j):
+        # psi 2^j gives 2^j times the residual, bit for bit, and the bound up
+        # to the rounding of psi's sup: at 2^900 neither overflows, and at
+        # 2^-900 the rounding allowance does not underflow to 0.
+        phi = hc.MoebiusMap(0.5, 0.1, 0.1, 1)
+
+        def at(k):
+            psi = hc.polynomial_fn(2 * 2.0**k, 2.0**k)
+            m = hc.build_weighted_composition(psi, phi, H2, 64)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                return hc.adjoint_kernel_residual(m, psi, phi, 0.3, H2)
+
+        want, got = at(0), at(j)
+        assert math.ldexp(got.residual, -j) == want.residual
+        assert math.ldexp(got.tail_bound, -j) == pytest.approx(want.tail_bound, rel=1e-12, abs=0.0)
+        assert got.tail_bound > 0.0
 
     @pytest.mark.parametrize("gamma", [1, 1.05, 2, 2.7, 3])
     def test_kernel_tail_bounds_true_tail(self, gamma):
