@@ -12,9 +12,11 @@ The verdict types, the citation clauses, classify_unweighted and
 normal_form_map live in verdict, which needs no numpy, and are re-exported
 here.
 
-Grid searches evaluate in a fixed deterministic order (first violation in
-grid order wins); every function is pure but witness_search, whose
-wall-clock deadline can end a search early on a slow machine.  The witness
+The parabolic inequality and the norm lower bound evaluate the kernel
+ratio on their grid as one array (_kernel_ratios), and the first violation
+in grid order wins; the witness search walks its own grid in a fixed order.
+Every function is pure but witness_search, whose wall-clock deadline can
+end a search early on a slow machine.  The witness
 search slices its 2x2 and 3x3 generalized eigenproblems from one grid Gram
 and solves them as stacks by a numpy Cholesky reduction, so nothing here
 imports scipy.
@@ -120,8 +122,9 @@ def _radial_grid(radii) -> tuple[complex, ...]:
 
 
 # The kernel grid of the parabolic inequality and the norm lower bound (145
-# points), and the witness search's grid (97 points).
-_INEQUALITY_GRID = _radial_grid((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9))
+# points, a read-only array), and the witness search's grid (97 points).
+_INEQUALITY_GRID = np.array(_radial_grid((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)))
+_INEQUALITY_GRID.flags.writeable = False
 _SEARCH_GRID = _radial_grid((0.15, 0.3, 0.45, 0.6, 0.75, 0.9))
 # 1 - |x|^2 at the search grid's outermost point: every kernel Gram entry
 # |(1 - conj(x) y)^-gamma| on the grid is at most this to the power -gamma.
@@ -130,14 +133,38 @@ _SEARCH_GRAM_BASE = min(1.0 - abs(w) ** 2 for w in _SEARCH_GRID)
 
 def kernel_ratio_value(psi, phi: MoebiusMap, space: SpaceSpec, w: complex) -> float:
     """|psi(w)| ((1 - |w|^2)/(1 - |phi(w)|^2))^(gamma/2) = ||C* (K_w/||K_w||)||,
-    for w in the open disk."""
-    return _kernel_ratio(as_analytic(psi), phi, space, require_in_disk(w, "kernel point"))
+    for w in the open disk and a self-map phi."""
+    psi_f = as_analytic(psi)
+    w = require_in_disk(w, "kernel point")
+    require_self_map(phi)
+    return float(_kernel_ratios(psi_f, phi, space, np.array([w]))[0][0])
 
 
-def _kernel_ratio(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, w: complex) -> float:
-    # kernel_ratio_value at a point that has passed the disk gate.
-    ratio = (1.0 - abs(w) ** 2) / (1.0 - abs(phi(w)) ** 2)
-    return abs(psi_f(w)) * ratio ** (space.gamma / 2.0)
+def _kernel_ratios(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, w: np.ndarray,
+                   lhs: float | None = None) -> tuple[np.ndarray, int | None]:
+    """The kernel ratio |psi(w)| ((1 - |w|^2)/(1 - |phi(w)|^2))^(gamma/2) =
+    ||C* (K_w/||K_w||)|| at each point of w, an array of open-disk points, in
+    one numpy evaluation; and the index of the first ratio that exceeds lhs by
+    more than 1e-12 of the larger side, or None (always None without lhs).
+
+    The points before that index are checked in order, as a loop would meet
+    them: at the first where |psi(w)| is not finite InvalidParameterError is
+    raised, or OverflowError where the power is what is not finite.  A
+    product of finite factors that overflows is no violation.
+    """
+    with np.errstate(all="ignore"):
+        size = np.abs(psi_f(w))
+        power = ((1.0 - np.abs(w) ** 2) / (1.0 - np.abs(phi(w)) ** 2)) ** (space.gamma / 2.0)
+        ratios = size * power
+        over = None if lhs is None else ratios - lhs > 1e-12 * np.maximum(lhs, ratios)
+    first = int(over.argmax()) if over is not None and over.any() else None
+    bad = ~(np.isfinite(size) & np.isfinite(power))[:first]
+    if bad.any():
+        i = int(bad.argmax())
+        if not math.isfinite(size[i]):
+            raise InvalidParameterError(f"the weight's value at z = {complex(w[i]):.6g} leaves the double range")
+        raise OverflowError(f"the kernel ratio's power overflows at w = {complex(w[i]):.6g}")
+    return ratios, first
 
 
 def parabolic_kernel_inequality(psi, phi: MoebiusMap, space: SpaceSpec) -> InequalityViolation | None:
@@ -161,11 +188,8 @@ def _first_violation(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec,
     """parabolic_kernel_inequality for a parabolic non-automorphism fixing the unimodular zeta.
     A violation exceeds |psi(zeta)| by 1e-12 of the larger side: c psi violates alike."""
     lhs = abs(psi_f(zeta))
-    for w in _INEQUALITY_GRID:
-        rhs = _kernel_ratio(psi_f, phi, space, w)
-        if rhs - lhs > 1e-12 * max(lhs, rhs):
-            return InequalityViolation(w, lhs, rhs)
-    return None
+    ratios, i = _kernel_ratios(psi_f, phi, space, _INEQUALITY_GRID, lhs)
+    return None if i is None else InequalityViolation(complex(_INEQUALITY_GRID[i]), lhs, float(ratios[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +345,12 @@ def classify_weighted(
     verdict = partial(HyponormalityVerdict, map_kind=cls.kind)
 
     if cls.kind is MapKind.IDENTITY:
+        exact = phi.b == phi.c == 0 and phi.a == phi.d
         return verdict(
             Outcome.CANDIDATE_NOT_EXCLUDED,
             CIT_UNDECIDED,
-            details="analytic multiplication operator (always hyponormal)",
+            details="analytic multiplication operator (always hyponormal)" if exact
+            else "phi is within 1e-12 of the identity but not equal to it",
         )
 
     if cls.contact is not None:
@@ -531,9 +557,10 @@ def norm_bounds(psi, phi: MoebiusMap, space: SpaceSpec) -> NormBounds:
 
 
 def norm_lower_bound_grid(psi, phi: MoebiusMap, space: SpaceSpec) -> float:
-    """Unconditional: max over _INEQUALITY_GRID of ||C* (K_w/||K_w||)||."""
+    """Unconditional: max over _INEQUALITY_GRID of ||C* (K_w/||K_w||)||, for a self-map phi."""
     psi_f = as_analytic(psi)
-    return max(_kernel_ratio(psi_f, phi, space, w) for w in _INEQUALITY_GRID)
+    require_self_map(phi)
+    return float(_kernel_ratios(psi_f, phi, space, _INEQUALITY_GRID)[0].max())
 
 
 # ---------------------------------------------------------------------------

@@ -275,13 +275,17 @@ class TestInputOutsideHypotheses:
 
 
 class TestCheckCommand:
-    # The one fixed kernel grid finds the violation of this weight in each space.
-    @pytest.mark.parametrize("space", ["hardy", "bergman:0", "bergman:1"])
-    def test_kernel_grid_finds_the_violation(self, capsys, space):
-        code, rep = run_json(capsys, "check", "--psi", "0.5,-0.25", "--map", "parabolic:1,1",
-                             f"--space={space}")
+    # The one fixed kernel grid finds the violation of these weights in each
+    # space, at its first point.  The first violation in grid order wins: at
+    # alpha = 1e4 the kernel ratio overflows at later points, which do not count.
+    @pytest.mark.parametrize("psi, space", [
+        ("0.5,-0.25", "hardy"), ("0.5,-0.25", "bergman:0"), ("0.5,-0.25", "bergman:1"), ("1,0.5", "bergman:1e4"),
+    ])
+    def test_kernel_grid_finds_the_violation(self, capsys, psi, space):
+        code, rep = run_json(capsys, "check", "--psi", psi, "--map", "parabolic:1,1", f"--space={space}")
         assert code == 0 and rep["verdict"]["outcome"] == "NotHyponormal"
         assert "kernel norm-ratio" in rep["verdict"]["citation"]
+        assert rep["verdict"]["details"].startswith("at w = 0+0j: kernel side ")
 
     # check's search and the library's witness_search with its defaults are
     # one search: the same start order, budget and seed give the same witness.

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hypocomp as hc
-from hypocomp.errors import InvalidParameterError, NotAFixedPointError, OutsideDiskError
+from hypocomp.errors import InvalidParameterError, NotAFixedPointError, NotSelfMapError, OutsideDiskError
 from hypocomp.matrixrep import kernel_gram_forms
 from hypocomp.theory import kernel_ratio_value
 
@@ -70,6 +70,23 @@ FIXED_POINT_ENTRIES = {
 def test_fixed_point_gate(entry):
     with pytest.raises(NotAFixedPointError, match="differs from p"):
         FIXED_POINT_ENTRIES[entry](0.5)
+
+
+# Each takes a map, which must send the disk into itself.
+SELF_MAP_ENTRIES = {
+    "kernel_ratio_value": lambda phi: kernel_ratio_value(1, phi, H2, 0.8),
+    "norm_lower_bound_grid": lambda phi: hc.norm_lower_bound_grid(1, phi, H2),
+    "parabolic_kernel_inequality": lambda phi: hc.parabolic_kernel_inequality(1, phi, H2),
+    "witness_search": lambda phi: hc.witness_search(hc.polynomial_fn(2, 1), phi, H2),
+}
+
+
+# 2z leaves the disk; 1/(z - 0.5) has its pole inside it.
+@pytest.mark.parametrize("phi", [hc.MoebiusMap(2, 0, 0, 1), hc.MoebiusMap(0, 1, 1, -0.5)], ids=["2z", "1/(z-0.5)"])
+@pytest.mark.parametrize("entry", sorted(SELF_MAP_ENTRIES))
+def test_self_map_gate(entry, phi):
+    with pytest.raises(NotSelfMapError):
+        SELF_MAP_ENTRIES[entry](phi)
 
 
 # Each names a space outside the theorems' hypotheses: alpha must be finite and >= -1.

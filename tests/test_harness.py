@@ -98,3 +98,5 @@ def test_lazy_layers_are_traced_in_the_workers_order():
     assert names["lazy"] == names["eager"]
     layers = {name.partition(".")[0] for name in names["lazy"]}
     assert layers == {"cli", "moebius", "funcalg", "space", "matrixrep", "theory"}
+    # The spectral call reads the kernel grid: its per-layer time is measured, not 0.
+    assert "theory.norm_lower_bound_grid" in names["lazy"]

@@ -284,6 +284,24 @@ class TestClassifyWeighted:
                 assert v.outcome is Outcome.NOT_HYPONORMAL
                 assert "kernel norm-ratio" in v.citation
 
+    # classify calls every map within 1e-12 of the identity the identity; only
+    # the exact one, b = c = 0 and a = d after normalisation, is a
+    # multiplication operator.  (1 - 1e-14) z is a dilation.
+    @pytest.mark.parametrize("phi, exact", [
+        (hc.MoebiusMap(1, 0, 0, 1), True),
+        (hc.MoebiusMap(-1, 0, 0, -1), True),
+        (hc.MoebiusMap(2j, 0, 0, 2j), True),
+        (hc.MoebiusMap(0.99999999999999, 0, 0, 1), False),
+        (hc.MoebiusMap(1, 1e-13, 0, 1), False),
+        (hc.MoebiusMap(1, 0, 1e-13j, 1), False),
+    ])
+    def test_multiplication_note_only_for_the_exact_identity(self, H2, phi, exact):
+        v = hc.classify_weighted(hc.polynomial_fn(2, 1), phi, H2)
+        assert v.map_kind is hc.MapKind.IDENTITY
+        assert (v.outcome, v.citation) == (Outcome.CANDIDATE_NOT_EXCLUDED, theory.CIT_UNDECIDED)
+        assert v.details == ("analytic multiplication operator (always hyponormal)" if exact
+                             else "phi is within 1e-12 of the identity but not equal to it")
+
     def test_normal_form_grid(self, H2, A0):
         for space in (H2, A0):
             for p in (0.0, 0.3, 0.6, -0.45j, 0.4 + 0.3j):
@@ -849,8 +867,15 @@ class TestNormBounds:
         at_zero = theory.kernel_ratio_value(psi_one, parabolic_map, H2, 0)
         assert abs(at_zero - 0.5 * math.sqrt(9 / 8)) < 1e-12
         got = hc.norm_lower_bound_grid(psi_one, parabolic_map, H2)
-        assert got == max(theory.kernel_ratio_value(psi_one, parabolic_map, H2, w)
-                          for w in theory._INEQUALITY_GRID)
+        ratios, _ = theory._kernel_ratios(psi_one, parabolic_map, H2, theory._INEQUALITY_GRID)
+        assert got == ratios.max()
+        # kernel_ratio_value evaluates a one-point array, which numpy's vector
+        # loops may round apart from the grid's array in the last bit (none of
+        # 1.19 million points differed with numpy 2.4 on an AVX-512 Xeon); 8 eps
+        # allows such a bit in |phi(w)|, the power and |psi(w)| where
+        # 1/(1 - |phi(w)|^2) is at most 5.5 (at w = 0.9).
+        ones = [kernel_ratio_value(psi_one, parabolic_map, H2, w) for w in theory._INEQUALITY_GRID]
+        np.testing.assert_allclose(ones, ratios, rtol=8 * _EPS, atol=0)
         ident = hc.MoebiusMap(1, 0, 0, 1)
         assert abs(hc.norm_lower_bound_grid(1, ident, H2) - 1.0) < 1e-12
         # dilation: the ratio decreases in |w|, so the best point is w = 0
@@ -859,6 +884,126 @@ class TestNormBounds:
     def test_kernel_ratio_matches_adjoint_norm(self, H2, psi_one, parabolic_map):
         kn = hc.kernel_gram_norms(psi_one, parabolic_map, H2, [0.4], [1 / hc.kernel_norm(H2, 0.4)], 128)
         assert abs(kernel_ratio_value(psi_one, parabolic_map, H2, 0.4) - kn.adjoint) < 1e-12
+
+
+_EPS = float(np.finfo(float).eps)
+GRID_SPACES = ("hardy", "bergman:0", "bergman:1", "bergman:1e4")
+
+
+def _loop_ratio(psi_f, phi, space, w):
+    """The kernel ratio at one point in Python scalars, as the grid was read
+    point by point before its one array evaluation: the reference."""
+    ratio = (1.0 - abs(w) ** 2) / (1.0 - abs(phi(w)) ** 2)
+    return abs(psi_f(w)) * ratio ** (space.gamma / 2.0)
+
+
+def _loop_first_violation(psi_f, phi, space, zeta):
+    lhs = abs(psi_f(zeta))
+    for w in map(complex, theory._INEQUALITY_GRID):
+        rhs = _loop_ratio(psi_f, phi, space, w)
+        if rhs - lhs > 1e-12 * max(lhs, rhs):
+            return w
+    return None
+
+
+def _value_or_error(fn):
+    """fn(), or the type of the OverflowError or InvalidParameterError it raised."""
+    try:
+        return fn()
+    except (OverflowError, InvalidParameterError) as exc:
+        return type(exc)
+
+
+def _grid_tolerance(phi, space):
+    """Relative tolerance of the kernel ratio's maximum on the grid against
+    another rounding of it: 8 eps (1 + g/(1 - m^2)) with g = gamma/2 and m the
+    largest |phi(w)| there, the conditioning of the power of (1 - |w|^2)/(1 -
+    |phi(w)|^2).  The array and the loop differed by at most 3.9 eps times
+    that factor over 300 seeds of TestKernelRatioGrid's draws."""
+    m = float(np.abs(phi(theory._INEQUALITY_GRID)).max())
+    return 8 * _EPS * (1.0 + space.gamma / 2.0 / (1.0 - m * m))
+
+
+class TestKernelRatioGrid:
+    """The one array evaluation of the kernel ratio against the point-by-point loop it replaced."""
+
+    @pytest.mark.parametrize("label", GRID_SPACES)
+    @DERANDOMIZED
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_array_matches_the_loop(self, label, seed):
+        # The same first violation, or the same error before it, for a
+        # random unimodular zeta; the same maximum within _grid_tolerance or
+        # the same error.  Where every kernel side of psi and c psi is
+        # finite, c psi violates at the same point, and its maximum is |c|
+        # times that of psi (measured within 3.1 eps over 300 seeds).
+        space = hc.space_from_label(label)
+        rng = np.random.default_rng(seed)
+        for phi in maps_of_every_kind(rng):
+            psi = hc.polynomial_fn(*random_weight(rng))
+            zeta, c = unit(rng), 10 ** rng.uniform(-8, 8) * unit(rng)
+
+            def first(f):
+                return _value_or_error(lambda: getattr(theory._first_violation(f, phi, space, zeta), "point", None))
+
+            point = first(psi)
+            assert point == _value_or_error(lambda: _loop_first_violation(psi, phi, space, zeta))
+            low = _value_or_error(lambda: hc.norm_lower_bound_grid(psi, phi, space))
+            want = _value_or_error(
+                lambda: max(_loop_ratio(psi, phi, space, w) for w in map(complex, theory._INEQUALITY_GRID)))
+            if isinstance(want, type):
+                assert low is want
+                continue
+            assert low == want or abs(low - want) <= _grid_tolerance(phi, space) * want
+            if math.isfinite(abs(c) * low):
+                assert first(psi.scale(c)) == point
+                assert hc.norm_lower_bound_grid(psi.scale(c), phi, space) == pytest.approx(
+                    abs(c) * low, rel=8 * _EPS, abs=0.0)
+
+    @pytest.mark.parametrize("excess, violated", [(1.1e-12, True), (0.9e-12, False)])
+    def test_a_violation_exceeds_by_1e_12(self, H2, excess, violated):
+        # On the dilation z/2 the kernel side of 1 - excess z is 1 at w = 0,
+        # below 0.997 elsewhere on the grid, and |psi(1)| = 1 - excess.
+        v = theory._first_violation(hc.polynomial_fn(1, -excess), hc.dilation(0.5), H2, 1.0)
+        assert (v is not None and v.point == 0) if violated else v is None
+
+    def test_the_weight_is_read_before_the_power(self):
+        # At alpha = 1e4 the power for 0.8 z + 0.2 first overflows at w = 0.5,
+        # the first grid point where K (1 + z) leaves the double range too.
+        # There, as in the loop, the weight's error is the one raised.
+        phi, space = hc.MoebiusMap(0.8, 0.2, 0, 1), hc.bergman(1e4)
+        k = np.finfo(float).max / 1.5 * (1 + 1e-6)
+        psi = hc.polynomial_fn(k, k)
+        assert _value_or_error(lambda: max(_loop_ratio(psi, phi, space, complex(w))
+                                           for w in theory._INEQUALITY_GRID)) is InvalidParameterError
+        with pytest.raises(InvalidParameterError, match=r"at z = 0\.5\+0j leaves the double range"):
+            hc.norm_lower_bound_grid(psi, phi, space)
+        with pytest.raises(OverflowError, match=r"overflows at w = 0\.5\+0j"):
+            hc.norm_lower_bound_grid(1, phi, space)
+
+    # The parabolic inequality's worked weight on H^2, and a hyperbolic
+    # automorphism near its attracting point 1 on A^2_1, where the grid's
+    # largest ratio is 10 eps from the exact one.
+    @pytest.mark.parametrize("coeffs, phi, label", [
+        ((0.5, -0.25), hc.cayley_parabolic(1, 1), "hardy"),
+        ((2, 1), hc.MoebiusMap(1, 0.5, 0.5, 1), "bergman:1"),
+    ])
+    def test_forty_digit_recomputation(self, coeffs, phi, label):
+        space = hc.space_from_label(label)
+        psi = hc.polynomial_fn(*coeffs)
+        with mpmath.workdps(40):
+            a, b, c, d = (mpmath.mpc(x) for x in phi.coefficients())
+            exact = []
+            for w in map(mpmath.mpc, theory._INEQUALITY_GRID):
+                size = abs(mpmath.polyval([mpmath.mpc(x) for x in reversed(coeffs)], w))
+                ratio = (1 - abs(w) ** 2) / (1 - abs((a * w + b) / (c * w + d)) ** 2)
+                exact.append(float(size * ratio ** (mpmath.mpf(space.gamma) / 2)))
+        ratios, _ = theory._kernel_ratios(psi, phi, space, theory._INEQUALITY_GRID)
+        tol = _grid_tolerance(phi, space) * max(exact)
+        assert np.abs(ratios - exact).max() <= tol
+        assert abs(hc.norm_lower_bound_grid(psi, phi, space) - max(exact)) <= tol
+        if hc.classify(phi).kind is hc.MapKind.PARABOLIC_NONAUTOMORPHISM:
+            v = hc.parabolic_kernel_inequality(psi, phi, space)
+            assert v.point == 0 and abs(v.kernel_side_value - exact[0]) <= tol
 
 
 class TestClark:
