@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from .funcalg import (
 )
 from .matrixrep import KernelImages, _table_forms, as_analytic, kernel_gram_norms
 from .moebius import (
-    MapClass,
     MapKind,
     MoebiusMap,
     alpha_p,
@@ -319,6 +318,28 @@ def _interior_zero_tol(p: complex) -> float:
     return max(1e-14, 16.0 * _EPS / (1.0 - abs(p) ** 2))
 
 
+class _Facts:
+    """What the public entry points read about C_{psi,phi} on space: psi as
+    an AnalyticFunction, built at once, and classify(phi), the constancy
+    test, the norm bounds (_norm_bounds) and the grid lower bound
+    (norm_lower_bound_grid), each computed on first read, so that every
+    entry point raises the error of the first fact it reads."""
+
+    def __init__(self, psi, phi: MoebiusMap, space: SpaceSpec):
+        self.psi, self.phi, self.space = as_analytic(psi), phi, space
+
+    cls = cached_property(lambda self: classify(self.phi))
+    constant = cached_property(lambda self: is_value_constant(self.psi))
+    bounds = cached_property(lambda self: _norm_bounds(self))
+    grid_lower = cached_property(lambda self: norm_lower_bound_grid(self.psi, self.phi, self.space))
+
+    def breaks_bound(self) -> bool:
+        """Whether grid_lower exceeds the bound on ||C|| that hyponormality
+        forces, bounds.upper, by more than 1e-12 of it (read in that order)."""
+        upper = self.bounds.upper
+        return self.grid_lower > upper * (1.0 + 1e-12)
+
+
 def classify_weighted(
     psi, phi: MoebiusMap, space: SpaceSpec, options: WeightedOptions | None = None
 ) -> HyponormalityVerdict:
@@ -333,17 +354,15 @@ def classify_weighted(
     on |z| = 0.85 to _near_circle_tol(p) relative, so c psi decides as psi.
     """
     opts = options or WeightedOptions()
-    psi_f = as_analytic(psi)
-    if psi_f.base.num.is_zero():
+    f = _Facts(psi, phi, space)
+    if f.psi.base.num.is_zero():
         raise ZeroSymbolError("weight is identically zero")
-
-    if is_value_constant(psi_f):
+    if f.constant:
         base = classify_unweighted(phi, space)
         return base._replace(details=f"{CIT_CONSTANT_WEIGHT}; {base.details}")
 
-    cls = classify(phi)
+    cls = f.cls
     verdict = partial(HyponormalityVerdict, map_kind=cls.kind)
-
     if cls.kind is MapKind.IDENTITY:
         exact = phi.b == phi.c == 0 and phi.a == phi.d
         return verdict(
@@ -352,69 +371,47 @@ def classify_weighted(
             details="analytic multiplication operator (always hyponormal)" if exact
             else "phi is within 1e-12 of the identity but not equal to it",
         )
-
-    if cls.contact is not None:
-        zeta, eta = cls.contact
-        vanishes = _vanishes_at(psi_f, zeta, 1e-12)
-        if not cls.fixes_contact:
-            return verdict(
-                Outcome.NOT_HYPONORMAL,
-                CIT_WEIGHT_VANISHES_AT_CONTACT if vanishes else CIT_CONTACT_NOT_FIXED,
-                details=f"contact {zeta:.12g} -> {eta:.12g}",
-            )
-        if vanishes:
-            return verdict(
-                Outcome.NOT_HYPONORMAL,
-                CIT_WEIGHT_VANISHES_AT_CONTACT,
-                details=f"psi({zeta:.12g}) = {psi_f(zeta):.3e}",
-            )
-        if cls.kind is MapKind.PARABOLIC_NONAUTOMORPHISM:
-            violation = _first_violation(psi_f, phi, space, zeta)
-            if violation is not None:
-                return verdict(
-                    Outcome.NOT_HYPONORMAL,
-                    CIT_PARABOLIC_KERNEL_INEQUALITY,
-                    details=(
-                        f"at w = {violation.point:.12g}: kernel side {violation.kernel_side_value:.12g} "
-                        f"> |psi(zeta)| = {violation.fixed_point_value:.12g}"
-                    ),
-                )
-            return _candidate(verdict, psi_f, phi, space, opts, "parabolic inequality holds on the grid")
-
-    if cls.kind is MapKind.INTERIOR_CONTRACTION:
-        p = cls.denjoy_wolff.location
-        delta = cls.denjoy_wolff.multiplier
-        if map_distance(phi, normal_form_map(p, delta)) > _fixed_point_tol(p):
-            return verdict(
-                Outcome.NOT_HYPONORMAL,
-                CIT_COMPACT_NORMAL_FORM,
-                details="strictly contracting symbol is not alpha_p (delta alpha_p)",
-            )
-        if _vanishes_at(psi_f, p, _interior_zero_tol(p)):
-            return verdict(
-                Outcome.NOT_HYPONORMAL,
-                CIT_COMPACT_NORMAL_FORM,
-                details="weight vanishes at the interior fixed point",
-            )
-        z = _kernel_quotient_mismatch(psi_f, p, psi_f(p), phi, space)
-        if z is not None:
-            return verdict(
-                Outcome.NOT_HYPONORMAL,
-                CIT_COMPACT_NORMAL_FORM,
-                details=f"weight differs from the kernel quotient at z = {z:.6g}",
-            )
+    zeta, eta = cls.contact or (None, None)
+    vanishes = zeta is not None and _vanishes_at(f.psi, zeta, 1e-12)
+    if zeta is not None and not cls.fixes_contact:
         return verdict(
-            Outcome.NORMAL,
-            CIT_COMPACT_NORMAL_FORM,
-            details=f"exact normal form with p = {p:.12g}, delta = {delta:.12g}",
+            Outcome.NOT_HYPONORMAL,
+            CIT_WEIGHT_VANISHES_AT_CONTACT if vanishes else CIT_CONTACT_NOT_FIXED,
+            details=f"contact {zeta:.12g} -> {eta:.12g}",
+        )
+    if vanishes:
+        return verdict(
+            Outcome.NOT_HYPONORMAL, CIT_WEIGHT_VANISHES_AT_CONTACT, details=f"psi({zeta:.12g}) = {f.psi(zeta):.3e}"
+        )
+    parabolic = cls.kind is MapKind.PARABOLIC_NONAUTOMORPHISM
+    violation = _first_violation(f.psi, phi, space, zeta) if parabolic else None
+    if violation is not None:
+        return verdict(
+            Outcome.NOT_HYPONORMAL,
+            CIT_PARABOLIC_KERNEL_INEQUALITY,
+            details=(
+                f"at w = {violation.point:.12g}: kernel side {violation.kernel_side_value:.12g} "
+                f"> |psi(zeta)| = {violation.fixed_point_value:.12g}"
+            ),
+        )
+    if cls.kind is MapKind.INTERIOR_CONTRACTION:
+        p, delta = cls.denjoy_wolff.location, cls.denjoy_wolff.multiplier
+        why = None
+        if map_distance(phi, normal_form_map(p, delta)) > _fixed_point_tol(p):
+            why = "strictly contracting symbol is not alpha_p (delta alpha_p)"
+        elif _vanishes_at(f.psi, p, _interior_zero_tol(p)):
+            why = "weight vanishes at the interior fixed point"
+        elif (z := _kernel_quotient_mismatch(f.psi, p, f.psi(p), phi, space)) is not None:
+            why = f"weight differs from the kernel quotient at z = {z:.6g}"
+        if why is not None:
+            return verdict(Outcome.NOT_HYPONORMAL, CIT_COMPACT_NORMAL_FORM, details=why)
+        return verdict(
+            Outcome.NORMAL, CIT_COMPACT_NORMAL_FORM, details=f"exact normal form with p = {p:.12g}, delta = {delta:.12g}"
         )
 
-    return _candidate(verdict, psi_f, phi, space, opts, f"class {cls.kind.value}")
-
-
-def _candidate(verdict, psi_f, phi, space, opts: WeightedOptions, note: str) -> HyponormalityVerdict:
+    note = "parabolic inequality holds on the grid" if parabolic else f"class {cls.kind.value}"
     if opts.escalate_numeric:
-        witness = witness_search(psi_f, phi, space, budget_seconds=opts.budget_seconds, seed=opts.seed)
+        witness = witness_search(f.psi, phi, space, budget_seconds=opts.budget_seconds, seed=opts.seed)
         if witness is not None and witness.is_conclusive:
             return verdict(Outcome.CERTIFIED_NOT_NUMERIC, CIT_NUMERIC_WITNESS, witness, details=note)
     return verdict(Outcome.CANDIDATE_NOT_EXCLUDED, CIT_UNDECIDED, details=note)
@@ -448,8 +445,8 @@ class NormBounds:
     mu: float
 
 
-def _spectral_radius(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, cls: MapClass) -> ClosedFormValue:
-    """r(C_{psi,phi}) for cls = classify(phi), or why it is unavailable.
+def _spectral_radius(f: _Facts) -> ClosedFormValue:
+    """r(C_{psi,phi}), or why it is unavailable.
 
     g = gamma/2; psi, like every symbol, is analytic on the closed disk.
     - Interior contraction, Denjoy-Wolff point p in D: r = |psi(p)| for every
@@ -471,7 +468,8 @@ def _spectral_radius(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec,
     - Non-automorphism, hyperbolic or parabolic, with boundary Denjoy-Wolff
       point zeta: r = |psi(zeta)| phi'(zeta)^(-g).
     """
-    kind, dw, g = cls.kind, cls.denjoy_wolff, space.gamma / 2.0
+    psi_f, phi, cls = f.psi, f.phi, f.cls
+    kind, dw, g = cls.kind, cls.denjoy_wolff, f.space.gamma / 2.0
     if kind is MapKind.INTERIOR_CONTRACTION:
         return ClosedFormValue(abs(psi_f(dw.location)), CIT_R_CONTRACTION)
     if kind in (MapKind.HYPERBOLIC_AUTOMORPHISM, MapKind.PARABOLIC_AUTOMORPHISM):
@@ -491,8 +489,8 @@ def _spectral_radius(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec,
     return _unavailable(f"no closed form for class {kind.value} with this fixed-point structure")
 
 
-def _essential_radius(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, cls: MapClass) -> ClosedFormValue:
-    """r_e(C_{psi,phi}) for cls = classify(phi), or why it is unavailable.
+def _essential_radius(f: _Facts) -> ClosedFormValue:
+    """r_e(C_{psi,phi}), or why it is unavailable.
 
     - Interior contraction: phi maps the closed disk into D, so C is compact
       and r_e = 0 (Cowen & MacCluer, Composition Operators on Spaces of
@@ -500,21 +498,21 @@ def _essential_radius(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec
     - Otherwise r_e = |c| phi'(zeta)^(-gamma/2) for a value-constant psi = c
       and a boundary Denjoy-Wolff point zeta.
     """
-    dw = cls.denjoy_wolff
-    if cls.kind is MapKind.INTERIOR_CONTRACTION:
+    if f.cls.kind is MapKind.INTERIOR_CONTRACTION:
         return ClosedFormValue(0.0, CIT_RE_COMPACT)
-    if not is_value_constant(psi_f):
+    if not f.constant:
         return _unavailable("closed form applies to constant weights only")
+    dw = f.cls.denjoy_wolff
     if dw is None or not dw.on_boundary:
         return _unavailable("essential spectral radius closed form needs a boundary Denjoy-Wolff point")
     zeta = dw.location / abs(dw.location)
-    return ClosedFormValue(abs(psi_f(0)) * abs(angular_derivative(phi, zeta)) ** (-space.gamma / 2.0),
+    return ClosedFormValue(abs(f.psi(0)) * abs(angular_derivative(f.phi, zeta)) ** (-f.space.gamma / 2.0),
                            CIT_RE_BOUNDARY)
 
 
-def _norm_bounds(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, cls: MapClass) -> NormBounds | str:
-    """Norm bounds of C_{psi,phi} under hyponormality for cls = classify(phi),
-    or the reason there are none.
+def _norm_bounds(f: _Facts) -> NormBounds:
+    """Norm bounds of C_{psi,phi} under hyponormality; TheoryUnavailableError
+    with the reason where there are none.
 
     When phi fixes its contact point zeta and its Denjoy-Wolff point p (a
     non-automorphism's only fixed point in D) lies in D: mu / phi'(zeta)^g
@@ -522,25 +520,26 @@ def _norm_bounds(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, cls
     K_p(alpha_p(zeta)) K_p(zeta)| / ||K_p||^2, the p = 0 bounds (mu =
     |psi(zeta)|) after conjugating p to the origin.
     """
+    cls, gamma = f.cls, f.space.gamma
     if not cls.fixes_contact:
-        return "norm bounds need a fixed unimodular contact point"
+        raise TheoryUnavailableError("norm bounds need a fixed unimodular contact point")
     if not cls.denjoy_wolff.in_disk:
-        return "bounds without an interior fixed point need a symbol fixing the origin"
+        raise TheoryUnavailableError("bounds without an interior fixed point need a symbol fixing the origin")
     zeta, p = cls.contact[0], cls.denjoy_wolff.location
-    kp = kernel_function(p, space.gamma)
-    mu = abs(psi_f(zeta) * kp(alpha_p(p)(zeta)) * kp(zeta)) / kernel_norm(space, p) ** 2
-    low = mu / abs(angular_derivative(phi, zeta)) ** (space.gamma / 2.0)
-    return NormBounds(low, max(mu, abs(psi_f(p))), mu)
+    kp = kernel_function(p, gamma)
+    mu = abs(f.psi(zeta) * kp(alpha_p(p)(zeta)) * kp(zeta)) / kernel_norm(f.space, p) ** 2
+    low = mu / abs(angular_derivative(f.phi, zeta)) ** (gamma / 2.0)
+    return NormBounds(low, max(mu, abs(f.psi(p))), mu)
 
 
 def spectral_radius_closed(psi, phi: MoebiusMap, space: SpaceSpec) -> ClosedFormValue:
     """r(C_{psi,phi}) where _spectral_radius proves it, else TheoryUnavailableError."""
-    return _proved(_spectral_radius(as_analytic(psi), phi, space, classify(phi)))
+    return _proved(_spectral_radius(_Facts(psi, phi, space)))
 
 
 def essential_spectral_radius_closed(phi: MoebiusMap, space: SpaceSpec) -> ClosedFormValue:
     """r_e(C_phi) where _essential_radius proves it, else TheoryUnavailableError."""
-    return _proved(_essential_radius(constant_fn(1.0), phi, space, classify(phi)))
+    return _proved(_essential_radius(_Facts(constant_fn(1.0), phi, space)))
 
 
 # ---------------------------------------------------------------------------
@@ -550,10 +549,7 @@ def norm_bounds(psi, phi: MoebiusMap, space: SpaceSpec) -> NormBounds:
     """Two-sided norm bounds valid under hyponormality, at phi's interior
     Denjoy-Wolff point (see _norm_bounds); TheoryUnavailableError with the
     reason where there are none."""
-    nb = _norm_bounds(as_analytic(psi), phi, space, classify(phi))
-    if isinstance(nb, str):
-        raise TheoryUnavailableError(nb)
-    return nb
+    return _Facts(psi, phi, space).bounds
 
 
 def norm_lower_bound_grid(psi, phi: MoebiusMap, space: SpaceSpec) -> float:
@@ -812,23 +808,20 @@ def spectral_report(psi, phi: MoebiusMap, space: SpaceSpec) -> SpectralReport:
     conditional on hyponormality and is dropped, with a note, if the
     unconditional lower bound already exceeds it.
     """
-    psi_f = as_analytic(psi)
-    cls = classify(phi)
+    f = _Facts(psi, phi, space)
     # r_e's constancy test first: a weight that fails there fails with that error.
-    re_cf = _essential_radius(psi_f, phi, space, cls)
-    r_cf = _spectral_radius(psi_f, phi, space, cls)
-    nb = _norm_bounds(psi_f, phi, space, cls)
+    re_cf, r_cf = _essential_radius(f), _spectral_radius(f)
     citations = {"r": r_cf.citation, "r_e": re_cf.citation, "norm_lower": CIT_NORM_KERNEL_GRID}
-    lower = norm_lower_bound_grid(psi_f, phi, space)
     upper = None
-    if isinstance(nb, str):
-        citations["norm_upper"] = f"unavailable: {nb}"
-    elif lower > nb.upper * (1.0 + 1e-12):
-        citations["norm_upper"] = (
-            "dropped: unconditional lower bound exceeds the hyponormal upper bound, "
-            "so the operator cannot be hyponormal"
-        )
-    else:
-        upper = nb.upper
-        citations["norm_upper"] = CIT_NORM_MU_UPPER + " (assuming hyponormality)"
-    return SpectralReport(r_cf.value, re_cf.value, lower, upper, citations)
+    try:
+        if f.breaks_bound():
+            citations["norm_upper"] = (
+                "dropped: unconditional lower bound exceeds the hyponormal upper bound, "
+                "so the operator cannot be hyponormal"
+            )
+        else:
+            upper = f.bounds.upper
+            citations["norm_upper"] = CIT_NORM_MU_UPPER + " (assuming hyponormality)"
+    except TheoryUnavailableError as exc:
+        citations["norm_upper"] = f"unavailable: {exc}"
+    return SpectralReport(r_cf.value, re_cf.value, f.grid_lower, upper, citations)
