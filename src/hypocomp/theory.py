@@ -70,11 +70,12 @@ from .moebius import (
 from .space import SpaceSpec, kernel_norm
 from .verdict import (  # every name of verdict, re-exported
     CIT_COMPACT_FORCES_DILATION, CIT_COMPACT_NORMAL_FORM, CIT_CONSTANT_WEIGHT, CIT_CONTACT_NOT_FIXED,
-    CIT_HYPERBOLIC_CANDIDATE, CIT_NORM_KERNEL_GRID, CIT_NORM_MU_LOWER, CIT_NORM_MU_UPPER, CIT_NORMAL_DILATION,
-    CIT_NUMERIC_WITNESS, CIT_ORIGIN_NOT_FIXED, CIT_PARABOLIC_KERNEL_INEQUALITY, CIT_R_AUTOMORPHISM,
-    CIT_R_BOUNDARY, CIT_R_CONTRACTION, CIT_R_PARABOLIC, CIT_RE_BOUNDARY, CIT_RE_COMPACT, CIT_UNDECIDED,
-    CIT_WEIGHT_VANISHES_AT_CONTACT, SEARCH_BUDGET_S, SEARCH_ORDER, SEARCH_SEED, CertificateWitness,
-    HyponormalityVerdict, Outcome, classify_unweighted, normal_form_map,
+    CIT_HYPERBOLIC_CANDIDATE, CIT_NORM_BOUND_EXCEEDED, CIT_NORM_KERNEL_GRID, CIT_NORM_MU_LOWER,
+    CIT_NORM_MU_UPPER, CIT_NORMAL_DILATION, CIT_NUMERIC_WITNESS, CIT_ORIGIN_NOT_FIXED,
+    CIT_PARABOLIC_KERNEL_INEQUALITY, CIT_R_AUTOMORPHISM, CIT_R_BOUNDARY, CIT_R_CONTRACTION, CIT_R_PARABOLIC,
+    CIT_RE_BOUNDARY, CIT_RE_COMPACT, CIT_UNDECIDED, CIT_WEIGHT_VANISHES_AT_CONTACT, SEARCH_BUDGET_S,
+    SEARCH_ORDER, SEARCH_SEED, CertificateWitness, HyponormalityVerdict, Outcome, classify_unweighted,
+    normal_form_map,
 )
 
 
@@ -147,9 +148,9 @@ def _kernel_ratios(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, w
     more than 1e-12 of the larger side, or None (always None without lhs).
 
     The points before that index are checked in order, as a loop would meet
-    them: at the first where |psi(w)| is not finite InvalidParameterError is
-    raised, or OverflowError where the power is what is not finite.  A
-    product of finite factors that overflows is no violation.
+    them: at the first where the ratio is not finite InvalidParameterError is
+    raised if |psi(w)| is what is not finite, and otherwise OverflowError
+    (the power, or the product of finite factors, overflows).
     """
     with np.errstate(all="ignore"):
         size = np.abs(psi_f(w))
@@ -157,12 +158,12 @@ def _kernel_ratios(psi_f: AnalyticFunction, phi: MoebiusMap, space: SpaceSpec, w
         ratios = size * power
         over = None if lhs is None else ratios - lhs > 1e-12 * np.maximum(lhs, ratios)
     first = int(over.argmax()) if over is not None and over.any() else None
-    bad = ~(np.isfinite(size) & np.isfinite(power))[:first]
+    bad = ~np.isfinite(ratios[:first])   # a non-finite factor makes the product inf or nan
     if bad.any():
         i = int(bad.argmax())
         if not math.isfinite(size[i]):
             raise InvalidParameterError(f"the weight's value at z = {complex(w[i]):.6g} leaves the double range")
-        raise OverflowError(f"the kernel ratio's power overflows at w = {complex(w[i]):.6g}")
+        raise OverflowError(f"the kernel ratio overflows at w = {complex(w[i]):.6g}")
     return ratios, first
 
 
@@ -334,9 +335,19 @@ class _Facts:
     grid_lower = cached_property(lambda self: norm_lower_bound_grid(self.psi, self.phi, self.space))
 
     def breaks_bound(self) -> bool:
-        """Whether grid_lower exceeds the bound on ||C|| that hyponormality
-        forces, bounds.upper, by more than 1e-12 of it (read in that order)."""
-        upper = self.bounds.upper
+        """Whether grid_lower exceeds bounds.upper by more than 1e-12 of it
+        (read in that order), False where there are no bounds.
+
+        grid_lower <= ||C|| unconditionally (CIT_NORM_KERNEL_GRID), and
+        ||C|| <= bounds.upper = max{mu, |psi(p)|} if C is hyponormal
+        (CIT_NORM_MU_UPPER), so True excludes hyponormality.  The band
+        covers the rounding of the grid maximum, measured at most 1.24e-14
+        relative above its 40-digit value; both sides scale by |c| for c psi.
+        """
+        try:
+            upper = self.bounds.upper
+        except TheoryUnavailableError:
+            return False
         return self.grid_lower > upper * (1.0 + 1e-12)
 
 
@@ -345,11 +356,14 @@ def classify_weighted(
 ) -> HyponormalityVerdict:
     """Decision tree for hyponormality of f -> psi (f o phi).
 
-    Order: shifted boundary contact, weight vanishing at the fixed contact
+    A zero weight is refused and a value-constant one delegates to the
+    unweighted classifier.  Then, in order: the identity test (a candidate,
+    M_psi), shifted boundary contact, weight vanishing at the fixed contact
     point, the parabolic kernel inequality on a deterministic grid, exact
-    normal-form matching for strict contractions, then candidate (optionally
-    escalated to a numeric certificate by witness search).  Value-constant
-    weights delegate to the unweighted classifier.  The normal-form match is
+    normal-form matching for strict contractions, the norm bound that
+    hyponormality forces (_Facts.breaks_bound: the kernel-grid lower bound
+    above max{mu, |psi(p)|}), then candidate (optionally escalated to a
+    numeric certificate by witness search).  The normal-form match is
     normal_form's test, _kernel_quotient_mismatch: psi = psi(p) K_p/(K_p o phi)
     on |z| = 0.85 to _near_circle_tol(p) relative, so c psi decides as psi.
     """
@@ -405,8 +419,13 @@ def classify_weighted(
             why = f"weight differs from the kernel quotient at z = {z:.6g}"
         if why is not None:
             return verdict(Outcome.NOT_HYPONORMAL, CIT_COMPACT_NORMAL_FORM, details=why)
+        return verdict(Outcome.NORMAL, CIT_COMPACT_NORMAL_FORM,
+                       details=f"exact normal form with p = {p:.12g}, delta = {delta:.12g}")
+    if f.breaks_bound():
         return verdict(
-            Outcome.NORMAL, CIT_COMPACT_NORMAL_FORM, details=f"exact normal form with p = {p:.12g}, delta = {delta:.12g}"
+            Outcome.NOT_HYPONORMAL,
+            CIT_NORM_BOUND_EXCEEDED,
+            details=f"norm >= {f.grid_lower:.12g} on the kernel grid > max{{mu, |psi(p)|}} = {f.bounds.upper:.12g}",
         )
 
     note = "parabolic inequality holds on the grid" if parabolic else f"class {cls.kind.value}"
@@ -812,16 +831,14 @@ def spectral_report(psi, phi: MoebiusMap, space: SpaceSpec) -> SpectralReport:
     # r_e's constancy test first: a weight that fails there fails with that error.
     re_cf, r_cf = _essential_radius(f), _spectral_radius(f)
     citations = {"r": r_cf.citation, "r_e": re_cf.citation, "norm_lower": CIT_NORM_KERNEL_GRID}
-    upper = None
     try:
-        if f.breaks_bound():
-            citations["norm_upper"] = (
-                "dropped: unconditional lower bound exceeds the hyponormal upper bound, "
-                "so the operator cannot be hyponormal"
-            )
-        else:
-            upper = f.bounds.upper
-            citations["norm_upper"] = CIT_NORM_MU_UPPER + " (assuming hyponormality)"
+        upper = f.bounds.upper
+        citations["norm_upper"] = CIT_NORM_MU_UPPER + " (assuming hyponormality)"
     except TheoryUnavailableError as exc:
-        citations["norm_upper"] = f"unavailable: {exc}"
+        upper, citations["norm_upper"] = None, f"unavailable: {exc}"
+    if f.breaks_bound():
+        upper, citations["norm_upper"] = None, (
+            "dropped: unconditional lower bound exceeds the hyponormal upper bound, "
+            "so the operator cannot be hyponormal"
+        )
     return SpectralReport(r_cf.value, re_cf.value, f.grid_lower, upper, citations)

@@ -35,6 +35,9 @@ CIT_HYPERBOLIC_CANDIDATE = (
     "hyperbolic non-automorphism fixing the origin passes every necessary condition; "
     "hyponormality is not decided"
 )
+CIT_NORM_BOUND_EXCEEDED = (
+    "the kernel-grid norm lower bound exceeds max{mu, |psi(p)|}, the norm bound that hyponormality forces"
+)
 CIT_CONSTANT_WEIGHT = "a constant weight rescales the unweighted composition operator"
 CIT_NUMERIC_WITNESS = "kernel-combination witness with ||C* f|| exceeding ||C f||"
 CIT_UNDECIDED = "no implemented exclusion applies"

@@ -1,6 +1,7 @@
 """Shared fixtures and independent oracles for the test suite."""
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -49,6 +50,13 @@ def psi_one():
 @pytest.fixture(scope="session")
 def psi_two():
     return hc.polynomial_fn(3, 2, -3)
+
+
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def fft_coefficients(f, n, radius=0.5, samples=4096):

@@ -10,10 +10,11 @@ census.json holds, for each map kind, the count of each outcome, and the
 count of the open (CandidateNotExcluded) cases that witness_search, at order
 128 with no deadline, certifies.  A change that moves a count updates the
 file and names the move in CHANGES.md.  The counts cannot hide a wrong
-verdict: no Normal case may be certified, and c psi must get the outcome of
-psi.  Searches that find no witness cost about 50 ms each, so the identity
-maps' open cases (multiplication operators, which the search never
-certifies) and the Normal cases are searched on a fixed sample only.
+verdict: no Normal case may be certified, every verdict of the norm-bound
+step must be, and c psi must get the outcome of psi.  Searches that find no
+witness cost about 50 ms each, so the identity maps' open cases
+(multiplication operators, which the search never certifies) and the Normal
+cases are searched on a fixed sample only.
 """
 
 import collections
@@ -25,6 +26,7 @@ import numpy as np
 import pytest
 
 import hypocomp as hc
+from hypocomp.verdict import CIT_NORM_BOUND_EXCEEDED
 from test_theory import conjugated_nonauto, maps_of_every_kind, random_weight
 
 CENSUS = pathlib.Path(__file__).parent / "data" / "census.json"
@@ -70,6 +72,15 @@ def test_counts_match_the_recorded_census(census):
     want = json.loads(CENSUS.read_text())
     assert {kind: dict(counts) for kind, counts in outcomes.items()} == want["outcomes"]
     assert dict(searched) == want["certified"]
+
+
+def test_norm_bound_verdicts_are_certified(census):
+    # The step's hypothesis, ||C|| <= max{mu, |psi(p)|} under hyponormality,
+    # is cited, not proved here: its 46 verdicts must agree with a witness.
+    cases, verdicts = census
+    step = [case for case, v in zip(cases, verdicts) if v.citation == CIT_NORM_BOUND_EXCEEDED]
+    assert len(step) == 46
+    assert all(certified(*case) for case in step)
 
 
 def test_no_sampled_hyponormal_case_is_certified(census):

@@ -20,7 +20,7 @@ import hypocomp as hc
 from hypocomp import cli, funcalg, matrixrep, moebius, theory, verdict
 from hypocomp.errors import ConvergenceFailureError, NotAFixedPointError, TheoryUnavailableError
 
-from conftest import DERANDOMIZED
+from conftest import DERANDOMIZED, strict_json
 from test_cli_golden import CASES, assert_matches
 from test_theory import maps_of_every_kind
 
@@ -48,7 +48,7 @@ def run(capsys, *argv):
 
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv, "--format", "json")
-    return code, json.loads(out)
+    return code, strict_json(out)
 
 
 class TestParsers:
@@ -132,13 +132,18 @@ class TestClassifyCommand:
 
     # The pole -1/c lies outside the closed disk, within 1e-9 and 1e-8 of the
     # circle, and the map fixes -|c|/c on the circle: C is not compact, so no
-    # compactness theorem applies.
-    @pytest.mark.parametrize("command", [("classify",), ("check", "--psi=1,0.5")])
+    # compactness theorem applies.  The weight 1 + z/2 is excluded by the
+    # norm bound that hyponormality forces at the fixed point 0 (1.1 on the
+    # kernel grid at w = 0.4, against max{mu, |psi(0)|} = 1).
+    @pytest.mark.parametrize("command, outcome, citation", [
+        (("classify",), "CandidateNotExcluded", hc.theory.CIT_HYPERBOLIC_CANDIDATE),
+        (("check", "--psi=1,0.5"), "NotHyponormal", hc.theory.CIT_NORM_BOUND_EXCEEDED),
+    ], ids=["command0", "command1"])
     @pytest.mark.parametrize("c", ["0.999999999", "0.99999999"])
-    def test_near_pole_hyperbolic_form_is_the_candidate(self, capsys, command, c):
+    def test_near_pole_hyperbolic_form_is_the_candidate(self, capsys, command, outcome, citation, c):
         code, rep = run_json(capsys, *command, f"--map=hyperbolic-nonauto:{c}")
         assert code == 0 and rep["map_class"] == "hyperbolic-nonautomorphism"
-        assert rep["verdict"]["outcome"] == "CandidateNotExcluded"
+        assert (rep["verdict"]["outcome"], rep["verdict"]["citation"]) == (outcome, citation)
 
 
 class TestInputOutsideHypotheses:
@@ -208,6 +213,21 @@ class TestInputOutsideHypotheses:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: floating-point overflow") and captured.err.count("\n") == 1
+
+    # Finite factors whose product overflows are refused like an overflowing
+    # power: spectral printed "norm_lower": Infinity, which is not JSON, and
+    # check passed over the points where the ratio overflowed on its way to a
+    # violation at w = -0.0765+0.185j.
+    @pytest.mark.parametrize("argv", [
+        ("spectral", "--map=parabolic:1,1", "--psi=1e300", "--space=bergman:600", "--json"),
+        ("check", "--map=parabolic:1,1", "--psi=1e300,1e299", "--space=bergman:600"),
+    ])
+    def test_overflowing_kernel_ratio_exit_2(self, capsys, argv):
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("error: floating-point overflow on this input, a value leaves the double range: "
+                                "the kernel ratio overflows at w = 0+0j\n")
 
     # The kernel quotient of a normal form near the circle leaves the double
     # range as alpha grows: a power factor overflows at the fixed point (64 to
@@ -424,18 +444,22 @@ class TestCheckCommand:
         assert code == 0
 
     # The weight's size does not change the search: 1e300 and 1e-170 times
-    # (1, 0.5) certify where (2, 1) does, at the same points.
+    # (3, -1) certify where (3, -1) does, at the same points.  Nor does it
+    # change a theorem: the same multiples of (1, 0.5) exceed the norm bound
+    # that hyponormality forces, as (2, 1) does, before any search.
     @pytest.mark.parametrize("space", ["hardy", "bergman:0"])
     def test_escalation_certifies_at_any_weight_scale(self, capsys, space):
-        found = []
-        for psi in ("2,1", "1e300,0.5e300", "1e-170,0.5e-170"):
-            code, rep = run_json(capsys, "check", "--escalate", "--map=hyperbolic-nonauto:0.5",
-                                 f"--space={space}", f"--psi={psi}")
-            assert code == 0
-            verdict = rep["verdict"]
-            found.append((verdict["outcome"], (verdict.get("witness") or {}).get("points")))
-        assert found[0][0] == "CertifiedNotNumeric"
-        assert found == 3 * found[:1]
+        for weights, outcome in ((("3,-1", "3e300,-1e300", "3e-170,-1e-170"), "CertifiedNotNumeric"),
+                                 (("2,1", "1e300,0.5e300", "1e-170,0.5e-170"), "NotHyponormal")):
+            found = []
+            for psi in weights:
+                code, rep = run_json(capsys, "check", "--escalate", "--map=hyperbolic-nonauto:0.5",
+                                     f"--space={space}", f"--psi={psi}")
+                assert code == 0
+                verdict = rep["verdict"]
+                found.append((verdict["outcome"], verdict["citation"], (verdict.get("witness") or {}).get("points")))
+            assert found[0][0] == outcome
+            assert found == 3 * found[:1]
 
     def test_escalation_attaches_witness(self, capsys):
         code, rep = run_json(capsys, "check", "--psi", "2,1", "--map", "1,0.5,0.5,1",
@@ -642,7 +666,7 @@ def _main_json(*argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main([*argv, "--json"])
-    return code, json.loads(out.getvalue())
+    return code, strict_json(out.getvalue())
 
 
 def _decisions(spec, psi):
@@ -838,7 +862,7 @@ class TestOutputContracts:
             ["selftest", "--space", "bergman:0"],
         ):
             _, out = run(capsys, *argv, "--format", "json")
-            rep = json.loads(out)
+            rep = strict_json(out)
             assert json.loads(json.dumps(rep)) == rep
             assert isinstance(rep["wall_time_ms"], float) and rep["wall_time_ms"] >= 0.0
 
@@ -953,7 +977,7 @@ class TestSharedParser:
             with contextlib.redirect_stdout(out):
                 code = cli.main(case["argv"])
             assert code == case["exit"], case["argv"]
-            report = json.loads(out.getvalue())
+            report = strict_json(out.getvalue())
             report.pop("wall_time_ms")
             assert_matches(report, case["report"])
 

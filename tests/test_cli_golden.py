@@ -7,13 +7,13 @@ on hardy and bergman:1, then the other ten escalate calls at seed 7001 and
 the four witness searches of CI's numpy-only job.  Strings, ints and booleans
 must match exactly, floats to 1e-12 relative, so that another numpy or BLAS
 build cannot make the comparison flaky.  The same calls with --format csv
-must give rows of exactly two fields.
+must give rows of exactly two fields.  Reports are parsed as strict JSON,
+so a NaN or an infinity in one fails.
 """
 
 import contextlib
 import csv
 import io
-import json
 import math
 import pathlib
 
@@ -21,8 +21,10 @@ import pytest
 
 from hypocomp import cli
 
+from conftest import strict_json
+
 GOLDEN = pathlib.Path(__file__).parent / "data" / "cli_golden.jsonl"
-CASES = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+CASES = [strict_json(line) for line in GOLDEN.read_text().splitlines()]
 
 
 def assert_matches(got, want, path="report"):
@@ -46,7 +48,7 @@ def test_report_matches_recorded(case):
     with contextlib.redirect_stdout(out):
         code = cli.main(case["argv"])
     assert code == case["exit"]
-    report = json.loads(out.getvalue())
+    report = strict_json(out.getvalue())
     report.pop("wall_time_ms")
     assert_matches(report, case["report"])
 

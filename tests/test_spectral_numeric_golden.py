@@ -15,20 +15,22 @@ last that automorphism at N = 1024, whose norm took the longest Lanczos
 pass that converged (about 550 products, restarted), recorded before the
 plain pass replaced it.  The diagnostics print 12 significant digits, so
 the reports must match exactly: a change to the finite-section numerics
-that moves a printed digit shows here.
+that moves a printed digit shows here.  Reports are parsed as strict JSON,
+so a NaN or an infinity in one fails.
 """
 
 import contextlib
 import io
-import json
 import pathlib
 
 import pytest
 
 from hypocomp import cli
 
+from conftest import strict_json
+
 GOLDEN = pathlib.Path(__file__).parent / "data" / "spectral_numeric_golden.jsonl"
-CASES = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+CASES = [strict_json(line) for line in GOLDEN.read_text().splitlines()]
 
 
 @pytest.mark.parametrize("case", CASES, ids=[f"{i:02d}-{c['argv'][2]}" for i, c in enumerate(CASES)])
@@ -37,6 +39,6 @@ def test_report_matches_recorded(case):
     with contextlib.redirect_stdout(out):
         code = cli.main(case["argv"])
     assert code == case["exit"]
-    report = json.loads(out.getvalue())
+    report = strict_json(out.getvalue())
     report.pop("wall_time_ms")
     assert report == case["report"]

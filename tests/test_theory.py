@@ -894,15 +894,74 @@ class TestNormBounds:
         assert abs(kernel_ratio_value(psi_one, parabolic_map, H2, 0.4) - kn.adjoint) < 1e-12
 
 
+class TestNormBoundStep:
+    """classify_weighted's last theorem step: the kernel-grid lower bound on
+    ||C|| above max{mu, |psi(p)|}, the bound hyponormality forces, which is
+    spectral_report's rule for dropping norm_upper."""
+
+    def test_check_agrees_with_spectral(self, H2):
+        # z/(z + 2) fixes 0 and -1; psi = 1 + z/2 has max{mu, |psi(0)|} = 1,
+        # and its kernel side is 1.115 at w = 0.4.
+        psi, phi = hc.polynomial_fn(1, 0.5), hc.hyperbolic_nonauto_form(0.5)
+        v = hc.classify_weighted(psi, phi, H2)
+        rep = hc.spectral_report(psi, phi, H2)
+        assert (v.outcome, v.citation) == (Outcome.NOT_HYPONORMAL, theory.CIT_NORM_BOUND_EXCEEDED)
+        assert v.details == f"norm >= {rep.norm_lower:.12g} on the kernel grid > max{{mu, |psi(p)|}} = 1"
+        assert rep.norm_upper is None and rep.citations["norm_upper"].startswith("dropped: ")
+
+    @pytest.mark.parametrize("label", SPACE_LABELS)
+    @DERANDOMIZED
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_verdicts_are_certified_and_scale_free(self, label, seed):
+        # Every verdict of the step has a witness, c psi gets the verdict of
+        # psi, and spectral drops norm_upper only where check excludes.
+        space = hc.space_from_label(label)
+        rng = np.random.default_rng(seed)
+        c_form = (0.1 + 0.8 * rng.uniform()) * unit(rng)
+        for phi in (conjugated_nonauto(rng), conjugated_nonauto(rng), hc.hyperbolic_nonauto_form(c_form)):
+            psi = hc.polynomial_fn(*random_weight(rng))
+            c = 10 ** rng.uniform(-8, 8) * unit(rng)
+            v = hc.classify_weighted(psi, phi, space)
+            scaled = hc.classify_weighted(psi.scale(c), phi, space)
+            assert (scaled.outcome, scaled.citation) == (v.outcome, v.citation)
+            if hc.spectral_report(psi, phi, space).citations["norm_upper"].startswith("dropped: "):
+                assert v.outcome is Outcome.NOT_HYPONORMAL
+            if v.citation == theory.CIT_NORM_BOUND_EXCEEDED:
+                witness = hc.witness_search(psi, phi, space, budget_seconds=math.inf)
+                assert witness is not None and witness.is_conclusive, (phi, psi)
+
+    @pytest.mark.parametrize("excess, excluded", [(1.1e-12, True), (0.9e-12, False)])
+    def test_the_bound_is_exceeded_by_1e_12(self, H2, half_shift_map, excess, excluded):
+        # On z/(z + 2), psi = 1 + s z has max{mu, |psi(0)|} = max{|1 - s|, 1}
+        # = 1 for 0 < s < 2, and a grid bound that rises through 1 near
+        # s = 0.04: bisect s to the excess, in the step's own arithmetic.
+        def excess_at(s):
+            facts = theory._Facts(hc.polynomial_fn(1, s), half_shift_map, H2)
+            return facts.grid_lower / facts.bounds.upper - 1.0
+
+        lo, hi = 0.0, 0.5
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if excess_at(mid) < excess else (lo, mid)
+        assert abs(excess_at(hi) - excess) <= 1e-15
+        v = hc.classify_weighted(hc.polynomial_fn(1, hi), half_shift_map, H2)
+        assert (v.citation == theory.CIT_NORM_BOUND_EXCEEDED) is excluded
+        assert (v.outcome is Outcome.NOT_HYPONORMAL) is excluded
+
+
 _EPS = float(np.finfo(float).eps)
 GRID_SPACES = ("hardy", "bergman:0", "bergman:1", "bergman:1e4")
 
 
 def _loop_ratio(psi_f, phi, space, w):
     """The kernel ratio at one point in Python scalars, as the grid was read
-    point by point before its one array evaluation: the reference."""
+    point by point before its one array evaluation: the reference.  A float
+    power raises OverflowError, and so does a product that overflows."""
     ratio = (1.0 - abs(w) ** 2) / (1.0 - abs(phi(w)) ** 2)
-    return abs(psi_f(w)) * ratio ** (space.gamma / 2.0)
+    value = abs(psi_f(w)) * ratio ** (space.gamma / 2.0)
+    if not math.isfinite(value):
+        raise OverflowError(f"the kernel ratio overflows at w = {w}")
+    return value
 
 
 def _loop_first_violation(psi_f, phi, space, zeta):
@@ -976,14 +1035,18 @@ class TestKernelRatioGrid:
 
     def test_the_weight_is_read_before_the_power(self):
         # At alpha = 1e4 the power for 0.8 z + 0.2 first overflows at w = 0.5,
-        # the first grid point where K (1 + z) leaves the double range too.
-        # There, as in the loop, the weight's error is the one raised.
+        # where K (1 + z) leaves the double range too.  There, as in the loop,
+        # the weight's error is the one raised.  On the grid, K times the
+        # finite power 1.04^5001 at w = 0 overflows first, and is refused too.
         phi, space = hc.MoebiusMap(0.8, 0.2, 0, 1), hc.bergman(1e4)
         k = np.finfo(float).max / 1.5 * (1 + 1e-6)
         psi = hc.polynomial_fn(k, k)
-        assert _value_or_error(lambda: max(_loop_ratio(psi, phi, space, complex(w))
-                                           for w in theory._INEQUALITY_GRID)) is InvalidParameterError
+        assert _value_or_error(lambda: _loop_ratio(psi, phi, space, 0.5 + 0j)) is InvalidParameterError
         with pytest.raises(InvalidParameterError, match=r"at z = 0\.5\+0j leaves the double range"):
+            theory._kernel_ratios(psi, phi, space, np.array([0.5 + 0j]))
+        assert _value_or_error(lambda: max(_loop_ratio(psi, phi, space, complex(w))
+                                           for w in theory._INEQUALITY_GRID)) is OverflowError
+        with pytest.raises(OverflowError, match=r"overflows at w = 0\+0j"):
             hc.norm_lower_bound_grid(psi, phi, space)
         with pytest.raises(OverflowError, match=r"overflows at w = 0\.5\+0j"):
             hc.norm_lower_bound_grid(1, phi, space)
